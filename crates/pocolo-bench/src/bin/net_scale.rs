@@ -1,11 +1,10 @@
 //! Reactor scale driver: one clusterd event loop versus a swarm fleet.
 //!
-//! - `--smoke`: the CI gate — a small fleet end-to-end on both backends
-//!   with the bit-exact parity contract, timing-independent.
-//! - default: sweeps the reactor at 500/2000/5000 agents and the
-//!   thread-per-connection backend at 500/2000, then writes
-//!   `BENCH_net.json` (connections/s accepted, heartbeat RTT p50/p99,
-//!   broadcast fan-out latency at a 1 s heartbeat cadence).
+//! - `--smoke`: the CI gate — a small fleet end-to-end with the
+//!   bit-exact parity contract, timing-independent.
+//! - default: sweeps 500/2000/5000 agents, then writes `BENCH_net.json`
+//!   (connections/s accepted, heartbeat RTT p50/p99, broadcast fan-out
+//!   latency at a 1 s heartbeat cadence).
 
 use pocolo_bench::net_scale;
 

