@@ -17,8 +17,10 @@
 //! programmatic median export) and land in `BENCH_assignment.json`, the
 //! repo's first standing perf baseline. The `--smoke` entry point
 //! ([`smoke`]) is the CI gate: it asserts the certified optimality gap
-//! against dense Hungarian and the O(k · dirtied rows) incremental
-//! operation bound, so the gate stays timing-independent.
+//! against dense Hungarian, the O(k · dirtied rows) incremental operation
+//! bound, and that a [`PlacementPlan`]'s in-place repairs do exactly the
+//! work of the `patched()` + `solve_incremental` building blocks, so the
+//! gate stays timing-independent.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -27,7 +29,11 @@ use pocolo_cluster::assign::auction::{self, AuctionConfig, AuctionSolution, DEFA
 use pocolo_cluster::assign::sparse::SparseCandidates;
 use pocolo_cluster::assign::{self, hungarian};
 use pocolo_cluster::matrix::{MatrixDelta, PerfMatrix};
+use pocolo_cluster::perfmatrix::{PerfMatrixBuilder, ServerProfile};
+use pocolo_cluster::{ClusterManager, PlacementPlan};
 use pocolo_core::fleet::FleetSpec;
+use pocolo_sim::experiment::FittedCluster;
+use pocolo_workloads::profiler::ProfilerConfig;
 use rand::prelude::*;
 
 /// Server SKU classes in the synthetic fleet. Real fleets have a handful
@@ -348,8 +354,9 @@ pub fn run_standard(iters: usize) -> ScaleReport {
 /// # Panics
 ///
 /// Panics (failing the CI step) if the solve does not certify, the gap
-/// vs. dense Hungarian exceeds ε·rows, or the incremental repair
-/// examines more than O(k · dirtied rows) candidate edges.
+/// vs. dense Hungarian exceeds ε·rows, the incremental repair examines
+/// more than O(k · dirtied rows) candidate edges, or a plan's in-place
+/// repair departs from its building blocks ([`plan_parity`]).
 pub fn smoke() {
     let (be_rows, servers) = (100usize, 1_000usize);
     let cfg = AuctionConfig::with_eps(DEFAULT_EPS);
@@ -409,6 +416,89 @@ pub fn smoke() {
         repaired.stats.bid_edges,
         inc.as_millis()
     );
+    let (fault, brownout) = plan_parity();
+    println!(
+        "  in-place plan == building blocks: fault repair {} bids / {} cert edges, \
+         keyed budget step {} bids / {} cert edges",
+        fault.bids, fault.cert_edges, brownout.bids, brownout.cert_edges
+    );
+}
+
+/// What a [`PlacementPlan`] repair does in place — patch the dirtied
+/// columns, re-bid, certify — against the public building blocks on the
+/// same inputs: `PerfMatrix::patched` + [`auction::solve_incremental`],
+/// with the budget step's delta from the *unkeyed*
+/// [`PerfMatrixBuilder::rebuild_columns`] over cloned, de-rated profiles.
+/// A fault repair and a class-keyed budget step on a 64-server fleet of 32
+/// profile classes must each return the blocks' pairs, price bits and
+/// every [`auction::AuctionStats`] counter. Returns the two repairs' stats.
+///
+/// # Panics
+///
+/// Panics on any difference.
+pub fn plan_parity() -> (auction::AuctionStats, auction::AuctionStats) {
+    const BUCKETS: usize = 8;
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
+    let bases = fitted.server_profiles();
+    let (mut servers, mut keys) = (Vec::new(), Vec::new());
+    for j in 0..2 * BUCKETS * bases.len() {
+        let (base, bucket) = (j % bases.len(), j / bases.len() % BUCKETS);
+        let mut profile = bases[base].clone();
+        profile.label = format!("s{j}");
+        profile.power_cap = profile.power_cap * (0.9 + 0.2 * bucket as f64 / BUCKETS as f64);
+        servers.push(profile);
+        keys.push(base * BUCKETS + bucket);
+    }
+    let mgr = ClusterManager::new(fitted.be_profiles(), servers).with_profile_keys(keys);
+    let cfg = AuctionConfig::with_eps(DEFAULT_EPS);
+    let mut plan = mgr.plan_sparse(DEFAULT_EPS).expect("cold plan");
+
+    // The blocks stand up their own candidates and reference solve, the
+    // way `plan_sparse` does.
+    let mut matrix = plan.matrix().clone();
+    let mut cands = SparseCandidates::build(&matrix, SparseCandidates::default_k(matrix.cols()));
+    let mut standing =
+        auction::solve_with_candidates(&matrix, &mut cands, &cfg).expect("reference solve");
+    let mut step = |plan: &PlacementPlan, delta: &MatrixDelta, what: &str| {
+        matrix = matrix.patched(delta).expect("patched matrix");
+        standing = auction::solve_incremental(&matrix, &mut cands, &standing, delta, &cfg)
+            .expect("incremental repair");
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(plan.matrix(), &matrix, "{what}: matrix");
+        assert_eq!(plan.assignment(), &standing.assignment, "{what}: pairs");
+        assert_eq!(
+            bits(plan.prices()),
+            bits(&standing.prices),
+            "{what}: prices"
+        );
+        assert_eq!(plan.solution().stats, standing.stats, "{what}: stats");
+        standing.stats
+    };
+
+    let fault = fault_delta(plan.solution());
+    let victim = fault.dirty_cols().next().expect("one faulted column");
+    mgr.replan_after_faults(&mut plan, &[victim])
+        .expect("fault repair");
+    let fault_stats = step(&plan, &fault, "fault repair");
+
+    let before = plan.matrix().clone();
+    mgr.replan_under_budget_incremental(&mut plan, 0.8, 0.0)
+        .expect("budget step");
+    let shrunk: Vec<ServerProfile> = mgr
+        .servers()
+        .iter()
+        .map(|s| ServerProfile {
+            power_cap: s.power_cap * 0.8,
+            ..s.clone()
+        })
+        .collect();
+    let all_cols: Vec<usize> = (0..before.cols()).collect();
+    let derate = PerfMatrixBuilder::new()
+        .rebuild_columns(mgr.be_apps(), &shrunk, &all_cols, &before)
+        .expect("unkeyed rebuild");
+    assert!(derate.len() > 1, "the budget step dirties the fleet");
+    let budget_stats = step(&plan, &derate, "budget step");
+    (fault_stats, budget_stats)
 }
 
 /// Per-size generator seed, so every scenario at a size shares a fleet.
@@ -445,6 +535,12 @@ mod tests {
             ]
         );
         assert!(gap <= DEFAULT_EPS * 12.0 + 1e-6, "gap {gap} too large");
+    }
+
+    #[test]
+    fn in_place_plan_repairs_match_their_building_blocks() {
+        let (fault, budget) = plan_parity();
+        assert!(fault.dirty_rows >= 1 && budget.dirty_rows >= 1);
     }
 
     #[test]

@@ -274,8 +274,19 @@ impl<'a> Engine<'a> {
     /// Dual sweep: after flooring unassigned-column prices, computes
     /// `π_i = max_j (v_ij − p_j)` over all enabled columns. Returns the
     /// dual upper bound and, per row with slack > ε, its best off-profit
-    /// column.
+    /// column (the first maximum in column order).
+    ///
+    /// The sweep is dense and stateless on purpose — it is the one place
+    /// that looks at every edge, which is what makes the certificate hold
+    /// whatever pruning did — so its cost is all in the inner loop:
+    /// disabled columns are priced out of the maximum once per sweep
+    /// instead of tested per edge, and the arg-max is recovered only for
+    /// the rare rows that violate ε-CS.
     fn certify_scan(&mut self) -> (f64, Vec<(usize, usize)>) {
+        #[cfg(test)]
+        if tests::SCALAR_SCAN.with(std::cell::Cell::get) {
+            return self.certify_scan_scalar();
+        }
         self.floor_unassigned_prices();
         let mut ub: f64 = self
             .owner
@@ -284,26 +295,32 @@ impl<'a> Engine<'a> {
             .filter(|(_, o)| o.is_some())
             .map(|(col, _)| self.prices[col])
             .sum();
+        let prices: Vec<f64> = self
+            .prices
+            .iter()
+            .enumerate()
+            .map(|(col, &p)| {
+                if self.matrix.is_col_disabled(col) {
+                    f64::INFINITY
+                } else {
+                    p
+                }
+            })
+            .collect();
+        self.stats.cert_edges += (self.matrix.rows() * self.matrix.enabled_cols()) as u64;
         let mut violations = Vec::new();
         for row in 0..self.matrix.rows() {
             let values = self.matrix.row(row);
-            let mut pi = f64::NEG_INFINITY;
-            let mut pi_col = 0;
-            for (col, &v) in values.iter().enumerate() {
-                if self.matrix.is_col_disabled(col) {
-                    continue;
-                }
-                self.stats.cert_edges += 1;
-                let profit = v - self.prices[col];
-                if profit > pi {
-                    pi = profit;
-                    pi_col = col;
-                }
-            }
+            let pi = max_profit(values, &prices);
             ub += pi;
             let own_col = self.assigned[row].expect("certify runs on a complete assignment");
             let own = values[own_col] - self.prices[own_col];
             if pi - own > self.cfg.eps {
+                let pi_col = values
+                    .iter()
+                    .zip(&prices)
+                    .position(|(&v, &p)| v - p == pi)
+                    .expect("the maximum is one of the profits");
                 violations.push((row, pi_col));
             }
         }
@@ -379,6 +396,35 @@ impl<'a> Engine<'a> {
             stats: self.stats,
         }
     }
+}
+
+/// Independent running maxima [`max_profit`] keeps per row: enough to
+/// hide the compare latency and let the loop vectorize.
+const PROFIT_LANES: usize = 8;
+
+/// `max_j (values[j] − prices[j])`, `-∞` for an empty row. The maximum of
+/// a set does not depend on the order it is folded in, so splitting the
+/// row across lanes returns the same value a left-to-right scan does.
+fn max_profit(values: &[f64], prices: &[f64]) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; PROFIT_LANES];
+    let mut v_chunks = values.chunks_exact(PROFIT_LANES);
+    let mut p_chunks = prices.chunks_exact(PROFIT_LANES);
+    for (v, p) in (&mut v_chunks).zip(&mut p_chunks) {
+        for ((best, &v), &p) in lanes.iter_mut().zip(v).zip(p) {
+            let profit = v - p;
+            if profit > *best {
+                *best = profit;
+            }
+        }
+    }
+    let tail = v_chunks.remainder().iter().zip(p_chunks.remainder());
+    let mut best = f64::NEG_INFINITY;
+    for profit in tail.map(|(&v, &p)| v - p).chain(lanes) {
+        if profit > best {
+            best = profit;
+        }
+    }
+    best
 }
 
 fn validate(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<(), ClusterError> {
@@ -479,7 +525,8 @@ pub fn solve_warm(
 /// every pair of `prev` whose column the delta did not dirty, and re-bids
 /// only the dirtied rows from the previous prices.
 ///
-/// `matrix` must already be the patched matrix (`old.patched(delta)`) and
+/// `matrix` must already be the patched matrix (`old.patched(delta)`, or
+/// the plan's own matrix patched in place) and
 /// `cands` the lists built against the *old* matrix — this function
 /// brings them up to date. Work is O(k · dirtied rows) candidate edges
 /// (plus certification if enabled); `stats.dirty_rows` and
@@ -575,6 +622,183 @@ mod tests {
                 .map(|_| (0..cols).map(|_| rng.gen_range(0.0..1.0)).collect())
                 .collect(),
         )
+    }
+
+    thread_local! {
+        /// Routes `Engine::certify_scan` through the scalar oracle below.
+        pub(super) static SCALAR_SCAN: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` with every certification sweep done by the scalar oracle.
+    fn with_scalar_scan<T>(f: impl FnOnce() -> T) -> T {
+        SCALAR_SCAN.with(|s| s.set(true));
+        let out = f();
+        SCALAR_SCAN.with(|s| s.set(false));
+        out
+    }
+
+    impl Engine<'_> {
+        /// The certification sweep as it was before the inner loop was
+        /// tightened — one running maximum, the disabled test and the edge
+        /// count per edge — kept as the oracle the tight scan must match.
+        pub(super) fn certify_scan_scalar(&mut self) -> (f64, Vec<(usize, usize)>) {
+            self.floor_unassigned_prices();
+            let mut ub: f64 = self
+                .owner
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.is_some())
+                .map(|(col, _)| self.prices[col])
+                .sum();
+            let mut violations = Vec::new();
+            for row in 0..self.matrix.rows() {
+                let values = self.matrix.row(row);
+                let mut pi = f64::NEG_INFINITY;
+                let mut pi_col = 0;
+                for (col, &v) in values.iter().enumerate() {
+                    if self.matrix.is_col_disabled(col) {
+                        continue;
+                    }
+                    self.stats.cert_edges += 1;
+                    let profit = v - self.prices[col];
+                    if profit > pi {
+                        pi = profit;
+                        pi_col = col;
+                    }
+                }
+                ub += pi;
+                let own_col = self.assigned[row].expect("certify runs on a complete assignment");
+                let own = values[own_col] - self.prices[own_col];
+                if pi - own > self.cfg.eps {
+                    violations.push((row, pi_col));
+                }
+            }
+            (ub, violations)
+        }
+    }
+
+    /// A seeded matrix built to stress the scan: values on a coarse grid,
+    /// every third column an exact copy of an earlier one (ties between
+    /// columns), widths that leave a remainder for the lane loop.
+    fn tied_matrix(rows: usize, cols: usize, seed: u64) -> PerfMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut values: Vec<Vec<f64>> = (0..rows)
+            .map(|_| {
+                (0..cols)
+                    .map(|_| f64::from(rng.gen_range(0..16u32)) / 16.0)
+                    .collect()
+            })
+            .collect();
+        for col in (2..cols).step_by(3) {
+            let twin = rng.gen_range(0..col);
+            for row in &mut values {
+                row[col] = row[twin];
+            }
+        }
+        matrix(values)
+    }
+
+    fn assert_same_solution(tight: &AuctionSolution, scalar: &AuctionSolution, what: &str) {
+        assert_eq!(tight.assignment.pairs, scalar.assignment.pairs, "{what}");
+        assert_eq!(
+            tight.assignment.total.to_bits(),
+            scalar.assignment.total.to_bits(),
+            "{what}"
+        );
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tight.prices), bits(&scalar.prices), "{what}");
+        assert_eq!(tight.certified, scalar.certified, "{what}");
+        assert_eq!(tight.stats, scalar.stats, "{what}");
+    }
+
+    #[test]
+    fn tight_scan_reproduces_the_scalar_scan() {
+        // k0 = 2 prunes hard, so certification has violations to report
+        // and splice; the default width covers the quiet path.
+        let mut violations_seen = 0;
+        for (i, &(rows, cols)) in [(5, 9), (7, 16), (12, 23), (6, 31), (20, 45), (3, 8)]
+            .iter()
+            .enumerate()
+        {
+            for k0 in [Some(2), None] {
+                let seed = 100 + i as u64;
+                let base = tied_matrix(rows, cols, seed);
+                // Two disabled columns (one of them the last) once there
+                // is room to spare.
+                let disable = MatrixDelta::new()
+                    .disable_column(1)
+                    .disable_column(cols - 1);
+                let m = if cols >= rows + 2 {
+                    base.patched(&disable).unwrap()
+                } else {
+                    base
+                };
+                let cfg = AuctionConfig {
+                    k0,
+                    ..AuctionConfig::default()
+                };
+                let k = k0.unwrap_or_else(|| SparseCandidates::default_k(cols));
+                let what = format!("{rows}x{cols} k0 {k0:?}");
+                let mut cands = SparseCandidates::build(&m, k);
+                let tight = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
+                let mut cands_scalar = SparseCandidates::build(&m, k);
+                let scalar =
+                    with_scalar_scan(|| solve_with_candidates(&m, &mut cands_scalar, &cfg))
+                        .unwrap();
+                valid(&m, &tight);
+                assert_same_solution(&tight, &scalar, &format!("cold {what}"));
+                violations_seen += tight.stats.widen_rounds;
+
+                // A repair on top: the host of row 0 leaves, a tied column
+                // changes.
+                let host = tight.assignment.server_for(0).unwrap();
+                let edited = (host + 3) % cols;
+                let mut delta = MatrixDelta::new().disable_column(host);
+                if !m.is_col_disabled(edited) {
+                    delta = delta.set_column(edited, vec![0.5; rows]);
+                }
+                if m.enabled_cols() - 1 < rows {
+                    continue;
+                }
+                let patched = m.patched(&delta).unwrap();
+                let inc = solve_incremental(&patched, &mut cands, &tight, &delta, &cfg).unwrap();
+                let inc_scalar = with_scalar_scan(|| {
+                    solve_incremental(&patched, &mut cands_scalar, &scalar, &delta, &cfg)
+                })
+                .unwrap();
+                valid(&patched, &inc);
+                assert_same_solution(&inc, &inc_scalar, &format!("repair {what}"));
+                violations_seen += inc.stats.widen_rounds;
+            }
+        }
+        assert!(
+            violations_seen > 0,
+            "no case exercised the arg-max recovery"
+        );
+    }
+
+    #[test]
+    fn max_profit_is_the_left_to_right_maximum() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for len in 0..40 {
+            let values: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let prices: Vec<f64> = (0..len)
+                .map(|j| {
+                    if j % 7 == 3 {
+                        f64::INFINITY
+                    } else {
+                        rng.gen_range(0.0..1.0)
+                    }
+                })
+                .collect();
+            let expected = values
+                .iter()
+                .zip(&prices)
+                .map(|(v, p)| v - p)
+                .fold(f64::NEG_INFINITY, |a, b| if b > a { b } else { a });
+            assert_eq!(max_profit(&values, &prices).to_bits(), expected.to_bits());
+        }
     }
 
     fn valid(matrix: &PerfMatrix, sol: &AuctionSolution) {

@@ -21,6 +21,20 @@ pub struct PerfMatrix {
     /// `disabled[j]` — column `j` is out of the fleet. Empty ⇔ all enabled
     /// (the common case pays no memory).
     disabled: Vec<bool>,
+    /// `col_max[j]` — the largest entry of column `j` (0.0 once disabled),
+    /// kept current by every patch so [`PerfMatrix::max_value`] never
+    /// rescans the values.
+    col_max: Vec<f64>,
+}
+
+/// What [`PerfMatrix::patch`] overwrote — enough to put the matrix back
+/// exactly as it was, at the cost of the dirtied columns only.
+#[derive(Debug)]
+pub(crate) struct PatchUndo {
+    /// `(col, old values, old disabled bit, old column maximum)`.
+    cols: Vec<(usize, Vec<f64>, bool, f64)>,
+    /// The disabled mask was still unallocated before the patch.
+    mask_was_empty: bool,
 }
 
 impl PerfMatrix {
@@ -45,6 +59,7 @@ impl PerfMatrix {
                 row_labels.len()
             )));
         }
+        let mut col_max = vec![0.0f64; col_labels.len()];
         for row in &values {
             if row.len() != col_labels.len() {
                 return Err(ClusterError::InvalidMatrix(format!(
@@ -53,11 +68,14 @@ impl PerfMatrix {
                     col_labels.len()
                 )));
             }
-            for &v in row {
+            for (&v, max) in row.iter().zip(&mut col_max) {
                 if !v.is_finite() || v < 0.0 {
                     return Err(ClusterError::InvalidMatrix(format!(
                         "throughput {v} must be finite and non-negative"
                     )));
+                }
+                if v > *max {
+                    *max = v;
                 }
             }
         }
@@ -66,6 +84,7 @@ impl PerfMatrix {
             col_labels,
             values,
             disabled: Vec::new(),
+            col_max,
         })
     }
 
@@ -124,14 +143,13 @@ impl PerfMatrix {
     }
 
     /// The largest entry over enabled columns (0.0 if everything is
-    /// disabled) — the auction's ε-scaling schedule starts here.
+    /// disabled) — the auction's ε-scaling schedule starts here. O(cols):
+    /// read off the per-column maxima, which hold 0.0 for disabled columns.
     pub fn max_value(&self) -> f64 {
         let mut best = 0.0f64;
-        for row in &self.values {
-            for (j, &v) in row.iter().enumerate() {
-                if !self.is_col_disabled(j) && v > best {
-                    best = v;
-                }
+        for &v in &self.col_max {
+            if v > best {
+                best = v;
             }
         }
         best
@@ -165,49 +183,113 @@ impl PerfMatrix {
     /// Rejects out-of-range columns, wrong-length replacement columns, and
     /// non-finite or negative replacement values.
     pub fn patched(&self, delta: &MatrixDelta) -> Result<PerfMatrix, ClusterError> {
+        self.check_delta(delta)?;
         let mut out = self.clone();
+        out.apply_checked(delta);
+        Ok(out)
+    }
+
+    /// [`PerfMatrix::patched`] in place: validates the whole delta, then
+    /// overwrites only the dirtied columns. The returned [`PatchUndo`]
+    /// holds what they held before, for [`PerfMatrix::unpatch`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PerfMatrix::patched`]; on error the matrix is untouched.
+    pub(crate) fn patch(&mut self, delta: &MatrixDelta) -> Result<PatchUndo, ClusterError> {
+        self.check_delta(delta)?;
+        let undo = PatchUndo {
+            cols: delta
+                .dirty_cols()
+                .map(|col| {
+                    (
+                        col,
+                        self.col_iter(col).collect(),
+                        self.is_col_disabled(col),
+                        self.col_max[col],
+                    )
+                })
+                .collect(),
+            mask_was_empty: self.disabled.is_empty(),
+        };
+        self.apply_checked(delta);
+        Ok(undo)
+    }
+
+    /// Reverts the [`PerfMatrix::patch`] that produced `undo`, bit for bit.
+    pub(crate) fn unpatch(&mut self, undo: PatchUndo) {
+        for (col, values, was_disabled, max) in undo.cols {
+            for (row, v) in self.values.iter_mut().zip(values) {
+                row[col] = v;
+            }
+            if !self.disabled.is_empty() {
+                self.disabled[col] = was_disabled;
+            }
+            self.col_max[col] = max;
+        }
+        if undo.mask_was_empty {
+            self.disabled = Vec::new();
+        }
+    }
+
+    fn check_delta(&self, delta: &MatrixDelta) -> Result<(), ClusterError> {
         for (col, edit) in &delta.edits {
-            if *col >= out.cols() {
+            if *col >= self.cols() {
                 return Err(ClusterError::InvalidMatrix(format!(
                     "delta column {col} out of range ({} cols)",
-                    out.cols()
+                    self.cols()
                 )));
             }
-            match edit {
-                ColumnEdit::Set(values) => {
-                    if values.len() != out.rows() {
-                        return Err(ClusterError::InvalidMatrix(format!(
-                            "delta column {col} has {} entries, matrix has {} rows",
-                            values.len(),
-                            out.rows()
-                        )));
-                    }
-                    for &v in values {
-                        if !v.is_finite() || v < 0.0 {
-                            return Err(ClusterError::InvalidMatrix(format!(
-                                "delta throughput {v} must be finite and non-negative"
-                            )));
-                        }
-                    }
-                    for (row, &v) in out.values.iter_mut().zip(values) {
-                        row[*col] = v;
-                    }
-                    if !out.disabled.is_empty() {
-                        out.disabled[*col] = false;
-                    }
+            if let ColumnEdit::Set(values) = edit {
+                if values.len() != self.rows() {
+                    return Err(ClusterError::InvalidMatrix(format!(
+                        "delta column {col} has {} entries, matrix has {} rows",
+                        values.len(),
+                        self.rows()
+                    )));
                 }
-                ColumnEdit::Disable => {
-                    if out.disabled.is_empty() {
-                        out.disabled = vec![false; out.cols()];
-                    }
-                    out.disabled[*col] = true;
-                    for row in &mut out.values {
-                        row[*col] = 0.0;
+                for &v in values {
+                    if !v.is_finite() || v < 0.0 {
+                        return Err(ClusterError::InvalidMatrix(format!(
+                            "delta throughput {v} must be finite and non-negative"
+                        )));
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Applies a delta that [`PerfMatrix::check_delta`] accepted.
+    fn apply_checked(&mut self, delta: &MatrixDelta) {
+        for (col, edit) in &delta.edits {
+            let col = *col;
+            match edit {
+                ColumnEdit::Set(values) => {
+                    let mut max = 0.0f64;
+                    for (row, &v) in self.values.iter_mut().zip(values) {
+                        row[col] = v;
+                        if v > max {
+                            max = v;
+                        }
+                    }
+                    self.col_max[col] = max;
+                    if !self.disabled.is_empty() {
+                        self.disabled[col] = false;
+                    }
+                }
+                ColumnEdit::Disable => {
+                    if self.disabled.is_empty() {
+                        self.disabled = vec![false; self.cols()];
+                    }
+                    self.disabled[col] = true;
+                    for row in &mut self.values {
+                        row[col] = 0.0;
+                    }
+                    self.col_max[col] = 0.0;
+                }
+            }
+        }
     }
 
     /// Projects out disabled columns: returns the compacted matrix and the
@@ -488,6 +570,108 @@ mod tests {
             .patched(&MatrixDelta::new().disable_column(0).disable_column(2))
             .unwrap();
         assert!(dead.compact_enabled().is_err());
+    }
+
+    #[test]
+    fn patch_in_place_and_undo() {
+        let mut m = matrix3();
+        let pristine = m.clone();
+        let delta = MatrixDelta::new()
+            .set_column(0, vec![1.0, 2.0])
+            .disable_column(2);
+        let undo = m.patch(&delta).unwrap();
+        assert_eq!(m, pristine.patched(&delta).unwrap());
+        assert_eq!(m.max_value(), 2.0);
+        m.unpatch(undo);
+        assert_eq!(m, pristine, "the unallocated mask comes back too");
+        assert_eq!(m.max_value(), 0.6);
+        // A rejected delta touches nothing, whichever edit is the bad one.
+        let bad = MatrixDelta::new()
+            .set_column(0, vec![9.0, 9.0])
+            .set_column(1, vec![1.0, f64::NAN]);
+        assert!(m.patch(&bad).is_err());
+        assert_eq!(m, pristine);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::prelude::*;
+
+        /// Draws from a coarse grid so exact ties and zeros are common.
+        fn grid(rng: &mut StdRng) -> f64 {
+            f64::from(rng.gen_range(0..8u32)) / 8.0
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// In-place patching against a naive model: after any sequence
+            /// of deltas — disable → set re-enables and repeated edits of
+            /// one column included — values, mask and labels are the
+            /// model's and what `patched()` returns, `max_value()` is a
+            /// brute-force scan over enabled columns, and `unpatch` is an
+            /// exact inverse.
+            #[test]
+            fn in_place_patches_track_a_naive_model(
+                rows in 1usize..=5,
+                cols in 1usize..=7,
+                steps in 1usize..=12,
+                seed in any::<u64>(),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut values: Vec<Vec<f64>> = (0..rows)
+                    .map(|_| (0..cols).map(|_| grid(&mut rng)).collect())
+                    .collect();
+                let mut disabled = vec![false; cols];
+                let row_labels: Vec<String> = (0..rows).map(|i| format!("be{i}")).collect();
+                let col_labels: Vec<String> = (0..cols).map(|j| format!("lc{j}")).collect();
+                let mut m =
+                    PerfMatrix::new(row_labels.clone(), col_labels.clone(), values.clone()).unwrap();
+                for _ in 0..steps {
+                    let mut delta = MatrixDelta::new();
+                    for _ in 0..rng.gen_range(1..=3usize) {
+                        let col = rng.gen_range(0..cols);
+                        delta = if rng.gen_bool(0.4) {
+                            delta.disable_column(col)
+                        } else {
+                            delta.set_column(col, (0..rows).map(|_| grid(&mut rng)).collect())
+                        };
+                    }
+                    for (col, edit) in delta.edits() {
+                        for (i, row) in values.iter_mut().enumerate() {
+                            row[*col] = match edit {
+                                ColumnEdit::Set(v) => v[i],
+                                ColumnEdit::Disable => 0.0,
+                            };
+                        }
+                        disabled[*col] = matches!(edit, ColumnEdit::Disable);
+                    }
+                    let before = m.clone();
+                    let copy = m.patched(&delta).unwrap();
+                    let undo = m.patch(&delta).unwrap();
+                    m.unpatch(undo);
+                    prop_assert_eq!(&m, &before);
+                    m.patch(&delta).unwrap();
+                    prop_assert_eq!(&m, &copy);
+                    prop_assert_eq!(m.row_labels(), &row_labels[..]);
+                    prop_assert_eq!(m.col_labels(), &col_labels[..]);
+                    let mut brute = 0.0f64;
+                    for (i, row) in values.iter().enumerate() {
+                        for (j, &v) in row.iter().enumerate() {
+                            prop_assert_eq!(m.value(i, j).to_bits(), v.to_bits());
+                            if !disabled[j] && v > brute {
+                                brute = v;
+                            }
+                        }
+                    }
+                    for (j, &d) in disabled.iter().enumerate() {
+                        prop_assert_eq!(m.is_col_disabled(j), d);
+                    }
+                    prop_assert_eq!(m.max_value().to_bits(), brute.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! — so placements favour apps that benefit across the primary's **entire
 //! load spectrum**, not one operating point (the Fig. 4 insight).
 
+use std::collections::HashMap;
+
 use pocolo_core::error::CoreError;
 use pocolo_core::resources::{Allocation, ResourceDescriptor, ResourceSpace};
 use pocolo_core::units::Watts;
@@ -76,15 +78,31 @@ impl ExpansionPath {
     /// Infeasibility at individual levels is folded into dropped steps, not
     /// errors.
     pub fn compute(server: &ServerProfile, load_levels: &[f64]) -> Result<Self, ClusterError> {
+        Self::walk(
+            &server.utility,
+            server.power_cap,
+            server.peak_load,
+            load_levels,
+        )
+    }
+
+    /// [`ExpansionPath::compute`] over the three things a path depends on,
+    /// so a caller holding a scaled cap need not clone a whole profile.
+    fn walk(
+        utility: &IndirectUtility,
+        power_cap: Watts,
+        peak_load: f64,
+        load_levels: &[f64],
+    ) -> Result<Self, ClusterError> {
         if load_levels.is_empty() {
             return Err(ClusterError::InvalidMatrix("no load levels".into()));
         }
-        let space = server.utility.space();
+        let space = utility.space();
         let k = space.len();
         let mut steps = Vec::with_capacity(load_levels.len());
         for &level in load_levels {
-            let target = level * server.peak_load;
-            let budget = match server.utility.min_power_for(target) {
+            let target = level * peak_load;
+            let budget = match utility.min_power_for(target) {
                 Ok(p) => p,
                 Err(CoreError::UnreachableTarget { .. }) => {
                     // Primary needs everything; BE gets nothing at this load.
@@ -92,9 +110,9 @@ impl ExpansionPath {
                 }
                 Err(e) => return Err(e.into()),
             };
-            let lc_alloc = server.utility.demand_integral(budget)?;
-            let lc_power = server.utility.power_model().power_of(&lc_alloc);
-            let headroom = server.power_cap - lc_power;
+            let lc_alloc = utility.demand_integral(budget)?;
+            let lc_power = utility.power_model().power_of(&lc_alloc);
+            let headroom = power_cap - lc_power;
             // Spare per dimension; whole units for integral resources.
             let spare: Vec<f64> = (0..k)
                 .map(|j| {
@@ -273,42 +291,20 @@ impl PerfMatrixBuilder {
                 "need at least one app and one server".into(),
             ));
         }
-        if keys.len() != servers.len() {
-            return Err(ClusterError::InvalidMatrix(format!(
-                "{} class keys for {} servers",
-                keys.len(),
-                servers.len()
-            )));
-        }
-        // Each *class*'s expansion path — the min_power_for bisections and
-        // integral demand solves — is BE-independent and shared by every
-        // column with that key, so compute it exactly once (at the key's
-        // first column, in column order) and fan it out.
-        let mut path_index: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        let mut paths: Vec<ExpansionPath> = Vec::new();
-        let mut path_of: Vec<usize> = Vec::with_capacity(servers.len());
-        for (server, &key) in servers.iter().zip(keys) {
-            let idx = match path_index.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = paths.len();
-                    paths.push(ExpansionPath::compute(server, &self.load_levels)?);
-                    path_index.insert(key, idx);
-                    idx
+        check_keys(keys, servers)?;
+        let mut values = vec![vec![0.0; servers.len()]; be_apps.len()];
+        self.estimate_by_class(
+            be_apps,
+            servers,
+            keys,
+            1.0,
+            0..servers.len(),
+            |col, column| {
+                for (row, &v) in values.iter_mut().zip(column) {
+                    row[col] = v;
                 }
-            };
-            path_of.push(idx);
-        }
-        let mut values = Vec::with_capacity(be_apps.len());
-        for (_, be) in be_apps {
-            // One estimate per (class, app); columns copy their class value.
-            let mut per_path = Vec::with_capacity(paths.len());
-            for path in &paths {
-                per_path.push(estimate_on_path(be, path)?);
-            }
-            values.push(path_of.iter().map(|&idx| per_path[idx]).collect());
-        }
+            },
+        )?;
         PerfMatrix::new(
             be_apps.iter().map(|(l, _)| l.clone()).collect(),
             servers.iter().map(|s| s.label.clone()).collect(),
@@ -323,18 +319,60 @@ impl PerfMatrixBuilder {
     /// only, so a single-server cap de-rate costs one path, not a full
     /// matrix rebuild.
     ///
+    /// Equivalent to [`PerfMatrixBuilder::rebuild_columns_keyed`] with
+    /// every column carrying a distinct key (one expansion path per listed
+    /// column).
+    ///
+    /// # Errors
+    ///
+    /// As [`PerfMatrixBuilder::rebuild_columns_keyed`].
+    pub fn rebuild_columns(
+        &self,
+        be_apps: &[(String, IndirectUtility)],
+        servers: &[ServerProfile],
+        cols: &[usize],
+        current: &PerfMatrix,
+    ) -> Result<MatrixDelta, ClusterError> {
+        let keys: Vec<usize> = (0..servers.len()).collect();
+        self.rebuild_columns_keyed(be_apps, servers, &keys, cols, current)
+    }
+
+    /// [`PerfMatrixBuilder::rebuild_columns`] through the class-keyed
+    /// cache of [`PerfMatrixBuilder::build_keyed`]: among the listed
+    /// columns, those sharing a key share one expansion path and one
+    /// estimated column (computed at the key's first listed enabled
+    /// column), so a fleet-wide cap change costs O(classes × levels)
+    /// inversions, not O(servers × levels).
+    ///
     /// Columns currently disabled in `current` (faulted-out servers) are
     /// skipped: rebuilding must not silently re-admit them. Unchanged
     /// columns produce no edit.
     ///
     /// # Errors
     ///
-    /// Rejects shape mismatches between `current`, `be_apps`, and
-    /// `servers`; propagates estimation failures.
-    pub fn rebuild_columns(
+    /// Rejects shape mismatches between `current`, `be_apps`, `servers`
+    /// and `keys`, and out-of-range columns; propagates estimation
+    /// failures.
+    pub fn rebuild_columns_keyed(
         &self,
         be_apps: &[(String, IndirectUtility)],
         servers: &[ServerProfile],
+        keys: &[usize],
+        cols: &[usize],
+        current: &PerfMatrix,
+    ) -> Result<MatrixDelta, ClusterError> {
+        self.rebuild_columns_scaled(be_apps, servers, keys, 1.0, cols, current)
+    }
+
+    /// [`PerfMatrixBuilder::rebuild_columns_keyed`] with every server's
+    /// cap read as `power_cap * cap_factor` — the budget and refit replans
+    /// scale caps without cloning a profile.
+    pub(crate) fn rebuild_columns_scaled(
+        &self,
+        be_apps: &[(String, IndirectUtility)],
+        servers: &[ServerProfile],
+        keys: &[usize],
+        cap_factor: f64,
         cols: &[usize],
         current: &PerfMatrix,
     ) -> Result<MatrixDelta, ClusterError> {
@@ -347,28 +385,93 @@ impl PerfMatrixBuilder {
                 current.cols()
             )));
         }
-        let mut delta = MatrixDelta::new();
-        for &col in cols {
-            if col >= current.cols() {
-                return Err(ClusterError::InvalidMatrix(format!(
-                    "rebuild column {col} out of range ({} cols)",
-                    current.cols()
-                )));
-            }
-            if current.is_col_disabled(col) {
-                continue;
-            }
-            let path = ExpansionPath::compute(&servers[col], &self.load_levels)?;
-            let mut column = Vec::with_capacity(be_apps.len());
+        check_keys(keys, servers)?;
+        if let Some(&col) = cols.iter().find(|&&col| col >= current.cols()) {
+            return Err(ClusterError::InvalidMatrix(format!(
+                "rebuild column {col} out of range ({} cols)",
+                current.cols()
+            )));
+        }
+        let mut changed: Vec<(usize, Vec<f64>)> = Vec::new();
+        self.estimate_by_class(
+            be_apps,
+            servers,
+            keys,
+            cap_factor,
+            cols.iter()
+                .copied()
+                .filter(|&col| !current.is_col_disabled(col)),
+            |col, column| {
+                if current.col_iter(col).zip(column).any(|(a, &b)| a != b) {
+                    changed.push((col, column.to_vec()));
+                }
+            },
+        )?;
+        // Classes come out in first-seen order; the delta keeps its edits
+        // sorted, so feed it ascending columns (each insert is an append).
+        changed.sort_unstable_by_key(|&(col, _)| col);
+        Ok(changed
+            .into_iter()
+            .fold(MatrixDelta::new(), |delta, (col, column)| {
+                delta.set_column(col, column)
+            }))
+    }
+
+    /// Estimates the listed columns class by class. Each *class*'s
+    /// expansion path — the min_power_for bisections and integral demand
+    /// solves — is BE-independent and shared by every column with that
+    /// key, so it and the column of per-BE estimates on it are computed
+    /// exactly once, at the key's first listed column, and handed to
+    /// `emit(col, column)` for every listed column of the class. One class
+    /// column is alive at a time; nothing outlives the call.
+    fn estimate_by_class(
+        &self,
+        be_apps: &[(String, IndirectUtility)],
+        servers: &[ServerProfile],
+        keys: &[usize],
+        cap_factor: f64,
+        cols: impl Iterator<Item = usize>,
+        mut emit: impl FnMut(usize, &[f64]),
+    ) -> Result<(), ClusterError> {
+        let mut class_of: HashMap<usize, usize> = HashMap::new();
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for col in cols {
+            let class = *class_of.entry(keys[col]).or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[class].push(col);
+        }
+        let mut column = Vec::with_capacity(be_apps.len());
+        for members in &classes {
+            let server = &servers[members[0]];
+            let path = ExpansionPath::walk(
+                &server.utility,
+                server.power_cap * cap_factor,
+                server.peak_load,
+                &self.load_levels,
+            )?;
+            column.clear();
             for (_, be) in be_apps {
                 column.push(estimate_on_path(be, &path)?);
             }
-            if current.col_iter(col).zip(&column).any(|(a, &b)| a != b) {
-                delta = delta.set_column(col, column);
+            for &col in members {
+                emit(col, &column);
             }
         }
-        Ok(delta)
+        Ok(())
     }
+}
+
+fn check_keys(keys: &[usize], servers: &[ServerProfile]) -> Result<(), ClusterError> {
+    if keys.len() != servers.len() {
+        return Err(ClusterError::InvalidMatrix(format!(
+            "{} class keys for {} servers",
+            keys.len(),
+            servers.len()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

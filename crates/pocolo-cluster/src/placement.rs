@@ -70,23 +70,33 @@ impl PlacementPlan {
     /// the migration intents: pairs of the new placement not already in
     /// the old one.
     ///
+    /// The plan's matrix is patched in place — the whole delta is
+    /// validated first, and only the dirtied columns are saved — so a
+    /// repair never copies the fleet-sized matrix.
+    ///
     /// # Errors
     ///
     /// Propagates patching and solver failures; on error the plan is
-    /// unchanged.
+    /// unchanged (a failed solve puts the saved columns back).
     pub fn apply_delta(
         &mut self,
         delta: &MatrixDelta,
     ) -> Result<Vec<(usize, usize)>, ClusterError> {
-        let patched = self.matrix.patched(delta)?;
+        let undo = self.matrix.patch(delta)?;
         let cfg = AuctionConfig::with_eps(self.eps);
         let mut cands = self.cands.clone();
-        let next = auction::solve_incremental(&patched, &mut cands, &self.solution, delta, &cfg)?;
-        let intents = migration_diff(&self.solution.assignment, &next.assignment);
-        self.matrix = patched;
-        self.cands = cands;
-        self.solution = next;
-        Ok(intents)
+        match auction::solve_incremental(&self.matrix, &mut cands, &self.solution, delta, &cfg) {
+            Ok(next) => {
+                let intents = migration_diff(&self.solution.assignment, &next.assignment);
+                self.cands = cands;
+                self.solution = next;
+                Ok(intents)
+            }
+            Err(e) => {
+                self.matrix.unpatch(undo);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -128,9 +138,10 @@ pub struct ClusterManager {
     servers: Vec<ServerProfile>,
     builder: PerfMatrixBuilder,
     /// Expansion-path cache keys per server column: columns sharing a key
-    /// share one path and one estimate per BE row. `None` = one key per
-    /// column (the legacy homogeneous path).
-    profile_keys: Option<Vec<usize>>,
+    /// share one path and one estimate per BE row. One key per column
+    /// (the legacy homogeneous path) unless
+    /// [`ClusterManager::with_profile_keys`] says otherwise.
+    profile_keys: Vec<usize>,
     /// Server class per column, checked against `constraints`. `None` =
     /// unconstrained single-class fleet.
     classes: Option<Vec<usize>>,
@@ -143,9 +154,9 @@ impl ClusterManager {
     pub fn new(be_apps: Vec<(String, IndirectUtility)>, servers: Vec<ServerProfile>) -> Self {
         ClusterManager {
             be_apps,
+            profile_keys: (0..servers.len()).collect(),
             servers,
             builder: PerfMatrixBuilder::new(),
-            profile_keys: None,
             classes: None,
             constraints: PlacementConstraints::new(),
         }
@@ -169,7 +180,7 @@ impl ClusterManager {
     #[must_use]
     pub fn with_profile_keys(mut self, keys: Vec<usize>) -> Self {
         assert_eq!(keys.len(), self.servers.len(), "one cache key per server");
-        self.profile_keys = Some(keys);
+        self.profile_keys = keys;
         self
     }
 
@@ -206,24 +217,34 @@ impl ClusterManager {
         &self.constraints
     }
 
-    /// Builds the matrix for `servers` through the keyed cache and
-    /// constraint mask when configured; reduces to the plain builder on
-    /// the legacy path.
+    /// Builds the matrix for `servers` through the keyed cache, and the
+    /// constraint mask when configured.
     fn matrix_for(
         &self,
         servers: &[ServerProfile],
-        keys: Option<&[usize]>,
+        keys: &[usize],
     ) -> Result<PerfMatrix, ClusterError> {
-        let matrix = match keys {
-            Some(keys) => self.builder.build_keyed(&self.be_apps, servers, keys)?,
-            None => self.builder.build(&self.be_apps, servers)?,
-        };
+        let matrix = self.builder.build_keyed(&self.be_apps, servers, keys)?;
         match &self.classes {
             Some(classes) if !self.constraints.is_empty() => {
                 self.constraints.mask(&matrix, classes)
             }
             _ => Ok(matrix),
         }
+    }
+
+    /// The smallest profile key no column other than `col` holds. The
+    /// other `n - 1` columns cannot cover all of `0..n`, so one is free.
+    fn unused_profile_key(&self, col: usize) -> usize {
+        let mut used = vec![false; self.profile_keys.len()];
+        for (j, &key) in self.profile_keys.iter().enumerate() {
+            if j != col && key < used.len() {
+                used[key] = true;
+            }
+        }
+        used.iter()
+            .position(|&u| !u)
+            .expect("n - 1 keys cannot cover n values")
     }
 
     /// Verifies a solved placement against the constraints (no-op when
@@ -253,7 +274,7 @@ impl ClusterManager {
     ///
     /// Propagates estimation failures.
     pub fn performance_matrix(&self) -> Result<PerfMatrix, ClusterError> {
-        self.matrix_for(&self.servers, self.profile_keys.as_deref())
+        self.matrix_for(&self.servers, &self.profile_keys)
     }
 
     /// Builds the matrix and solves the placement with `solver`.
@@ -332,8 +353,7 @@ impl ClusterManager {
             .iter()
             .enumerate()
             .map(|(j, f)| {
-                let base = self.profile_keys.as_ref().map_or(j, |k| k[j]);
-                let pair = (base, f.to_bits());
+                let pair = (self.profile_keys[j], f.to_bits());
                 match seen.iter().find(|(p, _)| *p == pair) {
                     Some(&(_, key)) => key,
                     None => {
@@ -344,7 +364,7 @@ impl ClusterManager {
                 }
             })
             .collect();
-        let matrix = self.matrix_for(&shrunk, Some(&keys))?;
+        let matrix = self.matrix_for(&shrunk, &keys)?;
         let fresh = assign::solve(&matrix, solver)?;
         let incumbent_total = matrix.assignment_value(&incumbent.pairs);
         if fresh.total > incumbent_total * (1.0 + hysteresis) {
@@ -404,8 +424,10 @@ impl ClusterManager {
     }
 
     /// Incremental counterpart of [`ClusterManager::replan_under_budget`]:
-    /// re-estimates only the columns the cap change actually dirties
-    /// (via [`PerfMatrixBuilder::rebuild_columns`]) and repairs the plan's
+    /// re-estimates the enabled columns once per profile class (via
+    /// [`PerfMatrixBuilder::rebuild_columns_keyed`] over the manager's
+    /// profile keys, caps scaled by `cap_factor`), keeps the edits for the
+    /// columns the cap change actually dirties, and repairs the plan's
     /// assignment from its previous prices. The same hysteresis rule
     /// applies: if the repaired placement does not beat the incumbent by
     /// more than `hysteresis` on the patched matrix, the incumbent pairs
@@ -433,20 +455,15 @@ impl ClusterManager {
             hysteresis >= 0.0 && hysteresis.is_finite(),
             "hysteresis must be non-negative, got {hysteresis}"
         );
-        let shrunk: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .map(|s| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * cap_factor,
-                peak_load: s.peak_load,
-            })
-            .collect();
         let all_cols: Vec<usize> = (0..plan.matrix.cols()).collect();
-        let mut delta =
-            self.builder
-                .rebuild_columns(&self.be_apps, &shrunk, &all_cols, &plan.matrix)?;
+        let mut delta = self.builder.rebuild_columns_scaled(
+            &self.be_apps,
+            &self.servers,
+            &self.profile_keys,
+            cap_factor,
+            &all_cols,
+            &plan.matrix,
+        )?;
         if let Some(classes) = &self.classes {
             // Column rebuilds re-estimate raw values; keep forbidden
             // entries masked so a replan can't un-hide them.
@@ -472,6 +489,8 @@ impl ClusterManager {
     /// that column — is re-estimated under the current power budget
     /// (`cap_factor` of each server's provisioned cap, `1.0` outside a
     /// brownout) and the assignment is repaired from its previous prices.
+    /// The refitted column leaves its profile class (it gets a cache key no
+    /// other column holds), so later keyed builds estimate it on its own.
     ///
     /// Returns the migration intents the repair produced (often empty:
     /// a refit that confirms the incumbent moves nothing).
@@ -503,19 +522,15 @@ impl ClusterManager {
             "cap factor must be in (0, 1], got {cap_factor}"
         );
         self.servers[col].utility = utility;
-        let scaled: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .map(|s| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * cap_factor,
-                peak_load: s.peak_load,
-            })
-            .collect();
-        let mut delta =
-            self.builder
-                .rebuild_columns(&self.be_apps, &scaled, &[col], &plan.matrix)?;
+        self.profile_keys[col] = self.unused_profile_key(col);
+        let mut delta = self.builder.rebuild_columns_scaled(
+            &self.be_apps,
+            &self.servers,
+            &self.profile_keys,
+            cap_factor,
+            &[col],
+            &plan.matrix,
+        )?;
         if let Some(classes) = &self.classes {
             delta = self.constraints.mask_delta(delta, classes);
         }
@@ -803,6 +818,128 @@ mod tests {
         let intents = mgr.replan_after_refit(&mut plan, 1, other, 0.7).unwrap();
         assert_eq!(intents, migration_diff(&incumbent, plan.assignment()));
         assert!(plan.solution().stats.dirty_rows <= mgr.be_apps().len());
+    }
+
+    /// Everything `apply_delta` may touch, down to the bits.
+    fn fingerprint(plan: &PlacementPlan) -> (PerfMatrix, u64, AuctionSolution, Vec<u64>, String) {
+        (
+            plan.matrix.clone(),
+            plan.matrix.max_value().to_bits(),
+            plan.solution.clone(),
+            plan.prices().iter().map(|p| p.to_bits()).collect(),
+            format!("{:?}", plan.cands),
+        )
+    }
+
+    #[test]
+    fn failed_apply_delta_leaves_the_plan_untouched() {
+        let mgr = manager();
+        let rows = mgr.be_apps().len();
+        // A full 4×4 plan (mask still unallocated) and a 3×4 plan that
+        // already lost a column (mask allocated, one spare gone).
+        let full = mgr.plan_sparse(1e-3).unwrap();
+        let small = ClusterManager::new(mgr.be_apps()[..3].to_vec(), mgr.servers().to_vec());
+        let mut faulted = small.plan_sparse(1e-3).unwrap();
+        let first = faulted.assignment().server_for(0).unwrap();
+        small.replan_after_faults(&mut faulted, &[first]).unwrap();
+        let second = faulted.assignment().server_for(0).unwrap();
+        let third = faulted.assignment().server_for(1).unwrap();
+
+        let victim = full.assignment().server_for(0).unwrap();
+        let other = (victim + 1) % 4;
+        let cases: Vec<(&PlacementPlan, MatrixDelta)> = vec![
+            // More faults than the rows can spare: the solve fails after
+            // the patch went in, so the saved columns must come back.
+            (&full, MatrixDelta::new().disable_column(victim)),
+            (
+                &full,
+                MatrixDelta::new()
+                    .set_column(other, vec![0.25; rows])
+                    .disable_column(victim),
+            ),
+            (&faulted, MatrixDelta::new().disable_column(second)),
+            // Re-enabling the lost column while two more leave.
+            (
+                &faulted,
+                MatrixDelta::new()
+                    .set_column(first, vec![0.5; 3])
+                    .disable_column(second)
+                    .disable_column(third),
+            ),
+            // Deltas the validation rejects before anything is written.
+            (&full, MatrixDelta::new().set_column(victim, vec![0.5])),
+            (
+                &full,
+                MatrixDelta::new()
+                    .set_column(other, vec![0.25; rows])
+                    .set_column(victim, vec![0.5, f64::NAN, 0.5, 0.5]),
+            ),
+            (&full, MatrixDelta::new().disable_column(99)),
+            (&faulted, MatrixDelta::new().set_column(99, vec![0.5; 3])),
+        ];
+        for (i, (plan, delta)) in cases.iter().enumerate() {
+            let mut plan = (*plan).clone();
+            let before = fingerprint(&plan);
+            let err = plan.apply_delta(delta);
+            assert!(err.is_err(), "case {i} must fail, got {err:?}");
+            if i < 4 {
+                assert!(
+                    matches!(err, Err(ClusterError::TooManyApps { .. })),
+                    "case {i}"
+                );
+            }
+            assert!(fingerprint(&plan) == before, "case {i} changed the plan");
+        }
+    }
+
+    #[test]
+    fn a_refit_splits_its_column_out_of_its_class() {
+        let base = manager();
+        let doubled: Vec<ServerProfile> = base
+            .servers()
+            .iter()
+            .chain(base.servers())
+            .cloned()
+            .collect();
+        let mut mgr = ClusterManager::new(base.be_apps().to_vec(), doubled)
+            .with_profile_keys(vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        let mut plan = mgr.plan_sparse(1e-3).unwrap();
+        // Column 5 (class 1, not its representative) adopts another
+        // server's model; the keyed cache must stop copying column 1 over
+        // it, and column 1 must not inherit the refit either.
+        let other = mgr.servers()[2].utility.clone();
+        mgr.replan_after_refit(&mut plan, 5, other, 1.0).unwrap();
+        assert_eq!(&mgr.performance_matrix().unwrap(), plan.matrix());
+        // Refit a class's *first* column too: its twin keeps the old model.
+        let other = mgr.servers()[3].utility.clone();
+        mgr.replan_after_refit(&mut plan, 0, other, 1.0).unwrap();
+        assert_eq!(&mgr.performance_matrix().unwrap(), plan.matrix());
+        assert_ne!(
+            plan.matrix().col_iter(0).collect::<Vec<_>>(),
+            plan.matrix().col_iter(4).collect::<Vec<_>>()
+        );
+        // A budget step after the refits equals the unkeyed rebuild,
+        // bit for bit.
+        mgr.replan_under_budget_incremental(&mut plan, 0.7, 0.0)
+            .unwrap();
+        let shrunk: Vec<ServerProfile> = mgr
+            .servers()
+            .iter()
+            .map(|s| ServerProfile {
+                power_cap: s.power_cap * 0.7,
+                ..s.clone()
+            })
+            .collect();
+        let unkeyed = mgr.builder.build(mgr.be_apps(), &shrunk).unwrap();
+        for r in 0..unkeyed.rows() {
+            for c in 0..unkeyed.cols() {
+                assert_eq!(
+                    plan.matrix().value(r, c).to_bits(),
+                    unkeyed.value(r, c).to_bits(),
+                    "entry ({r}, {c})"
+                );
+            }
+        }
     }
 
     #[test]

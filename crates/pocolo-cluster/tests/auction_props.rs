@@ -1,5 +1,6 @@
 //! Property tests for the sparse auction path: on random dense matrices
-//! up to 64×96, the auction total stays within the ε·rows band of the
+//! up to 64×96 — plain, with columns that tie exactly, with columns
+//! disabled, or both — the auction total stays within the ε·rows band of the
 //! exact Hungarian optimum, and an incremental repair after a matrix
 //! delta lands in the same band as a cold solve on the patched matrix.
 //!
@@ -9,23 +10,54 @@
 //! them within 2·ε·rows of each other.
 
 use pocolo_cluster::assign::auction::{self, AuctionConfig};
-use pocolo_cluster::assign::hungarian;
 use pocolo_cluster::assign::sparse::SparseCandidates;
 use pocolo_cluster::matrix::{MatrixDelta, PerfMatrix};
 use proptest::prelude::*;
 use rand::prelude::*;
 
-fn random_matrix(rows: usize, cols: usize, seed: u64) -> PerfMatrix {
+/// A random matrix; `shape` decides whether some columns are exact copies
+/// of earlier ones (ties between columns, bit 0) and whether up to the
+/// spare columns are disabled (bit 1).
+fn random_matrix(rows: usize, cols: usize, seed: u64, shape: u8) -> PerfMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let values = (0..rows)
+    let mut values: Vec<Vec<f64>> = (0..rows)
         .map(|_| (0..cols).map(|_| rng.gen_range(0.0..1.0)).collect())
         .collect();
-    PerfMatrix::new(
+    if shape & 1 != 0 {
+        for col in 1..cols {
+            if rng.gen_bool(0.3) {
+                let twin = rng.gen_range(0..col);
+                for row in &mut values {
+                    row[col] = row[twin];
+                }
+            }
+        }
+    }
+    let matrix = PerfMatrix::new(
         (0..rows).map(|i| format!("be{i}")).collect(),
         (0..cols).map(|j| format!("lc{j}")).collect(),
         values,
     )
-    .expect("random matrix is well-formed")
+    .expect("random matrix is well-formed");
+    if shape & 2 == 0 {
+        return matrix;
+    }
+    let mut order: Vec<usize> = (0..cols).collect();
+    order.shuffle(&mut rng);
+    let spare = cols - rows;
+    let faults = order
+        .iter()
+        .take(rng.gen_range(0..=spare.min(8)))
+        .fold(MatrixDelta::new(), |d, &col| d.disable_column(col));
+    matrix.patched(&faults).expect("faults are in range")
+}
+
+/// The exact optimum, through the dispatcher so disabled columns are
+/// projected out.
+fn exact_total(matrix: &PerfMatrix) -> f64 {
+    pocolo_cluster::assign::solve(matrix, pocolo_cluster::assign::Solver::Hungarian)
+        .expect("exact solve")
+        .total
 }
 
 /// Perfect matching: every row placed once, no column reused, no
@@ -49,26 +81,25 @@ proptest! {
         rows in 1usize..=64,
         extra in 0usize..=95,
         seed in any::<u64>(),
+        shape in 0u8..4,
     ) {
         let cols = (rows + extra).clamp(rows, 96);
-        let matrix = random_matrix(rows, cols, seed);
+        let matrix = random_matrix(rows, cols, seed, shape);
         let cfg = AuctionConfig::default();
         let sol = auction::solve(&matrix, &cfg).expect("auction solve");
         assert_valid(&matrix, &sol.assignment.pairs);
         prop_assert!(sol.certified, "solve must certify its gap");
-        let exact = hungarian::solve_max(&matrix);
+        let exact = exact_total(&matrix);
         let bound = cfg.eps * rows as f64 + 1e-9 * rows as f64;
         prop_assert!(
-            sol.assignment.total >= exact.total - bound,
-            "auction {} below hungarian {} by more than {bound}",
+            sol.assignment.total >= exact - bound,
+            "auction {} below hungarian {exact} by more than {bound}",
             sol.assignment.total,
-            exact.total
         );
         prop_assert!(
-            sol.assignment.total <= exact.total + bound,
-            "auction {} exceeds the exact optimum {}",
+            sol.assignment.total <= exact + bound,
+            "auction {} exceeds the exact optimum {exact}",
             sol.assignment.total,
-            exact.total
         );
     }
 
@@ -78,9 +109,10 @@ proptest! {
         extra in 0usize..=95,
         seed in any::<u64>(),
         edited in any::<u32>(),
+        shape in 0u8..4,
     ) {
         let cols = (rows + extra).clamp(rows, 96);
-        let matrix = random_matrix(rows, cols, seed);
+        let matrix = random_matrix(rows, cols, seed, shape);
         let cfg = AuctionConfig::default();
         let mut cands = SparseCandidates::build(&matrix, SparseCandidates::default_k(cols));
         let prev = auction::solve_with_candidates(&matrix, &mut cands, &cfg)
@@ -92,7 +124,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
         let fresh: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..1.0)).collect();
         let mut delta = MatrixDelta::new().set_column(victim, fresh);
-        if cols > rows {
+        let enabled_after = matrix.enabled_cols() + usize::from(matrix.is_col_disabled(victim));
+        if enabled_after > rows {
             let faulted = prev.assignment.server_for(0).expect("row 0 placed");
             if faulted != victim {
                 delta = delta.disable_column(faulted);
@@ -105,15 +138,12 @@ proptest! {
         assert_valid(&patched, &inc.assignment.pairs);
         prop_assert!(inc.certified, "repair must certify its gap");
 
-        // Through the dispatcher so the disabled column is projected out.
-        let exact = pocolo_cluster::assign::solve(&patched, pocolo_cluster::assign::Solver::Hungarian)
-            .expect("exact solve on patched");
+        let exact = exact_total(&patched);
         let bound = cfg.eps * rows as f64 + 1e-9 * rows as f64;
         prop_assert!(
-            inc.assignment.total >= exact.total - bound,
-            "incremental {} below patched optimum {} by more than {bound}",
+            inc.assignment.total >= exact - bound,
+            "incremental {} below patched optimum {exact} by more than {bound}",
             inc.assignment.total,
-            exact.total
         );
         let cold = auction::solve(&patched, &cfg).expect("cold solve on patched");
         prop_assert!(

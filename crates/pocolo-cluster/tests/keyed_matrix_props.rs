@@ -1,18 +1,24 @@
 //! Property tests for the class-keyed PerfMatrix cache: a homogeneous
 //! `FleetSpec` (the legacy degenerate case) must reproduce the unkeyed
 //! builder's matrix bit-for-bit, and duplicating columns under shared
-//! keys must equal the dense build on the duplicated inputs.
+//! keys must equal the dense build on the duplicated inputs. The same
+//! holds one level up: a keyed column rebuild returns the unkeyed
+//! rebuild's `MatrixDelta`, and a budget step on a keyed fleet pays one
+//! expansion path per class.
 //!
 //! Profiling real workloads is too slow for a proptest loop, so the
 //! utilities here are synthetic Cobb-Douglas models drawn from the
 //! generator — the matrix machinery only sees fitted `IndirectUtility`
 //! values either way.
 
+use pocolo_cluster::matrix::{ColumnEdit, MatrixDelta};
 use pocolo_cluster::perfmatrix::{PerfMatrixBuilder, ServerProfile};
+use pocolo_cluster::ClusterManager;
 use pocolo_core::fleet::{FleetSpec, ServerClass};
 use pocolo_core::units::Watts;
-use pocolo_core::utility::{CobbDouglas, IndirectUtility, PowerModel};
+use pocolo_core::utility::{min_power_solves_on_thread, CobbDouglas, IndirectUtility, PowerModel};
 use proptest::prelude::*;
+use rand::prelude::*;
 
 fn synthetic_utility(space_class: &ServerClass, a0: f64, ac: f64, aw: f64) -> IndirectUtility {
     let perf = CobbDouglas::new(a0, vec![ac, aw]).expect("valid exponents");
@@ -33,8 +39,118 @@ fn synthetic_server(class: &ServerClass, idx: usize, ac: f64, aw: f64) -> Server
     }
 }
 
+/// A fleet of `n_classes` distinct profiles, each repeated 1–3 times in
+/// shuffled column order, with the class index as the cache key.
+fn classed_fleet(n_classes: usize, rng: &mut StdRng) -> (Vec<ServerProfile>, Vec<usize>) {
+    let class = ServerClass::xeon_e5_2650();
+    let mut keys: Vec<usize> = (0..n_classes)
+        .flat_map(|k| std::iter::repeat_n(k, rng.gen_range(1..=3)))
+        .collect();
+    keys.shuffle(rng);
+    let servers = keys
+        .iter()
+        .enumerate()
+        .map(|(j, &k)| {
+            let mut s = synthetic_server(&class, k, 0.35 + 0.07 * k as f64, 0.2);
+            s.label = format!("lc{j}");
+            s
+        })
+        .collect();
+    (servers, keys)
+}
+
+fn synthetic_bes(n: usize) -> Vec<(String, IndirectUtility)> {
+    let class = ServerClass::xeon_e5_2650();
+    (0..n)
+        .map(|i| {
+            let u = synthetic_utility(&class, 50.0, 0.3 + 0.05 * i as f64, 0.25);
+            (format!("be{i}"), u)
+        })
+        .collect()
+}
+
+/// One budget step on a keyed fleet walks one expansion path per class,
+/// not one per server.
+#[test]
+fn budget_step_pays_one_path_per_class() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (servers, keys) = classed_fleet(3, &mut rng);
+    assert!(servers.len() > 3, "seed 7 repeats at least one class");
+    let mgr = ClusterManager::new(synthetic_bes(2), servers).with_profile_keys(keys);
+    let mut plan = mgr.plan_sparse(1e-3).unwrap();
+    let levels = PerfMatrixBuilder::new().load_levels().len() as u64;
+    let before = min_power_solves_on_thread();
+    mgr.replan_under_budget_incremental(&mut plan, 0.8, 0.0)
+        .unwrap();
+    assert_eq!(min_power_solves_on_thread() - before, 3 * levels);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A keyed column rebuild is the unkeyed one, edit for edit and bit
+    /// for bit: over fleets with repeated classes, under a cap change,
+    /// with columns disabled (the first listed one among them, so some
+    /// class's representative is not its first listed column) and a
+    /// shuffled strict subset of columns listed.
+    #[test]
+    fn keyed_rebuild_is_the_unkeyed_rebuild(
+        n_classes in 1usize..=4,
+        n_bes in 1usize..=3,
+        factor in 0.6f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (servers, keys) = classed_fleet(n_classes, &mut rng);
+        let bes = synthetic_bes(n_bes);
+        let builder = PerfMatrixBuilder::new();
+        let built = builder.build_keyed(&bes, &servers, &keys).unwrap();
+        let n = servers.len();
+        let mut cols: Vec<usize> = (0..n).collect();
+        cols.shuffle(&mut rng);
+        if n > 1 {
+            cols.truncate(rng.gen_range(1..n));
+        }
+        let mut disable = MatrixDelta::new().disable_column(cols[0]);
+        for col in 0..n {
+            if rng.gen_bool(0.2) {
+                disable = disable.disable_column(col);
+            }
+        }
+        let current = built.patched(&disable).unwrap();
+        let derated: Vec<ServerProfile> = servers
+            .iter()
+            .map(|s| ServerProfile { power_cap: s.power_cap * factor, ..s.clone() })
+            .collect();
+        let unkeyed = builder.rebuild_columns(&bes, &derated, &cols, &current).unwrap();
+        let before = min_power_solves_on_thread();
+        let keyed = builder
+            .rebuild_columns_keyed(&bes, &derated, &keys, &cols, &current)
+            .unwrap();
+        let solves = min_power_solves_on_thread() - before;
+        prop_assert_eq!(&keyed, &unkeyed);
+        for ((kc, ke), (uc, ue)) in keyed.edits().iter().zip(unkeyed.edits()) {
+            prop_assert_eq!(kc, uc);
+            match (ke, ue) {
+                (ColumnEdit::Set(k), ColumnEdit::Set(u)) => {
+                    for (a, b) in k.iter().zip(u) {
+                        prop_assert_eq!(a.to_bits(), b.to_bits());
+                    }
+                }
+                other => prop_assert!(false, "a rebuild only sets columns: {other:?}"),
+            }
+        }
+        prop_assert!(keyed.dirty_cols().all(|c| cols.contains(&c) && !current.is_col_disabled(c)));
+        // One path per class with an enabled listed column.
+        let mut live: Vec<usize> = cols
+            .iter()
+            .filter(|&&c| !current.is_col_disabled(c))
+            .map(|&c| keys[c])
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        prop_assert_eq!(solves, (live.len() * builder.load_levels().len()) as u64);
+    }
 
     /// A homogeneous fleet's keyed build is bit-for-bit the legacy build:
     /// with one class, every (class, primary) key is distinct, so the
