@@ -3,17 +3,21 @@
 //! builder's matrix bit-for-bit, and duplicating columns under shared
 //! keys must equal the dense build on the duplicated inputs. The same
 //! holds one level up: a keyed column rebuild returns the unkeyed
-//! rebuild's `MatrixDelta`, and a budget step on a keyed fleet pays one
-//! expansion path per class.
+//! rebuild's `MatrixDelta`, a budget step on a keyed fleet pays one
+//! expansion path per class, and a `PlacementPlan`'s in-place repairs do
+//! exactly the work of the public building blocks.
 //!
 //! Profiling real workloads is too slow for a proptest loop, so the
 //! utilities here are synthetic Cobb-Douglas models drawn from the
 //! generator — the matrix machinery only sees fitted `IndirectUtility`
 //! values either way.
 
+use pocolo_cluster::assign::auction::{self, AuctionConfig, DEFAULT_EPS};
+use pocolo_cluster::assign::sparse::SparseCandidates;
+use pocolo_cluster::assign::Assignment;
 use pocolo_cluster::matrix::{ColumnEdit, MatrixDelta};
 use pocolo_cluster::perfmatrix::{PerfMatrixBuilder, ServerProfile};
-use pocolo_cluster::ClusterManager;
+use pocolo_cluster::{ClusterManager, PlacementPlan};
 use pocolo_core::fleet::{FleetSpec, ServerClass};
 use pocolo_core::units::Watts;
 use pocolo_core::utility::{min_power_solves_on_thread, CobbDouglas, IndirectUtility, PowerModel};
@@ -69,6 +73,17 @@ fn synthetic_bes(n: usize) -> Vec<(String, IndirectUtility)> {
         .collect()
 }
 
+/// The fleet with every provisioned cap scaled by `factor`.
+fn derated(servers: &[ServerProfile], factor: f64) -> Vec<ServerProfile> {
+    servers
+        .iter()
+        .map(|s| ServerProfile {
+            power_cap: s.power_cap * factor,
+            ..s.clone()
+        })
+        .collect()
+}
+
 /// One budget step on a keyed fleet walks one expansion path per class,
 /// not one per server.
 #[test]
@@ -83,6 +98,76 @@ fn budget_step_pays_one_path_per_class() {
     mgr.replan_under_budget_incremental(&mut plan, 0.8, 0.0)
         .unwrap();
     assert_eq!(min_power_solves_on_thread() - before, 3 * levels);
+}
+
+/// What a `PlacementPlan` repair does in place — patch the dirtied
+/// columns, re-bid, certify — against the public building blocks on the
+/// same inputs: `PerfMatrix::patched` + `auction::solve_incremental`, with
+/// the budget step's delta from the *unkeyed* `rebuild_columns` over
+/// cloned, de-rated profiles. A fault repair and a class-keyed budget step
+/// must each leave the blocks' matrix, price bits and every `AuctionStats`
+/// counter, and the blocks' pairs unless the budget step's hysteresis rule
+/// keeps the incumbent (at seed 7 the repair wins with 4 BE apps and the
+/// incumbent is kept with 8).
+#[test]
+fn in_place_plan_repairs_match_their_building_blocks() {
+    for n_bes in [4, 8] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (servers, keys) = classed_fleet(8, &mut rng);
+        assert!(servers.len() > 8, "seed 7 repeats at least one class");
+        let mgr = ClusterManager::new(synthetic_bes(n_bes), servers).with_profile_keys(keys);
+        let cfg = AuctionConfig::with_eps(DEFAULT_EPS);
+        let mut plan = mgr.plan_sparse(DEFAULT_EPS).unwrap();
+
+        // The blocks stand up their own candidates and reference solve,
+        // the way `plan_sparse` does.
+        let mut matrix = plan.matrix().clone();
+        let mut cands =
+            SparseCandidates::build(&matrix, SparseCandidates::default_k(matrix.cols()));
+        let mut standing = auction::solve_with_candidates(&matrix, &mut cands, &cfg).unwrap();
+        // `incumbent` is the placement a zero-hysteresis budget step keeps
+        // when the repair does not beat it on the patched matrix.
+        let mut step = |plan: &PlacementPlan,
+                        delta: &MatrixDelta,
+                        incumbent: Option<&Assignment>| {
+            let what = format!("{n_bes} BE apps, {} dirty columns", delta.len());
+            matrix = matrix.patched(delta).unwrap();
+            standing =
+                auction::solve_incremental(&matrix, &mut cands, &standing, delta, &cfg).unwrap();
+            let kept = incumbent
+                .map(|inc| Assignment::new(inc.pairs.clone(), matrix.assignment_value(&inc.pairs)))
+                .filter(|inc| standing.assignment.total <= inc.total);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(plan.matrix(), &matrix, "{what}: matrix");
+            assert_eq!(
+                plan.assignment(),
+                kept.as_ref().unwrap_or(&standing.assignment),
+                "{what}: pairs"
+            );
+            assert_eq!(
+                bits(plan.prices()),
+                bits(&standing.prices),
+                "{what}: prices"
+            );
+            assert_eq!(plan.solution().stats, standing.stats, "{what}: stats");
+            assert!(standing.stats.dirty_rows >= 1, "{what}: re-bids a row");
+        };
+
+        let victim = plan.assignment().pairs[0].1;
+        mgr.replan_after_faults(&mut plan, &[victim]).unwrap();
+        step(&plan, &MatrixDelta::new().disable_column(victim), None);
+
+        let incumbent = plan.assignment().clone();
+        let all_cols: Vec<usize> = (0..plan.matrix().cols()).collect();
+        let shrunk = derated(mgr.servers(), 0.8);
+        let derate = PerfMatrixBuilder::new()
+            .rebuild_columns(mgr.be_apps(), &shrunk, &all_cols, plan.matrix())
+            .unwrap();
+        assert!(derate.len() > 1, "the budget step dirties the fleet");
+        mgr.replan_under_budget_incremental(&mut plan, 0.8, 0.0)
+            .unwrap();
+        step(&plan, &derate, Some(&incumbent));
+    }
 }
 
 proptest! {
@@ -118,10 +203,7 @@ proptest! {
             }
         }
         let current = built.patched(&disable).unwrap();
-        let derated: Vec<ServerProfile> = servers
-            .iter()
-            .map(|s| ServerProfile { power_cap: s.power_cap * factor, ..s.clone() })
-            .collect();
+        let derated = derated(&servers, factor);
         let unkeyed = builder.rebuild_columns(&bes, &derated, &cols, &current).unwrap();
         let before = min_power_solves_on_thread();
         let keyed = builder

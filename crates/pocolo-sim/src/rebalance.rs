@@ -96,15 +96,17 @@ pub fn run_rebalancing(
         })
         .collect();
 
+    let capper_ticks = (config.manager_period_s / config.capper_period_s)
+        .round()
+        .max(1.0) as usize;
     let mut migrations = 0usize;
     let mut t = 0.0f64;
     let mut next_rebalance = reb.period_s.unwrap_or(f64::INFINITY);
     while t < duration_s {
-        for (i, sim) in sims.iter_mut().enumerate() {
-            let _ = i;
+        for sim in sims.iter_mut() {
             sim.on_manager_tick(t);
         }
-        for _ in 0..10 {
+        for _ in 0..capper_ticks {
             for sim in sims.iter_mut() {
                 sim.on_capper_tick(config.capper_period_s);
             }
@@ -178,7 +180,6 @@ fn be_models(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocolo_workloads::profiler::ProfilerConfig;
 
     fn setup() -> (ExperimentConfig, FittedCluster) {
         let config = ExperimentConfig::default();
@@ -246,6 +247,21 @@ mod tests {
         let a = run_rebalancing(&config, &reb(Some(40.0), 5.0), &fitted, 100.0);
         let b = run_rebalancing(&config, &reb(Some(40.0), 5.0), &fitted, 100.0);
         assert_eq!(a, b);
-        let _ = ProfilerConfig::default();
+    }
+
+    #[test]
+    fn a_finer_capper_period_covers_the_same_simulated_time() {
+        let (config, fitted) = setup();
+        let fine = ExperimentConfig {
+            capper_period_s: 0.05,
+            ..config.clone()
+        };
+        let coarse = run_rebalancing(&config, &reb(None, 0.0), &fitted, 60.0);
+        let fine = run_rebalancing(&fine, &reb(None, 0.0), &fitted, 60.0);
+        let ratio = fine.summary.total_energy / coarse.summary.total_energy;
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "0.05 s capper ticks should draw the energy of 0.1 s ones, ratio {ratio}"
+        );
     }
 }
