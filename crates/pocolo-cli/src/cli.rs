@@ -171,175 +171,72 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         json: false,
     };
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--app" => {
-                opts.app = Some(
-                    it.next()
-                        .ok_or_else(|| "--app needs a value".to_string())?
-                        .clone(),
-                )
-            }
-            "--policy" => {
-                opts.policy = it
-                    .next()
-                    .ok_or_else(|| "--policy needs a value".to_string())?
-                    .clone()
-            }
-            "--solver" => {
-                opts.solver = it
-                    .next()
-                    .ok_or_else(|| "--solver needs a value".to_string())?
-                    .clone()
-            }
-            "--dwell" => {
-                opts.dwell = it
-                    .next()
-                    .ok_or_else(|| "--dwell needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--dwell: {e}"))?
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .ok_or_else(|| "--seed needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--parallelism" => {
-                opts.parallelism = it
-                    .next()
-                    .ok_or_else(|| "--parallelism needs a value".to_string())?
-                    .parse()?
-            }
-            "--faults" => {
-                opts.faults = Some(
-                    it.next()
-                        .ok_or_else(|| "--faults needs a value".to_string())?
-                        .clone(),
-                )
-            }
-            "--fleet" => {
-                opts.fleet = Some(
-                    it.next()
-                        .ok_or_else(|| "--fleet needs a value".to_string())?
-                        .clone(),
-                )
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--app" => opts.app = Some(take(&mut it, flag, "a value")?),
+            "--policy" => opts.policy = take(&mut it, flag, "a value")?,
+            "--solver" => opts.solver = take(&mut it, flag, "a value")?,
+            "--dwell" => opts.dwell = take_parsed(&mut it, flag)?,
+            "--seed" => opts.seed = take_parsed(&mut it, flag)?,
+            "--parallelism" => opts.parallelism = take(&mut it, flag, "a value")?.parse()?,
+            "--faults" => opts.faults = Some(take(&mut it, flag, "a value")?),
+            "--fleet" => opts.fleet = Some(take(&mut it, flag, "a value")?),
             "--regions" => {
-                opts.regions = it
-                    .next()
-                    .ok_or_else(|| "--regions needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--regions: {e}"))?;
+                opts.regions = take_parsed(&mut it, flag)?;
                 if opts.regions < 2 {
                     return Err("--regions needs at least 2 (nowhere to fail over to)".into());
                 }
             }
             "--no-resilience" => opts.no_resilience = true,
-            "--decision-log" => {
-                opts.decision_log = Some(
-                    it.next()
-                        .ok_or_else(|| "--decision-log needs a path".to_string())?
-                        .clone(),
-                )
-            }
-            "--listen" => {
-                opts.listen = it
-                    .next()
-                    .ok_or_else(|| "--listen needs an address".to_string())?
-                    .clone()
-            }
-            "--connect" => {
-                opts.connect = it
-                    .next()
-                    .ok_or_else(|| "--connect needs an address".to_string())?
-                    .clone()
-            }
-            "--agent" => {
-                opts.agent = Some(
-                    it.next()
-                        .ok_or_else(|| "--agent needs a name".to_string())?
-                        .clone(),
-                )
-            }
-            "--lease-ttl-ms" => {
-                opts.lease_ttl_ms = it
-                    .next()
-                    .ok_or_else(|| "--lease-ttl-ms needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--lease-ttl-ms: {e}"))?;
-                if opts.lease_ttl_ms == 0 {
-                    return Err("--lease-ttl-ms must be positive".into());
-                }
-            }
+            "--decision-log" => opts.decision_log = Some(take(&mut it, flag, "a path")?),
+            "--listen" => opts.listen = take(&mut it, flag, "an address")?,
+            "--connect" => opts.connect = take(&mut it, flag, "an address")?,
+            "--agent" => opts.agent = Some(take(&mut it, flag, "a name")?),
+            "--lease-ttl-ms" => opts.lease_ttl_ms = take_positive(&mut it, flag)?,
             "--kill-agent" => opts.kill_agent = true,
-            "--agents" => {
-                opts.agents = it
-                    .next()
-                    .ok_or_else(|| "--agents needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--agents: {e}"))?;
-                if opts.agents == 0 {
-                    return Err("--agents must be positive".into());
-                }
-            }
-            "--heartbeats" => {
-                opts.heartbeats = it
-                    .next()
-                    .ok_or_else(|| "--heartbeats needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--heartbeats: {e}"))?
-            }
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = it
-                    .next()
-                    .ok_or_else(|| "--heartbeat-ms needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?
-            }
-            "--traffic" => {
-                opts.traffic = Some(
-                    it.next()
-                        .ok_or_else(|| "--traffic needs a value".to_string())?
-                        .clone(),
-                )
-            }
-            "--shards" => {
-                opts.shards = it
-                    .next()
-                    .ok_or_else(|| "--shards needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be positive".into());
-                }
-            }
-            "--users" => {
-                opts.users = it
-                    .next()
-                    .ok_or_else(|| "--users needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--users: {e}"))?;
-                if opts.users == 0 {
-                    return Err("--users must be positive".into());
-                }
-            }
-            "--ticks" => {
-                opts.ticks = it
-                    .next()
-                    .ok_or_else(|| "--ticks needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--ticks: {e}"))?;
-                if opts.ticks == 0 {
-                    return Err("--ticks must be positive".into());
-                }
-            }
+            "--agents" => opts.agents = take_positive(&mut it, flag)?,
+            "--heartbeats" => opts.heartbeats = take_parsed(&mut it, flag)?,
+            "--heartbeat-ms" => opts.heartbeat_ms = take_parsed(&mut it, flag)?,
+            "--traffic" => opts.traffic = Some(take(&mut it, flag, "a value")?),
+            "--shards" => opts.shards = take_positive(&mut it, flag)?,
+            "--users" => opts.users = take_positive(&mut it, flag)?,
+            "--ticks" => opts.ticks = take_positive(&mut it, flag)?,
             "--online-fit" => opts.online_fit = true,
             "--json" => opts.json = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
     Ok(opts)
+}
+
+/// The value following `flag`, or `"<flag> needs <what>"`.
+fn take(it: &mut std::slice::Iter<'_, String>, flag: &str, what: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{flag} needs {what}"))
+}
+
+/// The value following `flag`, parsed, or `"<flag>: <parse error>"`.
+fn take_parsed<T>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    take(it, flag, "a value")?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Like [`take_parsed`] for a count, which must not be zero.
+fn take_positive<T>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    match take_parsed::<T>(it, flag)? {
+        zero if zero == T::default() => Err(format!("{flag} must be positive")),
+        n => Ok(n),
+    }
 }
 
 fn solver_of(name: &str) -> Result<Solver, String> {
@@ -361,18 +258,14 @@ fn policy_of(opts: &Options) -> Result<Policy, String> {
 }
 
 fn experiment_of(opts: &Options) -> Result<ExperimentConfig, String> {
-    if opts.dwell.is_nan() || opts.dwell <= 0.0 {
+    if !opts.dwell.is_finite() || opts.dwell <= 0.0 {
         return Err("--dwell must be positive".into());
     }
-    let faults: Option<FaultSpec> = match opts.faults.as_deref() {
-        Some(raw) => Some(raw.parse()?),
-        None => None,
-    };
     Ok(ExperimentConfig {
         dwell_s: opts.dwell,
         seed: opts.seed,
         parallelism: opts.parallelism,
-        faults,
+        faults: opts.faults.as_deref().map(str::parse).transpose()?,
         resilience: !opts.no_resilience,
         ..ExperimentConfig::default()
     })
@@ -646,15 +539,14 @@ fn cmd_simulate(opts: &Options) -> Result<String, String> {
         std::fs::File::create(path)
             .map_err(|e| format!("cannot write decision log {path}: {e}"))?;
     }
-    let result = match &opts.decision_log {
-        Some(path) => {
-            let fitted = FittedCluster::fit(&config.profiler);
-            let (result, traces) = run_experiment_traced(policy, &config, &fitted);
-            write_decision_log(path, &traces)?;
-            result
-        }
-        None => run_experiment(policy, &config),
-    };
+    let fitted = FittedCluster::fit(&config.profiler);
+    let duration_s = config.sweep_duration_s();
+    let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, duration_s);
+    let trace = LoadTrace::paper_sweep(config.dwell_s);
+    let (result, traces) = plan.play(&trace, config.parallelism, opts.decision_log.is_some());
+    if let Some(path) = &opts.decision_log {
+        write_decision_log(path, &traces)?;
+    }
     Ok(format_result(&result, &config, opts.json))
 }
 
@@ -865,10 +757,7 @@ fn cmd_demo_traffic(opts: &Options) -> Result<String, String> {
     config.parallelism = opts.parallelism;
     config.online_fit = opts.online_fit;
     config.seed = opts.seed;
-    config.faults = match opts.faults.as_deref() {
-        Some(raw) => Some(raw.parse()?),
-        None => None,
-    };
+    config.faults = opts.faults.as_deref().map(str::parse).transpose()?;
     let report = run_traffic(&config);
     // Wall-clock throughput goes to stderr: stdout must be identical
     // across shard counts so CI can diff it byte-for-byte.
@@ -908,6 +797,9 @@ fn cmd_demo_traffic(opts: &Options) -> Result<String, String> {
 fn cmd_demo_fleet(opts: &Options) -> Result<String, String> {
     let raw = opts.fleet.as_deref().unwrap_or("mixed3");
     let (spec, fleet_seed) = fleet_of(raw)?;
+    if opts.decision_log.is_some() {
+        return Err("demo-fleet does not support --decision-log".into());
+    }
     let solver = solver_of(&opts.solver)?;
     let mut config = experiment_of(opts)?;
     if config.faults.is_none() {
@@ -1335,6 +1227,9 @@ mod tests {
     fn simulate_rejects_bad_input() {
         assert!(run(&argv("simulate --policy warp")).is_err());
         assert!(run(&argv("simulate --dwell -1")).is_err());
+        // An infinite dwell would never finish the first load level.
+        let err = run(&argv("simulate --dwell inf")).unwrap_err();
+        assert_eq!(err, "--dwell must be positive");
         assert!(run(&argv("place --solver quantum")).is_err());
     }
 
@@ -1547,18 +1442,20 @@ mod tests {
             "simulate --fleet mixed3 --decision-log /tmp/dl.jsonl",
             "decision-log",
         );
+        one_line("demo-fleet --decision-log /tmp/dl.jsonl", "decision-log");
     }
 
     #[test]
-    fn homogeneous_fleet_simulate_is_byte_identical_to_legacy() {
-        // A single-class fleet must degenerate to the classic experiment
-        // path exactly — same placement, same physics, same formatting.
-        let legacy = run(&argv("simulate --dwell 2")).unwrap();
+    fn one_class_fleet_simulate_is_byte_identical_to_the_default_fit() {
+        // `--fleet xeon` fits the catalog class instead of calling
+        // `FittedCluster::fit`; everything downstream is the same plan —
+        // same placement, same physics, same formatting.
+        let default_fit = run(&argv("simulate --dwell 2")).unwrap();
         let fleet = run(&argv("simulate --fleet xeon --dwell 2")).unwrap();
-        assert_eq!(legacy, fleet);
-        let legacy_json = run(&argv("simulate --dwell 2 --json")).unwrap();
+        assert_eq!(default_fit, fleet);
+        let default_json = run(&argv("simulate --dwell 2 --json")).unwrap();
         let fleet_json = run(&argv("simulate --fleet xeon --dwell 2 --json")).unwrap();
-        assert_eq!(legacy_json, fleet_json);
+        assert_eq!(default_json, fleet_json);
     }
 
     #[test]

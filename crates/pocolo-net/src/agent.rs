@@ -1,10 +1,10 @@
 //! The POM agent daemon: one process (or thread) per server slot.
 //!
 //! An agent registers with the cluster daemon, receives its slot and the
-//! full [`RunSpec`](crate::wire::RunSpec), rebuilds the simulation
-//! backend locally, and drives
-//! it through [`run_server_projection`] — the exact per-server event
-//! queue the in-process engine fans out. After every manager epoch it
+//! full [`RunSpec`](crate::wire::RunSpec), recompiles the run's plan
+//! locally, and drives its slot through
+//! [`RunPlan::run_slot`](pocolo_sim::RunPlan::run_slot) — the slot runner
+//! every in-process play goes through. After every manager epoch it
 //! ships telemetry (which renews its lease) and applies any budget
 //! directive from the ack. On completion it delivers its final metrics.
 //!
@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use pocolo_faults::RetryPolicy;
 use pocolo_sim::experiment::FittedCluster;
-use pocolo_sim::{compile_fault_plan, run_server_projection, ServerFaultAction, ServerFaultEvent};
+use pocolo_sim::ServerFaultAction;
 use pocolo_workloads::profiler::ProfilerConfig;
 
 use crate::client::RpcClient;
@@ -144,44 +144,22 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, NetError> {
             )))
         }
     };
-    if server >= run.n_servers() {
+    let fitted = default_fit();
+    if server >= run.n_servers() || run.n_servers() != fitted.lc().len() {
         return Err(NetError::Protocol(format!(
-            "daemon assigned slot {server} of a {}-server run",
-            run.n_servers()
+            "daemon assigned slot {server} of a {}-server run (local models cover {})",
+            run.n_servers(),
+            fitted.lc().len()
         )));
     }
-
-    let fitted = default_fit();
-    let mut sim = run.slot_spec(server, degraded).build(fitted);
-    // The fault timeline is compiled locally from the spec string: it is
-    // deterministic in (scenario, seed, duration, placement), so this
-    // agent's events match the in-process engine's event-for-event.
-    let events: Vec<ServerFaultEvent> = match &run.faults {
-        Some(spec) => {
-            let (timeline, _) = compile_fault_plan(
-                spec,
-                run.seed,
-                run.duration_s,
-                fitted,
-                &run.placement,
-                run.resilience,
-            );
-            timeline.server_events(server).to_vec()
-        }
-        None => Vec::new(),
-    };
 
     let mut epochs: u64 = 0;
     let mut killed = false;
     let mut last_cap_factor = 1.0_f64;
     let mut wire_failure: Option<NetError> = None;
-    run_server_projection(
-        &mut sim,
-        &events,
-        run.manager_period_s,
-        run.capper_period_s,
-        run.duration_s,
-        |now_s, sim| {
+    let sim = run
+        .compile(fitted)
+        .run_slot(&run.slot_spec(server, degraded), |now_s, sim| {
             if config.die_after_epochs.is_some_and(|limit| epochs >= limit) {
                 killed = true;
                 return false;
@@ -218,8 +196,7 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, NetError> {
                     false
                 }
             }
-        },
-    );
+        });
     if let Some(e) = wire_failure {
         return Err(e);
     }

@@ -27,8 +27,8 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pocolo_sim::experiment::{ExperimentResult, PairResult};
-use pocolo_sim::{ClusterSummary, Policy, ServerMetrics};
+use pocolo_sim::experiment::ExperimentResult;
+use pocolo_sim::{Policy, ServerMetrics};
 
 use crate::error::NetError;
 use crate::frame::encode_frame_str;
@@ -559,22 +559,7 @@ impl Clusterd {
         let reg = self.registry.lock();
         let metrics: Option<Vec<ServerMetrics>> =
             reg.slots.iter().map(|s| s.metrics.clone()).collect();
-        let metrics = metrics?;
-        let pairs: Vec<PairResult> = metrics
-            .iter()
-            .enumerate()
-            .map(|(i, m)| PairResult {
-                lc: self.run.lc[i].clone(),
-                be: self.run.placement[i].name().to_string(),
-                metrics: m.clone(),
-            })
-            .collect();
-        let summary = ClusterSummary::aggregate(&metrics)?;
-        Some(ExperimentResult {
-            policy: self.run.policy.name().to_string(),
-            pairs,
-            summary,
-        })
+        ExperimentResult::from_metrics(self.run.policy, &self.run.lc, &self.run.placement, metrics?)
     }
 
     /// The policy this daemon is evaluating.

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use pocolo_sim::experiment::{run_experiment_with, ExperimentConfig, ExperimentResult};
-use pocolo_sim::{compile_fault_plan, run_server_projection, Policy, ServerMetrics};
+use pocolo_sim::{Policy, ServerMetrics};
 
 use crate::agent::{default_fit, run_agent, AgentConfig, AgentReport};
 use crate::cluster::{ClusterConfig, Clusterd, SlotState};
@@ -192,32 +192,11 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
         .ok_or_else(|| NetError::Protocol("daemon finished without full results".into()))?;
     let in_process = run_experiment_with(config.policy, &config.experiment, fitted);
     // The killed slot re-ran degraded, so the cluster-level comparison
-    // cannot cover it; replay the same degraded slot in-process (same
-    // spec, same compiled fault timeline) as its reference.
+    // cannot cover it; replay the same degraded slot in-process (what the
+    // replacement agent ran, minus the wire) as its reference.
     let degraded_reference = killed.as_ref().map(|dead| {
-        let mut sim = run.slot_spec(dead.server, true).build(fitted);
-        let events = match &run.faults {
-            Some(spec) => {
-                let (timeline, _) = compile_fault_plan(
-                    spec,
-                    run.seed,
-                    run.duration_s,
-                    fitted,
-                    &run.placement,
-                    run.resilience,
-                );
-                timeline.server_events(dead.server).to_vec()
-            }
-            None => Vec::new(),
-        };
-        run_server_projection(
-            &mut sim,
-            &events,
-            run.manager_period_s,
-            run.capper_period_s,
-            run.duration_s,
-            |_, _| true,
-        );
+        let spec = run.slot_spec(dead.server, true);
+        let sim = run.compile(fitted).run_slot(&spec, |_, _| true);
         (dead.server, sim.metrics().clone())
     });
     Ok(DemoReport {

@@ -12,8 +12,9 @@
 //! the cluster-wide budget directive; each agent wraps the same
 //! `ServerController` + `ServerManager` backend the in-process engine
 //! drives (via [`pocolo_sim::SlotSpec`]) and advances it through the
-//! *projection* of the shared event queue onto its own slot
-//! ([`pocolo_sim::run_server_projection`]). Because both sides fit
+//! same per-server event loop, behind the same slot runner
+//! ([`pocolo_sim::RunPlan::run_slot`] over
+//! [`pocolo_sim::run_server_projection`]). Because both sides fit
 //! identical models from the same deterministic profiler defaults and
 //! replay identical seeded fault timelines, a wire-driven run reproduces
 //! the in-process engine's placement decisions and epoch-level metrics

@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use compat_mio::net::TcpStream;
 use compat_mio::{Events, Interest, Poll, Token};
 use pocolo_core::units::Watts;
-use pocolo_sim::experiment::{ExperimentResult, PairResult};
-use pocolo_sim::{ClusterSummary, ServerMetrics};
+use pocolo_sim::experiment::ExperimentResult;
+use pocolo_sim::ServerMetrics;
 
 use crate::error::NetError;
 use crate::frame::{encode_frame, FrameBuffer, ReadStatus};
@@ -187,24 +187,11 @@ pub fn synthetic_metrics(server: usize, seed: u64, heartbeats: u64) -> ServerMet
 /// computed without any sockets. Timing-independent by construction:
 /// every term is a function of `(slot, seed, heartbeats)` only.
 pub fn scale_reference(run: &RunSpec, heartbeats: u64) -> ExperimentResult {
-    let metrics: Vec<ServerMetrics> = (0..run.n_servers())
+    let metrics = (0..run.n_servers())
         .map(|server| synthetic_metrics(server, run.seed, heartbeats))
         .collect();
-    let pairs: Vec<PairResult> = metrics
-        .iter()
-        .enumerate()
-        .map(|(i, m)| PairResult {
-            lc: run.lc[i].clone(),
-            be: run.placement[i].name().to_string(),
-            metrics: m.clone(),
-        })
-        .collect();
-    let summary = ClusterSummary::aggregate(&metrics).expect("scale runs have at least one server");
-    ExperimentResult {
-        policy: run.policy.name().to_string(),
-        pairs,
-        summary,
-    }
+    ExperimentResult::from_metrics(run.policy, &run.lc, &run.placement, metrics)
+        .expect("scale runs have at least one server")
 }
 
 /// Per-connection protocol position.

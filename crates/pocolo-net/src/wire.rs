@@ -14,7 +14,7 @@ use pocolo_core::federation::{FedLogEntry, FedSnapshot};
 use pocolo_faults::FaultSpec;
 use pocolo_json::{json, ToJson, Value};
 use pocolo_sim::experiment::{ExperimentConfig, FittedCluster};
-use pocolo_sim::{Policy, ServerMetrics, SlotSpec};
+use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec};
 use pocolo_workloads::{BeApp, LoadTrace};
 
 use crate::error::NetError;
@@ -171,12 +171,12 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// Plans a run the way the in-process engine would: placement from
-    /// the policy, eviction ranks from the performance matrix, scalars
-    /// from the config.
+    /// Plans a run the way the in-process engine does — the wire form of
+    /// the [`RunPlan`] it would compile: placement, eviction ranks, and
+    /// the scalars of the config.
     pub fn plan(policy: Policy, config: &ExperimentConfig, fitted: &FittedCluster) -> RunSpec {
-        let placement = fitted.placement(policy);
-        let ranks = pocolo_sim::eviction_ranks(fitted, &placement);
+        let duration_s = config.sweep_duration_s();
+        let plan = RunPlan::compile(fitted.plan_inputs(), policy, config, duration_s);
         RunSpec {
             policy,
             lc: fitted
@@ -184,10 +184,10 @@ impl RunSpec {
                 .iter()
                 .map(|(a, _, _)| a.name().to_string())
                 .collect(),
-            placement,
-            ranks,
+            placement: plan.placement().to_vec(),
+            ranks: plan.ranks().to_vec(),
             dwell_s: config.dwell_s,
-            duration_s: config.sweep_duration_s(),
+            duration_s,
             manager_period_s: config.manager_period_s,
             capper_period_s: config.capper_period_s,
             meter_noise: config.meter_noise,
@@ -196,6 +196,31 @@ impl RunSpec {
             resilience: config.resilience,
             push_budget: false,
         }
+    }
+
+    /// Recompiles the plan behind this spec from locally-fitted models:
+    /// the shipped placement, and the fault timeline compiled from the
+    /// spec string — deterministic in (scenario, seed, duration,
+    /// placement), so every agent's events match the in-process engine's
+    /// event-for-event.
+    pub fn compile<'a>(&self, fitted: &'a FittedCluster) -> RunPlan<'a> {
+        let config = ExperimentConfig {
+            dwell_s: self.dwell_s,
+            manager_period_s: self.manager_period_s,
+            capper_period_s: self.capper_period_s,
+            meter_noise: self.meter_noise,
+            seed: self.seed,
+            faults: self.faults,
+            resilience: self.resilience,
+            ..ExperimentConfig::default()
+        };
+        RunPlan::with_placement(
+            fitted.plan_inputs(),
+            self.policy,
+            self.placement.clone(),
+            &config,
+            self.duration_s,
+        )
     }
 
     /// Number of server slots in the run.

@@ -1,34 +1,13 @@
-//! Simulation of the full four-server cluster via the event engine.
+//! The one server loop ([`run_server_projection`]) and its fan-out over
+//! a hand-assembled set of servers ([`ClusterSim`]).
 
 use crate::engine::Engine;
-use crate::faults::FaultTimeline;
+use crate::faults::{FaultTimeline, ServerFaultEvent};
 use crate::metrics::{ClusterSummary, ServerMetrics};
 use crate::parallel::{self, Parallelism};
 use crate::server_sim::ServerSim;
 
-/// Events driving the cluster simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterEvent {
-    /// A server's 1 s manager tick.
-    ManagerTick {
-        /// Index into the server list.
-        server: usize,
-    },
-    /// A server's 100 ms capper tick.
-    CapperTick {
-        /// Index into the server list.
-        server: usize,
-    },
-    /// A pre-compiled fault action fires on a server.
-    Fault {
-        /// Index into the server list.
-        server: usize,
-        /// Index into that server's [`FaultTimeline`] action list.
-        idx: usize,
-    },
-}
-
-/// A set of colocated servers advanced in lockstep by the event engine.
+/// A set of colocated servers, each advanced through its own event queue.
 #[derive(Debug)]
 pub struct ClusterSim {
     servers: Vec<ServerSim>,
@@ -58,96 +37,32 @@ impl ClusterSim {
     }
 
     /// Installs a pre-compiled fault timeline. Every action is a static,
-    /// per-server event, so the faulted run stays bit-identical between
-    /// the serial queue and the parallel fan-out.
+    /// per-server event, so no server ever observes another.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultTimeline) -> Self {
         self.faults = faults;
         self
     }
 
-    /// The simulated servers.
-    pub fn servers(&self) -> &[ServerSim] {
-        &self.servers
-    }
-
-    /// Runs the simulation for `duration_s` simulated seconds.
-    pub fn run(&mut self, duration_s: f64) {
-        let mut engine: Engine<ClusterEvent> = Engine::new();
-        for idx in 0..self.servers.len() {
-            engine.schedule_at_seconds(0.0, ClusterEvent::ManagerTick { server: idx });
-            engine.schedule_at_seconds(
-                self.capper_period_s,
-                ClusterEvent::CapperTick { server: idx },
-            );
-        }
-        // Fault actions are init-scheduled, so at a coincident timestamp
-        // they pop before the dynamically-rescheduled ticks — the same
-        // relative order the per-server projection produces.
-        for idx in 0..self.servers.len() {
-            for (i, ev) in self.faults.server_events(idx).iter().enumerate() {
-                engine.schedule_at_seconds(
-                    ev.at_s,
-                    ClusterEvent::Fault {
-                        server: idx,
-                        idx: i,
-                    },
-                );
-            }
-        }
-        while let Some(peek) = engine.peek_time_seconds() {
-            if peek > duration_s + 1e-9 {
-                break;
-            }
-            let entry = engine.pop().expect("peeked event exists");
-            let now = engine.now_seconds();
-            match entry.event {
-                ClusterEvent::ManagerTick { server } => {
-                    self.servers[server].on_manager_tick(now);
-                    engine.schedule_in(self.manager_period_s, ClusterEvent::ManagerTick { server });
-                }
-                ClusterEvent::CapperTick { server } => {
-                    self.servers[server].on_capper_tick(self.capper_period_s);
-                    engine.schedule_in(self.capper_period_s, ClusterEvent::CapperTick { server });
-                }
-                ClusterEvent::Fault { server, idx } => {
-                    let action = self.faults.server_events(server)[idx].action.clone();
-                    self.servers[server].apply_fault(&action, now);
-                }
-            }
-        }
-    }
-
-    /// Runs the simulation for `duration_s` simulated seconds, fanning the
-    /// servers out across worker threads.
-    ///
-    /// Events only ever touch their own server, and within one server the
-    /// tick ordering (manager before capper at coincident times, preserved
-    /// by schedule order) and the microsecond clock arithmetic are the same
-    /// as in the shared event queue of [`ClusterSim::run`] — so the result
-    /// is bit-identical to a serial run regardless of worker count.
-    pub fn run_with(&mut self, duration_s: f64, parallelism: Parallelism) {
-        if matches!(parallelism, Parallelism::Serial) {
-            // Reference path: the single shared event queue.
-            self.run(duration_s);
-            return;
-        }
-        let manager_period_s = self.manager_period_s;
-        let capper_period_s = self.capper_period_s;
-        let faults = self.faults.clone();
-        let servers = std::mem::take(&mut self.servers);
-        let indexed: Vec<(usize, ServerSim)> = servers.into_iter().enumerate().collect();
-        let done = parallel::map(parallelism, indexed, move |(idx, mut server)| {
-            run_one_server(
+    /// Runs the simulation for `duration_s` simulated seconds, one
+    /// [`run_server_projection`] per server, fanned out across up to
+    /// `parallelism` worker threads. Events only ever touch their own
+    /// server, so the result is bit-identical at any worker count.
+    pub fn run(&mut self, duration_s: f64, parallelism: Parallelism) {
+        let (manager_period_s, capper_period_s) = (self.manager_period_s, self.capper_period_s);
+        let faults = &self.faults;
+        let indexed = std::mem::take(&mut self.servers).into_iter().enumerate();
+        self.servers = parallel::map(parallelism, indexed.collect(), |(idx, mut server)| {
+            run_server_projection(
                 &mut server,
                 faults.server_events(idx),
                 manager_period_s,
                 capper_period_s,
                 duration_s,
+                |_, _| true,
             );
             server
         });
-        self.servers = done;
     }
 
     /// Per-server metrics snapshots.
@@ -161,37 +76,23 @@ impl ClusterSim {
     }
 }
 
-/// Advances a single server through its own event queue — the projection
-/// of the shared cluster queue onto one server's events.
-fn run_one_server(
-    server: &mut ServerSim,
-    faults: &[crate::faults::ServerFaultEvent],
-    manager_period_s: f64,
-    capper_period_s: f64,
-    duration_s: f64,
-) {
-    run_server_projection(
-        server,
-        faults,
-        manager_period_s,
-        capper_period_s,
-        duration_s,
-        |_, _| true,
-    );
-}
-
-/// Advances a single server through its own event queue — the projection
-/// of the shared cluster queue onto one server's events — invoking
-/// `on_epoch(now_s, server)` after every manager tick. That hook is the
-/// natural control-epoch cadence for a remote agent: telemetry goes out
-/// (and directives come back) between manager decisions, and because the
-/// queue below is byte-for-byte the one [`ClusterSim::run_with`] fans
-/// out, a wire-driven slot replays the in-process engine bit-identically.
-/// Returning `false` from the hook abandons the projection (an agent
-/// dying mid-run); the engine stops with whatever state has accumulated.
+/// Advances a single server through its own event queue: its 1 s manager
+/// tick, its 100 ms capper tick and its pre-compiled fault actions, with
+/// `on_epoch(now_s, server)` invoked after every manager tick. That hook
+/// is the natural control-epoch cadence for a remote agent: telemetry
+/// goes out (and directives come back) between manager decisions, and
+/// because this is the only loop there is, a wire-driven slot replays the
+/// in-process engine bit-identically. Returning `false` from the hook
+/// abandons the projection (an agent dying mid-run); the engine stops
+/// with whatever state has accumulated.
+///
+/// One queue per server is sufficient because servers share no state:
+/// cluster-wide faults (brownouts, replan migrations) are compiled into
+/// per-server actions before the run starts, so no event on one server
+/// can be ordered against an event on another.
 pub fn run_server_projection(
     server: &mut ServerSim,
-    faults: &[crate::faults::ServerFaultEvent],
+    faults: &[ServerFaultEvent],
     manager_period_s: f64,
     capper_period_s: f64,
     duration_s: f64,
@@ -205,8 +106,8 @@ pub fn run_server_projection(
     let mut engine: Engine<Tick> = Engine::new();
     engine.schedule_at_seconds(0.0, Tick::Manager);
     engine.schedule_at_seconds(capper_period_s, Tick::Capper);
-    // Same init-before-reschedule ordering as the shared queue: at a
-    // coincident timestamp a fault action fires before the ticks.
+    // Fault actions are init-scheduled, so at a coincident timestamp they
+    // pop before the dynamically-rescheduled ticks.
     for (i, ev) in faults.iter().enumerate() {
         engine.schedule_at_seconds(ev.at_s, Tick::Fault(i));
     }
@@ -277,7 +178,7 @@ mod tests {
             1.0,
             0.1,
         );
-        cluster.run(10.0);
+        cluster.run(10.0, Parallelism::Serial);
         for m in cluster.metrics() {
             assert!(
                 (m.duration_s - 10.0).abs() < 0.2,
@@ -312,12 +213,12 @@ mod tests {
             )
         };
         let mut serial = build();
-        serial.run_with(8.0, Parallelism::Serial);
+        serial.run(8.0, Parallelism::Serial);
         let mut fanned = build();
-        fanned.run_with(8.0, Parallelism::Fixed(4));
+        fanned.run(8.0, Parallelism::Fixed(4));
         assert_eq!(serial.metrics(), fanned.metrics());
         let mut auto = build();
-        auto.run_with(8.0, Parallelism::Auto);
+        auto.run(8.0, Parallelism::Auto);
         assert_eq!(serial.metrics(), auto.metrics());
     }
 
@@ -351,9 +252,9 @@ mod tests {
         };
         for resilient in [false, true] {
             let mut serial = build(resilient);
-            serial.run_with(8.0, Parallelism::Serial);
+            serial.run(8.0, Parallelism::Serial);
             let mut fanned = build(resilient);
-            fanned.run_with(8.0, Parallelism::Fixed(4));
+            fanned.run(8.0, Parallelism::Fixed(4));
             assert_eq!(
                 serial.metrics(),
                 fanned.metrics(),
@@ -370,8 +271,8 @@ mod tests {
     fn deterministic_given_same_seeds() {
         let mut a = ClusterSim::new(vec![server(LcApp::TpcC, BeApp::Lstm)], 1.0, 0.1);
         let mut b = ClusterSim::new(vec![server(LcApp::TpcC, BeApp::Lstm)], 1.0, 0.1);
-        a.run(5.0);
-        b.run(5.0);
+        a.run(5.0, Parallelism::Serial);
+        b.run(5.0, Parallelism::Serial);
         assert_eq!(a.metrics(), b.metrics());
     }
 }

@@ -1,10 +1,17 @@
 //! End-to-end policy experiments: the §V-D comparison of Random, POM and
 //! POColo over the uniform 10–90 % load sweep (Figs. 12 and 13).
+//!
+//! Every run — homogeneous or fleet, in-process or over the wire, one
+//! sweep or one load level — is a [`RunPlan`] compiled once and played
+//! through [`run_server_projection`].
+
+use std::cell::OnceCell;
 
 use pocolo_cluster::{
-    migration_diff, Assignment, ClusterManager, PerfMatrixBuilder, ServerProfile, Solver,
+    migration_diff, Assignment, ClusterManager, PerfMatrix, ServerProfile, Solver,
 };
 use pocolo_core::fit::{fit_indirect_utility, FitOptions};
+use pocolo_core::fleet::PowerCurve;
 use pocolo_core::utility::IndirectUtility;
 use pocolo_faults::{eviction_order, FaultKind, FaultSpec};
 use pocolo_manager::LcPolicy;
@@ -16,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::cluster_sim::ClusterSim;
+use crate::cluster_sim::run_server_projection;
 use crate::faults::{FaultTimeline, ResilienceConfig, ServerFaultAction};
 use crate::metrics::{ClusterSummary, ServerMetrics};
 use crate::parallel::{self, Parallelism};
@@ -137,6 +144,35 @@ pub struct ExperimentResult {
     pub summary: ClusterSummary,
 }
 
+impl ExperimentResult {
+    /// Labels each server's metrics with its pairing and aggregates the
+    /// cluster summary — the one constructor behind the in-process
+    /// engine, the cluster daemon and the scale reference. `None` for an
+    /// empty cluster.
+    pub fn from_metrics(
+        policy: Policy,
+        lc: &[impl AsRef<str>],
+        placement: &[BeApp],
+        metrics: Vec<ServerMetrics>,
+    ) -> Option<Self> {
+        let summary = ClusterSummary::aggregate(&metrics)?;
+        let pairs = metrics
+            .into_iter()
+            .enumerate()
+            .map(|(i, metrics)| PairResult {
+                lc: lc[i].as_ref().to_string(),
+                be: placement[i].name().to_string(),
+                metrics,
+            })
+            .collect();
+        Some(ExperimentResult {
+            policy: policy.name().to_string(),
+            pairs,
+            summary,
+        })
+    }
+}
+
 pocolo_json::impl_to_json!(PairResult { lc, be, metrics });
 pocolo_json::impl_to_json!(ExperimentResult {
     policy,
@@ -246,29 +282,315 @@ impl FittedCluster {
             .collect()
     }
 
+    /// What a [`RunPlan`] over this cluster compiles from: this one fit on
+    /// every slot, an unkeyed manager, and hardware that holds any
+    /// requested cap factor exactly.
+    pub fn plan_inputs(&self) -> PlanInputs<'_> {
+        let n = self.lc.len();
+        PlanInputs {
+            fits: vec![self; n],
+            manager: ClusterManager::new(self.be_profiles(), self.server_profiles()),
+            curves: vec![&PowerCurve::Linear; n],
+            replan_sees_curves: true,
+            matrix: OnceCell::new(),
+        }
+    }
+
     /// Decides the placement for a policy: which BE app runs on each LC
     /// server (index-aligned with [`FittedCluster::lc`]).
     pub fn placement(&self, policy: Policy) -> Vec<BeApp> {
+        self.plan_inputs().place(policy)
+    }
+}
+
+/// What a [`RunPlan`] is compiled from, and the planning steps over it.
+/// The paper's homogeneous testbed ([`FittedCluster::plan_inputs`]) is
+/// the one-class case of a fleet
+/// (`crate::fleet::FittedFleet::plan_inputs`), not a second pipeline.
+#[derive(Debug, Clone)]
+pub struct PlanInputs<'a> {
+    /// The fit governing each server slot (its class's).
+    pub(crate) fits: Vec<&'a FittedCluster>,
+    /// The cluster manager that places and replans.
+    pub(crate) manager: ClusterManager,
+    /// Each slot's power curve: the cap factor its hardware actually
+    /// holds under a requested brownout. The physics always obey it.
+    pub(crate) curves: Vec<&'a PowerCurve>,
+    /// Whether brownout replans derate each slot through its curve, or
+    /// assume the raw requested factor (a SKU-blind manager).
+    pub(crate) replan_sees_curves: bool,
+    /// The manager's performance matrix. Placement, eviction ranks and
+    /// the replan incumbent all read it, so it is built at most once —
+    /// and not at all for a clean run under a random-placement policy.
+    pub(crate) matrix: OnceCell<PerfMatrix>,
+}
+
+/// A placement as performance-matrix `(BE row, server column)` pairs.
+pub(crate) fn placement_pairs(placement: &[BeApp]) -> Vec<(usize, usize)> {
+    let row = |be| BeApp::ALL.iter().position(|&a| a == be);
+    placement
+        .iter()
+        .enumerate()
+        .map(|(server, &be)| (row(be).expect("every BE app is a matrix row"), server))
+        .collect()
+}
+
+impl PlanInputs<'_> {
+    fn matrix(&self) -> &PerfMatrix {
+        self.matrix.get_or_init(|| {
+            self.manager
+                .performance_matrix()
+                .expect("fitted models are well-formed")
+        })
+    }
+
+    fn place(&self, policy: Policy) -> Vec<BeApp> {
         match policy {
             Policy::Random { seed } | Policy::Heracles { seed } | Policy::Pom { seed } => {
-                let mut order: Vec<BeApp> = self.be.iter().map(|(a, _, _)| *a).collect();
-                let mut rng = StdRng::seed_from_u64(seed);
-                order.shuffle(&mut rng);
+                let mut order = BeApp::ALL.to_vec();
+                order.shuffle(&mut StdRng::seed_from_u64(seed));
                 order
             }
             Policy::Pocolo { solver } => {
-                let matrix = PerfMatrixBuilder::new()
-                    .build(&self.be_profiles(), &self.server_profiles())
-                    .expect("fitted models are well-formed");
-                let assignment =
-                    pocolo_cluster::assign::solve(&matrix, solver).expect("4x4 is solvable");
-                let mut out = vec![BeApp::Lstm; self.lc.len()];
+                let assignment = pocolo_cluster::assign::solve(self.matrix(), solver)
+                    .expect("the placement is solvable");
+                let mut out = vec![BeApp::Lstm; self.fits.len()];
                 for (row, col) in assignment.pairs {
-                    out[col] = self.be[row].0;
+                    out[col] = BeApp::ALL[row];
                 }
                 out
             }
         }
+    }
+
+    /// Compiles the per-server fault timeline and the cluster-wide
+    /// eviction ranks (each co-runner ranked by its matrix value
+    /// ascending, so the *lowest*-value pairing is shed first). With
+    /// `resilience` armed, every brownout in the plan is also re-solved
+    /// on the shrunk budget (with hysteresis) and the resulting
+    /// migrations are scheduled as [`ServerFaultAction::ReplaceBe`]
+    /// actions at the brownout start — computed *up front* from the
+    /// fitted models, so the faulted run stays a static per-server event
+    /// schedule.
+    fn faults(
+        &self,
+        placement: &[BeApp],
+        spec: &FaultSpec,
+        base_seed: u64,
+        duration_s: f64,
+        resilience: bool,
+    ) -> (FaultTimeline, Vec<usize>) {
+        let (curves, n) = (&self.curves, placement.len());
+        let plan = spec
+            .scenario
+            .plan(spec.seed.unwrap_or(base_seed), duration_s, n);
+        let mut timeline =
+            FaultTimeline::compile_with_curves(&plan, n, |s, f| curves[s].effective_cap_factor(f));
+        let pairs = placement_pairs(placement);
+        let values: Vec<f64> = pairs
+            .iter()
+            .map(|&(row, server)| self.matrix().value(row, server))
+            .collect();
+        let mut ranks = vec![0; n];
+        for (rank, &server) in eviction_order(&values).iter().enumerate() {
+            ranks[server] = rank;
+        }
+        if resilience {
+            let cfg = ResilienceConfig::default();
+            let incumbent = Assignment::new(pairs.clone(), self.matrix().assignment_value(&pairs));
+            for event in plan.events() {
+                let FaultKind::BrownoutStart { cap_factor } = &event.kind else {
+                    continue;
+                };
+                let factors: Vec<f64> = curves
+                    .iter()
+                    .map(|curve| match self.replan_sees_curves {
+                        true => curve.effective_cap_factor(*cap_factor),
+                        false => *cap_factor,
+                    })
+                    .collect();
+                let Ok(replan) = self.manager.replan_under_budget(
+                    &factors,
+                    &incumbent,
+                    cfg.replan_hysteresis,
+                    Solver::Hungarian,
+                ) else {
+                    continue;
+                };
+                for (row, server) in migration_diff(&incumbent, &replan) {
+                    // The migrating co-runner's models come from the
+                    // *slot's* fit: the server knows its own machine even
+                    // when the cluster plan was blind.
+                    let (_, truth, fit) = &self.fits[server].be[row];
+                    timeline.push(
+                        server,
+                        event.at_s,
+                        ServerFaultAction::ReplaceBe {
+                            be_truth: Some(Box::new(truth.clone())),
+                            be_fitted: Some(Box::new(fit.clone())),
+                            pause_s: cfg.readmit_pause_s,
+                        },
+                    );
+                }
+            }
+        }
+        (timeline, ranks)
+    }
+}
+
+/// Compiles the per-server fault timeline and eviction ranks for a run
+/// over a given placement: the plan drawn from the spec's seed (falling
+/// back to `base_seed`), plus — when `resilience` is armed — the up-front
+/// brownout replan migrations. Deterministic in its arguments, so the
+/// in-process engine and a remote agent that compiles its own copy agree
+/// event-for-event.
+pub fn compile_fault_plan(
+    spec: &FaultSpec,
+    base_seed: u64,
+    duration_s: f64,
+    fitted: &FittedCluster,
+    placement: &[BeApp],
+    resilience: bool,
+) -> (FaultTimeline, Vec<usize>) {
+    fitted
+        .plan_inputs()
+        .faults(placement, spec, base_seed, duration_s, resilience)
+}
+
+/// One run, compiled once and played any number of times: the placement,
+/// the eviction ranks and the per-server fault timeline for a (policy,
+/// config, duration). None of them depends on the load trace, so a sweep
+/// compiles one plan per policy and plays it per load level; every play
+/// rebuilds its servers from [`SlotSpec`]s, so no state carries over.
+#[derive(Debug, Clone)]
+pub struct RunPlan<'a> {
+    policy: Policy,
+    config: ExperimentConfig,
+    duration_s: f64,
+    fits: Vec<&'a FittedCluster>,
+    placement: Vec<BeApp>,
+    ranks: Vec<usize>,
+    timeline: FaultTimeline,
+}
+
+impl<'a> RunPlan<'a> {
+    /// Solves the policy's placement, then compiles the fault schedule
+    /// `config` asks for over `duration_s` simulated seconds.
+    pub fn compile(
+        inputs: PlanInputs<'a>,
+        policy: Policy,
+        config: &ExperimentConfig,
+        duration_s: f64,
+    ) -> Self {
+        let placement = inputs.place(policy);
+        Self::with_placement(inputs, policy, placement, config, duration_s)
+    }
+
+    /// Like [`RunPlan::compile`] over a placement solved elsewhere — how
+    /// a wire agent rebuilds the plan its cluster daemon shipped.
+    pub fn with_placement(
+        inputs: PlanInputs<'a>,
+        policy: Policy,
+        placement: Vec<BeApp>,
+        config: &ExperimentConfig,
+        duration_s: f64,
+    ) -> Self {
+        let n = placement.len();
+        let (timeline, ranks) = match &config.faults {
+            Some(spec) => {
+                inputs.faults(&placement, spec, config.seed, duration_s, config.resilience)
+            }
+            None => (FaultTimeline::empty(n), vec![0; n]),
+        };
+        RunPlan {
+            policy,
+            config: config.clone(),
+            duration_s,
+            fits: inputs.fits,
+            placement,
+            ranks,
+            timeline,
+        }
+    }
+
+    /// The BE co-runner placed on each slot.
+    pub fn placement(&self) -> &[BeApp] {
+        &self.placement
+    }
+
+    /// Cluster-wide eviction rank of each slot's pairing (all zero on a
+    /// clean run, where nothing consults them).
+    pub fn ranks(&self) -> &[usize] {
+        &self.ranks
+    }
+
+    /// Builds the server `spec` describes from its slot's fit and drives
+    /// it through that slot's fault events for the plan's duration,
+    /// calling `on_epoch` after every manager tick (see
+    /// [`run_server_projection`]). Every slot of every play — in-process,
+    /// wire agent, or degraded re-run — goes through here.
+    pub fn run_slot(
+        &self,
+        spec: &SlotSpec,
+        on_epoch: impl FnMut(f64, &mut ServerSim) -> bool,
+    ) -> ServerSim {
+        let mut sim = spec.build(self.fits[spec.server]);
+        run_server_projection(
+            &mut sim,
+            self.timeline.server_events(spec.server),
+            self.config.manager_period_s,
+            self.config.capper_period_s,
+            self.duration_s,
+            on_epoch,
+        );
+        sim
+    }
+
+    /// Plays the plan against one load trace, one worker per slot up to
+    /// `parallelism`, and returns the result plus — when
+    /// `record_decisions` is set — every server's [`DecisionTrace`] (the
+    /// CLI's `--decision-log` source; recording does not change a bit of
+    /// the result). Servers never observe each other (faults are
+    /// precompiled per slot), so the result is bit-identical at any
+    /// worker count.
+    pub fn play(
+        &self,
+        trace: &LoadTrace,
+        parallelism: Parallelism,
+        record_decisions: bool,
+    ) -> (ExperimentResult, Vec<DecisionTrace>) {
+        let n = self.placement.len();
+        let sims = parallel::map(parallelism, (0..n).collect(), |server| {
+            let spec = SlotSpec {
+                server,
+                policy: self.policy,
+                be: self.placement[server],
+                rank: self.ranks[server],
+                trace: trace.clone(),
+                meter_noise: self.config.meter_noise,
+                seed: self.config.seed,
+                faulted: self.config.faults.is_some(),
+                resilience: self.config.resilience,
+                record_decisions,
+            };
+            self.run_slot(&spec, |_, _| true)
+        });
+        let lc: Vec<&str> = (0..n).map(|s| self.fits[s].lc[s].0.name()).collect();
+        let traces = sims
+            .iter()
+            .enumerate()
+            .filter(|_| record_decisions)
+            .map(|(s, sim)| DecisionTrace {
+                server: s,
+                lc: lc[s].to_string(),
+                be: self.placement[s].name().to_string(),
+                records: sim.decision_records().to_vec(),
+            })
+            .collect();
+        let metrics = sims.iter().map(|sim| sim.metrics().clone()).collect();
+        let result = ExperimentResult::from_metrics(self.policy, &lc, &self.placement, metrics)
+            .expect("a plan has at least one slot");
+        (result, traces)
     }
 }
 
@@ -285,14 +607,10 @@ pub fn run_experiment_with(
     config: &ExperimentConfig,
     fitted: &FittedCluster,
 ) -> ExperimentResult {
-    run_with_trace(
-        policy,
-        config,
-        fitted,
-        LoadTrace::paper_sweep(config.dwell_s),
-        9.0 * config.dwell_s,
-        config.parallelism,
-    )
+    let duration_s = config.sweep_duration_s();
+    let plan = RunPlan::compile(fitted.plan_inputs(), policy, config, duration_s);
+    let trace = LoadTrace::paper_sweep(config.dwell_s);
+    plan.play(&trace, config.parallelism, false).0
 }
 
 /// Runs a policy at each load level separately (constant-load runs of
@@ -313,7 +631,8 @@ pub fn run_level_sweep(
 /// independent cells out across `config.parallelism` worker threads, and
 /// returns one `(level, summary)` list per policy in input order.
 ///
-/// Each cell is a self-contained seeded simulation, so the output is
+/// One [`RunPlan`] is compiled per policy and played at every level.
+/// Each play is a self-contained seeded simulation, so the output is
 /// bit-identical to a serial run; within a cell the cluster itself runs
 /// serially to avoid oversubscribing the worker pool.
 pub fn run_policy_sweeps(
@@ -322,20 +641,15 @@ pub fn run_policy_sweeps(
     fitted: &FittedCluster,
     levels: &[f64],
 ) -> Vec<Vec<(f64, ClusterSummary)>> {
-    let cells: Vec<(usize, Policy, f64)> = policies
+    let plans: Vec<RunPlan> = policies
         .iter()
-        .enumerate()
-        .flat_map(|(p, &policy)| levels.iter().map(move |&level| (p, policy, level)))
+        .map(|&policy| RunPlan::compile(fitted.plan_inputs(), policy, config, config.dwell_s))
         .collect();
-    let results = parallel::map(config.parallelism, cells, |(p, policy, level)| {
-        let result = run_with_trace(
-            policy,
-            config,
-            fitted,
-            LoadTrace::Constant(level),
-            config.dwell_s,
-            Parallelism::Serial,
-        );
+    let cells: Vec<(usize, f64)> = (0..plans.len())
+        .flat_map(|p| levels.iter().map(move |&level| (p, level)))
+        .collect();
+    let results = parallel::map(config.parallelism, cells, |(p, level)| {
+        let (result, _) = plans[p].play(&LoadTrace::Constant(level), Parallelism::Serial, false);
         (p, level, result.summary)
     });
     let mut sweeps: Vec<Vec<(f64, ClusterSummary)>> = vec![Vec::new(); policies.len()];
@@ -343,128 +657,6 @@ pub fn run_policy_sweeps(
         sweeps[p].push((level, summary));
     }
     sweeps
-}
-
-/// Cluster-wide eviction ranks for the current placement: each server's
-/// co-runner is ranked by its performance-matrix value ascending, so the
-/// *lowest*-value pairing is shed first under pressure.
-pub fn eviction_ranks(fitted: &FittedCluster, placement: &[BeApp]) -> Vec<usize> {
-    let matrix =
-        match PerfMatrixBuilder::new().build(&fitted.be_profiles(), &fitted.server_profiles()) {
-            Ok(m) => m,
-            Err(_) => return vec![0; placement.len()],
-        };
-    let values: Vec<f64> = placement
-        .iter()
-        .enumerate()
-        .map(|(server, be_app)| {
-            fitted
-                .be
-                .iter()
-                .position(|(a, _, _)| a == be_app)
-                .map(|row| matrix.value(row, server))
-                .unwrap_or(f64::NEG_INFINITY)
-        })
-        .collect();
-    let order = eviction_order(&values);
-    let mut ranks = vec![0; placement.len()];
-    for (rank, &server) in order.iter().enumerate() {
-        ranks[server] = rank;
-    }
-    ranks
-}
-
-/// For every brownout in the plan, re-solves the placement on the shrunk
-/// budget (with hysteresis) and schedules the resulting migrations as
-/// [`ServerFaultAction::ReplaceBe`] actions at the brownout start. The
-/// replan is computed *up front* from the fitted models, so the faulted
-/// run stays a static per-server event schedule.
-///
-/// `slot_factor(server, requested)` is the cap factor the replan assumes
-/// slot `server` holds under a `requested` brownout; `slot_fit(server)`
-/// is the fit a co-runner migrating onto that slot is modelled with.
-pub(crate) fn schedule_brownout_migrations<'a>(
-    timeline: &mut FaultTimeline,
-    plan: &pocolo_faults::FaultPlan,
-    manager: &ClusterManager,
-    incumbent: &Assignment,
-    slot_factor: impl Fn(usize, f64) -> f64,
-    slot_fit: impl Fn(usize) -> &'a FittedCluster,
-) {
-    let cfg = ResilienceConfig::default();
-    let n = manager.servers().len();
-    for event in plan.events() {
-        let FaultKind::BrownoutStart { cap_factor } = &event.kind else {
-            continue;
-        };
-        let factors: Vec<f64> = (0..n).map(|s| slot_factor(s, *cap_factor)).collect();
-        let Ok(replan) = manager.replan_under_budget(
-            &factors,
-            incumbent,
-            cfg.replan_hysteresis,
-            Solver::Hungarian,
-        ) else {
-            continue;
-        };
-        for (row, server) in migration_diff(incumbent, &replan) {
-            let (_, truth, fit) = &slot_fit(server).be[row];
-            timeline.push(
-                server,
-                event.at_s,
-                ServerFaultAction::ReplaceBe {
-                    be_truth: Some(Box::new(truth.clone())),
-                    be_fitted: Some(Box::new(fit.clone())),
-                    pause_s: cfg.readmit_pause_s,
-                },
-            );
-        }
-    }
-}
-
-/// Compiles the per-server fault timeline and eviction ranks for a run:
-/// the plan drawn from the spec's seed (falling back to `base_seed`),
-/// plus — when `resilience` is armed — the up-front brownout replan
-/// migrations. Deterministic in its arguments, so the in-process engine
-/// and a remote agent that compiles its own copy agree event-for-event.
-pub fn compile_fault_plan(
-    spec: &FaultSpec,
-    base_seed: u64,
-    duration_s: f64,
-    fitted: &FittedCluster,
-    placement: &[BeApp],
-    resilience: bool,
-) -> (FaultTimeline, Vec<usize>) {
-    let n = placement.len();
-    let fault_seed = spec.seed.unwrap_or(base_seed);
-    let plan = spec.scenario.plan(fault_seed, duration_s, n);
-    let mut timeline = FaultTimeline::compile(&plan, n);
-    let ranks = eviction_ranks(fitted, placement);
-    if resilience {
-        let manager = ClusterManager::new(fitted.be_profiles(), fitted.server_profiles());
-        if let Ok(matrix) = manager.performance_matrix() {
-            let pairs: Vec<(usize, usize)> = placement
-                .iter()
-                .enumerate()
-                .filter_map(|(server, be_app)| {
-                    fitted
-                        .be
-                        .iter()
-                        .position(|(a, _, _)| a == be_app)
-                        .map(|row| (row, server))
-                })
-                .collect();
-            let incumbent = Assignment::new(pairs.clone(), matrix.assignment_value(&pairs));
-            schedule_brownout_migrations(
-                &mut timeline,
-                &plan,
-                &manager,
-                &incumbent,
-                |_, requested| requested,
-                |_| fitted,
-            );
-        }
-    }
-    (timeline, ranks)
 }
 
 /// Everything one server slot needs to rebuild its [`ServerSim`]
@@ -581,147 +773,6 @@ pub struct DecisionTrace {
     pub be: String,
     /// Per-epoch decision records, in tick order.
     pub records: Vec<pocolo_manager::DecisionRecord>,
-}
-
-/// Like [`run_experiment_with`], but records every controller decision
-/// and returns the per-server [`DecisionTrace`]s alongside the result
-/// (the CLI's `--decision-log` source). The result itself is
-/// bit-identical to the untraced run.
-pub fn run_experiment_traced(
-    policy: Policy,
-    config: &ExperimentConfig,
-    fitted: &FittedCluster,
-) -> (ExperimentResult, Vec<DecisionTrace>) {
-    run_with_trace_recorded(
-        policy,
-        config,
-        fitted,
-        LoadTrace::paper_sweep(config.dwell_s),
-        9.0 * config.dwell_s,
-        config.parallelism,
-        true,
-    )
-}
-
-fn run_with_trace(
-    policy: Policy,
-    config: &ExperimentConfig,
-    fitted: &FittedCluster,
-    trace: LoadTrace,
-    duration_s: f64,
-    parallelism: Parallelism,
-) -> ExperimentResult {
-    run_with_trace_recorded(
-        policy,
-        config,
-        fitted,
-        trace,
-        duration_s,
-        parallelism,
-        false,
-    )
-    .0
-}
-
-/// Shared engine tail: wires compiled server backends and a fault
-/// timeline into a [`ClusterSim`] and runs it to completion. Both the
-/// homogeneous experiment path and the heterogeneous fleet path
-/// (`crate::fleet`) end here, so the two cannot drift.
-pub(crate) fn run_cluster(
-    servers: Vec<ServerSim>,
-    timeline: FaultTimeline,
-    manager_period_s: f64,
-    capper_period_s: f64,
-    duration_s: f64,
-    parallelism: Parallelism,
-) -> ClusterSim {
-    let mut cluster =
-        ClusterSim::new(servers, manager_period_s, capper_period_s).with_faults(timeline);
-    cluster.run_with(duration_s, parallelism);
-    cluster
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_with_trace_recorded(
-    policy: Policy,
-    config: &ExperimentConfig,
-    fitted: &FittedCluster,
-    trace: LoadTrace,
-    duration_s: f64,
-    parallelism: Parallelism,
-    record_decisions: bool,
-) -> (ExperimentResult, Vec<DecisionTrace>) {
-    let placement = fitted.placement(policy);
-    let n = fitted.lc.len();
-    let (timeline, ranks) = match &config.faults {
-        Some(spec) => compile_fault_plan(
-            spec,
-            config.seed,
-            duration_s,
-            fitted,
-            &placement,
-            config.resilience,
-        ),
-        None => (FaultTimeline::empty(n), vec![0; n]),
-    };
-    let servers: Vec<ServerSim> = (0..n)
-        .map(|i| {
-            SlotSpec {
-                server: i,
-                policy,
-                be: placement[i],
-                rank: ranks[i],
-                trace: trace.clone(),
-                meter_noise: config.meter_noise,
-                seed: config.seed,
-                faulted: config.faults.is_some(),
-                resilience: config.resilience,
-                record_decisions,
-            }
-            .build(fitted)
-        })
-        .collect();
-    let cluster = run_cluster(
-        servers,
-        timeline,
-        config.manager_period_s,
-        config.capper_period_s,
-        duration_s,
-        parallelism,
-    );
-
-    let pairs = fitted
-        .lc
-        .iter()
-        .zip(cluster.metrics())
-        .enumerate()
-        .map(|(i, ((app, _, _), metrics))| PairResult {
-            lc: app.name().to_string(),
-            be: placement[i].name().to_string(),
-            metrics,
-        })
-        .collect();
-    let traces = if record_decisions {
-        cluster
-            .servers()
-            .iter()
-            .enumerate()
-            .map(|(i, sim)| DecisionTrace {
-                server: i,
-                lc: fitted.lc[i].0.name().to_string(),
-                be: placement[i].name().to_string(),
-                records: sim.decision_records().to_vec(),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let result = ExperimentResult {
-        policy: policy.name().to_string(),
-        pairs,
-        summary: cluster.summary(),
-    };
-    (result, traces)
 }
 
 #[cfg(test)]
@@ -939,49 +990,138 @@ mod tests {
             );
         }
     }
-}
 
-#[cfg(test)]
-mod calibration {
-    use super::*;
+    // The compile budget: what a plan may spend on model inversions,
+    // counted on this thread around the compile step only (the managers'
+    // own ticks invert too, so plays are measured separately).
+    use pocolo_core::utility::min_power_solves_on_thread as solves;
+    use pocolo_faults::Scenario;
+
+    const POCOLO: Policy = Policy::Pocolo {
+        solver: Solver::Hungarian,
+    };
+
+    fn chaos_config(dwell_s: f64) -> ExperimentConfig {
+        ExperimentConfig {
+            dwell_s,
+            parallelism: Parallelism::Serial,
+            faults: Some(FaultSpec {
+                scenario: Scenario::Chaos,
+                seed: Some(7),
+            }),
+            ..ExperimentConfig::default()
+        }
+    }
+
+    /// Inversions one performance-matrix build costs.
+    fn matrix_build_solves(fitted: &FittedCluster) -> u64 {
+        let before = solves();
+        let manager = fitted.plan_inputs().manager;
+        manager.performance_matrix().unwrap();
+        solves() - before
+    }
+
+    fn compile_solves(fitted: &FittedCluster, policy: Policy, config: &ExperimentConfig) -> u64 {
+        let (before, duration_s) = (solves(), config.sweep_duration_s());
+        let _ = RunPlan::compile(fitted.plan_inputs(), policy, config, duration_s);
+        solves() - before
+    }
 
     #[test]
-    #[ignore = "calibration report"]
-    fn print_policy_comparison() {
-        let config = ExperimentConfig {
-            dwell_s: 10.0,
-            ..ExperimentConfig::default()
-        };
-        let fitted = FittedCluster::fit(&config.profiler);
-        for policy in [
-            Policy::Random { seed: 1 },
-            Policy::Pom { seed: 1 },
-            Policy::Pocolo {
-                solver: pocolo_cluster::Solver::Hungarian,
-            },
-        ] {
-            let r = run_experiment_with(policy, &config, &fitted);
-            println!(
-                "{:8} thpt={:.4} util={:.4} energy={:.0} e/thpt={:.0} cap%={:.3} viol={:.3}",
-                r.policy,
-                r.summary.avg_be_throughput,
-                r.summary.avg_power_utilization,
-                r.summary.total_energy.0,
-                r.summary.energy_per_throughput,
-                r.summary.avg_capping_frac,
-                r.summary.worst_violation_frac,
-            );
-            for p in &r.pairs {
-                println!(
-                    "    {:8} + {:6} thpt={:.4} util={:.4} cap%={:.3}",
-                    p.lc,
-                    p.be,
-                    p.metrics.be_throughput_avg,
-                    p.metrics.power_utilization(),
-                    p.metrics.capping_frac
-                );
-            }
+    fn a_clean_plan_costs_at_most_one_matrix_build() {
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let build = matrix_build_solves(&fitted);
+        assert!(build > 0);
+        let clean = ExperimentConfig::default();
+        assert_eq!(compile_solves(&fitted, POCOLO, &clean), build);
+        assert_eq!(compile_solves(&fitted, Policy::Pom { seed: 1 }, &clean), 0);
+    }
+
+    #[test]
+    fn a_faulted_plan_costs_one_matrix_build_plus_one_per_brownout_replan() {
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let build = matrix_build_solves(&fitted);
+        let config = chaos_config(6.0);
+        let replans = Scenario::Chaos
+            .plan(7, config.sweep_duration_s(), 4)
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, FaultKind::BrownoutStart { .. }))
+            .count() as u64;
+        assert!(replans > 0, "chaos:7 must brown out");
+        for policy in [POCOLO, Policy::Random { seed: 1 }] {
+            let solves = compile_solves(&fitted, policy, &config);
+            assert_eq!(solves, (1 + replans) * build, "{policy:?}");
         }
+        let naive = ExperimentConfig {
+            resilience: false,
+            ..config
+        };
+        assert_eq!(compile_solves(&fitted, POCOLO, &naive), build);
+    }
+
+    #[test]
+    fn a_policy_sweep_compiles_one_plan_per_policy() {
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let config = chaos_config(2.0);
+        let policies = [POCOLO, Policy::Pom { seed: 3 }];
+        let levels: Vec<f64> = (1..=9).map(|i| f64::from(i) / 10.0).collect();
+        let mut budget = 0;
+        for policy in policies {
+            let before = solves();
+            let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, config.dwell_s);
+            for &level in &levels {
+                plan.play(&LoadTrace::Constant(level), Parallelism::Serial, false);
+            }
+            budget += solves() - before;
+        }
+        let before = solves();
+        run_policy_sweeps(&policies, &config, &fitted, &levels);
+        assert_eq!(solves() - before, budget);
+    }
+
+    #[test]
+    fn a_replayed_plan_equals_a_from_scratch_run() {
+        // Plan reuse must not leak timeline or rank state between plays:
+        // the last cell of a sweep equals the same cell assembled from
+        // the public building blocks, with nothing shared.
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let config = chaos_config(4.0);
+        let levels = [0.3, 0.6, 0.9];
+        let sweep = run_level_sweep(POCOLO, &config, &fitted, &levels);
+
+        let placement = fitted.placement(POCOLO);
+        let spec = config.faults.as_ref().unwrap();
+        let (timeline, ranks) =
+            compile_fault_plan(spec, config.seed, config.dwell_s, &fitted, &placement, true);
+        let metrics: Vec<ServerMetrics> = (0..placement.len())
+            .map(|server| {
+                let mut sim = SlotSpec {
+                    server,
+                    policy: POCOLO,
+                    be: placement[server],
+                    rank: ranks[server],
+                    trace: LoadTrace::Constant(0.9),
+                    meter_noise: config.meter_noise,
+                    seed: config.seed,
+                    faulted: true,
+                    resilience: true,
+                    record_decisions: false,
+                }
+                .build(&fitted);
+                run_server_projection(
+                    &mut sim,
+                    timeline.server_events(server),
+                    config.manager_period_s,
+                    config.capper_period_s,
+                    config.dwell_s,
+                    |_, _| true,
+                );
+                sim.metrics().clone()
+            })
+            .collect();
+        assert!(metrics.iter().any(|m| m.fault_time_s() > 0.0));
+        assert_eq!(sweep[2].1, ClusterSummary::aggregate(&metrics).unwrap());
     }
 }
 
@@ -999,7 +1139,7 @@ mod level_sweep_tests {
         let levels = [0.1, 0.5, 0.9];
         let sweep = run_level_sweep(
             Policy::Pocolo {
-                solver: pocolo_cluster::Solver::Hungarian,
+                solver: Solver::Hungarian,
             },
             &config,
             &fitted,

@@ -1,7 +1,7 @@
 //! Glue between [`pocolo_faults`] plans and the simulator: the cluster
 //! plan is *compiled* into per-server action timelines before the run
-//! starts, so fault handling stays a pure per-server projection and the
-//! parallel fan-out remains bit-identical to the serial event queue.
+//! starts, so fault handling stays a pure per-server projection and a run
+//! is bit-identical at any worker count.
 
 use pocolo_core::utility::IndirectUtility;
 use pocolo_faults::{FaultKind, FaultPlan};

@@ -18,23 +18,20 @@
 //! control-plane property. The gap between the two modes is therefore
 //! the placement value of knowing the fleet.
 
-use pocolo_cluster::{Assignment, ClusterManager, PerfMatrix, ServerProfile, Solver};
+use pocolo_cluster::{ClusterManager, ServerProfile, Solver};
 use pocolo_core::fleet::FleetSpec;
-use pocolo_faults::{eviction_order, FaultSpec};
 use pocolo_simserver::MachineSpec;
 use pocolo_workloads::profiler::ProfilerConfig;
 use pocolo_workloads::{BeApp, LcApp, LoadTrace};
 
 use crate::experiment::{
-    run_cluster, schedule_brownout_migrations, ExperimentConfig, ExperimentResult, FittedCluster,
-    PairResult, Policy, SlotSpec,
+    placement_pairs, ExperimentConfig, ExperimentResult, FittedCluster, PlanInputs, Policy, RunPlan,
 };
-use crate::faults::FaultTimeline;
 
 /// Class-assignment seed the seeded demo fleet is pinned to, shared by
 /// the `demo-fleet` CLI default, the mixed-fleet integration test, and
-/// the CI smoke gate. Calibrated (see `scan_mixed_fleet_seeds`) so the
-/// SKU-aware plan beats the blind one by a strict margin while every
+/// the CI smoke gate. Calibrated (DESIGN §12 records the seed scan) so
+/// the SKU-aware plan beats the blind one by a strict margin while every
 /// class honors its cap.
 pub const DEMO_FLEET_SEED: u64 = 11;
 
@@ -47,7 +44,7 @@ pub const DEMO_FAULT_SEED: u64 = 1;
 /// Each server class is profiled and fitted once on its own simulated
 /// machine ([`MachineSpec::from_class`]); a slot then borrows its class's
 /// fit. A homogeneous fleet of the `xeon` catalog class reproduces the
-/// legacy [`FittedCluster::fit`] models knob-for-knob.
+/// [`FittedCluster::fit`] models knob-for-knob.
 #[derive(Debug, Clone)]
 pub struct FittedFleet {
     spec: FleetSpec,
@@ -116,15 +113,6 @@ impl FittedFleet {
         (0..n).map(|s| self.assignment[s] * n + s).collect()
     }
 
-    /// A requested brownout cap factor pushed through slot `server`'s
-    /// class power curve — what the slot's hardware actually holds.
-    pub fn cap_factor_for(&self, server: usize, requested: f64) -> f64 {
-        self.spec
-            .class(self.assignment[server])
-            .curve()
-            .effective_cap_factor(requested)
-    }
-
     /// The SKU-aware cluster manager: true per-slot profiles with
     /// class-keyed matrix columns.
     pub fn manager(&self) -> ClusterManager {
@@ -132,10 +120,24 @@ impl FittedFleet {
             .with_profile_keys(self.profile_keys())
     }
 
-    /// The SKU-blind cluster manager: every slot modelled as the
-    /// reference class (the fleet's first entry).
-    pub fn blind_manager(&self) -> ClusterManager {
-        ClusterManager::new(self.fits[0].be_profiles(), self.fits[0].server_profiles())
+    /// What a [`RunPlan`] over this fleet compiles from. The physics
+    /// never lie in either mode — every slot runs its own class's fit and
+    /// derates brownouts through its own class's power curve — only the
+    /// manager differs: SKU-aware plans on the true profiles and replans
+    /// on the derated factors, SKU-blind on the reference class (the
+    /// fleet's first entry, on every slot) and the raw requested factor.
+    pub fn plan_inputs(&self, aware: bool) -> PlanInputs<'_> {
+        let (classes, reference) = (self.assignment.iter(), &self.fits[0]);
+        PlanInputs {
+            fits: classes.clone().map(|&c| &self.fits[c]).collect(),
+            manager: match aware {
+                true => self.manager(),
+                false => ClusterManager::new(reference.be_profiles(), reference.server_profiles()),
+            },
+            curves: classes.map(|&c| self.spec.class(c).curve()).collect(),
+            replan_sees_curves: aware,
+            matrix: std::cell::OnceCell::new(),
+        }
     }
 }
 
@@ -188,73 +190,6 @@ impl FleetComparison {
     }
 }
 
-fn be_row(app: BeApp) -> usize {
-    BeApp::ALL
-        .iter()
-        .position(|&a| a == app)
-        .expect("every BE app is a matrix row")
-}
-
-/// Compiles the per-server fault timeline and eviction ranks for a fleet
-/// run. Brownout *physics* always derate each slot through its own class
-/// curve; only the resilient replan differs between modes (per-slot
-/// derated factors when aware, the raw requested factor when blind).
-#[allow(clippy::too_many_arguments)]
-fn compile_fleet_faults(
-    fleet: &FittedFleet,
-    manager: &ClusterManager,
-    matrix: &PerfMatrix,
-    spec: &FaultSpec,
-    base_seed: u64,
-    duration_s: f64,
-    placement: &[BeApp],
-    resilience: bool,
-    aware: bool,
-) -> (FaultTimeline, Vec<usize>) {
-    let n = placement.len();
-    let plan = spec
-        .scenario
-        .plan(spec.seed.unwrap_or(base_seed), duration_s, n);
-    let mut timeline =
-        FaultTimeline::compile_with_curves(&plan, n, |s, f| fleet.cap_factor_for(s, f));
-    let values: Vec<f64> = placement
-        .iter()
-        .enumerate()
-        .map(|(server, &be)| matrix.value(be_row(be), server))
-        .collect();
-    let order = eviction_order(&values);
-    let mut ranks = vec![0; n];
-    for (rank, &server) in order.iter().enumerate() {
-        ranks[server] = rank;
-    }
-    if resilience {
-        let pairs: Vec<(usize, usize)> = placement
-            .iter()
-            .enumerate()
-            .map(|(server, &be)| (be_row(be), server))
-            .collect();
-        let incumbent = Assignment::new(pairs.clone(), matrix.assignment_value(&pairs));
-        schedule_brownout_migrations(
-            &mut timeline,
-            &plan,
-            manager,
-            &incumbent,
-            |s, requested| {
-                if aware {
-                    fleet.cap_factor_for(s, requested)
-                } else {
-                    requested
-                }
-            },
-            // The migrating co-runner's models come from the *slot's*
-            // class fit: the server knows its own machine even when the
-            // cluster plan was blind.
-            |s| fleet.fit_for(s),
-        );
-    }
-    (timeline, ranks)
-}
-
 /// Runs one placement mode over the fitted fleet through the paper's
 /// load sweep (plus any configured fault scenario) and scores it.
 pub fn run_fleet_policy(
@@ -263,102 +198,29 @@ pub fn run_fleet_policy(
     solver: Solver,
     aware: bool,
 ) -> FleetRunResult {
-    let n = fleet.n_servers();
-    let manager = if aware {
-        fleet.manager()
-    } else {
-        fleet.blind_manager()
-    };
-    let matrix = manager
-        .performance_matrix()
-        .expect("fitted fleet models are well-formed");
-    let solved = manager.place(solver).expect("fleet placement is solvable");
-    let mut placement = vec![BeApp::Lstm; n];
-    for &(row, col) in &solved.pairs {
-        placement[col] = BeApp::ALL[row];
-    }
+    // The policy label stays "POColo" (the mode lives in FleetRunResult).
+    let (policy, duration_s) = (Policy::Pocolo { solver }, config.sweep_duration_s());
+    let plan = RunPlan::compile(fleet.plan_inputs(aware), policy, config, duration_s);
+    let trace = LoadTrace::paper_sweep(config.dwell_s);
+    let (result, _) = plan.play(&trace, config.parallelism, false);
     // Both modes are scored on the TRUE matrix, so the planned values are
     // directly comparable (and aware >= blind for exact solvers).
-    let true_matrix = fleet
+    let planned_value = fleet
         .manager()
         .performance_matrix()
-        .expect("fitted fleet models are well-formed");
-    let pairs: Vec<(usize, usize)> = placement
+        .expect("fitted fleet models are well-formed")
+        .assignment_value(&placement_pairs(plan.placement()));
+    // Sustained (average) power over the cap, or a peak past the capper's
+    // one-tick reaction band: see `FleetRunResult::cap_violations`.
+    let cap_violations = result
+        .pairs
         .iter()
-        .enumerate()
-        .map(|(server, &be)| (be_row(be), server))
-        .collect();
-    let planned_value = true_matrix.assignment_value(&pairs);
-
-    let trace = LoadTrace::paper_sweep(config.dwell_s);
-    let duration_s = config.sweep_duration_s();
-    let (timeline, ranks) = match &config.faults {
-        Some(spec) => compile_fleet_faults(
-            fleet,
-            &manager,
-            &matrix,
-            spec,
-            config.seed,
-            duration_s,
-            &placement,
-            config.resilience,
-            aware,
-        ),
-        None => (FaultTimeline::empty(n), vec![0; n]),
-    };
-    let policy = Policy::Pocolo { solver };
-    let servers: Vec<_> = (0..n)
-        .map(|s| {
-            SlotSpec {
-                server: s,
-                policy,
-                be: placement[s],
-                rank: ranks[s],
-                trace: trace.clone(),
-                meter_noise: config.meter_noise,
-                seed: config.seed,
-                faulted: config.faults.is_some(),
-                resilience: config.resilience,
-                record_decisions: false,
-            }
-            .build(fleet.fit_for(s))
-        })
-        .collect();
-    let cluster = run_cluster(
-        servers,
-        timeline,
-        config.manager_period_s,
-        config.capper_period_s,
-        duration_s,
-        config.parallelism,
-    );
-    let metrics = cluster.metrics();
-    // A cap is a hard guarantee up to the capper's reaction time: the
-    // reactive capper may overshoot for one 100 ms tick at a load step or
-    // brownout edge (measured worst ~1.10× across calibration seeds), so
-    // a breach is sustained (average) power over the cap, or a peak past
-    // the one-tick reaction band.
-    let cap_violations = metrics
-        .iter()
+        .map(|p| &p.metrics)
         .filter(|m| m.avg_power().0 > m.power_cap.0 || m.peak_power.0 > m.power_cap.0 * 1.15)
         .count();
-    // The policy label stays "POColo" (the mode lives in FleetRunResult):
-    // a homogeneous `--fleet` run must format byte-identically to the
-    // legacy experiment path.
-    let result = ExperimentResult {
-        policy: Policy::Pocolo { solver }.name().to_string(),
-        pairs: (0..n)
-            .map(|s| PairResult {
-                lc: fleet.fit_for(s).lc()[s].0.name().to_string(),
-                be: placement[s].name().to_string(),
-                metrics: metrics[s].clone(),
-            })
-            .collect(),
-        summary: cluster.summary(),
-    };
     FleetRunResult {
         result,
-        placement,
+        placement: plan.placement().to_vec(),
         planned_value,
         cap_violations,
     }
@@ -392,7 +254,7 @@ mod tests {
     use super::*;
     use crate::experiment::run_experiment_with;
     use pocolo_core::fleet::ServerClass;
-    use pocolo_faults::Scenario;
+    use pocolo_faults::{FaultSpec, Scenario};
 
     fn quick_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -402,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_xeon_fleet_reproduces_the_legacy_run() {
+    fn one_class_xeon_fleet_is_the_default_fit_run() {
         let config = ExperimentConfig {
             faults: Some(FaultSpec {
                 scenario: Scenario::Chaos,
@@ -420,7 +282,9 @@ mod tests {
         );
         assert_eq!(aware.planned_value.to_bits(), blind.planned_value.to_bits());
 
-        let legacy = run_experiment_with(
+        // Same compiler, same loop: what this pins is that fitting the
+        // `xeon` catalog class reproduces `FittedCluster::fit` exactly.
+        let default_fit = run_experiment_with(
             Policy::Pocolo {
                 solver: Solver::Hungarian,
             },
@@ -428,80 +292,21 @@ mod tests {
             &FittedCluster::fit(&config.profiler),
         );
         assert_eq!(
-            aware.result.pairs, legacy.pairs,
-            "homogeneous xeon fleet must be bit-identical to the legacy path"
+            aware.result, default_fit,
+            "fit_on(from_class(xeon)) must be bit-identical to fit()"
         );
-        assert_eq!(aware.result.summary, legacy.summary);
     }
 
+    /// The 15 % one-tick reaction band in `cap_violations` was calibrated
+    /// on this grid: worst peak/cap 1.1018 (seed 3, dwell ≥ 5), worst
+    /// avg/cap 0.8701 (seed 5, dwell 3). The 20 s dwell repeats the 10 s
+    /// worst case and is left out to keep a debug run short.
     #[test]
-    #[ignore = "calibration report: legacy homogeneous peak ratios"]
-    fn scan_homogeneous_peak_ratios() {
-        for fault_seed in 1u64..=6 {
-            let config = ExperimentConfig {
-                faults: Some(FaultSpec {
-                    scenario: Scenario::Chaos,
-                    seed: Some(fault_seed),
-                }),
-                ..quick_config()
-            };
-            let legacy = run_experiment_with(
-                Policy::Pocolo {
-                    solver: Solver::Hungarian,
-                },
-                &config,
-                &FittedCluster::fit(&config.profiler),
-            );
-            let worst = legacy
-                .pairs
-                .iter()
-                .map(|p| p.metrics.peak_power.0 / p.metrics.power_cap.0)
-                .fold(0.0f64, f64::max);
-            println!("legacy fault_seed={fault_seed} worst_peak_ratio={worst:.4}");
-        }
-    }
-
-    #[test]
-    #[ignore = "calibration report: scan demo seeds"]
-    fn scan_mixed_fleet_seeds() {
-        let spec: FleetSpec = "mixed3".parse().unwrap();
-        let base = quick_config();
-        for fleet_seed in [1u64, 3, 7, 11, 17] {
-            let fleet = FittedFleet::fit(&base.profiler, spec.clone(), fleet_seed);
-            for fault_seed in 1u64..=6 {
-                let config = ExperimentConfig {
-                    faults: Some(FaultSpec {
-                        scenario: Scenario::Chaos,
-                        seed: Some(fault_seed),
-                    }),
-                    ..base.clone()
-                };
-                let aware = run_fleet_policy(&fleet, &config, Solver::Hungarian, true);
-                let blind = run_fleet_policy(&fleet, &config, Solver::Hungarian, false);
-                let worst = aware
-                    .result
-                    .pairs
-                    .iter()
-                    .chain(&blind.result.pairs)
-                    .map(|p| p.metrics.peak_power.0 / p.metrics.power_cap.0)
-                    .fold(0.0f64, f64::max);
-                println!(
-                    "fleet_seed={fleet_seed} fault_seed={fault_seed} classes={:?} margin={:+.4} thpt_margin={:+.4} worst_peak_ratio={:.4}",
-                    (0..fleet.n_servers()).map(|s| fleet.class_name(s)).collect::<Vec<_>>(),
-                    aware.planned_value - blind.planned_value,
-                    aware.result.summary.avg_be_throughput - blind.result.summary.avg_be_throughput,
-                    worst
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[ignore = "calibration report: demo-seed peak ratios across dwell times"]
     fn scan_demo_dwell_sensitivity() {
         let spec: FleetSpec = "mixed3".parse().unwrap();
+        let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, DEMO_FLEET_SEED);
         for seed in [1u64, 2, 3, 5, 0xC0C0] {
-            for dwell_s in [2.0, 3.0, 5.0, 10.0, 20.0] {
+            for dwell_s in [2.0, 3.0, 5.0, 10.0] {
                 let config = ExperimentConfig {
                     dwell_s,
                     seed,
@@ -511,18 +316,16 @@ mod tests {
                     }),
                     ..ExperimentConfig::default()
                 };
-                let cmp =
-                    compare_fleet_policies(&spec, DEMO_FLEET_SEED, &config, Solver::Hungarian);
-                for (mode, run) in [("aware", &cmp.aware), ("blind", &cmp.blind)] {
-                    for p in &run.result.pairs {
-                        let m = &p.metrics;
-                        println!(
-                            "seed={seed} dwell={dwell_s} {mode} {}+{}: avg/cap={:.4} peak/cap={:.4} violations={}",
-                            p.lc,
-                            p.be,
-                            m.avg_power().0 / m.power_cap.0,
-                            m.peak_power.0 / m.power_cap.0,
-                            run.cap_violations
+                for aware in [true, false] {
+                    let run = run_fleet_policy(&fleet, &config, Solver::Hungarian, aware);
+                    let at = format!("seed={seed} dwell={dwell_s} aware={aware}");
+                    assert_eq!(run.cap_violations, 0, "{at}");
+                    for m in run.result.pairs.iter().map(|p| &p.metrics) {
+                        let cap = m.power_cap.0;
+                        let (avg, peak) = (m.avg_power().0 / cap, m.peak_power.0 / cap);
+                        assert!(
+                            peak <= 1.15 && avg <= 1.0,
+                            "{at}: avg {avg:.4} peak {peak:.4}"
                         );
                     }
                 }

@@ -36,8 +36,8 @@ pub mod spatial_sim;
 pub use cluster_sim::{run_server_projection, ClusterSim};
 pub use engine::{Engine, EventEntry};
 pub use experiment::{
-    compile_fault_plan, eviction_ranks, run_experiment, run_experiment_traced, DecisionTrace,
-    ExperimentConfig, ExperimentResult, FittedCluster, Policy, SlotSpec,
+    compile_fault_plan, run_experiment, DecisionTrace, ExperimentConfig, ExperimentResult,
+    FittedCluster, PlanInputs, Policy, RunPlan, SlotSpec,
 };
 pub use faults::{FaultTimeline, ResilienceConfig, ServerFaultAction, ServerFaultEvent};
 pub use fleet::{

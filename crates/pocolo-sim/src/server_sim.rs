@@ -145,7 +145,7 @@ impl ServerSim {
         self.server.evict(TenantRole::Secondary);
     }
 
-    /// The name of the current co-runner's remaining migration pause.
+    /// Seconds left of the current co-runner's migration pause.
     pub fn pause_remaining_s(&self) -> f64 {
         self.pause_remaining_s
     }

@@ -15,7 +15,7 @@ fn quick_config() -> ExperimentConfig {
     }
 }
 
-/// Every SKU in the catalog — not just the legacy Xeon — must drive the
+/// Every SKU in the catalog — not just the paper's Xeon — must drive the
 /// whole pipeline: profile, fit, place, simulate, meter. And with one
 /// class, SKU awareness must be moot.
 #[test]

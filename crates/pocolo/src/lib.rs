@@ -71,9 +71,8 @@ pub mod prelude {
         ServerController, ServerManager,
     };
     pub use pocolo_sim::experiment::{
-        run_experiment, run_experiment_traced, run_experiment_with, run_level_sweep,
-        run_policy_sweeps, DecisionTrace, ExperimentConfig, ExperimentResult, FittedCluster,
-        Policy,
+        run_experiment, run_experiment_with, run_level_sweep, run_policy_sweeps, DecisionTrace,
+        ExperimentConfig, ExperimentResult, FittedCluster, Policy, RunPlan,
     };
     pub use pocolo_sim::fleet::{
         compare_fleet_policies, run_fleet_policy, FittedFleet, FleetComparison, FleetRunResult,

@@ -7,48 +7,6 @@
 //! ```
 
 use pocolo::prelude::*;
-use pocolo_sim::{ClusterSim, ServerSim};
-
-fn build_cluster(fitted: &FittedCluster, policy: Policy, trace: &LoadTrace) -> ClusterSim {
-    let placement = fitted.placement(policy);
-    let servers: Vec<ServerSim> = fitted
-        .lc()
-        .iter()
-        .enumerate()
-        .map(|(i, (_, truth, fit))| {
-            let be_app = placement[i];
-            let be_truth = fitted
-                .be()
-                .iter()
-                .find(|(a, _, _)| *a == be_app)
-                .map(|(_, t, _)| t.clone());
-            let be_fitted = fitted
-                .be()
-                .iter()
-                .find(|(a, _, _)| *a == be_app)
-                .map(|(_, _, f)| f.clone());
-            let lc_policy = match policy {
-                Policy::Random { seed } => LcPolicy::heracles_random(seed + i as u64),
-                _ => LcPolicy::PowerOptimized,
-            };
-            let sim = ServerSim::new(
-                truth.clone(),
-                fit.clone(),
-                be_truth,
-                lc_policy,
-                trace.clone(),
-                truth.provisioned_power(),
-                0.01,
-                77 + i as u64,
-            );
-            match (policy, be_fitted) {
-                (Policy::Pom { .. } | Policy::Pocolo { .. }, Some(bf)) => sim.with_proactive_be(bf),
-                _ => sim,
-            }
-        })
-        .collect();
-    ClusterSim::new(servers, 1.0, 0.1)
-}
 
 fn main() {
     // One compressed "day": the diurnal curve squeezed into 6 simulated
@@ -56,21 +14,29 @@ fn main() {
     // paper's 1 s / 100 ms.
     let day_s = 360.0;
     let trace = LoadTrace::diurnal(0.1, 0.9, day_s);
+    let config = ExperimentConfig {
+        seed: 77,
+        ..ExperimentConfig::default()
+    };
     println!("fitting models for all eight applications...");
-    let fitted = FittedCluster::fit(&ProfilerConfig::default());
+    let fitted = FittedCluster::fit(&config.profiler);
 
     println!(
         "{:>8} {:>10} {:>10} {:>12} {:>10}",
         "policy", "BE thpt", "power", "energy (kJ)", "SLO viol"
     );
-    for policy in [
+    let plans = [
         Policy::Random { seed: 42 },
         Policy::Pom { seed: 42 },
         Policy::Pocolo { solver: Solver::Lp },
-    ] {
-        let mut cluster = build_cluster(&fitted, policy, &trace);
-        cluster.run(day_s);
-        let s = cluster.summary();
+    ]
+    .map(|policy| {
+        let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, day_s);
+        (policy, plan)
+    });
+    for (policy, plan) in &plans {
+        let (result, _) = plan.play(&trace, config.parallelism, false);
+        let s = result.summary;
         println!(
             "{:>8} {:>10.3} {:>9.1}% {:>12.1} {:>9.1}%",
             policy.name(),
@@ -81,15 +47,11 @@ fn main() {
         );
     }
     println!("\nPlacements chosen:");
-    for policy in [
-        Policy::Random { seed: 42 },
-        Policy::Pocolo { solver: Solver::Lp },
-    ] {
-        let placement = fitted.placement(policy);
+    for (policy, plan) in [&plans[0], &plans[2]] {
         let pairs: Vec<String> = fitted
             .lc()
             .iter()
-            .zip(&placement)
+            .zip(plan.placement())
             .map(|((lc, _, _), be)| format!("{}+{}", lc.name(), be.name()))
             .collect();
         println!("  {:>8}: {}", policy.name(), pairs.join("  "));
