@@ -27,6 +27,10 @@
 //! - **model fitting** from profiled samples via log-space least squares
 //!   ([`fit`]).
 //!
+//! It also holds the workspace's determinism witnesses ([`digest`]): the
+//! product's one FNV-1a and the combinable sequence digest the traffic
+//! generator folds while it generates.
+//!
 //! # Example
 //!
 //! ```
@@ -57,6 +61,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod curves;
+pub mod digest;
 pub mod error;
 pub mod federation;
 pub mod fit;

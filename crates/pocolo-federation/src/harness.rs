@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pocolo_cluster::{warm_assign, PerfMatrix};
+use pocolo_core::digest::{fnv1a, FNV_OFFSET};
 use pocolo_core::federation::{AppStatus, FederationInput, RegionStatus};
 use pocolo_faults::{RegionFaultKind, RegionFaultPlan, RegionFaultSpec};
 use pocolo_json::{json, Value};
@@ -209,15 +210,9 @@ impl FederationScenario {
             }
         }
 
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for line in &decision_log {
-            for &b in line.as_bytes() {
-                digest ^= b as u64;
-                digest = digest.wrapping_mul(0x100_0000_01b3);
-            }
-            digest ^= b'\n' as u64;
-            digest = digest.wrapping_mul(0x100_0000_01b3);
-        }
+        let digest = decision_log.iter().fold(FNV_OFFSET, |h, line| {
+            fnv1a(fnv1a(h, line.as_bytes()), b"\n")
+        });
         FederationReport {
             federated: self.federated,
             regions: self.regions,

@@ -16,6 +16,7 @@ use std::net::SocketAddr;
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use pocolo_core::digest::{fnv1a, FNV_OFFSET};
 use pocolo_faults::RetryPolicy;
 use pocolo_sim::experiment::FittedCluster;
 use pocolo_sim::ServerFaultAction;
@@ -63,9 +64,7 @@ impl AgentConfig {
     /// An agent with default deadlines and an identity-derived retry seed.
     pub fn new(connect: SocketAddr, agent: impl Into<String>) -> Self {
         let agent = agent.into();
-        let retry_seed = agent.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        });
+        let retry_seed = fnv1a(FNV_OFFSET, agent.as_bytes());
         AgentConfig {
             connect,
             agent,

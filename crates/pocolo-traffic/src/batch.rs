@@ -1,10 +1,141 @@
-//! Struct-of-arrays request batches.
+//! What a tick of traffic is made of: the [`Request`], the lane-less
+//! [`TickSummary`] the control loop reads, and the columnar
+//! [`RequestBatch`] for a caller that wants every request.
 //!
-//! One simulated tick at million-user scale yields ~10⁷ requests, so the
-//! per-request record is kept columnar and small (11 bytes): a batch of
-//! 10 M requests is ~110 MB of flat arrays instead of a vec of padded
-//! structs, appends are four `memcpy`s, and per-column scans (slot counts,
-//! digests) stay cache-friendly.
+//! One simulated tick at million-user scale is ~10⁷ requests, and no
+//! product consumer reads them one by one: the closed loop needs a count
+//! per LC slot, and the shard gate needs one digest proving the sequence
+//! did not move. So the unit the generator hands out is a
+//! [`TickSummary`] — length, per-slot and per-region counts and a
+//! combinable sequence digest ([`SeqDigest`]), folded request by request
+//! where the requests are drawn and never stored. It is a few dozen
+//! bytes at any population.
+//!
+//! [`RequestBatch`] is the same sequence materialised, struct-of-arrays
+//! and small (11 bytes a request in four flat lanes), for the caller that
+//! asks ([`TrafficGen::requests`](crate::TrafficGen::requests)). Its
+//! [`digest`](RequestBatch::digest) and counts are the same functions
+//! computed over the lanes, so `requests(..)` and `tick(..)` can be
+//! checked against each other.
+
+use pocolo_core::digest::SeqDigest;
+
+use crate::mix::REGIONS;
+
+/// One synthesized request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Request {
+    /// Arrival offset within the tick, microseconds.
+    pub arrival_us: u32,
+    /// Target LC slot.
+    pub slot: u16,
+    /// Originating region.
+    pub region: u8,
+    /// Relative work factor (mean 1.0).
+    pub work: f32,
+}
+
+impl Request {
+    /// Appends the request to a sequence digest as two packed words:
+    /// every field bit lands in exactly one place, so two requests digest
+    /// alike iff they are bit-equal.
+    #[inline]
+    fn digest_into(&self, digest: &mut SeqDigest) {
+        digest.push(
+            u64::from(self.arrival_us) | u64::from(self.slot) << 32 | u64::from(self.region) << 48,
+            u64::from(self.work.to_bits()),
+        );
+    }
+}
+
+/// The lane-less summary of a request sequence: what
+/// [`TrafficGen::tick`](crate::TrafficGen::tick) returns.
+///
+/// Summaries concatenate: the summary of `A‖B`
+/// is computable from the summaries of `A` and `B`, which is what lets
+/// every logical stream fold its own and the tick combine 64 of them in
+/// stream order. Two summaries are equal iff length, every count and the
+/// digest state are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TickSummary {
+    digest: SeqDigest,
+    slots: Vec<u64>,
+    regions: [u64; REGIONS],
+}
+
+impl TickSummary {
+    /// The summary of the empty sequence, counting over `n_slots` slots.
+    pub(crate) fn new(n_slots: usize) -> Self {
+        TickSummary {
+            digest: SeqDigest::new(),
+            slots: vec![0; n_slots],
+            regions: [0; REGIONS],
+        }
+    }
+
+    /// Folds one request in. A slot or region id out of range (none are
+    /// generated in-tree) is digested but not counted.
+    #[inline]
+    pub(crate) fn push(&mut self, r: Request) {
+        r.digest_into(&mut self.digest);
+        if let Some(c) = self.slots.get_mut(usize::from(r.slot)) {
+            *c += 1;
+        }
+        if let Some(c) = self.regions.get_mut(usize::from(r.region)) {
+            *c += 1;
+        }
+    }
+
+    /// Appends the sequence `tail` summarises: `self ← self ‖ tail`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two summaries count over different numbers of slots.
+    pub(crate) fn concat(&mut self, tail: &TickSummary) {
+        assert_eq!(self.slots.len(), tail.slots.len(), "slot counts differ");
+        self.digest.concat(&tail.digest);
+        for (c, t) in self.slots.iter_mut().zip(&tail.slots) {
+            *c += t;
+        }
+        for (c, t) in self.regions.iter_mut().zip(&tail.regions) {
+            *c += t;
+        }
+    }
+
+    /// Number of requests summarised.
+    pub fn len(&self) -> usize {
+        self.digest.len() as usize
+    }
+
+    /// Whether no request has been summarised.
+    pub fn is_empty(&self) -> bool {
+        self.digest.is_empty()
+    }
+
+    /// The order-sensitive sequence digest — equal to
+    /// [`RequestBatch::digest`] of the same requests materialised.
+    pub fn digest(&self) -> u64 {
+        self.digest.finish()
+    }
+
+    /// Requests per LC slot over `n_slots` slots (zero beyond the slots
+    /// the summary counts over).
+    pub fn slot_counts(&self, n_slots: usize) -> Vec<u64> {
+        resized(&self.slots, n_slots)
+    }
+
+    /// Requests per region over `n_regions` regions.
+    pub fn region_counts(&self, n_regions: usize) -> Vec<u64> {
+        resized(&self.regions, n_regions)
+    }
+}
+
+/// `counts` truncated or zero-padded to `n` entries.
+fn resized(counts: &[u64], n: usize) -> Vec<u64> {
+    let mut out = counts[..n.min(counts.len())].to_vec();
+    out.resize(n, 0);
+    out
+}
 
 /// A columnar batch of synthesized requests.
 ///
@@ -45,13 +176,22 @@ impl RequestBatch {
         self.arrival_us.is_empty()
     }
 
-    /// Appends one request: arrival offset within the tick (µs), target LC
-    /// slot, originating region, and relative work factor.
-    pub fn push(&mut self, arrival_us: u32, slot: u16, region: u8, work: f32) {
-        self.arrival_us.push(arrival_us);
-        self.slot.push(slot);
-        self.region.push(region);
-        self.work.push(work);
+    /// Appends one request.
+    pub fn push(&mut self, r: Request) {
+        self.arrival_us.push(r.arrival_us);
+        self.slot.push(r.slot);
+        self.region.push(r.region);
+        self.work.push(r.work);
+    }
+
+    /// The requests in order, one [`Request`] at a time.
+    pub fn iter(&self) -> impl Iterator<Item = Request> + '_ {
+        (0..self.len()).map(|i| Request {
+            arrival_us: self.arrival_us[i],
+            slot: self.slot[i],
+            region: self.region[i],
+            work: self.work[i],
+        })
     }
 
     /// Appends every request of `other`, preserving order.
@@ -105,50 +245,51 @@ impl RequestBatch {
         counts
     }
 
-    /// An order-sensitive FNV-1a digest over every lane — the bit-identity
-    /// witness for the shard-count invariance gate. Two batches digest
-    /// equal iff every request field matches in order (up to the
-    /// astronomically unlikely 64-bit collision).
+    /// The order-sensitive sequence digest of the batch: the same
+    /// function [`TickSummary::digest`] folds during generation, computed
+    /// over the lanes. Two batches digest equal iff every request field
+    /// matches in order (up to the astronomically unlikely 64-bit
+    /// collision).
     pub fn digest(&self) -> u64 {
-        let mut h = fnv_fold(FNV_OFFSET, self.len() as u64);
-        for &v in &self.arrival_us {
-            h = fnv_fold(h, u64::from(v));
-        }
-        for &v in &self.slot {
-            h = fnv_fold(h, u64::from(v));
-        }
-        for &v in &self.region {
-            h = fnv_fold(h, u64::from(v));
-        }
-        for &v in &self.work {
-            h = fnv_fold(h, u64::from(v.to_bits()));
-        }
-        h
+        let mut d = SeqDigest::new();
+        self.iter().for_each(|r| r.digest_into(&mut d));
+        d.finish()
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one 64-bit word into an FNV-1a hash state.
-pub(crate) fn fnv_fold(h: u64, v: u64) -> u64 {
-    let mut h = h;
-    for byte in v.to_le_bytes() {
-        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn req(arrival_us: u32, slot: u16, region: u8, work: f32) -> Request {
+        Request {
+            arrival_us,
+            slot,
+            region,
+            work,
+        }
+    }
+
+    fn batch_of(requests: &[Request]) -> RequestBatch {
+        let mut b = RequestBatch::new();
+        requests.iter().for_each(|&r| b.push(r));
+        b
+    }
+
+    fn summary_of(requests: &[Request], n_slots: usize) -> TickSummary {
+        let mut s = TickSummary::new(n_slots);
+        requests.iter().for_each(|&r| s.push(r));
+        s
+    }
 
     fn sample() -> RequestBatch {
-        let mut b = RequestBatch::new();
-        b.push(10, 0, 1, 1.0);
-        b.push(500, 3, 0, 0.25);
-        b.push(999_999, 1, 3, 2.5);
-        b
+        batch_of(&[
+            req(10, 0, 1, 1.0),
+            req(500, 3, 0, 0.25),
+            req(999_999, 1, 3, 2.5),
+        ])
     }
 
     #[test]
@@ -160,6 +301,7 @@ mod tests {
         assert_eq!(b.slot(), &[0, 3, 1]);
         assert_eq!(b.region(), &[1, 0, 3]);
         assert_eq!(b.work(), &[1.0, 0.25, 2.5]);
+        assert_eq!(b.iter().nth(1), Some(req(500, 3, 0, 0.25)));
     }
 
     #[test]
@@ -183,10 +325,11 @@ mod tests {
     #[test]
     fn digest_is_order_sensitive() {
         let a = sample();
-        let mut reversed = RequestBatch::new();
-        reversed.push(999_999, 1, 3, 2.5);
-        reversed.push(500, 3, 0, 0.25);
-        reversed.push(10, 0, 1, 1.0);
+        let reversed = batch_of(&[
+            req(999_999, 1, 3, 2.5),
+            req(500, 3, 0, 0.25),
+            req(10, 0, 1, 1.0),
+        ]);
         assert_ne!(a.digest(), reversed.digest());
         assert_eq!(a.digest(), sample().digest());
     }
@@ -196,11 +339,73 @@ mod tests {
         // Length is folded in, so an empty batch and a batch of zeros
         // differ, as do [0] and [0, 0].
         let empty = RequestBatch::new();
-        let mut one = RequestBatch::new();
-        one.push(0, 0, 0, 0.0);
-        let mut two = one.clone();
-        two.push(0, 0, 0, 0.0);
+        let one = batch_of(&[req(0, 0, 0, 0.0)]);
+        let two = batch_of(&[req(0, 0, 0, 0.0); 2]);
         assert_ne!(empty.digest(), one.digest());
         assert_ne!(one.digest(), two.digest());
+    }
+
+    #[test]
+    fn digest_sees_every_field() {
+        let base = req(7, 2, 1, 1.5);
+        let d = |r: Request| batch_of(&[r]).digest();
+        assert_ne!(d(base), d(req(8, 2, 1, 1.5)));
+        assert_ne!(d(base), d(req(7, 3, 1, 1.5)));
+        assert_ne!(d(base), d(req(7, 2, 0, 1.5)));
+        assert_ne!(d(base), d(req(7, 2, 1, -1.5)));
+    }
+
+    #[test]
+    fn summary_matches_the_batch_it_summarises() {
+        let b = sample();
+        let s = summary_of(&b.iter().collect::<Vec<_>>(), 4);
+        assert_eq!(s.len(), b.len());
+        assert!(!s.is_empty());
+        assert_eq!(s.digest(), b.digest());
+        assert_eq!(s.slot_counts(4), b.slot_counts(4));
+        assert_eq!(s.region_counts(4), b.region_counts(4));
+        // Narrower truncates like the batch does; wider pads with zeros.
+        assert_eq!(s.slot_counts(2), b.slot_counts(2));
+        assert_eq!(s.slot_counts(6), vec![1, 1, 0, 1, 0, 0]);
+        assert_eq!(s.region_counts(2), vec![1, 1]);
+        // An id beyond the summary's slots is digested, not counted.
+        let narrow = summary_of(&[req(1, 9, 9, 1.0)], 4);
+        assert_eq!(narrow.len(), 1);
+        assert_eq!(narrow.slot_counts(4), vec![0; 4]);
+        assert_eq!(narrow.region_counts(4), vec![0; 4]);
+        assert!(TickSummary::new(4).is_empty());
+    }
+
+    #[test]
+    fn concat_equals_the_whole_at_every_split() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let requests: Vec<Request> = (0..61)
+            .map(|_| {
+                req(
+                    rng.gen_range(0..1_000_000),
+                    rng.gen_range(0..4),
+                    rng.gen_range(0..4),
+                    rng.gen_range(0.0f32..8.0),
+                )
+            })
+            .collect();
+        let whole = summary_of(&requests, 4);
+        assert_eq!(whole.digest(), batch_of(&requests).digest());
+        for split in 0..=requests.len() {
+            let mut head = summary_of(&requests[..split], 4);
+            head.concat(&summary_of(&requests[split..], 4));
+            assert_eq!(head, whole, "split at {split}");
+        }
+        // Combined out of order is a different sequence.
+        let mut swapped = summary_of(&requests[30..], 4);
+        swapped.concat(&summary_of(&requests[..30], 4));
+        assert_ne!(swapped.digest(), whole.digest());
+        assert_eq!(swapped.slot_counts(4), whole.slot_counts(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot counts differ")]
+    fn concat_rejects_mismatched_slot_spaces() {
+        TickSummary::new(4).concat(&TickSummary::new(3));
     }
 }

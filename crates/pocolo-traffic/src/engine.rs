@@ -4,10 +4,10 @@
 //!
 //! Each simulated tick the engine
 //!
-//! 1. generates the tick's request batch through the sharded
-//!    [`TrafficGen`] (folding every batch digest into the run digest —
-//!    the bit-identity witness the CI shard gate diffs),
-//! 2. maps per-slot request counts to arrival rates and steps each LC
+//! 1. generates the tick through the sharded [`TrafficGen`] and reads
+//!    its summary — no request is stored — folding every tick digest into
+//!    the run digest (the bit-identity witness the CI shard gate diffs),
+//! 2. maps the summary's per-slot counts to arrival rates and steps each LC
 //!    slot's [`Mm1Queue`] under the allocation its *current* utility
 //!    model demands within the (possibly browned-out) power budget,
 //! 3. feeds the measured capacity / power / latency-slack triple into the
@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use pocolo_cluster::placement::{ClusterManager, PlacementPlan};
+use pocolo_core::digest::{fnv1a_word, FNV_OFFSET};
 use pocolo_core::fit::{FitOptions, OnlineFitter, ProfileSample};
 use pocolo_core::units::Watts;
 use pocolo_core::utility::IndirectUtility;
@@ -36,7 +37,6 @@ use pocolo_workloads::profiler::ProfilerConfig;
 use pocolo_workloads::reqsim::Mm1Queue;
 use pocolo_workloads::LcModel;
 
-use crate::batch::fnv_fold;
 use crate::mix::{TrafficMix, TrafficSpec};
 use crate::shard::TrafficGen;
 
@@ -69,7 +69,7 @@ pub struct TrafficConfig {
     pub ticks: u64,
     /// Simulated seconds per tick.
     pub tick_s: f64,
-    /// Generator shards; the batch stream is bit-identical for any value.
+    /// Generator shards; the request stream is bit-identical for any value.
     pub shards: usize,
     /// Thread fan-out for shard generation.
     pub parallelism: Parallelism,
@@ -132,7 +132,7 @@ pocolo_json::impl_to_json!(SlotReport {
 pub struct TrafficReport {
     /// Mix name.
     pub mix: String,
-    /// Shard count the batches were generated with — an execution
+    /// Shard count the ticks were generated with — an execution
     /// detail like parallelism, so not serialized (the report must be
     /// byte-identical at any shard count).
     pub shards: usize,
@@ -142,8 +142,10 @@ pub struct TrafficReport {
     pub users: u64,
     /// Total requests generated.
     pub requests: u64,
-    /// FNV-1a digest over every tick's batch, hex — identical across
-    /// shard counts and parallelism settings.
+    /// The run's request-stream witness, 16 hex digits: FNV-1a over each
+    /// tick's sequence digest (`TickSummary::digest`, a function of every
+    /// field of every request in order) — identical across shard counts
+    /// and parallelism settings.
     pub digest: String,
     /// Whether refitted models were adopted.
     pub online_fit: bool,
@@ -160,7 +162,9 @@ pub struct TrafficReport {
     pub migrations: u64,
     /// Per-slot outcomes, index-aligned with the LC fleet.
     pub slots: Vec<SlotReport>,
-    /// Wall-clock seconds spent generating batches (not serialized).
+    /// Wall-clock seconds spent in `TrafficGen::tick` — drawing the
+    /// requests and folding them into counts and digest, which is one
+    /// loop (not serialized).
     pub gen_seconds: f64,
     /// Generation throughput, requests per second (not serialized).
     pub gen_requests_per_s: f64,
@@ -275,7 +279,7 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
     let total_peak: f64 = peaks.iter().sum();
     let scale = total_peak / (config.users as f64 * config.rps_per_user * config.tick_s);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut total_requests = 0u64;
     let mut violating_requests = 0u64;
     let (mut refits, mut replans, mut migrations) = (0u64, 0u64, 0u64);
@@ -284,11 +288,11 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
     for tick in 0..config.ticks {
         let t = tick as f64 * config.tick_s;
         let started = Instant::now();
-        let batch = gen.tick(tick, config.shards, config.parallelism);
+        let summary = gen.tick(tick, config.shards, config.parallelism);
         gen_seconds += started.elapsed().as_secs_f64();
-        digest = fnv_fold(digest, batch.digest());
-        total_requests += batch.len() as u64;
-        let counts = batch.slot_counts(slots.len());
+        digest = fnv1a_word(digest, summary.digest());
+        total_requests += summary.len() as u64;
+        let counts = summary.slot_counts(slots.len());
 
         let cap_factor = cap_factor_at(&fault_events, t);
         apply_fault_drift(&fault_events, t, config.tick_s, &mut slots);

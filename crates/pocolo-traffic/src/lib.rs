@@ -14,23 +14,34 @@
 //!   flash crowds, rotating regional skew.
 //! - [`shard`] + [`batch`] — the deterministic generator
 //!   ([`TrafficGen`]): 64 logical RNG streams seeded purely by
-//!   `(seed, stream, tick)` and dealt round-robin to shards, so the
-//!   merged [`RequestBatch`] is bit-identical at any shard count and any
+//!   `(seed, stream, tick)` and dealt round-robin to shards. A tick costs
+//!   what is read of it: [`TrafficGen::tick`] folds every request into a
+//!   lane-less [`TickSummary`] (count, per-slot and per-region counts, a
+//!   combinable sequence digest) while it is drawn and stores none;
+//!   [`TrafficGen::requests`] materialises the same sequence as a
+//!   columnar [`RequestBatch`] for a caller that asks. Either is
+//!   bit-identical at any shard count and any
 //!   [`Parallelism`](pocolo_sim::parallel::Parallelism) — the same
 //!   contract `pocolo_sim::parallel` gives experiments.
-//! - [`engine`] — the closed loop ([`run_traffic`]): requests drive
-//!   `Mm1Queue`s per slot, measured p99/utilization feeds each slot's
+//! - [`engine`] — the closed loop ([`run_traffic`]): per-slot request
+//!   counts drive `Mm1Queue`s, measured p99/utilization feeds each slot's
 //!   `OnlineFitter`, and drifted refits repair the BE placement through
 //!   the incremental `ClusterManager` path.
 //!
 //! ```
+//! use pocolo_sim::parallel::Parallelism;
 //! use pocolo_traffic::{MixKind, TrafficGen, TrafficMix};
 //!
 //! let mix = TrafficMix::plan(MixKind::FlashCrowd, 7, 10.0);
 //! let gen = TrafficGen::new(mix, 42, 50_000, 10.0, 1.0, &[3500.0, 10.0]);
-//! let one = gen.tick(3, 1, pocolo_sim::parallel::Parallelism::Serial);
-//! let eight = gen.tick(3, 8, pocolo_sim::parallel::Parallelism::Auto);
-//! assert_eq!(one.digest(), eight.digest()); // bit-identical merge
+//! let one = gen.tick(3, 1, Parallelism::Serial);
+//! let eight = gen.tick(3, 8, Parallelism::Auto);
+//! assert_eq!(one, eight); // bit-identical at any shard count
+//! assert_eq!(one.slot_counts(2).iter().sum::<u64>(), one.len() as u64);
+//! // The summary is the digest and counts of the requests it never stored.
+//! let lanes = gen.requests(3, 5, Parallelism::Fixed(2));
+//! assert_eq!(lanes.digest(), one.digest());
+//! assert_eq!(lanes.slot_counts(2), one.slot_counts(2));
 //! ```
 
 pub mod batch;
@@ -38,7 +49,7 @@ pub mod engine;
 pub mod mix;
 pub mod shard;
 
-pub use batch::RequestBatch;
+pub use batch::{Request, RequestBatch, TickSummary};
 pub use engine::{run_traffic, SlotReport, TrafficConfig, TrafficReport};
 pub use mix::{FlashCrowd, MixKind, TrafficMix, TrafficSpec, REGIONS};
 pub use shard::{TrafficGen, LOGICAL_STREAMS};

@@ -1,15 +1,30 @@
-//! Sharded open-loop request generation with a deterministic merge.
+//! Sharded open-loop request generation that folds while it generates.
 //!
-//! # The shard/merge contract
+//! # The shard/fold contract
 //!
 //! Generation is defined over [`LOGICAL_STREAMS`] fixed *logical streams*,
 //! not over shards. Stream `s` at tick `k` owns its own RNG, seeded purely
 //! from `(seed, s, k)` — never from which shard ran it, never from the
-//! previous tick. A run with `n` shards hands stream `s` to shard
-//! `s mod n` and merges the per-stream sub-batches back in stream order,
-//! so the merged batch is **bit-identical for every shard count** — the
-//! same contract [`pocolo_sim::parallel::map`] gives the experiment
-//! pipeline, witnessed here by [`RequestBatch::digest`].
+//! previous tick — and draws its requests in **one loop**
+//! (`StreamRequests`). What a stream *returns* is up to the caller of that
+//! loop:
+//!
+//! - [`TrafficGen::tick`] folds each request into the stream's
+//!   [`TickSummary`] as it is drawn — length, per-slot and per-region
+//!   counts, and the combinable sequence digest — and stores nothing.
+//! - [`TrafficGen::requests`] pushes each request onto the stream's
+//!   [`RequestBatch`] lanes, for a caller that wants to read them. No
+//!   product code does today; it exists so that
+//!   `requests(..).digest() == tick(..).digest()` can witness that what
+//!   was summarised is what would have been materialised.
+//!
+//! A run with `n` shards hands stream `s` to shard `s mod n`, and the 64
+//! per-stream results are combined **in stream order** — summaries by
+//! `TickSummary::concat` (counts add; the digest obeys
+//! `h(A‖B) = h(A)·P^|B| + h(B)`), batches by appending lanes. Which shard
+//! or thread produced a stream's result never enters it, so the tick is
+//! **bit-identical for every shard count and parallelism** — the same
+//! contract [`pocolo_sim::parallel::map`] gives the experiment pipeline.
 //!
 //! Per-stream work is fanned out through `parallel::map` itself, so the
 //! execution knobs compose: `--shards` fixes the deterministic
@@ -19,7 +34,7 @@ use pocolo_sim::parallel::{self, Parallelism};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::batch::RequestBatch;
+use crate::batch::{Request, RequestBatch, TickSummary};
 use crate::mix::{TrafficMix, REGIONS};
 
 /// Fixed number of logical RNG streams requests are drawn from. Shard
@@ -50,6 +65,9 @@ pub struct TrafficGen {
     users: u64,
     rps_per_user: f64,
     tick_s: f64,
+    /// Tick length in whole microseconds: arrival offsets are drawn from
+    /// `0..tick_us`.
+    tick_us: u32,
     /// Peak request rate of each LC slot (requests/s); the base share of
     /// traffic a slot attracts is proportional to its peak.
     slot_peaks: Vec<f64>,
@@ -65,8 +83,10 @@ impl TrafficGen {
     /// # Panics
     ///
     /// Panics if `users`, `rps_per_user` or `tick_s` is not positive, if
-    /// `slot_peaks` is empty, holds a non-positive peak, or has more than
-    /// `u16::MAX` slots.
+    /// the tick is shorter than 1 µs or longer than `u32::MAX` µs (≈ 71
+    /// minutes; arrival offsets are `u32` microseconds), if `slot_peaks`
+    /// is empty, holds a non-positive peak, or has more than `u16::MAX`
+    /// slots.
     pub fn new(
         mix: TrafficMix,
         seed: u64,
@@ -84,6 +104,11 @@ impl TrafficGen {
             tick_s.is_finite() && tick_s > 0.0,
             "tick length must be positive"
         );
+        let tick_us = tick_s * 1e6;
+        assert!(
+            (1.0..=f64::from(u32::MAX)).contains(&tick_us),
+            "tick length must be between 1 and u32::MAX microseconds"
+        );
         assert!(!slot_peaks.is_empty(), "need at least one LC slot");
         assert!(
             slot_peaks.len() <= usize::from(u16::MAX),
@@ -100,6 +125,7 @@ impl TrafficGen {
             users,
             rps_per_user,
             tick_s,
+            tick_us: tick_us as u32,
             slot_peaks: slot_peaks.to_vec(),
             slot_region,
         }
@@ -169,61 +195,134 @@ impl TrafficGen {
     }
 
     /// Generates tick `tick_idx` split over `shards` shards, fanned out
-    /// with `parallelism`, and returns the merged batch. Bit-identical for
-    /// every `(shards, parallelism)` combination.
+    /// with `parallelism`, and returns its summary; no request is stored.
+    /// Bit-identical for every `(shards, parallelism)` combination.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn tick(&self, tick_idx: u64, shards: usize, parallelism: Parallelism) -> RequestBatch {
-        assert!(shards > 0, "need at least one shard");
-        let shape = self.shape_at(tick_idx);
-        let per_shard: Vec<Vec<RequestBatch>> = parallel::map(
-            parallelism,
-            (0..shards).collect(),
-            |shard: usize| -> Vec<RequestBatch> {
-                (shard..LOGICAL_STREAMS)
-                    .step_by(shards)
-                    .map(|stream| self.gen_stream(stream, tick_idx, &shape))
-                    .collect()
-            },
-        );
-        let total: usize = per_shard.iter().flatten().map(RequestBatch::len).sum();
-        let mut merged = RequestBatch::with_capacity(total);
-        for stream in 0..LOGICAL_STREAMS {
-            merged.append(&per_shard[stream % shards][stream / shards]);
-        }
+    pub fn tick(&self, tick_idx: u64, shards: usize, parallelism: Parallelism) -> TickSummary {
+        let n_slots = self.n_slots();
+        let streams = self.per_stream(tick_idx, shards, parallelism, |requests| {
+            let mut summary = TickSummary::new(n_slots);
+            requests.for_each(|r| summary.push(r));
+            summary
+        });
+        let mut tick = TickSummary::new(n_slots);
+        streams.iter().for_each(|stream| tick.concat(stream));
+        tick
+    }
+
+    /// The same tick materialised: every request [`TrafficGen::tick`]
+    /// summarises, in the same order, as columnar lanes — 11 bytes a
+    /// request, so ask only to read them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn requests(&self, tick_idx: u64, shards: usize, parallelism: Parallelism) -> RequestBatch {
+        let streams = self.per_stream(tick_idx, shards, parallelism, |requests| {
+            let mut batch = RequestBatch::with_capacity(requests.len());
+            requests.for_each(|r| batch.push(r));
+            batch
+        });
+        let mut merged = RequestBatch::with_capacity(streams.iter().map(RequestBatch::len).sum());
+        streams.iter().for_each(|stream| merged.append(stream));
         merged
     }
 
-    /// Generates one logical stream's sub-batch for one tick. The RNG is
-    /// seeded purely from `(seed, stream, tick_idx)` — shard-count and
-    /// history independent by construction.
-    fn gen_stream(&self, stream: usize, tick_idx: u64, shape: &TickShape) -> RequestBatch {
+    /// Runs `consume` over every logical stream of tick `tick_idx` —
+    /// shard `i` of `shards` takes streams `i, i + shards, …` — and
+    /// returns the 64 results in stream order.
+    fn per_stream<T: Send>(
+        &self,
+        tick_idx: u64,
+        shards: usize,
+        parallelism: Parallelism,
+        consume: impl Fn(StreamRequests<'_>) -> T + Sync,
+    ) -> Vec<T> {
+        assert!(shards > 0, "need at least one shard");
+        let shape = self.shape_at(tick_idx);
+        let mut per_shard: Vec<_> =
+            parallel::map(parallelism, (0..shards).collect(), |shard: usize| {
+                (shard..LOGICAL_STREAMS)
+                    .step_by(shards)
+                    .map(|stream| consume(self.stream(stream, tick_idx, &shape)))
+                    .collect::<Vec<T>>()
+                    .into_iter()
+            });
+        (0..LOGICAL_STREAMS)
+            .map(|stream| {
+                per_shard[stream % shards]
+                    .next()
+                    .expect("each shard ran its streams")
+            })
+            .collect()
+    }
+
+    /// One logical stream's requests for one tick. The RNG is seeded
+    /// purely from `(seed, stream, tick_idx)` — shard-count and history
+    /// independent by construction.
+    fn stream<'a>(&self, stream: usize, tick_idx: u64, shape: &'a TickShape) -> StreamRequests<'a> {
         let index = tick_idx
             .wrapping_mul(LOGICAL_STREAMS as u64)
             .wrapping_add(stream as u64);
         let mut rng = StdRng::seed_from_u64(self.seed ^ index.wrapping_mul(SEED_MIX));
         let lambda = shape.rate_rps * self.tick_s / LOGICAL_STREAMS as f64;
-        let n = poisson(&mut rng, lambda);
-        let tick_us = (self.tick_s * 1e6) as u32;
-        let mut batch = RequestBatch::with_capacity(n);
-        for _ in 0..n {
-            let arrival = rng.gen_range(0..tick_us.max(1));
-            let region = cum_pick(&shape.region_cum, rng.gen_range(0.0..1.0)) as u8;
-            let slot = cum_pick(&shape.slot_cum, rng.gen_range(0.0..1.0)) as u16;
-            let u: f64 = rng.gen_range(0.0..1.0);
-            let work = (-(1.0 - u).ln()) as f32; // Exp(1): mean-1 work factor
-            batch.push(arrival, slot, region, work);
+        let remaining = poisson(&mut rng, lambda);
+        StreamRequests {
+            rng,
+            remaining,
+            tick_us: self.tick_us,
+            shape,
         }
-        batch
     }
 }
 
-/// Index of the first cumulative weight exceeding `u` (linear scan — slot
-/// and region counts are single digits, so this beats a binary search).
+/// The per-request generation loop: one logical stream's requests for one
+/// tick, drawn lazily — four RNG draws a request (arrival, region, slot,
+/// work), in that order.
+struct StreamRequests<'a> {
+    rng: StdRng,
+    remaining: usize,
+    tick_us: u32,
+    shape: &'a TickShape,
+}
+
+impl Iterator for StreamRequests<'_> {
+    type Item = Request;
+
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        self.remaining = self.remaining.checked_sub(1)?;
+        let arrival_us = self.rng.gen_range(0..self.tick_us);
+        let region = cum_pick(&self.shape.region_cum, self.rng.gen_range(0.0..1.0)) as u8;
+        let slot = cum_pick(&self.shape.slot_cum, self.rng.gen_range(0.0..1.0)) as u16;
+        let u: f64 = self.rng.gen_range(0.0..1.0);
+        let work = (-(1.0 - u).ln()) as f32; // Exp(1): mean-1 work factor
+        Some(Request {
+            arrival_us,
+            slot,
+            region,
+            work,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for StreamRequests<'_> {}
+
+/// Index of the first cumulative weight exceeding `u`. `cum` is
+/// nondecreasing (every weight is positive) up to a final `1.0 > u`, so
+/// this is a binary search: std's is branch-free, which at four slots
+/// spares the predictor a data-dependent early exit on every request, and
+/// at 10⁴ slots it is 14 steps instead of a scan.
+#[inline]
 fn cum_pick(cum: &[f64], u: f64) -> usize {
-    cum.iter().position(|&c| u < c).unwrap_or(cum.len() - 1)
+    cum.partition_point(|&c| c <= u).min(cum.len() - 1)
 }
 
 /// A Poisson draw with mean `lambda`: Knuth's product method for small
@@ -262,20 +361,64 @@ mod tests {
     #[test]
     fn merge_is_shard_count_invariant() {
         let g = gen(MixKind::FlashCrowd, 7, 50_000);
-        let reference = g.tick(3, 1, Parallelism::Serial);
+        let summary = g.tick(3, 1, Parallelism::Serial);
+        let lanes = g.requests(3, 1, Parallelism::Serial);
+        // What was summarised is what would have been materialised.
+        assert_eq!(summary.len(), lanes.len());
+        assert_eq!(summary.digest(), lanes.digest());
+        assert_eq!(summary.slot_counts(4), lanes.slot_counts(4));
+        assert_eq!(summary.region_counts(REGIONS), lanes.region_counts(REGIONS));
         for shards in [2, 3, 8, 64, 100] {
-            let got = g.tick(3, shards, Parallelism::Serial);
-            assert_eq!(got.digest(), reference.digest(), "{shards} shards diverged");
-            assert_eq!(got, reference, "{shards} shards diverged beyond digest");
+            assert_eq!(
+                g.tick(3, shards, Parallelism::Serial),
+                summary,
+                "{shards} shards diverged"
+            );
+            assert_eq!(
+                g.requests(3, shards, Parallelism::Serial),
+                lanes,
+                "{shards} shards diverged lane for lane"
+            );
         }
+    }
+
+    /// The request sequence, pinned on the tree *before* generation was
+    /// fused with the fold (`e28367b`, where `tick` returned lanes): the
+    /// digest function was re-baselined once, the requests were not.
+    #[test]
+    fn request_sequence_golden() {
+        let g = gen(MixKind::FlashCrowd, 7, 50_000);
+        let lanes = g.requests(3, 1, Parallelism::Serial);
+        assert_eq!(lanes.len(), 51_831);
+        assert_eq!(lanes.slot_counts(4), vec![14_244, 40, 14_231, 23_316]);
+        assert_eq!(lanes.region_counts(4), vec![13_903, 16_143, 11_898, 9_887]);
+        let arrival_sum = lanes
+            .arrival_us()
+            .iter()
+            .fold(0u64, |acc, &v| acc.wrapping_add(u64::from(v)));
+        let work_bits_sum = lanes
+            .work()
+            .iter()
+            .fold(0u64, |acc, &v| acc.wrapping_add(u64::from(v.to_bits())));
+        assert_eq!(arrival_sum, 25_846_928_413);
+        assert_eq!(work_bits_sum, 54_829_620_164_511);
+        assert_eq!(lanes.iter().next().map(|r| r.arrival_us), Some(101_212));
+        // The parent's byte-wise FNV digest of this batch; the sequence
+        // digest that replaced it must not collide with it by accident.
+        assert_ne!(lanes.digest(), 0xfc2a_7701_ab19_6518);
     }
 
     #[test]
     fn parallelism_does_not_change_the_batch() {
         let g = gen(MixKind::Diurnal, 3, 30_000);
-        let serial = g.tick(1, 8, Parallelism::Serial);
-        let fixed = g.tick(1, 8, Parallelism::Fixed(4));
-        assert_eq!(serial, fixed);
+        assert_eq!(
+            g.tick(1, 8, Parallelism::Serial),
+            g.tick(1, 8, Parallelism::Fixed(4))
+        );
+        assert_eq!(
+            g.requests(1, 8, Parallelism::Serial),
+            g.requests(1, 8, Parallelism::Fixed(4))
+        );
     }
 
     #[test]
@@ -308,21 +451,56 @@ mod tests {
     #[test]
     fn slot_counts_follow_peak_shares() {
         let g = gen(MixKind::Steady, 9, 300_000);
-        let batch = g.tick(0, 2, Parallelism::Serial);
-        let counts = batch.slot_counts(4);
+        let tick = g.tick(0, 2, Parallelism::Serial);
+        let counts = tick.slot_counts(4);
         let total: u64 = counts.iter().sum();
         // tpcc (peak 8000) must dominate sphinx (peak 10) by orders of
         // magnitude; shares only approximate because of regional skew.
         assert!(counts[3] > counts[1] * 100, "{counts:?}");
-        assert_eq!(total, batch.len() as u64);
+        assert_eq!(total, tick.len() as u64);
+        assert_eq!(tick.region_counts(REGIONS).iter().sum::<u64>(), total);
     }
 
     #[test]
     fn arrival_offsets_stay_inside_the_tick() {
         let g = gen(MixKind::Regional, 11, 10_000);
-        let batch = g.tick(2, 8, Parallelism::Serial);
+        let batch = g.requests(2, 8, Parallelism::Serial);
         assert!(batch.arrival_us().iter().all(|&a| a < 1_000_000));
         assert!(batch.work().iter().all(|&w| w >= 0.0 && w.is_finite()));
+    }
+
+    /// `cum_pick`'s binary search against the definition it replaced
+    /// (first cumulative weight exceeding `u`, by linear scan), on the
+    /// shapes every mix actually produces — which must be nondecreasing
+    /// for the search to be that function — at 4 and at 10 000 slots.
+    #[test]
+    fn cum_pick_is_the_first_exceeding_weight() {
+        let scan = |cum: &[f64], u: f64| cum.iter().position(|&c| u < c).unwrap_or(cum.len() - 1);
+        let mut rng = StdRng::seed_from_u64(3);
+        let many_peaks: Vec<f64> = (0..10_000).map(|_| rng.gen_range(1.0..9000.0)).collect();
+        for kind in MixKind::ALL {
+            let mix = TrafficMix::plan(kind, 7, 60.0);
+            let few = TrafficGen::new(mix.clone(), 7, 1000, 2.0, 1.0, &[3500.0, 10.0, 4000.0]);
+            let many = TrafficGen::new(mix, 7, 1000, 2.0, 1.0, &many_peaks);
+            for tick in [0, 17, 41, 59] {
+                let (few, many) = (few.shape_at(tick), many.shape_at(tick));
+                for cum in [&few.region_cum[..], &few.slot_cum, &many.slot_cum] {
+                    let body = &cum[..cum.len() - 1];
+                    assert!(body.windows(2).all(|w| w[0] <= w[1]), "{kind} tick {tick}");
+                    assert_eq!(cum.last(), Some(&1.0));
+                    for _ in 0..200 {
+                        let u = rng.gen_range(0.0..1.0);
+                        assert_eq!(cum_pick(cum, u), scan(cum, u));
+                    }
+                    // Exactly on a boundary the weight does not exceed `u`.
+                    for &u in body.iter().filter(|&&c| c < 1.0).take(50) {
+                        assert_eq!(cum_pick(cum, u), scan(cum, u));
+                    }
+                    assert_eq!(cum_pick(cum, 0.0), scan(cum, 0.0));
+                }
+            }
+        }
+        assert_eq!(cum_pick(&[1.0], 0.5), 0);
     }
 
     #[test]
@@ -352,5 +530,32 @@ mod tests {
     fn bad_peaks_panic() {
         let mix = TrafficMix::plan(MixKind::Steady, 1, 10.0);
         let _ = TrafficGen::new(mix, 1, 10, 1.0, 1.0, &[100.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and u32::MAX microseconds")]
+    fn sub_microsecond_tick_panics() {
+        let mix = TrafficMix::plan(MixKind::Steady, 1, 10.0);
+        let _ = TrafficGen::new(mix, 1, 10, 1.0, 0.9e-6, &[100.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and u32::MAX microseconds")]
+    fn tick_longer_than_u32_microseconds_panics() {
+        let mix = TrafficMix::plan(MixKind::Steady, 1, 10.0);
+        let _ = TrafficGen::new(mix, 1, 10, 1.0, 4295.0, &[100.0]);
+    }
+
+    #[test]
+    fn ticks_just_inside_the_limits_generate() {
+        let mix = TrafficMix::plan(MixKind::Steady, 1, 10.0);
+        // A 1 µs tick: every arrival offset is 0.
+        let shortest = TrafficGen::new(mix.clone(), 1, 10, 1e9, 1.5e-6, &[100.0]);
+        let lanes = shortest.requests(0, 1, Parallelism::Serial);
+        assert!(!lanes.is_empty());
+        assert!(lanes.arrival_us().iter().all(|&a| a == 0));
+        let longest = TrafficGen::new(mix, 1, 10, 1.0, 4294.9, &[100.0]);
+        let lanes = longest.requests(0, 1, Parallelism::Serial);
+        assert!(lanes.arrival_us().iter().any(|&a| a > u32::MAX / 2));
     }
 }
