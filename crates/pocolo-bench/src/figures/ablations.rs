@@ -217,7 +217,7 @@ pub fn consolidation(runs_be_throughput: f64) -> ConsolidationAblation {
     ConsolidationAblation { rows }
 }
 
-/// Spatial vs temporal sharing data.
+/// Spatial vs temporal sharing data (model-predicted, not simulated).
 #[derive(Debug, Clone)]
 pub struct SharingAblation {
     /// Total BE throughput when graph+lstm spatially share beside sphinx.
@@ -227,65 +227,39 @@ pub struct SharingAblation {
     pub temporal_total: f64,
 }
 
-/// Ablation: spatial vs temporal sharing of two co-runners (§V-G).
-/// Complementary apps keep their preferred resource full-time under a
-/// spatial split, beating a 50/50 time slice.
+/// Ablation: spatial vs temporal sharing of two co-runners (§V-G), as
+/// the planning closed forms over the *fitted* utilities predict it: the
+/// spare box is what the manager's analytic plan leaves beside sphinx at
+/// 40 % load, the headroom what sphinx's fitted power model leaves under
+/// its cap. Complementary apps keep their preferred resource full-time
+/// under a spatial split, beating a 50/50 time slice.
 pub fn sharing(bench: &Bench) -> SharingAblation {
-    use pocolo_manager::LcPolicy;
-    use pocolo_sim::{ServerSim, SpatialServerSim, SpatialTenant};
+    use pocolo_manager::spatial::{spatial_sharing_total, temporal_sharing_total};
     section("Ablation — spatial vs temporal sharing (graph+lstm beside sphinx)");
-    let lc_truth = bench.lc_truth(LcApp::Sphinx).clone();
-    let lc_fit = bench.lc_fitted(LcApp::Sphinx).clone();
-    let cap = lc_truth.provisioned_power();
-    let load = LoadTrace::Constant(0.4);
+    let lc_truth = bench.lc_truth(LcApp::Sphinx);
+    let lc_fit = bench.lc_fitted(LcApp::Sphinx);
+    let (c, w) = ServerManager::new(
+        lc_fit.clone(),
+        LcPolicy::PowerOptimized,
+        ManagerConfig::default(),
+    )
+    .plan_analytic(0.4 * lc_truth.peak_load_rps(), None)
+    .expect("sphinx fits the box at 40 % load");
+    let headroom = lc_truth.provisioned_power()
+        - lc_fit
+            .power_model()
+            .power_of_amounts(&[f64::from(c), f64::from(w)])
+            .expect("a planned allocation is in the model's domain");
+    let apps = [BeApp::Graph, BeApp::Lstm].map(|a| bench.be_fitted(a).clone());
+    let machine = &bench.machine;
 
     // Spatial: both run concurrently on a preference-based split.
-    let tenants = [BeApp::Graph, BeApp::Lstm]
-        .iter()
-        .map(|&a| SpatialTenant {
-            truth: bench.be_truth(a).clone(),
-            fitted: bench.be_fitted(a).clone(),
-        })
-        .collect();
-    let mut spatial = SpatialServerSim::new(
-        lc_truth.clone(),
-        lc_fit.clone(),
-        tenants,
-        LcPolicy::PowerOptimized,
-        load.clone(),
-        cap,
-        0.0,
-        3,
-    );
-    for s in 0..25 {
-        spatial.on_manager_tick(s as f64);
-        for _ in 0..10 {
-            spatial.on_capper_tick(0.1);
-        }
-    }
-    let spatial_total = spatial.metrics().be_throughput_avg;
-
-    // Temporal: each app alone with the whole box, half the time.
-    let mut temporal_total = 0.0;
-    for app in [BeApp::Graph, BeApp::Lstm] {
-        let mut sim = ServerSim::new(
-            lc_truth.clone(),
-            lc_fit.clone(),
-            Some(bench.be_truth(app).clone()),
-            LcPolicy::PowerOptimized,
-            load.clone(),
-            cap,
-            0.0,
-            3,
-        );
-        for s in 0..25 {
-            sim.on_manager_tick(s as f64);
-            for _ in 0..10 {
-                sim.on_capper_tick(0.1);
-            }
-        }
-        temporal_total += 0.5 * sim.metrics().be_throughput_avg;
-    }
+    let spatial_total = spatial_sharing_total(machine, &apps, c, w, headroom)
+        .expect("fitted BE models evaluate inside the spare box");
+    // Temporal: each app alone with the whole spare box, half the time.
+    let temporal_total =
+        temporal_sharing_total(&apps, machine.cores() - c, machine.llc_ways() - w, headroom)
+            .expect("fitted BE models evaluate inside the spare box");
     row("strategy", &["total BE throughput".into()]);
     row("spatial", &[f3(spatial_total)]);
     row("temporal", &[f3(temporal_total)]);

@@ -246,4 +246,34 @@ mod ablation_shapes {
         assert!(per_work("consolidation") < per_work("always-on"));
         assert!(per_work("colocation") < 0.6 * per_work("consolidation"));
     }
+
+    #[test]
+    fn spatial_sharing_beats_a_time_slice() {
+        let b = Bench::new();
+        let a = ablations::sharing(&b);
+        assert!(a.temporal_total > 0.0);
+        assert!(a.spatial_total > a.temporal_total);
+    }
+
+    #[test]
+    fn re_placement_never_beats_static_and_pays_for_its_pauses() {
+        let b = Bench::new();
+        let a = ablations::rebalance(&b);
+        let labels: Vec<&str> = a.rows.iter().map(|(l, ..)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["static", "rebalance free", "rebalance 10s", "rebalance 25s"]
+        );
+        assert!(
+            a.rows.windows(2).all(|w| w[0].1 >= w[1].1),
+            "BE throughput must not rise with migration cost: {:?}",
+            a.rows
+        );
+        assert_eq!(a.rows[0].2, 0, "static placement never migrates");
+        assert!(a.rows[1].2 > 0, "phase shifts should trigger moves");
+        assert!(
+            a.rows[1..].iter().all(|r| r.2 == a.rows[1].2),
+            "the pause changes what a move costs, not how many are made"
+        );
+    }
 }

@@ -1,6 +1,6 @@
 //! The control plane: what a server's management loop *decides*,
-//! separated from what the hosting backend (discrete-event sim, spatial
-//! multi-tenant server, a future real-host agent) *actuates*.
+//! separated from what the hosting backend (the discrete-event sim, a
+//! future real-host agent) *actuates*.
 //!
 //! A backend builds a [`ControlInput`] snapshot each manager epoch, asks
 //! its [`ServerController`] to [`ServerController::decide`], and actuates

@@ -15,8 +15,8 @@
 //! - [`control::ServerController`] — the control plane: a trait turning
 //!   [`control::ControlInput`] snapshots into [`control::ControlDecision`]s,
 //!   with the brownout/degraded mode arbitration made explicit in
-//!   [`modes::ModeMachine`]. Backends (discrete-event sim, spatial server,
-//!   a future real-host agent) actuate decisions; they no longer make them.
+//!   [`modes::ModeMachine`]. Backends (the discrete-event sim, a future
+//!   real-host agent) actuate decisions; they no longer make them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,8 +1,11 @@
-//! The one server loop ([`run_server_projection`]) and its fan-out over
-//! a hand-assembled set of servers ([`ClusterSim`]).
+//! The one server loop — a resumable [`Projection`] per server, of which
+//! [`run_server_projection`] is the run-to-the-end case — and its one
+//! fan-out over a set of servers ([`ClusterSim`]), open or closed loop.
+
+use std::sync::Arc;
 
 use crate::engine::Engine;
-use crate::faults::{FaultTimeline, ServerFaultEvent};
+use crate::faults::{FaultTimeline, ServerFaultAction, ServerFaultEvent};
 use crate::metrics::{ClusterSummary, ServerMetrics};
 use crate::parallel::{self, Parallelism};
 use crate::server_sim::ServerSim;
@@ -13,7 +16,7 @@ pub struct ClusterSim {
     servers: Vec<ServerSim>,
     manager_period_s: f64,
     capper_period_s: f64,
-    faults: FaultTimeline,
+    faults: Arc<FaultTimeline>,
 }
 
 impl ClusterSim {
@@ -32,37 +35,94 @@ impl ClusterSim {
             servers,
             manager_period_s,
             capper_period_s,
-            faults: FaultTimeline::default(),
+            faults: Arc::default(),
         }
     }
 
-    /// Installs a pre-compiled fault timeline. Every action is a static,
-    /// per-server event, so no server ever observes another.
+    /// Installs a pre-compiled fault timeline (shared, so a plan played
+    /// many times hands every play the same one). Every action is a
+    /// static, per-server event, so no server ever observes another.
     #[must_use]
-    pub fn with_faults(mut self, faults: FaultTimeline) -> Self {
-        self.faults = faults;
+    pub fn with_faults(mut self, faults: impl Into<Arc<FaultTimeline>>) -> Self {
+        self.faults = faults.into();
         self
     }
 
-    /// Runs the simulation for `duration_s` simulated seconds, one
-    /// [`run_server_projection`] per server, fanned out across up to
-    /// `parallelism` worker threads. Events only ever touch their own
-    /// server, so the result is bit-identical at any worker count.
+    /// Runs the simulation open loop for `duration_s` simulated seconds:
+    /// [`ClusterSim::run_closed_loop`] with no barrier, so one
+    /// uninterrupted [`Projection::advance`] per server.
     pub fn run(&mut self, duration_s: f64, parallelism: Parallelism) {
-        let (manager_period_s, capper_period_s) = (self.manager_period_s, self.capper_period_s);
+        self.run_closed_loop(duration_s, parallelism, &[], |_, _| Vec::new());
+    }
+
+    /// Runs the simulation for `duration_s` simulated seconds under a
+    /// cluster controller that acts at each of the `barriers` (seconds
+    /// from the start). For every barrier `t` in turn: each server's
+    /// [`Projection`] advances to `t`, fanned out across up to
+    /// `parallelism` worker threads; `controller(t, servers)` may read
+    /// anything of the servers (index-aligned with [`ClusterSim::new`]'s
+    /// list; every event before `t` has run on all of them, none at `t`);
+    /// each `(slot, action)` it returns is applied with
+    /// [`ServerSim::apply_fault`] at `t`, in order, *before* any event at
+    /// `t` — the manager tick scheduled at `t` already decides on it.
+    /// After the last barrier every server runs on to the end.
+    ///
+    /// Servers touch only their own state between barriers and the
+    /// controller runs on the calling thread, so the result is
+    /// bit-identical at any worker count, and a controller that returns
+    /// nothing changes no bit of an open-loop run, whatever the barriers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `barriers` is not finite and strictly increasing, or if
+    /// the controller names a slot out of range.
+    pub fn run_closed_loop(
+        &mut self,
+        duration_s: f64,
+        parallelism: Parallelism,
+        barriers: &[f64],
+        mut controller: impl FnMut(f64, &[ServerSim]) -> Vec<(usize, ServerFaultAction)>,
+    ) {
+        assert!(
+            barriers.iter().all(|t| t.is_finite()) && barriers.windows(2).all(|w| w[0] < w[1]),
+            "barriers must be finite and strictly increasing"
+        );
         let faults = &self.faults;
-        let indexed = std::mem::take(&mut self.servers).into_iter().enumerate();
-        self.servers = parallel::map(parallelism, indexed.collect(), |(idx, mut server)| {
-            run_server_projection(
-                &mut server,
-                faults.server_events(idx),
-                manager_period_s,
-                capper_period_s,
-                duration_s,
-                |_, _| true,
-            );
-            server
-        });
+        let mut projections: Vec<Projection> = (0..self.servers.len())
+            .map(|idx| {
+                Projection::new(
+                    faults.server_events(idx),
+                    self.manager_period_s,
+                    self.capper_period_s,
+                    duration_s,
+                )
+            })
+            .collect();
+        for &until_s in barriers.iter().chain(&[f64::INFINITY]) {
+            let slots = std::mem::take(&mut self.servers)
+                .into_iter()
+                .zip(projections);
+            (self.servers, projections) = parallel::map(
+                parallelism,
+                slots.collect(),
+                |(mut server, mut projection)| {
+                    projection.advance(&mut server, until_s, |_, _| true);
+                    (server, projection)
+                },
+            )
+            .into_iter()
+            .unzip();
+            if until_s.is_finite() {
+                for (slot, action) in controller(until_s, &self.servers) {
+                    self.servers[slot].apply_fault(&action, until_s);
+                }
+            }
+        }
+    }
+
+    /// The servers, in the order [`ClusterSim::new`] took them.
+    pub fn servers(&self) -> &[ServerSim] {
+        &self.servers
     }
 
     /// Per-server metrics snapshots.
@@ -76,64 +136,121 @@ impl ClusterSim {
     }
 }
 
-/// Advances a single server through its own event queue: its 1 s manager
-/// tick, its 100 ms capper tick and its pre-compiled fault actions, with
-/// `on_epoch(now_s, server)` invoked after every manager tick. That hook
-/// is the natural control-epoch cadence for a remote agent: telemetry
-/// goes out (and directives come back) between manager decisions, and
-/// because this is the only loop there is, a wire-driven slot replays the
-/// in-process engine bit-identically. Returning `false` from the hook
-/// abandons the projection (an agent dying mid-run); the engine stops
-/// with whatever state has accumulated.
+#[derive(Debug)]
+enum Tick {
+    Manager,
+    Capper,
+    Fault(usize),
+}
+
+/// One server's run as a value that can stop and resume: its event queue
+/// (the 1 s manager tick, the 100 ms capper tick, the pre-compiled fault
+/// actions), the periods and the end time. The server is passed to every
+/// [`Projection::advance`], so between two steps a caller may read it or
+/// apply further actions to it.
 ///
 /// One queue per server is sufficient because servers share no state:
 /// cluster-wide faults (brownouts, replan migrations) are compiled into
-/// per-server actions before the run starts, so no event on one server
-/// can be ordered against an event on another.
+/// per-server actions before the run starts, and a cluster controller
+/// acts only at a barrier every server has stopped at, so no event on
+/// one server can be ordered against an event on another.
+#[derive(Debug)]
+pub struct Projection<'a> {
+    engine: Engine<Tick>,
+    faults: &'a [ServerFaultEvent],
+    manager_period_s: f64,
+    capper_period_s: f64,
+    duration_s: f64,
+}
+
+impl<'a> Projection<'a> {
+    /// A run of `duration_s` simulated seconds, not yet started.
+    pub fn new(
+        faults: &'a [ServerFaultEvent],
+        manager_period_s: f64,
+        capper_period_s: f64,
+        duration_s: f64,
+    ) -> Self {
+        let mut engine = Engine::new();
+        engine.schedule_at_seconds(0.0, Tick::Manager);
+        engine.schedule_at_seconds(capper_period_s, Tick::Capper);
+        // Fault actions are init-scheduled, so at a coincident timestamp they
+        // pop before the dynamically-rescheduled ticks.
+        for (i, ev) in faults.iter().enumerate() {
+            engine.schedule_at_seconds(ev.at_s, Tick::Fault(i));
+        }
+        Projection {
+            engine,
+            faults,
+            manager_period_s,
+            capper_period_s,
+            duration_s,
+        }
+    }
+
+    /// Runs `server` through every pending event strictly before
+    /// `until_s` (rounded to the engine's microsecond grid, like the
+    /// event times themselves) and not past the run's end, calling
+    /// `on_epoch(now_s, server)` after every manager tick; events at
+    /// `until_s` stay queued for the next step. `f64::INFINITY` runs to
+    /// the end. Returning `false` from the hook abandons the run: the
+    /// step returns at once with whatever state has accumulated.
+    pub fn advance(
+        &mut self,
+        server: &mut ServerSim,
+        until_s: f64,
+        mut on_epoch: impl FnMut(f64, &mut ServerSim) -> bool,
+    ) {
+        let until_s = (until_s * 1e6).round() / 1e6;
+        while let Some(peek) = self.engine.peek_time_seconds() {
+            if peek >= until_s || peek > self.duration_s + 1e-9 {
+                break;
+            }
+            let entry = self.engine.pop().expect("peeked event exists");
+            let now = self.engine.now_seconds();
+            match entry.event {
+                Tick::Manager => {
+                    server.on_manager_tick(now);
+                    self.engine
+                        .schedule_in(self.manager_period_s, Tick::Manager);
+                    if !on_epoch(now, server) {
+                        return;
+                    }
+                }
+                Tick::Capper => {
+                    server.on_capper_tick(self.capper_period_s);
+                    self.engine.schedule_in(self.capper_period_s, Tick::Capper);
+                }
+                Tick::Fault(i) => {
+                    server.apply_fault(&self.faults[i].action, now);
+                }
+            }
+        }
+    }
+}
+
+/// Advances a single server through its whole run — a [`Projection`]
+/// started and advanced to the end — with `on_epoch(now_s, server)`
+/// invoked after every manager tick. That hook is the natural
+/// control-epoch cadence for a remote agent: telemetry goes out (and
+/// directives come back) between manager decisions, and because this is
+/// the only loop there is, a wire-driven slot replays the in-process
+/// engine bit-identically. Returning `false` from the hook abandons the
+/// projection (an agent dying mid-run); the engine stops with whatever
+/// state has accumulated.
 pub fn run_server_projection(
     server: &mut ServerSim,
     faults: &[ServerFaultEvent],
     manager_period_s: f64,
     capper_period_s: f64,
     duration_s: f64,
-    mut on_epoch: impl FnMut(f64, &mut ServerSim) -> bool,
+    on_epoch: impl FnMut(f64, &mut ServerSim) -> bool,
 ) {
-    enum Tick {
-        Manager,
-        Capper,
-        Fault(usize),
-    }
-    let mut engine: Engine<Tick> = Engine::new();
-    engine.schedule_at_seconds(0.0, Tick::Manager);
-    engine.schedule_at_seconds(capper_period_s, Tick::Capper);
-    // Fault actions are init-scheduled, so at a coincident timestamp they
-    // pop before the dynamically-rescheduled ticks.
-    for (i, ev) in faults.iter().enumerate() {
-        engine.schedule_at_seconds(ev.at_s, Tick::Fault(i));
-    }
-    while let Some(peek) = engine.peek_time_seconds() {
-        if peek > duration_s + 1e-9 {
-            break;
-        }
-        let entry = engine.pop().expect("peeked event exists");
-        let now = engine.now_seconds();
-        match entry.event {
-            Tick::Manager => {
-                server.on_manager_tick(now);
-                engine.schedule_in(manager_period_s, Tick::Manager);
-                if !on_epoch(now, server) {
-                    return;
-                }
-            }
-            Tick::Capper => {
-                server.on_capper_tick(capper_period_s);
-                engine.schedule_in(capper_period_s, Tick::Capper);
-            }
-            Tick::Fault(i) => {
-                server.apply_fault(&faults[i].action, now);
-            }
-        }
-    }
+    Projection::new(faults, manager_period_s, capper_period_s, duration_s).advance(
+        server,
+        f64::INFINITY,
+        on_epoch,
+    );
 }
 
 #[cfg(test)]
@@ -265,6 +382,39 @@ mod tests {
                 "faults should have been active"
             );
         }
+    }
+
+    #[test]
+    fn a_barrier_action_lands_before_the_manager_tick_at_the_barrier() {
+        let sim = server(LcApp::Xapian, BeApp::Graph)
+            .with_fault_physics()
+            .with_decision_log();
+        let cap = sim.effective_cap().0;
+        let mut cluster = ClusterSim::new(vec![sim], 1.0, 0.1);
+        cluster.run_closed_loop(6.0, Parallelism::Serial, &[3.0], |t, servers| {
+            // Everything before the barrier has run, nothing at it.
+            assert_eq!(t, 3.0);
+            assert_eq!(servers[0].decision_records().len(), 3);
+            assert_eq!(servers[0].metrics().samples, 29);
+            vec![(0, ServerFaultAction::SetCapFactor(0.6))]
+        });
+        let caps: Vec<(f64, f64)> = cluster.servers()[0]
+            .decision_records()
+            .iter()
+            .map(|r| (r.now_s, r.effective_cap_w))
+            .collect();
+        assert_eq!(caps.len(), 7);
+        for (now_s, cap_w) in caps {
+            let expected = if now_s < 3.0 { cap } else { cap * 0.6 };
+            assert_eq!(cap_w, expected, "manager tick at {now_s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn unordered_barriers_panic() {
+        let mut cluster = ClusterSim::new(vec![server(LcApp::TpcC, BeApp::Lstm)], 1.0, 0.1);
+        cluster.run_closed_loop(5.0, Parallelism::Serial, &[2.0, 2.0], |_, _| Vec::new());
     }
 
     #[test]

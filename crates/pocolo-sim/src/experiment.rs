@@ -2,10 +2,12 @@
 //! POColo over the uniform 10–90 % load sweep (Figs. 12 and 13).
 //!
 //! Every run — homogeneous or fleet, in-process or over the wire, one
-//! sweep or one load level — is a [`RunPlan`] compiled once and played
-//! through [`run_server_projection`].
+//! sweep or one load level, open or closed loop — is a [`RunPlan`]
+//! compiled once and played through [`run_server_projection`]'s
+//! resumable step.
 
 use std::cell::OnceCell;
+use std::sync::Arc;
 
 use pocolo_cluster::{
     migration_diff, Assignment, ClusterManager, PerfMatrix, ServerProfile, Solver,
@@ -23,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::cluster_sim::run_server_projection;
+use crate::cluster_sim::{run_server_projection, ClusterSim};
 use crate::faults::{FaultTimeline, ResilienceConfig, ServerFaultAction};
 use crate::metrics::{ClusterSummary, ServerMetrics};
 use crate::parallel::{self, Parallelism};
@@ -470,7 +472,7 @@ pub struct RunPlan<'a> {
     fits: Vec<&'a FittedCluster>,
     placement: Vec<BeApp>,
     ranks: Vec<usize>,
-    timeline: FaultTimeline,
+    timeline: Arc<FaultTimeline>,
 }
 
 impl<'a> RunPlan<'a> {
@@ -509,7 +511,7 @@ impl<'a> RunPlan<'a> {
             fits: inputs.fits,
             placement,
             ranks,
-            timeline,
+            timeline: Arc::new(timeline),
         }
     }
 
@@ -546,35 +548,74 @@ impl<'a> RunPlan<'a> {
         sim
     }
 
-    /// Plays the plan against one load trace, one worker per slot up to
-    /// `parallelism`, and returns the result plus — when
+    /// Plays the plan open loop against one load trace, one worker per
+    /// slot up to `parallelism`, and returns the result plus — when
     /// `record_decisions` is set — every server's [`DecisionTrace`] (the
     /// CLI's `--decision-log` source; recording does not change a bit of
-    /// the result). Servers never observe each other (faults are
-    /// precompiled per slot), so the result is bit-identical at any
-    /// worker count.
+    /// the result). This is [`RunPlan::play_closed_loop`] with no barrier:
+    /// one uninterrupted advance per slot. Servers never observe each
+    /// other (faults are precompiled per slot), so the result is
+    /// bit-identical at any worker count.
     pub fn play(
         &self,
         trace: &LoadTrace,
         parallelism: Parallelism,
         record_decisions: bool,
     ) -> (ExperimentResult, Vec<DecisionTrace>) {
+        let traces = vec![trace.clone(); self.placement.len()];
+        self.play_closed_loop(traces, parallelism, record_decisions, &[], |_, _| {
+            Vec::new()
+        })
+    }
+
+    /// Plays the plan with slot `i` driven by `traces[i]`, under a
+    /// cluster `controller` that acts at each of the `barriers`: the
+    /// closed loop of [`ClusterSim::run_closed_loop`], which states what
+    /// the controller may read and when its actions land. The result
+    /// labels every slot with the co-runner the plan placed there,
+    /// whatever the controller moved in later.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one trace per slot; see also
+    /// [`ClusterSim::run_closed_loop`].
+    pub fn play_closed_loop(
+        &self,
+        traces: Vec<LoadTrace>,
+        parallelism: Parallelism,
+        record_decisions: bool,
+        barriers: &[f64],
+        controller: impl FnMut(f64, &[ServerSim]) -> Vec<(usize, ServerFaultAction)>,
+    ) -> (ExperimentResult, Vec<DecisionTrace>) {
         let n = self.placement.len();
-        let sims = parallel::map(parallelism, (0..n).collect(), |server| {
-            let spec = SlotSpec {
-                server,
-                policy: self.policy,
-                be: self.placement[server],
-                rank: self.ranks[server],
-                trace: trace.clone(),
-                meter_noise: self.config.meter_noise,
-                seed: self.config.seed,
-                faulted: self.config.faults.is_some(),
-                resilience: self.config.resilience,
-                record_decisions,
-            };
-            self.run_slot(&spec, |_, _| true)
-        });
+        assert_eq!(traces.len(), n, "one load trace per slot");
+        let sims = traces
+            .into_iter()
+            .enumerate()
+            .map(|(server, trace)| {
+                let spec = SlotSpec {
+                    server,
+                    policy: self.policy,
+                    be: self.placement[server],
+                    rank: self.ranks[server],
+                    trace,
+                    meter_noise: self.config.meter_noise,
+                    seed: self.config.seed,
+                    faulted: self.config.faults.is_some(),
+                    resilience: self.config.resilience,
+                    record_decisions,
+                };
+                spec.build(self.fits[server])
+            })
+            .collect();
+        let mut cluster = ClusterSim::new(
+            sims,
+            self.config.manager_period_s,
+            self.config.capper_period_s,
+        )
+        .with_faults(Arc::clone(&self.timeline));
+        cluster.run_closed_loop(self.duration_s, parallelism, barriers, controller);
+        let sims = cluster.servers();
         let lc: Vec<&str> = (0..n).map(|s| self.fits[s].lc[s].0.name()).collect();
         let traces = sims
             .iter()
@@ -587,9 +628,9 @@ impl<'a> RunPlan<'a> {
                 records: sim.decision_records().to_vec(),
             })
             .collect();
-        let metrics = sims.iter().map(|sim| sim.metrics().clone()).collect();
-        let result = ExperimentResult::from_metrics(self.policy, &lc, &self.placement, metrics)
-            .expect("a plan has at least one slot");
+        let result =
+            ExperimentResult::from_metrics(self.policy, &lc, &self.placement, cluster.metrics())
+                .expect("a plan has at least one slot");
         (result, traces)
     }
 }
@@ -1078,6 +1119,59 @@ mod tests {
         let before = solves();
         run_policy_sweeps(&policies, &config, &fitted, &levels);
         assert_eq!(solves() - before, budget);
+    }
+
+    #[test]
+    fn a_silent_controller_leaves_every_result_bit_equal_to_play() {
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let clean = ExperimentConfig {
+            dwell_s: 2.0,
+            ..ExperimentConfig::default()
+        };
+        let naive = ExperimentConfig {
+            resilience: false,
+            ..chaos_config(2.0)
+        };
+        let cases = [
+            (Policy::Random { seed: 5 }, clean.clone()),
+            (Policy::Heracles { seed: 5 }, clean.clone()),
+            (Policy::Pom { seed: 5 }, clean.clone()),
+            (POCOLO, clean),
+            (POCOLO, chaos_config(2.0)),
+            (POCOLO, naive),
+        ];
+        // Before the first event, on manager ticks, off the tick grid, at
+        // the very end.
+        let seven = [0.0, 1.0, 2.25, 5.0, 9.95, 17.0, 18.0];
+        let trace = LoadTrace::paper_sweep(2.0);
+        for (policy, config) in cases {
+            let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, 18.0);
+            let open = plan.play(&trace, Parallelism::Serial, false);
+            let faulted = open.0.pairs.iter().any(|p| p.metrics.fault_time_s() > 0.0);
+            assert_eq!(faulted, config.faults.is_some());
+            for parallelism in [Parallelism::Serial, Parallelism::Fixed(4)] {
+                for barriers in [&[9.0][..], &seven] {
+                    let mut calls = 0;
+                    let closed = plan.play_closed_loop(
+                        vec![trace.clone(); 4],
+                        parallelism,
+                        false,
+                        barriers,
+                        |_, servers| {
+                            calls += 1;
+                            assert_eq!(servers.len(), 4);
+                            Vec::new()
+                        },
+                    );
+                    assert_eq!(calls, barriers.len());
+                    assert_eq!(
+                        open, closed,
+                        "{policy:?} faults={:?} resilience={} {parallelism:?} {barriers:?}",
+                        config.faults, config.resilience
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,8 @@ pub mod metrics;
 pub mod parallel;
 pub mod rebalance;
 pub mod server_sim;
-pub mod spatial_sim;
 
-pub use cluster_sim::{run_server_projection, ClusterSim};
+pub use cluster_sim::{run_server_projection, ClusterSim, Projection};
 pub use engine::{Engine, EventEntry};
 pub use experiment::{
     compile_fault_plan, run_experiment, DecisionTrace, ExperimentConfig, ExperimentResult,
@@ -48,4 +47,3 @@ pub use metrics::{ClusterSummary, ServerMetrics};
 pub use parallel::Parallelism;
 pub use rebalance::{run_rebalancing, RebalanceConfig, RebalanceResult};
 pub use server_sim::ServerSim;
-pub use spatial_sim::{SpatialServerSim, SpatialTenant};

@@ -6,7 +6,9 @@
 //! whose primaries peak at *different times* (per-server phase-shifted
 //! diurnal traces) is run either with the static POColo placement or with
 //! periodic re-placement, where every migration costs the moved app a
-//! configurable warm-up pause.
+//! configurable warm-up pause. Re-placement is a cluster controller on the
+//! closed loop ([`RunPlan::play_closed_loop`]): it owns no server and no
+//! tick, only the decision taken at each barrier.
 //!
 //! Measured result (see the tests): even with *free* migrations, myopic
 //! chasing slightly loses to the static whole-range placement — the
@@ -15,11 +17,11 @@
 //! the gap widens decisively — exactly the paper's §I argument.
 
 use pocolo_cluster::{PerfMatrix, Solver};
-use pocolo_manager::LcPolicy;
-use pocolo_workloads::{BeApp, LoadTrace};
+use pocolo_workloads::LoadTrace;
 
-use crate::experiment::{ExperimentConfig, FittedCluster, Policy};
-use crate::metrics::{ClusterSummary, ServerMetrics};
+use crate::experiment::{placement_pairs, ExperimentConfig, FittedCluster, Policy, RunPlan};
+use crate::faults::ServerFaultAction;
+use crate::metrics::ClusterSummary;
 use crate::server_sim::ServerSim;
 
 /// Configuration of a rebalancing run.
@@ -46,16 +48,32 @@ pub struct RebalanceResult {
 }
 
 /// Runs a phase-shifted-diurnal cluster for `duration_s`, optionally
-/// re-solving the placement every `reb.period_s`.
+/// re-solving the placement every `reb.period_s`: the POColo [`RunPlan`]
+/// played closed loop, its controller re-placing at every multiple of the
+/// period inside the run (a re-placement decided at the instant the run
+/// ends would move apps that no tick then runs, so none is).
+///
+/// # Panics
+///
+/// Panics if `reb.period_s` is `Some` but not finite and positive — a
+/// period that does not advance time never reaches the end of the run,
+/// and `NaN` would silently never re-place. A static run is `None`, not
+/// `Some(f64::INFINITY)`, which is rejected too. Also panics if the
+/// fitted models make the myopic matrix ill-formed.
 pub fn run_rebalancing(
     config: &ExperimentConfig,
     reb: &RebalanceConfig,
     fitted: &FittedCluster,
     duration_s: f64,
 ) -> RebalanceResult {
-    let n = fitted.lc().len();
+    if let Some(period_s) = reb.period_s {
+        assert!(
+            period_s.is_finite() && period_s > 0.0,
+            "rebalancing period must be finite and positive, got {period_s}"
+        );
+    }
     // Per-server phase-shifted diurnal traces.
-    let traces: Vec<LoadTrace> = (0..n)
+    let traces: Vec<LoadTrace> = (0..fitted.lc().len())
         .map(|i| {
             let shift = i as f64 * reb.phase_shift_s;
             // Shift by replaying the diurnal curve offset in time.
@@ -71,110 +89,77 @@ pub fn run_rebalancing(
         .collect();
 
     // Initial placement: the standard POColo solve.
-    let mut placement = fitted.placement(Policy::Pocolo {
+    let policy = Policy::Pocolo {
         solver: Solver::Hungarian,
-    });
-
-    let mut sims: Vec<ServerSim> = fitted
-        .lc()
-        .iter()
-        .enumerate()
-        .map(|(i, (_, truth, fit))| {
-            let be_app = placement[i];
-            let (be_truth, be_fitted) = be_models(fitted, be_app);
-            ServerSim::new(
-                truth.clone(),
-                fit.clone(),
-                Some(be_truth),
-                LcPolicy::PowerOptimized,
-                traces[i].clone(),
-                truth.provisioned_power(),
-                config.meter_noise,
-                config.seed ^ ((i as u64) << 4),
-            )
-            .with_proactive_be(be_fitted)
-        })
+    };
+    let plan = RunPlan::compile(fitted.plan_inputs(), policy, config, duration_s);
+    // The BE row (index into `fitted.be()`) running on each server.
+    let mut rows: Vec<usize> = placement_pairs(plan.placement())
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect();
+    let barriers: Vec<f64> = (1..)
+        .map(|k| f64::from(k) * reb.period_s.unwrap_or(f64::INFINITY))
+        .take_while(|&t| t < duration_s)
         .collect();
 
-    let capper_ticks = (config.manager_period_s / config.capper_period_s)
-        .round()
-        .max(1.0) as usize;
+    let servers = fitted.server_profiles();
     let mut migrations = 0usize;
-    let mut t = 0.0f64;
-    let mut next_rebalance = reb.period_s.unwrap_or(f64::INFINITY);
-    while t < duration_s {
-        for sim in sims.iter_mut() {
-            sim.on_manager_tick(t);
-        }
-        for _ in 0..capper_ticks {
-            for sim in sims.iter_mut() {
-                sim.on_capper_tick(config.capper_period_s);
+    let replace = |t: f64, _: &[ServerSim]| {
+        // Myopic matrix at each server's *current* load level.
+        let values = fitted
+            .be()
+            .iter()
+            .map(|(_, _, be_fit)| {
+                let at_level = |(server, trace): (_, &LoadTrace)| {
+                    let level = trace.load_at(t).clamp(0.05, 0.95);
+                    pocolo_cluster::estimate_pair_throughput(be_fit, server, &[level])
+                        .unwrap_or(0.0)
+                };
+                servers.iter().zip(&traces).map(at_level).collect()
+            })
+            .collect();
+        let matrix = PerfMatrix::new(
+            fitted
+                .be()
+                .iter()
+                .map(|(a, _, _)| a.name().to_string())
+                .collect(),
+            servers.iter().map(|s| s.label.clone()).collect(),
+            values,
+        )
+        .expect("well-formed myopic matrix");
+        let assignment =
+            pocolo_cluster::assign::solve(&matrix, Solver::Hungarian).expect("square instance");
+        let mut actions = Vec::new();
+        for (row, col) in assignment.pairs {
+            if rows[col] != row {
+                rows[col] = row;
+                migrations += 1;
+                let (_, be_truth, be_fitted) = &fitted.be()[row];
+                actions.push((
+                    col,
+                    ServerFaultAction::ReplaceBe {
+                        be_truth: Some(Box::new(be_truth.clone())),
+                        be_fitted: Some(Box::new(be_fitted.clone())),
+                        pause_s: reb.migration_pause_s,
+                    },
+                ));
             }
         }
-        t += config.manager_period_s;
-
-        if t >= next_rebalance {
-            next_rebalance += reb.period_s.expect("rebalancing enabled");
-            // Myopic matrix at each server's *current* load level.
-            let servers = fitted.server_profiles();
-            let mut values = Vec::with_capacity(fitted.be().len());
-            for (_, _, be_fit) in fitted.be() {
-                let mut row = Vec::with_capacity(n);
-                for (j, server) in servers.iter().enumerate() {
-                    let level = traces[j].load_at(t).clamp(0.05, 0.95);
-                    let v = pocolo_cluster::estimate_pair_throughput(be_fit, server, &[level])
-                        .unwrap_or(0.0);
-                    row.push(v);
-                }
-                values.push(row);
-            }
-            let matrix = PerfMatrix::new(
-                fitted
-                    .be()
-                    .iter()
-                    .map(|(a, _, _)| a.name().to_string())
-                    .collect(),
-                servers.iter().map(|s| s.label.clone()).collect(),
-                values,
-            )
-            .expect("well-formed myopic matrix");
-            let assignment =
-                pocolo_cluster::assign::solve(&matrix, Solver::Hungarian).expect("square instance");
-            let mut new_placement = placement.clone();
-            for (row, col) in assignment.pairs {
-                new_placement[col] = fitted.be()[row].0;
-            }
-            for i in 0..n {
-                if new_placement[i] != placement[i] {
-                    migrations += 1;
-                    let (be_truth, be_fitted) = be_models(fitted, new_placement[i]);
-                    sims[i].replace_be(Some(be_truth), Some(be_fitted), reb.migration_pause_s);
-                }
-            }
-            placement = new_placement;
-        }
-    }
-
-    let metrics: Vec<ServerMetrics> = sims.iter().map(|s| s.metrics().clone()).collect();
+        actions
+    };
+    let (result, _) = plan.play_closed_loop(
+        traces.clone(),
+        config.parallelism,
+        false,
+        &barriers,
+        replace,
+    );
     RebalanceResult {
-        summary: ClusterSummary::aggregate(&metrics).expect("non-empty cluster"),
+        summary: result.summary,
         migrations,
     }
-}
-
-fn be_models(
-    fitted: &FittedCluster,
-    app: BeApp,
-) -> (
-    pocolo_workloads::BeModel,
-    pocolo_core::utility::IndirectUtility,
-) {
-    let entry = fitted
-        .be()
-        .iter()
-        .find(|(a, _, _)| *a == app)
-        .expect("every BE app is fitted");
-    (entry.1.clone(), entry.2.clone())
 }
 
 #[cfg(test)]
@@ -247,6 +232,52 @@ mod tests {
         let a = run_rebalancing(&config, &reb(Some(40.0), 5.0), &fitted, 100.0);
         let b = run_rebalancing(&config, &reb(Some(40.0), 5.0), &fitted, 100.0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn parallel_run_is_bit_identical_to_serial() {
+        use crate::parallel::Parallelism;
+        let (config, fitted) = setup();
+        let at = |parallelism| {
+            let config = ExperimentConfig {
+                parallelism,
+                ..config.clone()
+            };
+            run_rebalancing(&config, &reb(Some(20.0), 5.0), &fitted, 70.0)
+        };
+        let serial = at(Parallelism::Serial);
+        assert!(serial.migrations > 0);
+        assert_eq!(serial, at(Parallelism::Fixed(4)));
+    }
+
+    fn run_with_period(period_s: f64) {
+        let (config, fitted) = setup();
+        run_rebalancing(&config, &reb(Some(period_s), 0.0), &fitted, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn zero_period_panics() {
+        run_with_period(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn negative_period_panics() {
+        run_with_period(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn nan_period_panics() {
+        run_with_period(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn infinite_period_panics() {
+        // A static run is `period_s: None`.
+        run_with_period(f64::INFINITY);
     }
 
     #[test]

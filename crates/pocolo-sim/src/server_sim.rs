@@ -67,8 +67,9 @@ pub struct ServerSim {
     /// floored and the server still overdraws): capacity and BE
     /// throughput scale with it, tail latency suffers accordingly.
     duty: f64,
-    /// Evicted/crashed-out BE co-runner awaiting re-admission.
-    parked_be: Option<(BeModel, Option<IndirectUtility>)>,
+    /// Evicted/crashed-out BE co-runner awaiting re-admission, with the
+    /// migration pause it still owes (an app moved in while parked).
+    parked_be: Option<(BeModel, Option<IndirectUtility>, f64)>,
     /// Set when a fault clears; resolved at the first healthy tick.
     recovery_pending_since: Option<f64>,
     /// Degraded-mode response armed on the controller.
@@ -130,10 +131,11 @@ impl ServerSim {
         }
     }
 
-    /// Swaps the best-effort co-runner (a cluster-level migration). The new
-    /// app pays `pause_s` seconds of zero throughput while it warms up;
-    /// the secondary slot's DVFS/quota state resets.
-    pub fn replace_be(
+    /// Swaps the best-effort co-runner (a cluster-level migration, reached
+    /// through [`ServerFaultAction::ReplaceBe`], or a re-admission). The
+    /// new app pays `pause_s` seconds of zero throughput while it warms
+    /// up; the secondary slot's DVFS/quota state resets.
+    fn replace_be(
         &mut self,
         be_truth: Option<BeModel>,
         be_fitted: Option<IndirectUtility>,
@@ -290,10 +292,7 @@ impl ServerSim {
             }
             ServerFaultAction::Crash => {
                 self.down = true;
-                if let Some(be) = self.be_truth.take() {
-                    self.parked_be = Some((be, self.be_fitted.take()));
-                    self.metrics.record_eviction();
-                }
+                self.park_be();
                 self.server.evict(TenantRole::Primary);
                 self.server.evict(TenantRole::Secondary);
                 self.freq_ceiling = None;
@@ -307,11 +306,7 @@ impl ServerSim {
                 // re-admission and holds; the naive one orders an
                 // immediate restart.
                 let intent = self.controller.on_recover(now_s, self.parked_be.is_some());
-                if let BeIntent::Readmit { pause_s } = intent {
-                    if let Some((truth, fitted)) = self.parked_be.take() {
-                        self.replace_be(Some(truth), fitted, pause_s);
-                    }
-                }
+                self.readmit_be(intent);
             }
             ServerFaultAction::FreezeTelemetry { until_s } => {
                 self.obs_load.freeze_until(*until_s);
@@ -330,11 +325,33 @@ impl ServerSim {
                 be_fitted,
                 pause_s,
             } => {
-                self.replace_be(
-                    be_truth.as_deref().cloned(),
-                    be_fitted.as_deref().cloned(),
-                    *pause_s,
-                );
+                let (truth, fitted) = (be_truth.as_deref().cloned(), be_fitted.as_deref().cloned());
+                match (&mut self.parked_be, truth) {
+                    // Re-admission brings back whatever is parked, so an
+                    // app migrated in meanwhile takes the parked one's
+                    // place there (the old app now runs elsewhere): it
+                    // inherits the backoff and pays its pause on arrival.
+                    (Some(parked), Some(truth)) => *parked = (truth, fitted, pause_s.max(0.0)),
+                    (Some(_), None) => self.parked_be = None,
+                    (None, truth) => self.replace_be(truth, fitted, *pause_s),
+                }
+            }
+        }
+    }
+
+    /// Parks the co-runner (crash or eviction) until it is re-admitted.
+    fn park_be(&mut self) {
+        if let Some(be) = self.be_truth.take() {
+            self.parked_be = Some((be, self.be_fitted.take(), 0.0));
+            self.metrics.record_eviction();
+        }
+    }
+
+    /// Brings the parked co-runner back if the controller says so.
+    fn readmit_be(&mut self, intent: BeIntent) {
+        if let BeIntent::Readmit { pause_s } = intent {
+            if let Some((truth, fitted, owed_s)) = self.parked_be.take() {
+                self.replace_be(Some(truth), fitted, pause_s.max(owed_s));
             }
         }
     }
@@ -419,11 +436,8 @@ impl ServerSim {
     /// backoff expired with the server calm and healthy).
     fn try_readmit_be(&mut self, now_s: f64) {
         let fault_active = self.cap_factor < 1.0 || self.down || self.obs_load.is_frozen(now_s);
-        if let BeIntent::Readmit { pause_s } = self.controller.readmit_tick(now_s, fault_active) {
-            if let Some((truth, fitted)) = self.parked_be.take() {
-                self.replace_be(Some(truth), fitted, pause_s);
-            }
-        }
+        let intent = self.controller.readmit_tick(now_s, fault_active);
+        self.readmit_be(intent);
     }
 
     /// Clamps the primary under the RAPL emergency ceiling (the manager
@@ -712,10 +726,7 @@ impl ServerSim {
         if intent != BeIntent::Evict {
             return;
         }
-        if let Some(be) = self.be_truth.take() {
-            self.parked_be = Some((be, self.be_fitted.take()));
-            self.metrics.record_eviction();
-        }
+        self.park_be();
         self.server.evict(TenantRole::Secondary);
         self.freq_ceiling = None;
     }
@@ -1060,5 +1071,86 @@ mod tests {
         assert_eq!(sim.be_throughput(), 0.0);
         run_from(&mut sim, 3, 4);
         assert!(sim.be_throughput() > 0.0, "new co-runner warmed up");
+    }
+
+    fn migrate_in(app: BeApp, pause_s: f64) -> ServerFaultAction {
+        ServerFaultAction::ReplaceBe {
+            be_truth: Some(Box::new(BeModel::for_app(app, MachineSpec::xeon_e5_2650()))),
+            be_fitted: None,
+            pause_s,
+        }
+    }
+
+    #[test]
+    fn an_app_migrated_onto_a_crashed_server_is_what_recovery_brings_back() {
+        for resilient in [false, true] {
+            let sim = make_sim(
+                LcApp::Sphinx,
+                Some(BeApp::Graph),
+                LcPolicy::PowerOptimized,
+                LoadTrace::Constant(0.4),
+            );
+            let mut sim = match resilient {
+                true => sim.with_resilience(ResilienceConfig::default(), 0),
+                false => sim.with_fault_physics(),
+            };
+            run(&mut sim, 5);
+            sim.apply_fault(&ServerFaultAction::Crash, 5.0);
+            sim.apply_fault(&migrate_in(BeApp::Rnn, 4.0), 6.0);
+            assert!(sim.be_truth().is_none(), "nothing runs on a crashed server");
+            sim.apply_fault(&ServerFaultAction::Recover, 8.0);
+            if !resilient {
+                // The naive restart is immediate, but the migrated app
+                // still owes the pause it never got to pay.
+                assert!(sim.pause_remaining_s() > 3.9);
+            }
+            // The resilient controller re-admits after its backoff.
+            run_from(&mut sim, 8, 70);
+            let back = sim.be_truth().map(BeModel::app);
+            assert_eq!(back, Some(BeApp::Rnn), "resilient={resilient}");
+            assert!(sim.be_throughput() > 0.0);
+        }
+    }
+
+    #[test]
+    fn an_app_migrated_onto_an_evicted_slot_is_what_readmission_brings_back() {
+        // Same deep brownout as the eviction test above.
+        let mut sim = make_sim(
+            LcApp::ImgDnn,
+            Some(BeApp::Pbzip),
+            LcPolicy::PowerOptimized,
+            LoadTrace::Constant(0.5),
+        )
+        .with_resilience(ResilienceConfig::default(), 0);
+        run(&mut sim, 5);
+        sim.apply_fault(&ServerFaultAction::SetCapFactor(0.5), 5.0);
+        run_from(&mut sim, 5, 10);
+        assert!(sim.be_truth().is_none(), "co-runner is parked");
+        sim.apply_fault(&migrate_in(BeApp::Lstm, 0.0), 15.0);
+        assert!(
+            sim.be_truth().is_none(),
+            "the newcomer waits out the backoff"
+        );
+        sim.apply_fault(&ServerFaultAction::SetCapFactor(1.0), 15.0);
+        run_from(&mut sim, 15, 70);
+        assert_eq!(sim.be_truth().map(BeModel::app), Some(BeApp::Lstm));
+
+        // Emptying a parked slot leaves nothing to re-admit.
+        let mut sim = make_sim(
+            LcApp::Sphinx,
+            Some(BeApp::Graph),
+            LcPolicy::PowerOptimized,
+            LoadTrace::Constant(0.4),
+        )
+        .with_fault_physics();
+        sim.apply_fault(&ServerFaultAction::Crash, 1.0);
+        let vacate = ServerFaultAction::ReplaceBe {
+            be_truth: None,
+            be_fitted: None,
+            pause_s: 0.0,
+        };
+        sim.apply_fault(&vacate, 2.0);
+        sim.apply_fault(&ServerFaultAction::Recover, 3.0);
+        assert!(sim.be_truth().is_none());
     }
 }

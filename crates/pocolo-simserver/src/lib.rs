@@ -26,7 +26,6 @@
 pub mod error;
 pub mod knobs;
 pub mod machine;
-pub mod multi;
 pub mod p2;
 pub mod power;
 pub mod server;
@@ -35,7 +34,6 @@ pub mod telemetry;
 pub use error::SimError;
 pub use knobs::{CoreSet, TenantAllocation, TenantRole, WayMask};
 pub use machine::MachineSpec;
-pub use multi::{MultiPowerCapper, MultiTenantServer, SecondaryId};
 pub use p2::P2Quantile;
 pub use power::{PowerDrawModel, PowerMeter};
 pub use server::SimServer;
