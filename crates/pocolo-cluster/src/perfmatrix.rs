@@ -53,11 +53,12 @@ pub struct ExpansionStep {
 /// A server's least-power expansion path over a set of load levels, with
 /// everything that does **not** depend on the BE app computed once.
 ///
-/// Building the path performs one `min_power_for` inversion (the expensive
-/// bisection) plus one integral demand solve per load level; evaluating a
-/// BE candidate against it only costs cheap demand solves inside the cached
-/// spare boxes. The matrix builder computes one path per server and reuses
-/// it across every BE row, turning O(B·S·L) inversions into O(S·L).
+/// Building the path performs one `min_power_for` inversion plus one
+/// integral demand solve per load level and builds the spare box;
+/// evaluating a BE candidate against it costs one closed-form demand solve
+/// inside each cached box and builds nothing. The matrix builder computes
+/// one path per server and reuses it across every BE row, turning O(B·S·L)
+/// inversions into O(S·L).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpansionPath {
     /// Number of load levels the path was computed over, including
@@ -176,13 +177,8 @@ impl ExpansionPath {
 pub fn estimate_on_path(be: &IndirectUtility, path: &ExpansionPath) -> Result<f64, ClusterError> {
     let mut total = 0.0;
     for step in &path.steps {
-        let be_sub = IndirectUtility::new(
-            step.sub_space.clone(),
-            be.performance_model().clone(),
-            be.power_model().clone(),
-        )?;
-        match be_sub.demand_solution(step.headroom) {
-            Ok(sol) => total += sol.utility,
+        match be.value_in(&step.sub_space, step.headroom) {
+            Ok(value) => total += value,
             Err(CoreError::InfeasibleBudget { .. }) => continue,
             Err(e) => return Err(e.into()),
         }
@@ -418,7 +414,7 @@ impl PerfMatrixBuilder {
     }
 
     /// Estimates the listed columns class by class. Each *class*'s
-    /// expansion path — the min_power_for bisections and integral demand
+    /// expansion path — the min_power_for inversions and integral demand
     /// solves — is BE-independent and shared by every column with that
     /// key, so it and the column of per-BE estimates on it are computed
     /// exactly once, at the key's first listed column, and handed to

@@ -1037,7 +1037,14 @@ mod tests {
             .replan_under_budget(&[0.7; 4], &incumbent, 0.0, Solver::Hungarian)
             .unwrap();
         assert_eq!(uniform.pairs, [(0, 2), (1, 0), (2, 1), (3, 3)]);
-        assert_eq!(uniform.total.to_bits(), 0x3ff3_c10f_9d4f_501b);
+        // PR 24 moved the pin from 0x3ff3_c10f_9d4f_501b: the matrix cells
+        // are continuous functions of a demand solve, and the closed form
+        // lands on the budget line where the bisection stopped 1e-13 short
+        // of it. The assignment did not move; the total did, in the 14th
+        // digit.
+        assert_eq!(uniform.total.to_bits(), 0x3ff3_c10f_9d4f_50a7);
+        let before_pr24 = f64::from_bits(0x3ff3_c10f_9d4f_501b);
+        assert!((uniform.total - before_pr24).abs() <= 1e-12 * before_pr24);
         // Non-uniform factors are a genuinely different instance: the
         // deep-derated server's column shrinks more than the others'.
         let uneven = mgr

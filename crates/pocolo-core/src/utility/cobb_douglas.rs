@@ -135,11 +135,19 @@ impl CobbDouglas {
                 actual: amounts.len(),
             });
         }
+        self.log_evaluate_by(|j| amounts[j])
+    }
+
+    /// [`CobbDouglas::log_evaluate_amounts`] over amounts produced on demand
+    /// (`amount(j)` for each resource with a positive exponent), so solvers
+    /// can price a point without materializing it.
+    pub(crate) fn log_evaluate_by(&self, amount: impl Fn(usize) -> f64) -> Result<f64, CoreError> {
         let mut log_u = self.ln_alpha0;
-        for (j, (&a, &r)) in self.alphas.iter().zip(amounts).enumerate() {
+        for (j, &a) in self.alphas.iter().enumerate() {
             if a == 0.0 {
                 continue;
             }
+            let r = amount(j);
             if r <= 0.0 {
                 return Err(CoreError::InvalidAllocation(format!(
                     "resource {j} amount {r} must be > 0 for a positive exponent"

@@ -314,8 +314,8 @@ impl ServerManager {
             .map(|s| (s.frequency, s.cpu_quota))
             .unwrap_or((server.machine().freq_max(), 1.0));
 
-        let machine = server.machine().clone();
-        let (primary, secondary) = partition(&machine, c, w, machine.freq_max(), be_freq);
+        let machine = server.machine();
+        let (primary, secondary) = partition(machine, c, w, machine.freq_max(), be_freq);
 
         // Evict the secondary first so a growing primary never collides.
         server.evict(TenantRole::Secondary);

@@ -194,15 +194,9 @@ fn best_value_in_box(
         .resource(ResourceDescriptor::integral("cores", 1.0, cores as f64))
         .resource(ResourceDescriptor::integral("llc_ways", 1.0, ways as f64))
         .build()?;
-    let boxed = IndirectUtility::new(
-        sub,
-        app.performance_model().clone(),
-        app.power_model().clone(),
-    )?;
-    match boxed.demand_solution(budget) {
-        Ok(sol) => Ok(sol.utility),
+    match app.value_in(&sub, budget) {
         Err(CoreError::InfeasibleBudget { .. }) => Ok(0.0),
-        Err(e) => Err(e),
+        value => value,
     }
 }
 

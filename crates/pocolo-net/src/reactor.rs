@@ -557,13 +557,16 @@ impl<H: EventHandler> LoopState<H> {
         if let Some(conn) = self.conns[idx].take() {
             let _ = self.poll.deregister(&conn.stream, Token(idx + CONN_BASE));
             self.free.push(idx);
-            self.shared.open_conns.fetch_sub(1, Ordering::SeqCst);
             drop(conn);
             let mut ctx = Ctx {
                 wheel: &mut self.wheel,
                 now: Instant::now(),
             };
             self.handler.on_disconnect(&mut ctx, idx, reason);
+            // Counted down only after the handler has been told, so an
+            // observer that sees the count reach zero also sees every
+            // disconnect the handler recorded.
+            self.shared.open_conns.fetch_sub(1, Ordering::SeqCst);
             if self.stopping == Some(idx) {
                 // The drain target died; nothing left to wait for.
                 self.shared.stop.store(true, Ordering::SeqCst);

@@ -566,25 +566,25 @@ impl ServerSim {
         if self.down {
             return Watts::ZERO;
         }
-        let mut draws = Vec::with_capacity(2);
-        if let Some(alloc) = self.server.allocation(TenantRole::Primary) {
-            draws.push(
-                self.lc_truth
-                    .power_draw(self.current_load_rps, alloc, &self.power_model),
-            );
-        }
-        if let (Some(be), Some(alloc)) = (
+        let lc_draw = self.server.allocation(TenantRole::Primary).map(|alloc| {
+            self.lc_truth
+                .power_draw(self.current_load_rps, alloc, &self.power_model)
+        });
+        let be_draw = match (
             self.be_truth.as_ref(),
             self.server.allocation(TenantRole::Secondary),
         ) {
-            draws.push(be.power_draw(alloc, &self.power_model));
-        }
-        let total = self.power_model.server_power(draws);
+            (Some(be), Some(alloc)) => Some(be.power_draw(alloc, &self.power_model)),
+            _ => None,
+        };
+        let total = self
+            .power_model
+            .server_power(lc_draw.into_iter().chain(be_draw));
         if self.duty >= 1.0 {
             return total;
         }
         // Forced idle cuts the active draw toward the idle baseline.
-        let idle = self.power_model.server_power(Vec::new());
+        let idle = self.power_model.server_power([]);
         idle + (total - idle) * self.duty
     }
 
