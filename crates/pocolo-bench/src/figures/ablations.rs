@@ -238,13 +238,9 @@ pub fn sharing(bench: &Bench) -> SharingAblation {
     section("Ablation — spatial vs temporal sharing (graph+lstm beside sphinx)");
     let lc_truth = bench.lc_truth(LcApp::Sphinx);
     let lc_fit = bench.lc_fitted(LcApp::Sphinx);
-    let (c, w) = ServerManager::new(
-        lc_fit.clone(),
-        LcPolicy::PowerOptimized,
-        ManagerConfig::default(),
-    )
-    .plan_analytic(0.4 * lc_truth.peak_load_rps(), None)
-    .expect("sphinx fits the box at 40 % load");
+    let (c, w) = ServerManager::new(lc_fit.clone(), LcPolicy::PowerOptimized)
+        .plan_analytic(0.4 * lc_truth.peak_load_rps(), None)
+        .expect("sphinx fits the box at 40 % load");
     let headroom = lc_truth.provisioned_power()
         - lc_fit
             .power_model()

@@ -176,7 +176,7 @@ pub fn fig03(bench: &Bench) -> Fig03 {
         server
             .install(TenantRole::Secondary, spare)
             .expect("spare allocation is valid");
-        let capper = PowerCapper::default();
+        let capper = PowerCapper;
         for _ in 0..100 {
             let alloc = *server
                 .allocation(TenantRole::Secondary)

@@ -5,7 +5,8 @@
 //! holds one level up: a keyed column rebuild returns the unkeyed
 //! rebuild's `MatrixDelta`, a budget step on a keyed fleet pays one
 //! expansion path per class, and a `PlacementPlan`'s in-place repairs do
-//! exactly the work of the public building blocks.
+//! exactly the work of the public building blocks — and keep doing so
+//! over any interleaving of fault, restore, refit and budget steps.
 //!
 //! Profiling real workloads is too slow for a proptest loop, so the
 //! utilities here are synthetic Cobb-Douglas models drawn from the
@@ -167,6 +168,105 @@ fn in_place_plan_repairs_match_their_building_blocks() {
         mgr.replan_under_budget_incremental(&mut plan, 0.8, 0.0)
             .unwrap();
         step(&plan, &derate, Some(&incumbent));
+    }
+}
+
+/// What a plan must keep true after any step of the state machine below:
+/// every enabled column bit-equal to a from-scratch build over the
+/// manager's current servers at the current cap factor, every BE app
+/// placed once on distinct enabled columns, the solution certified.
+fn check_plan(
+    mgr: &ClusterManager,
+    plan: &PlacementPlan,
+    factor: f64,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let fresh = PerfMatrixBuilder::new()
+        .build(mgr.be_apps(), &derated(mgr.servers(), factor))
+        .unwrap();
+    let m = plan.matrix();
+    for col in (0..m.cols()).filter(|&c| !m.is_col_disabled(c)) {
+        for row in 0..m.rows() {
+            let (got, want) = (m.value(row, col), fresh.value(row, col));
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{what}: ({row}, {col}) {got} vs {want}"
+            );
+        }
+    }
+    let pairs = &plan.assignment().pairs;
+    let rows: Vec<usize> = pairs.iter().map(|&(r, _)| r).collect();
+    prop_assert_eq!(rows, (0..m.rows()).collect::<Vec<_>>(), "{what}: rows");
+    let mut cols: Vec<usize> = pairs.iter().map(|&(_, c)| c).collect();
+    cols.sort_unstable();
+    cols.dedup();
+    prop_assert_eq!(cols.len(), pairs.len(), "{what}: a server hosts two apps");
+    prop_assert!(
+        cols.iter().all(|&c| !m.is_col_disabled(c)),
+        "{what}: on a faulted server"
+    );
+    prop_assert!(plan.solution().certified, "{what}: uncertified");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A state machine over `ClusterManager` + `PlacementPlan`: twelve
+    /// single-column faults, restores (`apply_delta(set_column)`), refits
+    /// and fleet-wide budget steps at random, [`check_plan`] after each.
+    /// This would have caught PR 15's stale `profile_keys` bug: a refitted
+    /// column kept its class key, so the next budget step estimated the
+    /// class once and copied one column over the other, and the plan
+    /// quietly stopped matching the models the manager held.
+    #[test]
+    fn interleaved_repairs_keep_the_plan_equal_to_a_fresh_build(
+        n_classes in 2usize..=4,
+        n_bes in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (servers, keys) = classed_fleet(n_classes, &mut rng);
+        prop_assume!(servers.len() > n_bes);
+        let mut mgr = ClusterManager::new(synthetic_bes(n_bes), servers).with_profile_keys(keys);
+        let mut plan = mgr.plan_sparse(DEFAULT_EPS).unwrap();
+        let mut factor = 1.0;
+        check_plan(&mgr, &plan, factor, "initial plan")?;
+        for step in 0..12 {
+            let m = plan.matrix();
+            let (enabled, faulted): (Vec<usize>, Vec<usize>) =
+                (0..m.cols()).partition(|&c| !m.is_col_disabled(c));
+            let what = match rng.gen_range(0..4) {
+                0 if enabled.len() > n_bes => {
+                    let col = *enabled.choose(&mut rng).unwrap();
+                    mgr.replan_after_faults(&mut plan, &[col]).unwrap();
+                    format!("step {step}: fault {col}")
+                }
+                1 if !faulted.is_empty() => {
+                    let col = *faulted.choose(&mut rng).unwrap();
+                    let server = derated(&mgr.servers()[col..=col], factor);
+                    let built = PerfMatrixBuilder::new().build(mgr.be_apps(), &server).unwrap();
+                    let restore = MatrixDelta::new().set_column(col, built.col_iter(0).collect());
+                    plan.apply_delta(&restore).unwrap();
+                    format!("step {step}: restore {col}")
+                }
+                2 => {
+                    let col = rng.gen_range(0..m.cols());
+                    let class = ServerClass::xeon_e5_2650();
+                    let (ac, aw) = (rng.gen_range(0.3..0.6), rng.gen_range(0.1..0.3));
+                    let refit = synthetic_utility(&class, rng.gen_range(70.0..90.0), ac, aw);
+                    mgr.replan_after_refit(&mut plan, col, refit, factor).unwrap();
+                    format!("step {step}: refit {col}")
+                }
+                _ => {
+                    factor = *[1.0, 0.9, 0.8, 0.7].choose(&mut rng).unwrap();
+                    mgr.replan_under_budget_incremental(&mut plan, factor, 0.05).unwrap();
+                    format!("step {step}: budget {factor}")
+                }
+            };
+            check_plan(&mgr, &plan, factor, &what)?;
+        }
     }
 }
 

@@ -26,7 +26,23 @@ pub enum CapAction {
     Saturated,
 }
 
-/// Hysteretic power-capping controller for one server.
+/// Un-throttle when measured power falls below `cap × RELEASE` (the
+/// capper throttles above the cap itself). The 6 % band keeps it from
+/// chattering on meter noise; the brownout governor's comfort targets sit
+/// under it.
+pub const RELEASE: f64 = 0.94;
+
+/// DVFS step, GHz: one P-state.
+const FREQ_STEP: f64 = 0.1;
+
+/// CPU-quota step (additive).
+const QUOTA_STEP: f64 = 0.10;
+
+/// Quota floor — the secondary is never starved below this.
+const QUOTA_FLOOR: f64 = 0.05;
+
+/// Hysteretic power-capping controller for one server: stateless, the
+/// DVFS/quota state it steps lives on the server.
 ///
 /// ```
 /// use pocolo_manager::{PowerCapper, CapAction};
@@ -38,38 +54,15 @@ pub enum CapAction {
 /// let mut server = SimServer::new(MachineSpec::xeon_e5_2650(), Watts(132.0));
 /// server.install(TenantRole::Secondary, TenantAllocation::new(
 ///     CoreSet::first_n(4), WayMask::first_n(4), Frequency(2.2)))?;
-/// let capper = PowerCapper::default();
+/// let capper = PowerCapper;
 /// // Measured power over the cap: the secondary's frequency drops.
 /// let action = capper.step(&mut server, Watts(150.0))?;
 /// assert_eq!(action, CapAction::LoweredFrequency);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerCapper {
-    /// Throttle when measured power exceeds `cap × guard`.
-    pub guard: f64,
-    /// Un-throttle when measured power falls below `cap × release`.
-    pub release: f64,
-    /// DVFS step size in GHz.
-    pub freq_step: f64,
-    /// Quota step size (additive, in `(0, 1)`).
-    pub quota_step: f64,
-    /// Quota floor — the secondary is never starved below this.
-    pub quota_floor: f64,
-}
-
-impl Default for PowerCapper {
-    fn default() -> Self {
-        PowerCapper {
-            guard: 1.0,
-            release: 0.94,
-            freq_step: 0.1,
-            quota_step: 0.10,
-            quota_floor: 0.05,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PowerCapper;
 
 impl PowerCapper {
     /// Runs one control step against a measured server power reading,
@@ -97,7 +90,7 @@ impl PowerCapper {
         cap: Watts,
     ) -> Result<CapAction, SimError> {
         let Some(sec) = server.allocation(TenantRole::Secondary).copied() else {
-            return Ok(if measured > cap * self.guard {
+            return Ok(if measured > cap {
                 CapAction::Saturated
             } else {
                 CapAction::None
@@ -106,36 +99,33 @@ impl PowerCapper {
         let fmin = server.machine().freq_min();
         let fmax = server.machine().freq_max();
 
-        if measured > cap * self.guard {
+        if measured > cap {
             // Throttle: frequency first (fine-grained), then quota.
             if sec.frequency > fmin + Frequency(1e-9) {
                 server.set_frequency(
                     TenantRole::Secondary,
-                    Frequency(sec.frequency.0 - self.freq_step),
+                    Frequency(sec.frequency.0 - FREQ_STEP),
                 )?;
                 Ok(CapAction::LoweredFrequency)
-            } else if sec.cpu_quota > self.quota_floor + 1e-9 {
+            } else if sec.cpu_quota > QUOTA_FLOOR + 1e-9 {
                 server.set_quota(
                     TenantRole::Secondary,
-                    (sec.cpu_quota - self.quota_step).max(self.quota_floor),
+                    (sec.cpu_quota - QUOTA_STEP).max(QUOTA_FLOOR),
                 )?;
                 Ok(CapAction::LoweredQuota)
             } else {
                 Ok(CapAction::Saturated)
             }
-        } else if measured < cap * self.release {
+        } else if measured < cap * RELEASE {
             // Recover: quota first (it hurts throughput linearly), then
             // frequency.
             if sec.cpu_quota < 1.0 - 1e-9 {
-                server.set_quota(
-                    TenantRole::Secondary,
-                    (sec.cpu_quota + self.quota_step).min(1.0),
-                )?;
+                server.set_quota(TenantRole::Secondary, (sec.cpu_quota + QUOTA_STEP).min(1.0))?;
                 Ok(CapAction::RaisedQuota)
             } else if sec.frequency < fmax - Frequency(1e-9) {
                 server.set_frequency(
                     TenantRole::Secondary,
-                    Frequency(sec.frequency.0 + self.freq_step),
+                    Frequency(sec.frequency.0 + FREQ_STEP),
                 )?;
                 Ok(CapAction::RaisedFrequency)
             } else {
@@ -165,7 +155,7 @@ mod tests {
     #[test]
     fn over_cap_lowers_frequency_first() {
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         let a = c.step(&mut s, Watts(140.0)).unwrap();
         assert_eq!(a, CapAction::LoweredFrequency);
         let f = s.allocation(TenantRole::Secondary).unwrap().frequency;
@@ -175,7 +165,7 @@ mod tests {
     #[test]
     fn quota_drops_once_frequency_floors() {
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         // Drive frequency to the floor.
         for _ in 0..20 {
             let _ = c.step(&mut s, Watts(150.0)).unwrap();
@@ -188,20 +178,20 @@ mod tests {
     #[test]
     fn saturates_at_floors() {
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         for _ in 0..40 {
             let _ = c.step(&mut s, Watts(200.0)).unwrap();
         }
         let a = c.step(&mut s, Watts(200.0)).unwrap();
         assert_eq!(a, CapAction::Saturated);
         let sec = s.allocation(TenantRole::Secondary).unwrap();
-        assert!((sec.cpu_quota - c.quota_floor).abs() < 1e-9);
+        assert!((sec.cpu_quota - QUOTA_FLOOR).abs() < 1e-9);
     }
 
     #[test]
     fn recovers_quota_then_frequency() {
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         for _ in 0..40 {
             let _ = c.step(&mut s, Watts(200.0)).unwrap();
         }
@@ -225,8 +215,8 @@ mod tests {
     #[test]
     fn in_band_is_a_no_op() {
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
-        // Between release (124) and guard (132).
+        let c = PowerCapper;
+        // Between release (124) and the cap (132).
         let a = c.step(&mut s, Watts(128.0)).unwrap();
         assert_eq!(a, CapAction::None);
         let sec = s.allocation(TenantRole::Secondary).unwrap();
@@ -237,7 +227,7 @@ mod tests {
     #[test]
     fn no_secondary_reports_saturated_when_over() {
         let mut s = SimServer::new(MachineSpec::xeon_e5_2650(), Watts(132.0));
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         assert_eq!(c.step(&mut s, Watts(150.0)).unwrap(), CapAction::Saturated);
         assert_eq!(c.step(&mut s, Watts(100.0)).unwrap(), CapAction::None);
     }
@@ -246,7 +236,7 @@ mod tests {
     fn explicit_cap_enforces_be_budget() {
         // Fig. 3 setup: throttle the secondary to a fixed 70 W budget.
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         let a = c.step_with_cap(&mut s, Watts(95.0), Watts(70.0)).unwrap();
         assert_eq!(a, CapAction::LoweredFrequency);
     }
@@ -254,7 +244,7 @@ mod tests {
     #[test]
     fn fully_recovered_is_a_no_op() {
         let mut s = server_with_secondary();
-        let c = PowerCapper::default();
+        let c = PowerCapper;
         assert_eq!(c.step(&mut s, Watts(80.0)).unwrap(), CapAction::None);
     }
 }
@@ -284,13 +274,13 @@ mod proptests {
                     ),
                 )
                 .unwrap();
-            let capper = PowerCapper::default();
+            let capper = PowerCapper;
             for r in readings {
                 capper.step(&mut server, Watts(r)).unwrap();
                 let sec = server.allocation(TenantRole::Secondary).unwrap();
                 prop_assert!(sec.frequency >= machine.freq_min() - Frequency(1e-9));
                 prop_assert!(sec.frequency <= machine.freq_max() + Frequency(1e-9));
-                prop_assert!(sec.cpu_quota >= capper.quota_floor - 1e-9);
+                prop_assert!(sec.cpu_quota >= QUOTA_FLOOR - 1e-9);
                 prop_assert!(sec.cpu_quota <= 1.0 + 1e-9);
                 prop_assert!(sec.validate(&machine).is_ok());
             }

@@ -9,15 +9,21 @@
 //! best-effort co-runner on a [`BeIntent`], and (optionally) appending
 //! the carried [`DecisionRecord`] to a decision trace.
 //!
-//! Two controllers ship:
+//! There is one controller. It differs between the paper's manager and
+//! the Heracles baseline in one rule only, fixed at construction: how
+//! the primary is sized.
 //!
-//! - [`PocoloController`] — the paper's analytic demand solve with
-//!   latency feedback, plus the brownout power governor and the
-//!   frozen-telemetry fallback (armed by
-//!   [`ServerController::arm_resilience`]).
-//! - [`HeraclesController`] — a power-oblivious incremental-growth
-//!   baseline: grow a core and a way on low (or unknown) slack, trim on
-//!   verified headroom, never consult the power model.
+//! - **Analytic** ([`ServerController::new`]) — the paper's Cobb-Douglas
+//!   demand solve with latency feedback, plus the brownout power governor
+//!   and the frozen-telemetry fallback once resilience is armed.
+//! - **Incremental** ([`ServerController::incremental`]) — the
+//!   power-oblivious Heracles-style baseline: grow a core and a way on
+//!   low (or unknown) slack, trim on verified headroom, never consult the
+//!   power model.
+//!
+//! Everything else — the co-runner guard, frozen-slack distrust, crash
+//! recovery — is shared, and [`ServerController::arm_resilience`] arms it
+//! whichever sizing rule is in force.
 //!
 //! This boundary is what makes the distributed runtime (`pocolo-net`)
 //! possible without a second control implementation: a remote POM agent
@@ -25,17 +31,36 @@
 //! snapshots from its local simulation, runs the same controller, and
 //! actuates the same [`ControlDecision`]s — only telemetry summaries
 //! and final metrics cross the wire, never control policy. The
-//! degraded-slot takeover after a lease expiry likewise reuses
-//! [`HeraclesController`] as the blind fallback, so the failure path
+//! degraded-slot takeover after a lease expiry likewise reuses the
+//! incremental sizing as the blind fallback, so the failure path
 //! exercises a controller this module already unit-tests.
-
-use std::fmt;
 
 use pocolo_core::units::Watts;
 use pocolo_faults::ReadmissionBackoff;
 
-use crate::modes::{ControlMode, GovernorConfig, ModeMachine};
+use crate::modes::{ControlMode, ModeMachine};
 use crate::server_manager::ServerManager;
+
+/// Consecutive distressed capper ticks the lowest-ranked co-runner is
+/// tolerated for before eviction: half a second at the paper's 100 ms
+/// capper, long enough to ride out one meter spike.
+const EVICTION_PATIENCE_TICKS: usize = 5;
+
+/// Extra patience per ascending cluster-wide value rank, so the
+/// *lowest*-value co-runner is shed first.
+const PATIENCE_PER_RANK_TICKS: usize = 5;
+
+/// First re-admission wait after an eviction or a crash, seconds.
+const BACKOFF_BASE_S: f64 = 4.0;
+
+/// The wait doubles on every failed re-admission attempt...
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// ...up to about a minute.
+const BACKOFF_MAX_S: f64 = 64.0;
+
+/// Warm-up pause a re-admitted (or migrated-in) co-runner pays, seconds.
+pub const READMIT_PAUSE_S: f64 = 2.0;
 
 /// Everything a controller may consult for one decision — a pure
 /// snapshot, so decisions are replayable and backends stay free of
@@ -139,39 +164,23 @@ pub struct ControlDecision {
     pub record: DecisionRecord,
 }
 
-/// Degraded-mode tuning handed to [`ServerController::arm_resilience`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceParams {
-    /// Brownout governor targets.
-    pub governor: GovernorConfig,
-    /// Consecutive distressed capper ticks tolerated before the
-    /// co-runner is evicted (rank scaling already folded in).
-    pub eviction_patience_ticks: usize,
-    /// Exponential re-admission backoff schedule.
-    pub backoff: ReadmissionBackoff,
-    /// Warm-up pause a re-admitted co-runner pays, seconds.
-    pub readmit_pause_s: f64,
-}
-
 /// The best-effort co-runner guard: eviction patience and re-admission
-/// backoff, shared by every resilient controller.
+/// backoff.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BeGuard {
+struct BeGuard {
     patience_ticks: usize,
     backoff: ReadmissionBackoff,
-    readmit_pause_s: f64,
     saturated_ticks: usize,
     readmit_at_s: Option<f64>,
 }
 
 impl BeGuard {
-    /// A guard with the given patience, backoff schedule, and warm-up
-    /// pause.
-    pub fn new(patience_ticks: usize, backoff: ReadmissionBackoff, readmit_pause_s: f64) -> Self {
+    /// A guard for a co-runner at cluster-wide value `rank` (0 = the
+    /// lowest-value pairing, evicted first).
+    fn new(rank: usize) -> Self {
         BeGuard {
-            patience_ticks,
-            backoff,
-            readmit_pause_s,
+            patience_ticks: EVICTION_PATIENCE_TICKS + PATIENCE_PER_RANK_TICKS * rank,
+            backoff: ReadmissionBackoff::new(BACKOFF_BASE_S, BACKOFF_FACTOR, BACKOFF_MAX_S),
             saturated_ticks: 0,
             readmit_at_s: None,
         }
@@ -180,7 +189,7 @@ impl BeGuard {
     /// One capper-tick distress update: count consecutive distressed
     /// ticks, and once patience is exceeded with a co-runner present,
     /// order an eviction and schedule the re-admission attempt.
-    pub fn distress_tick(&mut self, distressed: bool, be_present: bool, now_s: f64) -> BeIntent {
+    fn distress_tick(&mut self, distressed: bool, be_present: bool, now_s: f64) -> BeIntent {
         if distressed {
             self.saturated_ticks += 1;
         } else {
@@ -200,7 +209,7 @@ impl BeGuard {
     /// One manager-tick re-admission check: once the scheduled attempt
     /// is due, re-admit — unless the server is still distressed or
     /// faulted, in which case the wait doubles (exponential backoff).
-    pub fn readmit_tick(&mut self, now_s: f64, fault_active: bool) -> BeIntent {
+    fn readmit_tick(&mut self, now_s: f64, fault_active: bool) -> BeIntent {
         let Some(at) = self.readmit_at_s else {
             return BeIntent::Hold;
         };
@@ -213,160 +222,79 @@ impl BeGuard {
         }
         self.readmit_at_s = None;
         BeIntent::Readmit {
-            pause_s: self.readmit_pause_s,
+            pause_s: READMIT_PAUSE_S,
         }
     }
 
     /// A crash recovered with the co-runner parked: schedule its
     /// re-admission attempt after the current backoff.
-    pub fn on_recover(&mut self, now_s: f64, be_parked: bool) {
+    fn on_recover(&mut self, now_s: f64, be_parked: bool) {
         if be_parked {
             self.readmit_at_s = Some(now_s + self.backoff.next_delay());
         }
-    }
-
-    /// The scheduled re-admission attempt, if one is pending.
-    pub fn readmit_at_s(&self) -> Option<f64> {
-        self.readmit_at_s
-    }
-
-    /// Consecutive distressed ticks counted so far.
-    pub fn saturated_ticks(&self) -> usize {
-        self.saturated_ticks
     }
 }
 
 /// A server's control policy: consumes [`ControlInput`] snapshots,
 /// produces [`ControlDecision`]s, and owns every piece of mode state the
-/// backend used to hand-arbitrate.
-pub trait ServerController: fmt::Debug + Send {
-    /// One manager epoch: decide what the primary should become.
-    fn decide(&mut self, input: &ControlInput) -> ControlDecision;
-
-    /// One capper tick under distress accounting: should the co-runner
-    /// be shed?
-    fn distress_tick(&mut self, distressed: bool, be_present: bool, now_s: f64) -> BeIntent;
-
-    /// Should a parked co-runner come back this epoch?
-    fn readmit_tick(&mut self, now_s: f64, fault_active: bool) -> BeIntent;
-
-    /// A crash recovered. Resilient controllers schedule a backed-off
-    /// re-admission and return [`BeIntent::Hold`]; naive ones order an
-    /// immediate restart.
-    fn on_recover(&mut self, now_s: f64, be_parked: bool) -> BeIntent;
-
-    /// The brownout lifted: disarm the governor latches.
-    fn on_brownout_lift(&mut self);
-
-    /// Arms the degraded-mode response (governor, frozen-telemetry
-    /// fallback, eviction/re-admission guard).
-    fn arm_resilience(&mut self, params: ResilienceParams);
-
-    /// The wrapped per-server manager (fitted model + feedback state).
-    fn manager(&self) -> &ServerManager;
-
-    /// Mutable access to the wrapped manager (drift injection, refits,
-    /// actuation).
-    fn manager_mut(&mut self) -> &mut ServerManager;
-
-    /// The mode of the last decision.
-    fn mode(&self) -> ControlMode;
-}
-
-fn record_of(
-    input: &ControlInput,
-    mode: ControlMode,
-    slack: Option<f64>,
-    budget_w: Option<f64>,
-    planned: Option<(u32, u32)>,
-    modes: &ModeMachine,
-) -> DecisionRecord {
-    DecisionRecord {
-        now_s: input.now_s,
-        mode,
-        load_rps: input.observed_load_rps,
-        slack,
-        measured_w: input.measured_power.map(|m| m.0),
-        effective_cap_w: input.effective_cap.0,
-        budget_w,
-        cores: planned.map(|(c, _)| c),
-        ways: planned.map(|(_, w)| w),
-        governor_armed: modes.armed(),
-        escalated: modes.escalated(),
-        ducked: modes.ducked(),
-    }
-}
-
-fn decision_of(
-    input: &ControlInput,
-    mode: ControlMode,
-    slack: Option<f64>,
-    budget_w: Option<f64>,
-    planned: Option<(u32, u32)>,
-    modes: &ModeMachine,
-) -> ControlDecision {
-    let primary = match planned {
-        Some((cores, ways)) => PrimaryDirective::Resize { cores, ways },
-        None => PrimaryDirective::Hold,
-    };
-    ControlDecision {
-        mode,
-        primary,
-        record: record_of(input, mode, slack, budget_w, planned, modes),
-    }
-}
-
-/// The paper's power-optimized controller: analytic Cobb-Douglas demand
-/// with latency feedback, and — once resilience is armed — the brownout
-/// power governor and the frozen-telemetry incremental fallback.
+/// backend used to hand-arbitrate. See the [module docs](self) for the
+/// two sizing rules.
 #[derive(Debug, Clone)]
-pub struct PocoloController {
+pub struct ServerController {
     manager: ServerManager,
+    /// Heracles-style incremental sizing instead of the analytic solve.
+    incremental: bool,
     modes: ModeMachine,
-    governor: Option<GovernorConfig>,
+    /// The co-runner guard; present exactly when resilience is armed.
     guard: Option<BeGuard>,
-    last_mode: ControlMode,
 }
 
-impl PocoloController {
-    /// Wraps a manager. Resilience is off until
+impl ServerController {
+    /// The paper's power-optimized controller around `manager`: analytic
+    /// Cobb-Douglas demand with latency feedback. Resilience is off until
     /// [`ServerController::arm_resilience`].
     pub fn new(manager: ServerManager) -> Self {
-        PocoloController {
+        ServerController {
             manager,
+            incremental: false,
             modes: ModeMachine::new(),
-            governor: None,
             guard: None,
-            last_mode: ControlMode::Normal,
         }
     }
 
-    /// The governor latch state (for tests and diagnostics).
-    pub fn modes(&self) -> &ModeMachine {
-        &self.modes
+    /// Switches to the Heracles-style incremental sizing: only the
+    /// manager's feedback bounds and `last_counts` are consulted; its
+    /// policy and fitted power model go unused, and power emergencies are
+    /// left entirely to the reactive capper — the point of the baseline.
+    /// Armed resilience is kept.
+    #[must_use]
+    pub fn incremental(mut self) -> Self {
+        self.incremental = true;
+        self
     }
 
-    /// The co-runner guard, if resilience is armed.
-    pub fn guard(&self) -> Option<&BeGuard> {
-        self.guard.as_ref()
+    /// Arms the degraded-mode response for a co-runner at cluster-wide
+    /// value `rank` (0 = lowest, evicted first): distrust of frozen
+    /// telemetry, the eviction/re-admission guard, and — under analytic
+    /// sizing — the brownout power governor.
+    pub fn arm_resilience(&mut self, rank: usize) {
+        self.guard = Some(BeGuard::new(rank));
     }
 
-    fn resilient(&self) -> bool {
-        self.governor.is_some()
-    }
-}
-
-impl ServerController for PocoloController {
-    fn decide(&mut self, input: &ControlInput) -> ControlDecision {
+    /// One manager epoch: decide what the primary should become.
+    pub fn decide(&mut self, input: &ControlInput) -> ControlDecision {
+        let resilient = self.guard.is_some();
+        // A resilient controller distrusts frozen slack; the naive one
+        // consumes the stale reading.
+        let blind = resilient && input.telemetry_frozen;
+        let slack = if blind { None } else { input.observed_slack };
         let mut budget_w = None;
-        let mut slack = input.observed_slack;
-        let planned = if self.resilient() && input.telemetry_frozen {
-            // Degraded: telemetry cannot be trusted, so neither can the
-            // analytic solve that consumes it. When blind, protect the
-            // SLO with incremental growth.
-            slack = None;
-            Ok(self.manager.plan_incremental(input.max_counts, None))
-        } else if let (Some(gov), true) = (self.governor, input.brownout) {
+        let planned = if self.incremental || blind {
+            // Blind, the analytic solve cannot be trusted either (it
+            // consumes the frozen telemetry): protect the SLO with
+            // incremental growth.
+            Ok(self.manager.plan_incremental(input.max_counts, slack))
+        } else if resilient && input.brownout {
             // Brownout: a measured overdraw arms the power governor,
             // which re-sizes the primary to the Cobb-Douglas demand at a
             // budget *calibrated by the observed model-to-meter ratio* —
@@ -374,7 +302,6 @@ impl ServerController for PocoloController {
             // frequency-floored full machine serves less than a
             // budget-sized allocation at full clock.
             let frac = self.modes.brownout_step(
-                &gov,
                 input.be_present,
                 input.observed_slack,
                 input.rapl_throttled,
@@ -422,159 +349,81 @@ impl ServerController for PocoloController {
             self.manager
                 .plan_analytic(input.observed_load_rps, input.observed_slack)
         };
-        let mode = if self.resilient() {
+        let mode = if resilient {
             self.modes.mode(input.brownout, input.telemetry_frozen)
         } else {
             ControlMode::Normal
         };
-        self.last_mode = mode;
-        decision_of(input, mode, slack, budget_w, planned.ok(), &self.modes)
+        let planned = planned.ok();
+        let primary = match planned {
+            Some((cores, ways)) => PrimaryDirective::Resize { cores, ways },
+            None => PrimaryDirective::Hold,
+        };
+        let record = DecisionRecord {
+            now_s: input.now_s,
+            mode,
+            load_rps: input.observed_load_rps,
+            slack,
+            measured_w: input.measured_power.map(|m| m.0),
+            effective_cap_w: input.effective_cap.0,
+            budget_w,
+            cores: planned.map(|(c, _)| c),
+            ways: planned.map(|(_, w)| w),
+            governor_armed: self.modes.armed(),
+            escalated: self.modes.escalated(),
+            ducked: self.modes.ducked(),
+        };
+        ControlDecision {
+            mode,
+            primary,
+            record,
+        }
     }
 
-    fn distress_tick(&mut self, distressed: bool, be_present: bool, now_s: f64) -> BeIntent {
+    /// One capper tick under distress accounting: should the co-runner
+    /// be shed?
+    pub fn distress_tick(&mut self, distressed: bool, be_present: bool, now_s: f64) -> BeIntent {
         match &mut self.guard {
             Some(guard) => guard.distress_tick(distressed, be_present, now_s),
             None => BeIntent::Hold,
         }
     }
 
-    fn readmit_tick(&mut self, now_s: f64, fault_active: bool) -> BeIntent {
+    /// Should a parked co-runner come back this epoch?
+    pub fn readmit_tick(&mut self, now_s: f64, fault_active: bool) -> BeIntent {
         match &mut self.guard {
             Some(guard) => guard.readmit_tick(now_s, fault_active),
             None => BeIntent::Hold,
         }
     }
 
-    fn on_recover(&mut self, now_s: f64, be_parked: bool) -> BeIntent {
+    /// A crash recovered. A resilient controller schedules a backed-off
+    /// re-admission and returns [`BeIntent::Hold`]; a naive one orders an
+    /// immediate restart, whatever the post-crash conditions.
+    pub fn on_recover(&mut self, now_s: f64, be_parked: bool) -> BeIntent {
         match &mut self.guard {
             Some(guard) => {
                 guard.on_recover(now_s, be_parked);
                 BeIntent::Hold
             }
-            // Naive path: the co-runner is restarted immediately,
-            // whatever the post-crash conditions.
             None => BeIntent::Readmit { pause_s: 0.0 },
         }
     }
 
-    fn on_brownout_lift(&mut self) {
+    /// The brownout lifted: disarm the governor latches.
+    pub fn on_brownout_lift(&mut self) {
         self.modes.disarm();
     }
 
-    fn arm_resilience(&mut self, params: ResilienceParams) {
-        self.governor = Some(params.governor);
-        self.guard = Some(BeGuard::new(
-            params.eviction_patience_ticks,
-            params.backoff,
-            params.readmit_pause_s,
-        ));
-    }
-
-    fn manager(&self) -> &ServerManager {
+    /// The wrapped per-server manager (fitted model + feedback state).
+    pub fn manager(&self) -> &ServerManager {
         &self.manager
     }
 
-    fn manager_mut(&mut self) -> &mut ServerManager {
+    /// Mutable access to the wrapped manager (drift injection, refits,
+    /// actuation).
+    pub fn manager_mut(&mut self) -> &mut ServerManager {
         &mut self.manager
-    }
-
-    fn mode(&self) -> ControlMode {
-        self.last_mode
-    }
-}
-
-/// The Heracles-style incremental-growth baseline as a full controller:
-/// grow a core and a way on low (or unknown) slack, trim one of each on
-/// verified ample headroom, never consult the power model. Power
-/// emergencies are left entirely to the reactive capper — the point of
-/// the baseline.
-#[derive(Debug, Clone)]
-pub struct HeraclesController {
-    manager: ServerManager,
-    guard: Option<BeGuard>,
-    resilient: bool,
-    last_mode: ControlMode,
-}
-
-impl HeraclesController {
-    /// Wraps a manager (only its feedback bounds and `last_counts` state
-    /// are consulted; the policy and fitted power model are unused).
-    pub fn new(manager: ServerManager) -> Self {
-        HeraclesController {
-            manager,
-            guard: None,
-            resilient: false,
-            last_mode: ControlMode::Normal,
-        }
-    }
-}
-
-impl ServerController for HeraclesController {
-    fn decide(&mut self, input: &ControlInput) -> ControlDecision {
-        // A resilient Heracles distrusts frozen slack just like the
-        // analytic controller; the naive one consumes the stale reading.
-        let slack = if self.resilient && input.telemetry_frozen {
-            None
-        } else {
-            input.observed_slack
-        };
-        let planned = self.manager.plan_incremental(input.max_counts, slack);
-        let mode = if self.resilient && input.telemetry_frozen {
-            ControlMode::Degraded
-        } else {
-            ControlMode::Normal
-        };
-        self.last_mode = mode;
-        decision_of(input, mode, slack, None, Some(planned), &ModeMachine::new())
-    }
-
-    fn distress_tick(&mut self, distressed: bool, be_present: bool, now_s: f64) -> BeIntent {
-        match &mut self.guard {
-            Some(guard) => guard.distress_tick(distressed, be_present, now_s),
-            None => BeIntent::Hold,
-        }
-    }
-
-    fn readmit_tick(&mut self, now_s: f64, fault_active: bool) -> BeIntent {
-        match &mut self.guard {
-            Some(guard) => guard.readmit_tick(now_s, fault_active),
-            None => BeIntent::Hold,
-        }
-    }
-
-    fn on_recover(&mut self, now_s: f64, be_parked: bool) -> BeIntent {
-        match &mut self.guard {
-            Some(guard) => {
-                guard.on_recover(now_s, be_parked);
-                BeIntent::Hold
-            }
-            None => BeIntent::Readmit { pause_s: 0.0 },
-        }
-    }
-
-    fn on_brownout_lift(&mut self) {}
-
-    fn arm_resilience(&mut self, params: ResilienceParams) {
-        // Power-oblivious: the governor targets are ignored; only the
-        // eviction/re-admission guard and the frozen-slack distrust arm.
-        self.resilient = true;
-        self.guard = Some(BeGuard::new(
-            params.eviction_patience_ticks,
-            params.backoff,
-            params.readmit_pause_s,
-        ));
-    }
-
-    fn manager(&self) -> &ServerManager {
-        &self.manager
-    }
-
-    fn manager_mut(&mut self) -> &mut ServerManager {
-        &mut self.manager
-    }
-
-    fn mode(&self) -> ControlMode {
-        self.last_mode
     }
 }
 
@@ -582,76 +431,88 @@ impl ServerController for HeraclesController {
 mod tests {
     use super::*;
 
-    fn guard() -> BeGuard {
-        BeGuard::new(2, ReadmissionBackoff::new(4.0, 2.0, 64.0), 2.0)
+    const PATIENCE: usize = EVICTION_PATIENCE_TICKS;
+
+    /// Distress ticks `0..PATIENCE` at `t0 + 0.1 i`, all tolerated.
+    fn ride_out_patience(g: &mut BeGuard, t0: f64) {
+        for i in 0..PATIENCE {
+            let t = t0 + 0.1 * i as f64;
+            assert_eq!(g.distress_tick(true, true, t), BeIntent::Hold);
+        }
     }
 
     #[test]
     fn guard_evicts_past_patience_and_schedules_backoff() {
-        let mut g = guard();
-        assert_eq!(g.distress_tick(true, true, 0.0), BeIntent::Hold);
-        assert_eq!(g.distress_tick(true, true, 0.1), BeIntent::Hold);
-        assert_eq!(g.distress_tick(true, true, 0.2), BeIntent::Evict);
-        assert_eq!(g.readmit_at_s(), Some(0.2 + 4.0));
-        assert_eq!(g.saturated_ticks(), 0, "eviction resets the counter");
+        let mut g = BeGuard::new(0);
+        ride_out_patience(&mut g, 0.0);
+        assert_eq!(g.distress_tick(true, true, 0.5), BeIntent::Evict);
+        assert_eq!(g.readmit_at_s, Some(4.5));
+        assert_eq!(g.saturated_ticks, 0, "eviction resets the counter");
+    }
+
+    #[test]
+    fn guard_patience_grows_with_rank() {
+        let mut g = BeGuard::new(2);
+        for i in 0..PATIENCE + 2 * PATIENCE_PER_RANK_TICKS {
+            assert_eq!(g.distress_tick(true, true, i as f64), BeIntent::Hold);
+        }
+        assert_eq!(g.distress_tick(true, true, 99.0), BeIntent::Evict);
     }
 
     #[test]
     fn guard_calm_tick_resets_patience() {
-        let mut g = guard();
-        g.distress_tick(true, true, 0.0);
-        g.distress_tick(true, true, 0.1);
-        assert_eq!(g.distress_tick(false, true, 0.2), BeIntent::Hold);
-        assert_eq!(g.saturated_ticks(), 0);
+        let mut g = BeGuard::new(0);
+        ride_out_patience(&mut g, 0.0);
+        assert_eq!(g.distress_tick(false, true, 0.5), BeIntent::Hold);
+        assert_eq!(g.saturated_ticks, 0);
         // The full patience is owed again.
-        assert_eq!(g.distress_tick(true, true, 0.3), BeIntent::Hold);
-        assert_eq!(g.distress_tick(true, true, 0.4), BeIntent::Hold);
-        assert_eq!(g.distress_tick(true, true, 0.5), BeIntent::Evict);
+        ride_out_patience(&mut g, 0.6);
+        assert_eq!(g.distress_tick(true, true, 1.1), BeIntent::Evict);
     }
 
     #[test]
     fn guard_counts_distress_with_no_co_runner_but_never_evicts() {
-        let mut g = guard();
+        let mut g = BeGuard::new(0);
         for i in 0..10 {
             assert_eq!(g.distress_tick(true, false, i as f64), BeIntent::Hold);
         }
-        assert!(g.readmit_at_s().is_none());
+        assert!(g.readmit_at_s.is_none());
     }
 
-    /// The satellite regression: the backoff keeps doubling while the
-    /// server is saturated or a fault is active, and re-admission pays
-    /// `readmit_pause_s`.
+    /// The backoff keeps doubling while the server is saturated or a
+    /// fault is active, and re-admission pays [`READMIT_PAUSE_S`].
     #[test]
     fn guard_backoff_doubles_while_faulted_and_readmit_honors_pause() {
-        let mut g = guard();
-        g.distress_tick(true, true, 0.0);
-        g.distress_tick(true, true, 0.1);
-        assert_eq!(g.distress_tick(true, true, 0.2), BeIntent::Evict);
-        // First attempt at 4.2: fault still active — wait doubles to 8 s.
-        assert_eq!(g.readmit_tick(4.2, true), BeIntent::Hold);
-        assert_eq!(g.readmit_at_s(), Some(4.2 + 8.0));
+        let mut g = BeGuard::new(0);
+        ride_out_patience(&mut g, 0.0);
+        assert_eq!(g.distress_tick(true, true, 0.5), BeIntent::Evict);
+        // First attempt at 4.5: fault still active — wait doubles to 8 s.
+        assert_eq!(g.readmit_tick(4.5, true), BeIntent::Hold);
+        assert_eq!(g.readmit_at_s, Some(4.5 + 8.0));
         // Second attempt: healthy but still saturated — doubles to 16 s.
         g.distress_tick(true, true, 12.0);
-        assert_eq!(g.readmit_tick(12.2, false), BeIntent::Hold);
-        assert_eq!(g.readmit_at_s(), Some(12.2 + 16.0));
+        assert_eq!(g.readmit_tick(12.5, false), BeIntent::Hold);
+        assert_eq!(g.readmit_at_s, Some(12.5 + 16.0));
         // Not yet due: nothing happens, the schedule stands.
         assert_eq!(g.readmit_tick(20.0, false), BeIntent::Hold);
-        assert_eq!(g.readmit_at_s(), Some(28.2));
+        assert_eq!(g.readmit_at_s, Some(28.5));
         // Due, calm, healthy: re-admitted with the warm-up pause.
         g.distress_tick(false, false, 28.0);
         assert_eq!(
-            g.readmit_tick(28.2, false),
-            BeIntent::Readmit { pause_s: 2.0 }
+            g.readmit_tick(28.5, false),
+            BeIntent::Readmit {
+                pause_s: READMIT_PAUSE_S
+            }
         );
-        assert!(g.readmit_at_s().is_none());
+        assert!(g.readmit_at_s.is_none());
     }
 
     #[test]
     fn guard_recover_schedules_only_when_parked() {
-        let mut g = guard();
+        let mut g = BeGuard::new(0);
         g.on_recover(10.0, false);
-        assert!(g.readmit_at_s().is_none());
+        assert!(g.readmit_at_s.is_none());
         g.on_recover(10.0, true);
-        assert_eq!(g.readmit_at_s(), Some(14.0));
+        assert_eq!(g.readmit_at_s, Some(14.0));
     }
 }

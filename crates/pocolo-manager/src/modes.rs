@@ -36,6 +36,8 @@
 
 use pocolo_core::units::Watts;
 
+use crate::capper::RELEASE;
+
 /// The externally-visible control regime of one server's manager loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlMode {
@@ -65,39 +67,27 @@ impl ControlMode {
     }
 }
 
-/// Tuning of the brownout power governor's budget targets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorConfig {
-    /// Whole-server budget fraction of the effective cap while a BE
-    /// co-runner is placed. Must sit below the capper's release band, or
-    /// the emergency throttle never disarms while the governor holds the
-    /// server at its budget.
-    pub comfort_frac: f64,
-    /// Budget fraction once the primary runs alone. Same release-band
-    /// constraint.
-    pub comfort_frac_solo: f64,
-    /// Budget fraction once the primary is caught violating its SLO:
-    /// spend right up to the cap. Sits *above* the release band by design
-    /// — a violating primary trades the RAPL safety margin for capacity.
-    pub distress_frac: f64,
-    /// The capper's un-throttle band (fraction of the cap).
-    pub release: f64,
-    /// How far below the release band the target ducks while the RAPL
-    /// ceiling is depressed.
-    pub duck_margin: f64,
-}
+/// Whole-server budget fraction of the effective cap the governor targets
+/// while a BE co-runner is placed. Sits below the capper's release band
+/// ([`RELEASE`]), or the emergency throttle never disarms while the
+/// governor holds the server at its budget.
+const COMFORT_FRAC: f64 = 0.88;
 
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        GovernorConfig {
-            comfort_frac: 0.88,
-            comfort_frac_solo: 0.92,
-            distress_frac: 0.98,
-            release: 0.94,
-            duck_margin: 0.02,
-        }
-    }
-}
+/// Budget fraction once the primary runs alone. Same release-band
+/// constraint.
+const COMFORT_FRAC_SOLO: f64 = 0.92;
+
+/// Budget fraction once the primary is caught violating its SLO: spend
+/// right up to the cap. Sits *above* the release band by design — a
+/// violating primary trades the RAPL safety margin for capacity.
+const DISTRESS_FRAC: f64 = 0.98;
+
+/// How far below the release band the target ducks while the RAPL
+/// ceiling is depressed.
+const DUCK_MARGIN: f64 = 0.02;
+
+const _: () = assert!(COMFORT_FRAC < RELEASE && COMFORT_FRAC_SOLO < RELEASE);
+const _: () = assert!(DISTRESS_FRAC > RELEASE);
 
 /// The governor's latch state, with every transition an explicit,
 /// unit-testable edge.
@@ -137,7 +127,6 @@ impl ModeMachine {
     /// effective cap.
     pub fn brownout_step(
         &mut self,
-        cfg: &GovernorConfig,
         be_present: bool,
         observed_slack: Option<f64>,
         throttled: bool,
@@ -150,16 +139,16 @@ impl ModeMachine {
             self.escalated = true;
         }
         let mut frac = if self.escalated {
-            cfg.distress_frac
+            DISTRESS_FRAC
         } else if be_present {
-            cfg.comfort_frac
+            COMFORT_FRAC
         } else {
-            cfg.comfort_frac_solo
+            COMFORT_FRAC_SOLO
         };
         // Duck: an escalated target above the release band would pin a
         // dropped RAPL ceiling down forever. While throttled, stay below
         // the band so the clock recovers first.
-        let duck_target = cfg.release - cfg.duck_margin;
+        let duck_target = RELEASE - DUCK_MARGIN;
         self.ducked = throttled && frac > duck_target;
         if throttled {
             frac = frac.min(duck_target);
@@ -197,31 +186,27 @@ impl ModeMachine {
 mod tests {
     use super::*;
 
-    fn cfg() -> GovernorConfig {
-        GovernorConfig::default()
-    }
-
     #[test]
     fn arm_edge_latches_on_measured_overdraw() {
         let mut m = ModeMachine::new();
         let cap = Watts(100.0);
         // Below the comfort target: stays disarmed.
-        let frac = m.brownout_step(&cfg(), true, Some(0.3), false, Some(Watts(80.0)), cap);
+        let frac = m.brownout_step(true, Some(0.3), false, Some(Watts(80.0)), cap);
         assert_eq!(frac, 0.88);
         assert!(!m.armed());
         assert_eq!(m.mode(true, false), ControlMode::Normal);
         // Over the target: arms, and stays armed on a later calm reading.
-        m.brownout_step(&cfg(), true, Some(0.3), false, Some(Watts(90.0)), cap);
+        m.brownout_step(true, Some(0.3), false, Some(Watts(90.0)), cap);
         assert!(m.armed());
         assert_eq!(m.mode(true, false), ControlMode::Governed);
-        m.brownout_step(&cfg(), true, Some(0.3), false, Some(Watts(50.0)), cap);
+        m.brownout_step(true, Some(0.3), false, Some(Watts(50.0)), cap);
         assert!(m.armed(), "armed is a latch, not a level");
     }
 
     #[test]
     fn solo_primary_gets_the_solo_target() {
         let mut m = ModeMachine::new();
-        let frac = m.brownout_step(&cfg(), false, None, false, None, Watts(100.0));
+        let frac = m.brownout_step(false, None, false, None, Watts(100.0));
         assert_eq!(frac, 0.92);
     }
 
@@ -229,12 +214,12 @@ mod tests {
     fn escalate_edge_latches_on_slo_violation() {
         let mut m = ModeMachine::new();
         let cap = Watts(100.0);
-        let frac = m.brownout_step(&cfg(), true, Some(-0.1), false, Some(Watts(95.0)), cap);
+        let frac = m.brownout_step(true, Some(-0.1), false, Some(Watts(95.0)), cap);
         assert!(m.escalated());
         assert_eq!(frac, 0.98, "distress spends right up to the cap");
         assert_eq!(m.mode(true, false), ControlMode::Distress);
         // Sticky: recovered slack does not de-escalate.
-        let frac = m.brownout_step(&cfg(), true, Some(0.5), false, Some(Watts(50.0)), cap);
+        let frac = m.brownout_step(true, Some(0.5), false, Some(Watts(50.0)), cap);
         assert!(m.escalated());
         assert_eq!(frac, 0.98);
     }
@@ -243,14 +228,14 @@ mod tests {
     fn duck_edge_pulls_under_the_release_band_while_throttled() {
         let mut m = ModeMachine::new();
         let cap = Watts(100.0);
-        m.brownout_step(&cfg(), true, Some(-0.1), false, Some(Watts(99.0)), cap);
+        m.brownout_step(true, Some(-0.1), false, Some(Watts(99.0)), cap);
         assert!(m.escalated() && m.armed());
         // RAPL ceiling depressed: the 0.98 distress target ducks to 0.92.
-        let frac = m.brownout_step(&cfg(), true, Some(-0.1), true, Some(Watts(99.0)), cap);
+        let frac = m.brownout_step(true, Some(-0.1), true, Some(Watts(99.0)), cap);
         assert!((frac - 0.92).abs() < 1e-12);
         assert!(m.ducked());
         // Throttle released: the full distress target returns.
-        let frac = m.brownout_step(&cfg(), true, Some(-0.1), false, Some(Watts(99.0)), cap);
+        let frac = m.brownout_step(true, Some(-0.1), false, Some(Watts(99.0)), cap);
         assert_eq!(frac, 0.98);
         assert!(!m.ducked());
     }
@@ -259,7 +244,7 @@ mod tests {
     fn duck_is_a_no_op_below_the_band() {
         let mut m = ModeMachine::new();
         // Comfort 0.88 already sits under release − margin = 0.92.
-        let frac = m.brownout_step(&cfg(), true, Some(0.3), true, None, Watts(100.0));
+        let frac = m.brownout_step(true, Some(0.3), true, None, Watts(100.0));
         assert_eq!(frac, 0.88);
         assert!(!m.ducked());
     }
@@ -268,7 +253,7 @@ mod tests {
     fn disarm_edge_clears_both_latches() {
         let mut m = ModeMachine::new();
         let cap = Watts(100.0);
-        m.brownout_step(&cfg(), true, Some(-0.1), false, Some(Watts(99.0)), cap);
+        m.brownout_step(true, Some(-0.1), false, Some(Watts(99.0)), cap);
         assert!(m.armed() && m.escalated());
         m.disarm();
         assert!(!m.armed() && !m.escalated() && !m.ducked());
@@ -278,14 +263,7 @@ mod tests {
     #[test]
     fn frozen_telemetry_projects_degraded_over_everything() {
         let mut m = ModeMachine::new();
-        m.brownout_step(
-            &cfg(),
-            true,
-            Some(-0.1),
-            false,
-            Some(Watts(99.0)),
-            Watts(100.0),
-        );
+        m.brownout_step(true, Some(-0.1), false, Some(Watts(99.0)), Watts(100.0));
         assert_eq!(m.mode(true, true), ControlMode::Degraded);
         assert_eq!(m.mode(false, true), ControlMode::Degraded);
     }

@@ -6,10 +6,10 @@
 //!
 //! - [`LcPolicy::PowerOptimized`] (the paper's proposal) picks the
 //!   **least-power** point via the analytic Cobb-Douglas demand solution.
-//! - [`LcPolicy::HeraclesProportional`] and [`LcPolicy::HeraclesRandom`]
-//!   are Heracles-style \[6\] power-oblivious baselines: any feasible point
-//!   on the curve is as good as any other, because without a power model
-//!   "resources are not differentiated by their power use" (§V-D).
+//! - [`LcPolicy::HeraclesRandom`] is the Heracles-style \[6\]
+//!   power-oblivious baseline: any feasible point on the curve is as good
+//!   as any other, because without a power model "resources are not
+//!   differentiated by their power use" (§V-D).
 
 use pocolo_core::error::CoreError;
 use pocolo_core::utility::IndirectUtility;
@@ -23,9 +23,6 @@ pub enum LcPolicy {
     /// Least-power allocation from the Cobb-Douglas indirect utility
     /// (the POM / POColo server component).
     PowerOptimized,
-    /// Power-oblivious: the feasible indifference-curve point with the most
-    /// balanced normalized core/way shares.
-    HeraclesProportional,
     /// Power-oblivious: a uniformly random feasible indifference-curve
     /// point, re-drawn on every decision (seeded).
     HeraclesRandom {
@@ -87,21 +84,6 @@ impl LcPolicy {
                     budget = (budget * 1.03).min(utility.max_power());
                 }
                 Ok(full)
-            }
-            LcPolicy::HeraclesProportional => {
-                let feasible =
-                    corunner_friendly(feasible_curve_points(utility, target_perf)?, max_c, max_w);
-                Ok(feasible
-                    .into_iter()
-                    .min_by(|&(c1, w1), &(c2, w2)| {
-                        let bal = |c: u32, w: u32| {
-                            (c as f64 / max_c as f64 - w as f64 / max_w as f64).abs()
-                        };
-                        bal(c1, w1)
-                            .partial_cmp(&bal(c2, w2))
-                            .expect("balance metric is finite")
-                    })
-                    .unwrap_or(full))
             }
             LcPolicy::HeraclesRandom { seed, draws } => {
                 let feasible =
@@ -221,27 +203,9 @@ mod tests {
     #[test]
     fn zero_target_gets_minimum() {
         let u = utility();
-        for mut p in [
-            LcPolicy::PowerOptimized,
-            LcPolicy::HeraclesProportional,
-            LcPolicy::heracles_random(1),
-        ] {
+        for mut p in [LcPolicy::PowerOptimized, LcPolicy::heracles_random(1)] {
             assert_eq!(p.allocate(&u, 0.0).unwrap(), (1, 1));
         }
-    }
-
-    #[test]
-    fn heracles_proportional_meets_target() {
-        let u = utility();
-        let target = perf_of(&u, 6, 10);
-        let mut p = LcPolicy::HeraclesProportional;
-        let (c, w) = p.allocate(&u, target).unwrap();
-        assert!(perf_of(&u, c, w) >= target * (1.0 - 1e-9));
-        // Roughly balanced shares.
-        assert!(
-            (c as f64 / 12.0 - w as f64 / 20.0).abs() < 0.25,
-            "({c},{w})"
-        );
     }
 
     #[test]
@@ -303,8 +267,9 @@ mod tests {
     #[test]
     fn unreachable_target_full_machine_for_all_policies() {
         let u = utility();
-        for mut p in [LcPolicy::HeraclesProportional, LcPolicy::heracles_random(0)] {
-            assert_eq!(p.allocate(&u, 1e12).unwrap(), (12, 20));
-        }
+        assert_eq!(
+            LcPolicy::heracles_random(0).allocate(&u, 1e12).unwrap(),
+            (12, 20)
+        );
     }
 }

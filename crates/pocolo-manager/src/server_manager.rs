@@ -62,42 +62,34 @@ impl From<SimError> for ManagerError {
     }
 }
 
-/// Tuning of the feedback loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ManagerConfig {
-    /// Grow the margin when observed slack falls below this (paper: 10 %).
-    pub min_slack: f64,
-    /// Shrink the margin when observed slack exceeds this.
-    pub high_slack: f64,
-    /// Initial sizing margin (target = load × margin).
-    pub initial_margin: f64,
-    /// Multiplier applied to the margin on low slack.
-    pub margin_up: f64,
-    /// Multiplier applied on ample slack.
-    pub margin_down: f64,
-    /// Margin clamp range.
-    pub margin_bounds: (f64, f64),
-}
+/// Grow the sizing margin when observed slack falls below this — the
+/// paper's 10 % latency slack.
+const MIN_SLACK: f64 = 0.10;
 
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            min_slack: 0.10,
-            high_slack: 0.50,
-            initial_margin: 1.10,
-            margin_up: 1.12,
-            margin_down: 0.985,
-            margin_bounds: (1.02, 1.8),
-        }
-    }
-}
+/// Shrink the margin (and trim the incremental baseline) when observed
+/// slack exceeds this: verified ample headroom.
+const HIGH_SLACK: f64 = 0.50;
+
+/// Initial sizing margin (target = load × margin): the 10 % slack again.
+const INITIAL_MARGIN: f64 = 1.10;
+
+/// Multiplier applied to the margin on low slack: grow fast...
+const MARGIN_UP: f64 = 1.12;
+
+/// ...and shrink slowly on ample slack.
+const MARGIN_DOWN: f64 = 0.985;
+
+/// Margin floor: never plan for less than 2 % over the observed load.
+const MARGIN_MIN: f64 = 1.02;
+
+/// Margin ceiling: feedback never asks for more than 1.8× the load.
+const MARGIN_MAX: f64 = 1.8;
 
 /// The per-server manager: fitted model + policy + feedback state.
 #[derive(Debug, Clone)]
 pub struct ServerManager {
     utility: IndirectUtility,
     policy: LcPolicy,
-    config: ManagerConfig,
     margin: f64,
     last_counts: Option<(u32, u32)>,
 }
@@ -105,13 +97,11 @@ pub struct ServerManager {
 impl ServerManager {
     /// Creates a manager from the primary's *fitted* indirect utility and
     /// an allocation policy.
-    pub fn new(utility: IndirectUtility, policy: LcPolicy, config: ManagerConfig) -> Self {
-        let margin = config.initial_margin;
+    pub fn new(utility: IndirectUtility, policy: LcPolicy) -> Self {
         ServerManager {
             utility,
             policy,
-            config,
-            margin,
+            margin: INITIAL_MARGIN,
             last_counts: None,
         }
     }
@@ -131,33 +121,12 @@ impl ServerManager {
         self.last_counts
     }
 
-    /// Runs one control step: updates the feedback margin from
-    /// `observed_slack` (if any), sizes the primary for `load_rps`, and
-    /// re-partitions `server`. Returns the primary's (cores, ways).
-    ///
-    /// The secondary's DVFS frequency and quota (owned by the power capper)
-    /// are carried over across re-partitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManagerError`] on model or knob failures.
-    pub fn control_step(
-        &mut self,
-        server: &mut SimServer,
-        load_rps: f64,
-        observed_slack: Option<f64>,
-    ) -> Result<(u32, u32), ManagerError> {
-        let (c, w) = self.plan_analytic(load_rps, observed_slack)?;
-        self.apply(server, c, w)
-    }
-
-    /// The planning half of [`ServerManager::control_step`]: updates the
-    /// feedback margin and sizes the primary, without touching a server.
+    /// Updates the feedback margin from `observed_slack` (if any) and
+    /// sizes the primary for `load_rps`, without touching a server.
     /// Controllers plan; backends [`ServerManager::apply`].
     ///
     /// The margin update happens *before* the allocation can fail, so a
-    /// failed plan still consumes the slack observation — exactly like
-    /// the fused step.
+    /// failed plan still consumes the slack observation.
     ///
     /// # Errors
     ///
@@ -173,29 +142,13 @@ impl ServerManager {
         Ok((c, w))
     }
 
-    /// Budget-capped control step for a power emergency (brownout): sizes
-    /// the primary analytically like [`ServerManager::control_step`], but
-    /// if the chosen allocation's modeled draw exceeds `budget`, falls
-    /// back to the Cobb-Douglas *demand at budget* — the best allocation
-    /// the shrunk envelope can buy at full frequency. Growing cores past
-    /// the budget only trips the RAPL emergency throttle, and a
+    /// Budget-capped planning for a power emergency (brownout): sizes
+    /// the primary like [`ServerManager::plan_analytic`], but if the
+    /// chosen allocation's modeled draw exceeds `budget`, falls back to
+    /// the Cobb-Douglas *demand at budget* — the best allocation the
+    /// shrunk envelope can buy at full frequency. Growing cores past the
+    /// budget only trips the RAPL emergency throttle, and a
     /// frequency-floored machine serves less than a budget-sized one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManagerError`] on model or knob failures.
-    pub fn budgeted_step(
-        &mut self,
-        server: &mut SimServer,
-        load_rps: f64,
-        observed_slack: Option<f64>,
-        budget: Watts,
-    ) -> Result<(u32, u32), ManagerError> {
-        let (c, w) = self.plan_budgeted(load_rps, observed_slack, budget)?;
-        self.apply(server, c, w)
-    }
-
-    /// The planning half of [`ServerManager::budgeted_step`].
     ///
     /// # Errors
     ///
@@ -231,40 +184,21 @@ impl ServerManager {
 
     fn update_margin(&mut self, observed_slack: Option<f64>) {
         if let Some(slack) = observed_slack {
-            if slack < self.config.min_slack {
-                self.margin *= self.config.margin_up;
-            } else if slack > self.config.high_slack {
-                self.margin *= self.config.margin_down;
+            if slack < MIN_SLACK {
+                self.margin *= MARGIN_UP;
+            } else if slack > HIGH_SLACK {
+                self.margin *= MARGIN_DOWN;
             }
-            let (lo, hi) = self.config.margin_bounds;
-            self.margin = self.margin.clamp(lo, hi);
+            self.margin = self.margin.clamp(MARGIN_MIN, MARGIN_MAX);
         }
     }
 
-    /// Degraded-mode control step: pure Heracles-style incremental latency
-    /// feedback, with no analytic model in the loop. Used when telemetry
-    /// is stale or the fitted model can no longer be trusted — growing the
-    /// primary by one core and one way on low (or *unknown*) slack, and
-    /// trimming one of each only on verified ample headroom. When blind,
-    /// protect the SLO.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManagerError`] on knob failures.
-    pub fn degraded_step(
-        &mut self,
-        server: &mut SimServer,
-        observed_slack: Option<f64>,
-    ) -> Result<(u32, u32), ManagerError> {
-        let machine = server.machine();
-        let max_counts = (machine.cores(), machine.llc_ways());
-        let (c, w) = self.plan_incremental(max_counts, observed_slack);
-        self.apply(server, c, w)
-    }
-
-    /// The planning half of [`ServerManager::degraded_step`] — and the
-    /// entirety of the Heracles-style baseline's policy. Infallible: no
-    /// model is consulted.
+    /// Pure Heracles-style incremental latency feedback, with no analytic
+    /// model in the loop: the entirety of the baseline's policy, and the
+    /// degraded-mode fallback when telemetry is stale. Grows the primary
+    /// by one core and one way on low (or *unknown*) slack and trims one
+    /// of each only on verified ample headroom — when blind, protect the
+    /// SLO. Infallible: no model is consulted.
     pub fn plan_incremental(
         &self,
         max_counts: (u32, u32),
@@ -273,11 +207,11 @@ impl ServerManager {
         let (max_c, max_w) = max_counts;
         let (mut c, mut w) = self.last_counts.unwrap_or((max_c, max_w));
         match observed_slack {
-            Some(s) if s > self.config.high_slack => {
+            Some(s) if s > HIGH_SLACK => {
                 c = c.saturating_sub(1).max(1);
                 w = w.saturating_sub(1).max(1);
             }
-            Some(s) if s >= self.config.min_slack => {}
+            Some(s) if s >= MIN_SLACK => {}
             // Low slack — or no reading at all. Grow conservatively.
             _ => {
                 c = (c + 1).min(max_c);
@@ -295,7 +229,7 @@ impl ServerManager {
 
     /// Installs a `(c, w)` primary and gives every spare resource to the
     /// secondary, preserving the capper's DVFS/quota state on it. This is
-    /// the actuation half of every `*_step`: backends call it with the
+    /// the actuation half of every `plan_*`: backends call it with the
     /// counts a [`crate::control::ControlDecision`] carries.
     ///
     /// # Errors
@@ -354,6 +288,19 @@ mod tests {
         (truth, fit.utility)
     }
 
+    /// One analytic epoch, planned and applied — the path the product runs.
+    fn analytic(mgr: &mut ServerManager, server: &mut SimServer, load: f64, slack: Option<f64>) {
+        let (c, w) = mgr.plan_analytic(load, slack).unwrap();
+        mgr.apply(server, c, w).unwrap();
+    }
+
+    /// One incremental epoch, planned and applied.
+    fn incremental(mgr: &mut ServerManager, server: &mut SimServer, slack: Option<f64>) {
+        let machine = server.machine();
+        let (c, w) = mgr.plan_incremental((machine.cores(), machine.llc_ways()), slack);
+        mgr.apply(server, c, w).unwrap();
+    }
+
     fn run_loop(
         app: LcApp,
         policy: LcPolicy,
@@ -362,11 +309,11 @@ mod tests {
     ) -> (LcModel, SimServer, ServerManager) {
         let (truth, utility) = fitted(app);
         let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
-        let mut mgr = ServerManager::new(utility, policy, ManagerConfig::default());
+        let mut mgr = ServerManager::new(utility, policy);
         let load = load_frac * truth.peak_load_rps();
         let mut slack = None;
         for _ in 0..steps {
-            mgr.control_step(&mut server, load, slack).unwrap();
+            analytic(&mut mgr, &mut server, load, slack);
             let alloc = *server.allocation(TenantRole::Primary).unwrap();
             slack = Some(truth.latency_slack(load, &alloc));
         }
@@ -413,14 +360,13 @@ mod tests {
     fn margin_grows_on_low_slack() {
         let (truth, utility) = fitted(LcApp::Sphinx);
         let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
         let m0 = mgr.margin();
-        mgr.control_step(&mut server, 5.0, Some(0.02)).unwrap();
+        analytic(&mut mgr, &mut server, 5.0, Some(0.02));
         assert!(mgr.margin() > m0);
         // And shrinks on ample slack.
         let m1 = mgr.margin();
-        mgr.control_step(&mut server, 5.0, Some(0.9)).unwrap();
+        analytic(&mut mgr, &mut server, 5.0, Some(0.9));
         assert!(mgr.margin() < m1);
     }
 
@@ -453,39 +399,39 @@ mod tests {
     fn secondary_capper_state_survives_repartition() {
         let (truth, utility) = fitted(LcApp::Xapian);
         let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
-        mgr.control_step(&mut server, 0.2 * truth.peak_load_rps(), None)
-            .unwrap();
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
+        analytic(&mut mgr, &mut server, 0.2 * truth.peak_load_rps(), None);
         // The capper throttles the secondary...
         server
             .set_frequency(TenantRole::Secondary, Frequency(1.5))
             .unwrap();
         server.set_quota(TenantRole::Secondary, 0.6).unwrap();
         // ...and a re-partition keeps that state.
-        mgr.control_step(&mut server, 0.3 * truth.peak_load_rps(), Some(0.4))
-            .unwrap();
+        analytic(
+            &mut mgr,
+            &mut server,
+            0.3 * truth.peak_load_rps(),
+            Some(0.4),
+        );
         let sec = server.allocation(TenantRole::Secondary).unwrap();
         assert_eq!(sec.frequency, Frequency(1.5));
         assert!((sec.cpu_quota - 0.6).abs() < 1e-9);
     }
 
     #[test]
-    fn degraded_step_grows_when_blind() {
-        // No slack reading at all: the degraded loop must grow the
+    fn incremental_plan_grows_when_blind() {
+        // No slack reading at all: the incremental loop must grow the
         // primary toward the full machine, one core/way per epoch.
         let (truth, utility) = fitted(LcApp::Xapian);
         let machine = truth.machine().clone();
         let mut server = SimServer::new(machine.clone(), truth.provisioned_power());
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
         // Start from a small analytic allocation...
-        mgr.control_step(&mut server, 0.1 * truth.peak_load_rps(), None)
-            .unwrap();
+        analytic(&mut mgr, &mut server, 0.1 * truth.peak_load_rps(), None);
         let (c0, w0) = mgr.last_counts().unwrap();
         // ...then go blind for enough epochs to reach the full machine.
         for _ in 0..(machine.cores() + machine.llc_ways()) {
-            mgr.degraded_step(&mut server, None).unwrap();
+            incremental(&mut mgr, &mut server, None);
         }
         let (c, w) = mgr.last_counts().unwrap();
         assert!(c > c0 && w > w0);
@@ -493,32 +439,29 @@ mod tests {
     }
 
     #[test]
-    fn degraded_step_trims_on_verified_headroom_and_holds_in_band() {
+    fn incremental_plan_trims_on_verified_headroom_and_holds_in_band() {
         let (truth, utility) = fitted(LcApp::Sphinx);
         let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
-        mgr.degraded_step(&mut server, None).unwrap(); // full machine
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
+        incremental(&mut mgr, &mut server, None); // full machine
         let (c0, w0) = mgr.last_counts().unwrap();
-        mgr.degraded_step(&mut server, Some(0.9)).unwrap(); // ample slack
+        incremental(&mut mgr, &mut server, Some(0.9)); // ample slack
         let (c1, w1) = mgr.last_counts().unwrap();
         assert_eq!((c1, w1), (c0 - 1, w0 - 1));
-        mgr.degraded_step(&mut server, Some(0.3)).unwrap(); // in band: hold
+        incremental(&mut mgr, &mut server, Some(0.3)); // in band: hold
         assert_eq!(mgr.last_counts().unwrap(), (c1, w1));
-        mgr.degraded_step(&mut server, Some(0.01)).unwrap(); // low: grow
+        incremental(&mut mgr, &mut server, Some(0.01)); // low: grow
         assert_eq!(mgr.last_counts().unwrap(), (c1 + 1, w1 + 1));
     }
 
     #[test]
-    fn degraded_step_never_starves_the_primary() {
+    fn incremental_plan_never_starves_the_primary() {
         let (truth, utility) = fitted(LcApp::TpcC);
         let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
-        mgr.control_step(&mut server, 0.1 * truth.peak_load_rps(), None)
-            .unwrap();
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
+        analytic(&mut mgr, &mut server, 0.1 * truth.peak_load_rps(), None);
         for _ in 0..64 {
-            mgr.degraded_step(&mut server, Some(0.99)).unwrap();
+            incremental(&mut mgr, &mut server, Some(0.99));
         }
         let (c, w) = mgr.last_counts().unwrap();
         assert_eq!((c, w), (1, 1));
@@ -526,18 +469,16 @@ mod tests {
     }
 
     #[test]
-    fn degraded_step_preserves_secondary_capper_state() {
+    fn incremental_plan_preserves_secondary_capper_state() {
         let (truth, utility) = fitted(LcApp::Xapian);
         let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
-        mgr.control_step(&mut server, 0.2 * truth.peak_load_rps(), None)
-            .unwrap();
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
+        analytic(&mut mgr, &mut server, 0.2 * truth.peak_load_rps(), None);
         server
             .set_frequency(TenantRole::Secondary, Frequency(1.4))
             .unwrap();
         server.set_quota(TenantRole::Secondary, 0.5).unwrap();
-        mgr.degraded_step(&mut server, None).unwrap();
+        incremental(&mut mgr, &mut server, None);
         let sec = server.allocation(TenantRole::Secondary).unwrap();
         assert_eq!(sec.frequency, Frequency(1.4));
         assert!((sec.cpu_quota - 0.5).abs() < 1e-9);
@@ -547,8 +488,7 @@ mod tests {
     fn replace_utility_swaps_the_model() {
         let (_, utility) = fitted(LcApp::Xapian);
         let (_, other) = fitted(LcApp::Sphinx);
-        let mut mgr =
-            ServerManager::new(utility, LcPolicy::PowerOptimized, ManagerConfig::default());
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
         let before = mgr.utility().performance_model().alphas().to_vec();
         mgr.replace_utility(other);
         assert_ne!(mgr.utility().performance_model().alphas(), &before[..]);

@@ -358,7 +358,7 @@ mod tests {
             .enumerate()
             .map(|(rank, s)| {
                 if resilient {
-                    s.with_resilience(crate::faults::ResilienceConfig::default(), rank)
+                    s.with_resilience(rank)
                 } else {
                     s.with_fault_physics()
                 }

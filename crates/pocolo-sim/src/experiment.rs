@@ -16,6 +16,7 @@ use pocolo_core::fit::{fit_indirect_utility, FitOptions};
 use pocolo_core::fleet::PowerCurve;
 use pocolo_core::utility::IndirectUtility;
 use pocolo_faults::{eviction_order, FaultKind, FaultSpec};
+use pocolo_manager::control::READMIT_PAUSE_S;
 use pocolo_manager::LcPolicy;
 use pocolo_simserver::power::PowerDrawModel;
 use pocolo_simserver::MachineSpec;
@@ -26,7 +27,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::cluster_sim::{run_server_projection, ClusterSim};
-use crate::faults::{FaultTimeline, ResilienceConfig, ServerFaultAction};
+use crate::faults::{FaultTimeline, ServerFaultAction};
 use crate::metrics::{ClusterSummary, ServerMetrics};
 use crate::parallel::{self, Parallelism};
 use crate::server_sim::ServerSim;
@@ -41,8 +42,9 @@ pub enum Policy {
         seed: u64,
     },
     /// Random placement + incremental-growth server control (the
-    /// [`pocolo_manager::HeraclesController`]): grow a core and a way on
-    /// low slack, trim on verified headroom, never consult a model.
+    /// [`pocolo_manager::ServerController::incremental`] sizing): grow a
+    /// core and a way on low slack, trim on verified headroom, never
+    /// consult a model.
     Heracles {
         /// Seed for the placement permutation.
         seed: u64,
@@ -327,6 +329,11 @@ pub struct PlanInputs<'a> {
     pub(crate) matrix: OnceCell<PerfMatrix>,
 }
 
+/// Relative improvement below which a brownout replan keeps the incumbent
+/// placement: migrations cost a warm-up pause each, so a marginally
+/// better plan is not worth the thrash.
+const REPLAN_HYSTERESIS: f64 = 0.05;
+
 /// A placement as performance-matrix `(BE row, server column)` pairs.
 pub(crate) fn placement_pairs(placement: &[BeApp]) -> Vec<(usize, usize)> {
     let row = |be| BeApp::ALL.iter().position(|&a| a == be);
@@ -398,7 +405,6 @@ impl PlanInputs<'_> {
             ranks[server] = rank;
         }
         if resilience {
-            let cfg = ResilienceConfig::default();
             let incumbent = Assignment::new(pairs.clone(), self.matrix().assignment_value(&pairs));
             for event in plan.events() {
                 let FaultKind::BrownoutStart { cap_factor } = &event.kind else {
@@ -414,7 +420,7 @@ impl PlanInputs<'_> {
                 let Ok(replan) = self.manager.replan_under_budget(
                     &factors,
                     &incumbent,
-                    cfg.replan_hysteresis,
+                    REPLAN_HYSTERESIS,
                     Solver::Hungarian,
                 ) else {
                     continue;
@@ -430,7 +436,7 @@ impl PlanInputs<'_> {
                         ServerFaultAction::ReplaceBe {
                             be_truth: Some(Box::new(truth.clone())),
                             be_fitted: Some(Box::new(fit.clone())),
-                            pause_s: cfg.readmit_pause_s,
+                            pause_s: READMIT_PAUSE_S,
                         },
                     );
                 }
@@ -782,8 +788,6 @@ impl SlotSpec {
             (Policy::Pom { .. } | Policy::Pocolo { .. }, Some(bf)) => sim.with_proactive_be(bf),
             _ => sim,
         };
-        // The controller swap must precede resilience arming, which
-        // configures whichever controller is installed.
         let sim = match self.policy {
             Policy::Heracles { .. } => sim.with_incremental_control(),
             _ => sim,
@@ -791,7 +795,7 @@ impl SlotSpec {
         let sim = if !self.faulted {
             sim
         } else if self.resilience {
-            sim.with_resilience(ResilienceConfig::default(), self.rank)
+            sim.with_resilience(self.rank)
         } else {
             sim.with_fault_physics()
         };
@@ -1171,6 +1175,76 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The controller paths no CLI gate pins — the Heracles branch clean,
+    /// resilient and naive under chaos, the POM governor under a brownout,
+    /// and POColo under chaos — at dwell 2: every summary field by
+    /// `to_bits()`, and an FNV-1a over every decision record (`Debug`
+    /// prints each `f64` in its shortest round-trip form, so the digest
+    /// is bit-exact). Captured on the tree before the two controllers and
+    /// their tuning structs were merged (PR 25).
+    #[test]
+    fn controller_paths_match_their_pre_merge_goldens() {
+        use pocolo_core::digest::{fnv1a, FNV_OFFSET};
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let clean = ExperimentConfig {
+            dwell_s: 2.0,
+            parallelism: Parallelism::Serial,
+            ..ExperimentConfig::default()
+        };
+        let faulted = |spec: &str, resilience| ExperimentConfig {
+            faults: Some(spec.parse().unwrap()),
+            resilience,
+            ..clean.clone()
+        };
+        let heracles = Policy::Heracles { seed: 1 };
+        #[rustfmt::skip]
+        let cases: [(Policy, ExperimentConfig, [u64; 8], usize, u64); 5] = [
+            (heracles, clean.clone(), [
+                0x3fde637bef08f458, 0x3feb36ae886bf9bc, 0x40c1e6ad8325819b, 0x40b2d9adee6f2eaa,
+                0x3fd8e38e38e38e36, 0x3f99999999999999, 0, 0,
+            ], 0, 0x324b1ef83634ccab),
+            (heracles, faulted("chaos:7", true), [
+                0x3fd6edf3db3c3b86, 0x3fe818c2855d9203, 0x40c00bf74680d84f, 0x40b66500d17cb093,
+                0x3fe16c16c16c16bc, 0x3fb16c16c16c16c2, 0x4006666666666668, 0x3fe2aaaaaaaaaab0,
+            ], 1, 0x3bd1be84ff87c164),
+            (heracles, faulted("chaos:7", false), [
+                0x3fdc38bcee7f9166, 0x3fe90fc951d0f460, 0x40c09c40f36f44f9, 0x40b2d58dc06bd506,
+                0x3fe13e93e93e93e4, 0x3fb3333333333334, 0x4006666666666668, 0x3fe2aaaaaaaaaab0,
+            ], 1, 0xa4b6302f5fe32cd4),
+            (Policy::Pom { seed: 1 }, faulted("brownout:1", true), [
+                0x3fcd86ec1dfc1d0c, 0x3fe7825e5b9f73a2, 0x40beef35db31fdfe, 0x40c0c33b4447b5d1,
+                0x3fd4444444444445, 0x3fbddddddddddddd, 0x3fb9999999999980, 0x3fe955555555555a,
+            ], 4, 0xec1f9562a20b8131),
+            (POCOLO, faulted("chaos:7", true), [
+                0x3fd1c78ca3c38e0c, 0x3fe78044cc94ae24, 0x40bf2f6b18665eef, 0x40bc1062796dad70,
+                0x3fd0b60b60b60b64, 0x3fabbbbbbbbbbbbc, 0x3fb9999999999980, 0x3fdbda12f684bdb0,
+            ], 4, 0x546691017ba4fee8),
+        ];
+        for (policy, config, bits, evictions, digest) in cases {
+            let duration_s = config.sweep_duration_s();
+            let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, duration_s);
+            let trace = LoadTrace::paper_sweep(config.dwell_s);
+            let (result, traces) = plan.play(&trace, Parallelism::Serial, true);
+            let case = format!("{policy:?} {:?} {}", config.faults, config.resilience);
+            let s = &result.summary;
+            let got = [
+                s.avg_be_throughput,
+                s.avg_power_utilization,
+                s.total_energy.0,
+                s.energy_per_throughput,
+                s.worst_violation_frac,
+                s.avg_capping_frac,
+                s.time_to_recover_s,
+                s.slo_violation_frac_during_fault,
+            ];
+            assert_eq!(got.map(f64::to_bits), bits, "{case}");
+            assert_eq!(s.evictions, evictions, "{case}");
+            let records: Vec<_> = traces.iter().map(|t| &t.records).collect();
+            let got = fnv1a(FNV_OFFSET, format!("{records:?}").as_bytes());
+            assert_eq!(got, digest, "{case}");
         }
     }
 

@@ -183,59 +183,6 @@ impl FaultTimeline {
     }
 }
 
-/// Tuning of the degraded-mode response layered on top of fault physics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceConfig {
-    /// Base number of consecutive saturated capper ticks tolerated before
-    /// the BE co-runner is evicted.
-    pub eviction_patience_ticks: usize,
-    /// Extra patience ticks granted per ascending matrix-value rank, so
-    /// the *lowest*-value co-runner is evicted first cluster-wide.
-    pub patience_per_rank_ticks: usize,
-    /// Initial re-admission backoff after an eviction, seconds.
-    pub backoff_base_s: f64,
-    /// Multiplier applied to the backoff on every consecutive eviction.
-    pub backoff_factor: f64,
-    /// Backoff ceiling, seconds.
-    pub backoff_max_s: f64,
-    /// Warm-up pause a re-admitted BE app pays, seconds.
-    pub readmit_pause_s: f64,
-    /// Relative-improvement threshold below which a budget-shrink replan
-    /// keeps the incumbent placement (anti-thrash hysteresis).
-    pub replan_hysteresis: f64,
-    /// Fraction of the effective cap the power governor targets for the
-    /// *whole server* during a brownout while a BE co-runner is placed.
-    /// Must sit below the capper's RAPL release band, or the emergency
-    /// throttle never disarms while the governor holds the server at its
-    /// budget.
-    pub brownout_budget_frac: f64,
-    /// Whole-server governor target once the primary runs alone. Same
-    /// release-band constraint.
-    pub brownout_budget_frac_solo: f64,
-    /// Governor target once the primary is caught violating its SLO
-    /// under the brownout: spend right up to the cap. Sits *above* the
-    /// release band by design — a violating primary trades the RAPL
-    /// safety margin for capacity.
-    pub brownout_distress_frac: f64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            eviction_patience_ticks: 5,
-            patience_per_rank_ticks: 5,
-            backoff_base_s: 4.0,
-            backoff_factor: 2.0,
-            backoff_max_s: 64.0,
-            readmit_pause_s: 2.0,
-            replan_hysteresis: 0.05,
-            brownout_budget_frac: 0.88,
-            brownout_budget_frac_solo: 0.92,
-            brownout_distress_frac: 0.98,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,7 @@ pub use experiment::{
     compile_fault_plan, run_experiment, DecisionTrace, ExperimentConfig, ExperimentResult,
     FittedCluster, PlanInputs, Policy, RunPlan, SlotSpec,
 };
-pub use faults::{FaultTimeline, ResilienceConfig, ServerFaultAction, ServerFaultEvent};
+pub use faults::{FaultTimeline, ServerFaultAction, ServerFaultEvent};
 pub use fleet::{
     compare_fleet_policies, run_fleet_policy, FittedFleet, FleetComparison, FleetRunResult,
     DEMO_FAULT_SEED, DEMO_FLEET_SEED,

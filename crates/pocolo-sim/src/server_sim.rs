@@ -3,10 +3,9 @@
 use pocolo_core::units::{Frequency, Watts};
 use pocolo_core::utility::IndirectUtility;
 use pocolo_core::CobbDouglas;
-use pocolo_faults::ReadmissionBackoff;
+use pocolo_manager::capper::RELEASE;
 use pocolo_manager::{
-    BeIntent, CapAction, ControlInput, DecisionRecord, GovernorConfig, HeraclesController,
-    LcPolicy, ManagerConfig, PocoloController, PowerCapper, PrimaryDirective, ResilienceParams,
+    BeIntent, CapAction, ControlInput, DecisionRecord, LcPolicy, PowerCapper, PrimaryDirective,
     ServerController, ServerManager,
 };
 use pocolo_simserver::power::{PowerDrawModel, PowerMeter};
@@ -15,7 +14,7 @@ use pocolo_workloads::{BeModel, LcModel, LoadTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::faults::{ResilienceConfig, ServerFaultAction};
+use crate::faults::ServerFaultAction;
 use crate::metrics::ServerMetrics;
 
 /// One server under simulation: the ground-truth workload models, the
@@ -28,8 +27,7 @@ pub struct ServerSim {
     be_truth: Option<BeModel>,
     server: SimServer,
     /// The control plane: decides; this backend actuates.
-    controller: Box<dyn ServerController>,
-    capper: PowerCapper,
+    controller: ServerController,
     meter: PowerMeter,
     power_model: PowerDrawModel,
     trace: LoadTrace,
@@ -97,15 +95,14 @@ impl ServerSim {
     ) -> Self {
         let machine = lc_truth.machine().clone();
         let server = SimServer::new(machine.clone(), power_cap);
-        let manager = ServerManager::new(lc_fitted, policy, ManagerConfig::default());
+        let manager = ServerManager::new(lc_fitted, policy);
         let rapl_ceiling = machine.freq_max();
         ServerSim {
             power_model: PowerDrawModel::new(machine),
             lc_truth,
             be_truth,
             server,
-            controller: Box::new(PocoloController::new(manager)),
-            capper: PowerCapper::default(),
+            controller: ServerController::new(manager),
             meter: PowerMeter::new(meter_noise, seed),
             trace,
             metrics: ServerMetrics::new(power_cap),
@@ -178,44 +175,24 @@ impl ServerSim {
     /// Arms the degraded-mode response: stale telemetry switches the
     /// manager to pure Heracles-style feedback, the proactive planner
     /// tracks the *effective* cap, and a co-runner that keeps the capper
-    /// saturated is evicted (after a patience proportional to `rank`)
-    /// with exponential re-admission backoff. Implies
+    /// saturated is evicted (after a patience that grows with its
+    /// cluster-wide value `rank`, so rank 0 is sacrificed first) with
+    /// exponential re-admission backoff. Implies
     /// [`ServerSim::with_fault_physics`].
     #[must_use]
-    pub fn with_resilience(mut self, config: ResilienceConfig, rank: usize) -> Self {
+    pub fn with_resilience(mut self, rank: usize) -> Self {
         self.fault_physics = true;
         self.resilient = true;
-        let backoff = ReadmissionBackoff::new(
-            config.backoff_base_s,
-            config.backoff_factor,
-            config.backoff_max_s,
-        );
-        self.controller.arm_resilience(ResilienceParams {
-            governor: GovernorConfig {
-                comfort_frac: config.brownout_budget_frac,
-                comfort_frac_solo: config.brownout_budget_frac_solo,
-                distress_frac: config.brownout_distress_frac,
-                release: self.capper.release,
-                duck_margin: 0.02,
-            },
-            // `rank` 0 is the cluster's lowest-value pairing and gets the
-            // least eviction patience (it is sacrificed first).
-            eviction_patience_ticks: config.eviction_patience_ticks
-                + config.patience_per_rank_ticks * rank,
-            backoff,
-            readmit_pause_s: config.readmit_pause_s,
-        });
+        self.controller.arm_resilience(rank);
         self
     }
 
-    /// Swaps in the power-oblivious incremental-growth controller (the
-    /// Heracles-style baseline). Call *before*
-    /// [`ServerSim::with_resilience`], which arms whichever controller is
-    /// installed.
+    /// Sizes the primary with the power-oblivious incremental-growth rule
+    /// (the Heracles-style baseline) instead of the analytic solve.
+    /// Commutes with [`ServerSim::with_resilience`].
     #[must_use]
     pub fn with_incremental_control(mut self) -> Self {
-        let manager = self.controller.manager().clone();
-        self.controller = Box::new(HeraclesController::new(manager));
+        self.controller = self.controller.incremental();
         self
     }
 
@@ -429,14 +406,9 @@ impl ServerSim {
         }
         self.enforce_rapl_ceiling();
         self.plan_secondary_frequency();
-        self.try_readmit_be(now_s);
-    }
-
-    /// Re-admits a parked BE co-runner once the controller says so (its
-    /// backoff expired with the server calm and healthy).
-    fn try_readmit_be(&mut self, now_s: f64) {
-        let fault_active = self.cap_factor < 1.0 || self.down || self.obs_load.is_frozen(now_s);
-        let intent = self.controller.readmit_tick(now_s, fault_active);
+        // A parked co-runner returns once its backoff expired with the
+        // server calm and healthy.
+        let intent = self.controller.readmit_tick(now_s, self.fault_active());
         self.readmit_be(intent);
     }
 
@@ -630,8 +602,7 @@ impl ServerSim {
         let measured = self.meter.sample(true_power);
         self.last_measured = Some(measured);
         let eff_cap = self.effective_cap();
-        let action = self
-            .capper
+        let action = PowerCapper
             .step_with_cap(&mut self.server, measured, eff_cap)
             .unwrap_or(CapAction::None);
         // Under proactive planning the capper may not raise the secondary
@@ -696,7 +667,7 @@ impl ServerSim {
             let lowered = Frequency((self.rapl_ceiling.0 - 0.1).max(machine.freq_min().0));
             self.rapl_ceiling = lowered;
             self.enforce_rapl_ceiling();
-        } else if measured < eff_cap * self.capper.release {
+        } else if measured < eff_cap * RELEASE {
             self.duty = (self.duty + 0.1).min(1.0);
             if self.rapl_ceiling < machine.freq_max() {
                 self.rapl_ceiling =
@@ -956,7 +927,7 @@ mod tests {
             )
         };
         let mut naive = make().with_fault_physics();
-        let mut resilient = make().with_resilience(ResilienceConfig::default(), 0);
+        let mut resilient = make().with_resilience(0);
         for sim in [&mut naive, &mut resilient] {
             run(sim, 9);
             sim.apply_fault(&ServerFaultAction::FreezeTelemetry { until_s: 25.0 }, 9.0);
@@ -969,6 +940,47 @@ mod tests {
             resilient.metrics().slo_violation_frac_during_fault,
             naive.metrics().slo_violation_frac_during_fault
         );
+    }
+
+    /// The builder order must not matter. Through PR 24,
+    /// `with_incremental_control` after `with_resilience` swapped in a
+    /// fresh, unarmed controller: the server still claimed resilience but
+    /// never evicted, backed off, or distrusted frozen slack again.
+    #[test]
+    fn incremental_control_and_resilience_commute() {
+        let make = || {
+            make_sim(
+                LcApp::Sphinx,
+                Some(BeApp::Graph),
+                LcPolicy::PowerOptimized,
+                LoadTrace::Constant(0.4),
+            )
+            .with_decision_log()
+        };
+        let mut sims = [
+            make().with_incremental_control().with_resilience(0),
+            make().with_resilience(0).with_incremental_control(),
+        ];
+        for sim in &mut sims {
+            run(sim, 5);
+            sim.apply_fault(&ServerFaultAction::Crash, 5.0);
+            run_from(sim, 5, 3);
+            sim.apply_fault(&ServerFaultAction::Recover, 8.0);
+            run_from(sim, 8, 2);
+            sim.apply_fault(&ServerFaultAction::FreezeTelemetry { until_s: 30.0 }, 10.0);
+            run_from(sim, 10, 8);
+            sim.apply_fault(&ServerFaultAction::Thaw, 18.0);
+            run_from(sim, 18, 10);
+        }
+        let [a, b] = &sims;
+        let degraded = |s: &ServerSim| {
+            s.decision_records()
+                .iter()
+                .any(|r| r.mode == pocolo_manager::ControlMode::Degraded)
+        };
+        assert!(degraded(a), "an armed controller distrusts frozen slack");
+        assert_eq!(a.metrics(), b.metrics());
+        assert_eq!(a.decision_records(), b.decision_records());
     }
 
     #[test]
@@ -1030,7 +1042,7 @@ mod tests {
             LcPolicy::PowerOptimized,
             LoadTrace::Constant(0.5),
         )
-        .with_resilience(ResilienceConfig::default(), 0);
+        .with_resilience(0);
         run(&mut sim, 5);
         sim.apply_fault(&ServerFaultAction::SetCapFactor(0.5), 5.0);
         run_from(&mut sim, 5, 10);
@@ -1091,7 +1103,7 @@ mod tests {
                 LoadTrace::Constant(0.4),
             );
             let mut sim = match resilient {
-                true => sim.with_resilience(ResilienceConfig::default(), 0),
+                true => sim.with_resilience(0),
                 false => sim.with_fault_physics(),
             };
             run(&mut sim, 5);
@@ -1121,7 +1133,7 @@ mod tests {
             LcPolicy::PowerOptimized,
             LoadTrace::Constant(0.5),
         )
-        .with_resilience(ResilienceConfig::default(), 0);
+        .with_resilience(0);
         run(&mut sim, 5);
         sim.apply_fault(&ServerFaultAction::SetCapFactor(0.5), 5.0);
         run_from(&mut sim, 5, 10);

@@ -290,67 +290,3 @@ mod tests {
         assert_eq!(samples.len(), 16);
     }
 }
-
-#[cfg(test)]
-mod calibration {
-    //! Run with `cargo test -p pocolo-workloads calibration -- --ignored
-    //! --nocapture` to print the fitted parameters for every app.
-    use super::*;
-    use crate::app::{BeApp, LcApp};
-    use pocolo_core::fit::{fit_indirect_utility, FitOptions};
-    use pocolo_simserver::MachineSpec;
-
-    #[test]
-    #[ignore = "calibration report, not a check"]
-    fn print_fitted_parameters() {
-        let m = MachineSpec::xeon_e5_2650();
-        let p = PowerDrawModel::new(m.clone());
-        let s = m.resource_space();
-        let cfg = ProfilerConfig::default();
-        println!("app       perfR2 powR2  a_c    a_w    p_st   p_c    p_w    pref_c pref_w dir_c");
-        for app in LcApp::ALL {
-            let model = LcModel::for_app(app, m.clone());
-            let samples = profile_lc(&model, &p, &s, &cfg);
-            let f = fit_indirect_utility(&s, &samples, &FitOptions::default()).unwrap();
-            let u = &f.utility;
-            let pv = u.preference_vector();
-            let dv = u.direct_preference_vector();
-            println!(
-                "{:9} {:.3}  {:.3}  {:.3}  {:.3}  {:5.1}  {:.3}  {:.3}  {:.3}  {:.3}  {:.3}",
-                app.name(),
-                f.performance_r2,
-                f.power_r2,
-                u.performance_model().alphas()[0],
-                u.performance_model().alphas()[1],
-                u.power_model().p_static().0,
-                u.power_model().p_dynamic()[0],
-                u.power_model().p_dynamic()[1],
-                pv.weight(0),
-                pv.weight(1),
-                dv.weight(0)
-            );
-        }
-        for app in BeApp::ALL {
-            let model = BeModel::for_app(app, m.clone());
-            let samples = profile_be(&model, &p, &s, &cfg);
-            let f = fit_indirect_utility(&s, &samples, &FitOptions::default()).unwrap();
-            let u = &f.utility;
-            let pv = u.preference_vector();
-            let dv = u.direct_preference_vector();
-            println!(
-                "{:9} {:.3}  {:.3}  {:.3}  {:.3}  {:5.1}  {:.3}  {:.3}  {:.3}  {:.3}  {:.3}",
-                app.name(),
-                f.performance_r2,
-                f.power_r2,
-                u.performance_model().alphas()[0],
-                u.performance_model().alphas()[1],
-                u.power_model().p_static().0,
-                u.power_model().p_dynamic()[0],
-                u.power_model().p_dynamic()[1],
-                pv.weight(0),
-                pv.weight(1),
-                dv.weight(0)
-            );
-        }
-    }
-}

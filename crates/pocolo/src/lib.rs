@@ -9,7 +9,7 @@
 //! | Economics framework | [`core`] | Cobb-Douglas indirect utility, demand solver, preference vectors, model fitting, indifference curves, Edgeworth box, per-SKU server-class catalog with pluggable power curves |
 //! | Server substrate | [`simserver`] | Simulated Xeon E5-2650: core/way/DVFS/quota knobs, power model, noisy meter, telemetry |
 //! | Workload models | [`workloads`] | Ground-truth LC apps (img-dnn, sphinx, xapian, tpcc) and BE apps (lstm, rnn, graph, pbzip), load traces, profiler |
-//! | Server management | [`manager`] | Control plane (`ServerController` trait + `ControlMode` state machine), POM power-optimized controller, Heracles-style baseline, 100 ms power capper |
+//! | Server management | [`manager`] | Control plane (one `ServerController`: POM analytic or Heracles-style incremental sizing, `ControlMode` state machine), 100 ms power capper |
 //! | Cluster placement | [`cluster`] | Performance matrix (class-keyed expansion-path cache), Hungarian / simplex-LP / exhaustive / random / auction solvers, hard affinity constraints |
 //! | Fault injection | [`faults`] | Seeded fault plans (brownouts, crashes, telemetry dropouts, model drift), eviction ordering, re-admission backoff |
 //! | Simulation | [`sim`] | Discrete-event cluster simulation, policy experiments, degraded-mode resilience, heterogeneous-fleet SKU-aware vs SKU-blind comparison |
@@ -65,9 +65,8 @@ pub mod prelude {
         FederationConfig, FederationReport, FederationScenario, RegionController,
     };
     pub use pocolo_manager::{
-        BeGuard, BeIntent, BeJob, BeQueue, CapAction, ControlDecision, ControlInput, ControlMode,
-        DecisionRecord, GovernorConfig, HeraclesController, LcPolicy, ManagerConfig, ModeMachine,
-        PocoloController, PowerCapper, PrimaryDirective, QueueDiscipline, ResilienceParams,
+        BeIntent, BeJob, BeQueue, CapAction, ControlDecision, ControlInput, ControlMode,
+        DecisionRecord, LcPolicy, ModeMachine, PowerCapper, PrimaryDirective, QueueDiscipline,
         ServerController, ServerManager,
     };
     pub use pocolo_sim::experiment::{
@@ -80,8 +79,8 @@ pub mod prelude {
     };
     pub use pocolo_sim::rebalance::{run_rebalancing, RebalanceConfig, RebalanceResult};
     pub use pocolo_sim::{
-        ClusterSim, ClusterSummary, FaultTimeline, Parallelism, ResilienceConfig,
-        ServerFaultAction, ServerMetrics, ServerSim,
+        ClusterSim, ClusterSummary, FaultTimeline, Parallelism, ServerFaultAction, ServerMetrics,
+        ServerSim,
     };
     pub use pocolo_simserver::{
         CoreSet, MachineSpec, P2Quantile, SimServer, TenantAllocation, TenantRole, WayMask,

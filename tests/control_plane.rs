@@ -1,7 +1,7 @@
-//! Control-plane acceptance tests: the [`PocoloController`]'s mode
+//! Control-plane acceptance tests: the [`ServerController`]'s mode
 //! transitions must be observable through the [`DecisionRecord`] stream,
 //! and the full `ServerSim` backend must actuate re-admission decisions
-//! exactly as the [`BeGuard`] schedules them.
+//! exactly as the controller's co-runner guard schedules them.
 
 use pocolo::core::fit::{fit_indirect_utility, FitOptions};
 use pocolo::prelude::*;
@@ -20,17 +20,11 @@ fn fitted_utility(app: LcApp) -> (LcModel, IndirectUtility) {
     (truth, fitted)
 }
 
-fn controller(armed: bool) -> PocoloController {
+fn controller(armed: bool) -> ServerController {
     let (_, fitted) = fitted_utility(LcApp::Sphinx);
-    let manager = ServerManager::new(fitted, LcPolicy::PowerOptimized, ManagerConfig::default());
-    let mut ctl = PocoloController::new(manager);
+    let mut ctl = ServerController::new(ServerManager::new(fitted, LcPolicy::PowerOptimized));
     if armed {
-        ctl.arm_resilience(ResilienceParams {
-            governor: GovernorConfig::default(),
-            eviction_patience_ticks: 2,
-            backoff: ReadmissionBackoff::new(4.0, 2.0, 64.0),
-            readmit_pause_s: 2.0,
-        });
+        ctl.arm_resilience(0);
     }
     ctl
 }
@@ -60,7 +54,6 @@ fn frozen_telemetry_blinds_a_resilient_controller() {
         ..input(400.0)
     });
     assert_eq!(decision.mode, ControlMode::Degraded);
-    assert_eq!(ctl.mode(), ControlMode::Degraded);
     assert_eq!(
         decision.record.slack, None,
         "a frozen slack reading must not be consumed"
@@ -175,9 +168,7 @@ fn duck_flag_is_reported_while_the_rapl_ceiling_is_depressed() {
 
 #[test]
 fn heracles_controller_grows_blind_and_trims_on_headroom() {
-    let (_, fitted) = fitted_utility(LcApp::Sphinx);
-    let manager = ServerManager::new(fitted, LcPolicy::PowerOptimized, ManagerConfig::default());
-    let mut ctl = HeraclesController::new(manager);
+    let mut ctl = controller(false).incremental();
     // Ample verified headroom (slack > high_slack = 0.5): trim one of each.
     let trim = ctl.decide(&ControlInput {
         observed_slack: Some(0.9),
@@ -223,7 +214,7 @@ fn persistent_fault_blocks_readmission_until_the_thaw() {
         0.01,
         42,
     )
-    .with_resilience(ResilienceConfig::default(), 0)
+    .with_resilience(0)
     .with_decision_log();
 
     let run = |sim: &mut ServerSim, from_s: usize, to_s: usize| {

@@ -117,7 +117,7 @@ proptest! {
             &machine, 6, 10, machine.freq_max(), machine.freq_max());
         server.install(TenantRole::Primary, lc_alloc).unwrap();
         server.install(TenantRole::Secondary, be_alloc.unwrap()).unwrap();
-        let capper = PowerCapper::default();
+        let capper = PowerCapper;
         let load_rps = load * lc.peak_load_rps();
 
         let mut last = Watts::ZERO;
