@@ -26,7 +26,7 @@ pocolo_json::impl_to_json!(PolicyRuns {
 /// Runs all three policies over the uniform 10–90 % sweep with shared fits.
 pub fn run_policies() -> PolicyRuns {
     let config = ExperimentConfig::default();
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let runs = PolicyRuns {
         random: run_experiment_with(Policy::Random { seed: 1 }, &config, &fitted),
         pom: run_experiment_with(Policy::Pom { seed: 1 }, &config, &fitted),
@@ -78,7 +78,7 @@ pub fn fig12_by_level() {
         dwell_s: 10.0,
         ..ExperimentConfig::default()
     };
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let levels: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     let random = pocolo_sim::experiment::run_level_sweep(
         Policy::Random { seed: 1 },

@@ -267,7 +267,6 @@ fn experiment_of(opts: &Options) -> Result<ExperimentConfig, String> {
         parallelism: opts.parallelism,
         faults: opts.faults.as_deref().map(str::parse).transpose()?,
         resilience: !opts.no_resilience,
-        ..ExperimentConfig::default()
     })
 }
 
@@ -522,7 +521,7 @@ fn cmd_simulate_fleet(opts: &Options, raw: &str) -> Result<String, String> {
     }
     let solver = solver_of(&opts.solver)?;
     let config = experiment_of(opts)?;
-    let fleet = FittedFleet::fit(&config.profiler, spec, fleet_seed);
+    let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, fleet_seed);
     let run = run_fleet_policy(&fleet, &config, solver, true);
     Ok(format_result(&run.result, &config, opts.json))
 }
@@ -539,7 +538,7 @@ fn cmd_simulate(opts: &Options) -> Result<String, String> {
         std::fs::File::create(path)
             .map_err(|e| format!("cannot write decision log {path}: {e}"))?;
     }
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let duration_s = config.sweep_duration_s();
     let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, duration_s);
     let trace = LoadTrace::paper_sweep(config.dwell_s);

@@ -734,10 +734,6 @@ mod tests {
             placement: vec![BeApp::Lstm, BeApp::Graph],
             ranks: vec![1, 0],
             dwell_s: 3.0,
-            duration_s: 27.0,
-            manager_period_s: 1.0,
-            capper_period_s: 0.1,
-            meter_noise: 0.01,
             seed: 0xC0C0,
             faults: None,
             resilience: true,

@@ -27,8 +27,7 @@ use crate::wire::RunSpec;
 pub struct DemoConfig {
     /// Placement policy under evaluation.
     pub policy: Policy,
-    /// The experiment both paths run. Must keep the default profiler —
-    /// agents always fit from profiler defaults.
+    /// The experiment both paths run.
     pub experiment: ExperimentConfig,
     /// Heartbeat lease TTL. Short in tests so expiry is fast; a real
     /// deployment would use a few missed heartbeats' worth.

@@ -13,8 +13,8 @@
 //! `ServerController` + `ServerManager` backend the in-process engine
 //! drives (via [`pocolo_sim::SlotSpec`]) and advances it through the
 //! same per-server event loop, behind the same slot runner
-//! ([`pocolo_sim::RunPlan::run_slot`] over
-//! [`pocolo_sim::run_server_projection`]). Because both sides fit
+//! ([`pocolo_sim::RunPlan::run_slot`], one [`pocolo_sim::Projection`]
+//! advanced to the end). Because both sides fit
 //! identical models from the same deterministic profiler defaults and
 //! replay identical seeded fault timelines, a wire-driven run reproduces
 //! the in-process engine's placement decisions and epoch-level metrics

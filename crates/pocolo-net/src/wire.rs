@@ -14,7 +14,7 @@ use pocolo_core::federation::{FedLogEntry, FedSnapshot};
 use pocolo_faults::FaultSpec;
 use pocolo_json::{json, ToJson, Value};
 use pocolo_sim::experiment::{ExperimentConfig, FittedCluster};
-use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec};
+use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec, METER_NOISE};
 use pocolo_workloads::{BeApp, LoadTrace};
 
 use crate::error::NetError;
@@ -134,10 +134,12 @@ fn be_from_name(name: &str) -> Result<BeApp, NetError> {
 /// Everything an agent needs to run its slot of a cluster experiment
 /// bit-identically to the in-process engine: the placement the cluster
 /// daemon solved, the eviction ranks, the fault scenario (compiled
-/// locally and deterministically from its spec string), and the scalar
-/// config. Models are *not* shipped — [`FittedCluster::fit`] is
-/// deterministic, so both sides fit identical models from the same
-/// profiler defaults.
+/// locally and deterministically from its spec string), and the dwell,
+/// seed and resilience of the [`ExperimentConfig`]. Models are *not* shipped —
+/// [`FittedCluster::fit`] is deterministic, so both sides fit identical
+/// models from the same profiler defaults — and neither is anything
+/// fixed: the control periods and the meter noise are constants, and the
+/// run lasts the nine-level sweep, `9 × dwell_s`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The policy under evaluation.
@@ -148,16 +150,8 @@ pub struct RunSpec {
     pub placement: Vec<BeApp>,
     /// Cluster-wide eviction ranks for the placement.
     pub ranks: Vec<usize>,
-    /// Seconds per load level of the paper sweep.
+    /// Seconds per load level of the paper sweep (finite and positive).
     pub dwell_s: f64,
-    /// Total simulated duration.
-    pub duration_s: f64,
-    /// Manager control period.
-    pub manager_period_s: f64,
-    /// Capper control period.
-    pub capper_period_s: f64,
-    /// Relative power-meter noise.
-    pub meter_noise: f64,
     /// Base experiment seed.
     pub seed: u64,
     /// Fault scenario spec, if any (e.g. `brownout:5`).
@@ -187,10 +181,6 @@ impl RunSpec {
             placement: plan.placement().to_vec(),
             ranks: plan.ranks().to_vec(),
             dwell_s: config.dwell_s,
-            duration_s,
-            manager_period_s: config.manager_period_s,
-            capper_period_s: config.capper_period_s,
-            meter_noise: config.meter_noise,
             seed: config.seed,
             faults: config.faults,
             resilience: config.resilience,
@@ -206,9 +196,6 @@ impl RunSpec {
     pub fn compile<'a>(&self, fitted: &'a FittedCluster) -> RunPlan<'a> {
         let config = ExperimentConfig {
             dwell_s: self.dwell_s,
-            manager_period_s: self.manager_period_s,
-            capper_period_s: self.capper_period_s,
-            meter_noise: self.meter_noise,
             seed: self.seed,
             faults: self.faults,
             resilience: self.resilience,
@@ -219,7 +206,7 @@ impl RunSpec {
             self.policy,
             self.placement.clone(),
             &config,
-            self.duration_s,
+            config.sweep_duration_s(),
         )
     }
 
@@ -246,10 +233,6 @@ impl RunSpec {
             placement: (0..n).map(|i| BeApp::ALL[i % BeApp::ALL.len()]).collect(),
             ranks: (0..n).collect(),
             dwell_s: 1.0,
-            duration_s: 9.0,
-            manager_period_s: 1.0,
-            capper_period_s: 0.1,
-            meter_noise: 0.0,
             seed,
             faults: None,
             resilience: true,
@@ -273,7 +256,7 @@ impl RunSpec {
             be: self.placement[server],
             rank: self.ranks[server],
             trace: LoadTrace::paper_sweep(self.dwell_s),
-            meter_noise: self.meter_noise,
+            meter_noise: METER_NOISE,
             seed: self.seed,
             faulted: self.faults.is_some(),
             resilience: self.resilience,
@@ -294,10 +277,6 @@ impl RunSpec {
             "placement": placement,
             "ranks": ranks,
             "dwell_s": self.dwell_s,
-            "duration_s": self.duration_s,
-            "manager_period_s": self.manager_period_s,
-            "capper_period_s": self.capper_period_s,
-            "meter_noise": self.meter_noise,
             "seed": self.seed,
             "faults": self.faults.map(|f| f.to_string()),
             "resilience": self.resilience,
@@ -322,17 +301,19 @@ impl RunSpec {
             ),
             _ => return Err(NetError::Protocol("faults is not a string or null".into())),
         };
+        let dwell_s = f64_field(v, "dwell_s")?;
+        if !(dwell_s.is_finite() && dwell_s > 0.0) {
+            return Err(NetError::Protocol(format!(
+                "dwell_s must be finite and positive, got {dwell_s}"
+            )));
+        }
         let spec = RunSpec {
             policy: policy_from_json(field(v, "policy")?)?,
             lc: Vec::from_json(field(v, "lc")?)
                 .ok_or_else(|| NetError::Protocol("lc is not a string list".into()))?,
             placement,
             ranks: ranks.into_iter().map(|r| r as usize).collect(),
-            dwell_s: f64_field(v, "dwell_s")?,
-            duration_s: f64_field(v, "duration_s")?,
-            manager_period_s: f64_field(v, "manager_period_s")?,
-            capper_period_s: f64_field(v, "capper_period_s")?,
-            meter_noise: f64_field(v, "meter_noise")?,
+            dwell_s,
             seed: u64_field(v, "seed")?,
             faults,
             resilience: bool_field(v, "resilience")?,
@@ -659,10 +640,6 @@ mod tests {
             placement: vec![BeApp::Lstm, BeApp::Graph],
             ranks: vec![1, 0],
             dwell_s: 3.0,
-            duration_s: 27.0,
-            manager_period_s: 1.0,
-            capper_period_s: 0.1,
-            meter_noise: 0.01,
             seed: 0xC0C0,
             faults: Some(FaultSpec {
                 scenario: Scenario::Brownout,
@@ -825,6 +802,37 @@ mod tests {
         let mut buf = Vec::from(3u32.to_be_bytes());
         buf.extend_from_slice(b"{{{");
         assert!(matches!(read_frame(&mut &buf[..]), Err(NetError::Frame(_))));
+    }
+
+    #[test]
+    fn hostile_welcome_bodies_are_rejected_or_stripped() {
+        // A Welcome carrying `run` plus some extra body fields.
+        let welcome = |run: RunSpec, extra: &[(&str, f64)]| {
+            let Value::Object(mut body) = run.to_json() else {
+                unreachable!("a run spec encodes as an object")
+            };
+            body.extend(extra.iter().map(|&(k, v)| (k.to_string(), json!(v))));
+            let (v, run) = (PROTOCOL_VERSION, Value::Object(body));
+            let frame =
+                json!({"v": v, "type": "welcome", "server": 1u64, "degraded": false, "run": run});
+            Message::from_value(&frame)
+        };
+        // A load level that lasts no time must not reach the load trace.
+        for dwell_s in [0.0, -1.0] {
+            let err = welcome(RunSpec { dwell_s, ..spec() }, &[]).unwrap_err();
+            assert!(matches!(err, NetError::Protocol(_)), "{dwell_s}: {err}");
+        }
+        // A peer that still ships the retired scalars, among them a capper
+        // period that pinned the old settable-period loop to one µs
+        // forever, is read as if it had not.
+        let retired = [
+            ("duration_s", 27.0),
+            ("manager_period_s", 1.0),
+            ("capper_period_s", 0.0),
+            ("meter_noise", 0.5),
+        ];
+        let legacy = welcome(spec(), &retired);
+        assert!(matches!(legacy, Ok(Message::Welcome { run, .. }) if *run == spec()));
     }
 
     #[test]

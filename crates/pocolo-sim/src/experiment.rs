@@ -3,11 +3,9 @@
 //!
 //! Every run — homogeneous or fleet, in-process or over the wire, one
 //! sweep or one load level, open or closed loop — is a [`RunPlan`]
-//! compiled once and played through [`run_server_projection`]'s
-//! resumable step.
+//! compiled once and played through [`Projection`]'s resumable step.
 
 use std::cell::OnceCell;
-use std::sync::Arc;
 
 use pocolo_cluster::{
     migration_diff, Assignment, ClusterManager, PerfMatrix, ServerProfile, Solver,
@@ -26,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::cluster_sim::{run_server_projection, ClusterSim};
+use crate::cluster_sim::{run_closed_loop, Projection};
 use crate::faults::{FaultTimeline, ServerFaultAction};
 use crate::metrics::{ClusterSummary, ServerMetrics};
 use crate::parallel::{self, Parallelism};
@@ -74,21 +72,21 @@ impl Policy {
     }
 }
 
-/// Experiment configuration.
+/// Relative power-meter noise every experiment slot reads its power
+/// through: ±1 %, uniform — the error band of the testbed's socket power
+/// meters (§V-A; DESIGN §2 substitutes `PowerMeter` for them).
+pub const METER_NOISE: f64 = 0.01;
+
+/// Experiment configuration: what a run varies. The control periods are
+/// the paper's ([`crate::MANAGER_PERIOD_S`], [`crate::CAPPER_PERIOD_S`]),
+/// the meter noise is [`METER_NOISE`], and models are fitted under the
+/// default profiler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Seconds spent at each of the nine load levels.
     pub dwell_s: f64,
-    /// Server-manager control period (paper: 1 s).
-    pub manager_period_s: f64,
-    /// Power-capper control period (paper: 100 ms).
-    pub capper_period_s: f64,
-    /// Relative power-meter noise.
-    pub meter_noise: f64,
-    /// Base RNG seed (profiling noise, meters).
+    /// Base RNG seed (meters, and a fault schedule whose spec names none).
     pub seed: u64,
-    /// Profiler settings used when fitting models.
-    pub profiler: ProfilerConfig,
     /// Worker-thread budget for sweep cells and per-server runs. Results
     /// are bit-identical across settings; only wall-clock time changes.
     pub parallelism: Parallelism,
@@ -114,11 +112,7 @@ impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
             dwell_s: 20.0,
-            manager_period_s: 1.0,
-            capper_period_s: 0.1,
-            meter_noise: 0.01,
             seed: 0xC0C0,
-            profiler: ProfilerConfig::default(),
             parallelism: Parallelism::default(),
             faults: None,
             resilience: true,
@@ -478,7 +472,7 @@ pub struct RunPlan<'a> {
     fits: Vec<&'a FittedCluster>,
     placement: Vec<BeApp>,
     ranks: Vec<usize>,
-    timeline: Arc<FaultTimeline>,
+    timeline: FaultTimeline,
 }
 
 impl<'a> RunPlan<'a> {
@@ -517,7 +511,7 @@ impl<'a> RunPlan<'a> {
             fits: inputs.fits,
             placement,
             ranks,
-            timeline: Arc::new(timeline),
+            timeline,
         }
     }
 
@@ -533,22 +527,20 @@ impl<'a> RunPlan<'a> {
     }
 
     /// Builds the server `spec` describes from its slot's fit and drives
-    /// it through that slot's fault events for the plan's duration,
-    /// calling `on_epoch` after every manager tick (see
-    /// [`run_server_projection`]). Every slot of every play — in-process,
-    /// wire agent, or degraded re-run — goes through here.
+    /// it through that slot's fault events for the plan's duration (one
+    /// [`Projection`] advanced to the end), calling `on_epoch(now_s,
+    /// server)` after every manager tick — a wire agent's telemetry
+    /// cadence; returning `false` abandons the run (an agent dying
+    /// mid-run). The wire agent and the degraded re-run go through here.
     pub fn run_slot(
         &self,
         spec: &SlotSpec,
         on_epoch: impl FnMut(f64, &mut ServerSim) -> bool,
     ) -> ServerSim {
         let mut sim = spec.build(self.fits[spec.server]);
-        run_server_projection(
+        Projection::new(self.timeline.server_events(spec.server), self.duration_s).advance(
             &mut sim,
-            self.timeline.server_events(spec.server),
-            self.config.manager_period_s,
-            self.config.capper_period_s,
-            self.duration_s,
+            f64::INFINITY,
             on_epoch,
         );
         sim
@@ -576,15 +568,15 @@ impl<'a> RunPlan<'a> {
 
     /// Plays the plan with slot `i` driven by `traces[i]`, under a
     /// cluster `controller` that acts at each of the `barriers`: the
-    /// closed loop of [`ClusterSim::run_closed_loop`], which states what
-    /// the controller may read and when its actions land. The result
-    /// labels every slot with the co-runner the plan placed there,
-    /// whatever the controller moved in later.
+    /// closed loop of [`run_closed_loop`], which states what the
+    /// controller may read and when its actions land. The result labels
+    /// every slot with the co-runner the plan placed there, whatever the
+    /// controller moved in later.
     ///
     /// # Panics
     ///
     /// Panics unless there is one trace per slot; see also
-    /// [`ClusterSim::run_closed_loop`].
+    /// [`run_closed_loop`].
     pub fn play_closed_loop(
         &self,
         traces: Vec<LoadTrace>,
@@ -605,7 +597,7 @@ impl<'a> RunPlan<'a> {
                     be: self.placement[server],
                     rank: self.ranks[server],
                     trace,
-                    meter_noise: self.config.meter_noise,
+                    meter_noise: METER_NOISE,
                     seed: self.config.seed,
                     faulted: self.config.faults.is_some(),
                     resilience: self.config.resilience,
@@ -614,14 +606,14 @@ impl<'a> RunPlan<'a> {
                 spec.build(self.fits[server])
             })
             .collect();
-        let mut cluster = ClusterSim::new(
+        let sims = run_closed_loop(
             sims,
-            self.config.manager_period_s,
-            self.config.capper_period_s,
-        )
-        .with_faults(Arc::clone(&self.timeline));
-        cluster.run_closed_loop(self.duration_s, parallelism, barriers, controller);
-        let sims = cluster.servers();
+            &self.timeline,
+            self.duration_s,
+            parallelism,
+            barriers,
+            controller,
+        );
         let lc: Vec<&str> = (0..n).map(|s| self.fits[s].lc[s].0.name()).collect();
         let traces = sims
             .iter()
@@ -634,16 +626,16 @@ impl<'a> RunPlan<'a> {
                 records: sim.decision_records().to_vec(),
             })
             .collect();
-        let result =
-            ExperimentResult::from_metrics(self.policy, &lc, &self.placement, cluster.metrics())
-                .expect("a plan has at least one slot");
+        let metrics = sims.iter().map(|s| s.metrics().clone()).collect();
+        let result = ExperimentResult::from_metrics(self.policy, &lc, &self.placement, metrics)
+            .expect("a plan has at least one slot");
         (result, traces)
     }
 }
 
 /// Runs one policy through the full load sweep and returns its results.
 pub fn run_experiment(policy: Policy, config: &ExperimentConfig) -> ExperimentResult {
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
     run_experiment_with(policy, config, &fitted)
 }
 
@@ -865,7 +857,7 @@ mod tests {
         // The headline §V-D result: POColo > POM > Random on BE throughput,
         // and Random draws the most power.
         let config = quick_config();
-        let fitted = FittedCluster::fit(&config.profiler);
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
         let random = run_experiment_with(Policy::Random { seed: 1 }, &config, &fitted);
         let pom = run_experiment_with(Policy::Pom { seed: 1 }, &config, &fitted);
         let pocolo = run_experiment_with(
@@ -1011,7 +1003,7 @@ mod tests {
     #[test]
     fn results_are_reproducible() {
         let config = quick_config();
-        let fitted = FittedCluster::fit(&config.profiler);
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
         let a = run_experiment_with(Policy::Pom { seed: 9 }, &config, &fitted);
         let b = run_experiment_with(Policy::Pom { seed: 9 }, &config, &fitted);
         assert_eq!(a, b);
@@ -1020,7 +1012,7 @@ mod tests {
     #[test]
     fn slo_is_respected_under_all_policies() {
         let config = quick_config();
-        let fitted = FittedCluster::fit(&config.profiler);
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
         for policy in [
             Policy::Random { seed: 2 },
             Policy::Pom { seed: 2 },
@@ -1270,19 +1262,16 @@ mod tests {
                     be: placement[server],
                     rank: ranks[server],
                     trace: LoadTrace::Constant(0.9),
-                    meter_noise: config.meter_noise,
+                    meter_noise: METER_NOISE,
                     seed: config.seed,
                     faulted: true,
                     resilience: true,
                     record_decisions: false,
                 }
                 .build(&fitted);
-                run_server_projection(
+                Projection::new(timeline.server_events(server), config.dwell_s).advance(
                     &mut sim,
-                    timeline.server_events(server),
-                    config.manager_period_s,
-                    config.capper_period_s,
-                    config.dwell_s,
+                    f64::INFINITY,
                     |_, _| true,
                 );
                 sim.metrics().clone()
@@ -1303,7 +1292,7 @@ mod level_sweep_tests {
             dwell_s: 5.0,
             ..ExperimentConfig::default()
         };
-        let fitted = FittedCluster::fit(&config.profiler);
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
         let levels = [0.1, 0.5, 0.9];
         let sweep = run_level_sweep(
             Policy::Pocolo {

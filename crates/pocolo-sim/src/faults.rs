@@ -149,12 +149,13 @@ impl FaultTimeline {
         timeline
     }
 
-    /// Appends an action to one server's timeline. Actions are kept in
-    /// time order (stable: coincident actions keep insertion order).
+    /// Inserts an action into one server's timeline, after every action
+    /// at or before `at_s`: the list stays in time order, coincident
+    /// actions in insertion order (a stable sort's order).
     pub fn push(&mut self, server: usize, at_s: f64, action: ServerFaultAction) {
         if let Some(events) = self.per_server.get_mut(server) {
-            events.push(ServerFaultEvent { at_s, action });
-            events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
+            let at = events.partition_point(|e| e.at_s.total_cmp(&at_s).is_le());
+            events.insert(at, ServerFaultEvent { at_s, action });
         }
     }
 
@@ -292,6 +293,31 @@ mod tests {
         t.push(0, 1.0, ServerFaultAction::SetCapFactor(0.5));
         let times: Vec<f64> = t.server_events(0).iter().map(|e| e.at_s).collect();
         assert_eq!(times, vec![1.0, 5.0]);
+    }
+
+    #[test]
+    fn out_of_order_pushes_with_ties_land_where_a_stable_sort_puts_them() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(5);
+        // A coarse grid, so most times repeat; -0.0 sorts before 0.0.
+        let grid = |k| if k == 0 { -0.0 } else { f64::from(k) * 0.5 };
+        let mut pushed: Vec<(f64, u64)> =
+            (0..300).map(|s| (grid(rng.gen_range(0..12)), s)).collect();
+        let mut t = FaultTimeline::empty(1);
+        for &(at_s, salt) in &pushed {
+            t.push(0, at_s, ServerFaultAction::DriftModel { rel: 0.0, salt });
+        }
+        pushed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let key = |e: &ServerFaultEvent| match e.action {
+            ServerFaultAction::DriftModel { salt, .. } => (e.at_s.to_bits(), salt),
+            _ => unreachable!("only drift actions were pushed"),
+        };
+        let got: Vec<_> = t.server_events(0).iter().map(key).collect();
+        let want: Vec<_> = pushed
+            .iter()
+            .map(|&(at_s, s)| (at_s.to_bits(), s))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

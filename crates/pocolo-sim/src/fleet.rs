@@ -235,7 +235,7 @@ pub fn compare_fleet_policies(
     config: &ExperimentConfig,
     solver: Solver,
 ) -> FleetComparison {
-    let fleet = FittedFleet::fit(&config.profiler, spec.clone(), seed);
+    let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec.clone(), seed);
     let aware = run_fleet_policy(&fleet, config, solver, true);
     let blind = run_fleet_policy(&fleet, config, solver, false);
     FleetComparison {
@@ -273,7 +273,7 @@ mod tests {
             ..quick_config()
         };
         let spec = FleetSpec::homogeneous(ServerClass::xeon_e5_2650());
-        let fleet = FittedFleet::fit(&config.profiler, spec, 7);
+        let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, 7);
         let aware = run_fleet_policy(&fleet, &config, Solver::Hungarian, true);
         let blind = run_fleet_policy(&fleet, &config, Solver::Hungarian, false);
         assert_eq!(
@@ -289,7 +289,7 @@ mod tests {
                 solver: Solver::Hungarian,
             },
             &config,
-            &FittedCluster::fit(&config.profiler),
+            &FittedCluster::fit(&ProfilerConfig::default()),
         );
         assert_eq!(
             aware.result, default_fit,

@@ -11,7 +11,9 @@
 //! - the simulated server ([`pocolo_simserver`]) enforces isolation and
 //!   meters power;
 //! - the server manager and power capper ([`pocolo_manager`]) run their
-//!   1 s / 100 ms control loops as scheduled events;
+//!   1 s / 100 ms control loops ([`MANAGER_PERIOD_S`],
+//!   [`CAPPER_PERIOD_S`]), merged with each server's fault actions into
+//!   one µs-ordered schedule per server ([`Projection`]);
 //! - the cluster manager ([`pocolo_cluster`]) decides placement.
 //!
 //! Three end-to-end policies reproduce the paper's §V-D comparison:
@@ -23,7 +25,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cluster_sim;
-pub mod engine;
 pub mod experiment;
 pub mod faults;
 pub mod fleet;
@@ -32,11 +33,10 @@ pub mod parallel;
 pub mod rebalance;
 pub mod server_sim;
 
-pub use cluster_sim::{run_server_projection, ClusterSim, Projection};
-pub use engine::{Engine, EventEntry};
+pub use cluster_sim::{run_closed_loop, Projection, CAPPER_PERIOD_S, MANAGER_PERIOD_S};
 pub use experiment::{
     compile_fault_plan, run_experiment, DecisionTrace, ExperimentConfig, ExperimentResult,
-    FittedCluster, PlanInputs, Policy, RunPlan, SlotSpec,
+    FittedCluster, PlanInputs, Policy, RunPlan, SlotSpec, METER_NOISE,
 };
 pub use faults::{FaultTimeline, ServerFaultAction, ServerFaultEvent};
 pub use fleet::{

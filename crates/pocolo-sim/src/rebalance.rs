@@ -167,9 +167,8 @@ mod tests {
     use super::*;
 
     fn setup() -> (ExperimentConfig, FittedCluster) {
-        let config = ExperimentConfig::default();
-        let fitted = FittedCluster::fit(&config.profiler);
-        (config, fitted)
+        let profiler = pocolo_workloads::profiler::ProfilerConfig::default();
+        (ExperimentConfig::default(), FittedCluster::fit(&profiler))
     }
 
     fn reb(period: Option<f64>, pause: f64) -> RebalanceConfig {
@@ -278,21 +277,5 @@ mod tests {
     fn infinite_period_panics() {
         // A static run is `period_s: None`.
         run_with_period(f64::INFINITY);
-    }
-
-    #[test]
-    fn a_finer_capper_period_covers_the_same_simulated_time() {
-        let (config, fitted) = setup();
-        let fine = ExperimentConfig {
-            capper_period_s: 0.05,
-            ..config.clone()
-        };
-        let coarse = run_rebalancing(&config, &reb(None, 0.0), &fitted, 60.0);
-        let fine = run_rebalancing(&fine, &reb(None, 0.0), &fitted, 60.0);
-        let ratio = fine.summary.total_energy / coarse.summary.total_energy;
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "0.05 s capper ticks should draw the energy of 0.1 s ones, ratio {ratio}"
-        );
     }
 }

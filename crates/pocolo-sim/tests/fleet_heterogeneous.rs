@@ -7,6 +7,7 @@ use pocolo_cluster::Solver;
 use pocolo_core::fleet::{FleetSpec, ServerClass};
 use pocolo_sim::experiment::ExperimentConfig;
 use pocolo_sim::fleet::{run_fleet_policy, FittedFleet};
+use pocolo_workloads::profiler::ProfilerConfig;
 
 fn quick_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -23,7 +24,7 @@ fn every_catalog_class_runs_the_full_pipeline() {
     let config = quick_config();
     for name in ServerClass::CATALOG {
         let spec: FleetSpec = name.parse().unwrap();
-        let fleet = FittedFleet::fit(&config.profiler, spec, 0);
+        let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, 0);
         let aware = run_fleet_policy(&fleet, &config, Solver::Hungarian, true);
         let blind = run_fleet_policy(&fleet, &config, Solver::Hungarian, false);
         assert_eq!(

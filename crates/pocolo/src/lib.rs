@@ -79,8 +79,7 @@ pub mod prelude {
     };
     pub use pocolo_sim::rebalance::{run_rebalancing, RebalanceConfig, RebalanceResult};
     pub use pocolo_sim::{
-        ClusterSim, ClusterSummary, FaultTimeline, Parallelism, ServerFaultAction, ServerMetrics,
-        ServerSim,
+        ClusterSummary, FaultTimeline, Parallelism, ServerFaultAction, ServerMetrics, ServerSim,
     };
     pub use pocolo_simserver::{
         CoreSet, MachineSpec, P2Quantile, SimServer, TenantAllocation, TenantRole, WayMask,

@@ -19,7 +19,7 @@ fn main() {
         ..ExperimentConfig::default()
     };
     println!("fitting models for all eight applications...");
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
 
     println!(
         "{:>8} {:>10} {:>10} {:>12} {:>10}",

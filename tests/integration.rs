@@ -96,7 +96,7 @@ fn experiment_results_serialize() {
         dwell_s: 2.0,
         ..ExperimentConfig::default()
     };
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let result = run_experiment_with(Policy::Pom { seed: 5 }, &config, &fitted);
     let json = pocolo_json::to_string_pretty(&result);
     assert!(json.contains("POM"));

@@ -9,7 +9,7 @@ fn runs() -> (ExperimentResult, ExperimentResult, ExperimentResult) {
         dwell_s: 8.0,
         ..ExperimentConfig::default()
     };
-    let fitted = FittedCluster::fit(&config.profiler);
+    let fitted = FittedCluster::fit(&ProfilerConfig::default());
     (
         run_experiment_with(Policy::Random { seed: 3 }, &config, &fitted),
         run_experiment_with(Policy::Pom { seed: 3 }, &config, &fitted),
