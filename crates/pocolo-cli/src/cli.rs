@@ -549,8 +549,22 @@ fn cmd_simulate(opts: &Options) -> Result<String, String> {
     Ok(format_result(&result, &config, opts.json))
 }
 
+/// The run spec ships `--seed` to every agent as a JSON number, which
+/// carries integers exactly only below 2^53: refuse a larger one up front.
+fn wire_seed_check(opts: &Options) -> Result<(), String> {
+    if opts.seed >= pocolo_json::EXACT_INT_LIMIT {
+        return Err(format!(
+            "--seed {} is too large for a wire run (must be below 2^53 = {})",
+            opts.seed,
+            pocolo_json::EXACT_INT_LIMIT
+        ));
+    }
+    Ok(())
+}
+
 fn cmd_clusterd(opts: &Options) -> Result<String, String> {
     use pocolo::net::{default_fit, ClusterConfig, Clusterd, RunSpec};
+    wire_seed_check(opts)?;
     let policy = policy_of(opts)?;
     let config = experiment_of(opts)?;
     let listen: std::net::SocketAddr = opts
@@ -665,6 +679,7 @@ fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
 
 fn cmd_demo_net(opts: &Options) -> Result<String, String> {
     use pocolo::net::{run_demo, DemoConfig};
+    wire_seed_check(opts)?;
     if opts.agents > 0 {
         return cmd_demo_net_scale(opts);
     }
@@ -1344,6 +1359,14 @@ mod tests {
         assert!(run(&argv("agentd --connect not-an-addr")).is_err());
         assert!(run(&argv("demo-net --policy warp")).is_err());
         assert!(run(&argv("demo-net --faults meteor")).is_err());
+    }
+
+    #[test]
+    fn wire_runs_refuse_seeds_past_2_pow_53() {
+        for cmd in ["clusterd", "demo-net --policy random --dwell 1"] {
+            let e = run(&argv(&format!("{cmd} --seed 9007199254740993"))).unwrap_err();
+            assert!(e.starts_with("--seed 9007199254740993 is too large"), "{e}");
+        }
     }
 
     #[test]

@@ -12,57 +12,9 @@
 //! in the federation crate — `pocolo-net` must encode them without
 //! depending on the federation tier.
 //!
-//! All codecs are hand-rolled against `pocolo_json::Value`, mirroring
-//! the wire-message style: `to_json` emits compact deterministic
-//! objects, `from_json` returns `Err(String)` on any malformed field so
-//! transport layers can wrap the cause in their own typed errors.
-
-use pocolo_json::{json, Value};
-
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field {key:?} is not a number"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
-    Ok(u64_field(v, key)? as usize)
-}
-
-fn f64_list(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field {key:?} is not an array"))?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| format!("{key:?} holds a non-number"))
-        })
-        .collect()
-}
-
-fn usize_list(v: &Value, key: &str) -> Result<Vec<usize>, String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field {key:?} is not an array"))?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|u| u as usize)
-                .ok_or_else(|| format!("{key:?} holds a non-integer"))
-        })
-        .collect()
-}
+//! The five types that travel declare their JSON once each, with
+//! [`pocolo_json::impl_json!`]; the status snapshots never leave the
+//! process and have no codec.
 
 /// One region's slice of the federation telemetry snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,30 +39,6 @@ impl RegionStatus {
     pub fn available_w(&self) -> f64 {
         self.grid_w * self.cap_factor
     }
-
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "region": self.region as u64,
-            "power_price": self.power_price,
-            "cap_factor": self.cap_factor,
-            "grid_w": self.grid_w,
-            "slots": self.slots as u64,
-            "resident_power_w": self.resident_power_w,
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(RegionStatus {
-            region: usize_field(v, "region")?,
-            power_price: f64_field(v, "power_price")?,
-            cap_factor: f64_field(v, "cap_factor")?,
-            grid_w: f64_field(v, "grid_w")?,
-            slots: usize_field(v, "slots")?,
-            resident_power_w: f64_field(v, "resident_power_w")?,
-        })
-    }
 }
 
 /// One best-effort application's slice of the federation snapshot.
@@ -128,32 +56,6 @@ pub struct AppStatus {
     /// True while the application is mid-migration (draining or warming)
     /// and must not be moved again.
     pub migrating: bool,
-}
-
-impl AppStatus {
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "app": self.app as u64,
-            "region": self.region as u64,
-            "power_w": self.power_w,
-            "rates": self.rates,
-            "migrating": self.migrating,
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(AppStatus {
-            app: usize_field(v, "app")?,
-            region: usize_field(v, "region")?,
-            power_w: f64_field(v, "power_w")?,
-            rates: f64_list(v, "rates")?,
-            migrating: field(v, "migrating")?
-                .as_bool()
-                .ok_or_else(|| "field \"migrating\" is not a boolean".to_string())?,
-        })
-    }
 }
 
 /// The full telemetry snapshot a `RegionController` decides from: the
@@ -187,27 +89,12 @@ pub struct MigrationIntent {
     pub gain: f64,
 }
 
-impl MigrationIntent {
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "app": self.app as u64,
-            "from": self.from as u64,
-            "to": self.to as u64,
-            "gain": self.gain,
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(MigrationIntent {
-            app: usize_field(v, "app")?,
-            from: usize_field(v, "from")?,
-            to: usize_field(v, "to")?,
-            gain: f64_field(v, "gain")?,
-        })
-    }
-}
+pocolo_json::impl_json!(MigrationIntent {
+    app,
+    from,
+    to,
+    gain
+});
 
 /// What the federation controller decided at one epoch: how the
 /// contracted power splits across regions, and which applications move.
@@ -223,31 +110,11 @@ pub struct FederationDecision {
     pub migrations: Vec<MigrationIntent>,
 }
 
-impl FederationDecision {
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "tick": self.tick,
-            "budget_w": self.budget_w,
-            "migrations": self.migrations.iter().map(|m| m.to_json()).collect::<Vec<_>>(),
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let migrations = field(v, "migrations")?
-            .as_array()
-            .ok_or_else(|| "field \"migrations\" is not an array".to_string())?
-            .iter()
-            .map(MigrationIntent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FederationDecision {
-            tick: u64_field(v, "tick")?,
-            budget_w: f64_list(v, "budget_w")?,
-            migrations,
-        })
-    }
-}
+pocolo_json::impl_json!(FederationDecision {
+    tick,
+    budget_w,
+    migrations
+});
 
 /// One committed entry of the replicated federation log.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,23 +125,7 @@ pub struct FedLogEntry {
     pub decision: FederationDecision,
 }
 
-impl FedLogEntry {
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "version": self.version,
-            "decision": self.decision.to_json(),
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(FedLogEntry {
-            version: u64_field(v, "version")?,
-            decision: FederationDecision::from_json(field(v, "decision")?)?,
-        })
-    }
-}
+pocolo_json::impl_json!(FedLogEntry { version, decision });
 
 /// An in-flight migration as recorded in replicated state: the
 /// application already belongs to `to`, but serves nothing until
@@ -289,25 +140,11 @@ pub struct MigrationRecord {
     pub until_tick: u64,
 }
 
-impl MigrationRecord {
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "app": self.app as u64,
-            "to": self.to as u64,
-            "until_tick": self.until_tick,
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(MigrationRecord {
-            app: usize_field(v, "app")?,
-            to: usize_field(v, "to")?,
-            until_tick: u64_field(v, "until_tick")?,
-        })
-    }
-}
+pocolo_json::impl_json!(MigrationRecord {
+    app,
+    to,
+    until_tick
+});
 
 /// A versioned snapshot of the replicated federation state — the log's
 /// compaction point. A follower that is too far behind receives a
@@ -326,39 +163,18 @@ pub struct FedSnapshot {
     pub migrating: Vec<MigrationRecord>,
 }
 
-impl FedSnapshot {
-    /// Compact JSON encoding.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "version": self.version,
-            "tick": self.tick,
-            "app_region": self.app_region.iter().map(|&r| r as u64).collect::<Vec<_>>(),
-            "budget_w": self.budget_w,
-            "migrating": self.migrating.iter().map(|m| m.to_json()).collect::<Vec<_>>(),
-        })
-    }
-
-    /// Decodes, reporting the first malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let migrating = field(v, "migrating")?
-            .as_array()
-            .ok_or_else(|| "field \"migrating\" is not an array".to_string())?
-            .iter()
-            .map(MigrationRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FedSnapshot {
-            version: u64_field(v, "version")?,
-            tick: u64_field(v, "tick")?,
-            app_region: usize_list(v, "app_region")?,
-            budget_w: f64_list(v, "budget_w")?,
-            migrating,
-        })
-    }
-}
+pocolo_json::impl_json!(FedSnapshot {
+    version,
+    tick,
+    app_region,
+    budget_w,
+    migrating
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pocolo_json::{FromJson, ToJson};
 
     fn decision() -> FederationDecision {
         FederationDecision {
@@ -386,6 +202,12 @@ mod tests {
             decision: decision(),
         };
         assert_eq!(FedLogEntry::from_json(&e.to_json()).unwrap(), e);
+        // A decision-log line from `demo-federation --faults region-chaos:5`,
+        // pinned byte for byte.
+        let line = r#"{"version":1,"decision":{"tick":0,"budget_w":[537.5694807919378,1050.7205182856596,561.0900742413279],"migrations":[{"app":15,"from":0,"to":1,"gain":0.5155346097243917},{"app":8,"from":2,"to":1,"gain":0.2997573116861705},{"app":10,"from":1,"to":0,"gain":0.1430347829710983},{"app":7,"from":1,"to":0,"gain":0.1251065504086332}]}}"#;
+        let entry: FedLogEntry = pocolo_json::typed_from_str(line).unwrap();
+        assert_eq!(entry.decision.migrations[1].app, 8);
+        assert_eq!(entry.to_json().to_compact_string(), line);
     }
 
     #[test]
@@ -406,19 +228,16 @@ mod tests {
 
     #[test]
     fn malformed_fields_report_their_key() {
-        let bad = json!({
-            "version": 1u64,
-            "tick": "later",
-            "app_region": Value::Array(Vec::new()),
-            "budget_w": Value::Array(Vec::new()),
-            "migrating": Value::Array(Vec::new()),
-        });
-        let err = FedSnapshot::from_json(&bad).unwrap_err();
-        assert!(err.contains("tick"), "error names the field: {err}");
+        let bad = r#"{"version":1,"tick":"later","app_region":[],"budget_w":[],"migrating":[]}"#;
+        let err = pocolo_json::typed_from_str::<FedSnapshot>(bad).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "tick: expected an integer in [0, 2^53), found a string"
+        );
     }
 
     #[test]
-    fn status_types_round_trip() {
+    fn region_available_w_applies_the_derate() {
         let r = RegionStatus {
             region: 3,
             power_price: 1.25,
@@ -427,15 +246,6 @@ mod tests {
             slots: 8,
             resident_power_w: 512.0,
         };
-        assert_eq!(RegionStatus::from_json(&r.to_json()).unwrap(), r);
         assert!((r.available_w() - 540.0).abs() < 1e-12);
-        let a = AppStatus {
-            app: 5,
-            region: 3,
-            power_w: 90.0,
-            rates: vec![1.0, 0.875, 1.125],
-            migrating: true,
-        };
-        assert_eq!(AppStatus::from_json(&a.to_json()).unwrap(), a);
     }
 }

@@ -8,7 +8,7 @@ use crate::fit::diagnostics::{AxisDiagnostics, ConvexityReport};
 use crate::resources::{ResourceDescriptor, ResourceSpace};
 use crate::units::{Joules, Watts};
 use crate::utility::{CobbDouglas, IndirectUtility, PowerModel};
-use pocolo_json::{FromJson, ToJson, Value};
+use pocolo_json::{FromJson, JsonError, ToJson, Value};
 
 impl ToJson for Watts {
     fn to_json(&self) -> Value {
@@ -17,8 +17,8 @@ impl ToJson for Watts {
 }
 
 impl FromJson for Watts {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_f64().map(Watts)
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        f64::from_json(value).map(Watts)
     }
 }
 
@@ -29,9 +29,14 @@ impl ToJson for Joules {
 }
 
 impl FromJson for Joules {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_f64().map(Joules)
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        f64::from_json(value).map(Joules)
     }
+}
+
+/// A model constructor's refusal, as a decode error at the model.
+fn invalid(e: crate::CoreError) -> JsonError {
+    JsonError::new(e.to_string())
 }
 
 impl ToJson for ResourceDescriptor {
@@ -46,11 +51,10 @@ impl ToJson for ResourceDescriptor {
 }
 
 impl FromJson for ResourceDescriptor {
-    fn from_json(value: &Value) -> Option<Self> {
-        let name = value["name"].as_str()?;
-        let min = value["min"].as_f64()?;
-        let max = value["max"].as_f64()?;
-        Some(if value["integral"].as_bool()? {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let name: String = value.field("name")?;
+        let (min, max) = (value.field("min")?, value.field("max")?);
+        Ok(if value.field("integral")? {
             ResourceDescriptor::integral(name, min, max)
         } else {
             ResourceDescriptor::continuous(name, min, max)
@@ -67,13 +71,13 @@ impl ToJson for ResourceSpace {
 }
 
 impl FromJson for ResourceSpace {
-    fn from_json(value: &Value) -> Option<Self> {
-        let descriptors: Vec<ResourceDescriptor> = FromJson::from_json(&value["descriptors"])?;
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let descriptors: Vec<ResourceDescriptor> = value.field("descriptors")?;
         descriptors
             .into_iter()
             .fold(ResourceSpace::builder(), |b, d| b.resource(d))
             .build()
-            .ok()
+            .map_err(invalid)
     }
 }
 
@@ -87,12 +91,8 @@ impl ToJson for CobbDouglas {
 }
 
 impl FromJson for CobbDouglas {
-    fn from_json(value: &Value) -> Option<Self> {
-        CobbDouglas::new(
-            value["alpha0"].as_f64()?,
-            FromJson::from_json(&value["alphas"])?,
-        )
-        .ok()
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        CobbDouglas::new(value.field("alpha0")?, value.field("alphas")?).map_err(invalid)
     }
 }
 
@@ -106,12 +106,8 @@ impl ToJson for PowerModel {
 }
 
 impl FromJson for PowerModel {
-    fn from_json(value: &Value) -> Option<Self> {
-        PowerModel::new(
-            Watts::from_json(&value["p_static"])?,
-            FromJson::from_json(&value["p_dynamic"])?,
-        )
-        .ok()
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        PowerModel::new(value.field("p_static")?, value.field("p_dynamic")?).map_err(invalid)
     }
 }
 
@@ -126,13 +122,13 @@ impl ToJson for IndirectUtility {
 }
 
 impl FromJson for IndirectUtility {
-    fn from_json(value: &Value) -> Option<Self> {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
         IndirectUtility::new(
-            ResourceSpace::from_json(&value["space"])?,
-            CobbDouglas::from_json(&value["perf"])?,
-            PowerModel::from_json(&value["power"])?,
+            value.field("space")?,
+            value.field("perf")?,
+            value.field("power")?,
         )
-        .ok()
+        .map_err(invalid)
     }
 }
 
@@ -163,13 +159,14 @@ mod tests {
 
     #[test]
     fn malformed_utility_is_rejected() {
-        assert!(pocolo_json::typed_from_str::<IndirectUtility>("{}").is_none());
+        let e = pocolo_json::typed_from_str::<IndirectUtility>("{}").unwrap_err();
+        assert_eq!(e.to_string(), "space: missing");
         // Mismatched dimensions fail IndirectUtility::new's validation.
         let text = r#"{
             "space": {"descriptors": [{"name": "cores", "min": 1, "max": 12, "integral": true}]},
             "perf": {"alpha0": 2.0, "alphas": [0.6, 0.3]},
             "power": {"p_static": 55.0, "p_dynamic": [6.0]}
         }"#;
-        assert!(pocolo_json::typed_from_str::<IndirectUtility>(text).is_none());
+        assert!(pocolo_json::typed_from_str::<IndirectUtility>(text).is_err());
     }
 }

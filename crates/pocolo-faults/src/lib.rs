@@ -47,7 +47,7 @@ pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use region::{
     RegionFaultEvent, RegionFaultKind, RegionFaultPlan, RegionFaultSpec, RegionScenario,
 };
-pub use scenario::{FaultSpec, Scenario};
+pub use scenario::{fmt_seeded, parse_seeded, FaultSpec, Scenario};
 
 /// Ascending-value eviction order: indices of `values` sorted so the
 /// *lowest*-value entry comes first — the order in which best-effort apps

@@ -143,28 +143,14 @@ impl FromStr for RegionFaultSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.split_once(':') {
-            None => Ok(RegionFaultSpec {
-                scenario: s.parse()?,
-                seed: None,
-            }),
-            Some((name, seed)) => Ok(RegionFaultSpec {
-                scenario: name.parse()?,
-                seed: Some(
-                    seed.parse()
-                        .map_err(|e| format!("bad fault seed {seed:?}: {e}"))?,
-                ),
-            }),
-        }
+        let (scenario, seed) = crate::parse_seeded(s, "fault")?;
+        Ok(RegionFaultSpec { scenario, seed })
     }
 }
 
 impl fmt::Display for RegionFaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.seed {
-            None => write!(f, "{}", self.scenario),
-            Some(seed) => write!(f, "{}:{seed}", self.scenario),
-        }
+        crate::fmt_seeded(f, self.scenario, self.seed)
     }
 }
 
@@ -255,7 +241,12 @@ mod tests {
             assert_eq!(spec.to_string(), s);
         }
         assert!("meteor".parse::<RegionFaultSpec>().is_err());
-        assert!("region-brownout:xyz".parse::<RegionFaultSpec>().is_err());
+        assert_eq!(
+            "region-brownout:xyz"
+                .parse::<RegionFaultSpec>()
+                .unwrap_err(),
+            "bad fault seed \"xyz\": invalid digit found in string"
+        );
     }
 
     #[test]

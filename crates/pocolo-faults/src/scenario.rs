@@ -136,28 +136,45 @@ impl FromStr for FaultSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.split_once(':') {
-            None => Ok(FaultSpec {
-                scenario: s.parse()?,
-                seed: None,
-            }),
-            Some((name, seed)) => Ok(FaultSpec {
-                scenario: name.parse()?,
-                seed: Some(
-                    seed.parse()
-                        .map_err(|e| format!("bad fault seed {seed:?}: {e}"))?,
-                ),
-            }),
-        }
+        let (scenario, seed) = parse_seeded(s, "fault")?;
+        Ok(FaultSpec { scenario, seed })
     }
 }
 
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.seed {
-            None => write!(f, "{}", self.scenario),
-            Some(seed) => write!(f, "{}:{seed}", self.scenario),
+        fmt_seeded(f, self.scenario, self.seed)
+    }
+}
+
+/// Parses the `name[:seed]` grammar every named, seeded spec shares
+/// (`--faults`, the federation's `--faults`, `--traffic`); a bad seed is
+/// `bad <what> seed "x": …`.
+pub fn parse_seeded<N>(s: &str, what: &str) -> Result<(N, Option<u64>), String>
+where
+    N: FromStr<Err = String>,
+{
+    match s.split_once(':') {
+        None => Ok((s.parse()?, None)),
+        Some((name, seed)) => {
+            let name = name.parse()?;
+            let seed = seed
+                .parse()
+                .map_err(|e| format!("bad {what} seed {seed:?}: {e}"))?;
+            Ok((name, Some(seed)))
         }
+    }
+}
+
+/// Writes `name[:seed]`, the inverse of [`parse_seeded`].
+pub fn fmt_seeded(
+    f: &mut fmt::Formatter<'_>,
+    name: impl fmt::Display,
+    seed: Option<u64>,
+) -> fmt::Result {
+    match seed {
+        None => write!(f, "{name}"),
+        Some(seed) => write!(f, "{name}:{seed}"),
     }
 }
 
@@ -184,7 +201,10 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!("meteor".parse::<FaultSpec>().is_err());
-        assert!("brownout:abc".parse::<FaultSpec>().is_err());
+        assert_eq!(
+            "brownout:abc".parse::<FaultSpec>().unwrap_err(),
+            "bad fault seed \"abc\": invalid digit found in string"
+        );
         assert!("".parse::<FaultSpec>().is_err());
     }
 

@@ -31,7 +31,7 @@ use pocolo_cluster::{warm_assign, PerfMatrix};
 use pocolo_core::digest::{fnv1a, FNV_OFFSET};
 use pocolo_core::federation::{AppStatus, FederationInput, RegionStatus};
 use pocolo_faults::{RegionFaultKind, RegionFaultPlan, RegionFaultSpec};
-use pocolo_json::{json, Value};
+use pocolo_json::{json, ToJson, Value};
 use pocolo_sim::parallel::{self, Parallelism};
 
 use crate::controller::{FederationConfig, RegionController};

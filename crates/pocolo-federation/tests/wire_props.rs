@@ -8,53 +8,15 @@
 use proptest::prelude::*;
 
 use pocolo_core::federation::{
-    AppStatus, FedLogEntry, FedSnapshot, FederationDecision, MigrationIntent, MigrationRecord,
-    RegionStatus,
+    FedLogEntry, FedSnapshot, FederationDecision, MigrationIntent, MigrationRecord,
 };
+use pocolo_json::{to_string, typed_from_str};
 use pocolo_net::wire::{read_frame, write_frame};
 use pocolo_net::{Message, NetError, MAX_FRAME_BYTES};
 
 fn finite() -> impl Strategy<Value = f64> {
     // Compact JSON prints finite doubles; NaN/∞ are rejected upstream.
     -1.0e9..1.0e9
-}
-
-fn region_status() -> impl Strategy<Value = RegionStatus> {
-    (
-        0usize..64,
-        finite(),
-        0.0f64..1.0,
-        finite(),
-        0usize..4096,
-        finite(),
-    )
-        .prop_map(
-            |(region, power_price, cap_factor, grid_w, slots, resident_power_w)| RegionStatus {
-                region,
-                power_price,
-                cap_factor,
-                grid_w,
-                slots,
-                resident_power_w,
-            },
-        )
-}
-
-fn app_status() -> impl Strategy<Value = AppStatus> {
-    (
-        0usize..10_000,
-        0usize..64,
-        finite(),
-        proptest::collection::vec(finite(), 0..8),
-        any::<bool>(),
-    )
-        .prop_map(|(app, region, power_w, rates, migrating)| AppStatus {
-            app,
-            region,
-            power_w,
-            rates,
-            migrating,
-        })
 }
 
 fn migration_intent() -> impl Strategy<Value = MigrationIntent> {
@@ -111,11 +73,6 @@ fn snapshot() -> impl Strategy<Value = FedSnapshot> {
         )
 }
 
-/// Encode → parse → decode, through the same compact text the wire uses.
-fn reparse(v: &pocolo_json::Value) -> pocolo_json::Value {
-    pocolo_json::from_str(&v.to_compact_string()).expect("wire JSON reparses")
-}
-
 /// Lowercase ascii name of 1–12 chars (the vendored proptest has no
 /// regex strategies).
 fn name() -> impl Strategy<Value = String> {
@@ -130,23 +87,13 @@ fn maybe<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
 
 proptest! {
     #[test]
-    fn region_status_round_trips(s in region_status()) {
-        prop_assert_eq!(RegionStatus::from_json(&reparse(&s.to_json())).unwrap(), s);
-    }
-
-    #[test]
-    fn app_status_round_trips(s in app_status()) {
-        prop_assert_eq!(AppStatus::from_json(&reparse(&s.to_json())).unwrap(), s);
-    }
-
-    #[test]
     fn log_entries_round_trip(e in log_entry()) {
-        prop_assert_eq!(FedLogEntry::from_json(&reparse(&e.to_json())).unwrap(), e);
+        prop_assert_eq!(typed_from_str::<FedLogEntry>(&to_string(&e)).unwrap(), e);
     }
 
     #[test]
     fn snapshots_round_trip(s in snapshot()) {
-        prop_assert_eq!(FedSnapshot::from_json(&reparse(&s.to_json())).unwrap(), s);
+        prop_assert_eq!(typed_from_str::<FedSnapshot>(&to_string(&s)).unwrap(), s);
     }
 
     /// The two new reactor envelopes survive the real framed path, and

@@ -1,18 +1,27 @@
 //! # pocolo-json
 //!
-//! A small, dependency-free JSON layer for Pocolo's machine-readable
-//! output: a [`Value`] tree, a strict parser ([`from_str`]), compact and
-//! pretty writers, the [`ToJson`] conversion trait, and a [`json!`]
-//! constructor macro.
+//! Pocolo's one JSON codec: the wire protocol between the cluster daemon
+//! and its agents, the federation log, and every machine-readable report
+//! go through it. It is a [`Value`] tree, a strict parser ([`from_str`]),
+//! compact and pretty writers, the [`ToJson`] / [`FromJson`] conversion
+//! traits, and the [`json!`], [`impl_to_json!`] and [`impl_json!`] macros.
 //!
 //! The build environment is fully offline, so external serialization
-//! frameworks are unavailable; this crate covers exactly what the CLI and
-//! figure generators need. Object key order is preserved (insertion
-//! order), which keeps emitted reports stable and diffable.
+//! frameworks are unavailable. Object key order is preserved (insertion
+//! order), which keeps emitted reports and frames stable and diffable.
+//!
+//! Decoding rules, shared by every type:
+//! - a decode failure is a [`JsonError`] naming the field path
+//!   (`run.policy.seed`, `entries[2].decision.budget_w[1]`) and what was
+//!   expected there;
+//! - integers decode only below [`EXACT_INT_LIMIT`] (2^53), the range a
+//!   JSON number carries exactly, so a value either crosses intact or is
+//!   refused;
+//! - `Option<T>` reads `null` as `None`; a missing field is an error, not
+//!   `None` (a type that omits a field must say so by hand).
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 mod parse;
@@ -55,10 +64,12 @@ impl Value {
         }
     }
 
-    /// The numeric content as a `u64`, if it is a non-negative integer.
+    /// The numeric content as a `u64`, if it is a non-negative integer
+    /// below [`EXACT_INT_LIMIT`]. Larger numbers are refused: the number
+    /// may already be a rounded stand-in for a different integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INT_LIMIT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -99,6 +110,19 @@ impl Value {
         match self {
             Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// Decodes member `key` as a [`FromJson`] type. A missing member, a
+    /// non-object `self` and a bad member value are all errors, the last
+    /// with `key` prepended to its path.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
+        match self {
+            Value::Object(entries) => match entries.iter().find(|(k, _)| k == key) {
+                Some((_, v)) => T::from_json(v).map_err(|e| e.within(key)),
+                None => Err(JsonError::new("missing").within(key)),
+            },
+            other => Err(JsonError::expected("an object", other)),
         }
     }
 
@@ -283,6 +307,12 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
+impl<T: ToJson + ?Sized> ToJson for Box<T> {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json(&self) -> Value {
         match self {
@@ -310,86 +340,149 @@ impl<T: ToJson, const N: usize> ToJson for [T; N] {
     }
 }
 
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json()])
+macro_rules! impl_to_json_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: ToJson),+> ToJson for ($($t,)+) {
+            fn to_json(&self) -> Value {
+                Value::Array(vec![$(self.$i.to_json()),+])
+            }
+        }
+    };
+}
+
+impl_to_json_tuple!(A.0, B.1);
+impl_to_json_tuple!(A.0, B.1, C.2);
+impl_to_json_tuple!(A.0, B.1, C.2, D.3);
+impl_to_json_tuple!(A.0, B.1, C.2, D.3, E.4);
+
+/// Integers at or above this bound (2^53) are not all representable as a
+/// JSON number, so no integer decode accepts them.
+pub const EXACT_INT_LIMIT: u64 = 1 << 53;
+
+/// A decode failure: the field path it happened at and what was wrong.
+///
+/// The path is built only on the error path, one segment per level on
+/// the way out ([`JsonError::within`], [`JsonError::at`]); the error
+/// displays as `run.policy.seed: expected …`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonError {
+    /// `.key` and `[index]` segments, outermost first.
+    path: String,
+    message: String,
+}
+
+impl JsonError {
+    /// An error at the current position.
+    pub fn new(message: impl Into<String>) -> JsonError {
+        JsonError {
+            path: String::new(),
+            message: message.into(),
+        }
+    }
+
+    /// "expected `what`, found …", describing `found`.
+    fn expected(what: &str, found: &Value) -> JsonError {
+        let found = match found {
+            Value::String(_) => "a string".to_string(),
+            Value::Array(_) => "an array".to_string(),
+            Value::Object(_) => "an object".to_string(),
+            scalar => scalar.to_compact_string(),
+        };
+        JsonError::new(format!("expected {what}, found {found}"))
+    }
+
+    /// The same error, one object member further out.
+    pub fn within(mut self, key: &str) -> JsonError {
+        self.path.insert_str(0, &format!(".{key}"));
+        self
+    }
+
+    /// The same error, one array element further out.
+    pub fn at(mut self, index: usize) -> JsonError {
+        self.path.insert_str(0, &format!("[{index}]"));
+        self
     }
 }
 
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let path = self.path.strip_prefix('.').unwrap_or(&self.path);
+        if !path.is_empty() {
+            write!(f, "{path}: ")?;
+        }
+        f.write_str(&self.message)
     }
 }
 
-impl<A: ToJson, B: ToJson, C: ToJson, D: ToJson> ToJson for (A, B, C, D) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_json(),
-            self.1.to_json(),
-            self.2.to_json(),
-            self.3.to_json(),
-        ])
+impl std::error::Error for JsonError {}
+
+impl From<ParseError> for JsonError {
+    fn from(e: ParseError) -> Self {
+        JsonError::new(e.to_string())
     }
 }
 
-impl<A: ToJson, B: ToJson, C: ToJson, D: ToJson, E: ToJson> ToJson for (A, B, C, D, E) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_json(),
-            self.1.to_json(),
-            self.2.to_json(),
-            self.3.to_json(),
-            self.4.to_json(),
-        ])
-    }
-}
-
-impl<V: ToJson> ToJson for BTreeMap<String, V> {
-    fn to_json(&self) -> Value {
-        Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
-    }
-}
-
-/// Conversion from a JSON [`Value`]; `None` when the shape doesn't match.
+/// Conversion from a JSON [`Value`].
 pub trait FromJson: Sized {
-    /// Reconstructs `Self` from JSON, if the value has the right shape.
-    fn from_json(value: &Value) -> Option<Self>;
+    /// Reconstructs `Self` from JSON, or says which field is wrong.
+    fn from_json(value: &Value) -> Result<Self, JsonError>;
 }
 
-impl FromJson for f64 {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_f64()
-    }
+macro_rules! impl_from_json_scalar {
+    ($($t:ty: $what:literal, $get:expr;)*) => {$(
+        impl FromJson for $t {
+            fn from_json(value: &Value) -> Result<Self, JsonError> {
+                $get(value).ok_or_else(|| JsonError::expected($what, value))
+            }
+        }
+    )*};
 }
 
-impl FromJson for u64 {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_u64()
-    }
+impl_from_json_scalar! {
+    f64: "a number", Value::as_f64;
+    u64: "an integer in [0, 2^53)", Value::as_u64;
+    bool: "a boolean", Value::as_bool;
+    String: "a string", |v: &Value| v.as_str().map(str::to_string);
 }
 
-impl FromJson for bool {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_bool()
-    }
-}
-
-impl FromJson for String {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_str().map(str::to_string)
+impl FromJson for usize {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let n = u64::from_json(value)?;
+        usize::try_from(n).map_err(|_| JsonError::expected("an index", value))
     }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(value: &Value) -> Option<Self> {
-        value.as_array()?.iter().map(T::from_json).collect()
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let items = value
+            .as_array()
+            .ok_or_else(|| JsonError::expected("an array", value))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| e.at(i)))
+            .collect()
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        match value {
+            Value::Null => Ok(None),
+            some => T::from_json(some).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        T::from_json(value).map(Box::new)
     }
 }
 
 /// Parses JSON text straight into a [`FromJson`] type.
-pub fn typed_from_str<T: FromJson>(input: &str) -> Option<T> {
-    T::from_json(&from_str(input).ok()?)
+pub fn typed_from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
+    T::from_json(&from_str(input)?)
 }
 
 /// Compact JSON text for any [`ToJson`] value.
@@ -444,6 +537,32 @@ macro_rules! impl_to_json {
                     $((stringify!($field).to_string(),
                        $crate::ToJson::to_json(&self.$field)),)+
                 ])
+            }
+        }
+    };
+}
+
+/// Implements both [`ToJson`] and [`FromJson`] for a struct with named
+/// fields, from one field list: the encoding writes the fields in the
+/// listed order, and the decoding reads each through its own `FromJson`
+/// impl. Every field of the struct must be listed.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Row { app: String, watts: f64 }
+/// pocolo_json::impl_json!(Row { app, watts });
+/// let row: Row = pocolo_json::typed_from_str(r#"{"app":"tpcc","watts":154}"#).unwrap();
+/// assert_eq!(pocolo_json::to_string(&row), r#"{"app":"tpcc","watts":154}"#);
+/// ```
+#[macro_export]
+macro_rules! impl_json {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        $crate::impl_to_json!($ty { $($field),+ });
+        impl $crate::FromJson for $ty {
+            fn from_json(value: &$crate::Value) -> Result<Self, $crate::JsonError> {
+                Ok(Self {
+                    $($field: value.field(stringify!($field))?,)+
+                })
             }
         }
     };
@@ -536,6 +655,44 @@ mod tests {
         assert_eq!(json!(7).as_u64(), Some(7));
         assert_eq!(json!(7.5).as_u64(), None);
         assert_eq!(json!(-7).as_u64(), None);
+        // Only integers below 2^53 cross exactly. 2^53 + 1 has no f64 of
+        // its own: it is written as 2^53, which must be refused rather
+        // than read back as a different integer.
+        let max = EXACT_INT_LIMIT - 1;
+        assert_eq!(from_str(&to_string(&max)).unwrap().as_u64(), Some(max));
+        assert_eq!(to_string(&(EXACT_INT_LIMIT + 1)), "9007199254740992");
+        for text in ["9007199254740992", "18446744073709551616", "1e300"] {
+            assert_eq!(from_str(text).unwrap().as_u64(), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn decode_errors_name_the_field_path() {
+        let e = JsonError::new("bad").at(1).within("budget_w").at(2);
+        assert_eq!(
+            e.within("entries").to_string(),
+            "entries[2].budget_w[1]: bad"
+        );
+        let v = from_str(r#"{"rows":[[1],[1,"x"]],"note":7,"seed":9007199254740992}"#).unwrap();
+        let errors = [
+            v.field::<Vec<Vec<f64>>>("rows").map(drop),
+            v.field::<usize>("seed").map(drop),
+            v.field::<Option<String>>("note").map(drop),
+            v.field::<bool>("gone").map(drop),
+            v["rows"].field::<bool>("x").map(drop),
+        ];
+        let want = [
+            "rows[1][1]: expected a number, found a string",
+            "seed: expected an integer in [0, 2^53), found 9007199254740992",
+            "note: expected a string, found 7",
+            "gone: missing",
+            "expected an object, found an array",
+        ];
+        for (e, want) in errors.into_iter().zip(want) {
+            assert_eq!(e.unwrap_err().to_string(), want);
+        }
+        assert_eq!(Option::<f64>::from_json(&Value::Null), Ok(None));
+        assert!(typed_from_str::<bool>("{").is_err());
     }
 
     #[test]

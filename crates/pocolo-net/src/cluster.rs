@@ -27,6 +27,7 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use pocolo_json::ToJson;
 use pocolo_sim::experiment::ExperimentResult;
 use pocolo_sim::{Policy, ServerMetrics};
 

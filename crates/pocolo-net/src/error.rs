@@ -60,6 +60,12 @@ impl From<pocolo_json::ParseError> for NetError {
     }
 }
 
+impl From<pocolo_json::JsonError> for NetError {
+    fn from(e: pocolo_json::JsonError) -> Self {
+        NetError::Protocol(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

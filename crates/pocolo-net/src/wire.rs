@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use pocolo_cluster::Solver;
 use pocolo_core::federation::{FedLogEntry, FedSnapshot};
 use pocolo_faults::FaultSpec;
-use pocolo_json::{json, ToJson, Value};
+use pocolo_json::{json, FromJson, JsonError, ToJson, Value};
 use pocolo_sim::experiment::{ExperimentConfig, FittedCluster};
 use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec, METER_NOISE};
 use pocolo_workloads::{BeApp, LoadTrace};
@@ -57,78 +57,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Value, NetError> {
     let text = std::str::from_utf8(&buf)
         .map_err(|_| NetError::Frame("frame payload is not UTF-8".into()))?;
     Ok(pocolo_json::from_str(text)?)
-}
-
-fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, NetError> {
-    v.get(key)
-        .ok_or_else(|| NetError::Protocol(format!("missing field {key:?}")))
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, NetError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| NetError::Protocol(format!("field {key:?} is not a string")))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, NetError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| NetError::Protocol(format!("field {key:?} is not a number")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, NetError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| NetError::Protocol(format!("field {key:?} is not an unsigned integer")))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, NetError> {
-    Ok(u64_field(v, key)? as usize)
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, NetError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| NetError::Protocol(format!("field {key:?} is not a boolean")))
-}
-
-fn policy_to_json(policy: Policy) -> Value {
-    match policy {
-        Policy::Random { seed } => json!({"kind": "random", "seed": seed}),
-        Policy::Heracles { seed } => json!({"kind": "heracles", "seed": seed}),
-        Policy::Pom { seed } => json!({"kind": "pom", "seed": seed}),
-        Policy::Pocolo { solver } => json!({"kind": "pocolo", "solver": solver.to_string()}),
-    }
-}
-
-fn policy_from_json(v: &Value) -> Result<Policy, NetError> {
-    let kind = str_field(v, "kind")?;
-    match kind.as_str() {
-        "random" => Ok(Policy::Random {
-            seed: u64_field(v, "seed")?,
-        }),
-        "heracles" => Ok(Policy::Heracles {
-            seed: u64_field(v, "seed")?,
-        }),
-        "pom" => Ok(Policy::Pom {
-            seed: u64_field(v, "seed")?,
-        }),
-        "pocolo" => {
-            let solver: Solver = str_field(v, "solver")?
-                .parse()
-                .map_err(NetError::Protocol)?;
-            Ok(Policy::Pocolo { solver })
-        }
-        other => Err(NetError::Protocol(format!("unknown policy kind {other:?}"))),
-    }
-}
-
-fn be_from_name(name: &str) -> Result<BeApp, NetError> {
-    BeApp::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| NetError::Protocol(format!("unknown BE app {name:?}")))
 }
 
 /// Everything an agent needs to run its slot of a cluster experiment
@@ -263,19 +191,16 @@ impl RunSpec {
             record_decisions: false,
         }
     }
+}
 
-    pub(crate) fn to_json(&self) -> Value {
-        let placement: Vec<String> = self
-            .placement
-            .iter()
-            .map(|a| a.name().to_string())
-            .collect();
-        let ranks: Vec<u64> = self.ranks.iter().map(|&r| r as u64).collect();
+impl ToJson for RunSpec {
+    fn to_json(&self) -> Value {
+        let placement: Vec<&str> = self.placement.iter().map(|a| a.name()).collect();
         json!({
-            "policy": policy_to_json(self.policy),
+            "policy": self.policy,
             "lc": self.lc,
             "placement": placement,
-            "ranks": ranks,
+            "ranks": self.ranks,
             "dwell_s": self.dwell_s,
             "seed": self.seed,
             "faults": self.faults.map(|f| f.to_string()),
@@ -283,52 +208,48 @@ impl RunSpec {
             "push_budget": self.push_budget,
         })
     }
+}
 
-    fn from_json(v: &Value) -> Result<RunSpec, NetError> {
-        let placement_names: Vec<String> = Vec::from_json(field(v, "placement")?)
-            .ok_or_else(|| NetError::Protocol("placement is not a string list".into()))?;
-        let placement = placement_names
-            .iter()
-            .map(|n| be_from_name(n))
+impl FromJson for RunSpec {
+    fn from_json(v: &Value) -> Result<RunSpec, JsonError> {
+        let names: Vec<String> = v.field("placement")?;
+        let placement = (names.iter().enumerate())
+            .map(|(i, name)| {
+                let app = BeApp::ALL.into_iter().find(|a| a.name() == name);
+                let unknown = || JsonError::new(format!("unknown BE app {name:?}"));
+                app.ok_or_else(|| unknown().at(i).within("placement"))
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let ranks: Vec<u64> = Vec::from_json(field(v, "ranks")?)
-            .ok_or_else(|| NetError::Protocol("ranks is not an integer list".into()))?;
-        let faults = match field(v, "faults")? {
-            Value::Null => None,
-            Value::String(s) => Some(
-                s.parse::<FaultSpec>()
-                    .map_err(|e| NetError::Protocol(format!("bad fault spec: {e}")))?,
-            ),
-            _ => return Err(NetError::Protocol("faults is not a string or null".into())),
-        };
-        let dwell_s = f64_field(v, "dwell_s")?;
+        let faults = v
+            .field::<Option<String>>("faults")?
+            .map(|s| s.parse::<FaultSpec>())
+            .transpose()
+            .map_err(|e| JsonError::new(format!("bad fault spec: {e}")).within("faults"))?;
+        let dwell_s: f64 = v.field("dwell_s")?;
         if !(dwell_s.is_finite() && dwell_s > 0.0) {
-            return Err(NetError::Protocol(format!(
-                "dwell_s must be finite and positive, got {dwell_s}"
-            )));
+            let e = JsonError::new(format!("must be finite and positive, got {dwell_s}"));
+            return Err(e.within("dwell_s"));
         }
         let spec = RunSpec {
-            policy: policy_from_json(field(v, "policy")?)?,
-            lc: Vec::from_json(field(v, "lc")?)
-                .ok_or_else(|| NetError::Protocol("lc is not a string list".into()))?,
+            policy: v.field("policy")?,
+            lc: v.field("lc")?,
             placement,
-            ranks: ranks.into_iter().map(|r| r as usize).collect(),
+            ranks: v.field("ranks")?,
             dwell_s,
-            seed: u64_field(v, "seed")?,
+            seed: v.field("seed")?,
             faults,
-            resilience: bool_field(v, "resilience")?,
-            push_budget: bool_field(v, "push_budget")?,
+            resilience: v.field("resilience")?,
+            push_budget: v.field("push_budget")?,
         };
-        if spec.lc.len() != spec.placement.len() || spec.ranks.len() != spec.placement.len() {
-            return Err(NetError::Protocol(
-                "lc, placement and ranks lists disagree on cluster size".into(),
-            ));
+        let n = spec.n_servers();
+        for (key, len) in [("lc", spec.lc.len()), ("ranks", spec.ranks.len())] {
+            if len != n {
+                return Err(JsonError::new(format!("{len} entries for {n} slots")).within(key));
+            }
         }
         Ok(spec)
     }
 }
-
-use pocolo_json::FromJson;
 
 /// The RPC message set. Agents send `Register`, `Telemetry`, `Complete`,
 /// `Status` and `Shutdown`; the cluster daemon replies with the matching
@@ -456,11 +377,14 @@ impl Message {
             ("v".to_string(), json!(PROTOCOL_VERSION)),
             ("type".to_string(), json!(self.type_name())),
         ];
+        let mut put = |key: &str, value: Value| fields.push((key.to_string(), value));
         match self {
             Message::Register { agent, class } => {
-                fields.push(("agent".into(), json!(agent)));
+                put("agent", json!(agent));
+                // Omitted rather than null when absent, so v1 peers that
+                // predate heterogeneous fleets never see the key.
                 if let Some(class) = class {
-                    fields.push(("class".into(), json!(class)));
+                    put("class", json!(class));
                 }
             }
             Message::Welcome {
@@ -468,9 +392,9 @@ impl Message {
                 degraded,
                 run,
             } => {
-                fields.push(("server".into(), json!(*server as u64)));
-                fields.push(("degraded".into(), json!(*degraded)));
-                fields.push(("run".into(), run.to_json()));
+                put("server", json!(server));
+                put("degraded", json!(degraded));
+                put("run", run.to_json());
             }
             Message::Telemetry {
                 server,
@@ -480,19 +404,17 @@ impl Message {
                 slack,
                 be_throughput,
             } => {
-                fields.push(("server".into(), json!(*server as u64)));
-                fields.push(("epoch".into(), json!(*epoch)));
-                fields.push(("t_s".into(), json!(*t_s)));
-                fields.push(("power_w".into(), json!(*power_w)));
-                fields.push(("slack".into(), json!(*slack)));
-                fields.push(("be_throughput".into(), json!(*be_throughput)));
+                put("server", json!(server));
+                put("epoch", json!(epoch));
+                put("t_s", json!(t_s));
+                put("power_w", json!(power_w));
+                put("slack", json!(slack));
+                put("be_throughput", json!(be_throughput));
             }
-            Message::TelemetryAck { cap_factor } => {
-                fields.push(("cap_factor".into(), json!(*cap_factor)));
-            }
+            Message::TelemetryAck { cap_factor } => put("cap_factor", json!(cap_factor)),
             Message::Complete { server, metrics } => {
-                fields.push(("server".into(), json!(*server as u64)));
-                fields.push(("metrics".into(), metrics.to_json()));
+                put("server", json!(server));
+                put("metrics", metrics.to_json());
             }
             Message::StatusReport {
                 expected,
@@ -500,129 +422,104 @@ impl Message {
                 degraded,
                 done,
             } => {
-                fields.push(("expected".into(), json!(*expected as u64)));
-                fields.push(("live".into(), json!(*live as u64)));
-                fields.push(("degraded".into(), json!(*degraded as u64)));
-                fields.push(("done".into(), json!(*done as u64)));
+                put("expected", json!(expected));
+                put("live", json!(live));
+                put("degraded", json!(degraded));
+                put("done", json!(done));
             }
             Message::FedPull {
                 follower,
                 from_version,
             } => {
-                fields.push(("follower".into(), json!(follower)));
-                fields.push(("from_version".into(), json!(*from_version)));
+                put("follower", json!(follower));
+                put("from_version", json!(from_version));
             }
             Message::FedEntries {
                 leader_version,
                 snapshot,
                 entries,
             } => {
-                fields.push(("leader_version".into(), json!(*leader_version)));
-                fields.push((
-                    "snapshot".into(),
-                    match snapshot {
-                        Some(s) => s.to_json(),
-                        None => Value::Null,
-                    },
-                ));
-                fields.push((
-                    "entries".into(),
-                    Value::Array(entries.iter().map(|e| e.to_json()).collect()),
-                ));
+                put("leader_version", json!(leader_version));
+                put("snapshot", snapshot.to_json());
+                put("entries", entries.to_json());
             }
-            Message::Error { message } => {
-                fields.push(("message".into(), json!(message)));
-            }
+            Message::Error { message } => put("message", json!(message)),
             Message::CompleteAck | Message::Status | Message::Shutdown | Message::ShutdownAck => {}
         }
         Value::Object(fields)
     }
 
-    /// Decodes an envelope, rejecting unknown versions and types with
-    /// typed errors.
+    /// Decodes an envelope; a malformed one is a [`NetError::Protocol`]
+    /// naming the field path it broke at.
     pub fn from_value(v: &Value) -> Result<Message, NetError> {
-        let version = u64_field(v, "v")?;
+        Ok(Message::from_json(v)?)
+    }
+}
+
+impl FromJson for Message {
+    fn from_json(v: &Value) -> Result<Message, JsonError> {
+        let version: u64 = v.field("v")?;
         if version != PROTOCOL_VERSION {
-            return Err(NetError::Protocol(format!(
+            return Err(JsonError::new(format!(
                 "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-            )));
+            ))
+            .within("v"));
         }
-        let kind = str_field(v, "type")?;
-        match kind.as_str() {
-            "register" => Ok(Message::Register {
-                agent: str_field(v, "agent")?,
+        Ok(match v.field::<String>("type")?.as_str() {
+            "register" => Message::Register {
+                agent: v.field("agent")?,
                 // Absent in frames from pre-fleet peers: stay compatible.
                 class: match v.get("class") {
-                    None | Some(Value::Null) => None,
-                    Some(Value::String(s)) => Some(s.clone()),
-                    Some(_) => {
-                        return Err(NetError::Protocol("field \"class\" is not a string".into()))
-                    }
+                    None => None,
+                    Some(class) => Option::from_json(class).map_err(|e| e.within("class"))?,
                 },
-            }),
-            "welcome" => Ok(Message::Welcome {
-                server: usize_field(v, "server")?,
-                degraded: bool_field(v, "degraded")?,
-                run: Box::new(RunSpec::from_json(field(v, "run")?)?),
-            }),
-            "telemetry" => Ok(Message::Telemetry {
-                server: usize_field(v, "server")?,
-                epoch: u64_field(v, "epoch")?,
-                t_s: f64_field(v, "t_s")?,
-                power_w: f64_field(v, "power_w")?,
-                slack: f64_field(v, "slack")?,
-                be_throughput: f64_field(v, "be_throughput")?,
-            }),
-            "telemetry_ack" => Ok(Message::TelemetryAck {
-                cap_factor: f64_field(v, "cap_factor")?,
-            }),
-            "complete" => Ok(Message::Complete {
-                server: usize_field(v, "server")?,
-                metrics: Box::new(
-                    ServerMetrics::from_json(field(v, "metrics")?)
-                        .ok_or_else(|| NetError::Protocol("malformed metrics".into()))?,
-                ),
-            }),
-            "complete_ack" => Ok(Message::CompleteAck),
-            "status" => Ok(Message::Status),
-            "status_report" => Ok(Message::StatusReport {
-                expected: usize_field(v, "expected")?,
-                live: usize_field(v, "live")?,
-                degraded: usize_field(v, "degraded")?,
-                done: usize_field(v, "done")?,
-            }),
-            "shutdown" => Ok(Message::Shutdown),
-            "shutdown_ack" => Ok(Message::ShutdownAck),
-            "fed_pull" => Ok(Message::FedPull {
-                follower: str_field(v, "follower")?,
-                from_version: u64_field(v, "from_version")?,
-            }),
-            "fed_entries" => {
-                let snapshot = match field(v, "snapshot")? {
-                    Value::Null => None,
-                    s => Some(Box::new(
-                        FedSnapshot::from_json(s).map_err(NetError::Protocol)?,
-                    )),
-                };
-                let entries = field(v, "entries")?
-                    .as_array()
-                    .ok_or_else(|| NetError::Protocol("entries is not an array".into()))?
-                    .iter()
-                    .map(|e| FedLogEntry::from_json(e).map_err(NetError::Protocol))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Message::FedEntries {
-                    leader_version: u64_field(v, "leader_version")?,
-                    snapshot,
-                    entries,
-                })
+            },
+            "welcome" => Message::Welcome {
+                server: v.field("server")?,
+                degraded: v.field("degraded")?,
+                run: v.field("run")?,
+            },
+            "telemetry" => Message::Telemetry {
+                server: v.field("server")?,
+                epoch: v.field("epoch")?,
+                t_s: v.field("t_s")?,
+                power_w: v.field("power_w")?,
+                slack: v.field("slack")?,
+                be_throughput: v.field("be_throughput")?,
+            },
+            "telemetry_ack" => Message::TelemetryAck {
+                cap_factor: v.field("cap_factor")?,
+            },
+            "complete" => Message::Complete {
+                server: v.field("server")?,
+                metrics: v.field("metrics")?,
+            },
+            "complete_ack" => Message::CompleteAck,
+            "status" => Message::Status,
+            "status_report" => Message::StatusReport {
+                expected: v.field("expected")?,
+                live: v.field("live")?,
+                degraded: v.field("degraded")?,
+                done: v.field("done")?,
+            },
+            "shutdown" => Message::Shutdown,
+            "shutdown_ack" => Message::ShutdownAck,
+            "fed_pull" => Message::FedPull {
+                follower: v.field("follower")?,
+                from_version: v.field("from_version")?,
+            },
+            "fed_entries" => Message::FedEntries {
+                leader_version: v.field("leader_version")?,
+                snapshot: v.field("snapshot")?,
+                entries: v.field("entries")?,
+            },
+            "error" => Message::Error {
+                message: v.field("message")?,
+            },
+            other => {
+                return Err(JsonError::new(format!("unknown message type {other:?}")).within("type"))
             }
-            "error" => Ok(Message::Error {
-                message: str_field(v, "message")?,
-            }),
-            other => Err(NetError::Protocol(format!(
-                "unknown message type {other:?}"
-            ))),
-        }
+        })
     }
 }
 
@@ -650,8 +547,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn messages_round_trip_through_the_envelope() {
+    fn metrics() -> ServerMetrics {
+        use pocolo_core::units::Watts;
+        let mut m = ServerMetrics::new(Watts(150.0));
+        m.record(0.1, Watts(120.0), 0.4, -0.05, true, true);
+        m.record(0.1, Watts(131.5), 0.55, 0.2, false, false);
+        m.record_eviction();
+        m.record_recovery(4.5);
+        m
+    }
+
+    /// One of every message, each with its exact compact encoding.
+    fn pinned() -> Vec<(Message, &'static str)> {
+        use pocolo_core::federation::{FederationDecision, MigrationIntent, MigrationRecord};
         let msgs = [
             Message::Register {
                 agent: "agent-3".into(),
@@ -666,6 +574,18 @@ mod tests {
                 degraded: true,
                 run: Box::new(spec()),
             },
+            Message::Welcome {
+                server: 0,
+                degraded: false,
+                run: Box::new(RunSpec {
+                    policy: Policy::Random {
+                        seed: pocolo_json::EXACT_INT_LIMIT - 1,
+                    },
+                    faults: None,
+                    push_budget: true,
+                    ..spec()
+                }),
+            },
             Message::Telemetry {
                 server: 1,
                 epoch: 42,
@@ -675,6 +595,10 @@ mod tests {
                 be_throughput: 0.5,
             },
             Message::TelemetryAck { cap_factor: 0.6 },
+            Message::Complete {
+                server: 3,
+                metrics: Box::new(metrics()),
+            },
             Message::CompleteAck,
             Message::Status,
             Message::StatusReport {
@@ -691,23 +615,23 @@ mod tests {
             },
             Message::FedEntries {
                 leader_version: 19,
-                snapshot: Some(Box::new(pocolo_core::federation::FedSnapshot {
+                snapshot: Some(Box::new(FedSnapshot {
                     version: 18,
                     tick: 180,
                     app_region: vec![0, 1, 1],
                     budget_w: vec![400.0, 350.0],
-                    migrating: vec![pocolo_core::federation::MigrationRecord {
+                    migrating: vec![MigrationRecord {
                         app: 2,
                         to: 1,
                         until_tick: 182,
                     }],
                 })),
-                entries: vec![pocolo_core::federation::FedLogEntry {
+                entries: vec![FedLogEntry {
                     version: 19,
-                    decision: pocolo_core::federation::FederationDecision {
+                    decision: FederationDecision {
                         tick: 190,
                         budget_w: vec![380.0, 370.0],
-                        migrations: vec![pocolo_core::federation::MigrationIntent {
+                        migrations: vec![MigrationIntent {
                             app: 0,
                             from: 0,
                             to: 1,
@@ -725,9 +649,120 @@ mod tests {
                 message: "nope".into(),
             },
         ];
-        for msg in msgs {
-            let decoded = Message::from_value(&msg.to_value()).unwrap();
+        let bytes = [
+            r#"{"v":1,"type":"register","agent":"agent-3"}"#,
+            r#"{"v":1,"type":"register","agent":"agent-4","class":"stepcell"}"#,
+            r#"{"v":1,"type":"welcome","server":2,"degraded":true,"run":{"policy":{"kind":"pocolo","solver":"hungarian"},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":"brownout:5","resilience":true,"push_budget":false}}"#,
+            r#"{"v":1,"type":"welcome","server":0,"degraded":false,"run":{"policy":{"kind":"random","seed":9007199254740991},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":null,"resilience":true,"push_budget":true}}"#,
+            r#"{"v":1,"type":"telemetry","server":1,"epoch":42,"t_s":42,"power_w":87.5,"slack":-0.125,"be_throughput":0.5}"#,
+            r#"{"v":1,"type":"telemetry_ack","cap_factor":0.6}"#,
+            r#"{"v":1,"type":"complete","server":3,"metrics":{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}}"#,
+            r#"{"v":1,"type":"complete_ack"}"#,
+            r#"{"v":1,"type":"status"}"#,
+            r#"{"v":1,"type":"status_report","expected":4,"live":3,"degraded":1,"done":0}"#,
+            r#"{"v":1,"type":"shutdown"}"#,
+            r#"{"v":1,"type":"shutdown_ack"}"#,
+            r#"{"v":1,"type":"fed_pull","follower":"fed-1","from_version":17}"#,
+            r#"{"v":1,"type":"fed_entries","leader_version":19,"snapshot":{"version":18,"tick":180,"app_region":[0,1,1],"budget_w":[400,350],"migrating":[{"app":2,"to":1,"until_tick":182}]},"entries":[{"version":19,"decision":{"tick":190,"budget_w":[380,370],"migrations":[{"app":0,"from":0,"to":1,"gain":0.25}]}}]}"#,
+            r#"{"v":1,"type":"fed_entries","leader_version":0,"snapshot":null,"entries":[]}"#,
+            r#"{"v":1,"type":"error","message":"nope"}"#,
+        ];
+        msgs.into_iter().zip(bytes).collect()
+    }
+
+    #[test]
+    fn messages_round_trip_through_the_envelope() {
+        for (msg, bytes) in pinned() {
+            assert_eq!(msg.to_value().to_compact_string(), bytes);
+            let decoded = Message::from_value(&pocolo_json::from_str(bytes).unwrap()).unwrap();
             assert_eq!(decoded, msg, "{} did not round-trip", msg.type_name());
+        }
+    }
+
+    /// Every one-field mutation of `v` as (field path, mutated `v`): drop
+    /// a member, give a node another JSON type, or make a number
+    /// negative, fractional or 2^53.
+    fn mutants(v: &Value) -> Vec<(String, Value)> {
+        let of_child = |child: &Value| -> Vec<(String, Value)> {
+            let limit = pocolo_json::EXACT_INT_LIMIT as f64;
+            let retyped = [json!("x"), json!(7), Value::Null, json!([1])]
+                .into_iter()
+                .filter(|m| std::mem::discriminant(m) != std::mem::discriminant(child));
+            let numeric = (child.as_f64().into_iter())
+                .flat_map(move |n| [-1.0 - n, n + 0.5, limit].map(Value::Number));
+            let here = retyped.chain(numeric).map(|m| (String::new(), m));
+            let nested = mutants(child).into_iter().map(|(sub, m)| {
+                let sep = if sub.starts_with('[') { "" } else { "." };
+                (format!("{sep}{sub}"), m)
+            });
+            here.chain(nested).collect()
+        };
+        let mut out = Vec::new();
+        match v {
+            Value::Object(entries) => {
+                for (i, (key, child)) in entries.iter().enumerate() {
+                    let mut dropped = entries.clone();
+                    dropped.remove(i);
+                    out.push((key.clone(), Value::Object(dropped)));
+                    for (sub, m) in of_child(child) {
+                        let mut e = entries.clone();
+                        e[i].1 = m;
+                        out.push((format!("{key}{sub}"), Value::Object(e)));
+                    }
+                }
+            }
+            Value::Array(items) => {
+                for (i, child) in items.iter().enumerate() {
+                    for (sub, m) in of_child(child) {
+                        let mut e = items.clone();
+                        e[i] = m;
+                        out.push((format!("[{i}]{sub}"), Value::Array(e)));
+                    }
+                }
+            }
+            _ => {}
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_frames_fail_naming_the_field() {
+        let mut refused = 0;
+        for (msg, _) in pinned() {
+            for (path, bad) in mutants(&msg.to_value()) {
+                match Message::from_value(&bad) {
+                    Err(NetError::Protocol(m)) => {
+                        assert!(m.starts_with(&format!("{path}: ")), "{path}: {m}");
+                        refused += 1;
+                    }
+                    Err(other) => panic!("{path}: not a protocol error: {other}"),
+                    // A value the field's type admits (a negative slack, a
+                    // null fault spec, no class) must arrive intact.
+                    Ok(Message::Register { class: None, .. }) if path == "class" => {}
+                    Ok(decoded) => assert_eq!(decoded.to_value(), bad, "{path} changed"),
+                }
+            }
+        }
+        assert!(refused > 500, "only {refused} mutations refused");
+    }
+
+    #[test]
+    fn a_seed_past_2_pow_53_is_refused_not_rounded() {
+        let run = Box::new(RunSpec {
+            seed: pocolo_json::EXACT_INT_LIMIT + 1,
+            ..spec()
+        });
+        let (server, degraded) = (0, false);
+        let text = Message::Welcome {
+            server,
+            degraded,
+            run,
+        }
+        .to_value()
+        .to_compact_string();
+        match Message::from_value(&pocolo_json::from_str(&text).unwrap()) {
+            Err(NetError::Protocol(m)) => assert!(m.starts_with("run.seed: "), "{m}"),
+            other => panic!("a seed past 2^53 must be refused, got {other:?}"),
         }
     }
 

@@ -72,6 +72,39 @@ impl Policy {
     }
 }
 
+/// The wire form: `{"kind": "random", "seed": 7}`, or
+/// `{"kind": "pocolo", "solver": "hungarian"}` in the solver's CLI grammar.
+impl pocolo_json::ToJson for Policy {
+    fn to_json(&self) -> pocolo_json::Value {
+        match *self {
+            Policy::Random { seed } => pocolo_json::json!({"kind": "random", "seed": seed}),
+            Policy::Heracles { seed } => pocolo_json::json!({"kind": "heracles", "seed": seed}),
+            Policy::Pom { seed } => pocolo_json::json!({"kind": "pom", "seed": seed}),
+            Policy::Pocolo { solver } => {
+                pocolo_json::json!({"kind": "pocolo", "solver": solver.to_string()})
+            }
+        }
+    }
+}
+
+impl pocolo_json::FromJson for Policy {
+    fn from_json(v: &pocolo_json::Value) -> Result<Self, pocolo_json::JsonError> {
+        use pocolo_json::JsonError;
+        let seed = || v.field("seed");
+        match v.field::<String>("kind")?.as_str() {
+            "random" => Ok(Policy::Random { seed: seed()? }),
+            "heracles" => Ok(Policy::Heracles { seed: seed()? }),
+            "pom" => Ok(Policy::Pom { seed: seed()? }),
+            "pocolo" => {
+                let solver = v.field::<String>("solver")?.parse();
+                let solver = solver.map_err(|e| JsonError::new(e).within("solver"))?;
+                Ok(Policy::Pocolo { solver })
+            }
+            other => Err(JsonError::new(format!("unknown policy kind {other:?}")).within("kind")),
+        }
+    }
+}
+
 /// Relative power-meter noise every experiment slot reads its power
 /// through: ±1 %, uniform — the error band of the testbed's socket power
 /// meters (§V-A; DESIGN §2 substitutes `PowerMeter` for them).
@@ -171,32 +204,12 @@ impl ExperimentResult {
     }
 }
 
-pocolo_json::impl_to_json!(PairResult { lc, be, metrics });
-pocolo_json::impl_to_json!(ExperimentResult {
+pocolo_json::impl_json!(PairResult { lc, be, metrics });
+pocolo_json::impl_json!(ExperimentResult {
     policy,
     pairs,
     summary
 });
-
-impl pocolo_json::FromJson for PairResult {
-    fn from_json(v: &pocolo_json::Value) -> Option<Self> {
-        Some(PairResult {
-            lc: v["lc"].as_str()?.to_string(),
-            be: v["be"].as_str()?.to_string(),
-            metrics: ServerMetrics::from_json(&v["metrics"])?,
-        })
-    }
-}
-
-impl pocolo_json::FromJson for ExperimentResult {
-    fn from_json(v: &pocolo_json::Value) -> Option<Self> {
-        Some(ExperimentResult {
-            policy: v["policy"].as_str()?.to_string(),
-            pairs: Vec::from_json(&v["pairs"])?,
-            summary: ClusterSummary::from_json(&v["summary"])?,
-        })
-    }
-}
 
 /// Fitted models for every application, reused across policies.
 #[derive(Debug, Clone)]
@@ -821,6 +834,23 @@ mod tests {
             dwell_s: 6.0,
             ..ExperimentConfig::default()
         }
+    }
+
+    #[test]
+    fn experiment_result_json_is_pinned() {
+        use pocolo_json::{FromJson, ToJson};
+        let mut idle = ServerMetrics::new(pocolo_core::units::Watts(90.0));
+        idle.record(1.0, pocolo_core::units::Watts(60.0), 0.0, 0.1, false, false);
+        let policy = Policy::Pom { seed: 5 };
+        let result = ExperimentResult::from_metrics(policy, &["tpcc"], &[BeApp::Pbzip], vec![idle]);
+        let result = result.unwrap();
+        // No BE throughput at all: ∞ energy per unit is written as null.
+        let json = result.to_json();
+        assert_eq!(
+            json.to_compact_string(),
+            r#"{"policy":"POM","pairs":[{"lc":"tpcc","be":"pbzip","metrics":{"duration_s":1,"energy":60,"peak_power":60,"power_cap":90,"be_throughput_avg":0,"lc_violation_frac":0,"capping_frac":0,"samples":1,"time_to_recover_s":0,"slo_violation_frac_during_fault":0,"evictions":0,"be_integral":0,"violation_time":0,"capping_events":0,"fault_time":0,"fault_violation_time":0}}],"summary":{"avg_be_throughput":0,"avg_power_utilization":0.6666666666666666,"total_energy":60,"energy_per_throughput":null,"worst_violation_frac":0,"avg_capping_frac":0,"time_to_recover_s":0,"slo_violation_frac_during_fault":0,"evictions":0}}"#
+        );
+        assert_eq!(ExperimentResult::from_json(&json).unwrap(), result);
     }
 
     #[test]

@@ -238,81 +238,53 @@ impl ClusterSummary {
     }
 }
 
-impl pocolo_json::ToJson for ServerMetrics {
-    fn to_json(&self) -> pocolo_json::Value {
-        pocolo_json::json!({
-            "duration_s": self.duration_s,
-            "energy": self.energy,
-            "peak_power": self.peak_power,
-            "power_cap": self.power_cap,
-            "be_throughput_avg": self.be_throughput_avg,
-            "lc_violation_frac": self.lc_violation_frac,
-            "capping_frac": self.capping_frac,
-            "samples": self.samples,
-            "time_to_recover_s": self.time_to_recover_s,
-            "slo_violation_frac_during_fault": self.slo_violation_frac_during_fault,
-            "evictions": self.evictions,
-            "be_integral": self.be_integral,
-            "violation_time": self.violation_time,
-            "capping_events": self.capping_events,
-            "fault_time": self.fault_time,
-            "fault_violation_time": self.fault_violation_time,
-        })
-    }
-}
+pocolo_json::impl_json!(ServerMetrics {
+    duration_s,
+    energy,
+    peak_power,
+    power_cap,
+    be_throughput_avg,
+    lc_violation_frac,
+    capping_frac,
+    samples,
+    time_to_recover_s,
+    slo_violation_frac_during_fault,
+    evictions,
+    be_integral,
+    violation_time,
+    capping_events,
+    fault_time,
+    fault_violation_time,
+});
 
-impl pocolo_json::FromJson for ServerMetrics {
-    fn from_json(v: &pocolo_json::Value) -> Option<Self> {
-        Some(ServerMetrics {
-            duration_s: v["duration_s"].as_f64()?,
-            energy: Joules::from_json(&v["energy"])?,
-            peak_power: Watts::from_json(&v["peak_power"])?,
-            power_cap: Watts::from_json(&v["power_cap"])?,
-            be_throughput_avg: v["be_throughput_avg"].as_f64()?,
-            lc_violation_frac: v["lc_violation_frac"].as_f64()?,
-            capping_frac: v["capping_frac"].as_f64()?,
-            samples: v["samples"].as_u64()? as usize,
-            time_to_recover_s: v["time_to_recover_s"].as_f64()?,
-            slo_violation_frac_during_fault: v["slo_violation_frac_during_fault"].as_f64()?,
-            evictions: v["evictions"].as_u64()? as usize,
-            be_integral: v["be_integral"].as_f64()?,
-            violation_time: v["violation_time"].as_f64()?,
-            capping_events: v["capping_events"].as_u64()? as usize,
-            fault_time: v["fault_time"].as_f64()?,
-            fault_violation_time: v["fault_violation_time"].as_f64()?,
-        })
-    }
-}
-
-impl pocolo_json::ToJson for ClusterSummary {
-    fn to_json(&self) -> pocolo_json::Value {
-        pocolo_json::json!({
-            "avg_be_throughput": self.avg_be_throughput,
-            "avg_power_utilization": self.avg_power_utilization,
-            "total_energy": self.total_energy,
-            "energy_per_throughput": self.energy_per_throughput,
-            "worst_violation_frac": self.worst_violation_frac,
-            "avg_capping_frac": self.avg_capping_frac,
-            "time_to_recover_s": self.time_to_recover_s,
-            "slo_violation_frac_during_fault": self.slo_violation_frac_during_fault,
-            "evictions": self.evictions,
-        })
-    }
-}
+// ∞ (no BE throughput at all) is written as null, so only the decoding
+// is by hand.
+pocolo_json::impl_to_json!(ClusterSummary {
+    avg_be_throughput,
+    avg_power_utilization,
+    total_energy,
+    energy_per_throughput,
+    worst_violation_frac,
+    avg_capping_frac,
+    time_to_recover_s,
+    slo_violation_frac_during_fault,
+    evictions,
+});
 
 impl pocolo_json::FromJson for ClusterSummary {
-    fn from_json(v: &pocolo_json::Value) -> Option<Self> {
-        Some(ClusterSummary {
-            avg_be_throughput: v["avg_be_throughput"].as_f64()?,
-            avg_power_utilization: v["avg_power_utilization"].as_f64()?,
-            total_energy: Joules::from_json(&v["total_energy"])?,
-            // Infinity (no BE throughput at all) serializes as null.
-            energy_per_throughput: v["energy_per_throughput"].as_f64().unwrap_or(f64::INFINITY),
-            worst_violation_frac: v["worst_violation_frac"].as_f64()?,
-            avg_capping_frac: v["avg_capping_frac"].as_f64()?,
-            time_to_recover_s: v["time_to_recover_s"].as_f64()?,
-            slo_violation_frac_during_fault: v["slo_violation_frac_during_fault"].as_f64()?,
-            evictions: v["evictions"].as_u64()? as usize,
+    fn from_json(v: &pocolo_json::Value) -> Result<Self, pocolo_json::JsonError> {
+        Ok(ClusterSummary {
+            avg_be_throughput: v.field("avg_be_throughput")?,
+            avg_power_utilization: v.field("avg_power_utilization")?,
+            total_energy: v.field("total_energy")?,
+            energy_per_throughput: v
+                .field::<Option<f64>>("energy_per_throughput")?
+                .unwrap_or(f64::INFINITY),
+            worst_violation_frac: v.field("worst_violation_frac")?,
+            avg_capping_frac: v.field("avg_capping_frac")?,
+            time_to_recover_s: v.field("time_to_recover_s")?,
+            slo_violation_frac_during_fault: v.field("slo_violation_frac_during_fault")?,
+            evictions: v.field("evictions")?,
         })
     }
 }
@@ -442,10 +414,16 @@ mod tests {
         use pocolo_json::{FromJson, ToJson};
         let mut m = ServerMetrics::new(Watts(150.0));
         m.record(0.1, Watts(120.0), 0.4, -0.05, true, true);
+        m.record(0.1, Watts(131.5), 0.55, 0.2, false, false);
         m.record_eviction();
         m.record_recovery(4.5);
         let back = ServerMetrics::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
+        // The encoding, pinned byte for byte.
+        assert_eq!(
+            m.to_json().to_compact_string(),
+            r#"{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}"#
+        );
         let summary = ClusterSummary::aggregate(&[m]).unwrap();
         let back = ClusterSummary::from_json(&summary.to_json()).unwrap();
         assert_eq!(back, summary);

@@ -98,28 +98,14 @@ impl FromStr for TrafficSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.split_once(':') {
-            None => Ok(TrafficSpec {
-                kind: s.parse()?,
-                seed: None,
-            }),
-            Some((name, seed)) => Ok(TrafficSpec {
-                kind: name.parse()?,
-                seed: Some(
-                    seed.parse()
-                        .map_err(|e| format!("bad traffic seed {seed:?}: {e}"))?,
-                ),
-            }),
-        }
+        let (kind, seed) = pocolo_faults::parse_seeded(s, "traffic")?;
+        Ok(TrafficSpec { kind, seed })
     }
 }
 
 impl fmt::Display for TrafficSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.seed {
-            None => write!(f, "{}", self.kind),
-            Some(seed) => write!(f, "{}:{seed}", self.kind),
-        }
+        pocolo_faults::fmt_seeded(f, self.kind, self.seed)
     }
 }
 
@@ -329,7 +315,10 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!("tsunami".parse::<TrafficSpec>().is_err());
-        assert!("steady:abc".parse::<TrafficSpec>().is_err());
+        assert_eq!(
+            "steady:abc".parse::<TrafficSpec>().unwrap_err(),
+            "bad traffic seed \"abc\": invalid digit found in string"
+        );
         assert!("".parse::<TrafficSpec>().is_err());
     }
 

@@ -114,8 +114,8 @@ fn migrations_ride_the_warm_start_path_and_settle() {
     // with contiguous versions.
     let mut expect = 0u64;
     for line in &r.decision_log {
-        let v = pocolo_json::from_str(line).expect("log line parses");
-        let entry = pocolo::core::federation::FedLogEntry::from_json(&v).expect("log line decodes");
+        let entry: pocolo::core::federation::FedLogEntry =
+            pocolo_json::typed_from_str(line).expect("log line decodes");
         expect += 1;
         assert_eq!(entry.version, expect, "log versions must be contiguous");
     }

@@ -101,18 +101,7 @@ fn experiment_results_serialize() {
     let json = pocolo_json::to_string_pretty(&result);
     assert!(json.contains("POM"));
     let back: ExperimentResult = pocolo_json::typed_from_str(&json).unwrap();
-    // JSON float round-trips can lose an ULP; compare structurally with a
-    // tolerance on the aggregates.
-    assert_eq!(result.policy, back.policy);
-    assert_eq!(result.pairs.len(), back.pairs.len());
-    for (a, b) in result.pairs.iter().zip(&back.pairs) {
-        assert_eq!(a.lc, b.lc);
-        assert_eq!(a.be, b.be);
-        assert!((a.metrics.be_throughput_avg - b.metrics.be_throughput_avg).abs() < 1e-9);
-    }
-    assert!(
-        (result.summary.avg_power_utilization - back.summary.avg_power_utilization).abs() < 1e-9
-    );
+    assert_eq!(back, result);
 }
 
 #[test]
