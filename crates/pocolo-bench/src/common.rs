@@ -98,21 +98,6 @@ impl Default for Bench {
     }
 }
 
-/// Writes a figure's structured data as pretty JSON into
-/// `$POCOLO_FIGURE_DIR/<name>.json` when that environment variable is set
-/// (reproducibility tooling); otherwise does nothing.
-pub fn save_json<T: pocolo_json::ToJson>(name: &str, data: &T) {
-    let Ok(dir) = std::env::var("POCOLO_FIGURE_DIR") else {
-        return;
-    };
-    let path = std::path::Path::new(&dir).join(format!("{name}.json"));
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .and_then(|_| std::fs::write(&path, pocolo_json::to_string_pretty(data)))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
 /// Prints a titled section header.
 pub fn section(title: &str) {
     println!();

@@ -5,7 +5,7 @@ use pocolo_core::curves::{expansion_path, indifference_curve, EdgeworthBox};
 use pocolo_core::fit::{fit_indirect_utility, FitOptions};
 use pocolo_workloads::profiler::{profile_be, profile_lc};
 
-use crate::common::{f1, f3, row, save_json, section, Bench};
+use crate::common::{f1, f3, row, section, Bench};
 
 /// Fig. 5 data: sphinx indifference curves plus the least-power path.
 #[derive(Debug, Clone)]
@@ -15,8 +15,6 @@ pub struct Fig05 {
     /// The least-power allocation per load: `(load_frac, cores, ways, watts)`.
     pub path: Vec<(f64, f64, f64, f64)>,
 }
-
-pocolo_json::impl_to_json!(Fig05 { curves, path });
 
 /// Fig. 5: indifference curves and the power-efficient expansion path.
 pub fn fig05(bench: &Bench) -> Fig05 {
@@ -60,12 +58,10 @@ pub fn fig05(bench: &Bench) -> Fig05 {
             p.power.0,
         ));
     }
-    let data = Fig05 {
+    Fig05 {
         curves,
         path: path_rows,
-    };
-    save_json("fig05_indifference", &data);
-    data
+    }
 }
 
 /// Fig. 6 data: spare capacity along sphinx's expansion path.
@@ -74,8 +70,6 @@ pub struct Fig06 {
     /// `(load_frac, spare_cores, spare_ways, headroom_watts)`.
     pub spare: Vec<(f64, f64, f64, f64)>,
 }
-
-pocolo_json::impl_to_json!(Fig06 { spare });
 
 /// Fig. 6: the Edgeworth box — what the co-runner gets at each load.
 pub fn fig06(bench: &Bench) -> Fig06 {
@@ -110,9 +104,7 @@ pub fn fig06(bench: &Bench) -> Fig06 {
             s.power_headroom.0,
         ));
     }
-    let data = Fig06 { spare: out };
-    save_json("fig06_edgeworth", &data);
-    data
+    Fig06 { spare: out }
 }
 
 /// Fig. 8 data: goodness of fit per app.
@@ -121,8 +113,6 @@ pub struct Fig08 {
     /// `(app, perf_r2, power_r2)` for all eight applications.
     pub rows: Vec<(String, f64, f64)>,
 }
-
-pocolo_json::impl_to_json!(Fig08 { rows });
 
 /// Fig. 8: R² of the Cobb-Douglas fits (paper band: 0.8–0.95 perf,
 /// 0.8–0.98 power).
@@ -144,9 +134,7 @@ pub fn fig08(bench: &Bench) -> Fig08 {
         row(app.name(), &[f3(fit.performance_r2), f3(fit.power_r2)]);
         rows.push((app.name().to_string(), fit.performance_r2, fit.power_r2));
     }
-    let data = Fig08 { rows };
-    save_json("fig08_goodness_of_fit", &data);
-    data
+    Fig08 { rows }
 }
 
 /// Figs. 9–11 data: direct utilities, power needs and indirect utilities.
@@ -155,8 +143,6 @@ pub struct Fig0911 {
     /// `(app, direct_cores_share, p_cores, p_ways, indirect_cores_share)`.
     pub rows: Vec<(String, f64, f64, f64, f64)>,
 }
-
-pocolo_json::impl_to_json!(Fig0911 { rows });
 
 /// Figs. 9–11: why placement changes once power is taken into account.
 pub fn fig09_11(bench: &Bench) -> Fig0911 {
@@ -198,7 +184,5 @@ pub fn fig09_11(bench: &Bench) -> Fig0911 {
     for app in BeApp::ALL {
         push(app.name(), bench.be_fitted(app));
     }
-    let data = Fig0911 { rows };
-    save_json("fig09_11_preferences", &data);
-    data
+    Fig0911 { rows }
 }

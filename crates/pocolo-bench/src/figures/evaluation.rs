@@ -4,7 +4,7 @@
 use pocolo::prelude::*;
 use pocolo_cluster::assign::search::enumerate_all;
 
-use crate::common::{f3, pct, row, save_json, section, Bench};
+use crate::common::{f3, pct, row, section, Bench};
 
 /// The three policies' full experiment results, shared by Figs. 12/13/15.
 #[derive(Debug, Clone)]
@@ -17,23 +17,15 @@ pub struct PolicyRuns {
     pub pocolo: ExperimentResult,
 }
 
-pocolo_json::impl_to_json!(PolicyRuns {
-    random,
-    pom,
-    pocolo
-});
-
 /// Runs all three policies over the uniform 10–90 % sweep with shared fits.
 pub fn run_policies() -> PolicyRuns {
     let config = ExperimentConfig::default();
     let fitted = FittedCluster::fit(&ProfilerConfig::default());
-    let runs = PolicyRuns {
+    PolicyRuns {
         random: run_experiment_with(Policy::Random { seed: 1 }, &config, &fitted),
         pom: run_experiment_with(Policy::Pom { seed: 1 }, &config, &fitted),
         pocolo: run_experiment_with(Policy::Pocolo { solver: Solver::Lp }, &config, &fitted),
-    };
-    save_json("fig12_13_policy_runs", &runs);
-    runs
+    }
 }
 
 /// Fig. 12: best-effort throughput per LC server under each policy.
@@ -148,13 +140,6 @@ pub struct Fig14 {
     /// The exhaustive optimum total.
     pub best_total: f64,
 }
-
-pocolo_json::impl_to_json!(Fig14 {
-    pairs,
-    chosen,
-    pocolo_total,
-    best_total
-});
 
 /// Fig. 14: POColo's choice against the exhaustive 4×4 placement search,
 /// evaluated by *simulating* every pair through the load sweep.

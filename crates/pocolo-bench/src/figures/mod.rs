@@ -8,7 +8,7 @@ pub mod motivation;
 pub mod tables;
 pub mod tco;
 
-/// Runs every generator in paper order (the `run_all_figures` binary).
+/// Runs every generator in paper order (`pocolo figures`).
 pub fn run_all() {
     let bench = crate::common::Bench::new();
     tables::table1();

@@ -4,7 +4,7 @@ use pocolo::prelude::*;
 use pocolo_manager::PowerCapper;
 use pocolo_simserver::SimServer;
 
-use crate::common::{f3, pct, row, save_json, section, Bench};
+use crate::common::{f3, pct, row, section, Bench};
 
 /// Fig. 1 data: one diurnal day of a web-search server with a naive
 /// co-runner — resource utilization stays under the solo peak while power
@@ -18,12 +18,6 @@ pub struct Fig01 {
     /// Hours in which colocated power exceeded the provisioned capacity.
     pub overshoot_hours: usize,
 }
-
-pocolo_json::impl_to_json!(Fig01 {
-    hourly,
-    provisioned,
-    overshoot_hours
-});
 
 /// Fig. 1: harvesting spare resources naively overshoots the power budget.
 pub fn fig01(bench: &Bench) -> Fig01 {
@@ -85,13 +79,11 @@ pub fn fig01(bench: &Bench) -> Fig01 {
         hourly.push((hour, load, cpu_util, power.0));
     }
     println!("overshoot in {overshoot_hours}/24 hours (provisioned {provisioned})");
-    let data = Fig01 {
+    Fig01 {
         hourly,
         provisioned: provisioned.0,
         overshoot_hours,
-    };
-    save_json("fig01_motivation", &data);
-    data
+    }
 }
 
 /// Fig. 2 data: server power with each BE app beside 10 %-load xapian.
@@ -104,12 +96,6 @@ pub struct Fig02 {
     /// The solo (no co-runner) baseline power.
     pub solo: f64,
 }
-
-pocolo_json::impl_to_json!(Fig02 {
-    rows,
-    provisioned,
-    solo
-});
 
 /// Fig. 2: uncapped colocation pushes the server past its provisioned power.
 pub fn fig02(bench: &Bench) -> Fig02 {
@@ -138,13 +124,11 @@ pub fn fig02(bench: &Bench) -> Fig02 {
         rows.push((app.name().to_string(), total.0));
     }
     println!("provisioned capacity: {provisioned}");
-    let data = Fig02 {
+    Fig02 {
         rows,
         provisioned: provisioned.0,
         solo: solo.0,
-    };
-    save_json("fig02_power_overshoot", &data);
-    data
+    }
 }
 
 /// Fig. 3 data: BE throughput with and without the 70 W budget.
@@ -153,8 +137,6 @@ pub struct Fig03 {
     /// `(be_app, uncapped_throughput, capped_throughput, drop_frac)`.
     pub rows: Vec<(String, f64, f64, f64)>,
 }
-
-pocolo_json::impl_to_json!(Fig03 { rows });
 
 /// Fig. 3: identical resources, different throughput once power is capped.
 pub fn fig03(bench: &Bench) -> Fig03 {
@@ -194,9 +176,7 @@ pub fn fig03(bench: &Bench) -> Fig03 {
         row(app.name(), &[f3(uncapped), f3(capped), pct(drop)]);
         rows.push((app.name().to_string(), uncapped, capped, drop));
     }
-    let data = Fig03 { rows };
-    save_json("fig03_capped_throughput", &data);
-    data
+    Fig03 { rows }
 }
 
 /// Fig. 4 data: throughput of two BE candidates across the LC load range.
@@ -205,8 +185,6 @@ pub struct Fig04 {
     /// `(load_frac, lstm_throughput, rnn_throughput)`.
     pub levels: Vec<(f64, f64, f64)>,
 }
-
-pocolo_json::impl_to_json!(Fig04 { levels });
 
 /// Fig. 4: the whole load spectrum matters — RNN beats LSTM beside xapian
 /// at every load even though both look fine at 10 %.
@@ -240,7 +218,5 @@ pub fn fig04(bench: &Bench) -> Fig04 {
         row(&pct(load), &[f3(thpt[0]), f3(thpt[1])]);
         levels.push((load, thpt[0], thpt[1]));
     }
-    let data = Fig04 { levels };
-    save_json("fig04_load_range", &data);
-    data
+    Fig04 { levels }
 }

@@ -5,16 +5,18 @@
 //! library function returning structured data (so integration tests can
 //! assert on shapes) and printing the same rows/series the paper reports.
 //!
-//! Run everything:
+//! The crate ships no binary. The `pocolo` CLI prints everything, in paper
+//! order, through [`figures::run_all`]:
 //!
 //! ```text
-//! cargo run --release -p pocolo-bench --bin run_all_figures   # every table and figure
-//! cargo run --release -p pocolo-bench --bin fig12_policy_throughput   # one figure
+//! cargo run --release -p pocolo-cli -- figures
 //! ```
 //!
-//! See `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record produced from these generators. Speed is measured elsewhere: the
-//! standalone `benchmark/` package (`BENCHMARK.json`).
+//! That run is one line of the repository's `GOLDENS.txt`, so a change that
+//! moves any printed number fails `cargo test`. See `EXPERIMENTS.md` at the
+//! repository root for the paper-vs-measured record produced from these
+//! generators. Speed is measured elsewhere: the standalone `benchmark/`
+//! package (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 

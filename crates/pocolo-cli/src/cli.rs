@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use pocolo::prelude::*;
+use pocolo::sim::CAPPER_PERIOD_S;
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -33,6 +34,8 @@ COMMANDS:
                              uninterrupted reference
     tco                      amortized monthly TCO comparison
     table2                   Table II: LC application characteristics
+    figures                  every table, figure and ablation of the paper's
+                             evaluation, in paper order (takes no options)
     help                     this text
 
 OPTIONS:
@@ -40,7 +43,8 @@ OPTIONS:
     --policy <p>       random | heracles | pom | pocolo    (default: pocolo)
     --solver <s>       lp | hungarian | exhaustive | fair | auction[:<eps>]
                        (default: lp; auction is the sparse fleet-scale path)
-    --dwell <seconds>  seconds per load level          (default: 20)
+    --dwell <seconds>  seconds per load level, at least one 0.1 s
+                       capper period                   (default: 20)
     --seed <n>         RNG seed                        (default: 1)
     --parallelism <p>  serial | auto | <threads>       (default: auto)
     --faults <spec>    inject faults: brownout | crash | chaos | surge, with
@@ -195,7 +199,7 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             "--lease-ttl-ms" => opts.lease_ttl_ms = take_positive(&mut it, flag)?,
             "--kill-agent" => opts.kill_agent = true,
             "--agents" => opts.agents = take_positive(&mut it, flag)?,
-            "--heartbeats" => opts.heartbeats = take_parsed(&mut it, flag)?,
+            "--heartbeats" => opts.heartbeats = take_positive(&mut it, flag)?,
             "--heartbeat-ms" => opts.heartbeat_ms = take_parsed(&mut it, flag)?,
             "--traffic" => opts.traffic = Some(take(&mut it, flag, "a value")?),
             "--shards" => opts.shards = take_positive(&mut it, flag)?,
@@ -258,8 +262,12 @@ fn policy_of(opts: &Options) -> Result<Policy, String> {
 }
 
 fn experiment_of(opts: &Options) -> Result<ExperimentConfig, String> {
-    if !opts.dwell.is_finite() || opts.dwell <= 0.0 {
-        return Err("--dwell must be positive".into());
+    // A load level shorter than one capper period takes no sample at all,
+    // and a report over no samples would read as a clean run.
+    if !(opts.dwell.is_finite() && opts.dwell >= CAPPER_PERIOD_S) {
+        return Err(format!(
+            "--dwell must be finite and at least {CAPPER_PERIOD_S} s (one capper period)"
+        ));
     }
     Ok(ExperimentConfig {
         dwell_s: opts.dwell,
@@ -331,6 +339,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
         "demo-fleet" => cmd_demo_fleet(&opts),
         "demo-federation" => cmd_demo_federation(&opts),
         "tco" => cmd_tco(&opts),
+        "figures" => cmd_figures(args),
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -496,16 +505,8 @@ fn cmd_place(opts: &Options) -> Result<String, String> {
 /// defaults to the calibrated demo seed so `--fleet mixed3` is
 /// reproducible out of the box.
 fn fleet_of(raw: &str) -> Result<(FleetSpec, u64), String> {
-    let (spec, seed) = match raw.split_once(':') {
-        Some((spec, seed)) => {
-            let seed = seed.parse().map_err(|_| {
-                format!("bad fleet seed {seed:?} in --fleet {raw:?} (want <spec>[:<u64>])")
-            })?;
-            (spec, seed)
-        }
-        None => (raw, DEMO_FLEET_SEED),
-    };
-    Ok((spec.parse()?, seed))
+    let (spec, seed) = pocolo::faults::parse_seeded(raw, "fleet")?;
+    Ok((spec, seed.unwrap_or(DEMO_FLEET_SEED)))
 }
 
 fn cmd_simulate_fleet(opts: &Options, raw: &str) -> Result<String, String> {
@@ -1029,6 +1030,16 @@ fn cmd_demo_federation(opts: &Options) -> Result<String, String> {
     Ok(out.trim_end().to_string())
 }
 
+/// Streams every table, figure and ablation to stdout in paper order (the
+/// generators print as they go), leaving nothing more to print.
+fn cmd_figures(args: &[String]) -> Result<String, String> {
+    if args.len() > 1 {
+        return Err("figures takes no options".into());
+    }
+    pocolo_bench::figures::run_all();
+    Ok(String::new())
+}
+
 fn cmd_tco(opts: &Options) -> Result<String, String> {
     let model = TcoModel::default();
     let scenarios = [
@@ -1241,9 +1252,20 @@ mod tests {
     fn simulate_rejects_bad_input() {
         assert!(run(&argv("simulate --policy warp")).is_err());
         assert!(run(&argv("simulate --dwell -1")).is_err());
-        // An infinite dwell would never finish the first load level.
-        let err = run(&argv("simulate --dwell inf")).unwrap_err();
-        assert_eq!(err, "--dwell must be positive");
+        // An infinite dwell would never finish the first load level, and
+        // one shorter than a capper period would measure nothing: every
+        // command that runs the sweep refuses both with the same line.
+        let refusal = "--dwell must be finite and at least 0.1 s (one capper period)";
+        assert_eq!(run(&argv("simulate --dwell inf")).unwrap_err(), refusal);
+        for cmd in [
+            "simulate --dwell 0.01",
+            "simulate --dwell 0.0999",
+            "demo-net --policy random --dwell 0.01",
+            "demo-fleet --dwell 0.05",
+            "clusterd --dwell 0.05",
+        ] {
+            assert_eq!(run(&argv(cmd)).unwrap_err(), refusal, "{cmd}");
+        }
         assert!(run(&argv("place --solver quantum")).is_err());
     }
 
@@ -1344,6 +1366,11 @@ mod tests {
         assert!(parse(&argv("agentd --connect")).is_err());
         assert!(parse(&argv("clusterd --lease-ttl-ms 0")).is_err());
         assert!(parse(&argv("clusterd --lease-ttl-ms soon")).is_err());
+        // A scale run of zero heartbeats would verify zero samples.
+        assert_eq!(
+            parse(&argv("demo-net --agents 4 --heartbeats 0")).unwrap_err(),
+            "--heartbeats must be positive"
+        );
         // There is one transport; the flag that used to pick one is gone
         // (spelled in halves so a grep for it finds nothing in `crates/`).
         let gone = ["--net", "backend"].join("-");
@@ -1416,22 +1443,6 @@ mod tests {
     }
 
     #[test]
-    fn demo_traffic_stdout_is_shard_invariant() {
-        // The CI gate in miniature: the deterministic report (stdout) must
-        // not depend on how generation was sharded or threaded.
-        let base = "demo-traffic --traffic flashcrowd:7 --users 20000 --ticks 4 --seed 3";
-        let one = run(&argv(&format!("{base} --shards 1 --parallelism serial"))).unwrap();
-        let eight = run(&argv(&format!("{base} --shards 8"))).unwrap();
-        assert_eq!(one, eight);
-        assert!(one.contains("digest"), "{one}");
-        let json = run(&argv(&format!("{base} --shards 3 --json"))).unwrap();
-        let v: pocolo_json::Value = pocolo_json::from_str(&json).unwrap();
-        assert_eq!(v["slots"].as_array().unwrap().len(), 4);
-        assert_eq!(v["mix"].as_str(), Some("flashcrowd"));
-        assert!(v["digest"].as_str().is_some());
-    }
-
-    #[test]
     fn demo_traffic_online_fit_runs_surge() {
         let out = run(&argv(
             "demo-traffic --traffic flashcrowd:7 --faults surge:7 --users 20000 --ticks 6 \
@@ -1458,26 +1469,16 @@ mod tests {
         one_line("simulate --fleet warp9", "warp9");
         one_line("simulate --fleet xeon/0/8", "xeon/0/8");
         one_line("simulate --fleet xeon*0", "zero weight");
-        one_line("simulate --fleet mixed3:abc", "abc");
+        assert_eq!(
+            run(&argv("simulate --fleet mixed3:abc")).unwrap_err(),
+            "bad fleet seed \"abc\": invalid digit found in string"
+        );
         one_line("simulate --fleet mixed3 --policy pom", "pom");
         one_line(
             "simulate --fleet mixed3 --decision-log /tmp/dl.jsonl",
             "decision-log",
         );
         one_line("demo-fleet --decision-log /tmp/dl.jsonl", "decision-log");
-    }
-
-    #[test]
-    fn one_class_fleet_simulate_is_byte_identical_to_the_default_fit() {
-        // `--fleet xeon` fits the catalog class instead of calling
-        // `FittedCluster::fit`; everything downstream is the same plan —
-        // same placement, same physics, same formatting.
-        let default_fit = run(&argv("simulate --dwell 2")).unwrap();
-        let fleet = run(&argv("simulate --fleet xeon --dwell 2")).unwrap();
-        assert_eq!(default_fit, fleet);
-        let default_json = run(&argv("simulate --dwell 2 --json")).unwrap();
-        let fleet_json = run(&argv("simulate --fleet xeon --dwell 2 --json")).unwrap();
-        assert_eq!(default_json, fleet_json);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! pocolo simulate --policy pocolo       run the §V-D sweep, print summary
 //! pocolo tco                            amortized monthly TCO comparison
 //! pocolo table2                         Table II characteristics
+//! pocolo figures                        every table, figure and ablation
 //! pocolo help
 //! ```
 
@@ -17,7 +18,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cli::run(&args) {
         Ok(output) => {
-            println!("{output}");
+            // `figures` has already streamed its tables to stdout.
+            if !output.is_empty() {
+                println!("{output}");
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -1,9 +1,14 @@
-//! The workspace's determinism witnesses: one byte-wise hash and one
-//! combinable sequence digest, both pure and platform-independent.
+//! The workspace's determinism witnesses: one byte-wise hash, one word
+//! mixer and one combinable sequence digest, all pure and
+//! platform-independent.
 //!
 //! - [`fnv1a`] / [`fnv1a_word`] — 64-bit FNV-1a, for short keys and logs
 //!   (federation decision logs, agent retry seeds, folding per-tick
-//!   digests into a run digest). Byte-at-a-time, so not for hot loops.
+//!   digests into a run digest, the CLI goldens). Byte-at-a-time, so not
+//!   for hot loops.
+//! - [`splitmix64`] — one SplitMix64 output, for seeded streams that need
+//!   no RNG crate (fleet class shuffles, swarm telemetry). A stream is
+//!   `splitmix64(state)` with `state` advanced by [`SPLITMIX64_GAMMA`].
 //! - [`SeqDigest`] — an order-sensitive digest of a sequence of word
 //!   pairs that costs two multiplies per element and whose value for a
 //!   concatenation `A‖B` is computable from the digests of `A` and `B`
@@ -25,6 +30,19 @@ pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// Folds one 64-bit word into the FNV-1a state `h`, little-endian.
 pub fn fnv1a_word(h: u64, word: u64) -> u64 {
     fnv1a(h, &word.to_le_bytes())
+}
+
+/// The SplitMix64 state increment (2⁶⁴ / φ, odd).
+pub const SPLITMIX64_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output for `state`: the finaliser applied to
+/// `state + SPLITMIX64_GAMMA`. The next state is that sum.
+#[inline]
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(SPLITMIX64_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Multiplier of the polynomial: odd (so invertible mod 2⁶⁴, which is
@@ -152,6 +170,20 @@ mod tests {
             fnv1a_word(FNV_OFFSET, 0x0807_0605_0403_0201),
             fnv1a(FNV_OFFSET, &[1, 2, 3, 4, 5, 6, 7, 8])
         );
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // The first outputs of the reference SplitMix64 seeded with 0.
+        let mut state = 0u64;
+        let mut next = || {
+            let out = splitmix64(state);
+            state = state.wrapping_add(SPLITMIX64_GAMMA);
+            out
+        };
+        assert_eq!(next(), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(next(), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(next(), 0x06C4_5D18_8009_454F);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use crate::digest::{splitmix64, SPLITMIX64_GAMMA};
 use crate::resources::{ResourceDescriptor, ResourceSpace};
 use crate::units::{Frequency, Watts};
 
@@ -368,16 +369,6 @@ impl ServerClass {
     }
 }
 
-/// SplitMix64 step — `pocolo-core` carries no RNG dependency, and fleet
-/// assignment only needs a tiny, stable, well-mixed stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A weighted mix of server classes, independent of fleet size.
 ///
 /// The spec is declarative — "2 parts xeon, 1 part turbo" — and
@@ -506,7 +497,8 @@ impl FleetSpec {
         // Seeded Fisher–Yates so class runs don't correlate with slot index.
         let mut state = seed ^ 0xF1EE_7000_0000_0000;
         for i in (1..slots.len()).rev() {
-            let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+            let j = (splitmix64(state) % (i as u64 + 1)) as usize;
+            state = state.wrapping_add(SPLITMIX64_GAMMA);
             slots.swap(i, j);
         }
         slots

@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use compat_mio::net::TcpStream;
 use compat_mio::{Events, Interest, Poll, Token};
+use pocolo_core::digest::splitmix64;
 use pocolo_core::units::Watts;
 use pocolo_sim::experiment::ExperimentResult;
 use pocolo_sim::ServerMetrics;
@@ -140,13 +141,6 @@ pub struct SyntheticSample {
     pub slack: f64,
     /// Reported BE throughput.
     pub be_throughput: f64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Unit-interval f64 from the top 53 bits of a hash.

@@ -14,7 +14,7 @@ use pocolo_core::federation::{FedLogEntry, FedSnapshot};
 use pocolo_faults::FaultSpec;
 use pocolo_json::{json, FromJson, JsonError, ToJson, Value};
 use pocolo_sim::experiment::{ExperimentConfig, FittedCluster};
-use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec, METER_NOISE};
+use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec, CAPPER_PERIOD_S, METER_NOISE};
 use pocolo_workloads::{BeApp, LoadTrace};
 
 use crate::error::NetError;
@@ -78,7 +78,8 @@ pub struct RunSpec {
     pub placement: Vec<BeApp>,
     /// Cluster-wide eviction ranks for the placement.
     pub ranks: Vec<usize>,
-    /// Seconds per load level of the paper sweep (finite and positive).
+    /// Seconds per load level of the paper sweep (finite, and at least one
+    /// [`CAPPER_PERIOD_S`] so every level is sampled).
     pub dwell_s: f64,
     /// Base experiment seed.
     pub seed: u64,
@@ -226,8 +227,10 @@ impl FromJson for RunSpec {
             .transpose()
             .map_err(|e| JsonError::new(format!("bad fault spec: {e}")).within("faults"))?;
         let dwell_s: f64 = v.field("dwell_s")?;
-        if !(dwell_s.is_finite() && dwell_s > 0.0) {
-            let e = JsonError::new(format!("must be finite and positive, got {dwell_s}"));
+        if !(dwell_s.is_finite() && dwell_s >= CAPPER_PERIOD_S) {
+            let e = JsonError::new(format!(
+                "must be finite and at least one capper period ({CAPPER_PERIOD_S} s), got {dwell_s}"
+            ));
             return Err(e.within("dwell_s"));
         }
         let spec = RunSpec {
@@ -852,10 +855,13 @@ mod tests {
                 json!({"v": v, "type": "welcome", "server": 1u64, "degraded": false, "run": run});
             Message::from_value(&frame)
         };
-        // A load level that lasts no time must not reach the load trace.
-        for dwell_s in [0.0, -1.0] {
-            let err = welcome(RunSpec { dwell_s, ..spec() }, &[]).unwrap_err();
-            assert!(matches!(err, NetError::Protocol(_)), "{dwell_s}: {err}");
+        // A load level shorter than one capper period (so never sampled)
+        // must not reach the load trace.
+        for dwell_s in [0.0, -1.0, 0.05] {
+            match welcome(RunSpec { dwell_s, ..spec() }, &[]) {
+                Err(NetError::Protocol(m)) => assert!(m.starts_with("run.dwell_s: "), "{m}"),
+                other => panic!("{dwell_s}: {other:?}"),
+            }
         }
         // A peer that still ships the retired scalars, among them a capper
         // period that pinned the old settable-period loop to one µs
