@@ -776,11 +776,16 @@ fn cmd_demo_traffic(opts: &Options) -> Result<String, String> {
     let report = run_traffic(&config);
     // Wall-clock throughput goes to stderr: stdout must be identical
     // across shard counts so CI can diff it byte-for-byte.
+    let rate = if report.gen_seconds > 0.0 {
+        report.requests as f64 / report.gen_seconds
+    } else {
+        0.0
+    };
     eprintln!(
         "generated {} requests in {:.3} s ({:.1}M req/s) across {} shard(s)",
         report.requests,
         report.gen_seconds,
-        report.gen_requests_per_s / 1e6,
+        rate / 1e6,
         report.shards,
     );
     if opts.json {

@@ -11,8 +11,14 @@
 //! where the requests are drawn and never stored. It is a few dozen
 //! bytes at any population.
 //!
+//! A request carries its work factor as the uniform *draw* it is derived
+//! from, not as the Exp(1) value: nothing the generator folds reads the
+//! value, and the draw determines it, so the digest packs the draw and
+//! the logarithm is taken only by [`Request::work`] and
+//! [`RequestBatch::work`], for a caller that asks.
+//!
 //! [`RequestBatch`] is the same sequence materialised, struct-of-arrays
-//! and small (11 bytes a request in four flat lanes), for the caller that
+//! and small (15 bytes a request in four flat lanes), for the caller that
 //! asks ([`TrafficGen::requests`](crate::TrafficGen::requests)). Its
 //! [`digest`](RequestBatch::digest) and counts are the same functions
 //! computed over the lanes, so `requests(..)` and `tick(..)` can be
@@ -31,19 +37,29 @@ pub struct Request {
     pub slot: u16,
     /// Originating region.
     pub region: u8,
-    /// Relative work factor (mean 1.0).
-    pub work: f32,
+    /// The 53-bit uniform draw (below 2⁵³) the work factor is derived
+    /// from; see [`Request::work`].
+    pub work_draw: u64,
 }
 
 impl Request {
+    /// Relative work factor, Exp(1) (mean 1.0): `−ln(1 − u)` with
+    /// `u = work_draw · 2⁻⁵³ ∈ [0, 1)`, bit for bit what
+    /// `gen_range(0.0..1.0)` yields for the same RNG word.
+    #[inline]
+    pub fn work(&self) -> f32 {
+        let u = self.work_draw as f64 * (1.0 / (1u64 << 53) as f64);
+        (-(1.0 - u).ln()) as f32
+    }
+
     /// Appends the request to a sequence digest as two packed words:
     /// every field bit lands in exactly one place, so two requests digest
-    /// alike iff they are bit-equal.
+    /// alike iff they are equal.
     #[inline]
     fn digest_into(&self, digest: &mut SeqDigest) {
         digest.push(
             u64::from(self.arrival_us) | u64::from(self.slot) << 32 | u64::from(self.region) << 48,
-            u64::from(self.work.to_bits()),
+            self.work_draw,
         );
     }
 }
@@ -147,7 +163,7 @@ pub struct RequestBatch {
     arrival_us: Vec<u32>,
     slot: Vec<u16>,
     region: Vec<u8>,
-    work: Vec<f32>,
+    work_draw: Vec<u64>,
 }
 
 impl RequestBatch {
@@ -162,7 +178,7 @@ impl RequestBatch {
             arrival_us: Vec::with_capacity(n),
             slot: Vec::with_capacity(n),
             region: Vec::with_capacity(n),
-            work: Vec::with_capacity(n),
+            work_draw: Vec::with_capacity(n),
         }
     }
 
@@ -181,7 +197,7 @@ impl RequestBatch {
         self.arrival_us.push(r.arrival_us);
         self.slot.push(r.slot);
         self.region.push(r.region);
-        self.work.push(r.work);
+        self.work_draw.push(r.work_draw);
     }
 
     /// The requests in order, one [`Request`] at a time.
@@ -190,7 +206,7 @@ impl RequestBatch {
             arrival_us: self.arrival_us[i],
             slot: self.slot[i],
             region: self.region[i],
-            work: self.work[i],
+            work_draw: self.work_draw[i],
         })
     }
 
@@ -199,7 +215,7 @@ impl RequestBatch {
         self.arrival_us.extend_from_slice(&other.arrival_us);
         self.slot.extend_from_slice(&other.slot);
         self.region.extend_from_slice(&other.region);
-        self.work.extend_from_slice(&other.work);
+        self.work_draw.extend_from_slice(&other.work_draw);
     }
 
     /// Arrival offsets within the tick, microseconds.
@@ -217,9 +233,10 @@ impl RequestBatch {
         &self.region
     }
 
-    /// Relative work factor per request (mean 1.0).
-    pub fn work(&self) -> &[f32] {
-        &self.work
+    /// Relative work factor per request (Exp(1), mean 1.0), derived from
+    /// the draws as [`Request::work`] does.
+    pub fn work(&self) -> Vec<f32> {
+        self.iter().map(|r| r.work()).collect()
     }
 
     /// Requests per LC slot over `n_slots` slots. Requests whose slot id
@@ -261,14 +278,14 @@ impl RequestBatch {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
-    fn req(arrival_us: u32, slot: u16, region: u8, work: f32) -> Request {
+    fn req(arrival_us: u32, slot: u16, region: u8, work_draw: u64) -> Request {
         Request {
             arrival_us,
             slot,
             region,
-            work,
+            work_draw,
         }
     }
 
@@ -284,11 +301,15 @@ mod tests {
         s
     }
 
+    /// Draws for `u` = 1/2, 0 and 3/4: work factors ln 2, 0 and ln 4.
+    const HALF: u64 = 1 << 52;
+    const THREE_QUARTERS: u64 = 3 << 51;
+
     fn sample() -> RequestBatch {
         batch_of(&[
-            req(10, 0, 1, 1.0),
-            req(500, 3, 0, 0.25),
-            req(999_999, 1, 3, 2.5),
+            req(10, 0, 1, HALF),
+            req(500, 3, 0, 0),
+            req(999_999, 1, 3, THREE_QUARTERS),
         ])
     }
 
@@ -300,8 +321,29 @@ mod tests {
         assert_eq!(b.arrival_us(), &[10, 500, 999_999]);
         assert_eq!(b.slot(), &[0, 3, 1]);
         assert_eq!(b.region(), &[1, 0, 3]);
-        assert_eq!(b.work(), &[1.0, 0.25, 2.5]);
-        assert_eq!(b.iter().nth(1), Some(req(500, 3, 0, 0.25)));
+        let draws: Vec<u64> = b.iter().map(|r| r.work_draw).collect();
+        assert_eq!(draws, [HALF, 0, THREE_QUARTERS]);
+        let ln2 = std::f32::consts::LN_2;
+        assert_eq!(b.work(), &[ln2, 0.0, 2.0 * ln2]);
+        assert_eq!(b.iter().nth(1), Some(req(500, 3, 0, 0)));
+    }
+
+    /// The derived work factor is bit for bit the one drawn before the
+    /// request stored its draw: `−ln(1 − u)` of `gen_range(0.0..1.0)` on
+    /// the same RNG word. Pinned at the ends of the draw range.
+    #[test]
+    fn work_is_exp1_of_the_draw() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..10_000 {
+            let mut twin = rng.clone();
+            let u: f64 = twin.gen_range(0.0..1.0);
+            let drawn = req(0, 0, 0, rng.next_u64() >> 11);
+            assert_eq!(drawn.work().to_bits(), ((-(1.0 - u).ln()) as f32).to_bits());
+        }
+        assert_eq!(req(0, 0, 0, 0).work(), 0.0);
+        let top = req(0, 0, 0, (1 << 53) - 1).work();
+        assert!(top.is_finite());
+        assert!((top - 53.0 * std::f32::consts::LN_2).abs() < 1e-5, "{top}");
     }
 
     #[test]
@@ -326,9 +368,9 @@ mod tests {
     fn digest_is_order_sensitive() {
         let a = sample();
         let reversed = batch_of(&[
-            req(999_999, 1, 3, 2.5),
-            req(500, 3, 0, 0.25),
-            req(10, 0, 1, 1.0),
+            req(999_999, 1, 3, THREE_QUARTERS),
+            req(500, 3, 0, 0),
+            req(10, 0, 1, HALF),
         ]);
         assert_ne!(a.digest(), reversed.digest());
         assert_eq!(a.digest(), sample().digest());
@@ -339,20 +381,23 @@ mod tests {
         // Length is folded in, so an empty batch and a batch of zeros
         // differ, as do [0] and [0, 0].
         let empty = RequestBatch::new();
-        let one = batch_of(&[req(0, 0, 0, 0.0)]);
-        let two = batch_of(&[req(0, 0, 0, 0.0); 2]);
+        let one = batch_of(&[req(0, 0, 0, 0)]);
+        let two = batch_of(&[req(0, 0, 0, 0); 2]);
         assert_ne!(empty.digest(), one.digest());
         assert_ne!(one.digest(), two.digest());
     }
 
     #[test]
     fn digest_sees_every_field() {
-        let base = req(7, 2, 1, 1.5);
+        let base = req(7, 2, 1, HALF);
         let d = |r: Request| batch_of(&[r]).digest();
-        assert_ne!(d(base), d(req(8, 2, 1, 1.5)));
-        assert_ne!(d(base), d(req(7, 3, 1, 1.5)));
-        assert_ne!(d(base), d(req(7, 2, 0, 1.5)));
-        assert_ne!(d(base), d(req(7, 2, 1, -1.5)));
+        assert_ne!(d(base), d(req(8, 2, 1, HALF)));
+        assert_ne!(d(base), d(req(7, 3, 1, HALF)));
+        assert_ne!(d(base), d(req(7, 2, 0, HALF)));
+        // Only the work draw differs: in its lowest bit, and in its
+        // highest (u = 1/2 against u = 0).
+        assert_ne!(d(base), d(req(7, 2, 1, HALF + 1)));
+        assert_ne!(d(base), d(req(7, 2, 1, 0)));
     }
 
     #[test]
@@ -369,7 +414,7 @@ mod tests {
         assert_eq!(s.slot_counts(6), vec![1, 1, 0, 1, 0, 0]);
         assert_eq!(s.region_counts(2), vec![1, 1]);
         // An id beyond the summary's slots is digested, not counted.
-        let narrow = summary_of(&[req(1, 9, 9, 1.0)], 4);
+        let narrow = summary_of(&[req(1, 9, 9, HALF)], 4);
         assert_eq!(narrow.len(), 1);
         assert_eq!(narrow.slot_counts(4), vec![0; 4]);
         assert_eq!(narrow.region_counts(4), vec![0; 4]);
@@ -385,7 +430,7 @@ mod tests {
                     rng.gen_range(0..1_000_000),
                     rng.gen_range(0..4),
                     rng.gen_range(0..4),
-                    rng.gen_range(0.0f32..8.0),
+                    rng.next_u64() >> 11,
                 )
             })
             .collect();

@@ -166,8 +166,6 @@ pub struct TrafficReport {
     /// requests and folding them into counts and digest, which is one
     /// loop (not serialized).
     pub gen_seconds: f64,
-    /// Generation throughput, requests per second (not serialized).
-    pub gen_requests_per_s: f64,
 }
 
 pocolo_json::impl_to_json!(TrafficReport {
@@ -402,11 +400,6 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
             })
             .collect(),
         gen_seconds,
-        gen_requests_per_s: if gen_seconds > 0.0 {
-            total_requests as f64 / gen_seconds
-        } else {
-            0.0
-        },
     }
 }
 

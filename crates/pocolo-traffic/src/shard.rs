@@ -32,7 +32,7 @@
 
 use pocolo_sim::parallel::{self, Parallelism};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::batch::{Request, RequestBatch, TickSummary};
 use crate::mix::{TrafficMix, REGIONS};
@@ -214,7 +214,7 @@ impl TrafficGen {
     }
 
     /// The same tick materialised: every request [`TrafficGen::tick`]
-    /// summarises, in the same order, as columnar lanes — 11 bytes a
+    /// summarises, in the same order, as columnar lanes — 15 bytes a
     /// request, so ask only to read them.
     ///
     /// # Panics
@@ -281,7 +281,10 @@ impl TrafficGen {
 
 /// The per-request generation loop: one logical stream's requests for one
 /// tick, drawn lazily — four RNG draws a request (arrival, region, slot,
-/// work), in that order.
+/// work), in that order. The work draw is kept as drawn, the 53 bits
+/// `gen_range(0.0..1.0)` would scale into `[0, 1)`: its Exp(1) factor is
+/// derived only on request ([`Request::work`]), so no transcendental runs
+/// per request here.
 struct StreamRequests<'a> {
     rng: StdRng,
     remaining: usize,
@@ -298,13 +301,11 @@ impl Iterator for StreamRequests<'_> {
         let arrival_us = self.rng.gen_range(0..self.tick_us);
         let region = cum_pick(&self.shape.region_cum, self.rng.gen_range(0.0..1.0)) as u8;
         let slot = cum_pick(&self.shape.slot_cum, self.rng.gen_range(0.0..1.0)) as u16;
-        let u: f64 = self.rng.gen_range(0.0..1.0);
-        let work = (-(1.0 - u).ln()) as f32; // Exp(1): mean-1 work factor
         Some(Request {
             arrival_us,
             slot,
             region,
-            work,
+            work_draw: self.rng.next_u64() >> 11,
         })
     }
 
@@ -358,33 +359,38 @@ mod tests {
         TrafficGen::new(mix, seed, users, 2.0, 1.0, &[3500.0, 10.0, 4000.0, 8000.0])
     }
 
+    /// For every mix, at divisor, non-divisor and more-than-streams shard
+    /// counts, serial and threaded: the summary is the single-shard serial
+    /// one, and what was summarised is what would have been materialised
+    /// (digest, slot and region counts), lane for lane.
     #[test]
     fn merge_is_shard_count_invariant() {
-        let g = gen(MixKind::FlashCrowd, 7, 50_000);
-        let summary = g.tick(3, 1, Parallelism::Serial);
-        let lanes = g.requests(3, 1, Parallelism::Serial);
-        // What was summarised is what would have been materialised.
-        assert_eq!(summary.len(), lanes.len());
-        assert_eq!(summary.digest(), lanes.digest());
-        assert_eq!(summary.slot_counts(4), lanes.slot_counts(4));
-        assert_eq!(summary.region_counts(REGIONS), lanes.region_counts(REGIONS));
-        for shards in [2, 3, 8, 64, 100] {
-            assert_eq!(
-                g.tick(3, shards, Parallelism::Serial),
-                summary,
-                "{shards} shards diverged"
-            );
-            assert_eq!(
-                g.requests(3, shards, Parallelism::Serial),
-                lanes,
-                "{shards} shards diverged lane for lane"
-            );
+        for kind in MixKind::ALL {
+            let g = gen(kind, 7, 20_000);
+            let summary = g.tick(3, 1, Parallelism::Serial);
+            let lanes = g.requests(3, 1, Parallelism::Serial);
+            assert!(!summary.is_empty(), "{kind}");
+            for shards in [1, 3, 8, 64, 100] {
+                for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
+                    let at = format!("{kind}: {shards} shards, {parallelism:?}");
+                    assert_eq!(g.tick(3, shards, parallelism), summary, "{at}");
+                    let requests = g.requests(3, shards, parallelism);
+                    assert_eq!(requests.digest(), summary.digest(), "{at}");
+                    assert_eq!(requests.slot_counts(4), summary.slot_counts(4), "{at}");
+                    assert_eq!(
+                        requests.region_counts(REGIONS),
+                        summary.region_counts(REGIONS),
+                        "{at}"
+                    );
+                    assert_eq!(requests, lanes, "{at}: lane for lane");
+                }
+            }
         }
     }
 
     /// The request sequence, pinned on the tree *before* generation was
     /// fused with the fold (`e28367b`, where `tick` returned lanes): the
-    /// digest function was re-baselined once, the requests were not.
+    /// digest function has been re-baselined since, the requests have not.
     #[test]
     fn request_sequence_golden() {
         let g = gen(MixKind::FlashCrowd, 7, 50_000);
