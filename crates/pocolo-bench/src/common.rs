@@ -73,15 +73,6 @@ impl Bench {
             .2
     }
 
-    /// A full-machine allocation at max frequency.
-    pub fn full_alloc(&self) -> TenantAllocation {
-        TenantAllocation::new(
-            CoreSet::first_n(self.machine.cores()),
-            WayMask::first_n(self.machine.llc_ways()),
-            self.machine.freq_max(),
-        )
-    }
-
     /// An allocation of the first `c` cores and `w` ways at frequency `f`.
     pub fn alloc(&self, c: u32, w: u32, f: f64) -> TenantAllocation {
         TenantAllocation::new(

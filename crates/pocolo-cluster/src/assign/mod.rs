@@ -15,8 +15,6 @@ pub mod search;
 pub mod simplex;
 pub mod sparse;
 
-use std::sync::OnceLock;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -110,34 +108,19 @@ impl std::str::FromStr for Solver {
 ///
 /// Built through [`Assignment::new`], which sorts `pairs` by row — the
 /// sort order is what makes [`Assignment::server_for`] a binary search.
-/// The column index behind [`Assignment::app_on`] is built once on first
-/// use; if you mutate `pairs` in place, do it before the first `app_on`
-/// call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
     /// `(row, col)` pairs, sorted by row.
     pub pairs: Vec<(usize, usize)>,
     /// Sum of matrix entries over the pairs.
     pub total: f64,
-    /// Lazily-built `(col, row)` pairs sorted by col, for `app_on`.
-    col_index: OnceLock<Vec<(usize, usize)>>,
-}
-
-impl PartialEq for Assignment {
-    fn eq(&self, other: &Self) -> bool {
-        self.pairs == other.pairs && self.total == other.total
-    }
 }
 
 impl Assignment {
     /// Builds an assignment, sorting `pairs` by row.
     pub fn new(mut pairs: Vec<(usize, usize)>, total: f64) -> Self {
         pairs.sort_unstable();
-        Assignment {
-            pairs,
-            total,
-            col_index: OnceLock::new(),
-        }
+        Assignment { pairs, total }
     }
 
     /// The server column assigned to best-effort row `row`, if any.
@@ -147,20 +130,6 @@ impl Assignment {
             .binary_search_by_key(&row, |&(r, _)| r)
             .ok()
             .map(|i| self.pairs[i].1)
-    }
-
-    /// The best-effort row placed on server `col`, if any. O(log pairs)
-    /// after a build-once column index.
-    pub fn app_on(&self, col: usize) -> Option<usize> {
-        let index = self.col_index.get_or_init(|| {
-            let mut by_col: Vec<(usize, usize)> = self.pairs.iter().map(|&(r, c)| (c, r)).collect();
-            by_col.sort_unstable();
-            by_col
-        });
-        index
-            .binary_search_by_key(&col, |&(c, _)| c)
-            .ok()
-            .map(|i| index[i].1)
     }
 }
 
@@ -366,24 +335,18 @@ mod tests {
         let m = matrix(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
         let a = solve(&m, Solver::Hungarian).unwrap();
         assert_eq!(a.server_for(0), Some(0));
-        assert_eq!(a.app_on(1), Some(1));
         assert_eq!(a.server_for(9), None);
-        assert_eq!(a.app_on(9), None);
     }
 
     #[test]
     fn indexed_accessors_agree_with_linear_scan() {
-        // A sparse rectangular placement exercises the binary search and
-        // the built-once column index off the hot path.
+        // A sparse rectangular placement exercises the binary search off
+        // the hot path.
         let pairs = vec![(0, 7), (1, 3), (2, 11), (5, 0), (9, 4)];
         let a = Assignment::new(pairs.clone(), 1.0);
         for row in 0..12 {
             let want = pairs.iter().find(|&&(r, _)| r == row).map(|&(_, c)| c);
             assert_eq!(a.server_for(row), want, "server_for({row})");
-        }
-        for col in 0..12 {
-            let want = pairs.iter().find(|&&(_, c)| c == col).map(|&(r, _)| r);
-            assert_eq!(a.app_on(col), want, "app_on({col})");
         }
     }
 

@@ -17,7 +17,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::constraints::PlacementConstraints;
 use crate::matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
 
 /// Fixed seed for the bucketing hyperplanes — candidate generation is
@@ -106,11 +105,6 @@ impl ColumnBuckets {
         &self.reps
     }
 
-    /// Number of occupied buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.reps.len()
-    }
-
     /// The bucket key of one column.
     pub fn key_of(&self, col: usize) -> u64 {
         self.keys[col]
@@ -134,17 +128,6 @@ pub struct SparseCandidates {
     bucket_cover: usize,
     rows: Vec<Vec<(usize, f64)>>,
     buckets: ColumnBuckets,
-    /// Hard affinity/anti-affinity rules pruned at candidate-edge time:
-    /// each column's server class plus the constraint set. `None` for
-    /// unconstrained fleets (the legacy path).
-    policy: Option<EdgePolicy>,
-}
-
-/// Per-column class labels + the constraint set they are checked against.
-#[derive(Debug, Clone)]
-struct EdgePolicy {
-    classes: Vec<usize>,
-    constraints: PlacementConstraints,
 }
 
 /// How many bucket representatives (beyond the plain top-k) each row keeps.
@@ -166,41 +149,6 @@ impl SparseCandidates {
     ///
     /// Panics if `k` is zero.
     pub fn build(matrix: &PerfMatrix, k: usize) -> Self {
-        Self::build_with_policy(matrix, k, None)
-    }
-
-    /// Like [`SparseCandidates::build`], but prunes edges the hard
-    /// affinity/anti-affinity `constraints` forbid at candidate-edge
-    /// time: a forbidden `(row, class)` edge never enters a row's list —
-    /// not through top-k selection, bucket coverage, certification
-    /// splicing ([`SparseCandidates::ensure_edge`]), or a later delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or `classes` doesn't cover every column.
-    pub fn build_constrained(
-        matrix: &PerfMatrix,
-        k: usize,
-        classes: &[usize],
-        constraints: &PlacementConstraints,
-    ) -> Self {
-        assert_eq!(
-            classes.len(),
-            matrix.cols(),
-            "one server class per matrix column"
-        );
-        let policy = if constraints.is_empty() {
-            None
-        } else {
-            Some(EdgePolicy {
-                classes: classes.to_vec(),
-                constraints: constraints.clone(),
-            })
-        };
-        Self::build_with_policy(matrix, k, policy)
-    }
-
-    fn build_with_policy(matrix: &PerfMatrix, k: usize, policy: Option<EdgePolicy>) -> Self {
         assert!(k > 0, "candidate width k must be positive");
         let buckets = ColumnBuckets::build(matrix);
         let mut cands = SparseCandidates {
@@ -209,22 +157,12 @@ impl SparseCandidates {
             bucket_cover: BUCKET_COVER,
             rows: Vec::with_capacity(matrix.rows()),
             buckets,
-            policy,
         };
         for row in 0..matrix.rows() {
             let list = cands.build_row(matrix, row);
             cands.rows.push(list);
         }
         cands
-    }
-
-    /// Whether the `(row, col)` edge is admissible under the constraint
-    /// policy (always true for unconstrained fleets).
-    pub fn edge_allowed(&self, row: usize, col: usize) -> bool {
-        match &self.policy {
-            None => true,
-            Some(p) => p.constraints.allows(row, p.classes[col]),
-        }
     }
 
     /// One row's `(col, value)` candidates, descending by value.
@@ -237,22 +175,12 @@ impl SparseCandidates {
         self.k
     }
 
-    /// Total number of candidate edges across all rows.
-    pub fn edge_count(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
-    }
-
-    /// The geometry buckets backing the candidate lists.
-    pub fn buckets(&self) -> &ColumnBuckets {
-        &self.buckets
-    }
-
     fn build_row(&self, matrix: &PerfMatrix, row: usize) -> Vec<(usize, f64)> {
         let values = matrix.row(row);
         // Top-k selection: keep a small sorted (descending) buffer.
         let mut list: Vec<(usize, f64)> = Vec::with_capacity(self.k + self.bucket_cover);
         for (j, &v) in values.iter().enumerate() {
-            if matrix.is_col_disabled(j) || !self.edge_allowed(row, j) {
+            if matrix.is_col_disabled(j) {
                 continue;
             }
             if list.len() < self.k {
@@ -271,11 +199,7 @@ impl SparseCandidates {
             .buckets
             .representatives()
             .iter()
-            .filter(|&&j| {
-                !matrix.is_col_disabled(j)
-                    && self.edge_allowed(row, j)
-                    && !have.contains(&self.buckets.key_of(j))
-            })
+            .filter(|&&j| !matrix.is_col_disabled(j) && !have.contains(&self.buckets.key_of(j)))
             .map(|&j| (j, values[j]))
             .collect();
         extras.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite values"));
@@ -301,12 +225,8 @@ impl SparseCandidates {
     }
 
     /// Guarantees `(row, col)` is present (certification found a pruned
-    /// edge whose dual price proves it matters). Edges the constraint
-    /// policy forbids are refused — a hard rule outranks the dual bound.
+    /// edge whose dual price proves it matters).
     pub fn ensure_edge(&mut self, row: usize, col: usize, value: f64) {
-        if !self.edge_allowed(row, col) {
-            return;
-        }
         let list = &mut self.rows[row];
         if list.iter().any(|&(j, _)| j == col) {
             return;
@@ -355,11 +275,6 @@ impl SparseCandidates {
             for (col, edit) in delta.edits() {
                 if matches!(edit, ColumnEdit::Disable) || list.iter().any(|&(j, _)| j == *col) {
                     continue;
-                }
-                if let Some(p) = &self.policy {
-                    if !p.constraints.allows(row, p.classes[*col]) {
-                        continue;
-                    }
                 }
                 let v = matrix.value(row, *col);
                 if v > floor {
@@ -451,7 +366,7 @@ mod tests {
         assert_eq!(b.key_of(0), b.key_of(1), "scaled twins share a bucket");
         assert_eq!(b.key_of(2), b.key_of(3));
         assert_ne!(b.key_of(0), b.key_of(2), "distinct shapes separate");
-        assert_eq!(b.bucket_count(), 2);
+        assert_eq!(b.representatives().len(), 2);
     }
 
     #[test]
@@ -486,10 +401,11 @@ mod tests {
     fn widen_extends_lists() {
         let m = clustered(4, 30, 3, 2);
         let mut c = SparseCandidates::build(&m, 3);
-        let before = c.edge_count();
+        let edges = |c: &SparseCandidates| (0..4).map(|r| c.row(r).len()).sum::<usize>();
+        let before = edges(&c);
         c.widen(&m, 10);
         assert_eq!(c.k(), 10);
-        assert!(c.edge_count() > before);
+        assert!(edges(&c) > before);
         c.widen(&m, 5); // no-op shrink
         assert_eq!(c.k(), 10);
         c.widen(&m, 1000); // clamped to cols
@@ -561,50 +477,6 @@ mod tests {
         assert!(SparseCandidates::default_k(1000) <= 20);
         assert!(SparseCandidates::default_k(10_000) <= 24);
         assert!(SparseCandidates::default_k(10_000) >= 16);
-    }
-
-    #[test]
-    fn forbidden_edges_are_pruned_at_candidate_time() {
-        let m = clustered(4, 12, 3, 6);
-        // Columns alternate classes 0/1/2; row 0 may never touch class 1,
-        // row 2 is pinned to class 2.
-        let classes: Vec<usize> = (0..12).map(|j| j % 3).collect();
-        let rules = PlacementConstraints::new().forbid(0, 1).require(2, 2);
-        let mut c = SparseCandidates::build_constrained(&m, 12, &classes, &rules);
-        for &(j, _) in c.row(0) {
-            assert_ne!(classes[j], 1, "forbidden class in row 0's list");
-        }
-        for &(j, _) in c.row(2) {
-            assert_eq!(classes[j], 2, "required row lists only its class");
-        }
-        assert!(!c.row(1).is_empty(), "unconstrained rows keep full lists");
-        // Certification splicing cannot force a forbidden edge back in.
-        let banned = classes.iter().position(|&cl| cl == 1).unwrap();
-        let before = c.row(0).len();
-        c.ensure_edge(0, banned, 10.0);
-        assert_eq!(c.row(0).len(), before, "ensure_edge refused the edge");
-        assert!(c.edge_allowed(1, banned) && !c.edge_allowed(0, banned));
-        // A delta bumping a forbidden column never inserts it either.
-        let delta = MatrixDelta::new().set_column(banned, vec![5.0; 4]);
-        let patched = m.patched(&delta).unwrap();
-        c.apply_delta(&patched, &delta);
-        assert!(!c.row(0).iter().any(|&(j, _)| j == banned));
-        assert!(
-            c.row(1).iter().any(|&(j, _)| j == banned),
-            "allowed rows get it"
-        );
-    }
-
-    #[test]
-    fn empty_constraints_match_unconstrained_build() {
-        let m = clustered(4, 20, 3, 7);
-        let classes: Vec<usize> = (0..20).map(|j| j % 3).collect();
-        let plain = SparseCandidates::build(&m, 6);
-        let constrained =
-            SparseCandidates::build_constrained(&m, 6, &classes, &PlacementConstraints::new());
-        for row in 0..4 {
-            assert_eq!(plain.row(row), constrained.row(row));
-        }
     }
 
     #[test]

@@ -26,15 +26,6 @@ pub enum ClusterError {
     Unbounded,
     /// An underlying economics-model error.
     Model(CoreError),
-    /// A solved placement put a best-effort app on a server class its
-    /// hard affinity/anti-affinity constraints forbid — the constrained
-    /// instance has no admissible perfect matching.
-    ConstraintViolation {
-        /// The best-effort row that could not be admissibly placed.
-        row: usize,
-        /// The server class it landed on.
-        class: usize,
-    },
 }
 
 impl fmt::Display for ClusterError {
@@ -48,10 +39,6 @@ impl fmt::Display for ClusterError {
             ClusterError::Infeasible => write!(f, "assignment LP is infeasible"),
             ClusterError::Unbounded => write!(f, "assignment LP is unbounded"),
             ClusterError::Model(e) => write!(f, "model error: {e}"),
-            ClusterError::ConstraintViolation { row, class } => write!(
-                f,
-                "no admissible placement: BE app {row} forced onto forbidden server class {class}"
-            ),
         }
     }
 }

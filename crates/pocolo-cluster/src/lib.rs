@@ -25,19 +25,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod admission;
 pub mod assign;
-pub mod constraints;
 pub mod error;
 pub mod matrix;
 pub mod perfmatrix;
 pub mod placement;
 
-pub use admission::{admit_and_place, AdmissionDecision};
 pub use assign::auction::{AuctionConfig, AuctionSolution, AuctionStats};
 pub use assign::sparse::SparseCandidates;
 pub use assign::{Assignment, Solver};
-pub use constraints::PlacementConstraints;
 pub use error::ClusterError;
 pub use matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
 pub use perfmatrix::{

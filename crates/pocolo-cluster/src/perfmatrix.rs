@@ -156,11 +156,6 @@ impl ExpansionPath {
     pub fn steps(&self) -> &[ExpansionStep] {
         &self.steps
     }
-
-    /// The number of load levels the path covers (feasible or not).
-    pub fn level_count(&self) -> usize {
-        self.levels
-    }
 }
 
 /// Estimated average throughput of a BE app (fitted utility `be`) along a
@@ -568,7 +563,7 @@ mod tests {
         let (bes, servers) = fitted_cluster();
         let levels = [0.2, 0.5, 0.8];
         let path = ExpansionPath::compute(&servers[1], &levels).unwrap();
-        assert_eq!(path.level_count(), 3);
+        assert_eq!(path.levels, 3);
         for (_, be) in &bes {
             let cached = estimate_on_path(be, &path).unwrap();
             let one_shot = estimate_pair_throughput(be, &servers[1], &levels).unwrap();

@@ -6,7 +6,6 @@ use pocolo_core::utility::IndirectUtility;
 use crate::assign::auction::{self, AuctionConfig, AuctionSolution};
 use crate::assign::sparse::SparseCandidates;
 use crate::assign::{self, Assignment, Solver};
-use crate::constraints::PlacementConstraints;
 use crate::error::ClusterError;
 use crate::matrix::{MatrixDelta, PerfMatrix};
 use crate::perfmatrix::{PerfMatrixBuilder, ServerProfile};
@@ -142,10 +141,6 @@ pub struct ClusterManager {
     /// (the legacy homogeneous path) unless
     /// [`ClusterManager::with_profile_keys`] says otherwise.
     profile_keys: Vec<usize>,
-    /// Server class per column, checked against `constraints`. `None` =
-    /// unconstrained single-class fleet.
-    classes: Option<Vec<usize>>,
-    constraints: PlacementConstraints,
 }
 
 impl ClusterManager {
@@ -157,8 +152,6 @@ impl ClusterManager {
             profile_keys: (0..servers.len()).collect(),
             servers,
             builder: PerfMatrixBuilder::new(),
-            classes: None,
-            constraints: PlacementConstraints::new(),
         }
     }
 
@@ -184,55 +177,6 @@ impl ClusterManager {
         self
     }
 
-    /// Sets hard affinity/anti-affinity constraints over server classes:
-    /// `classes` labels each server column with its class index, and
-    /// `constraints` rules (BE row, class) pairs in or out. Both solve
-    /// paths enforce the rules — pruned at candidate-edge time on the
-    /// sparse path, masked to zero on the dense path — and every solved
-    /// placement is verified, so a violation surfaces as
-    /// [`ClusterError::ConstraintViolation`] rather than a silent
-    /// placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class list doesn't cover every server.
-    #[must_use]
-    pub fn with_constraints(
-        mut self,
-        classes: Vec<usize>,
-        constraints: PlacementConstraints,
-    ) -> Self {
-        assert_eq!(
-            classes.len(),
-            self.servers.len(),
-            "one server class per server"
-        );
-        self.classes = Some(classes);
-        self.constraints = constraints;
-        self
-    }
-
-    /// The active placement constraints (empty when unconstrained).
-    pub fn constraints(&self) -> &PlacementConstraints {
-        &self.constraints
-    }
-
-    /// Builds the matrix for `servers` through the keyed cache, and the
-    /// constraint mask when configured.
-    fn matrix_for(
-        &self,
-        servers: &[ServerProfile],
-        keys: &[usize],
-    ) -> Result<PerfMatrix, ClusterError> {
-        let matrix = self.builder.build_keyed(&self.be_apps, servers, keys)?;
-        match &self.classes {
-            Some(classes) if !self.constraints.is_empty() => {
-                self.constraints.mask(&matrix, classes)
-            }
-            _ => Ok(matrix),
-        }
-    }
-
     /// The smallest profile key no column other than `col` holds. The
     /// other `n - 1` columns cannot cover all of `0..n`, so one is free.
     fn unused_profile_key(&self, col: usize) -> usize {
@@ -245,17 +189,6 @@ impl ClusterManager {
         used.iter()
             .position(|&u| !u)
             .expect("n - 1 keys cannot cover n values")
-    }
-
-    /// Verifies a solved placement against the constraints (no-op when
-    /// unconstrained).
-    fn verify_constraints(&self, pairs: &[(usize, usize)]) -> Result<(), ClusterError> {
-        match &self.classes {
-            Some(classes) if !self.constraints.is_empty() => {
-                self.constraints.verify(pairs, classes)
-            }
-            _ => Ok(()),
-        }
     }
 
     /// The best-effort candidates (label, fitted utility).
@@ -274,21 +207,18 @@ impl ClusterManager {
     ///
     /// Propagates estimation failures.
     pub fn performance_matrix(&self) -> Result<PerfMatrix, ClusterError> {
-        self.matrix_for(&self.servers, &self.profile_keys)
+        self.builder
+            .build_keyed(&self.be_apps, &self.servers, &self.profile_keys)
     }
 
     /// Builds the matrix and solves the placement with `solver`.
     ///
     /// # Errors
     ///
-    /// Propagates matrix and solver failures; returns
-    /// [`ClusterError::ConstraintViolation`] when the constrained
-    /// instance has no admissible perfect matching.
+    /// Propagates matrix and solver failures.
     pub fn place(&self, solver: Solver) -> Result<Assignment, ClusterError> {
         let matrix = self.performance_matrix()?;
-        let assignment = assign::solve(&matrix, solver)?;
-        self.verify_constraints(&assignment.pairs)?;
-        Ok(assignment)
+        assign::solve(&matrix, solver)
     }
 
     /// Re-solves the placement under a shrunk power budget (a brownout or
@@ -364,11 +294,10 @@ impl ClusterManager {
                 }
             })
             .collect();
-        let matrix = self.matrix_for(&shrunk, &keys)?;
+        let matrix = self.builder.build_keyed(&self.be_apps, &shrunk, &keys)?;
         let fresh = assign::solve(&matrix, solver)?;
         let incumbent_total = matrix.assignment_value(&incumbent.pairs);
         if fresh.total > incumbent_total * (1.0 + hysteresis) {
-            self.verify_constraints(&fresh.pairs)?;
             Ok(fresh)
         } else {
             Ok(Assignment::new(incumbent.pairs.clone(), incumbent_total))
@@ -385,15 +314,9 @@ impl ClusterManager {
     pub fn plan_sparse(&self, eps: f64) -> Result<PlacementPlan, ClusterError> {
         let matrix = self.performance_matrix()?;
         let k = SparseCandidates::default_k(matrix.cols());
-        let mut cands = match &self.classes {
-            Some(classes) if !self.constraints.is_empty() => {
-                SparseCandidates::build_constrained(&matrix, k, classes, &self.constraints)
-            }
-            _ => SparseCandidates::build(&matrix, k),
-        };
+        let mut cands = SparseCandidates::build(&matrix, k);
         let cfg = AuctionConfig::with_eps(eps);
         let solution = auction::solve_with_candidates(&matrix, &mut cands, &cfg)?;
-        self.verify_constraints(&solution.assignment.pairs)?;
         Ok(PlacementPlan {
             matrix,
             cands,
@@ -456,7 +379,7 @@ impl ClusterManager {
             "hysteresis must be non-negative, got {hysteresis}"
         );
         let all_cols: Vec<usize> = (0..plan.matrix.cols()).collect();
-        let mut delta = self.builder.rebuild_columns_scaled(
+        let delta = self.builder.rebuild_columns_scaled(
             &self.be_apps,
             &self.servers,
             &self.profile_keys,
@@ -464,11 +387,6 @@ impl ClusterManager {
             &all_cols,
             &plan.matrix,
         )?;
-        if let Some(classes) = &self.classes {
-            // Column rebuilds re-estimate raw values; keep forbidden
-            // entries masked so a replan can't un-hide them.
-            delta = self.constraints.mask_delta(delta, classes);
-        }
         let incumbent = plan.solution.assignment.clone();
         let intents = plan.apply_delta(&delta)?;
         let incumbent_total = plan.matrix.assignment_value(&incumbent.pairs);
@@ -523,7 +441,7 @@ impl ClusterManager {
         );
         self.servers[col].utility = utility;
         self.profile_keys[col] = self.unused_profile_key(col);
-        let mut delta = self.builder.rebuild_columns_scaled(
+        let delta = self.builder.rebuild_columns_scaled(
             &self.be_apps,
             &self.servers,
             &self.profile_keys,
@@ -531,9 +449,6 @@ impl ClusterManager {
             &[col],
             &plan.matrix,
         )?;
-        if let Some(classes) = &self.classes {
-            delta = self.constraints.mask_delta(delta, classes);
-        }
         plan.apply_delta(&delta)
     }
 }
@@ -973,52 +888,6 @@ mod tests {
         let b = keyed_mgr.place(Solver::Hungarian).unwrap();
         assert_eq!(a.pairs, b.pairs);
         assert_eq!(a.total.to_bits(), b.total.to_bits());
-    }
-
-    #[test]
-    fn constraints_steer_the_placement() {
-        let mgr = manager();
-        let free = mgr.place(Solver::Hungarian).unwrap();
-        // Forbid row 0's chosen server's class: columns 0/1 are class 0,
-        // columns 2/3 are class 1.
-        let classes = vec![0, 0, 1, 1];
-        let chosen = free.server_for(0).unwrap();
-        let banned_class = classes[chosen];
-        let constrained = mgr.clone().with_constraints(
-            classes.clone(),
-            PlacementConstraints::new().forbid(0, banned_class),
-        );
-        let placed = constrained.place(Solver::Hungarian).unwrap();
-        let new_col = placed.server_for(0).unwrap();
-        assert_ne!(classes[new_col], banned_class, "row 0 moved off the class");
-        // The same rule holds on the sparse path.
-        let plan = constrained.plan_sparse(1e-3).unwrap();
-        let sparse_col = plan.assignment().server_for(0).unwrap();
-        assert_ne!(classes[sparse_col], banned_class);
-        // Constraint-respecting placements can only lose utility.
-        assert!(placed.total <= free.total + 1e-9);
-        // An affinity (require) form works too.
-        let required = mgr
-            .clone()
-            .with_constraints(classes.clone(), PlacementConstraints::new().require(1, 0));
-        let r = required.place(Solver::Hungarian).unwrap();
-        assert_eq!(classes[r.server_for(1).unwrap()], 0);
-    }
-
-    #[test]
-    fn infeasible_constraints_error_not_silently_place() {
-        let mgr = manager();
-        // Every class is forbidden for row 2 — there is no admissible
-        // placement, and the solver must say so.
-        let constrained = mgr.with_constraints(
-            vec![0, 0, 1, 1],
-            PlacementConstraints::new().forbid(2, 0).forbid(2, 1),
-        );
-        let err = constrained.place(Solver::Hungarian).unwrap_err();
-        assert!(
-            matches!(err, ClusterError::ConstraintViolation { row: 2, .. }),
-            "{err}"
-        );
     }
 
     #[test]

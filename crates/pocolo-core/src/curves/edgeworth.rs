@@ -151,7 +151,7 @@ mod tests {
     fn headroom_floors_at_zero() {
         let space = xeon_space();
         let boxy = EdgeworthBox::new(space.clone(), Watts(132.0)).unwrap();
-        let alloc = space.max_allocation();
+        let alloc = space.allocation(vec![12.0, 20.0]).unwrap();
         let spare = boxy.spare_for(1.0, alloc, Watts(150.0));
         assert_eq!(spare.power_headroom, Watts::ZERO);
         assert!(!spare.admits(&[1.0, 1.0]));

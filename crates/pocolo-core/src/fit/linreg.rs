@@ -19,24 +19,6 @@ pub struct OlsFit {
     pub n_samples: usize,
 }
 
-impl OlsFit {
-    /// Predicts `ŷ` for a feature row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len()` differs from the number of fitted coefficients.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.coefficients.len(), "feature width mismatch");
-        self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(x)
-                .map(|(&b, &v)| b * v)
-                .sum::<f64>()
-    }
-}
-
 /// Fits `y ≈ β₀ + Σ βⱼ xⱼ` by ordinary least squares.
 ///
 /// # Errors
@@ -209,14 +191,6 @@ mod tests {
         assert!((fit.coefficients[1] + 0.5).abs() < 1e-9);
         assert!((fit.r_squared - 1.0).abs() < 1e-9);
         assert_eq!(fit.n_samples, 5);
-    }
-
-    #[test]
-    fn predict_matches_model() {
-        let xs = vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]];
-        let ys = vec![1.0, 3.0, 5.0, 7.0]; // y = 1 + 2x
-        let fit = ols(&xs, &ys).unwrap();
-        assert!((fit.predict(&[10.0]) - 21.0).abs() < 1e-9);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl OnlineFitter {
         }
     }
 
-    /// Number of samples currently in the window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// The most recent successful fit, if any.
     pub fn model(&self) -> Option<&FittedModel> {
         self.current.as_ref()
@@ -117,17 +112,6 @@ impl OnlineFitter {
             };
         }
         None
-    }
-
-    /// Forces an immediate refit on the current window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fitting errors (insufficient or singular windows); the
-    /// previous model is retained on failure.
-    pub fn force_refit(&mut self) -> Result<&FittedModel, CoreError> {
-        self.refit()?;
-        Ok(self.current.as_ref().expect("refit just succeeded"))
     }
 
     fn refit(&mut self) -> Result<(), CoreError> {
@@ -190,7 +174,7 @@ mod tests {
         for s in grid(&space, 0.6, 0.4) {
             f.ingest(s);
         }
-        assert_eq!(f.window_len(), 50);
+        assert_eq!(f.window.len(), 50);
     }
 
     #[test]
@@ -234,15 +218,15 @@ mod tests {
         let space = xeon_space();
         let mut f = OnlineFitter::new(space.clone(), FitOptions::default(), 4, 2);
         // Two good, varied samples are not enough to fit k+1=3 unknowns
-        // (and the window is tiny): force_refit fails, model stays None.
+        // (and the window is tiny): a refit fails, model stays None.
         f.ingest(sample(&space, 1.0, 2.0, 1.0, 60.0));
-        assert!(f.force_refit().is_err());
+        assert!(f.refit().is_err());
         assert!(f.model().is_none());
         // Fill with degenerate (constant-allocation) samples: singular.
         for _ in 0..4 {
             f.ingest(sample(&space, 3.0, 6.0, 2.0, 70.0));
         }
-        assert!(f.force_refit().is_err());
+        assert!(f.refit().is_err());
         assert!(f.model().is_none());
     }
 

@@ -451,11 +451,6 @@ impl FleetSpec {
         &self.entries
     }
 
-    /// True when the fleet has a single class (the legacy degenerate case).
-    pub fn is_homogeneous(&self) -> bool {
-        self.entries.len() == 1
-    }
-
     /// Assigns a class index to each of `n_slots` server slots:
     /// largest-remainder apportionment of the weights, then a
     /// SplitMix64-seeded Fisher–Yates shuffle. Pure in `(self, n_slots,
@@ -784,7 +779,7 @@ mod tests {
         for s in ["xeon", "xeon*2+turbo", "xeon+turbo+stepcell", "stepcell*3"] {
             let spec: FleetSpec = s.parse().unwrap();
             if s == "xeon" {
-                assert!(spec.is_homogeneous());
+                assert_eq!(spec.n_classes(), 1);
             }
             assert_eq!(spec.to_string(), s);
         }

@@ -68,16 +68,6 @@ impl PreferenceVector {
         self.weights.is_empty()
     }
 
-    /// The resource this application most prefers.
-    pub fn dominant_resource(&self) -> usize {
-        self.weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights are finite"))
-            .map(|(j, _)| j)
-            .expect("non-empty by construction")
-    }
-
     /// Complementarity with another preference vector in `[0, 1]`:
     /// the total-variation distance `½ Σ |aⱼ − bⱼ|`.
     ///
@@ -100,11 +90,6 @@ impl PreferenceVector {
             .zip(&other.weights)
             .map(|(a, b)| (a - b).abs())
             .sum::<f64>()
-    }
-
-    /// Similarity, `1 − complementarity`.
-    pub fn similarity(&self, other: &PreferenceVector) -> f64 {
-        1.0 - self.complementarity(other)
     }
 }
 
@@ -154,20 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn dominant_resource() {
-        let pv = PreferenceVector::from_raw(vec![0.2, 0.8]);
-        assert_eq!(pv.dominant_resource(), 1);
-        let pv = PreferenceVector::from_raw(vec![0.9, 0.1]);
-        assert_eq!(pv.dominant_resource(), 0);
-    }
-
-    #[test]
     fn complementarity_bounds() {
         let a = PreferenceVector::from_raw(vec![1.0, 0.0]);
         let b = PreferenceVector::from_raw(vec![0.0, 1.0]);
         assert!((a.complementarity(&b) - 1.0).abs() < 1e-12);
         assert!((a.complementarity(&a) - 0.0).abs() < 1e-12);
-        assert!((a.similarity(&b) - 0.0).abs() < 1e-12);
     }
 
     #[test]

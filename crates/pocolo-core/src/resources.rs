@@ -170,14 +170,6 @@ impl ResourceSpace {
         }
     }
 
-    /// The allocation with every resource at its maximum (full server).
-    pub fn max_allocation(&self) -> Allocation {
-        Allocation {
-            space: self.clone(),
-            amounts: self.descriptors.iter().map(|d| d.max()).collect(),
-        }
-    }
-
     /// Creates a validated allocation from raw amounts.
     ///
     /// # Errors
@@ -209,37 +201,6 @@ impl ResourceSpace {
                 )));
             }
         }
-        Ok(Allocation {
-            space: self.clone(),
-            amounts,
-        })
-    }
-
-    /// Creates an allocation, clamping each amount into its bounds instead of
-    /// rejecting out-of-range values.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if `amounts.len() != k`.
-    pub fn allocation_clamped(&self, amounts: Vec<f64>) -> Result<Allocation, CoreError> {
-        if amounts.len() != self.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.len(),
-                actual: amounts.len(),
-            });
-        }
-        let amounts = self
-            .descriptors
-            .iter()
-            .zip(amounts)
-            .map(|(d, a)| {
-                if a.is_finite() {
-                    a.clamp(d.min(), d.max())
-                } else {
-                    d.min()
-                }
-            })
-            .collect();
         Ok(Allocation {
             space: self.clone(),
             amounts,
@@ -372,11 +333,6 @@ impl Allocation {
         self.amounts[j]
     }
 
-    /// Amount of the resource named `name`, if it exists.
-    pub fn amount_of(&self, name: &str) -> Option<f64> {
-        self.space.index_of(name).map(|j| self.amounts[j])
-    }
-
     /// All amounts in dimension order.
     pub fn amounts(&self) -> &[f64] {
         &self.amounts
@@ -393,52 +349,6 @@ impl Allocation {
         self.amounts.is_empty()
     }
 
-    /// Rounds every integral resource to the nearest whole unit, keeping the
-    /// result within bounds.
-    #[must_use]
-    pub fn rounded(&self) -> Allocation {
-        let amounts = self
-            .space
-            .iter()
-            .zip(&self.amounts)
-            .map(|(d, &a)| {
-                if d.is_integral() {
-                    a.round().clamp(d.min(), d.max())
-                } else {
-                    a
-                }
-            })
-            .collect();
-        Allocation {
-            space: self.space.clone(),
-            amounts,
-        }
-    }
-
-    /// Rounds every integral resource *down*, keeping within bounds.
-    ///
-    /// Used when converting a continuous demand solution into a hardware
-    /// allocation that must not exceed the budget.
-    #[must_use]
-    pub fn floored(&self) -> Allocation {
-        let amounts = self
-            .space
-            .iter()
-            .zip(&self.amounts)
-            .map(|(d, &a)| {
-                if d.is_integral() {
-                    a.floor().clamp(d.min(), d.max())
-                } else {
-                    a
-                }
-            })
-            .collect();
-        Allocation {
-            space: self.space.clone(),
-            amounts,
-        }
-    }
-
     /// The complementary allocation: what remains of the server when this
     /// allocation is reserved (the other side of the Edgeworth box).
     ///
@@ -451,27 +361,6 @@ impl Allocation {
             .zip(&self.amounts)
             .map(|(d, &a)| (d.max() - a).max(0.0))
             .collect()
-    }
-
-    /// Element-wise distance `max_j |a_j - b_j|` between two allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DimensionMismatch`] if the allocations live in
-    /// spaces of different dimensionality.
-    pub fn chebyshev_distance(&self, other: &Allocation) -> Result<f64, CoreError> {
-        if self.len() != other.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.len(),
-                actual: other.len(),
-            });
-        }
-        Ok(self
-            .amounts
-            .iter()
-            .zip(&other.amounts)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max))
     }
 }
 
@@ -567,34 +456,9 @@ mod tests {
     }
 
     #[test]
-    fn allocation_clamping() {
-        let s = space();
-        let a = s.allocation_clamped(vec![50.0, -3.0]).unwrap();
-        assert_eq!(a.amounts(), &[12.0, 1.0]);
-        let b = s.allocation_clamped(vec![f64::NAN, 5.0]).unwrap();
-        assert_eq!(b.amount(0), 1.0);
-    }
-
-    #[test]
     fn min_max_allocations() {
         let s = space();
         assert_eq!(s.min_allocation().amounts(), &[1.0, 1.0]);
-        assert_eq!(s.max_allocation().amounts(), &[12.0, 20.0]);
-    }
-
-    #[test]
-    fn rounding() {
-        let s = space();
-        let a = s.allocation(vec![3.6, 10.4]).unwrap();
-        assert_eq!(a.rounded().amounts(), &[4.0, 10.0]);
-        assert_eq!(a.floored().amounts(), &[3.0, 10.0]);
-    }
-
-    #[test]
-    fn rounding_respects_bounds() {
-        let s = space();
-        let a = s.allocation(vec![1.2, 1.4]).unwrap();
-        assert_eq!(a.floored().amounts(), &[1.0, 1.0]);
     }
 
     #[test]
@@ -602,25 +466,8 @@ mod tests {
         let s = space();
         let a = s.allocation(vec![4.0, 15.0]).unwrap();
         assert_eq!(a.complement(), vec![8.0, 5.0]);
-        let full = s.max_allocation();
+        let full = s.allocation(vec![12.0, 20.0]).unwrap();
         assert_eq!(full.complement(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn amount_of_by_name() {
-        let s = space();
-        let a = s.allocation(vec![4.0, 15.0]).unwrap();
-        assert_eq!(a.amount_of("llc_ways"), Some(15.0));
-        assert_eq!(a.amount_of("gpu"), None);
-    }
-
-    #[test]
-    fn chebyshev_distance() {
-        let s = space();
-        let a = s.allocation(vec![4.0, 15.0]).unwrap();
-        let b = s.allocation(vec![6.0, 10.0]).unwrap();
-        assert_eq!(a.chebyshev_distance(&b).unwrap(), 5.0);
-        assert_eq!(a.chebyshev_distance(&a).unwrap(), 0.0);
     }
 
     #[test]

@@ -69,19 +69,9 @@ impl Watts {
 impl Joules {
     /// Zero joules.
     pub const ZERO: Joules = Joules(0.0);
-
-    /// Converts to kilowatt-hours (the billing unit in the TCO model).
-    pub fn to_kwh(self) -> f64 {
-        self.0 / 3.6e6
-    }
 }
 
 impl Frequency {
-    /// Frequency expressed in megahertz.
-    pub fn as_mhz(self) -> f64 {
-        self.0 * 1000.0
-    }
-
     /// Fraction of a maximum frequency, clamped to `[0, 1]`.
     pub fn fraction_of(self, max: Frequency) -> f64 {
         if max.0 <= 0.0 {
@@ -221,7 +211,6 @@ mod tests {
     fn energy_integration() {
         let e = Watts(100.0).over_seconds(36.0);
         assert_eq!(e, Joules(3600.0));
-        assert!((Joules(3.6e6).to_kwh() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -229,7 +218,6 @@ mod tests {
         assert!((Frequency(1.2).fraction_of(Frequency(2.4)) - 0.5).abs() < 1e-12);
         assert_eq!(Frequency(3.0).fraction_of(Frequency(2.2)), 1.0);
         assert_eq!(Frequency(1.0).fraction_of(Frequency(0.0)), 0.0);
-        assert!((Frequency(2.2).as_mhz() - 2200.0).abs() < 1e-9);
     }
 
     #[test]

@@ -29,10 +29,8 @@ pub struct CobbDouglas {
     alpha0: f64,
     alphas: Vec<f64>,
     // Hoisted out of the evaluation hot path: `ln α₀` shows up in every
-    // log-space evaluation and `Σα` in every returns-to-scale query, so both
-    // are computed once here instead of per call.
+    // log-space evaluation, so it is computed once here instead of per call.
     ln_alpha0: f64,
-    alpha_sum: f64,
 }
 
 impl CobbDouglas {
@@ -67,12 +65,10 @@ impl CobbDouglas {
             ));
         }
         let ln_alpha0 = alpha0.ln();
-        let alpha_sum = alphas.iter().sum();
         Ok(CobbDouglas {
             alpha0,
             alphas,
             ln_alpha0,
-            alpha_sum,
         })
     }
 
@@ -95,11 +91,6 @@ impl CobbDouglas {
     /// models).
     pub fn is_empty(&self) -> bool {
         self.alphas.is_empty()
-    }
-
-    /// Sum of the exponents, `Σαⱼ` — the model's returns-to-scale.
-    pub fn returns_to_scale(&self) -> f64 {
-        self.alpha_sum
     }
 
     /// Evaluates performance at an allocation.
@@ -344,13 +335,6 @@ mod tests {
         let m = model();
         assert!(m.solve_for_resource(&[1.0, 1.0], 0, -5.0).is_err());
         assert!(m.solve_for_resource(&[1.0, 1.0], 7, 5.0).is_err());
-    }
-
-    #[test]
-    fn returns_to_scale() {
-        assert!((model().returns_to_scale() - 1.0).abs() < 1e-12);
-        let m = CobbDouglas::new(1.0, vec![0.3, 0.3]).unwrap();
-        assert!((m.returns_to_scale() - 0.6).abs() < 1e-12);
     }
 
     #[test]

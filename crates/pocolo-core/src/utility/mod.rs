@@ -4,9 +4,7 @@
 mod cobb_douglas;
 mod indirect;
 mod power;
-pub mod substitution;
 
 pub use cobb_douglas::CobbDouglas;
 pub use indirect::{min_power_solves_on_thread, DemandSolution, IndirectUtility};
 pub use power::PowerModel;
-pub use substitution::{mrs, tangency_gap};

@@ -110,14 +110,6 @@ impl PowerModel {
             .sum();
         Ok(self.p_static + Watts(dynamic))
     }
-
-    /// The dynamic budget left after static power: `budget - P_static`.
-    ///
-    /// Returns zero watts (not a negative value) when the budget does not
-    /// even cover static power.
-    pub fn dynamic_budget(&self, budget: Watts) -> Watts {
-        (budget - self.p_static).max(Watts::ZERO)
-    }
 }
 
 impl fmt::Display for PowerModel {
@@ -162,13 +154,6 @@ mod tests {
             m.power_of_amounts(&[1.0]),
             Err(CoreError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dynamic_budget_floors_at_zero() {
-        let m = PowerModel::new(Watts(50.0), vec![6.0]).unwrap();
-        assert_eq!(m.dynamic_budget(Watts(110.0)), Watts(60.0));
-        assert_eq!(m.dynamic_budget(Watts(30.0)), Watts::ZERO);
     }
 
     #[test]

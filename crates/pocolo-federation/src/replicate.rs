@@ -223,14 +223,6 @@ impl ReplicaSet {
         &self.promotions
     }
 
-    /// Live replicas (leader + followers).
-    pub fn live_count(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|r| r.role != Role::Dead)
-            .count()
-    }
-
     /// Kills a replica at `tick` (fault injection). Killing the leader
     /// leaves the group leaderless until a lease expires in
     /// [`ReplicaSet::tick`].

@@ -100,11 +100,6 @@ impl Value {
         }
     }
 
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Member lookup; `None` when absent or not an object.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -603,9 +598,9 @@ mod tests {
     fn indexing_never_panics() {
         let v = json!({ "a": vec![1, 2, 3] });
         assert_eq!(v["a"][1].as_f64(), Some(2.0));
-        assert!(v["missing"].is_null());
-        assert!(v["a"][99].is_null());
-        assert!(v["a"]["not-an-object"].is_null());
+        assert_eq!(v["missing"], Value::Null);
+        assert_eq!(v["a"][99], Value::Null);
+        assert_eq!(v["a"]["not-an-object"], Value::Null);
     }
 
     #[test]

@@ -314,7 +314,7 @@ mod tests {
     fn parses_nested_structures() {
         let v = from_str(r#"{"a": [1, {"b": null}], "c": "x"}"#).unwrap();
         assert_eq!(v["a"][0].as_f64(), Some(1.0));
-        assert!(v["a"][1]["b"].is_null());
+        assert_eq!(v["a"][1]["b"], Value::Null);
         assert_eq!(v["c"].as_str(), Some("x"));
     }
 

@@ -30,7 +30,6 @@ pub mod control;
 pub mod modes;
 pub mod partition;
 pub mod policy;
-pub mod queue;
 pub mod server_manager;
 pub mod spatial;
 
@@ -41,5 +40,4 @@ pub use control::{
 pub use modes::{ControlMode, ModeMachine};
 pub use partition::partition;
 pub use policy::LcPolicy;
-pub use queue::{BeJob, BeQueue, QueueDiscipline};
 pub use server_manager::ServerManager;

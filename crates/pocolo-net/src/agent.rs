@@ -74,13 +74,6 @@ impl AgentConfig {
             class: None,
         }
     }
-
-    /// Declares a hardware class at registration.
-    #[must_use]
-    pub fn with_class(mut self, class: impl Into<String>) -> Self {
-        self.class = Some(class.into());
-        self
-    }
 }
 
 /// What one agent run accomplished.

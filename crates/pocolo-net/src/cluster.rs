@@ -69,9 +69,6 @@ struct Slot {
     was_degraded: bool,
     /// A lease-expiry timer chain is pending on the reactor wheel.
     lease_timer_armed: bool,
-    /// Hardware class the current owner declared at registration, if
-    /// any. Recorded for fleet-aware placement; never gates assignment.
-    declared_class: Option<String>,
     metrics: Option<ServerMetrics>,
 }
 
@@ -112,7 +109,6 @@ impl Registry {
                     reregistrations: 0,
                     was_degraded: false,
                     lease_timer_armed: false,
-                    declared_class: None,
                     metrics: None,
                 })
                 .collect(),
@@ -144,11 +140,8 @@ impl Registry {
 
     /// Assigns a slot to `agent`: their previous slot if they ever held
     /// one (idempotent re-registration), else the lowest slot that is
-    /// vacant or degraded. Returns `(server, degraded)`. A declared
-    /// hardware class is recorded on the slot (informational: the paper's
-    /// placement is solved before agents arrive, but the fleet layer
-    /// reads it back for class-keyed replans).
-    fn assign(&mut self, agent: &str, class: Option<&str>) -> Option<(usize, bool)> {
+    /// vacant or degraded. Returns `(server, degraded)`.
+    fn assign(&mut self, agent: &str) -> Option<(usize, bool)> {
         let (idx, rejoin) = match self.owners.get(agent) {
             // A re-register of a live or degraded slot means the agent
             // died and restarted: the partial run is unobservable, so the
@@ -178,7 +171,6 @@ impl Registry {
         slot.state = SlotState::Live {
             agent: agent.to_string(),
         };
-        slot.declared_class = class.map(str::to_string);
         slot.last_seen = Instant::now();
         self.owners.insert(agent.to_string(), idx);
         Some((idx, rejoin))
@@ -391,9 +383,9 @@ impl ReactorClusterHandler {
 impl EventHandler for ReactorClusterHandler {
     fn handle(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, request: Message) -> Reply {
         match request {
-            Message::Register { agent, class } => {
+            Message::Register { agent, .. } => {
                 let mut reg = self.registry.lock();
-                let Some((server, degraded)) = reg.assign(&agent, class.as_deref()) else {
+                let Some((server, degraded)) = reg.assign(&agent) else {
                     return Reply::error(&NetError::Protocol("no free slot to assign".into()));
                 };
                 self.arm_lease_timer(ctx, &mut reg, server);
@@ -506,13 +498,6 @@ impl Clusterd {
         reg.slots.iter().map(|s| s.state.clone()).collect()
     }
 
-    /// Hardware class each slot's current owner declared at
-    /// registration (`None` for classless or pre-fleet agents).
-    pub fn declared_classes(&self) -> Vec<Option<String>> {
-        let reg = self.registry.lock();
-        reg.slots.iter().map(|s| s.declared_class.clone()).collect()
-    }
-
     /// Slots that passed through the degraded state at least once.
     pub fn degraded_history(&self) -> Vec<usize> {
         let reg = self.registry.lock();
@@ -587,30 +572,30 @@ mod tests {
     #[test]
     fn registration_fills_slots_in_order() {
         let mut reg = registry4();
-        assert_eq!(reg.assign("a", None), Some((0, false)));
-        assert_eq!(reg.assign("b", None), Some((1, false)));
-        assert_eq!(reg.assign("c", None), Some((2, false)));
-        assert_eq!(reg.assign("d", None), Some((3, false)));
-        assert_eq!(reg.assign("e", None), None, "cluster is full");
+        assert_eq!(reg.assign("a"), Some((0, false)));
+        assert_eq!(reg.assign("b"), Some((1, false)));
+        assert_eq!(reg.assign("c"), Some((2, false)));
+        assert_eq!(reg.assign("d"), Some((3, false)));
+        assert_eq!(reg.assign("e"), None, "cluster is full");
     }
 
     #[test]
     fn reregistration_is_idempotent_and_degrades() {
         let mut reg = registry4();
-        assert_eq!(reg.assign("a", None), Some((0, false)));
+        assert_eq!(reg.assign("a"), Some((0, false)));
         // The same identity re-registering means the agent restarted: it
         // keeps its slot but must run degraded.
-        assert_eq!(reg.assign("a", None), Some((0, true)));
+        assert_eq!(reg.assign("a"), Some((0, true)));
         assert_eq!(reg.slots[0].reregistrations, 1);
         assert!(reg.slots[0].was_degraded);
         // Other agents are unaffected.
-        assert_eq!(reg.assign("b", None), Some((1, false)));
+        assert_eq!(reg.assign("b"), Some((1, false)));
     }
 
     #[test]
     fn lease_expiry_flips_live_to_degraded_and_hands_the_slot_on() {
         let mut reg = registry4();
-        reg.assign("a", None);
+        reg.assign("a");
         reg.slots[0].last_seen = Instant::now() - Duration::from_secs(60);
         let expired = reg.check_lease(0, Duration::from_millis(50), Instant::now());
         assert!(matches!(expired, LeaseCheck::Expired));
@@ -619,20 +604,20 @@ mod tests {
             SlotState::Degraded { agent: Some(ref a) } if a == "a"
         ));
         // Vacant slots go first.
-        assert_eq!(reg.assign("b", None), Some((1, false)));
-        reg.assign("c", None);
-        reg.assign("d", None);
+        assert_eq!(reg.assign("b"), Some((1, false)));
+        reg.assign("c");
+        reg.assign("d");
         // Cluster otherwise full: the degraded slot is handed out.
-        assert_eq!(reg.assign("e", None), Some((0, true)));
+        assert_eq!(reg.assign("e"), Some((0, true)));
         // ... and the evicted owner has lost its claim: a fresh "a" has
         // nowhere to go in a full cluster.
-        assert_eq!(reg.assign("a", None), None);
+        assert_eq!(reg.assign("a"), None);
     }
 
     #[test]
     fn renew_keeps_a_lease_alive() {
         let mut reg = registry4();
-        reg.assign("a", None);
+        reg.assign("a");
         reg.slots[0].last_seen = Instant::now() - Duration::from_millis(40);
         reg.renew(0).unwrap();
         let check = reg.check_lease(0, Duration::from_millis(50), Instant::now());
@@ -644,34 +629,34 @@ mod tests {
     #[test]
     fn done_slots_are_never_reaped_or_reassigned() {
         let mut reg = registry4();
-        reg.assign("a", None);
+        reg.assign("a");
         reg.complete(0, ServerMetrics::new(pocolo_core::Watts(100.0)))
             .unwrap();
         reg.slots[0].last_seen = Instant::now() - Duration::from_secs(60);
         let check = reg.check_lease(0, Duration::from_millis(1), Instant::now());
         assert!(matches!(check, LeaseCheck::Settled));
         assert!(matches!(reg.slots[0].state, SlotState::Done));
-        reg.assign("b", None);
-        reg.assign("c", None);
-        reg.assign("d", None);
-        assert_eq!(reg.assign("e", None), None, "done slot is not handed out");
+        reg.assign("b");
+        reg.assign("c");
+        reg.assign("d");
+        assert_eq!(reg.assign("e"), None, "done slot is not handed out");
     }
 
     #[test]
     fn completed_agent_reregisters_as_a_fresh_agent() {
         let mut reg = registry4();
-        reg.assign("a", None);
+        reg.assign("a");
         reg.complete(0, ServerMetrics::new(pocolo_core::Watts(100.0)))
             .unwrap();
         // "a" finished slot 0; a new registration under the same identity
         // is a new arrival, not a reclaim of the done slot.
-        assert_eq!(reg.assign("a", None), Some((1, false)));
+        assert_eq!(reg.assign("a"), Some((1, false)));
     }
 
     #[test]
     fn check_lease_is_lazy_and_only_fires_when_overdue() {
         let mut reg = registry4();
-        reg.assign("a", None);
+        reg.assign("a");
         let now = Instant::now();
         let ttl = Duration::from_millis(100);
         match reg.check_lease(0, ttl, now) {
@@ -692,7 +677,7 @@ mod tests {
     fn fast_path_sets_stay_consistent_under_churn() {
         let mut reg = Registry::new(8);
         for i in 0..8 {
-            reg.assign(&format!("agent-{i}"), None);
+            reg.assign(&format!("agent-{i}"));
         }
         // Expire half the fleet, complete a quarter, rejoin the rest.
         for i in [0usize, 2, 4, 6] {
@@ -714,8 +699,8 @@ mod tests {
             .unwrap();
         assert_eq!(reg.done_count, 2);
         // Degraded owners reclaim their slots.
-        assert_eq!(reg.assign("agent-0", None), Some((0, true)));
-        assert_eq!(reg.assign("agent-4", None), Some((4, true)));
+        assert_eq!(reg.assign("agent-0"), Some((0, true)));
+        assert_eq!(reg.assign("agent-4"), Some((4, true)));
         assert_eq!(reg.degraded.len(), 2);
         // Everything still internally consistent: every Live slot's owner
         // maps back to it.

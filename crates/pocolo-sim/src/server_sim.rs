@@ -235,11 +235,6 @@ impl ServerSim {
         self.server.power_cap() * self.cap_factor
     }
 
-    /// True while the server is crashed.
-    pub fn is_down(&self) -> bool {
-        self.down
-    }
-
     /// True while any fault is active on this server (brownout window,
     /// crash downtime, or frozen telemetry).
     pub fn fault_active(&self) -> bool {
@@ -876,14 +871,14 @@ mod tests {
         .with_fault_physics();
         run(&mut sim, 5);
         sim.apply_fault(&ServerFaultAction::Crash, 5.0);
-        assert!(sim.is_down());
+        assert!(sim.down);
         assert_eq!(sim.true_power(), Watts::ZERO);
         assert_eq!(sim.metrics().evictions, 1);
         let fault_time_before = sim.metrics().fault_time_s();
         run_from(&mut sim, 5, 3);
         assert!(sim.metrics().fault_time_s() > fault_time_before + 2.9);
         sim.apply_fault(&ServerFaultAction::Recover, 8.0);
-        assert!(!sim.is_down());
+        assert!(!sim.down);
         run_from(&mut sim, 8, 6);
         // Naive path restores the co-runner immediately on recovery.
         assert!(sim.be_truth().is_some());

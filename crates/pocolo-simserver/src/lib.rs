@@ -26,7 +26,6 @@
 pub mod error;
 pub mod knobs;
 pub mod machine;
-pub mod p2;
 pub mod power;
 pub mod server;
 pub mod telemetry;
@@ -34,7 +33,6 @@ pub mod telemetry;
 pub use error::SimError;
 pub use knobs::{CoreSet, TenantAllocation, TenantRole, WayMask};
 pub use machine::MachineSpec;
-pub use p2::P2Quantile;
 pub use power::{PowerDrawModel, PowerMeter};
 pub use server::SimServer;
 pub use telemetry::{TimeSeries, WindowStats};

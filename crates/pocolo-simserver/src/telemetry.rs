@@ -118,8 +118,7 @@ fn lerp(lo: f64, hi: f64, frac: f64) -> f64 {
 /// for i in 0..10 {
 ///     ts.push(i as f64 * 0.1, 100.0 + i as f64);
 /// }
-/// let stats = ts.window_stats(0.45).unwrap(); // last 0.45 s
-/// assert_eq!(stats.count, 5);
+/// assert_eq!(ts.window_values(0.45).len(), 5); // last 0.45 s
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -213,11 +212,6 @@ impl TimeSeries {
                 .map(|&(_, v)| v)
                 .collect(),
         }
-    }
-
-    /// Stats over the trailing `duration` seconds, or `None` if empty.
-    pub fn window_stats(&self, duration: f64) -> Option<WindowStats> {
-        WindowStats::from_samples(&self.window_values(duration))
     }
 
     /// Drops all samples.
@@ -347,15 +341,13 @@ mod tests {
         let vals = ts.window_values(0.5);
         assert_eq!(vals.len(), 6);
         assert_eq!(vals[0], 14.0);
-        let stats = ts.window_stats(0.5).unwrap();
-        assert_eq!(stats.max, 19.0);
+        assert_eq!(vals[5], 19.0);
     }
 
     #[test]
     fn window_on_empty_series() {
         let ts = TimeSeries::with_capacity(4);
         assert!(ts.window_values(1.0).is_empty());
-        assert!(ts.window_stats(1.0).is_none());
         assert!(ts.is_empty());
         assert_eq!(ts.last(), None);
     }

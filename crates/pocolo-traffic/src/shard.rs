@@ -242,6 +242,8 @@ impl TrafficGen {
         consume: impl Fn(StreamRequests<'_>) -> T + Sync,
     ) -> Vec<T> {
         assert!(shards > 0, "need at least one shard");
+        // Shards past the stream count would own no stream: don't spawn them.
+        let shards = shards.min(LOGICAL_STREAMS);
         let shape = self.shape_at(tick_idx);
         let mut per_shard: Vec<_> =
             parallel::map(parallelism, (0..shards).collect(), |shard: usize| {
@@ -370,7 +372,7 @@ mod tests {
             let summary = g.tick(3, 1, Parallelism::Serial);
             let lanes = g.requests(3, 1, Parallelism::Serial);
             assert!(!summary.is_empty(), "{kind}");
-            for shards in [1, 3, 8, 64, 100] {
+            for shards in [1, 3, 8, 64, 100, usize::MAX] {
                 for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
                     let at = format!("{kind}: {shards} shards, {parallelism:?}");
                     assert_eq!(g.tick(3, shards, parallelism), summary, "{at}");

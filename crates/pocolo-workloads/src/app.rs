@@ -88,11 +88,6 @@ impl AppId {
             AppId::Be(a) => a.name(),
         }
     }
-
-    /// True for latency-critical applications.
-    pub fn is_latency_critical(self) -> bool {
-        matches!(self, AppId::Lc(_))
-    }
 }
 
 impl fmt::Display for AppId {
@@ -136,8 +131,6 @@ mod tests {
 
     #[test]
     fn appid_classification() {
-        assert!(AppId::Lc(LcApp::Xapian).is_latency_critical());
-        assert!(!AppId::Be(BeApp::Rnn).is_latency_critical());
         assert_eq!(AppId::from(LcApp::TpcC), AppId::Lc(LcApp::TpcC));
     }
 }

@@ -189,11 +189,6 @@ impl LcModel {
         ((self.slo_p99_ms - p99) / self.slo_p99_ms).max(-1.0)
     }
 
-    /// True if the allocation serves `load_rps` within the SLO.
-    pub fn meets_slo(&self, load_rps: f64, alloc: &TenantAllocation) -> bool {
-        self.latency_slack(load_rps, alloc) >= 0.0
-    }
-
     /// Power the application draws at `load_rps` on `alloc`.
     pub fn power_draw(
         &self,
@@ -316,8 +311,8 @@ mod tests {
         let cap = m.capacity_rps(&a);
         let p99 = m.p99_latency_ms(cap * m.rho_slo(), &a);
         assert!((p99 - m.slo_p99_ms()).abs() / m.slo_p99_ms() < 1e-9);
-        assert!(m.meets_slo(cap * 0.89, &a));
-        assert!(!m.meets_slo(cap * 0.91, &a));
+        assert!(m.latency_slack(cap * 0.89, &a) >= 0.0);
+        assert!(m.latency_slack(cap * 0.91, &a) < 0.0);
     }
 
     #[test]
@@ -338,7 +333,7 @@ mod tests {
         let a = alloc(1, 2, 2.2);
         let load = 0.1 * m.peak_load_rps();
         assert!(
-            m.meets_slo(load, &a),
+            m.latency_slack(load, &a) >= 0.0,
             "1c/2w should serve 10% load: slack {}",
             m.latency_slack(load, &a)
         );

@@ -124,14 +124,6 @@ impl Mm1Sim {
             utilization: (busy_time / clock).min(1.0),
         }
     }
-
-    /// Batch-arrival constructor: a stateful [`Mm1Queue`] with this sim's
-    /// service rate and seed, for callers (like `pocolo-traffic`'s
-    /// per-slot queues) that feed arrivals tick by tick instead of as one
-    /// closed run.
-    pub fn batch_queue(&self) -> Mm1Queue {
-        Mm1Queue::new(self.service_rate, self.seed)
-    }
 }
 
 /// Per-tick statistics from [`Mm1Queue::step_batch`], in the same time
@@ -171,8 +163,8 @@ impl TickStats {
 /// produce bit-identical statistics.
 ///
 /// ```
-/// use pocolo_workloads::reqsim::Mm1Sim;
-/// let mut q = Mm1Sim::new(1000.0, 7).batch_queue();
+/// use pocolo_workloads::reqsim::Mm1Queue;
+/// let mut q = Mm1Queue::new(1000.0, 7);
 /// let stats = q.step_batch(500, 1.0); // 500 arrivals in a 1 s tick
 /// assert!(stats.utilization > 0.4 && stats.utilization < 0.6);
 /// ```
@@ -364,7 +356,7 @@ mod tests {
     fn batch_queue_matches_closed_form_at_steady_state() {
         // Feeding the same offered load tick after tick must reproduce the
         // M/M/1 mean response 1/(μ−λ) once warm.
-        let mut q = Mm1Sim::new(100.0, 11).batch_queue();
+        let mut q = Mm1Queue::new(100.0, 11);
         let mut sum = 0.0;
         let mut ticks = 0;
         for tick in 0..200 {
@@ -500,7 +492,7 @@ mod tests {
         // samples). At 7 000 arrivals per 100 s they average ≈ 0.156 s.
         let sim = Mm1Sim::new(100.0, 13);
         let closed = sim.run(70.0, 300_000).p99;
-        let mut q = sim.batch_queue();
+        let mut q = Mm1Queue::new(100.0, 13);
         let mut sum = 0.0;
         let mut ticks = 0;
         for tick in 0..100 {

@@ -10,7 +10,7 @@
 //! | Server substrate | [`simserver`] | Simulated Xeon E5-2650: core/way/DVFS/quota knobs, power model, noisy meter, telemetry |
 //! | Workload models | [`workloads`] | Ground-truth LC apps (img-dnn, sphinx, xapian, tpcc) and BE apps (lstm, rnn, graph, pbzip), load traces, profiler |
 //! | Server management | [`manager`] | Control plane (one `ServerController`: POM analytic or Heracles-style incremental sizing, `ControlMode` state machine), 100 ms power capper |
-//! | Cluster placement | [`cluster`] | Performance matrix (class-keyed expansion-path cache), Hungarian / simplex-LP / exhaustive / random / auction solvers, hard affinity constraints |
+//! | Cluster placement | [`cluster`] | Performance matrix (class-keyed expansion-path cache), Hungarian / simplex-LP / exhaustive / random / auction solvers |
 //! | Fault injection | [`faults`] | Seeded fault plans (brownouts, crashes, telemetry dropouts, model drift), eviction ordering, re-admission backoff |
 //! | Simulation | [`sim`] | Discrete-event cluster simulation, policy experiments, degraded-mode resilience, heterogeneous-fleet SKU-aware vs SKU-blind comparison |
 //! | Traffic engine | [`traffic`] | Sharded million-user request synthesis (bit-identical at any shard count), composable mixes, online utility refit loop |
@@ -47,8 +47,7 @@ pub use pocolo_workloads as workloads;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use pocolo_cluster::{
-        Assignment, ClusterManager, PerfMatrix, PerfMatrixBuilder, PlacementConstraints,
-        ServerProfile, Solver,
+        Assignment, ClusterManager, PerfMatrix, PerfMatrixBuilder, ServerProfile, Solver,
     };
     pub use pocolo_core::fit::{check_convexity, ConvexityReport, OnlineFitter};
     pub use pocolo_core::fleet::{FleetSpec, PowerCurve, ServerClass};
@@ -65,9 +64,8 @@ pub mod prelude {
         FederationConfig, FederationReport, FederationScenario, RegionController,
     };
     pub use pocolo_manager::{
-        BeIntent, BeJob, BeQueue, CapAction, ControlDecision, ControlInput, ControlMode,
-        DecisionRecord, LcPolicy, ModeMachine, PowerCapper, PrimaryDirective, QueueDiscipline,
-        ServerController, ServerManager,
+        BeIntent, CapAction, ControlDecision, ControlInput, ControlMode, DecisionRecord, LcPolicy,
+        ModeMachine, PowerCapper, PrimaryDirective, ServerController, ServerManager,
     };
     pub use pocolo_sim::experiment::{
         run_experiment, run_experiment_with, run_level_sweep, run_policy_sweeps, DecisionTrace,
@@ -82,7 +80,7 @@ pub mod prelude {
         ClusterSummary, FaultTimeline, Parallelism, ServerFaultAction, ServerMetrics, ServerSim,
     };
     pub use pocolo_simserver::{
-        CoreSet, MachineSpec, P2Quantile, SimServer, TenantAllocation, TenantRole, WayMask,
+        CoreSet, MachineSpec, SimServer, TenantAllocation, TenantRole, WayMask,
     };
     pub use pocolo_tco::{MonthlyCost, Scenario, TcoModel};
     pub use pocolo_traffic::{
