@@ -56,55 +56,16 @@ impl WindowStats {
 ///
 /// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
 pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    let (lo, frac) = rank_of(sorted.len(), q);
+    assert!(!sorted.is_empty(), "percentile of empty slice");
+    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let frac = pos - lo as f64;
     if frac == 0.0 {
         sorted[lo]
     } else {
-        lerp(sorted[lo], sorted[lo + 1], frac)
+        sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac
     }
-}
-
-/// The same percentile as [`percentile_of_sorted`], bit for bit, taken
-/// from unsorted samples by selection: one `select_nth_unstable_by` under
-/// [`f64::total_cmp`] plus the minimum of the partition above it — O(n)
-/// instead of a sort. Reorders `samples`.
-///
-/// ```
-/// use pocolo_simserver::telemetry::{percentile_by_selection, percentile_of_sorted};
-/// let mut samples = [9.0, 1.0, 5.0, 3.0, 7.0];
-/// let exact = percentile_of_sorted(&[1.0, 3.0, 5.0, 7.0, 9.0], 0.99);
-/// assert_eq!(percentile_by_selection(&mut samples, 0.99), exact);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `samples` is empty or `q` is outside `[0, 1]`.
-pub fn percentile_by_selection(samples: &mut [f64], q: f64) -> f64 {
-    let (lo, frac) = rank_of(samples.len(), q);
-    let (_, &mut at_lo, above) = samples.select_nth_unstable_by(lo, f64::total_cmp);
-    if frac == 0.0 {
-        return at_lo;
-    }
-    let next = above
-        .iter()
-        .copied()
-        .min_by(f64::total_cmp)
-        .expect("a fractional rank has a sample above it");
-    lerp(at_lo, next, frac)
-}
-
-/// Where quantile `q` falls among `n` ordered samples: the rank at or
-/// below it, and the weight of the rank above (0 when `q` lands on one).
-fn rank_of(n: usize, q: f64) -> (usize, f64) {
-    assert!(n > 0, "percentile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-    let pos = q * (n - 1) as f64;
-    let lo = pos.floor() as usize;
-    (lo, pos - lo as f64)
-}
-
-fn lerp(lo: f64, hi: f64, frac: f64) -> f64 {
-    lo * (1.0 - frac) + hi * frac
 }
 
 /// A bounded time series of `(timestamp_seconds, value)` samples.
@@ -269,45 +230,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         let _ = percentile_of_sorted(&[], 0.5);
-    }
-
-    #[test]
-    fn selection_equals_the_sorted_percentile_bit_for_bit() {
-        // Lengths 1..=5 exhaustively, then random lengths up to 2 000;
-        // every other case draws from a handful of levels, so ties (and
-        // ties straddling the selected rank) are common.
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(31);
-        for case in 0..400usize {
-            let n = if case < 50 {
-                case % 5 + 1
-            } else {
-                rng.gen_range(1..=2_000)
-            };
-            let levels: u32 = if case % 2 == 0 {
-                rng.gen_range(1..=6)
-            } else {
-                0
-            };
-            let samples: Vec<f64> = (0..n)
-                .map(|_| match levels {
-                    0 => rng.gen_range(-1.0..1.0) * 1e3,
-                    k => f64::from(rng.gen_range(0..k)) * 0.1,
-                })
-                .collect();
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-                let mut scratch = samples.clone();
-                let got = percentile_by_selection(&mut scratch, q);
-                let want = percentile_of_sorted(&sorted, q);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "n={n} levels={levels} q={q}: {got} vs {want}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!    its summary — no request is stored — folding every tick digest into
 //!    the run digest (the bit-identity witness the CI shard gate diffs),
 //! 2. maps the summary's per-slot counts to arrival rates and steps each LC
-//!    slot's [`Mm1Queue`] under the allocation its *current* utility
-//!    model demands within the (possibly browned-out) power budget,
+//!    slot's [`Mm1Queue`] — the M/M/1 tail plus a carried fluid backlog,
+//!    O(1) a tick — under the allocation its *current* utility model
+//!    demands within the (possibly browned-out) power budget,
 //! 3. feeds the measured capacity / power / latency-slack triple into the
 //!    slot's [`OnlineFitter`], and
 //! 4. when a refit drifts far enough, adopts the fresh model and repairs
@@ -249,18 +250,14 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
     let mut slots: Vec<SlotState> = fitted
         .lc()
         .iter()
-        .enumerate()
-        .map(|(i, (app, truth, utility))| {
+        .map(|(app, truth, utility)| {
             let full = TenantAllocation::from_counts(&machine, machine.cores(), machine.llc_ways());
             SlotState {
                 app: app.name().to_string(),
                 truth: truth.clone(),
                 utility: utility.clone(),
                 fitter: OnlineFitter::new(space.clone(), options.clone(), 24, 3),
-                queue: Mm1Queue::new(
-                    truth.capacity_rps(&full),
-                    config.seed ^ ((i as u64 + 1) << 48),
-                ),
+                queue: Mm1Queue::new(truth.capacity_rps(&full), 0),
                 fault_drift: 0.0,
                 requests: 0,
                 violations: 0,

@@ -24,9 +24,10 @@
 //!   [`Parallelism`](pocolo_sim::parallel::Parallelism) — the same
 //!   contract `pocolo_sim::parallel` gives experiments.
 //! - [`engine`] — the closed loop ([`run_traffic`]): per-slot request
-//!   counts drive `Mm1Queue`s, measured p99/utilization feeds each slot's
-//!   `OnlineFitter`, and drifted refits repair the BE placement through
-//!   the incremental `ClusterManager` path.
+//!   counts step `Mm1Queue`s (a closed-form M/M/1 tick with a carried
+//!   backlog; nothing is drawn per request), their p99/utilization feeds
+//!   each slot's `OnlineFitter`, and drifted refits repair the BE
+//!   placement through the incremental `ClusterManager` path.
 //!
 //! ```
 //! use pocolo_sim::parallel::Parallelism;
