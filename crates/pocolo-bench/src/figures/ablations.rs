@@ -296,8 +296,6 @@ pub fn rebalance(bench: &Bench) -> RebalanceAblation {
             &RebalanceConfig {
                 period_s: period,
                 migration_pause_s: pause,
-                phase_shift_s: 45.0,
-                day_s: 180.0,
             },
             &bench.fitted,
             180.0,

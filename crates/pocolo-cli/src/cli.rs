@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use pocolo::net::{MAX_FRAME_BYTES, SCALE_DEADLINE};
 use pocolo::prelude::*;
 use pocolo::sim::CAPPER_PERIOD_S;
 
@@ -79,6 +80,19 @@ OPTIONS:
     --heartbeat-ms <n> demo-net scale mode: per-agent heartbeat pacing,
                        0 = closed-loop                 (default: 1000)
     --json             machine-readable output";
+
+/// Largest `--regions`. A regional brownout is the demo's whole story and
+/// it thins out as regions are added: at seed 1 the federated-beats-isolated
+/// gate already fails at 192 regions.
+const MAX_REGIONS: usize = 64;
+
+/// Largest `--agents`: a welcome spends at least 15 bytes a slot (`"tpcc",`
+/// `"rnn",` `0,`), so no more slots fit under [`MAX_FRAME_BYTES`].
+const MAX_AGENTS: usize = MAX_FRAME_BYTES / 15;
+
+/// Largest `--heartbeat-ms`: a slower pacing could never finish inside the
+/// scale run's deadline.
+const MAX_HEARTBEAT_MS: u64 = SCALE_DEADLINE.as_millis() as u64;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,7 +200,7 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             "--faults" => opts.faults = Some(take(&mut it, flag, "a value")?),
             "--fleet" => opts.fleet = Some(take(&mut it, flag, "a value")?),
             "--regions" => {
-                opts.regions = take_parsed(&mut it, flag)?;
+                opts.regions = at_most(take_parsed(&mut it, flag)?, MAX_REGIONS, flag)?;
                 if opts.regions < 2 {
                     return Err("--regions needs at least 2 (nowhere to fail over to)".into());
                 }
@@ -198,9 +212,11 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             "--agent" => opts.agent = Some(take(&mut it, flag, "a name")?),
             "--lease-ttl-ms" => opts.lease_ttl_ms = take_positive(&mut it, flag)?,
             "--kill-agent" => opts.kill_agent = true,
-            "--agents" => opts.agents = take_positive(&mut it, flag)?,
+            "--agents" => opts.agents = at_most(take_positive(&mut it, flag)?, MAX_AGENTS, flag)?,
             "--heartbeats" => opts.heartbeats = take_positive(&mut it, flag)?,
-            "--heartbeat-ms" => opts.heartbeat_ms = take_parsed(&mut it, flag)?,
+            "--heartbeat-ms" => {
+                opts.heartbeat_ms = at_most(take_parsed(&mut it, flag)?, MAX_HEARTBEAT_MS, flag)?;
+            }
             "--traffic" => opts.traffic = Some(take(&mut it, flag, "a value")?),
             "--shards" => opts.shards = take_positive(&mut it, flag)?,
             "--users" => opts.users = take_positive(&mut it, flag)?,
@@ -240,6 +256,15 @@ where
     match take_parsed::<T>(it, flag)? {
         zero if zero == T::default() => Err(format!("{flag} must be positive")),
         n => Ok(n),
+    }
+}
+
+/// `n`, or `"<flag> must be at most <max>"`.
+fn at_most<T: PartialOrd + std::fmt::Display>(n: T, max: T, flag: &str) -> Result<T, String> {
+    if n > max {
+        Err(format!("{flag} must be at most {max}"))
+    } else {
+        Ok(n)
     }
 }
 
@@ -631,9 +656,10 @@ fn cmd_agentd(opts: &Options) -> Result<String, String> {
     ))
 }
 
-fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
-    use pocolo::net::{run_demo_scale, ScaleConfig};
-    let mut config = ScaleConfig::new(opts.agents, opts.heartbeats);
+/// The scale run `demo-net --agents <n>` drives. `parse` bounds
+/// `--heartbeat-ms`, so the lease arithmetic cannot overflow.
+fn scale_config_of(opts: &Options) -> pocolo::net::ScaleConfig {
+    let mut config = pocolo::net::ScaleConfig::new(opts.agents, opts.heartbeats);
     config.heartbeat_every = std::time::Duration::from_millis(opts.heartbeat_ms);
     config.lease_ttl = std::time::Duration::from_millis(opts.lease_ttl_ms.max(
         // A lease shorter than two heartbeats would expire mid-run by
@@ -641,7 +667,11 @@ fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
         // failing a healthy fleet.
         3 * opts.heartbeat_ms.max(1),
     ));
-    let report = run_demo_scale(&config).map_err(|e| e.to_string())?;
+    config
+}
+
+fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
+    let report = pocolo::net::run_demo_scale(&scale_config_of(opts)).map_err(|e| e.to_string())?;
     if !report.parity {
         return Err("demo-net: scale run diverged from the timing-independent reference".into());
     }
@@ -938,9 +968,9 @@ fn cmd_demo_federation(opts: &Options) -> Result<String, String> {
     let (fed_r, ref_r, iso_r) = (fed.run(), reference.run(), iso.run());
     let plan = faults.scenario.plan(
         faults.seed.unwrap_or(opts.seed),
-        fed.ticks,
+        pocolo::federation::harness::TICKS,
         opts.regions,
-        fed.replicas,
+        pocolo::federation::harness::REPLICAS,
     );
     // The demo doubles as the CI gate: a nonzero exit means the
     // federation contract broke, not that the CLI was misused.
@@ -1531,6 +1561,100 @@ mod tests {
     fn demo_federation_rejects_server_scenarios() {
         let err = run(&argv("demo-federation --faults chaos")).unwrap_err();
         assert!(err.contains("chaos"), "error names the bad token: {err}");
+    }
+
+    // Each argv below panicked `pocolo` before its flag was bounded at parse.
+    #[test]
+    fn heartbeat_pacing_past_the_deadline_is_refused() {
+        let e = run(&argv(
+            "demo-net --agents 1 --heartbeats 1 --heartbeat-ms 18446744073709551615",
+        ));
+        assert_eq!(e.unwrap_err(), "--heartbeat-ms must be at most 300000");
+        let at_deadline = parse(&argv("demo-net --heartbeat-ms 300000")).unwrap();
+        assert_eq!(scale_config_of(&at_deadline).lease_ttl.as_millis(), 900_000);
+    }
+
+    #[test]
+    fn agent_counts_no_welcome_can_name_are_refused() {
+        let e = run(&argv(
+            "demo-net --agents 18446744073709551615 --heartbeats 1",
+        ));
+        assert_eq!(e.unwrap_err(), "--agents must be at most 279620");
+        assert!(parse(&argv(&format!("demo-net --agents {MAX_AGENTS}"))).is_ok());
+    }
+
+    #[test]
+    fn region_counts_past_the_bound_are_refused() {
+        let e = run(&argv("demo-federation --regions 18446744073709551615"));
+        assert_eq!(e.unwrap_err(), "--regions must be at most 64");
+        assert!(parse(&argv("demo-federation --regions 64")).is_ok());
+    }
+
+    /// Every error `pocolo` can report before a run starts: `parse`, then
+    /// the pure builders it feeds.
+    fn pre_run_errors(args: &[String]) -> Vec<String> {
+        let opts = match parse(args) {
+            Ok(opts) => opts,
+            Err(e) => return vec![e],
+        };
+        let _ = scale_config_of(&opts);
+        let (fleet, faults) = (opts.fleet.as_deref(), opts.faults.as_deref());
+        let traffic = opts.traffic.as_deref();
+        [
+            policy_of(&opts).err(),
+            experiment_of(&opts).err(),
+            solver_of(&opts.solver).err(),
+            wire_seed_check(&opts).err(),
+            fleet.and_then(|f| fleet_of(f).err()),
+            traffic.and_then(|t| t.parse::<TrafficSpec>().err()),
+            faults.and_then(|f| f.parse::<FaultSpec>().err()),
+            faults.and_then(|f| f.parse::<RegionFaultSpec>().err()),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3000))]
+
+        /// Argv from the commands and flags `pocolo help` lists (nine draws
+        /// repeat a flag more often than not), valued from a hostile pool,
+        /// bare and inside the `<name>:<seed>`, `<class>*<weight>` and
+        /// `<class>/<cores>/<ways>` grammars.
+        #[test]
+        fn hostile_argv_never_panics_and_every_error_is_one_line(
+            draws in proptest::collection::vec(0usize..1 << 16, 1..10),
+        ) {
+            let words = |text: &'static str| -> Vec<&'static str> {
+                let rows = text.lines().filter_map(|l| l.strip_prefix("    "));
+                rows.filter_map(|l| l.split(' ').next()).filter(|w| !w.is_empty()).collect()
+            };
+            let (commands, flags) = USAGE.split_once("OPTIONS:").unwrap();
+            let commands = words(commands.split_once("COMMANDS:").unwrap().1);
+            let flags = words(flags);
+            // u64::MAX (also usize::MAX here) and u64::MAX / 3 + 1 close the pool.
+            let bare = ["0", "1", "-1", "NaN", "inf", "1e308", "", "18446744073709551615",
+                "6148914691236517206"];
+            let specs = ["", "auction:", "random:", "chaos:", "region-chaos:", "diurnal:",
+                "mixed3:", "xeon*", "xeon*1+turbo*", "xeon/4/"];
+            let pool: Vec<String> =
+                bare.iter().flat_map(|v| specs.map(|s| format!("{s}{v}"))).collect();
+            let mut args = vec![commands[draws[0] % commands.len()].to_string()];
+            for &draw in &draws[1..] {
+                args.push(flags[draw % flags.len()].to_string());
+                // One draw in eleven leaves the value out: the flag is last,
+                // or takes the next flag as its value.
+                if draw % 11 != 0 {
+                    args.push(pool[(draw >> 5) % pool.len()].clone());
+                }
+            }
+            let errors = std::panic::catch_unwind(|| pre_run_errors(&args));
+            proptest::prop_assert!(errors.is_ok(), "panicked on {args:?}");
+            for e in errors.unwrap() {
+                proptest::prop_assert!(!e.is_empty() && !e.contains('\n'), "{args:?}: {e:?}");
+            }
+        }
     }
 
     #[test]

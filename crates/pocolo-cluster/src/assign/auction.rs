@@ -43,17 +43,23 @@ use crate::matrix::{MatrixDelta, PerfMatrix};
 /// per-row optimality loss three orders of magnitude below the signal.
 pub const DEFAULT_EPS: f64 = 1e-3;
 
-/// Tuning knobs for the auction engine.
+/// ε-scaling factor: each phase divides ε by `THETA` until the final ε.
+/// Larger factors mean fewer phases but more bids per phase.
+const THETA: f64 = 4.0;
+
+// The scaling schedule terminates only if every phase shrinks ε.
+const _: () = assert!(THETA > 1.0);
+
+/// Certification repair rounds before the full-width fallback. Each round
+/// splices the violating rows' best off-list edges in and re-bids them.
+const MAX_WIDEN: usize = 16;
+
+/// Tuning knobs for the auction engine. Every solve certifies its gap
+/// with the dual bound (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuctionConfig {
     /// Final ε: the per-row optimality tolerance.
     pub eps: f64,
-    /// ε-scaling factor: each phase divides ε by `theta` until `eps`.
-    pub theta: f64,
-    /// Run the dual-bound certification/repair loop after bidding.
-    pub certify: bool,
-    /// Certification repair rounds before the full-width fallback.
-    pub max_widen: usize,
     /// Initial candidate-list width; `None` = [`SparseCandidates::default_k`].
     pub k0: Option<usize>,
 }
@@ -62,9 +68,6 @@ impl Default for AuctionConfig {
     fn default() -> Self {
         AuctionConfig {
             eps: DEFAULT_EPS,
-            theta: 4.0,
-            certify: true,
-            max_widen: 16,
             k0: None,
         }
     }
@@ -228,7 +231,7 @@ impl<'a> Engine<'a> {
         while eps > self.cfg.eps {
             self.reset_assignment();
             self.bid_phase(cands, eps)?;
-            eps /= self.cfg.theta;
+            eps /= THETA;
         }
         self.reset_assignment();
         self.bid_phase(cands, self.cfg.eps)
@@ -336,18 +339,18 @@ impl<'a> Engine<'a> {
     }
 
     /// Certification/repair: bound the gap; splice violating off-list
-    /// edges in and re-bid their rows; after `max_widen` rounds fall back
+    /// edges in and re-bid their rows; after `MAX_WIDEN` rounds fall back
     /// to full-width lists (where ε-CS alone certifies).
     fn certify_repair(&mut self, cands: &mut SparseCandidates) -> Result<(), ClusterError> {
         let rows = self.matrix.rows() as f64;
         let tol = self.cfg.eps * rows + 1e-9 * (1.0 + self.vmax) * rows;
-        for round in 0..=self.cfg.max_widen {
+        for round in 0..=MAX_WIDEN {
             let (ub, violations) = self.certify_scan();
             if ub - self.total() <= tol {
                 self.certified = true;
                 return Ok(());
             }
-            if round == self.cfg.max_widen {
+            if round == MAX_WIDEN {
                 break;
             }
             self.stats.widen_rounds += 1;
@@ -434,13 +437,6 @@ fn validate(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<(), ClusterError
             cfg.eps
         )));
     }
-    // NaN theta must fail too, so compare through the negation.
-    if cfg.theta.partial_cmp(&1.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(ClusterError::InvalidMatrix(format!(
-            "auction scaling factor {} must exceed 1",
-            cfg.theta
-        )));
-    }
     if matrix.rows() > matrix.enabled_cols() {
         return Err(ClusterError::TooManyApps {
             apps: matrix.rows(),
@@ -456,7 +452,7 @@ fn validate(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<(), ClusterError
 /// # Errors
 ///
 /// [`ClusterError::TooManyApps`] when rows exceed enabled columns,
-/// [`ClusterError::InvalidMatrix`] for a bad config, and
+/// [`ClusterError::InvalidMatrix`] for a bad ε, and
 /// [`ClusterError::Infeasible`] if no perfect matching exists even at full
 /// candidate width.
 pub fn solve(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<AuctionSolution, ClusterError> {
@@ -481,9 +477,7 @@ pub fn solve_with_candidates(
     validate(matrix, cfg)?;
     let mut eng = Engine::new(matrix, cfg, vec![0.0; matrix.cols()]);
     eng.run_to_completion(cands)?;
-    if cfg.certify {
-        eng.certify_repair(cands)?;
-    }
+    eng.certify_repair(cands)?;
     Ok(eng.into_solution())
 }
 
@@ -515,9 +509,7 @@ pub fn solve_warm(
         eng.widen_restart(cands)?;
         eng.run_to_completion(cands)?;
     }
-    if cfg.certify {
-        eng.certify_repair(cands)?;
-    }
+    eng.certify_repair(cands)?;
     Ok(eng.into_solution())
 }
 
@@ -529,7 +521,7 @@ pub fn solve_warm(
 /// the plan's own matrix patched in place) and
 /// `cands` the lists built against the *old* matrix — this function
 /// brings them up to date. Work is O(k · dirtied rows) candidate edges
-/// (plus certification if enabled); `stats.dirty_rows` and
+/// (plus certification); `stats.dirty_rows` and
 /// `stats.bid_edges` report the actual counts.
 ///
 /// # Errors
@@ -591,9 +583,7 @@ pub fn solve_incremental(
         eng.widen_restart(cands)?;
         eng.run_to_completion(cands)?;
     }
-    if cfg.certify {
-        eng.certify_repair(cands)?;
-    }
+    eng.certify_repair(cands)?;
     Ok(eng.into_solution())
 }
 
@@ -944,11 +934,6 @@ mod tests {
         let m = matrix(vec![vec![0.5]]);
         assert!(solve(&m, &AuctionConfig::with_eps(0.0)).is_err());
         assert!(solve(&m, &AuctionConfig::with_eps(f64::NAN)).is_err());
-        let cfg = AuctionConfig {
-            theta: 1.0,
-            ..AuctionConfig::default()
-        };
-        assert!(solve(&m, &cfg).is_err());
     }
 
     #[test]

@@ -25,55 +25,39 @@
 
 use pocolo_core::federation::{FederationDecision, FederationInput, MigrationIntent};
 
-/// Tunables of the federation decision layer. All defaults are pinned —
-/// they are part of the deterministic contract the CI gates replay.
-#[derive(Debug, Clone)]
-pub struct FederationConfig {
-    /// Ticks between federation decisions.
-    pub decide_period: u64,
-    /// Migration downtime: drain + warm-start, in ticks.
-    pub drain_ticks: u64,
-    /// Minimum per-tick score gain before a migration is worth its
-    /// downtime.
-    pub hysteresis: f64,
-    /// Migrations started per decision, at most (WAN bandwidth and
-    /// operator-sanity bound).
-    pub max_migrations: usize,
-    /// Converts a region's power price into utility units: the score
-    /// penalty is `price_weight * price * power_w`.
-    pub price_weight: f64,
-    /// Virtual-tick lease on the leader; a follower promotes itself when
-    /// the leader has been silent this long. Must stay below
-    /// `decide_period` so failover never skips a decision epoch.
-    pub lease_ttl: u64,
-}
+// The federation's values are pinned: they are part of the
+// deterministic contract the CI gates replay.
 
-impl Default for FederationConfig {
-    fn default() -> Self {
-        FederationConfig {
-            decide_period: 10,
-            drain_ticks: 2,
-            hysteresis: 0.02,
-            max_migrations: 4,
-            price_weight: 0.002,
-            lease_ttl: 3,
-        }
-    }
-}
+/// Ticks between federation decisions.
+pub const DECIDE_PERIOD: u64 = 10;
+
+/// Migration downtime: drain + warm-start, in ticks.
+pub const DRAIN_TICKS: u64 = 2;
+
+/// Minimum per-tick score gain before a migration is worth its downtime.
+const HYSTERESIS: f64 = 0.02;
+
+/// Migrations started per decision, at most (WAN bandwidth and
+/// operator-sanity bound).
+const MAX_MIGRATIONS: usize = 4;
+
+/// Converts a region's power price into utility units: the score penalty
+/// is `PRICE_WEIGHT * price * power_w`.
+const PRICE_WEIGHT: f64 = 0.002;
+
+/// Virtual-tick lease on the leader; a follower promotes itself when the
+/// leader has been silent this long.
+pub const LEASE_TTL: u64 = 3;
+
+// Failover never skips a decision epoch: a silent leader's lease expires
+// before the next decision is due.
+const _: () = assert!(LEASE_TTL < DECIDE_PERIOD);
 
 /// The pure federation controller: decides, never actuates.
 #[derive(Debug, Clone, Default)]
-pub struct RegionController {
-    /// The pinned tunables.
-    pub config: FederationConfig,
-}
+pub struct RegionController;
 
 impl RegionController {
-    /// A controller with the given tunables.
-    pub fn new(config: FederationConfig) -> Self {
-        RegionController { config }
-    }
-
     /// One federation decision from one telemetry snapshot. Pure and
     /// deterministic: identical inputs yield bit-identical decisions.
     pub fn decide(&self, input: &FederationInput) -> FederationDecision {
@@ -142,8 +126,7 @@ impl RegionController {
     /// rate minus the energy bill.
     fn score(&self, input: &FederationInput, app: usize, region: usize, frac: f64) -> f64 {
         let a = &input.apps[app];
-        a.rates[region] * frac
-            - self.config.price_weight * input.regions[region].power_price * a.power_w
+        a.rates[region] * frac - PRICE_WEIGHT * input.regions[region].power_price * a.power_w
     }
 
     /// Scored, hysteresis-gated migration intents, best gain first.
@@ -175,7 +158,7 @@ impl RegionController {
                 // The candidate region would also power this app: judge
                 // it by the throttle *after* arrival.
                 let frac = Self::supply_frac(need[to] + a.power_w, split[to]);
-                let gain = self.score(input, a.app, to, frac) - cur_score - self.config.hysteresis;
+                let gain = self.score(input, a.app, to, frac) - cur_score - HYSTERESIS;
                 if gain <= 0.0 {
                     continue;
                 }
@@ -201,7 +184,7 @@ impl RegionController {
         candidates.sort_by(|x, y| y.gain.total_cmp(&x.gain).then(x.app.cmp(&y.app)));
         let mut picked = Vec::new();
         for intent in candidates {
-            if picked.len() >= self.config.max_migrations {
+            if picked.len() >= MAX_MIGRATIONS {
                 break;
             }
             if occupied[intent.to] >= input.regions[intent.to].slots {
@@ -250,7 +233,6 @@ mod tests {
 
     #[test]
     fn split_covers_need_cheapest_first_and_respects_the_grid() {
-        let ctl = RegionController::default();
         let input = FederationInput {
             tick: 0,
             contracted_w: 500.0,
@@ -260,7 +242,7 @@ mod tests {
             ],
             apps: Vec::new(),
         };
-        let d = ctl.decide(&input);
+        let d = RegionController.decide(&input);
         // Cheap region 1 is granted its full need; expensive region 0
         // gets what's left of the contract.
         assert_eq!(d.budget_w, vec![200.0, 300.0]);
@@ -269,7 +251,6 @@ mod tests {
 
     #[test]
     fn brownout_caps_the_split_at_the_derated_feed() {
-        let ctl = RegionController::default();
         let input = FederationInput {
             tick: 0,
             contracted_w: 600.0,
@@ -279,7 +260,7 @@ mod tests {
             ],
             apps: Vec::new(),
         };
-        let d = ctl.decide(&input);
+        let d = RegionController.decide(&input);
         assert!(d.budget_w[0] <= 200.0 + 1e-9, "split exceeds derated grid");
         // The stranded contract flows to the healthy region instead.
         assert!(d.budget_w[1] > 300.0);
@@ -287,10 +268,6 @@ mod tests {
 
     #[test]
     fn migration_prefers_the_region_with_headroom_and_respects_slots() {
-        let ctl = RegionController::new(FederationConfig {
-            hysteresis: 0.01,
-            ..FederationConfig::default()
-        });
         // Region 0 browned out hard: resident app is throttled to 25 %.
         let input = FederationInput {
             tick: 10,
@@ -305,7 +282,7 @@ mod tests {
                 app(1, 2, 100.0, vec![1.0, 1.0, 1.0]),
             ],
         };
-        let d = ctl.decide(&input);
+        let d = RegionController.decide(&input);
         assert_eq!(d.migrations.len(), 1);
         let m = &d.migrations[0];
         assert_eq!((m.app, m.from, m.to), (0, 0, 1), "gain {}", m.gain);
@@ -314,25 +291,30 @@ mod tests {
 
     #[test]
     fn hysteresis_suppresses_marginal_moves() {
-        let ctl = RegionController::new(FederationConfig {
-            hysteresis: 10.0, // nothing can clear this bar
-            ..FederationConfig::default()
-        });
-        let input = FederationInput {
+        // Two equally priced regions, both with the power to serve the
+        // app in full: the move gains exactly the rate difference, so the
+        // hysteresis bar alone decides it.
+        let input = |rate_elsewhere: f64| FederationInput {
             tick: 0,
-            contracted_w: 100.0,
+            contracted_w: 400.0,
             regions: vec![
-                region(0, 1.0, 0.5, 100.0, 2, 80.0),
+                region(0, 1.0, 1.0, 200.0, 2, 80.0),
                 region(1, 1.0, 1.0, 200.0, 2, 0.0),
             ],
-            apps: vec![app(0, 0, 80.0, vec![1.0, 1.2])],
+            apps: vec![app(0, 0, 80.0, vec![1.0, rate_elsewhere])],
         };
-        assert!(ctl.decide(&input).migrations.is_empty());
+        let under = RegionController.decide(&input(1.0 + 0.75 * HYSTERESIS));
+        assert!(under.migrations.is_empty(), "{:?}", under.migrations);
+        let over = RegionController
+            .decide(&input(1.0 + 1.25 * HYSTERESIS))
+            .migrations;
+        assert_eq!(over.len(), 1);
+        assert_eq!((over[0].app, over[0].from, over[0].to), (0, 0, 1));
+        assert!((over[0].gain - 0.25 * HYSTERESIS).abs() < 1e-12);
     }
 
     #[test]
     fn decisions_are_bit_identical_across_calls() {
-        let ctl = RegionController::default();
         let input = FederationInput {
             tick: 30,
             contracted_w: 777.0,
@@ -348,8 +330,8 @@ mod tests {
                 app(3, 2, 95.0, vec![1.0, 1.0, 1.0]),
             ],
         };
-        let a = ctl.decide(&input);
-        let b = ctl.decide(&input);
+        let a = RegionController.decide(&input);
+        let b = RegionController.decide(&input);
         assert_eq!(a, b);
         for (x, y) in a.budget_w.iter().zip(&b.budget_w) {
             assert_eq!(x.to_bits(), y.to_bits());

@@ -34,28 +34,32 @@ use pocolo_faults::{RegionFaultKind, RegionFaultPlan, RegionFaultSpec};
 use pocolo_json::{json, ToJson, Value};
 use pocolo_sim::parallel::{self, Parallelism};
 
-use crate::controller::{FederationConfig, RegionController};
+use crate::controller::{RegionController, DECIDE_PERIOD};
 use crate::replicate::{FedState, ReplicaSet};
 
 /// Auction ε for intra-region placement (matches the cluster default).
 const PLACEMENT_EPS: f64 = 1e-3;
+
+/// Applications homed per region at t=0.
+const APPS_PER_REGION: usize = 6;
+
+/// Virtual ticks a run plays.
+pub const TICKS: u64 = 240;
+
+/// Federation power contract as a fraction of the summed grid feeds
+/// (< 1.0: the whole point is that power is scarce).
+const CONTRACTED_FRAC: f64 = 0.72;
+
+/// Control-plane replicas (rank 0 boots leader).
+pub const REPLICAS: usize = 3;
 
 /// A fully pinned multi-region run description.
 #[derive(Debug, Clone)]
 pub struct FederationScenario {
     /// Number of regions (each one clusterd's domain).
     pub regions: usize,
-    /// Applications homed per region at t=0.
-    pub apps_per_region: usize,
-    /// Virtual ticks to run.
-    pub ticks: u64,
     /// World seed: grids, prices, rates, slot quality.
     pub seed: u64,
-    /// Federation power contract as a fraction of the summed grid feeds
-    /// (< 1.0: the whole point is that power is scarce).
-    pub contracted_frac: f64,
-    /// Control-plane replicas (rank 0 boots leader).
-    pub replicas: usize,
     /// Optional regional fault timeline.
     pub faults: Option<RegionFaultSpec>,
     /// Act on `LeaderCrash` events (off = the uninterrupted reference
@@ -66,27 +70,19 @@ pub struct FederationScenario {
     pub federated: bool,
     /// Worker fan-out for per-tick region physics.
     pub parallelism: Parallelism,
-    /// Controller tunables.
-    pub config: FederationConfig,
 }
 
 impl FederationScenario {
-    /// The pinned scenario the CLI demo and CI gates run: 6 apps per
-    /// region, 240 ticks, 3 replicas, contract at 72 % of the summed
-    /// grid feeds.
+    /// The pinned scenario the CLI demo and CI gates run: [`TICKS`]
+    /// ticks of `regions` regions and [`REPLICAS`] replicas.
     pub fn pinned(regions: usize, seed: u64) -> Self {
         FederationScenario {
             regions,
-            apps_per_region: 6,
-            ticks: 240,
             seed,
-            contracted_frac: 0.72,
-            replicas: 3,
             faults: None,
             kill_leader: false,
             federated: true,
             parallelism: Parallelism::Serial,
-            config: FederationConfig::default(),
         }
     }
 
@@ -94,34 +90,22 @@ impl FederationScenario {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate shapes (no regions/apps/ticks) or an
-    /// internal invariant break; never on any fault timeline.
+    /// Panics on zero regions or an internal invariant break; never on
+    /// any fault timeline.
     pub fn run(&self) -> FederationReport {
         assert!(self.regions >= 1, "need at least one region");
-        assert!(
-            self.apps_per_region >= 1,
-            "need at least one app per region"
-        );
-        assert!(self.ticks >= 1, "need at least one tick");
         let world = World::generate(self);
         let n_apps = world.app_home.len();
         let plan = match self.faults {
             Some(spec) => spec.scenario.plan(
                 spec.seed.unwrap_or(self.seed),
-                self.ticks,
+                TICKS,
                 self.regions,
-                self.replicas,
+                REPLICAS,
             ),
             None => RegionFaultPlan::empty(self.seed),
         };
-        let controller = RegionController::new(self.config.clone());
-        let mut set = ReplicaSet::new(
-            self.replicas,
-            world.app_home.clone(),
-            self.regions,
-            self.config.lease_ttl,
-            self.config.drain_ticks,
-        );
+        let mut set = ReplicaSet::new(REPLICAS, world.app_home.clone(), self.regions);
         // The harness's own applied mirror of the committed log — used
         // for physics so a leaderless gap between epochs still serves
         // from the last committed state.
@@ -135,7 +119,7 @@ impl FederationScenario {
         let mut migrations = 0u64;
         let mut decision_log: Vec<String> = Vec::new();
 
-        for t in 0..self.ticks {
+        for t in 0..TICKS {
             // 1. Faults strike.
             for ev in plan.at(t) {
                 match ev.kind {
@@ -155,17 +139,17 @@ impl FederationScenario {
             // 2. Control-plane clock: heartbeats or lease-expiry promotion.
             set.tick(t);
             // 3. Decide on epoch boundaries (federated runs only).
-            if self.federated && t % self.config.decide_period == 0 {
+            if self.federated && t % DECIDE_PERIOD == 0 {
                 let leader = set
                     .ensure_leader(t)
                     .expect("every replica dead: nothing left to decide");
                 let _ = leader;
                 let input = build_input(self, &world, set.leader_state(), &cap_now, t);
-                let decision = controller.decide(&input);
+                let decision = RegionController.decide(&input);
                 migrations += decision.migrations.len() as u64;
                 set.commit(decision);
                 let entry = set.log().last().expect("just committed");
-                state.apply(entry, self.config.drain_ticks);
+                state.apply(entry);
                 debug_assert_eq!(&state, set.leader_state(), "mirror diverged from leader");
                 decision_log.push(entry.to_json().to_compact_string());
             }
@@ -177,7 +161,7 @@ impl FederationScenario {
                     if self.federated {
                         state.budget_w[r].min(grid)
                     } else {
-                        (world.contracted_w(self) / self.regions as f64).min(grid)
+                        (world.contracted_w() / self.regions as f64).min(grid)
                     }
                 })
                 .collect();
@@ -217,10 +201,10 @@ impl FederationScenario {
             federated: self.federated,
             regions: self.regions,
             apps: n_apps,
-            ticks: self.ticks,
+            ticks: TICKS,
             seed: self.seed,
             utility,
-            slo_violation_frac: slo_violation / (n_apps as f64 * self.ticks as f64),
+            slo_violation_frac: slo_violation / (n_apps as f64 * TICKS as f64),
             cap_violations,
             migrations,
             promotions: set.promotions().to_vec(),
@@ -305,7 +289,7 @@ impl World {
         let mut rng = StdRng::seed_from_u64(sc.seed);
         // Two spare slots per region: migration headroom without making
         // destinations free.
-        let slots = sc.apps_per_region + 2;
+        let slots = APPS_PER_REGION + 2;
         let mut grid_w = Vec::with_capacity(sc.regions);
         let mut slotq = Vec::with_capacity(sc.regions);
         let mut prices = Vec::with_capacity(sc.regions);
@@ -314,15 +298,15 @@ impl World {
             slotq.push((0..slots).map(|_| rng.gen_range(0.85..1.15)).collect());
             // A bounded random walk: power prices drift per tick.
             let mut p: f64 = rng.gen_range(0.8..1.2);
-            let mut walk = Vec::with_capacity(sc.ticks as usize + 1);
-            for _ in 0..=sc.ticks {
+            let mut walk = Vec::with_capacity(TICKS as usize + 1);
+            for _ in 0..=TICKS {
                 walk.push(p);
                 let step: f64 = rng.gen_range(-0.05..0.05);
                 p = (p + step).clamp(0.5, 2.0);
             }
             prices.push(walk);
         }
-        let n_apps = sc.regions * sc.apps_per_region;
+        let n_apps = sc.regions * APPS_PER_REGION;
         let mut app_home = Vec::with_capacity(n_apps);
         let mut app_power = Vec::with_capacity(n_apps);
         let mut app_rates = Vec::with_capacity(n_apps);
@@ -347,8 +331,8 @@ impl World {
         }
     }
 
-    fn contracted_w(&self, sc: &FederationScenario) -> f64 {
-        sc.contracted_frac * self.grid_w.iter().sum::<f64>()
+    fn contracted_w(&self) -> f64 {
+        CONTRACTED_FRAC * self.grid_w.iter().sum::<f64>()
     }
 }
 
@@ -501,7 +485,7 @@ fn build_input(
         .collect();
     FederationInput {
         tick: t,
-        contracted_w: world.contracted_w(sc),
+        contracted_w: world.contracted_w(),
         regions,
         apps,
     }

@@ -27,7 +27,7 @@ pub mod harness;
 pub mod net;
 pub mod replicate;
 
-pub use controller::{FederationConfig, RegionController};
+pub use controller::RegionController;
 pub use harness::{FederationReport, FederationScenario};
 pub use net::{pull_log, serve_log, FedLogHandler};
 pub use replicate::{FedState, Replica, ReplicaSet, Role};

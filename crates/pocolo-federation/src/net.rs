@@ -137,7 +137,6 @@ pub fn sync_state(
     addr: SocketAddr,
     follower: &str,
     state: Option<FedState>,
-    drain_ticks: u64,
 ) -> Result<FedState, NetError> {
     let from_version = state.as_ref().map_or(0, |s| s.version);
     let (leader_version, snapshot, entries) = pull_log(addr, follower, from_version)?;
@@ -154,7 +153,7 @@ pub fn sync_state(
     };
     for e in &entries {
         if e.version > state.version {
-            state.apply(e, drain_ticks);
+            state.apply(e);
         }
     }
     if state.version != leader_version {

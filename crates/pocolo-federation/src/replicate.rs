@@ -13,8 +13,9 @@
 //! deployment, where an epoch is seconds and replicas are three boxes
 //! on a LAN). Leases run on the same virtual clock as the harness:
 //! followers expect a leader heartbeat every tick and promote the
-//! lowest-ranked live follower once the lease goes stale. Keeping
-//! `lease_ttl < decide_period` guarantees failover completes between
+//! lowest-ranked live follower once the lease goes stale.
+//! [`LEASE_TTL`] `<` [`DECIDE_PERIOD`](crate::controller::DECIDE_PERIOD)
+//! (checked at compile time) guarantees failover completes between
 //! decision epochs, so a crash never skips or doubles a decision.
 //!
 //! The wire-facing half (serving a log over TCP, catching a fresh
@@ -23,6 +24,8 @@
 use std::collections::BTreeMap;
 
 use pocolo_core::federation::{FedLogEntry, FedSnapshot, MigrationRecord};
+
+use crate::controller::{DRAIN_TICKS, LEASE_TTL};
 
 /// The replicated federation state: everything a promoted leader needs
 /// to keep deciding. Evolves only through [`FedState::apply`].
@@ -55,12 +58,12 @@ impl FedState {
     /// Applies one committed log entry. Migrations take effect
     /// immediately in placement terms (the app belongs to its
     /// destination) but the app serves nothing until `until_tick` —
-    /// the drain/warm-start downtime.
+    /// the [`DRAIN_TICKS`] drain/warm-start downtime.
     ///
     /// # Panics
     ///
     /// Panics on a version gap: entries must apply in order.
-    pub fn apply(&mut self, entry: &FedLogEntry, drain_ticks: u64) {
+    pub fn apply(&mut self, entry: &FedLogEntry) {
         assert_eq!(
             entry.version,
             self.version + 1,
@@ -74,7 +77,7 @@ impl FedState {
         self.budget_w = d.budget_w.clone();
         for m in &d.migrations {
             self.app_region[m.app] = m.to;
-            self.migrating.insert(m.app, (m.to, d.tick + drain_ticks));
+            self.migrating.insert(m.app, (m.to, d.tick + DRAIN_TICKS));
         }
         // Completed migrations leave the in-flight set.
         self.migrating.retain(|_, &mut (_, until)| until > d.tick);
@@ -153,8 +156,6 @@ pub struct ReplicaSet {
     /// The committed log (kept whole here; compaction is a wire-layer
     /// concern — see [`crate::net`]).
     log: Vec<FedLogEntry>,
-    lease_ttl: u64,
-    drain_ticks: u64,
     /// `(tick, promoted_rank)` promotion history.
     promotions: Vec<(u64, usize)>,
 }
@@ -166,13 +167,7 @@ impl ReplicaSet {
     /// # Panics
     ///
     /// Panics when `n_replicas` is zero.
-    pub fn new(
-        n_replicas: usize,
-        app_region: Vec<usize>,
-        n_regions: usize,
-        lease_ttl: u64,
-        drain_ticks: u64,
-    ) -> Self {
+    pub fn new(n_replicas: usize, app_region: Vec<usize>, n_regions: usize) -> Self {
         assert!(n_replicas > 0, "a replica set needs at least one replica");
         let replicas = (0..n_replicas)
             .map(|rank| Replica {
@@ -189,8 +184,6 @@ impl ReplicaSet {
         ReplicaSet {
             replicas,
             log: Vec::new(),
-            lease_ttl,
-            drain_ticks,
             promotions: Vec::new(),
         }
     }
@@ -250,7 +243,7 @@ impl ReplicaSet {
             .replicas
             .iter()
             .filter(|r| r.role == Role::Follower)
-            .all(|r| now.saturating_sub(r.last_heartbeat) > self.lease_ttl);
+            .all(|r| now.saturating_sub(r.last_heartbeat) > LEASE_TTL);
         if !stale {
             return;
         }
@@ -293,7 +286,7 @@ impl ReplicaSet {
         };
         for r in &mut self.replicas {
             if r.role != Role::Dead {
-                r.state.apply(&entry, self.drain_ticks);
+                r.state.apply(&entry);
             }
         }
         let version = entry.version;
@@ -326,13 +319,10 @@ mod tests {
     #[test]
     fn state_applies_migrations_with_drain_downtime() {
         let mut s = FedState::new(vec![0, 0, 1], 2);
-        s.apply(
-            &FedLogEntry {
-                version: 1,
-                decision: decision(10, &[(0, 0, 1)]),
-            },
-            2,
-        );
+        s.apply(&FedLogEntry {
+            version: 1,
+            decision: decision(10, &[(0, 0, 1)]),
+        });
         assert_eq!(s.app_region, vec![1, 0, 1]);
         assert!(s.is_migrating(0, 10));
         assert!(s.is_migrating(0, 11));
@@ -343,13 +333,10 @@ mod tests {
     #[test]
     fn snapshot_round_trips_state() {
         let mut s = FedState::new(vec![0, 1], 2);
-        s.apply(
-            &FedLogEntry {
-                version: 1,
-                decision: decision(5, &[(1, 1, 0)]),
-            },
-            3,
-        );
+        s.apply(&FedLogEntry {
+            version: 1,
+            decision: decision(5, &[(1, 1, 0)]),
+        });
         assert_eq!(FedState::from_snapshot(&s.snapshot()), s);
     }
 
@@ -357,18 +344,15 @@ mod tests {
     #[should_panic(expected = "applied over state version")]
     fn version_gaps_are_rejected() {
         let mut s = FedState::new(vec![0], 1);
-        s.apply(
-            &FedLogEntry {
-                version: 3,
-                decision: decision(1, &[]),
-            },
-            1,
-        );
+        s.apply(&FedLogEntry {
+            version: 3,
+            decision: decision(1, &[]),
+        });
     }
 
     #[test]
     fn leader_kill_promotes_the_lowest_live_follower_after_the_lease() {
-        let mut set = ReplicaSet::new(3, vec![0, 1], 2, 3, 2);
+        let mut set = ReplicaSet::new(3, vec![0, 1], 2);
         assert_eq!(set.leader(), Some(0));
         set.commit(decision(0, &[]));
         for t in 1..=4 {
@@ -391,7 +375,7 @@ mod tests {
 
     #[test]
     fn synchronous_commit_keeps_all_live_replicas_identical() {
-        let mut set = ReplicaSet::new(3, vec![0, 0, 1, 1], 2, 3, 2);
+        let mut set = ReplicaSet::new(3, vec![0, 0, 1, 1], 2);
         set.commit(decision(0, &[(0, 0, 1)]));
         set.commit(decision(10, &[(2, 1, 0)]));
         let states: Vec<&FedState> = set.replicas.iter().map(|r| &r.state).collect();

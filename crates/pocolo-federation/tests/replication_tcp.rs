@@ -31,9 +31,8 @@ fn decision(tick: u64, movers: &[(usize, usize, usize)]) -> FederationDecision {
 
 #[test]
 fn followers_catch_up_and_survive_leader_failover() {
-    const DRAIN: u64 = 2;
     // A leader group commits three epochs' worth of decisions.
-    let mut set = ReplicaSet::new(3, vec![0, 0, 1, 2], 3, 3, DRAIN);
+    let mut set = ReplicaSet::new(3, vec![0, 0, 1, 2], 3);
     set.commit(decision(0, &[]));
     set.commit(decision(10, &[(0, 0, 1)]));
     set.commit(decision(20, &[(3, 2, 0)]));
@@ -46,14 +45,14 @@ fn followers_catch_up_and_survive_leader_failover() {
     let leader_addr = leader_srv.local_addr();
 
     // A fresh follower pulls everything and lands on the leader state.
-    let follower = sync_state(leader_addr, "follower-1", None, DRAIN).unwrap();
+    let follower = sync_state(leader_addr, "follower-1", None).unwrap();
     assert_eq!(follower, leader_state);
 
     // An incremental pull from a half-caught-up state only applies the
     // suffix and converges too.
     let mut partial = FedState::new(vec![0, 0, 1, 2], 3);
-    partial.apply(&set.log()[0], DRAIN);
-    let caught_up = sync_state(leader_addr, "follower-2", Some(partial), DRAIN).unwrap();
+    partial.apply(&set.log()[0]);
+    let caught_up = sync_state(leader_addr, "follower-2", Some(partial)).unwrap();
     assert_eq!(caught_up, leader_state);
 
     // Leader dies; the epoch-deadline backstop promotes follower rank 1,
@@ -70,8 +69,8 @@ fn followers_catch_up_and_survive_leader_failover() {
 
     // The old follower re-syncs against the new leader incrementally; a
     // brand-new replica full-syncs. Both land on the promoted state.
-    let resynced = sync_state(promoted_addr, "follower-1", Some(follower), DRAIN).unwrap();
-    let fresh = sync_state(promoted_addr, "follower-3", None, DRAIN).unwrap();
+    let resynced = sync_state(promoted_addr, "follower-1", Some(follower)).unwrap();
+    let fresh = sync_state(promoted_addr, "follower-3", None).unwrap();
     assert_eq!(resynced, promoted_state);
     assert_eq!(fresh, promoted_state);
     assert_eq!(resynced.version, 4);
@@ -81,8 +80,7 @@ fn followers_catch_up_and_survive_leader_failover() {
 
 #[test]
 fn compacted_logs_resync_stale_followers_from_the_snapshot() {
-    const DRAIN: u64 = 2;
-    let mut set = ReplicaSet::new(2, vec![0, 1], 2, 3, DRAIN);
+    let mut set = ReplicaSet::new(2, vec![0, 1], 2);
     set.commit(decision(0, &[]));
     set.commit(decision(10, &[(0, 0, 1)]));
     set.commit(decision(20, &[(1, 1, 0)]));
@@ -90,15 +88,15 @@ fn compacted_logs_resync_stale_followers_from_the_snapshot() {
 
     // Compact: snapshot after entry 2, keep only the suffix.
     let mut compacted_at = FedState::new(vec![0, 1], 2);
-    compacted_at.apply(&set.log()[0], DRAIN);
-    compacted_at.apply(&set.log()[1], DRAIN);
+    compacted_at.apply(&set.log()[0]);
+    compacted_at.apply(&set.log()[1]);
     let mut srv = serve_log(any_port(), compacted_at.snapshot(), set.log()[2..].to_vec()).unwrap();
 
     // A follower stuck at version 1 predates the compaction point: it
     // must be resynced through the snapshot, not a (gone) entry 2.
     let mut stale = FedState::new(vec![0, 1], 2);
-    stale.apply(&set.log()[0], DRAIN);
-    let synced = sync_state(srv.local_addr(), "stale", Some(stale), DRAIN).unwrap();
+    stale.apply(&set.log()[0]);
+    let synced = sync_state(srv.local_addr(), "stale", Some(stale)).unwrap();
     assert_eq!(synced, leader_state);
 
     srv.shutdown();

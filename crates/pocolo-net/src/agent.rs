@@ -47,32 +47,27 @@ pub struct AgentConfig {
     pub agent: String,
     /// Socket connect/read/write deadline.
     pub io_timeout: Duration,
-    /// Seed for the jittered reconnect schedule (derived from the agent
-    /// identity by [`AgentConfig::new`] so a restarting fleet staggers).
-    pub retry_seed: u64,
     /// Test/demo kill switch: abandon the run (without completing or
     /// deregistering) after this many control epochs, as if the process
     /// died mid-run.
     pub die_after_epochs: Option<u64>,
-    /// Hardware class to declare at registration (a
-    /// `pocolo_core::fleet::ServerClass` catalog name). `None` keeps the
-    /// pre-fleet frame layout on the wire.
-    pub class: Option<String>,
 }
 
 impl AgentConfig {
-    /// An agent with default deadlines and an identity-derived retry seed.
+    /// An agent with default deadlines.
     pub fn new(connect: SocketAddr, agent: impl Into<String>) -> Self {
-        let agent = agent.into();
-        let retry_seed = fnv1a(FNV_OFFSET, agent.as_bytes());
         AgentConfig {
             connect,
-            agent,
+            agent: agent.into(),
             io_timeout: Duration::from_secs(5),
-            retry_seed,
             die_after_epochs: None,
-            class: None,
         }
+    }
+
+    /// Seed for the jittered reconnect schedule: a hash of the identity,
+    /// so a restarting fleet staggers.
+    fn retry_seed(&self) -> u64 {
+        fnv1a(FNV_OFFSET, self.agent.as_bytes())
     }
 }
 
@@ -102,7 +97,7 @@ fn exchange(
         Ok(reply) => Ok(reply),
         Err(e @ NetError::Remote(_)) => Err(e),
         Err(_) => {
-            let mut retry = RetryPolicy::reconnect(config.retry_seed ^ 0x9e37_79b9);
+            let mut retry = RetryPolicy::reconnect(config.retry_seed() ^ 0x9e37_79b9);
             *client = RpcClient::connect(config.connect, &mut retry, config.io_timeout)?;
             client.call(request)
         }
@@ -117,11 +112,12 @@ fn exchange(
 /// retry budget, replies out of protocol, or reports an application
 /// error (e.g. no free slot).
 pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, NetError> {
-    let mut retry = RetryPolicy::reconnect(config.retry_seed);
+    let mut retry = RetryPolicy::reconnect(config.retry_seed());
     let mut client = RpcClient::connect(config.connect, &mut retry, config.io_timeout)?;
+    // No hardware class: the agent keeps the pre-fleet frame layout.
     let register = Message::Register {
         agent: config.agent.clone(),
-        class: config.class.clone(),
+        class: None,
     };
     let (server, degraded, run) = match exchange(&mut client, config, &register)? {
         Message::Welcome {
@@ -226,10 +222,10 @@ mod tests {
     #[test]
     fn retry_seeds_differ_per_identity() {
         let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let a = AgentConfig::new(addr, "agent-0");
-        let b = AgentConfig::new(addr, "agent-1");
-        assert_ne!(a.retry_seed, b.retry_seed);
-        assert_eq!(a.retry_seed, AgentConfig::new(addr, "agent-0").retry_seed);
+        let seed = |agent| AgentConfig::new(addr, agent).retry_seed();
+        assert_ne!(seed("agent-0"), seed("agent-1"));
+        // A restart under the same identity keeps its schedule.
+        assert_eq!(seed("agent-0"), seed("agent-0"));
     }
 
     #[test]
@@ -238,7 +234,7 @@ mod tests {
         config.io_timeout = Duration::from_millis(20);
         // Shrink the retry budget so the test stays fast.
         let err = {
-            let mut retry = RetryPolicy::new(0.001, 1.0, 0.001, 2, 0.0, config.retry_seed);
+            let mut retry = RetryPolicy::new(0.001, 1.0, 0.001, 2, 0.0, config.retry_seed());
             RpcClient::connect(config.connect, &mut retry, config.io_timeout).unwrap_err()
         };
         assert!(matches!(err, NetError::Exhausted { .. }), "got {err}");

@@ -274,19 +274,17 @@ pub struct ClusterConfig {
     pub lease_ttl: Duration,
     /// The run pushed to every registering agent.
     pub run: RunSpec,
-    /// Per-connection outbound queue cap: a peer that stops draining
-    /// replies is disconnected and its slot degraded.
-    pub outbound_hiwater: usize,
 }
 
 impl ClusterConfig {
-    /// A daemon with the default 1 MiB outbound queue cap.
+    /// A daemon with the reactor's default outbound queue cap
+    /// ([`ReactorConfig::new`]): a peer that stops draining replies is
+    /// disconnected and its slot degraded.
     pub fn new(listen: SocketAddr, lease_ttl: Duration, run: RunSpec) -> ClusterConfig {
         ClusterConfig {
             listen,
             lease_ttl,
             run,
-            outbound_hiwater: 1024 * 1024,
         }
     }
 }
@@ -460,7 +458,6 @@ impl Clusterd {
     pub fn spawn(config: ClusterConfig) -> Result<Clusterd, NetError> {
         let registry = Arc::new(RegistryShared::new(config.run.n_servers()));
         let mut reactor_config = ReactorConfig::new(config.listen);
-        reactor_config.outbound_hiwater = config.outbound_hiwater;
         // Wheel resolution: fine enough that lease expiry lands within a
         // small fraction of the TTL, coarse enough that an idle daemon
         // barely wakes.

@@ -22,6 +22,9 @@ use crate::error::NetError;
 use crate::swarm::{run_swarm, scale_reference, SwarmConfig, SwarmReport};
 use crate::wire::RunSpec;
 
+/// Wall-clock budget for a whole loopback run.
+const DEMO_DEADLINE: Duration = Duration::from_secs(120);
+
 /// Configuration of one loopback demonstration run.
 #[derive(Debug, Clone)]
 pub struct DemoConfig {
@@ -32,25 +35,19 @@ pub struct DemoConfig {
     /// Heartbeat lease TTL. Short in tests so expiry is fast; a real
     /// deployment would use a few missed heartbeats' worth.
     pub lease_ttl: Duration,
-    /// Socket deadlines for daemon and agents.
-    pub io_timeout: Duration,
     /// Kill the first agent after this many control epochs, then restart
     /// it (same identity) once its lease has expired.
     pub kill_after_epochs: Option<u64>,
-    /// Wall-clock budget for the whole loopback run.
-    pub deadline: Duration,
 }
 
 impl DemoConfig {
-    /// A demo with deadlines sized for loopback.
+    /// A demo with a lease sized for loopback.
     pub fn new(policy: Policy, experiment: ExperimentConfig) -> Self {
         DemoConfig {
             policy,
             experiment,
             lease_ttl: Duration::from_millis(250),
-            io_timeout: Duration::from_secs(5),
             kill_after_epochs: None,
-            deadline: Duration::from_secs(120),
         }
     }
 }
@@ -133,7 +130,6 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
     let handles: Vec<_> = (0..n)
         .map(|i| {
             let mut agent = AgentConfig::new(addr, format!("agent-{i}"));
-            agent.io_timeout = config.io_timeout;
             if i == 0 {
                 agent.die_after_epochs = config.kill_after_epochs;
             }
@@ -162,7 +158,7 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
             ) {
                 break;
             }
-            if start.elapsed() > config.deadline {
+            if start.elapsed() > DEMO_DEADLINE {
                 return Err(NetError::Protocol(format!(
                     "slot {} lease never expired",
                     dead.server
@@ -170,9 +166,7 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        let mut replacement = AgentConfig::new(addr, "agent-0".to_string());
-        replacement.io_timeout = config.io_timeout;
-        let report = run_agent(&replacement)?;
+        let report = run_agent(&AgentConfig::new(addr, "agent-0"))?;
         if !report.degraded || report.server != dead.server {
             return Err(NetError::Protocol(format!(
                 "replacement agent got slot {} (degraded: {}), expected degraded slot {}",
@@ -181,7 +175,7 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
         }
     }
 
-    if !clusterd.wait_done(config.deadline) {
+    if !clusterd.wait_done(DEMO_DEADLINE) {
         return Err(NetError::Protocol(
             "cluster did not complete within the deadline".into(),
         ));
@@ -209,6 +203,13 @@ pub fn run_demo(config: &DemoConfig) -> Result<DemoReport, NetError> {
     })
 }
 
+/// Run seed of a scale run (drives the synthetic telemetry).
+const SCALE_SEED: u64 = 7;
+
+/// Wall-clock budget for a whole scale run: the 5000-agent 1 s-paced
+/// headline run takes about ten seconds, so this leaves wide margin.
+pub const SCALE_DEADLINE: Duration = Duration::from_secs(300);
+
 /// Configuration of one scale demonstration: `agents` swarm agents
 /// heartbeating against a single daemon event loop.
 #[derive(Debug, Clone)]
@@ -221,10 +222,6 @@ pub struct ScaleConfig {
     pub heartbeat_every: Duration,
     /// Heartbeat lease TTL on the daemon.
     pub lease_ttl: Duration,
-    /// Run seed (drives the synthetic telemetry).
-    pub seed: u64,
-    /// Wall-clock budget for the whole run.
-    pub deadline: Duration,
 }
 
 impl ScaleConfig {
@@ -236,8 +233,6 @@ impl ScaleConfig {
             heartbeats,
             heartbeat_every: Duration::from_secs(1),
             lease_ttl: Duration::from_secs(3),
-            seed: 7,
-            deadline: Duration::from_secs(300),
         }
     }
 }
@@ -264,7 +259,7 @@ pub struct ScaleReport {
 /// false in the result — the run itself still returns `Ok` so callers
 /// can inspect the divergence.
 pub fn run_demo_scale(config: &ScaleConfig) -> Result<ScaleReport, NetError> {
-    let run = RunSpec::scale(config.agents, config.seed);
+    let run = RunSpec::scale(config.agents, SCALE_SEED);
     let mut clusterd = Clusterd::spawn(ClusterConfig::new(
         "127.0.0.1:0".parse().expect("loopback literal"),
         config.lease_ttl,
@@ -275,13 +270,13 @@ pub fn run_demo_scale(config: &ScaleConfig) -> Result<ScaleReport, NetError> {
         clusterd.local_addr(),
         config.agents,
         config.heartbeats,
-        config.seed,
+        SCALE_SEED,
     );
     swarm_config.heartbeat_every = config.heartbeat_every;
-    swarm_config.deadline = config.deadline;
+    swarm_config.deadline = SCALE_DEADLINE;
     let swarm = run_swarm(&swarm_config)?;
 
-    if !clusterd.wait_done(config.deadline) {
+    if !clusterd.wait_done(SCALE_DEADLINE) {
         return Err(NetError::Protocol(
             "scale run: daemon did not assemble results within the deadline".into(),
         ));

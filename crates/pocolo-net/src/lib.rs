@@ -44,7 +44,9 @@ pub mod wire;
 pub use agent::{default_fit, run_agent, AgentConfig, AgentReport};
 pub use client::{connect_with_retry, RpcClient};
 pub use cluster::{ClusterConfig, Clusterd, SlotState};
-pub use demo::{run_demo, run_demo_scale, DemoConfig, DemoReport, ScaleConfig, ScaleReport};
+pub use demo::{
+    run_demo, run_demo_scale, DemoConfig, DemoReport, ScaleConfig, ScaleReport, SCALE_DEADLINE,
+};
 pub use error::NetError;
 pub use frame::FrameBuffer;
 pub use reactor::{ConnId, DisconnectReason, EventHandler, ReactorConfig, ReactorServer, Reply};

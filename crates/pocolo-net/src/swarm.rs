@@ -15,7 +15,7 @@
 //! One thread, one [`Poll`]: the swarm drives every connection through
 //! nonblocking readiness I/O with the same [`FrameBuffer`] reassembly
 //! and [`TimerWheel`] pacing the daemon uses. Registration is paced
-//! (`connect_burst` in flight) so a 5000-agent cold start is a steady
+//! (`CONNECT_BURST` in flight) so a 5000-agent cold start is a steady
 //! stream rather than one SYN avalanche into the listen backlog.
 
 use std::collections::HashSet;
@@ -39,6 +39,11 @@ use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
 /// reference.
 const SCALE_POWER_CAP_W: f64 = 100.0;
 
+/// Registrations allowed in flight at once: enough to keep the register
+/// pipeline full, few enough that the daemon's accept backlog stays
+/// shallow.
+const CONNECT_BURST: usize = 64;
+
 /// Configuration of one swarm pass.
 #[derive(Debug, Clone)]
 pub struct SwarmConfig {
@@ -54,8 +59,6 @@ pub struct SwarmConfig {
     pub heartbeat_every: Duration,
     /// Run seed; must match the daemon's `RunSpec` seed for parity.
     pub seed: u64,
-    /// Registrations allowed in flight at once.
-    pub connect_burst: usize,
     /// Wall-clock budget for the whole pass.
     pub deadline: Duration,
     /// Indices (into `identities`) that abandon the run — close the
@@ -77,7 +80,6 @@ impl SwarmConfig {
             heartbeats,
             heartbeat_every: Duration::ZERO,
             seed,
-            connect_burst: 64,
             deadline: Duration::from_secs(120),
             kill: HashSet::new(),
             kill_after_epochs: 0,
@@ -304,7 +306,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
         // Top up the register pipeline. Blocking connects are fine here:
         // on loopback the handshake completes out of the accept backlog,
         // and the burst cap keeps that backlog shallow.
-        while next_connect < n && registering < config.connect_burst.max(1) {
+        while next_connect < n && registering < CONNECT_BURST {
             let idx = next_connect;
             next_connect += 1;
             registering += 1;

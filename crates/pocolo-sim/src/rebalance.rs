@@ -24,6 +24,14 @@ use crate::faults::ServerFaultAction;
 use crate::metrics::ClusterSummary;
 use crate::server_sim::ServerSim;
 
+/// Per-server phase shift of the diurnal trace, seconds (server `i` is
+/// shifted by `i × PHASE_SHIFT_S`): a quarter day, so the four primaries
+/// peak at four different times.
+const PHASE_SHIFT_S: f64 = 45.0;
+
+/// Diurnal period, seconds.
+const DAY_S: f64 = 180.0;
+
 /// Configuration of a rebalancing run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalanceConfig {
@@ -31,11 +39,6 @@ pub struct RebalanceConfig {
     pub period_s: Option<f64>,
     /// Warm-up pause a migrated BE app pays, seconds.
     pub migration_pause_s: f64,
-    /// Per-server phase shift of the diurnal trace, seconds (server `i`
-    /// is shifted by `i × phase_shift_s`).
-    pub phase_shift_s: f64,
-    /// Diurnal period, seconds.
-    pub day_s: f64,
 }
 
 /// Outcome of a rebalancing run.
@@ -75,12 +78,12 @@ pub fn run_rebalancing(
     // Per-server phase-shifted diurnal traces.
     let traces: Vec<LoadTrace> = (0..fitted.lc().len())
         .map(|i| {
-            let shift = i as f64 * reb.phase_shift_s;
+            let shift = i as f64 * PHASE_SHIFT_S;
             // Shift by replaying the diurnal curve offset in time.
             let samples: Vec<(f64, f64)> = (0..96)
                 .map(|k| {
-                    let t = k as f64 * reb.day_s / 96.0;
-                    let base = LoadTrace::diurnal(0.1, 0.9, reb.day_s);
+                    let t = k as f64 * DAY_S / 96.0;
+                    let base = LoadTrace::diurnal(0.1, 0.9, DAY_S);
                     (t, base.load_at(t + shift))
                 })
                 .collect();
@@ -175,8 +178,6 @@ mod tests {
         RebalanceConfig {
             period_s: period,
             migration_pause_s: pause,
-            phase_shift_s: 45.0,
-            day_s: 180.0,
         }
     }
 

@@ -9,7 +9,6 @@
 
 use pocolo_core::fit::ProfileSample;
 use pocolo_core::resources::ResourceSpace;
-use pocolo_core::units::Frequency;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,13 +18,17 @@ use pocolo_simserver::{CoreSet, TenantAllocation, WayMask};
 use crate::be::BeModel;
 use crate::lc::LcModel;
 
-/// Configuration of a profiling sweep.
+/// Stride through core counts (1 = every count).
+const CORE_STRIDE: u32 = 1;
+
+/// Stride through way counts: 2, 4, …, so ten way counts on the 20-way
+/// LLC (the grid the profile-shape tests pin).
+const WAY_STRIDE: u32 = 2;
+
+/// Configuration of a profiling sweep. Every sweep runs at the machine's
+/// maximum frequency over the `CORE_STRIDE` × `WAY_STRIDE` grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerConfig {
-    /// Stride through core counts (1 = every count).
-    pub core_stride: u32,
-    /// Stride through way counts.
-    pub way_stride: u32,
     /// Relative measurement noise on performance (±fraction).
     pub perf_noise: f64,
     /// Relative measurement noise on power (±fraction).
@@ -35,34 +38,29 @@ pub struct ProfilerConfig {
     /// For LC apps: fractions of the sustainable load at which to take the
     /// measurement (each produces one sample per allocation).
     pub operating_points: Vec<f64>,
-    /// Profiling frequency (defaults to the machine maximum at build time).
-    pub frequency: Option<Frequency>,
 }
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
         ProfilerConfig {
-            core_stride: 1,
-            way_stride: 2,
             perf_noise: 0.07,
             power_noise: 0.03,
             seed: 0xB0C0,
             operating_points: vec![0.7, 0.85, 1.0],
-            frequency: None,
         }
     }
 }
 
-fn grid(machine_cores: u32, machine_ways: u32, cfg: &ProfilerConfig) -> Vec<(u32, u32)> {
+fn grid(machine_cores: u32, machine_ways: u32) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     let mut c = 1;
     while c <= machine_cores {
         let mut w = 2.min(machine_ways);
         while w <= machine_ways {
             out.push((c, w));
-            w += cfg.way_stride.max(1);
+            w += WAY_STRIDE;
         }
-        c += cfg.core_stride.max(1);
+        c += CORE_STRIDE;
     }
     out
 }
@@ -80,10 +78,10 @@ pub fn profile_lc(
     cfg: &ProfilerConfig,
 ) -> Vec<ProfileSample> {
     let machine = model.machine();
-    let freq = cfg.frequency.unwrap_or_else(|| machine.freq_max());
+    let freq = machine.freq_max();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut samples = Vec::new();
-    for (c, w) in grid(machine.cores(), machine.llc_ways(), cfg) {
+    for (c, w) in grid(machine.cores(), machine.llc_ways()) {
         let alloc = TenantAllocation::new(CoreSet::first_n(c), WayMask::first_n(w), freq);
         let sustainable = model.sustainable_load_rps(&alloc);
         for &phi in &cfg.operating_points {
@@ -125,10 +123,10 @@ pub fn profile_be(
     cfg: &ProfilerConfig,
 ) -> Vec<ProfileSample> {
     let machine = model.machine();
-    let freq = cfg.frequency.unwrap_or_else(|| machine.freq_max());
+    let freq = machine.freq_max();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EC0_17D0);
     let mut samples = Vec::new();
-    for (c, w) in grid(machine.cores(), machine.llc_ways(), cfg) {
+    for (c, w) in grid(machine.cores(), machine.llc_ways()) {
         let alloc = TenantAllocation::new(CoreSet::first_n(c), WayMask::first_n(w), freq);
         let perf_eps = noise(&mut rng, cfg.perf_noise);
         let power_eps = noise(&mut rng, cfg.power_noise);
@@ -274,19 +272,5 @@ mod tests {
             strict.performance_r2,
             lax.performance_r2
         );
-    }
-
-    #[test]
-    fn custom_strides_shrink_grid() {
-        let (m, p, s) = setup();
-        let model = BeModel::for_app(BeApp::Rnn, m);
-        let cfg = ProfilerConfig {
-            core_stride: 3,
-            way_stride: 6,
-            ..ProfilerConfig::default()
-        };
-        let samples = profile_be(&model, &p, &s, &cfg);
-        // cores 1,4,7,10 × ways 2,8,14,20.
-        assert_eq!(samples.len(), 16);
     }
 }

@@ -60,9 +60,7 @@ pub mod prelude {
         RegionFaultKind, RegionFaultPlan, RegionFaultSpec, RegionScenario,
         Scenario as FaultScenario,
     };
-    pub use pocolo_federation::{
-        FederationConfig, FederationReport, FederationScenario, RegionController,
-    };
+    pub use pocolo_federation::{FederationReport, FederationScenario, RegionController};
     pub use pocolo_manager::{
         BeIntent, CapAction, ControlDecision, ControlInput, ControlMode, DecisionRecord, LcPolicy,
         ModeMachine, PowerCapper, PrimaryDirective, ServerController, ServerManager,

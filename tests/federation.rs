@@ -103,7 +103,7 @@ fn migrations_ride_the_warm_start_path_and_settle() {
     // epochs, not one per epoch per app.
     let fed = with_faults(4, 42, RegionScenario::RegionBrownout);
     let r = fed.run();
-    let epochs = r.ticks / FederationConfig::default().decide_period;
+    let epochs = r.ticks / pocolo::federation::controller::DECIDE_PERIOD;
     assert!(r.migrations > 0);
     assert!(
         r.migrations < epochs * 2,
