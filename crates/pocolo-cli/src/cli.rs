@@ -6,6 +6,7 @@ use std::fmt::Write as _;
 use pocolo::net::{MAX_FRAME_BYTES, SCALE_DEADLINE};
 use pocolo::prelude::*;
 use pocolo::sim::CAPPER_PERIOD_S;
+use pocolo_core::check::{failures, Check};
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -268,19 +269,13 @@ fn at_most<T: PartialOrd + std::fmt::Display>(n: T, max: T, flag: &str) -> Resul
     }
 }
 
-fn solver_of(name: &str) -> Result<Solver, String> {
-    // Same grammar as the wire format: hungarian, lp, exhaustive, fair,
-    // random:<seed>, auction, auction:<eps>.
-    name.parse()
-}
-
 fn policy_of(opts: &Options) -> Result<Policy, String> {
     match opts.policy.as_str() {
         "random" => Ok(Policy::Random { seed: opts.seed }),
         "heracles" => Ok(Policy::Heracles { seed: opts.seed }),
         "pom" => Ok(Policy::Pom { seed: opts.seed }),
         "pocolo" => Ok(Policy::Pocolo {
-            solver: solver_of(&opts.solver)?,
+            solver: opts.solver.parse()?,
         }),
         other => Err(format!("unknown policy {other:?}")),
     }
@@ -343,29 +338,78 @@ fn format_result(result: &ExperimentResult, config: &ExperimentConfig, json: boo
     out.trim_end().to_string()
 }
 
+/// Why `pocolo` exits nonzero.
+#[derive(Debug, PartialEq)]
+pub enum Failure {
+    /// Bad arguments or a run that could not finish: one line.
+    Error(String),
+    /// A finished run broke promises: one line per failed check.
+    Checks(Vec<String>),
+}
+
 /// Executes the parsed command, returning the text to print.
 ///
 /// # Errors
 ///
-/// Returns a message for invalid arguments or (unexpected) model failures.
-pub fn run(args: &[String]) -> Result<String, String> {
-    let opts = parse(args)?;
-    match opts.command.as_str() {
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        "table2" => cmd_table2(&opts),
-        "fit" => cmd_fit(&opts),
-        "convexity" => cmd_convexity(&opts),
-        "place" => cmd_place(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "clusterd" => cmd_clusterd(&opts),
-        "agentd" => cmd_agentd(&opts),
+/// [`Failure::Error`] for invalid arguments or a run that could not
+/// finish; [`Failure::Checks`] when any check of a finished run failed,
+/// the one exit rule of every verifying command.
+pub fn run(args: &[String]) -> Result<String, Failure> {
+    let opts = parse(args).map_err(Failure::Error)?;
+    refuse_before_run(&opts).map_err(Failure::Error)?;
+    let plain = |text: Result<String, String>| text.map(|text| (text, Vec::new()));
+    let (text, checks) = match opts.command.as_str() {
+        "help" | "--help" | "-h" => Ok((USAGE.to_string(), Vec::new())),
+        "table2" => plain(cmd_table2(&opts)),
+        "fit" => plain(cmd_fit(&opts)),
+        "convexity" => plain(cmd_convexity(&opts)),
+        "place" => plain(cmd_place(&opts)),
+        "simulate" => plain(cmd_simulate(&opts)),
+        "clusterd" => plain(cmd_clusterd(&opts)),
+        "agentd" => plain(cmd_agentd(&opts)),
         "demo-net" => cmd_demo_net(&opts),
-        "demo-traffic" => cmd_demo_traffic(&opts),
+        "demo-traffic" => plain(cmd_demo_traffic(&opts)),
         "demo-fleet" => cmd_demo_fleet(&opts),
         "demo-federation" => cmd_demo_federation(&opts),
-        "tco" => cmd_tco(&opts),
-        "figures" => cmd_figures(args),
+        "tco" => plain(cmd_tco(&opts)),
+        "figures" => plain(cmd_figures(args)),
         other => Err(format!("unknown command {other:?}")),
+    }
+    .map_err(Failure::Error)?;
+    let failed = failures(&checks);
+    if failed.is_empty() {
+        return Ok(text);
+    }
+    let line = |check: &String| format!("{} failed: {check}", opts.command);
+    Err(Failure::Checks(failed.iter().map(line).collect()))
+}
+
+/// Refuses, before the run, what the command cannot take: a seed too
+/// large for the wire (the run spec ships `--seed` to every agent as a
+/// JSON number, which carries integers exactly only below 2^53), or a
+/// flag it would otherwise ignore without a word.
+fn refuse_before_run(opts: &Options) -> Result<(), String> {
+    let (seed, limit) = (opts.seed, pocolo_json::EXACT_INT_LIMIT);
+    if matches!(opts.command.as_str(), "clusterd" | "demo-net") && seed >= limit {
+        return Err(format!(
+            "--seed {seed} is too large for a wire run (must be below 2^53 = {limit})"
+        ));
+    }
+    let scale = opts.command == "demo-net" && opts.agents > 0;
+    let mode = match opts.command.as_str() {
+        "simulate" if opts.fleet.is_some() => "--fleet",
+        "demo-net" if scale => "demo-net --agents",
+        mode @ ("demo-net" | "demo-traffic" | "demo-fleet") => mode,
+        _ => return Ok(()),
+    };
+    let ignored = [
+        ("--decision-log", opts.decision_log.is_some()),
+        ("--kill-agent", scale && opts.kill_agent),
+        ("--faults", scale && opts.faults.is_some()),
+    ];
+    match ignored.into_iter().find(|&(_, set)| set) {
+        Some((flag, _)) => Err(format!("{mode} does not support {flag}")),
+        None => Ok(()),
     }
 }
 
@@ -496,7 +540,7 @@ fn cmd_convexity(opts: &Options) -> Result<String, String> {
 }
 
 fn cmd_place(opts: &Options) -> Result<String, String> {
-    let solver = solver_of(&opts.solver)?;
+    let solver: Solver = opts.solver.parse()?;
     let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let manager = ClusterManager::new(fitted.be_profiles(), fitted.server_profiles());
     let matrix = manager.performance_matrix().map_err(|e| e.to_string())?;
@@ -542,10 +586,7 @@ fn cmd_simulate_fleet(opts: &Options, raw: &str) -> Result<String, String> {
             opts.policy
         ));
     }
-    if opts.decision_log.is_some() {
-        return Err("--fleet does not support --decision-log".into());
-    }
-    let solver = solver_of(&opts.solver)?;
+    let solver = opts.solver.parse()?;
     let config = experiment_of(opts)?;
     let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, fleet_seed);
     let run = run_fleet_policy(&fleet, &config, solver, true);
@@ -575,22 +616,8 @@ fn cmd_simulate(opts: &Options) -> Result<String, String> {
     Ok(format_result(&result, &config, opts.json))
 }
 
-/// The run spec ships `--seed` to every agent as a JSON number, which
-/// carries integers exactly only below 2^53: refuse a larger one up front.
-fn wire_seed_check(opts: &Options) -> Result<(), String> {
-    if opts.seed >= pocolo_json::EXACT_INT_LIMIT {
-        return Err(format!(
-            "--seed {} is too large for a wire run (must be below 2^53 = {})",
-            opts.seed,
-            pocolo_json::EXACT_INT_LIMIT
-        ));
-    }
-    Ok(())
-}
-
 fn cmd_clusterd(opts: &Options) -> Result<String, String> {
     use pocolo::net::{default_fit, ClusterConfig, Clusterd, RunSpec};
-    wire_seed_check(opts)?;
     let policy = policy_of(opts)?;
     let config = experiment_of(opts)?;
     let listen: std::net::SocketAddr = opts
@@ -670,30 +697,22 @@ fn scale_config_of(opts: &Options) -> pocolo::net::ScaleConfig {
     config
 }
 
-fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
+fn cmd_demo_net_scale(opts: &Options) -> Result<(String, Vec<Check>), String> {
     let report = pocolo::net::run_demo_scale(&scale_config_of(opts)).map_err(|e| e.to_string())?;
-    if !report.parity {
-        return Err("demo-net: scale run diverged from the timing-independent reference".into());
-    }
-    let completed = report.swarm.agents.iter().filter(|a| a.completed).count();
-    if completed != opts.agents {
-        return Err(format!(
-            "demo-net: only {completed}/{} agents completed",
-            opts.agents
-        ));
-    }
     if opts.json {
-        return Ok(pocolo_json::to_string_pretty(&pocolo_json::json!({
+        // Printed only when every check passed, parity included.
+        let json = pocolo_json::to_string_pretty(&pocolo_json::json!({
             "agents": opts.agents,
             "heartbeats": opts.heartbeats,
-            "parity": report.parity,
+            "parity": true,
             "connect_wall_s": report.swarm.connect_wall.as_secs_f64(),
             "total_wall_s": report.swarm.total_wall.as_secs_f64(),
             "rtt_p50_us": report.swarm.rtt_quantile_us(0.50),
             "rtt_p99_us": report.swarm.rtt_quantile_us(0.99),
-        })));
+        }));
+        return Ok((json, report.checks()));
     }
-    Ok(format!(
+    let text = format!(
         "scale run verified: {} agents x {} heartbeats\n  \
          all connected in {:.2} s, finished in {:.2} s\n  \
          telemetry RTT p50 {} us, p99 {} us ({} samples)\n  \
@@ -705,12 +724,12 @@ fn cmd_demo_net_scale(opts: &Options) -> Result<String, String> {
         report.swarm.rtt_quantile_us(0.50),
         report.swarm.rtt_quantile_us(0.99),
         report.swarm.rtts_us.len(),
-    ))
+    );
+    Ok((text, report.checks()))
 }
 
-fn cmd_demo_net(opts: &Options) -> Result<String, String> {
+fn cmd_demo_net(opts: &Options) -> Result<(String, Vec<Check>), String> {
     use pocolo::net::{run_demo, DemoConfig};
-    wire_seed_check(opts)?;
     if opts.agents > 0 {
         return cmd_demo_net_scale(opts);
     }
@@ -722,27 +741,16 @@ fn cmd_demo_net(opts: &Options) -> Result<String, String> {
         config.kill_after_epochs = Some(3);
     }
     let report = run_demo(&config).map_err(|e| e.to_string())?;
-    // The demo is a verification gate, not a tour: any divergence from
-    // the in-process engine is a hard error (nonzero exit for CI).
-    if opts.kill_agent {
-        if !report.degraded_parity() {
-            return Err("demo-net: degraded slot diverged from its in-process reference".into());
-        }
-        if !report.cap_respected() {
-            return Err("demo-net: a slot exceeded its in-process reference peak power".into());
-        }
-    } else if !report.parity() {
-        return Err("demo-net: wire path diverged from the in-process engine".into());
-    }
     if opts.json {
-        return Ok(pocolo_json::to_string_pretty(&pocolo_json::json!({
-            "parity": report.parity(),
+        let json = pocolo_json::to_string_pretty(&pocolo_json::json!({
+            "parity": report.wire == report.in_process,
             "placement": report.placement.clone(),
             "degraded_slots": report.degraded_slots.clone(),
             "reregistrations": report.reregistrations,
             "killed_slot": report.killed.as_ref().map(|k| k.server),
             "wire": report.wire.clone(),
-        })));
+        }));
+        return Ok((json, report.checks()));
     }
     let mut out = format!(
         "loopback wire path verified against the in-process engine ({})\n",
@@ -760,7 +768,7 @@ fn cmd_demo_net(opts: &Options) -> Result<String, String> {
         );
     }
     out.push_str(&format_result(&report.wire, &config.experiment, false));
-    Ok(out)
+    Ok((out, report.checks()))
 }
 
 /// Serializes every [`DecisionRecord`] as one compact JSON object per
@@ -844,13 +852,10 @@ fn cmd_demo_traffic(opts: &Options) -> Result<String, String> {
     Ok(out.trim_end().to_string())
 }
 
-fn cmd_demo_fleet(opts: &Options) -> Result<String, String> {
+fn cmd_demo_fleet(opts: &Options) -> Result<(String, Vec<Check>), String> {
     let raw = opts.fleet.as_deref().unwrap_or("mixed3");
     let (spec, fleet_seed) = fleet_of(raw)?;
-    if opts.decision_log.is_some() {
-        return Err("demo-fleet does not support --decision-log".into());
-    }
-    let solver = solver_of(&opts.solver)?;
+    let solver = opts.solver.parse()?;
     let mut config = experiment_of(opts)?;
     if config.faults.is_none() {
         // The demo is about honoring power caps through an emergency:
@@ -862,35 +867,6 @@ fn cmd_demo_fleet(opts: &Options) -> Result<String, String> {
         });
     }
     let cmp = compare_fleet_policies(&spec, fleet_seed, &config, solver);
-    let mixed = cmp.classes.iter().any(|c| *c != cmp.classes[0]);
-    // The demo doubles as the CI gate: a nonzero exit means the fleet
-    // contract broke, not that the CLI was misused.
-    if cmp.cap_violations() > 0 {
-        return Err(format!(
-            "fleet demo failed: {} server(s) broke their power cap (fleet {}, seed {})",
-            cmp.cap_violations(),
-            cmp.fleet,
-            cmp.seed,
-        ));
-    }
-    if mixed && cmp.utility_margin() <= 0.0 {
-        return Err(format!(
-            "fleet demo failed: SKU-aware placement did not beat SKU-blind \
-             (margin {:+.4} on fleet {}, seed {})",
-            cmp.utility_margin(),
-            cmp.fleet,
-            cmp.seed,
-        ));
-    }
-    if !mixed && cmp.utility_margin() != 0.0 {
-        return Err(format!(
-            "fleet demo failed: a single-class fleet must make SKU awareness moot \
-             (margin {:+.4} on fleet {}, seed {})",
-            cmp.utility_margin(),
-            cmp.fleet,
-            cmp.seed,
-        ));
-    }
     if opts.json {
         let mode_json = |run: &FleetRunResult| {
             pocolo_json::json!({
@@ -915,7 +891,7 @@ fn cmd_demo_fleet(opts: &Options) -> Result<String, String> {
             "aware": mode_json(&cmp.aware),
             "blind": mode_json(&cmp.blind)
         });
-        return Ok(pocolo_json::to_string_pretty(&value));
+        return Ok((pocolo_json::to_string_pretty(&value), cmp.checks()));
     }
     let mut out = format!(
         "fleet {} (seed {}): SKU-aware planned utility beats SKU-blind by {:+.4}, \
@@ -942,10 +918,10 @@ fn cmd_demo_fleet(opts: &Options) -> Result<String, String> {
         cmp.blind.planned_value,
         cmp.blind.result.summary.avg_be_throughput,
     );
-    Ok(out.trim_end().to_string())
+    Ok((out.trim_end().to_string(), cmp.checks()))
 }
 
-fn cmd_demo_federation(opts: &Options) -> Result<String, String> {
+fn cmd_demo_federation(opts: &Options) -> Result<(String, Vec<Check>), String> {
     let faults: RegionFaultSpec = match opts.faults.as_deref() {
         Some(raw) => raw.parse()?,
         // Like demo-fleet, the demo is about surviving an emergency:
@@ -955,70 +931,15 @@ fn cmd_demo_federation(opts: &Options) -> Result<String, String> {
             seed: Some(DEMO_FAULT_SEED),
         },
     };
-    let mut fed = FederationScenario::pinned(opts.regions, opts.seed);
-    fed.faults = Some(faults);
-    fed.parallelism = opts.parallelism;
-    fed.kill_leader = true;
-    // The uninterrupted reference ignores leader crashes; the isolated
-    // baseline pins each region to its static share of the contract.
-    let mut reference = fed.clone();
-    reference.kill_leader = false;
-    let mut iso = fed.clone();
-    iso.federated = false;
-    let (fed_r, ref_r, iso_r) = (fed.run(), reference.run(), iso.run());
-    let plan = faults.scenario.plan(
-        faults.seed.unwrap_or(opts.seed),
-        pocolo::federation::harness::TICKS,
-        opts.regions,
-        pocolo::federation::harness::REPLICAS,
-    );
-    // The demo doubles as the CI gate: a nonzero exit means the
-    // federation contract broke, not that the CLI was misused.
-    if fed_r.cap_violations > 0 || iso_r.cap_violations > 0 {
-        return Err(format!(
-            "federation demo failed: cap breached (federated {}, isolated {}) under {faults}",
-            fed_r.cap_violations, iso_r.cap_violations,
-        ));
-    }
-    if fed_r.utility <= iso_r.utility {
-        return Err(format!(
-            "federation demo failed: federated utility {:.4} did not beat isolated {:.4} \
-             under {faults} (seed {})",
-            fed_r.utility, iso_r.utility, opts.seed,
-        ));
-    }
-    if fed_r.slo_violation_frac >= iso_r.slo_violation_frac {
-        return Err(format!(
-            "federation demo failed: federated SLO violations {:.4} did not beat isolated \
-             {:.4} under {faults} (seed {})",
-            fed_r.slo_violation_frac, iso_r.slo_violation_frac, opts.seed,
-        ));
-    }
-    let crashes = plan.leader_crashes();
-    if !crashes.is_empty() && fed_r.promotions.is_empty() {
-        return Err(format!(
-            "federation demo failed: the leader died at tick {} but nobody was promoted",
-            crashes[0].0,
-        ));
-    }
-    if fed_r.decision_digest != ref_r.decision_digest
-        || fed_r.decision_log != ref_r.decision_log
-        || fed_r.utility.to_bits() != ref_r.utility.to_bits()
-        || fed_r.final_version != ref_r.final_version
-    {
-        return Err(format!(
-            "federation demo failed: leader-kill run diverged from the uninterrupted \
-             reference (digest {} vs {}) under {faults}",
-            fed_r.decision_digest, ref_r.decision_digest,
-        ));
-    }
+    let demo = FederationDemo::run(opts.regions, opts.seed, faults, opts.parallelism);
+    let (fed_r, iso_r) = (&demo.federated, &demo.isolated);
     if let Some(path) = opts.decision_log.as_deref() {
-        let mut out = String::new();
-        for line in &fed_r.decision_log {
-            out.push_str(line);
-            out.push('\n');
-        }
-        std::fs::write(path, out).map_err(|e| format!("writing {path}: {e}"))?;
+        let log: String = fed_r
+            .decision_log
+            .iter()
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(path, log).map_err(|e| format!("writing {path}: {e}"))?;
     }
     if opts.json {
         let value = pocolo_json::json!({
@@ -1031,7 +952,7 @@ fn cmd_demo_federation(opts: &Options) -> Result<String, String> {
             "slo_improvement": (iso_r.slo_violation_frac - fed_r.slo_violation_frac),
             "failover_bit_identical": true
         });
-        return Ok(pocolo_json::to_string_pretty(&value));
+        return Ok((pocolo_json::to_string_pretty(&value), demo.checks()));
     }
     let mut out = format!(
         "federation {} regions (seed {}, faults {faults}): federated utility {:.4} beats \
@@ -1062,7 +983,7 @@ fn cmd_demo_federation(opts: &Options) -> Result<String, String> {
             }
         }
     }
-    Ok(out.trim_end().to_string())
+    Ok((out.trim_end().to_string(), demo.checks()))
 }
 
 /// Streams every table, figure and ablation to stdout in paper order (the
@@ -1121,6 +1042,14 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The one-line error `pocolo <args>` refuses to run with.
+    fn error_of(args: &str) -> String {
+        match run(&argv(args)) {
+            Err(Failure::Error(e)) => e,
+            other => panic!("{args}: {other:?}"),
+        }
     }
 
     #[test]
@@ -1291,7 +1220,7 @@ mod tests {
         // one shorter than a capper period would measure nothing: every
         // command that runs the sweep refuses both with the same line.
         let refusal = "--dwell must be finite and at least 0.1 s (one capper period)";
-        assert_eq!(run(&argv("simulate --dwell inf")).unwrap_err(), refusal);
+        assert_eq!(error_of("simulate --dwell inf"), refusal);
         for cmd in [
             "simulate --dwell 0.01",
             "simulate --dwell 0.0999",
@@ -1299,14 +1228,14 @@ mod tests {
             "demo-fleet --dwell 0.05",
             "clusterd --dwell 0.05",
         ] {
-            assert_eq!(run(&argv(cmd)).unwrap_err(), refusal, "{cmd}");
+            assert_eq!(error_of(cmd), refusal, "{cmd}");
         }
         assert!(run(&argv("place --solver quantum")).is_err());
     }
 
     #[test]
     fn malformed_auction_eps_is_a_one_line_error() {
-        let err = run(&argv("place --solver auction:zero")).unwrap_err();
+        let err = error_of("place --solver auction:zero");
         assert!(
             err.contains("auction eps"),
             "error names the bad eps: {err}"
@@ -1320,7 +1249,7 @@ mod tests {
 
     #[test]
     fn unknown_faults_scenario_is_a_one_line_error() {
-        let err = run(&argv("simulate --dwell 2 --faults meteor")).unwrap_err();
+        let err = error_of("simulate --dwell 2 --faults meteor");
         assert!(
             err.contains("meteor"),
             "error names the bad scenario: {err}"
@@ -1331,10 +1260,7 @@ mod tests {
     #[test]
     fn unwritable_decision_log_fails_before_the_run() {
         let started = std::time::Instant::now();
-        let err = run(&argv(
-            "simulate --policy pocolo --decision-log /no/such/dir/x.jsonl",
-        ))
-        .unwrap_err();
+        let err = error_of("simulate --policy pocolo --decision-log /no/such/dir/x.jsonl");
         assert!(err.contains("decision log"), "{err}");
         assert!(!err.contains('\n'), "error is one line: {err:?}");
         // Pre-flight check, not post-run: the default 20 s dwell sweep
@@ -1426,7 +1352,7 @@ mod tests {
     #[test]
     fn wire_runs_refuse_seeds_past_2_pow_53() {
         for cmd in ["clusterd", "demo-net --policy random --dwell 1"] {
-            let e = run(&argv(&format!("{cmd} --seed 9007199254740993"))).unwrap_err();
+            let e = error_of(&format!("{cmd} --seed 9007199254740993"));
             assert!(e.starts_with("--seed 9007199254740993 is too large"), "{e}");
         }
     }
@@ -1438,7 +1364,6 @@ mod tests {
         assert!(out.contains("POColo"));
         let json = run(&argv("demo-net --policy random --dwell 2 --seed 1 --json")).unwrap();
         let v: pocolo_json::Value = pocolo_json::from_str(&json).unwrap();
-        assert_eq!(v["parity"].as_bool(), Some(true));
         assert_eq!(v["placement"].as_array().unwrap().len(), 4);
         assert_eq!(v["reregistrations"].as_u64(), Some(0));
         // Scale mode: one daemon event loop, no transport to name.
@@ -1448,7 +1373,6 @@ mod tests {
         .unwrap();
         let v: pocolo_json::Value = pocolo_json::from_str(&json).unwrap();
         assert_eq!(v["agents"].as_u64(), Some(8));
-        assert_eq!(v["parity"].as_bool(), Some(true));
         assert!(v.as_object().unwrap().iter().all(|(k, _)| k != "backend"));
     }
 
@@ -1471,7 +1395,7 @@ mod tests {
 
     #[test]
     fn demo_traffic_rejects_bad_specs() {
-        let err = run(&argv("demo-traffic --traffic tsunami")).unwrap_err();
+        let err = error_of("demo-traffic --traffic tsunami");
         assert!(err.contains("tsunami"), "error names the bad mix: {err}");
         assert!(!err.contains('\n'), "error is one line: {err:?}");
         assert!(run(&argv("demo-traffic --faults meteor")).is_err());
@@ -1497,7 +1421,7 @@ mod tests {
     #[test]
     fn fleet_rejects_bad_specs() {
         let one_line = |args: &str, token: &str| {
-            let err = run(&argv(args)).unwrap_err();
+            let err = error_of(args);
             assert!(err.contains(token), "error names the bad token: {err}");
             assert!(!err.contains('\n'), "error is one line: {err:?}");
         };
@@ -1505,24 +1429,18 @@ mod tests {
         one_line("simulate --fleet xeon/0/8", "xeon/0/8");
         one_line("simulate --fleet xeon*0", "zero weight");
         assert_eq!(
-            run(&argv("simulate --fleet mixed3:abc")).unwrap_err(),
+            error_of("simulate --fleet mixed3:abc"),
             "bad fleet seed \"abc\": invalid digit found in string"
         );
         one_line("simulate --fleet mixed3 --policy pom", "pom");
-        one_line(
-            "simulate --fleet mixed3 --decision-log /tmp/dl.jsonl",
-            "decision-log",
-        );
-        one_line("demo-fleet --decision-log /tmp/dl.jsonl", "decision-log");
     }
 
     #[test]
     fn demo_fleet_mixed_margin_and_caps() {
+        // `run` fails unless the margin and cap checks pass.
         let json = run(&argv("demo-fleet --dwell 2 --json")).unwrap();
         let v: pocolo_json::Value = pocolo_json::from_str(&json).unwrap();
         assert_eq!(v["classes"].as_array().unwrap().len(), 4);
-        assert!(v["utility_margin"].as_f64().unwrap() > 0.0);
-        assert_eq!(v["cap_violations"].as_f64(), Some(0.0));
         assert_eq!(v["aware"]["placement"].as_array().unwrap().len(), 4);
     }
 
@@ -1543,12 +1461,10 @@ mod tests {
 
     #[test]
     fn demo_federation_beats_isolated_and_survives_leader_kill() {
+        // `run` fails unless the cap, utility, SLO, promotion and failover
+        // checks pass.
         let json = run(&argv("demo-federation --faults region-chaos:5 --json")).unwrap();
         let v: pocolo_json::Value = pocolo_json::from_str(&json).unwrap();
-        assert!(v["utility_margin"].as_f64().unwrap() > 0.0);
-        assert!(v["slo_improvement"].as_f64().unwrap() > 0.0);
-        assert_eq!(v["federated"]["cap_violations"].as_f64(), Some(0.0));
-        assert_eq!(v["isolated"]["cap_violations"].as_f64(), Some(0.0));
         assert_eq!(
             v["federated"]["promotions"].as_array().unwrap().len(),
             1,
@@ -1559,34 +1475,30 @@ mod tests {
 
     #[test]
     fn demo_federation_rejects_server_scenarios() {
-        let err = run(&argv("demo-federation --faults chaos")).unwrap_err();
+        let err = error_of("demo-federation --faults chaos");
         assert!(err.contains("chaos"), "error names the bad token: {err}");
     }
 
     // Each argv below panicked `pocolo` before its flag was bounded at parse.
     #[test]
     fn heartbeat_pacing_past_the_deadline_is_refused() {
-        let e = run(&argv(
-            "demo-net --agents 1 --heartbeats 1 --heartbeat-ms 18446744073709551615",
-        ));
-        assert_eq!(e.unwrap_err(), "--heartbeat-ms must be at most 300000");
+        let e = error_of("demo-net --agents 1 --heartbeats 1 --heartbeat-ms 18446744073709551615");
+        assert_eq!(e, "--heartbeat-ms must be at most 300000");
         let at_deadline = parse(&argv("demo-net --heartbeat-ms 300000")).unwrap();
         assert_eq!(scale_config_of(&at_deadline).lease_ttl.as_millis(), 900_000);
     }
 
     #[test]
     fn agent_counts_no_welcome_can_name_are_refused() {
-        let e = run(&argv(
-            "demo-net --agents 18446744073709551615 --heartbeats 1",
-        ));
-        assert_eq!(e.unwrap_err(), "--agents must be at most 279620");
+        let e = error_of("demo-net --agents 18446744073709551615 --heartbeats 1");
+        assert_eq!(e, "--agents must be at most 279620");
         assert!(parse(&argv(&format!("demo-net --agents {MAX_AGENTS}"))).is_ok());
     }
 
     #[test]
     fn region_counts_past_the_bound_are_refused() {
-        let e = run(&argv("demo-federation --regions 18446744073709551615"));
-        assert_eq!(e.unwrap_err(), "--regions must be at most 64");
+        let e = error_of("demo-federation --regions 18446744073709551615");
+        assert_eq!(e, "--regions must be at most 64");
         assert!(parse(&argv("demo-federation --regions 64")).is_ok());
     }
 
@@ -1603,8 +1515,8 @@ mod tests {
         [
             policy_of(&opts).err(),
             experiment_of(&opts).err(),
-            solver_of(&opts.solver).err(),
-            wire_seed_check(&opts).err(),
+            opts.solver.parse::<Solver>().err(),
+            refuse_before_run(&opts).err(),
             fleet.and_then(|f| fleet_of(f).err()),
             traffic.and_then(|t| t.parse::<TrafficSpec>().err()),
             faults.and_then(|f| f.parse::<FaultSpec>().err()),
@@ -1613,6 +1525,39 @@ mod tests {
         .into_iter()
         .flatten()
         .collect()
+    }
+
+    #[test]
+    fn a_kill_the_sweep_never_reaches_fails_the_kill_check() {
+        // 9 load levels of 0.1 s end before the agent's 3-epoch kill point.
+        let line = "demo-net failed: agents killed = 0, expected exactly 1";
+        let run = run(&argv(
+            "demo-net --kill-agent --dwell 0.1 --lease-ttl-ms 150",
+        ));
+        assert_eq!(run, Err(Failure::Checks(vec![line.into()])));
+    }
+
+    #[test]
+    fn flags_a_command_would_ignore_are_refused_before_the_run() {
+        let scale = "demo-net --agents 8 --heartbeats 2 --heartbeat-ms 0";
+        for (flag, value) in [("--kill-agent", ""), ("--faults", "brownout:1")] {
+            let refusal = format!("demo-net --agents does not support {flag}");
+            assert_eq!(error_of(&format!("{scale} {flag} {value}")), refusal);
+        }
+        let log = "--decision-log x.jsonl";
+        for (mode, command) in [
+            ("demo-net --agents", scale),
+            ("demo-net", "demo-net"),
+            ("demo-traffic", "demo-traffic"),
+            ("demo-fleet", "demo-fleet"),
+            ("--fleet", "simulate --fleet mixed3"),
+        ] {
+            let refusal = format!("{mode} does not support --decision-log");
+            assert_eq!(error_of(&format!("{command} {log}")), refusal);
+        }
+        // The classic demo-net runs both.
+        let classic = parse(&argv("demo-net --kill-agent --faults brownout:1")).unwrap();
+        assert_eq!(refuse_before_run(&classic), Ok(()));
     }
 
     proptest::proptest! {

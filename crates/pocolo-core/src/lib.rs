@@ -29,7 +29,8 @@
 //!
 //! It also holds the workspace's determinism witnesses ([`digest`]): the
 //! product's one FNV-1a and the combinable sequence digest the traffic
-//! generator folds while it generates.
+//! generator folds while it generates. Every verification report states
+//! its promises as [`check::Check`] rows.
 //!
 //! # Example
 //!
@@ -60,6 +61,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod check;
 pub mod curves;
 pub mod digest;
 pub mod error;

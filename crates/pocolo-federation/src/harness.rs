@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pocolo_cluster::{warm_assign, PerfMatrix};
+use pocolo_core::check::{Check, Expect};
 use pocolo_core::digest::{fnv1a, FNV_OFFSET};
 use pocolo_core::federation::{AppStatus, FederationInput, RegionStatus};
 use pocolo_faults::{RegionFaultKind, RegionFaultPlan, RegionFaultSpec};
@@ -86,6 +87,19 @@ impl FederationScenario {
         }
     }
 
+    /// The regional fault timeline the scenario plays.
+    pub fn fault_plan(&self) -> RegionFaultPlan {
+        match self.faults {
+            Some(spec) => spec.scenario.plan(
+                spec.seed.unwrap_or(self.seed),
+                TICKS,
+                self.regions,
+                REPLICAS,
+            ),
+            None => RegionFaultPlan::empty(self.seed),
+        }
+    }
+
     /// Plays the scenario to completion.
     ///
     /// # Panics
@@ -96,15 +110,7 @@ impl FederationScenario {
         assert!(self.regions >= 1, "need at least one region");
         let world = World::generate(self);
         let n_apps = world.app_home.len();
-        let plan = match self.faults {
-            Some(spec) => spec.scenario.plan(
-                spec.seed.unwrap_or(self.seed),
-                TICKS,
-                self.regions,
-                REPLICAS,
-            ),
-            None => RegionFaultPlan::empty(self.seed),
-        };
+        let plan = self.fault_plan();
         let mut set = ReplicaSet::new(REPLICAS, world.app_home.clone(), self.regions);
         // The harness's own applied mirror of the committed log — used
         // for physics so a leaderless gap between epochs still serves
@@ -270,6 +276,85 @@ impl FederationReport {
             "final_version": self.final_version,
             "decision_digest": (self.decision_digest.clone()),
         })
+    }
+}
+
+/// The `demo-federation` verification: the federated run with the
+/// leader killed at every crash its fault plan schedules, its
+/// uninterrupted reference, and the region-isolated baseline, all over
+/// the same world and fault timeline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FederationDemo {
+    /// Federated, leader killed.
+    pub federated: FederationReport,
+    /// Federated, leader crashes ignored.
+    pub reference: FederationReport,
+    /// Region-isolated: each region pinned to its static share of the
+    /// contract.
+    pub isolated: FederationReport,
+    /// Leader crashes the fault plan scheduled.
+    pub leader_crashes: usize,
+}
+
+impl FederationDemo {
+    /// Runs the three scenarios of `regions` regions over world `seed`
+    /// under `faults`.
+    pub fn run(
+        regions: usize,
+        seed: u64,
+        faults: RegionFaultSpec,
+        parallelism: Parallelism,
+    ) -> FederationDemo {
+        let mut federated = FederationScenario::pinned(regions, seed);
+        federated.faults = Some(faults);
+        federated.parallelism = parallelism;
+        federated.kill_leader = true;
+        let mut reference = federated.clone();
+        reference.kill_leader = false;
+        let mut isolated = federated.clone();
+        isolated.federated = false;
+        FederationDemo {
+            leader_crashes: federated.fault_plan().leader_crashes().len(),
+            federated: federated.run(),
+            reference: reference.run(),
+            isolated: isolated.run(),
+        }
+    }
+
+    /// The demo's promises: no cap breached on either side, federation
+    /// beats isolation on utility and on SLO violations, a leader crash
+    /// promotes a follower, and the leader-kill run is bit-identical to
+    /// the uninterrupted reference.
+    pub fn checks(&self) -> Vec<Check> {
+        let (fed, reference, iso) = (&self.federated, &self.reference, &self.isolated);
+        let mut checks = vec![
+            Check::new(
+                "cap violations (federated + isolated)",
+                (fed.cap_violations + iso.cap_violations) as f64,
+                Expect::AtMost(0.0),
+            ),
+            Check::new("federated utility", fed.utility, Expect::Above(iso.utility)),
+            Check::new(
+                "federated SLO violation fraction",
+                fed.slo_violation_frac,
+                Expect::Below(iso.slo_violation_frac),
+            ),
+        ];
+        if self.leader_crashes > 0 {
+            checks.push(Check::new(
+                "promotions after the leader crash",
+                fed.promotions.len() as f64,
+                Expect::Above(0.0),
+            ));
+        }
+        checks.push(Check::holds(
+            "leader-kill run equals the uninterrupted reference",
+            fed.decision_digest == reference.decision_digest
+                && fed.decision_log == reference.decision_log
+                && fed.utility.to_bits() == reference.utility.to_bits()
+                && fed.final_version == reference.final_version,
+        ));
+        checks
     }
 }
 
@@ -494,6 +579,7 @@ fn build_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pocolo_core::check::failures;
     use pocolo_faults::RegionScenario;
 
     fn brownout(scenario: &mut FederationScenario) {
@@ -514,26 +600,13 @@ mod tests {
 
     #[test]
     fn federated_beats_isolated_under_a_brownout() {
-        let mut fed = FederationScenario::pinned(3, 42);
-        brownout(&mut fed);
-        let mut iso = fed.clone();
-        iso.federated = false;
-        let (fed, iso) = (fed.run(), iso.run());
-        assert!(
-            fed.utility > iso.utility,
-            "federated {} ≤ isolated {}",
-            fed.utility,
-            iso.utility
-        );
-        assert!(
-            fed.slo_violation_frac < iso.slo_violation_frac,
-            "federated slo {} ≥ isolated {}",
-            fed.slo_violation_frac,
-            iso.slo_violation_frac
-        );
-        assert_eq!(fed.cap_violations, 0);
-        assert_eq!(iso.cap_violations, 0);
-        assert!(fed.migrations > 0, "no failover happened");
+        let faults = RegionFaultSpec {
+            scenario: RegionScenario::RegionBrownout,
+            seed: Some(7),
+        };
+        let demo = FederationDemo::run(3, 42, faults, Parallelism::Serial);
+        assert_eq!(failures(&demo.checks()), Vec::<String>::new());
+        assert!(demo.federated.migrations > 0, "no failover happened");
     }
 
     #[test]
@@ -548,23 +621,37 @@ mod tests {
 
     #[test]
     fn leader_kill_is_invisible_outside_the_promotion_history() {
-        let mut reference = FederationScenario::pinned(3, 5);
-        reference.faults = Some(RegionFaultSpec {
+        let faults = RegionFaultSpec {
             scenario: RegionScenario::RegionChaos,
             seed: Some(5),
-        });
-        let mut killed = reference.clone();
-        killed.kill_leader = true;
-        let (reference, killed) = (reference.run(), killed.run());
-        assert!(
-            !killed.promotions.is_empty(),
-            "the chaos plan kills the leader; somebody must be promoted"
+        };
+        let demo = FederationDemo::run(3, 5, faults, Parallelism::Serial);
+        assert_eq!(failures(&demo.checks()), Vec::<String>::new());
+        assert!(demo.reference.promotions.is_empty());
+
+        // Each promise fails on its own perturbation of the real report.
+        let failed = |edit: &dyn Fn(&mut FederationDemo)| {
+            let mut perturbed = demo.clone();
+            edit(&mut perturbed);
+            failures(&perturbed.checks())
+        };
+        assert_eq!(
+            failed(&|d| d.isolated.cap_violations = 1),
+            ["cap violations (federated + isolated) = 1, expected at most 0"]
         );
-        assert!(reference.promotions.is_empty());
-        assert_eq!(killed.decision_digest, reference.decision_digest);
-        assert_eq!(killed.utility.to_bits(), reference.utility.to_bits());
-        assert_eq!(killed.final_version, reference.final_version);
-        assert_eq!(killed.decision_log, reference.decision_log);
+        let (utility, slo) = (demo.federated.utility, demo.federated.slo_violation_frac);
+        let line = format!("federated utility = {utility}, expected above {utility}");
+        assert_eq!(failed(&|d| d.isolated.utility = utility), [line]);
+        let line = format!("federated SLO violation fraction = {slo}, expected below {slo}");
+        assert_eq!(failed(&|d| d.isolated.slo_violation_frac = slo), [line]);
+        assert_eq!(
+            failed(&|d| d.federated.promotions.clear()),
+            ["promotions after the leader crash = 0, expected above 0"]
+        );
+        assert_eq!(
+            failed(&|d| d.reference.decision_digest = "0".repeat(16)),
+            ["leader-kill run equals the uninterrupted reference: does not hold"]
+        );
     }
 
     #[test]

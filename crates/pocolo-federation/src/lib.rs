@@ -20,7 +20,9 @@
 //! - [`FederationScenario`] ([`harness`]) is the seeded multi-region
 //!   world: regional brownouts, leader crashes, warm-started
 //!   intra-region auctions, and bit-identical reports at any
-//!   parallelism.
+//!   parallelism. [`FederationDemo`] plays it three ways (leader
+//!   killed, uninterrupted, region-isolated) and states the demo's
+//!   promises as checks.
 
 pub mod controller;
 pub mod harness;
@@ -28,6 +30,6 @@ pub mod net;
 pub mod replicate;
 
 pub use controller::RegionController;
-pub use harness::{FederationReport, FederationScenario};
+pub use harness::{FederationDemo, FederationReport, FederationScenario};
 pub use net::{pull_log, serve_log, FedLogHandler};
 pub use replicate::{FedState, Replica, ReplicaSet, Role};

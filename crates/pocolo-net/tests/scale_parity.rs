@@ -5,6 +5,7 @@
 
 use std::time::Duration;
 
+use pocolo_core::check::failures;
 use pocolo_net::{run_demo, run_demo_scale, DemoConfig, ScaleConfig};
 use pocolo_sim::experiment::ExperimentConfig;
 use pocolo_sim::Policy;
@@ -16,11 +17,24 @@ fn three_hundred_swarm_agents_reproduce_the_reference_on_the_reactor() {
     // parity, not pacing; wall-clock stays in CI budget.
     config.heartbeat_every = Duration::ZERO;
     let report = run_demo_scale(&config).unwrap();
-    assert!(report.parity, "wire result diverged from the reference");
+    assert_eq!(failures(&report.checks()), Vec::<String>::new());
     assert_eq!(report.swarm.agents.len(), 300);
-    assert!(report.swarm.agents.iter().all(|a| a.completed));
     // Closed-loop: 3 acks per agent.
     assert_eq!(report.swarm.rtts_us.len(), 900);
+
+    // Each promise fails on its own perturbation of the real report.
+    let mut diverged = report.clone();
+    diverged.wire.pairs[299].metrics.samples += 1;
+    assert_eq!(
+        failures(&diverged.checks()),
+        ["wire result equals the timing-independent reference: does not hold"]
+    );
+    let mut abandoned = report;
+    abandoned.swarm.agents[0].completed = false;
+    assert_eq!(
+        failures(&abandoned.checks()),
+        ["agents completed = 299, expected exactly 300"]
+    );
 }
 
 #[test]
@@ -34,5 +48,5 @@ fn the_parity_demo_holds_under_the_heracles_policy() {
         },
     );
     let report = run_demo(&config).unwrap();
-    assert!(report.parity(), "wire result diverged from in-process");
+    assert_eq!(failures(&report.checks()), Vec::<String>::new());
 }

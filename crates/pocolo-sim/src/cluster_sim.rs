@@ -350,7 +350,7 @@ mod tests {
             .with_crash(1, 3.0, 2.0)
             .with_telemetry_dropout(Some(0), 1.0, 4.0)
             .with_model_drift(None, 4.0, 0.2);
-        let faults = FaultTimeline::compile(&plan, 4);
+        let faults = FaultTimeline::compile_with_curves(&plan, 4, |_, f| f);
         let at = |resilient: bool, p| {
             let servers = four()
                 .into_iter()

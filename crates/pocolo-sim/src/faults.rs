@@ -74,20 +74,13 @@ impl FaultTimeline {
     /// cluster drift) fan out to every server; targeted events land on
     /// their server only. Events out of `0..n_servers` range are dropped.
     ///
-    /// Every server holds exactly the requested brownout cap factor —
-    /// the homogeneous, continuous-power fleet. Heterogeneous fleets use
-    /// [`FaultTimeline::compile_with_curves`] to derate each SKU through
-    /// its own power curve.
-    pub fn compile(plan: &FaultPlan, n_servers: usize) -> Self {
-        Self::compile_with_curves(plan, n_servers, |_, f| f)
-    }
-
-    /// Like [`FaultTimeline::compile`], but each brownout cap factor is
-    /// pushed through `factor_of(server, requested)` before landing on a
-    /// server's timeline — the hook heterogeneous fleets use to model
-    /// per-SKU power physics (a DVFS-stepped class holds the largest
-    /// P-state at or below the request, an accelerator-like class snaps
-    /// to its power-plane steps). The mapping must return a factor in
+    /// Each brownout cap factor is pushed through
+    /// `factor_of(server, requested)` before landing on a server's
+    /// timeline — the hook heterogeneous fleets use to model per-SKU
+    /// power physics (a DVFS-stepped class holds the largest P-state at
+    /// or below the request, an accelerator-like class snaps to its
+    /// power-plane steps); `|_, f| f` is the homogeneous,
+    /// continuous-power fleet. The mapping must return a factor in
     /// `(0, requested]` and must be the identity at `1.0` so brownout
     /// lifts restore every class fully; `pocolo_core::fleet::PowerCurve`
     /// guarantees both.
@@ -191,7 +184,7 @@ mod tests {
     #[test]
     fn brownout_fans_out_to_every_server() {
         let plan = FaultPlan::new(1).with_brownout(10.0, 5.0, 0.6);
-        let t = FaultTimeline::compile(&plan, 3);
+        let t = FaultTimeline::compile_with_curves(&plan, 3, |_, f| f);
         assert_eq!(t.n_servers(), 3);
         for s in 0..3 {
             let events = t.server_events(s);
@@ -234,31 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn identity_curves_reproduce_plain_compile() {
-        let plan = FaultPlan::new(7)
-            .with_brownout(10.0, 5.0, 0.55)
-            .with_crash(1, 3.0, 4.0)
-            .with_telemetry_dropout(None, 2.0, 6.0);
-        let plain = FaultTimeline::compile(&plan, 3);
-        let keyed = FaultTimeline::compile_with_curves(&plan, 3, |_, f| f);
-        for s in 0..3 {
-            let (a, b) = (plain.server_events(s), keyed.server_events(s));
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.at_s.to_bits(), y.at_s.to_bits());
-                if let (ServerFaultAction::SetCapFactor(fx), ServerFaultAction::SetCapFactor(fy)) =
-                    (&x.action, &y.action)
-                {
-                    assert_eq!(fx.to_bits(), fy.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn crash_targets_one_server() {
         let plan = FaultPlan::new(1).with_crash(2, 10.0, 5.0);
-        let t = FaultTimeline::compile(&plan, 4);
+        let t = FaultTimeline::compile_with_curves(&plan, 4, |_, f| f);
         assert!(t.server_events(0).is_empty());
         assert!(t.server_events(1).is_empty());
         assert!(t.server_events(3).is_empty());
@@ -270,14 +241,14 @@ mod tests {
     #[test]
     fn out_of_range_crash_is_dropped() {
         let plan = FaultPlan::new(1).with_crash(9, 10.0, 5.0);
-        let t = FaultTimeline::compile(&plan, 2);
+        let t = FaultTimeline::compile_with_curves(&plan, 2, |_, f| f);
         assert!(t.is_empty());
     }
 
     #[test]
     fn dropout_freeze_carries_absolute_deadline() {
         let plan = FaultPlan::new(1).with_telemetry_dropout(Some(1), 10.0, 7.0);
-        let t = FaultTimeline::compile(&plan, 2);
+        let t = FaultTimeline::compile_with_curves(&plan, 2, |_, f| f);
         let events = t.server_events(1);
         assert!(
             matches!(events[0].action, ServerFaultAction::FreezeTelemetry { until_s } if (until_s - 17.0).abs() < 1e-12)

@@ -19,6 +19,7 @@
 //! the placement value of knowing the fleet.
 
 use pocolo_cluster::{ClusterManager, ServerProfile, Solver};
+use pocolo_core::check::{Check, Expect};
 use pocolo_core::fleet::FleetSpec;
 use pocolo_simserver::MachineSpec;
 use pocolo_workloads::profiler::ProfilerConfig;
@@ -188,6 +189,27 @@ impl FleetComparison {
     pub fn cap_violations(&self) -> usize {
         self.aware.cap_violations + self.blind.cap_violations
     }
+
+    /// The comparison's promises: no server broke its cap in either mode,
+    /// and knowing the fleet pays on a mixed fleet while a single-class
+    /// fleet makes it moot.
+    pub fn checks(&self) -> Vec<Check> {
+        let (name, expect) = match self.classes.iter().all(|c| *c == self.classes[0]) {
+            true => ("single-class utility margin", Expect::Exactly(0.0)),
+            false => (
+                "SKU-aware utility margin over SKU-blind",
+                Expect::Above(0.0),
+            ),
+        };
+        vec![
+            Check::new(
+                "cap violations (SKU-aware + SKU-blind)",
+                self.cap_violations() as f64,
+                Expect::AtMost(0.0),
+            ),
+            Check::new(name, self.utility_margin(), expect),
+        ]
+    }
 }
 
 /// Runs one placement mode over the fitted fleet through the paper's
@@ -253,6 +275,7 @@ pub fn compare_fleet_policies(
 mod tests {
     use super::*;
     use crate::experiment::run_experiment_with;
+    use pocolo_core::check::failures;
     use pocolo_core::fleet::ServerClass;
     use pocolo_faults::{FaultSpec, Scenario};
 
@@ -319,7 +342,6 @@ mod tests {
                 for aware in [true, false] {
                     let run = run_fleet_policy(&fleet, &config, Solver::Hungarian, aware);
                     let at = format!("seed={seed} dwell={dwell_s} aware={aware}");
-                    assert_eq!(run.cap_violations, 0, "{at}");
                     for m in run.result.pairs.iter().map(|p| &p.metrics) {
                         let cap = m.power_cap.0;
                         let (avg, peak) = (m.avg_power().0 / cap, m.peak_power.0 / cap);
@@ -349,15 +371,32 @@ mod tests {
             cmp.classes.iter().any(|c| c != &cmp.classes[0]),
             "mixed3 at seed {DEMO_FLEET_SEED} must actually mix classes"
         );
-        assert!(
-            cmp.utility_margin() > 0.0,
-            "the pinned demo seed must show a measurable awareness margin: {}",
-            cmp.utility_margin()
+        assert_eq!(failures(&cmp.checks()), Vec::<String>::new());
+
+        // Each promise fails on its own perturbation of the real report.
+        let failed = |edit: &dyn Fn(&mut FleetComparison)| {
+            let mut perturbed = cmp.clone();
+            edit(&mut perturbed);
+            failures(&perturbed.checks())
+        };
+        assert_eq!(
+            failed(&|c| c.aware.cap_violations = 1),
+            ["cap violations (SKU-aware + SKU-blind) = 1, expected at most 0"]
         );
         assert_eq!(
-            cmp.cap_violations(),
-            0,
-            "power cap must hold as a hard guarantee on every class"
+            failed(&|c| c.blind.planned_value = c.aware.planned_value),
+            ["SKU-aware utility margin over SKU-blind = 0, expected above 0"]
+        );
+        assert_eq!(
+            failed(&|c| c.blind.planned_value = f64::NAN),
+            ["SKU-aware utility margin over SKU-blind = NaN, expected above 0"]
+        );
+        assert_eq!(
+            failed(&|c| {
+                c.classes = vec![c.classes[0].clone(); 4];
+                (c.aware.planned_value, c.blind.planned_value) = (2.0, 1.5);
+            }),
+            ["single-class utility margin = 0.5, expected exactly 0"]
         );
     }
 }

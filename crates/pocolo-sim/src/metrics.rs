@@ -109,31 +109,6 @@ impl ServerMetrics {
         self.time_to_recover_s = self.time_to_recover_s.max(seconds);
     }
 
-    /// Merges another accumulator covering a *disjoint* interval of the
-    /// same server's run into this one. Returns `None` if the two track
-    /// different power caps (they are not the same server).
-    pub fn merge(&self, other: &ServerMetrics) -> Option<ServerMetrics> {
-        if self.power_cap != other.power_cap {
-            return None;
-        }
-        let mut out = self.clone();
-        out.duration_s += other.duration_s;
-        out.energy += other.energy;
-        out.peak_power = out.peak_power.max(other.peak_power);
-        out.samples += other.samples;
-        out.evictions += other.evictions;
-        out.time_to_recover_s = out.time_to_recover_s.max(other.time_to_recover_s);
-        out.be_integral += other.be_integral;
-        out.violation_time += other.violation_time;
-        out.capping_events += other.capping_events;
-        out.fault_time += other.fault_time;
-        out.fault_violation_time += other.fault_violation_time;
-        if out.samples > 0 {
-            out.refresh_derived();
-        }
-        Some(out)
-    }
-
     fn refresh_derived(&mut self) {
         // Keep derived fields current so serialization is always valid.
         self.be_throughput_avg = self.be_integral / self.duration_s;
@@ -332,41 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_splits_matches_whole_run() {
-        let ticks = [
-            (0.1, 80.0, 0.5, 0.2, false, false),
-            (0.1, 90.0, 0.6, -0.1, true, true),
-            (0.1, 85.0, 0.4, 0.1, false, true),
-            (0.1, 70.0, 0.8, 0.4, false, false),
-        ];
-        let mut whole = ServerMetrics::new(Watts(100.0));
-        let mut a = ServerMetrics::new(Watts(100.0));
-        let mut b = ServerMetrics::new(Watts(100.0));
-        for (i, &(dt, p, th, sl, cap, fa)) in ticks.iter().enumerate() {
-            whole.record(dt, Watts(p), th, sl, cap, fa);
-            let half = if i < 2 { &mut a } else { &mut b };
-            half.record(dt, Watts(p), th, sl, cap, fa);
-        }
-        let merged = a.merge(&b).unwrap();
-        assert!((merged.duration_s - whole.duration_s).abs() < 1e-12);
-        assert!((merged.energy.0 - whole.energy.0).abs() < 1e-9);
-        assert!((merged.be_throughput_avg - whole.be_throughput_avg).abs() < 1e-12);
-        assert!((merged.lc_violation_frac - whole.lc_violation_frac).abs() < 1e-12);
-        assert_eq!(merged.samples, whole.samples);
-        assert!(
-            (merged.slo_violation_frac_during_fault - whole.slo_violation_frac_during_fault).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn merge_rejects_different_caps() {
-        let a = ServerMetrics::new(Watts(100.0));
-        let b = ServerMetrics::new(Watts(200.0));
-        assert!(a.merge(&b).is_none());
-    }
-
-    #[test]
     fn empty_metrics_are_safe() {
         let m = ServerMetrics::new(Watts(100.0));
         assert_eq!(m.avg_power(), Watts::ZERO);
@@ -470,36 +410,6 @@ mod proptests {
                     prop_assert!((0.0..=1.0).contains(&frac), "{name} = {frac} out of [0,1]");
                 }
             }
-        }
-
-        /// Recording a run in one accumulator equals splitting it at any
-        /// point and merging the halves (up to float associativity).
-        #[test]
-        fn merge_of_splits_equals_whole_run(
-            ticks in proptest::collection::vec(arb_tick(), 2..60),
-            split_frac in 0.0f64..1.0,
-        ) {
-            let split = ((ticks.len() as f64 * split_frac) as usize).clamp(1, ticks.len() - 1);
-            let mut whole = ServerMetrics::new(Watts(300.0));
-            let mut a = ServerMetrics::new(Watts(300.0));
-            let mut b = ServerMetrics::new(Watts(300.0));
-            for (i, &(dt, p, th, sl, cap, fa)) in ticks.iter().enumerate() {
-                whole.record(dt, Watts(p), th, sl, cap, fa);
-                if i < split { &mut a } else { &mut b }.record(dt, Watts(p), th, sl, cap, fa);
-            }
-            let merged = a.merge(&b).expect("same cap");
-            let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs()));
-            prop_assert!(close(merged.duration_s, whole.duration_s));
-            prop_assert!(close(merged.energy.0, whole.energy.0));
-            prop_assert!(close(merged.be_throughput_avg, whole.be_throughput_avg));
-            prop_assert!(close(merged.lc_violation_frac, whole.lc_violation_frac));
-            prop_assert!(close(
-                merged.slo_violation_frac_during_fault,
-                whole.slo_violation_frac_during_fault
-            ));
-            prop_assert!(close(merged.capping_frac, whole.capping_frac));
-            prop_assert_eq!(merged.samples, whole.samples);
-            prop_assert_eq!(merged.peak_power, whole.peak_power);
         }
     }
 }

@@ -4,10 +4,10 @@
 //! slots the way the spec promises.
 
 use pocolo_cluster::Solver;
+use pocolo_core::check::failures;
 use pocolo_core::fleet::{FleetSpec, ServerClass};
 use pocolo_sim::experiment::ExperimentConfig;
-use pocolo_sim::fleet::{run_fleet_policy, FittedFleet};
-use pocolo_workloads::profiler::ProfilerConfig;
+use pocolo_sim::fleet::compare_fleet_policies;
 
 fn quick_config() -> ExperimentConfig {
     ExperimentConfig {
@@ -24,26 +24,17 @@ fn every_catalog_class_runs_the_full_pipeline() {
     let config = quick_config();
     for name in ServerClass::CATALOG {
         let spec: FleetSpec = name.parse().unwrap();
-        let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, 0);
-        let aware = run_fleet_policy(&fleet, &config, Solver::Hungarian, true);
-        let blind = run_fleet_policy(&fleet, &config, Solver::Hungarian, false);
+        let cmp = compare_fleet_policies(&spec, 0, &config, Solver::Hungarian);
         assert_eq!(
-            aware.result.pairs, blind.result.pairs,
+            cmp.aware.result.pairs, cmp.blind.result.pairs,
             "{name}: single-class awareness must not change anything"
         );
-        assert_eq!(aware.cap_violations, 0, "{name}: caps are a hard guarantee");
+        // Caps are a hard guarantee, and the margin of awareness is zero.
+        assert_eq!(failures(&cmp.checks()), Vec::<String>::new(), "{name}");
         assert!(
-            aware.result.summary.avg_be_throughput > 0.0,
+            cmp.aware.result.summary.avg_be_throughput > 0.0,
             "{name}: best-effort work must actually run"
         );
-        for pair in &aware.result.pairs {
-            assert!(
-                pair.metrics.avg_power().0 <= pair.metrics.power_cap.0,
-                "{name}: sustained power {:.1} W exceeds cap {:.1} W",
-                pair.metrics.avg_power().0,
-                pair.metrics.power_cap.0
-            );
-        }
     }
 }
 

@@ -43,26 +43,6 @@ impl PowerIntensity {
             freq_exponent: 2.4,
         }
     }
-
-    /// Compute-heavy profile (deep-learning training, compression).
-    pub fn compute_heavy() -> Self {
-        PowerIntensity {
-            core_watts: 7.5,
-            way_watts: 0.8,
-            uncore_watts: 3.0,
-            freq_exponent: 2.6,
-        }
-    }
-
-    /// Memory/cache-heavy profile (graph analytics, search leaf nodes).
-    pub fn cache_heavy() -> Self {
-        PowerIntensity {
-            core_watts: 5.0,
-            way_watts: 1.8,
-            uncore_watts: 6.0,
-            freq_exponent: 2.2,
-        }
-    }
 }
 
 /// Ground-truth model of a server's power draw.
@@ -146,7 +126,6 @@ impl PowerDrawModel {
 pub struct PowerMeter {
     rng: StdRng,
     noise: f64,
-    last: Option<Watts>,
 }
 
 impl PowerMeter {
@@ -161,31 +140,18 @@ impl PowerMeter {
         PowerMeter {
             rng: StdRng::seed_from_u64(seed),
             noise,
-            last: None,
         }
     }
 
-    /// An ideal meter with no noise.
-    pub fn ideal() -> Self {
-        PowerMeter::new(0.0, 0)
-    }
-
     /// Samples the meter against the true power, returning the noisy
-    /// reading and remembering it.
+    /// reading.
     pub fn sample(&mut self, true_power: Watts) -> Watts {
         let eps = if self.noise > 0.0 {
             self.rng.gen_range(-self.noise..=self.noise)
         } else {
             0.0
         };
-        let reading = Watts((true_power.0 * (1.0 + eps)).max(0.0));
-        self.last = Some(reading);
-        reading
-    }
-
-    /// The most recent reading, if the meter has ever been sampled.
-    pub fn last_reading(&self) -> Option<Watts> {
-        self.last
+        Watts((true_power.0 * (1.0 + eps)).max(0.0))
     }
 }
 
@@ -278,9 +244,15 @@ mod tests {
     fn intensities_differ_between_profiles() {
         let m = model();
         let a = alloc(8, 8, 2.2);
-        let compute = m.tenant_power(&PowerIntensity::compute_heavy(), &a, 1.0);
-        let cache = m.tenant_power(&PowerIntensity::cache_heavy(), &a, 1.0);
-        assert_ne!(compute, cache);
+        let balanced = PowerIntensity::balanced();
+        let compute = PowerIntensity {
+            core_watts: 7.5,
+            ..balanced
+        };
+        assert_ne!(
+            m.tenant_power(&compute, &a, 1.0),
+            m.tenant_power(&balanced, &a, 1.0)
+        );
     }
 
     #[test]
@@ -316,12 +288,11 @@ mod tests {
             assert_eq!(r1, r2, "same seed, same readings");
             assert!(r1.0 >= 98.0 && r1.0 <= 102.0, "reading {r1} out of band");
         }
-        assert_eq!(m1.last_reading(), m2.last_reading());
     }
 
     #[test]
     fn ideal_meter_is_exact() {
-        let mut m = PowerMeter::ideal();
+        let mut m = PowerMeter::new(0.0, 0);
         assert_eq!(m.sample(Watts(123.4)), Watts(123.4));
     }
 

@@ -3,7 +3,7 @@
 use pocolo_core::units::{Frequency, Watts};
 
 use crate::error::SimError;
-use crate::knobs::{CoreSet, TenantAllocation, TenantRole, WayMask};
+use crate::knobs::{TenantAllocation, TenantRole};
 use crate::machine::MachineSpec;
 
 /// A server hosting one primary (latency-critical) tenant and at most one
@@ -23,9 +23,10 @@ use crate::machine::MachineSpec;
 /// let lc = TenantAllocation::new(CoreSet::first_n(2), WayMask::first_n(4),
 ///                                Frequency(2.2));
 /// server.install(TenantRole::Primary, lc)?;
-/// let (cores, ways) = server.spare_capacity();
-/// assert_eq!(cores.count(), 10);
-/// assert_eq!(ways.count(), 16);
+/// // The co-runner may not share a core or a way with the primary.
+/// let be = TenantAllocation::new(CoreSet::range(1, 4), WayMask::range(4, 8),
+///                                Frequency(2.2));
+/// assert!(server.install(TenantRole::Secondary, be).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -106,24 +107,6 @@ impl SimServer {
         }
     }
 
-    /// Cores and ways not reserved by any tenant.
-    pub fn spare_capacity(&self) -> (CoreSet, WayMask) {
-        let all_cores = CoreSet::first_n(self.machine.cores());
-        let all_ways = WayMask::first_n(self.machine.llc_ways());
-        let mut used_cores = 0u64;
-        let mut used_ways = 0u32;
-        for t in [&self.primary, &self.secondary].into_iter().flatten() {
-            used_cores |= t.cores.bits();
-            used_ways |= t.ways.bits();
-        }
-        let spare_cores = CoreSet::first_n(self.machine.cores());
-        let spare_ways = WayMask::first_n(self.machine.llc_ways());
-        // Mask out used bits while staying within hardware.
-        let cores = spare_cores.bits() & all_cores.bits() & !used_cores;
-        let ways = spare_ways.bits() & all_ways.bits() & !used_ways;
-        (core_set_from_bits(cores), way_mask_from_bits(ways))
-    }
-
     /// Changes the DVFS frequency of the tenant in `role`.
     ///
     /// The frequency is clamped into the machine's range, modelling the
@@ -173,20 +156,10 @@ impl SimServer {
     }
 }
 
-fn core_set_from_bits(bits: u64) -> CoreSet {
-    CoreSet::from_bits(bits)
-}
-
-fn way_mask_from_bits(bits: u32) -> WayMask {
-    // Spare ways may legitimately be non-contiguous (tenants can hold the
-    // middle); spare masks are only queried, never installed, so contiguity
-    // is re-validated at install time.
-    WayMask::from_bits(bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knobs::{CoreSet, WayMask};
 
     fn server() -> SimServer {
         SimServer::new(MachineSpec::xeon_e5_2650(), Watts(132.0))
@@ -239,31 +212,14 @@ mod tests {
     }
 
     #[test]
-    fn spare_capacity_shrinks_with_tenants() {
-        let mut s = server();
-        let (c, w) = s.spare_capacity();
-        assert_eq!(c.count(), 12);
-        assert_eq!(w.count(), 20);
-        s.install(TenantRole::Primary, alloc(0, 4, 0, 8)).unwrap();
-        let (c, w) = s.spare_capacity();
-        assert_eq!(c.count(), 8);
-        assert_eq!(w.count(), 12);
-        s.install(TenantRole::Secondary, alloc(4, 8, 8, 12))
-            .unwrap();
-        let (c, w) = s.spare_capacity();
-        assert_eq!(c.count(), 0);
-        assert_eq!(w.count(), 0);
-    }
-
-    #[test]
     fn evict_frees_resources() {
         let mut s = server();
         s.install(TenantRole::Primary, alloc(0, 4, 0, 8)).unwrap();
         let evicted = s.evict(TenantRole::Primary).unwrap();
         assert_eq!(evicted.cores.count(), 4);
         assert!(s.evict(TenantRole::Primary).is_none());
-        let (c, _) = s.spare_capacity();
-        assert_eq!(c.count(), 12);
+        // The freed cores and ways take a co-runner.
+        assert!(s.install(TenantRole::Secondary, alloc(0, 4, 0, 8)).is_ok());
     }
 
     #[test]

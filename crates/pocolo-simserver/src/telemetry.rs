@@ -79,7 +79,8 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
 /// for i in 0..10 {
 ///     ts.push(i as f64 * 0.1, 100.0 + i as f64);
 /// }
-/// assert_eq!(ts.window_values(0.45).len(), 5); // last 0.45 s
+/// assert_eq!(ts.len(), 10);
+/// assert_eq!(ts.last().map(|(_, v)| v), Some(109.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -161,20 +162,6 @@ impl TimeSeries {
         self.samples.iter().copied()
     }
 
-    /// Values within the trailing window of `duration` seconds (relative to
-    /// the newest timestamp), oldest-first.
-    pub fn window_values(&self, duration: f64) -> Vec<f64> {
-        match self.samples.back() {
-            None => Vec::new(),
-            Some(&(now, _)) => self
-                .samples
-                .iter()
-                .filter(|&&(t, _)| t >= now - duration)
-                .map(|&(_, v)| v)
-                .collect(),
-        }
-    }
-
     /// Drops all samples.
     pub fn clear(&mut self) {
         self.samples.clear();
@@ -254,22 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn trailing_window_selects_by_time() {
-        let mut ts = TimeSeries::with_capacity(100);
-        for i in 0..20 {
-            ts.push(i as f64 * 0.1, i as f64);
-        }
-        // Newest t = 1.9; window of 0.5 s keeps t >= 1.4 -> samples 14..=19.
-        let vals = ts.window_values(0.5);
-        assert_eq!(vals.len(), 6);
-        assert_eq!(vals[0], 14.0);
-        assert_eq!(vals[5], 19.0);
-    }
-
-    #[test]
     fn window_on_empty_series() {
         let ts = TimeSeries::with_capacity(4);
-        assert!(ts.window_values(1.0).is_empty());
         assert!(ts.is_empty());
         assert_eq!(ts.last(), None);
     }

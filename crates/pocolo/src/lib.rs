@@ -60,7 +60,9 @@ pub mod prelude {
         RegionFaultKind, RegionFaultPlan, RegionFaultSpec, RegionScenario,
         Scenario as FaultScenario,
     };
-    pub use pocolo_federation::{FederationReport, FederationScenario, RegionController};
+    pub use pocolo_federation::{
+        FederationDemo, FederationReport, FederationScenario, RegionController,
+    };
     pub use pocolo_manager::{
         BeIntent, CapAction, ControlDecision, ControlInput, ControlMode, DecisionRecord, LcPolicy,
         ModeMachine, PowerCapper, PrimaryDirective, ServerController, ServerManager,

@@ -12,7 +12,8 @@
 
 use std::time::Duration;
 
-use pocolo::net::{run_demo, DemoConfig};
+use pocolo::core::check::failures;
+use pocolo::net::{run_demo, DemoConfig, DemoReport};
 use pocolo::prelude::*;
 
 fn demo(policy: Policy, faults: Option<&str>) -> DemoConfig {
@@ -29,11 +30,10 @@ fn demo(policy: Policy, faults: Option<&str>) -> DemoConfig {
 fn assert_parity(policy: Policy, faults: Option<&str>) {
     let report = run_demo(&demo(policy, faults)).expect("loopback run completes");
     assert_eq!(report.placement.len(), 4, "paper cluster is four servers");
-    assert!(
-        report.parity(),
-        "wire path diverged from the in-process engine for {:?} faults {:?}:\n wire: {:?}\n in-process: {:?}",
-        policy,
-        faults,
+    assert_eq!(
+        failures(&report.checks()),
+        Vec::<String>::new(),
+        "{policy:?} faults {faults:?}:\n wire: {:?}\n in-process: {:?}",
         report.wire.summary,
         report.in_process.summary,
     );
@@ -82,6 +82,10 @@ fn killed_agent_degrades_and_rejoins_without_violating_the_cap() {
     config.kill_after_epochs = Some(3);
     config.lease_ttl = Duration::from_millis(150);
     let report = run_demo(&config).expect("failure path completes cleanly");
+    // One agent was killed, its degraded re-run reproduced the in-process
+    // degraded replay bit-for-bit, and no slot ran hotter than its
+    // in-process reference: the wire path added no cap violation.
+    assert_eq!(failures(&report.checks()), Vec::<String>::new());
 
     let dead = report.killed.as_ref().expect("one agent was killed");
     assert!(!dead.completed);
@@ -95,26 +99,8 @@ fn killed_agent_degrades_and_rejoins_without_violating_the_cap() {
     );
     assert!(report.reregistrations >= 1, "rejoin was a re-registration");
     // Every slot still delivered final metrics (the daemon's result is
-    // only assembled once all four are done)...
+    // only assembled once all four are done).
     assert_eq!(report.wire.pairs.len(), 4);
-    // ...the degraded re-run reproduced the in-process degraded
-    // projection bit-for-bit...
-    assert!(
-        report.degraded_parity(),
-        "degraded slot diverged from its in-process reference"
-    );
-    // ...and no slot ran hotter than the in-process engine's cap
-    // guarantee allows — the wire path added no cap violation.
-    assert!(
-        report.cap_respected(),
-        "a slot exceeded its in-process reference peak: {:?}",
-        report
-            .wire
-            .pairs
-            .iter()
-            .map(|p| (p.metrics.peak_power, p.metrics.power_cap))
-            .collect::<Vec<_>>()
-    );
     // The degraded slot re-ran under the blind incremental controller, so
     // the healthy slots must still match the in-process engine exactly.
     for (i, (wire, inproc)) in report
@@ -130,4 +116,24 @@ fn killed_agent_degrades_and_rejoins_without_violating_the_cap() {
             assert_eq!(wire.metrics, inproc.metrics, "healthy slot {i} metrics");
         }
     }
+
+    // Each promise fails on its own perturbation of the real report.
+    let healthy = (dead.server + 1) % 4;
+    let failed = |edit: &dyn Fn(&mut DemoReport)| {
+        let mut perturbed = report.clone();
+        edit(&mut perturbed);
+        failures(&perturbed.checks())
+    };
+    assert_eq!(
+        failed(&|r| r.killed = None),
+        ["agents killed = 0, expected exactly 1"]
+    );
+    assert_eq!(
+        failed(&|r| r.degraded_reference.as_mut().unwrap().1.evictions += 1),
+        ["degraded slot equals its in-process replay: does not hold"]
+    );
+    assert_eq!(
+        failed(&|r| r.wire.pairs[healthy].metrics.peak_power.0 += 0.5),
+        ["slots hotter than their in-process reference peak = 1, expected at most 0"]
+    );
 }
