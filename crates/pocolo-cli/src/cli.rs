@@ -387,13 +387,26 @@ pub fn run(args: &[String]) -> Result<String, Failure> {
 /// Refuses, before the run, what the command cannot take: a seed too
 /// large for the wire (the run spec ships `--seed` to every agent as a
 /// JSON number, which carries integers exactly only below 2^53), or a
-/// flag it would otherwise ignore without a word.
+/// flag or fault it would otherwise ignore without a word.
 fn refuse_before_run(opts: &Options) -> Result<(), String> {
     let (seed, limit) = (opts.seed, pocolo_json::EXACT_INT_LIMIT);
     if matches!(opts.command.as_str(), "clusterd" | "demo-net") && seed >= limit {
         return Err(format!(
             "--seed {seed} is too large for a wire run (must be below 2^53 = {limit})"
         ));
+    }
+    if let ("demo-traffic", Some(raw)) = (opts.command.as_str(), opts.faults.as_deref()) {
+        // A spec that does not parse is the command's own error.
+        let dropped = raw
+            .parse::<FaultSpec>()
+            .map(|spec| pocolo::traffic::unmodelled_faults(spec.scenario))
+            .unwrap_or_default();
+        if !dropped.is_empty() {
+            return Err(format!(
+                "demo-traffic models only brownouts and model drift; --faults {raw} injects {}",
+                dropped.join(" and ")
+            ));
+        }
     }
     let scale = opts.command == "demo-net" && opts.agents > 0;
     let mode = match opts.command.as_str() {
@@ -544,7 +557,7 @@ fn cmd_place(opts: &Options) -> Result<String, String> {
     let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let manager = ClusterManager::new(fitted.be_profiles(), fitted.server_profiles());
     let matrix = manager.performance_matrix().map_err(|e| e.to_string())?;
-    let assignment = manager.place(solver).map_err(|e| e.to_string())?;
+    let assignment = pocolo::cluster::assign::solve(&matrix, solver).map_err(|e| e.to_string())?;
     let pairs: Vec<(String, String)> = assignment
         .pairs
         .iter()
@@ -1399,6 +1412,23 @@ mod tests {
         assert!(err.contains("tsunami"), "error names the bad mix: {err}");
         assert!(!err.contains('\n'), "error is one line: {err:?}");
         assert!(run(&argv("demo-traffic --faults meteor")).is_err());
+    }
+
+    #[test]
+    fn demo_traffic_refuses_faults_it_would_drop() {
+        let models = "demo-traffic models only brownouts and model drift";
+        for (faults, injects) in [
+            ("crash:3", "server crashes"),
+            ("chaos:7", "server crashes and telemetry dropouts"),
+        ] {
+            let args = format!("demo-traffic --traffic flashcrowd:7 --faults {faults}");
+            let line = format!("{models}; --faults {faults} injects {injects}");
+            assert_eq!(error_of(&args), line);
+        }
+        for faults in ["brownout:1", "surge:7"] {
+            let opts = parse(&argv(&format!("demo-traffic --faults {faults}"))).unwrap();
+            assert_eq!(refuse_before_run(&opts), Ok(()));
+        }
     }
 
     #[test]

@@ -98,11 +98,6 @@ pub struct AgentOutcome {
     pub epochs: u64,
     /// False when the kill switch abandoned the run.
     pub completed: bool,
-    /// Last budget directive observed in a telemetry ack.
-    pub cap_seen: f64,
-    /// When the agent last observed the directive *change* — the probe
-    /// the broadcast fan-out benchmark reads.
-    pub cap_changed_at: Option<Instant>,
 }
 
 /// Aggregate statistics of one swarm pass.
@@ -326,8 +321,6 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
                     degraded: false,
                     epochs: 0,
                     completed: false,
-                    cap_seen: 1.0,
-                    cap_changed_at: None,
                 },
             };
             // Swarm agents cycle through the SKU catalog so the scale
@@ -522,12 +515,8 @@ fn advance(
         }
         AgentState::AwaitAck { epoch, sent_at } => {
             match parse_reply(payload)? {
-                Message::TelemetryAck { cap_factor } => {
+                Message::TelemetryAck { .. } => {
                     rtts_us.push(now.duration_since(sent_at).as_micros() as u64);
-                    if cap_factor != conn.outcome.cap_seen {
-                        conn.outcome.cap_seen = cap_factor;
-                        conn.outcome.cap_changed_at = Some(now);
-                    }
                 }
                 Message::Error { message } => return Err(NetError::Remote(message)),
                 other => {

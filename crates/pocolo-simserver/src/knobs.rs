@@ -115,11 +115,6 @@ impl CoreSet {
         self.0
     }
 
-    /// Reconstructs a set from a raw bitmask (e.g. spare-capacity queries).
-    pub fn from_bits(bits: u64) -> Self {
-        CoreSet(bits)
-    }
-
     /// Index of the highest core in the set, if non-empty.
     pub fn highest(self) -> Option<u32> {
         if self.is_empty() {
@@ -205,12 +200,6 @@ impl WayMask {
     /// The raw bitmask.
     pub fn bits(self) -> u32 {
         self.0
-    }
-
-    /// Reconstructs a mask from a raw bitmask. The result may be
-    /// non-contiguous; tenant installation re-validates contiguity.
-    pub fn from_bits(bits: u32) -> Self {
-        WayMask(bits)
     }
 
     /// Index of the highest way in the mask, if non-empty.
@@ -545,18 +534,10 @@ mod proptests {
             prop_assert!(r2.is_contiguous());
             prop_assert!(!r1.intersects(r2));
             prop_assert!(!r2.intersects(r1));
-            // Adjacent-with-zero-gap masks cover exactly la + lb ways.
+            // Adjacent-with-zero-gap masks are exactly the range a..a+la+lb.
             if gap == 0 {
-                let union = WayMask::from_bits(r1.bits() | r2.bits());
-                prop_assert_eq!(union.count(), la + lb);
-                prop_assert!(union.is_contiguous());
+                prop_assert_eq!(r1.bits() | r2.bits(), WayMask::range(a, la + lb).bits());
             }
-        }
-
-        /// Bit round-trips are lossless.
-        #[test]
-        fn from_bits_round_trip(bits in any::<u64>()) {
-            prop_assert_eq!(CoreSet::from_bits(bits).bits(), bits);
         }
     }
 }

@@ -59,11 +59,6 @@ impl SimServer {
         self.power_cap
     }
 
-    /// Re-provisions the power cap (used by TCO what-if analyses).
-    pub fn set_power_cap(&mut self, cap: Watts) {
-        self.power_cap = cap;
-    }
-
     /// The allocation of the tenant in `role`, if installed.
     pub fn allocation(&self, role: TenantRole) -> Option<&TenantAllocation> {
         match role {
@@ -256,12 +251,5 @@ mod tests {
             s.set_quota(TenantRole::Primary, 0.5),
             Err(SimError::NoSuchTenant(_))
         ));
-    }
-
-    #[test]
-    fn power_cap_can_be_reprovisioned() {
-        let mut s = server();
-        s.set_power_cap(Watts(185.0));
-        assert_eq!(s.power_cap(), Watts(185.0));
     }
 }

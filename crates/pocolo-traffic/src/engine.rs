@@ -29,7 +29,7 @@ use pocolo_core::digest::{fnv1a_word, FNV_OFFSET};
 use pocolo_core::fit::{FitOptions, OnlineFitter, ProfileSample};
 use pocolo_core::units::Watts;
 use pocolo_core::utility::IndirectUtility;
-use pocolo_faults::{FaultEvent, FaultKind, FaultSpec};
+use pocolo_faults::{FaultEvent, FaultKind, FaultSpec, Scenario};
 use pocolo_sim::experiment::FittedCluster;
 use pocolo_sim::parallel::Parallelism;
 use pocolo_simserver::power::PowerDrawModel;
@@ -204,9 +204,15 @@ struct SlotState {
 /// # Panics
 ///
 /// Panics if the cluster placement cannot be constructed (the four-app
-/// fleet in-tree always can) or the config is degenerate (zero shards).
+/// fleet in-tree always can), the config is degenerate (zero shards), or
+/// the fault scenario injects a fault the loop does not model
+/// ([`unmodelled_faults`]).
 pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
     assert!(config.shards > 0, "shard count must be positive");
+    if let Some(fs) = &config.faults {
+        let dropped = unmodelled_faults(fs.scenario);
+        assert!(dropped.is_empty(), "run_traffic does not model {dropped:?}");
+    }
     let fitted = FittedCluster::fit(&ProfilerConfig::default());
     let machine = fitted.machine().clone();
     let power = PowerDrawModel::new(machine.clone());
@@ -400,6 +406,31 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
     }
 }
 
+/// The faults of `scenario` the loop cannot play, by name, in the order
+/// they first fire; empty when it injects only what the loop interprets:
+/// brownouts (`cap_factor_at`) and model drift (`apply_fault_drift`).
+/// The loop has no server to take down and no telemetry path to freeze,
+/// so a crash or a dropout would be dropped without a word. Which kinds a
+/// scenario injects does not depend on its seed, duration or fleet size.
+pub fn unmodelled_faults(scenario: Scenario) -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = Vec::new();
+    for e in scenario.plan(0, 1.0, 1).events() {
+        let name = match e.kind {
+            FaultKind::BrownoutStart { .. }
+            | FaultKind::BrownoutEnd
+            | FaultKind::ModelDrift { .. } => continue,
+            FaultKind::ServerCrash { .. } | FaultKind::ServerRecover { .. } => "server crashes",
+            FaultKind::TelemetryFreezeStart { .. } | FaultKind::TelemetryFreezeEnd { .. } => {
+                "telemetry dropouts"
+            }
+        };
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    }
+    names
+}
+
 /// The brownout cap factor in force at time `t` (1.0 outside brownouts).
 fn cap_factor_at(events: &[FaultEvent], t: f64) -> f64 {
     let mut factor = 1.0;
@@ -452,4 +483,17 @@ fn replan(
     mgr.replan_after_refit(plan, col, utility, cap_factor)
         .map(|intents| intents.len())
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "run_traffic does not model")]
+    fn a_crash_is_refused_not_dropped() {
+        let mut config = TrafficConfig::new("steady".parse().unwrap());
+        config.faults = Some("crash:3".parse().unwrap());
+        run_traffic(&config);
+    }
 }

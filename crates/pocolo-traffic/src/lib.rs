@@ -14,15 +14,12 @@
 //!   flash crowds, rotating regional skew.
 //! - [`shard`] + [`batch`] — the deterministic generator
 //!   ([`TrafficGen`]): 64 logical RNG streams seeded purely by
-//!   `(seed, stream, tick)` and dealt round-robin to shards. A tick costs
-//!   what is read of it: [`TrafficGen::tick`] folds every request into a
-//!   lane-less [`TickSummary`] (count, per-slot and per-region counts, a
-//!   combinable sequence digest) while it is drawn and stores none;
-//!   [`TrafficGen::requests`] materialises the same sequence as a
-//!   columnar [`RequestBatch`] for a caller that asks. Either is
-//!   bit-identical at any shard count and any
-//!   [`Parallelism`](pocolo_sim::parallel::Parallelism) — the same
-//!   contract `pocolo_sim::parallel` gives experiments.
+//!   `(seed, stream, tick)` and dealt round-robin to shards.
+//!   [`TrafficGen::tick`] folds every request into a [`TickSummary`]
+//!   (count, per-slot counts, a combinable sequence digest) while it is
+//!   drawn and stores none. The summary is bit-identical at any shard
+//!   count and any [`Parallelism`](pocolo_sim::parallel::Parallelism) —
+//!   the same contract `pocolo_sim::parallel` gives experiments.
 //! - [`engine`] — the closed loop ([`run_traffic`]): per-slot request
 //!   counts step `Mm1Queue`s (a closed-form M/M/1 tick with a carried
 //!   backlog; nothing is drawn per request), their p99/utilization feeds
@@ -38,11 +35,9 @@
 //! let one = gen.tick(3, 1, Parallelism::Serial);
 //! let eight = gen.tick(3, 8, Parallelism::Auto);
 //! assert_eq!(one, eight); // bit-identical at any shard count
+//! assert_eq!(one.digest(), gen.tick(3, 5, Parallelism::Fixed(2)).digest());
+//! // The summary is the counts and digest of requests it never stored.
 //! assert_eq!(one.slot_counts(2).iter().sum::<u64>(), one.len() as u64);
-//! // The summary is the digest and counts of the requests it never stored.
-//! let lanes = gen.requests(3, 5, Parallelism::Fixed(2));
-//! assert_eq!(lanes.digest(), one.digest());
-//! assert_eq!(lanes.slot_counts(2), one.slot_counts(2));
 //! ```
 
 pub mod batch;
@@ -50,7 +45,7 @@ pub mod engine;
 pub mod mix;
 pub mod shard;
 
-pub use batch::{Request, RequestBatch, TickSummary};
-pub use engine::{run_traffic, SlotReport, TrafficConfig, TrafficReport};
+pub use batch::TickSummary;
+pub use engine::{run_traffic, unmodelled_faults, SlotReport, TrafficConfig, TrafficReport};
 pub use mix::{FlashCrowd, MixKind, TrafficMix, TrafficSpec, REGIONS};
 pub use shard::{TrafficGen, LOGICAL_STREAMS};

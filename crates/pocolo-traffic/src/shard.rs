@@ -5,26 +5,17 @@
 //! Generation is defined over [`LOGICAL_STREAMS`] fixed *logical streams*,
 //! not over shards. Stream `s` at tick `k` owns its own RNG, seeded purely
 //! from `(seed, s, k)` — never from which shard ran it, never from the
-//! previous tick — and draws its requests in **one loop**
-//! (`StreamRequests`). What a stream *returns* is up to the caller of that
-//! loop:
+//! previous tick — and folds each request into the stream's
+//! [`TickSummary`] as it is drawn: length, per-slot counts and the
+//! combinable sequence digest. No request is stored.
 //!
-//! - [`TrafficGen::tick`] folds each request into the stream's
-//!   [`TickSummary`] as it is drawn — length, per-slot and per-region
-//!   counts, and the combinable sequence digest — and stores nothing.
-//! - [`TrafficGen::requests`] pushes each request onto the stream's
-//!   [`RequestBatch`] lanes, for a caller that wants to read them. No
-//!   product code does today; it exists so that
-//!   `requests(..).digest() == tick(..).digest()` can witness that what
-//!   was summarised is what would have been materialised.
-//!
-//! A run with `n` shards hands stream `s` to shard `s mod n`, and the 64
-//! per-stream results are combined **in stream order** — summaries by
-//! `TickSummary::concat` (counts add; the digest obeys
-//! `h(A‖B) = h(A)·P^|B| + h(B)`), batches by appending lanes. Which shard
-//! or thread produced a stream's result never enters it, so the tick is
-//! **bit-identical for every shard count and parallelism** — the same
-//! contract [`pocolo_sim::parallel::map`] gives the experiment pipeline.
+//! A run with `n` shards hands stream `s` to shard `s mod n`, and
+//! [`TrafficGen::tick`] combines the 64 stream summaries **in stream
+//! order** by `TickSummary::concat` (counts add; the digest obeys
+//! `h(A‖B) = h(A)·P^|B| + h(B)`). Which shard or thread produced a
+//! stream's summary never enters it, so the tick is **bit-identical for
+//! every shard count and parallelism** — the same contract
+//! [`pocolo_sim::parallel::map`] gives the experiment pipeline.
 //!
 //! Per-stream work is fanned out through `parallel::map` itself, so the
 //! execution knobs compose: `--shards` fixes the deterministic
@@ -34,7 +25,7 @@ use pocolo_sim::parallel::{self, Parallelism};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::batch::{Request, RequestBatch, TickSummary};
+use crate::batch::TickSummary;
 use crate::mix::{TrafficMix, REGIONS};
 
 /// Fixed number of logical RNG streams requests are drawn from. Shard
@@ -202,121 +193,54 @@ impl TrafficGen {
     ///
     /// Panics if `shards == 0`.
     pub fn tick(&self, tick_idx: u64, shards: usize, parallelism: Parallelism) -> TickSummary {
-        let n_slots = self.n_slots();
-        let streams = self.per_stream(tick_idx, shards, parallelism, |requests| {
-            let mut summary = TickSummary::new(n_slots);
-            requests.for_each(|r| summary.push(r));
-            summary
-        });
-        let mut tick = TickSummary::new(n_slots);
-        streams.iter().for_each(|stream| tick.concat(stream));
-        tick
-    }
-
-    /// The same tick materialised: every request [`TrafficGen::tick`]
-    /// summarises, in the same order, as columnar lanes — 15 bytes a
-    /// request, so ask only to read them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn requests(&self, tick_idx: u64, shards: usize, parallelism: Parallelism) -> RequestBatch {
-        let streams = self.per_stream(tick_idx, shards, parallelism, |requests| {
-            let mut batch = RequestBatch::with_capacity(requests.len());
-            requests.for_each(|r| batch.push(r));
-            batch
-        });
-        let mut merged = RequestBatch::with_capacity(streams.iter().map(RequestBatch::len).sum());
-        streams.iter().for_each(|stream| merged.append(stream));
-        merged
-    }
-
-    /// Runs `consume` over every logical stream of tick `tick_idx` —
-    /// shard `i` of `shards` takes streams `i, i + shards, …` — and
-    /// returns the 64 results in stream order.
-    fn per_stream<T: Send>(
-        &self,
-        tick_idx: u64,
-        shards: usize,
-        parallelism: Parallelism,
-        consume: impl Fn(StreamRequests<'_>) -> T + Sync,
-    ) -> Vec<T> {
         assert!(shards > 0, "need at least one shard");
         // Shards past the stream count would own no stream: don't spawn them.
         let shards = shards.min(LOGICAL_STREAMS);
         let shape = self.shape_at(tick_idx);
-        let mut per_shard: Vec<_> =
-            parallel::map(parallelism, (0..shards).collect(), |shard: usize| {
-                (shard..LOGICAL_STREAMS)
-                    .step_by(shards)
-                    .map(|stream| consume(self.stream(stream, tick_idx, &shape)))
-                    .collect::<Vec<T>>()
-                    .into_iter()
-            });
-        (0..LOGICAL_STREAMS)
-            .map(|stream| {
-                per_shard[stream % shards]
-                    .next()
-                    .expect("each shard ran its streams")
-            })
-            .collect()
+        // Shard `i` of `shards` takes streams `i, i + shards, …`.
+        let per_shard = parallel::map(parallelism, (0..shards).collect(), |shard: usize| {
+            (shard..LOGICAL_STREAMS)
+                .step_by(shards)
+                .map(|stream| self.stream(stream, tick_idx, &shape))
+                .collect::<Vec<TickSummary>>()
+        });
+        let mut tick = TickSummary::new(self.n_slots());
+        for stream in 0..LOGICAL_STREAMS {
+            tick.concat(&per_shard[stream % shards][stream / shards]);
+        }
+        tick
     }
 
-    /// One logical stream's requests for one tick. The RNG is seeded
-    /// purely from `(seed, stream, tick_idx)` — shard-count and history
-    /// independent by construction.
-    fn stream<'a>(&self, stream: usize, tick_idx: u64, shape: &'a TickShape) -> StreamRequests<'a> {
+    /// One logical stream's summary for one tick: a Poisson count of
+    /// requests, each folded as it is drawn. The RNG is seeded purely from
+    /// `(seed, stream, tick_idx)` — shard-count and history independent by
+    /// construction.
+    fn stream(&self, stream: usize, tick_idx: u64, shape: &TickShape) -> TickSummary {
         let index = tick_idx
             .wrapping_mul(LOGICAL_STREAMS as u64)
             .wrapping_add(stream as u64);
         let mut rng = StdRng::seed_from_u64(self.seed ^ index.wrapping_mul(SEED_MIX));
         let lambda = shape.rate_rps * self.tick_s / LOGICAL_STREAMS as f64;
-        let remaining = poisson(&mut rng, lambda);
-        StreamRequests {
-            rng,
-            remaining,
-            tick_us: self.tick_us,
-            shape,
+        let mut summary = TickSummary::new(shape.slot_cum.len());
+        for _ in 0..poisson(&mut rng, lambda) {
+            let (arrival_us, region, slot, work_draw) = self.draw(&mut rng, shape);
+            summary.push(arrival_us, region, slot, work_draw);
         }
+        summary
     }
-}
 
-/// The per-request generation loop: one logical stream's requests for one
-/// tick, drawn lazily — four RNG draws a request (arrival, region, slot,
-/// work), in that order. The work draw is kept as drawn, the 53 bits
-/// `gen_range(0.0..1.0)` would scale into `[0, 1)`: its Exp(1) factor is
-/// derived only on request ([`Request::work`]), so no transcendental runs
-/// per request here.
-struct StreamRequests<'a> {
-    rng: StdRng,
-    remaining: usize,
-    tick_us: u32,
-    shape: &'a TickShape,
-}
-
-impl Iterator for StreamRequests<'_> {
-    type Item = Request;
-
+    /// One request: four RNG draws — arrival offset (µs), region, slot,
+    /// work — in that order. The work draw is kept as drawn, the 53 bits
+    /// `gen_range(0.0..1.0)` would scale into `[0, 1)`: nothing reads its
+    /// Exp(1) factor, so no transcendental runs per request.
     #[inline]
-    fn next(&mut self) -> Option<Request> {
-        self.remaining = self.remaining.checked_sub(1)?;
-        let arrival_us = self.rng.gen_range(0..self.tick_us);
-        let region = cum_pick(&self.shape.region_cum, self.rng.gen_range(0.0..1.0)) as u8;
-        let slot = cum_pick(&self.shape.slot_cum, self.rng.gen_range(0.0..1.0)) as u16;
-        Some(Request {
-            arrival_us,
-            slot,
-            region,
-            work_draw: self.rng.next_u64() >> 11,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+    fn draw(&self, rng: &mut StdRng, shape: &TickShape) -> (u32, u8, u16, u64) {
+        let arrival_us = rng.gen_range(0..self.tick_us);
+        let region = cum_pick(&shape.region_cum, rng.gen_range(0.0..1.0)) as u8;
+        let slot = cum_pick(&shape.slot_cum, rng.gen_range(0.0..1.0)) as u16;
+        (arrival_us, region, slot, rng.next_u64() >> 11)
     }
 }
-
-impl ExactSizeIterator for StreamRequests<'_> {}
 
 /// Index of the first cumulative weight exceeding `u`. `cum` is
 /// nondecreasing (every weight is positive) up to a final `1.0 > u`, so
@@ -363,57 +287,32 @@ mod tests {
 
     /// For every mix, at divisor, non-divisor and more-than-streams shard
     /// counts, serial and threaded: the summary is the single-shard serial
-    /// one, and what was summarised is what would have been materialised
-    /// (digest, slot and region counts), lane for lane.
+    /// one — length, slot counts and digest.
     #[test]
     fn merge_is_shard_count_invariant() {
         for kind in MixKind::ALL {
             let g = gen(kind, 7, 20_000);
             let summary = g.tick(3, 1, Parallelism::Serial);
-            let lanes = g.requests(3, 1, Parallelism::Serial);
             assert!(!summary.is_empty(), "{kind}");
             for shards in [1, 3, 8, 64, 100, usize::MAX] {
                 for parallelism in [Parallelism::Serial, Parallelism::Fixed(3)] {
                     let at = format!("{kind}: {shards} shards, {parallelism:?}");
                     assert_eq!(g.tick(3, shards, parallelism), summary, "{at}");
-                    let requests = g.requests(3, shards, parallelism);
-                    assert_eq!(requests.digest(), summary.digest(), "{at}");
-                    assert_eq!(requests.slot_counts(4), summary.slot_counts(4), "{at}");
-                    assert_eq!(
-                        requests.region_counts(REGIONS),
-                        summary.region_counts(REGIONS),
-                        "{at}"
-                    );
-                    assert_eq!(requests, lanes, "{at}: lane for lane");
                 }
             }
         }
     }
 
-    /// The request sequence, pinned on the tree *before* generation was
-    /// fused with the fold (`e28367b`, where `tick` returned lanes): the
-    /// digest function has been re-baselined since, the requests have not.
+    /// The request sequence of one generator's tick: its length and slot
+    /// counts as first pinned on request lanes, and the sequence digest
+    /// over all four words of every request, in order.
     #[test]
     fn request_sequence_golden() {
         let g = gen(MixKind::FlashCrowd, 7, 50_000);
-        let lanes = g.requests(3, 1, Parallelism::Serial);
-        assert_eq!(lanes.len(), 51_831);
-        assert_eq!(lanes.slot_counts(4), vec![14_244, 40, 14_231, 23_316]);
-        assert_eq!(lanes.region_counts(4), vec![13_903, 16_143, 11_898, 9_887]);
-        let arrival_sum = lanes
-            .arrival_us()
-            .iter()
-            .fold(0u64, |acc, &v| acc.wrapping_add(u64::from(v)));
-        let work_bits_sum = lanes
-            .work()
-            .iter()
-            .fold(0u64, |acc, &v| acc.wrapping_add(u64::from(v.to_bits())));
-        assert_eq!(arrival_sum, 25_846_928_413);
-        assert_eq!(work_bits_sum, 54_829_620_164_511);
-        assert_eq!(lanes.iter().next().map(|r| r.arrival_us), Some(101_212));
-        // The parent's byte-wise FNV digest of this batch; the sequence
-        // digest that replaced it must not collide with it by accident.
-        assert_ne!(lanes.digest(), 0xfc2a_7701_ab19_6518);
+        let tick = g.tick(3, 1, Parallelism::Serial);
+        assert_eq!(tick.len(), 51_831);
+        assert_eq!(tick.slot_counts(4), vec![14_244, 40, 14_231, 23_316]);
+        assert_eq!(tick.digest(), 0x9573_c86a_8196_b9a4);
     }
 
     #[test]
@@ -422,10 +321,6 @@ mod tests {
         assert_eq!(
             g.tick(1, 8, Parallelism::Serial),
             g.tick(1, 8, Parallelism::Fixed(4))
-        );
-        assert_eq!(
-            g.requests(1, 8, Parallelism::Serial),
-            g.requests(1, 8, Parallelism::Fixed(4))
         );
     }
 
@@ -466,15 +361,19 @@ mod tests {
         // magnitude; shares only approximate because of regional skew.
         assert!(counts[3] > counts[1] * 100, "{counts:?}");
         assert_eq!(total, tick.len() as u64);
-        assert_eq!(tick.region_counts(REGIONS).iter().sum::<u64>(), total);
     }
 
     #[test]
     fn arrival_offsets_stay_inside_the_tick() {
         let g = gen(MixKind::Regional, 11, 10_000);
-        let batch = g.requests(2, 8, Parallelism::Serial);
-        assert!(batch.arrival_us().iter().all(|&a| a < 1_000_000));
-        assert!(batch.work().iter().all(|&w| w >= 0.0 && w.is_finite()));
+        let shape = g.shape_at(2);
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..10_000 {
+            let (arrival_us, region, slot, work_draw) = g.draw(&mut rng, &shape);
+            assert!(arrival_us < 1_000_000);
+            assert!(usize::from(region) < REGIONS && slot < 4);
+            assert!(work_draw < 1 << 53);
+        }
     }
 
     /// `cum_pick`'s binary search against the definition it replaced
@@ -557,13 +456,18 @@ mod tests {
     #[test]
     fn ticks_just_inside_the_limits_generate() {
         let mix = TrafficMix::plan(MixKind::Steady, 1, 10.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut arrivals = |g: &TrafficGen| {
+            assert!(!g.tick(0, 1, Parallelism::Serial).is_empty());
+            let shape = g.shape_at(0);
+            (0..100)
+                .map(|_| g.draw(&mut rng, &shape).0)
+                .collect::<Vec<u32>>()
+        };
         // A 1 µs tick: every arrival offset is 0.
         let shortest = TrafficGen::new(mix.clone(), 1, 10, 1e9, 1.5e-6, &[100.0]);
-        let lanes = shortest.requests(0, 1, Parallelism::Serial);
-        assert!(!lanes.is_empty());
-        assert!(lanes.arrival_us().iter().all(|&a| a == 0));
+        assert!(arrivals(&shortest).iter().all(|&a| a == 0));
         let longest = TrafficGen::new(mix, 1, 10, 1.0, 4294.9, &[100.0]);
-        let lanes = longest.requests(0, 1, Parallelism::Serial);
-        assert!(lanes.arrival_us().iter().any(|&a| a > u32::MAX / 2));
+        assert!(arrivals(&longest).iter().any(|&a| a > u32::MAX / 2));
     }
 }

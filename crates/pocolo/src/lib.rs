@@ -84,8 +84,8 @@ pub mod prelude {
     };
     pub use pocolo_tco::{MonthlyCost, Scenario, TcoModel};
     pub use pocolo_traffic::{
-        run_traffic, MixKind, Request, RequestBatch, TickSummary, TrafficConfig, TrafficGen,
-        TrafficMix, TrafficReport, TrafficSpec,
+        run_traffic, MixKind, TickSummary, TrafficConfig, TrafficGen, TrafficMix, TrafficReport,
+        TrafficSpec,
     };
     pub use pocolo_workloads::profiler::{profile_be, profile_lc, ProfilerConfig};
     pub use pocolo_workloads::{AppId, BeApp, BeModel, LcApp, LcModel, LoadTrace};
