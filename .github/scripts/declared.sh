@@ -4,15 +4,16 @@
 #
 #   declared.sh <CHANGES.md> <name>...
 #
-# The note is the text after `re-baseline:` on the file's last line. A name
+# The note is the text after `re-baseline:` on the file's last non-blank
+# line (a trailing blank line does not hide the newest entry). A name
 # counts only as a whole word, so `traffic-loop` does not name `traffic`.
-# Prints each name left out and exits 1 if there is one, or if the last
-# line has no note at all.
+# Prints each name left out and exits 1 if there is one, or if that line
+# has no note at all.
 set -uo pipefail
 changes=$1
 shift
 
-line=$(tail -n 1 "$changes")
+line=$(grep -v '^[[:space:]]*$' "$changes" | tail -n 1)
 if [[ $line != *re-baseline:* ]]; then
   echo "the newest CHANGES.md entry has no re-baseline: note"
   exit 1

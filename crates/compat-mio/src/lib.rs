@@ -6,7 +6,8 @@
 //! polling, a cross-thread [`Waker`], and nonblocking [`net::TcpListener`]
 //! / [`net::TcpStream`] wrappers.
 //!
-//! Two backends, chosen at compile time:
+//! One backend per build, picked by `cfg` (a type alias in `sys`, no
+//! run-time dispatch):
 //!
 //! - **epoll** (Linux on x86_64/aarch64): level-triggered `epoll(7)`
 //!   driven by raw syscalls (`core::arch::asm!`), since the workspace
@@ -14,20 +15,21 @@
 //!   automatically when its event is delivered. One syscall wakes the
 //!   loop regardless of how many sources are registered — readiness
 //!   multiplexing instead of one blocked reader per fd.
-//! - **scan fallback** (everything else): a portable level-triggered
-//!   emulation that probes each registered socket with a nonblocking
-//!   `peek` on a 1 ms cadence. Listeners cannot be probed without
-//!   accepting, so they are reported ready whenever the scan returns;
-//!   callers must treat `WouldBlock` from `accept` as normal. The
-//!   fallback trades syscalls-per-wakeup for portability — it is
-//!   correct, just not fast.
+//! - **scan** (everything else): a portable level-triggered emulation
+//!   that probes each registered socket with a nonblocking `peek` on a
+//!   1 ms cadence. Listeners cannot be probed without accepting, so they
+//!   are reported ready whenever the scan returns; callers must treat
+//!   `WouldBlock` from `accept` as normal. The scan trades
+//!   syscalls-per-wakeup for portability — it is correct, just not fast.
+//!   On epoll platforms it is compiled only for its own selector-level
+//!   tests, which call every method [`Poll`] and [`Waker`] call.
 //!
 //! Deviations from upstream mio (documented, deliberate):
 //! [`net::TcpStream::connect`] performs a *blocking* `std` connect and
 //! then flips the socket nonblocking (std offers no nonblocking connect
 //! without libc); registration takes `&self` sources; and event sources
-//! are probed via [`Source`], which the fallback uses to clone a probe
-//! handle.
+//! are probed via [`Source`], which the scan backend uses to clone a
+//! probe handle.
 
 #![warn(missing_docs)]
 
@@ -172,7 +174,7 @@ pub trait Source {
     #[cfg(unix)]
     fn raw_fd(&self) -> std::os::unix::io::RawFd;
 
-    /// A cloned probe handle, used by the portable scan fallback.
+    /// A cloned probe handle, used by the portable scan backend.
     fn probe(&self) -> io::Result<sys::Probe>;
 }
 
@@ -184,18 +186,10 @@ pub struct Poll {
 }
 
 impl Poll {
-    /// A selector on the best backend for this platform.
+    /// A selector on this build's backend.
     pub fn new() -> io::Result<Poll> {
         Ok(Poll {
             sys: sys::Selector::new()?,
-        })
-    }
-
-    /// A selector forced onto the portable scan fallback. Exposed so the
-    /// fallback stays tested on platforms whose default is epoll.
-    pub fn new_fallback() -> io::Result<Poll> {
-        Ok(Poll {
-            sys: sys::Selector::new_fallback()?,
         })
     }
 
@@ -238,7 +232,7 @@ impl Poll {
 /// [`Poll`] return promptly with an event carrying the waker's token.
 #[derive(Debug)]
 pub struct Waker {
-    inner: sys::WakerImpl,
+    inner: sys::Waker,
 }
 
 impl Waker {
@@ -265,7 +259,9 @@ mod tests {
     const WAKER: Token = Token(1);
     const CONN: Token = Token(2);
 
-    fn echo_roundtrip(mut poll: Poll) {
+    #[test]
+    fn readiness_echo_default_backend() {
+        let mut poll = Poll::new().unwrap();
         let listener = net::TcpListener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
         poll.register(&listener, LISTENER, Interest::READABLE)
             .unwrap();
@@ -286,7 +282,7 @@ mod tests {
             for ev in &events {
                 match ev.token() {
                     LISTENER => {
-                        // Accept until drained; the fallback backend
+                        // Accept until drained; the scan backend
                         // reports listeners ready speculatively.
                         while let Ok((stream, _)) = listener.accept() {
                             poll.register(&stream, CONN, Interest::READABLE).unwrap();
@@ -313,16 +309,8 @@ mod tests {
     }
 
     #[test]
-    fn readiness_echo_default_backend() {
-        echo_roundtrip(Poll::new().unwrap());
-    }
-
-    #[test]
-    fn readiness_echo_fallback_backend() {
-        echo_roundtrip(Poll::new_fallback().unwrap());
-    }
-
-    fn waker_unblocks(mut poll: Poll) {
+    fn waker_unblocks_default_backend() {
+        let mut poll = Poll::new().unwrap();
         let waker = Arc::new(Waker::new(&poll, WAKER).unwrap());
         let w = Arc::clone(&waker);
         let t = std::thread::spawn(move || {
@@ -346,16 +334,6 @@ mod tests {
             events.iter().all(|e| e.token() != WAKER),
             "waker re-fired without a wake()"
         );
-    }
-
-    #[test]
-    fn waker_unblocks_default_backend() {
-        waker_unblocks(Poll::new().unwrap());
-    }
-
-    #[test]
-    fn waker_unblocks_fallback_backend() {
-        waker_unblocks(Poll::new_fallback().unwrap());
     }
 
     #[test]

@@ -1,21 +1,39 @@
-//! Backend selectors: raw-syscall epoll on Linux x86_64/aarch64, and a
-//! portable scan fallback everywhere (always compiled, reachable via
-//! `Poll::new_fallback` so it stays tested on epoll platforms).
-
-use crate::{Event, Interest, Source, Token};
-use std::io;
-use std::time::Duration;
+//! The backend, picked by `cfg`: raw-syscall epoll on Linux
+//! x86_64/aarch64, the portable scan everywhere else. Both export the
+//! same shapes — `Selector::{new, register, reregister, deregister,
+//! select, make_waker}` and `Waker::wake` — so [`crate::Poll`] and
+//! [`crate::Waker`] call whichever is compiled with no dispatch. On
+//! epoll platforms the scan is compiled for its own selector-level tests
+//! only, which call every one of those methods.
 
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-pub(crate) mod epoll;
-pub(crate) mod scan;
+mod epoll;
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+pub(crate) use epoll::{EpollSelector as Selector, EventFdWaker as Waker};
 
-/// Probe handle the scan fallback uses to test readiness without
-/// consuming data: a cloned socket it can `peek`, a listener it must
-/// report speculatively, or a source that is always ready.
+#[cfg(any(
+    test,
+    not(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))
+))]
+mod scan;
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+pub(crate) use scan::{FlagWaker as Waker, ScanSelector as Selector};
+
+/// Probe handle the scan backend uses to test readiness without
+/// consuming data: a cloned socket it can `peek`, or a listener it must
+/// report speculatively.
 #[derive(Debug)]
 pub enum Probe {
     /// A cloned, nonblocking stream socket; `peek` tests read readiness.
@@ -23,127 +41,4 @@ pub enum Probe {
     /// A listener; cannot be probed without accepting, reported ready
     /// on every scan pass (callers tolerate `WouldBlock` from accept).
     Listener,
-    /// Always reported ready for the registered interest.
-    Always,
-}
-
-#[derive(Debug)]
-pub(crate) enum Selector {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Epoll(epoll::EpollSelector),
-    Scan(scan::ScanSelector),
-}
-
-#[derive(Debug)]
-pub(crate) enum WakerImpl {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Epoll(epoll::EventFdWaker),
-    Scan(scan::FlagWaker),
-}
-
-impl WakerImpl {
-    pub(crate) fn wake(&self) -> io::Result<()> {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            WakerImpl::Epoll(w) => w.wake(),
-            WakerImpl::Scan(w) => w.wake(),
-        }
-    }
-}
-
-impl Selector {
-    pub(crate) fn new() -> io::Result<Selector> {
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        {
-            return Ok(Selector::Epoll(epoll::EpollSelector::new()?));
-        }
-        #[allow(unreachable_code)]
-        Self::new_fallback()
-    }
-
-    pub(crate) fn new_fallback() -> io::Result<Selector> {
-        Ok(Selector::Scan(scan::ScanSelector::new()))
-    }
-
-    pub(crate) fn register<S: Source>(
-        &self,
-        source: &S,
-        token: Token,
-        interest: Interest,
-    ) -> io::Result<()> {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Selector::Epoll(s) => s.register(source.raw_fd(), token, interest),
-            Selector::Scan(s) => s.register(source.probe()?, token, interest),
-        }
-    }
-
-    pub(crate) fn reregister<S: Source>(
-        &self,
-        source: &S,
-        token: Token,
-        interest: Interest,
-    ) -> io::Result<()> {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Selector::Epoll(s) => s.reregister(source.raw_fd(), token, interest),
-            Selector::Scan(s) => s.reregister(token, interest),
-        }
-    }
-
-    pub(crate) fn deregister<S: Source>(&self, source: &S, token: Token) -> io::Result<()> {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Selector::Epoll(s) => s.deregister(source.raw_fd(), token),
-            Selector::Scan(s) => s.deregister(token),
-        }
-    }
-
-    pub(crate) fn select(
-        &self,
-        events: &mut Vec<Event>,
-        cap: usize,
-        timeout: Option<Duration>,
-    ) -> io::Result<()> {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Selector::Epoll(s) => s.select(events, cap, timeout),
-            Selector::Scan(s) => s.select(events, cap, timeout),
-        }
-    }
-
-    pub(crate) fn make_waker(&self, token: Token) -> io::Result<WakerImpl> {
-        match self {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Selector::Epoll(s) => Ok(WakerImpl::Epoll(s.make_waker(token)?)),
-            Selector::Scan(s) => Ok(WakerImpl::Scan(s.make_waker(token))),
-        }
-    }
 }

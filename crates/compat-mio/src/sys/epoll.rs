@@ -8,7 +8,7 @@
 //! `struct epoll_event` is packed (12 bytes) on x86_64 and naturally
 //! aligned (16 bytes) everywhere else.
 
-use crate::{Event, Interest, Token};
+use crate::{Event, Interest, Source, Token};
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
@@ -183,16 +183,28 @@ impl EpollSelector {
         Ok(())
     }
 
-    pub(crate) fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, interest_mask(interest), token.0)
+    pub(crate) fn register(
+        &self,
+        source: &impl Source,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
+        let mask = interest_mask(interest);
+        self.ctl(EPOLL_CTL_ADD, source.raw_fd(), mask, token.0)
     }
 
-    pub(crate) fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, interest_mask(interest), token.0)
+    pub(crate) fn reregister(
+        &self,
+        source: &impl Source,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
+        let mask = interest_mask(interest);
+        self.ctl(EPOLL_CTL_MOD, source.raw_fd(), mask, token.0)
     }
 
-    pub(crate) fn deregister(&self, fd: RawFd, _token: Token) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
+    pub(crate) fn deregister(&self, source: &impl Source, _token: Token) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_DEL, source.raw_fd(), 0, 0)
     }
 
     pub(crate) fn select(

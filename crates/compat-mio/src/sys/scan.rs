@@ -1,4 +1,4 @@
-//! Portable readiness fallback: no OS selector, just a bounded scan
+//! Portable readiness backend: no OS selector, just a bounded scan
 //! loop over cloned probe handles.
 //!
 //! Semantics (level-triggered, conservative):
@@ -10,7 +10,7 @@
 //! - wakers are shared `AtomicBool`s checked each pass, so wake latency
 //!   is bounded by the 1 ms scan slice rather than being instantaneous.
 
-use crate::{Event, Interest, Token};
+use crate::{Event, Interest, Source, Token};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,16 +40,17 @@ pub(crate) struct ScanSelector {
 }
 
 impl ScanSelector {
-    pub(crate) fn new() -> ScanSelector {
-        ScanSelector::default()
+    pub(crate) fn new() -> io::Result<ScanSelector> {
+        Ok(ScanSelector::default())
     }
 
     pub(crate) fn register(
         &self,
-        probe: Probe,
+        source: &impl Source,
         token: Token,
         interest: Interest,
     ) -> io::Result<()> {
+        let probe = source.probe()?;
         let mut st = self.state.lock().unwrap();
         if st
             .sources
@@ -64,7 +65,12 @@ impl ScanSelector {
         Ok(())
     }
 
-    pub(crate) fn reregister(&self, token: Token, interest: Interest) -> io::Result<()> {
+    pub(crate) fn reregister(
+        &self,
+        _source: &impl Source,
+        token: Token,
+        interest: Interest,
+    ) -> io::Result<()> {
         let mut st = self.state.lock().unwrap();
         match st.sources.get_mut(&token.0) {
             Some(entry) => {
@@ -78,7 +84,7 @@ impl ScanSelector {
         }
     }
 
-    pub(crate) fn deregister(&self, token: Token) -> io::Result<()> {
+    pub(crate) fn deregister(&self, _source: &impl Source, token: Token) -> io::Result<()> {
         let mut st = self.state.lock().unwrap();
         match st.sources.remove(&token.0) {
             Some(_) => Ok(()),
@@ -89,14 +95,14 @@ impl ScanSelector {
         }
     }
 
-    pub(crate) fn make_waker(&self, token: Token) -> FlagWaker {
+    pub(crate) fn make_waker(&self, token: Token) -> io::Result<FlagWaker> {
         let flag = Arc::new(AtomicBool::new(false));
         self.state
             .lock()
             .unwrap()
             .wakers
             .push((token.0, Arc::clone(&flag)));
-        FlagWaker { flag }
+        Ok(FlagWaker { flag })
     }
 
     pub(crate) fn select(
@@ -110,9 +116,9 @@ impl ScanSelector {
             let mut listener_tokens = Vec::new();
             {
                 let st = self.state.lock().unwrap();
-                for (&token, flag) in st.wakers.iter().map(|(t, f)| (t, f)) {
+                for (token, flag) in &st.wakers {
                     if flag.swap(false, Ordering::AcqRel) {
-                        events.push(Event::new(Token(token), true, false, false, false));
+                        events.push(Event::new(Token(*token), true, false, false, false));
                     }
                 }
                 for (&token, entry) in &st.sources {
@@ -151,15 +157,6 @@ impl ScanSelector {
                             }
                         }
                         Probe::Listener => listener_tokens.push((token, entry.interest)),
-                        Probe::Always => {
-                            events.push(Event::new(
-                                Token(token),
-                                entry.interest.is_readable(),
-                                entry.interest.is_writable(),
-                                false,
-                                false,
-                            ));
-                        }
                     }
                 }
             }
@@ -198,5 +195,67 @@ impl FlagWaker {
     pub(crate) fn wake(&self) -> io::Result<()> {
         self.flag.store(true, Ordering::Release);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net;
+    use std::io::Write;
+
+    const LISTENER: Token = Token(0);
+    const CONN: Token = Token(1);
+    const WAKER: Token = Token(2);
+
+    fn select(sel: &ScanSelector, timeout_ms: u64) -> Vec<Event> {
+        let (mut events, timeout) = (Vec::new(), Duration::from_millis(timeout_ms));
+        sel.select(&mut events, 8, Some(timeout)).unwrap();
+        events
+    }
+
+    #[test]
+    fn listener_and_reregistered_stream_report_readiness() {
+        let sel = ScanSelector::new().unwrap();
+        let listener = net::TcpListener::bind("127.0.0.1:0".parse().unwrap()).unwrap();
+        sel.register(&listener, LISTENER, Interest::READABLE)
+            .unwrap();
+        // Nothing is pending, yet the listener rides along speculatively.
+        let events = select(&sel, 5);
+        assert!(events
+            .iter()
+            .any(|e| e.token() == LISTENER && e.is_readable()));
+        sel.deregister(&listener, LISTENER).unwrap();
+
+        let far = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = net::TcpStream::connect(far.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = far.accept().unwrap();
+        sel.register(&conn, CONN, Interest::WRITABLE).unwrap();
+        peer.write_all(b"ping").unwrap();
+        let only = |events: Vec<Event>| match events[..] {
+            [e] if e.token() == CONN => e,
+            _ => panic!("expected one event for the stream: {events:?}"),
+        };
+        let writable = only(select(&sel, 5));
+        assert!(writable.is_writable() && !writable.is_readable());
+        sel.reregister(&conn, CONN, Interest::READABLE).unwrap();
+        let readable = only(select(&sel, 5_000));
+        assert!(readable.is_readable() && !readable.is_writable());
+
+        sel.deregister(&conn, CONN).unwrap();
+        let again = sel.deregister(&conn, CONN).unwrap_err();
+        assert_eq!(again.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_woken_flag_waker_fires_exactly_once() {
+        let sel = ScanSelector::new().unwrap();
+        let waker = sel.make_waker(WAKER).unwrap();
+        waker.wake().unwrap();
+        waker.wake().unwrap();
+        let woken = select(&sel, 1_000);
+        assert_eq!(woken.len(), 1);
+        assert!(woken[0].token() == WAKER && woken[0].is_readable());
+        assert!(select(&sel, 5).is_empty(), "a drained waker re-fired");
     }
 }

@@ -163,10 +163,10 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, NetError> {
             epochs += 1;
             match exchange(&mut client, config, &telemetry) {
                 Ok(Message::TelemetryAck { cap_factor }) => {
-                    // Budget push is opt-in: parity runs carry the cap
-                    // schedule inside the fault timeline instead, at
-                    // exact event times.
-                    if run.push_budget && cap_factor != last_cap_factor {
+                    // Parity runs never move the directive off 1.0: their
+                    // caps come from the fault timeline, at exact event
+                    // times.
+                    if cap_factor != last_cap_factor {
                         sim.apply_fault(&ServerFaultAction::SetCapFactor(cap_factor), now_s);
                         last_cap_factor = cap_factor;
                     }
@@ -218,6 +218,60 @@ pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterConfig, Clusterd};
+    use crate::wire::RunSpec;
+    use pocolo_cluster::Solver;
+    use pocolo_sim::experiment::{run_experiment_with, ExperimentConfig};
+    use pocolo_sim::Policy;
+
+    #[test]
+    fn the_acked_directive_reaches_every_slot() {
+        let config = ExperimentConfig {
+            dwell_s: 2.0,
+            seed: 1,
+            ..ExperimentConfig::default()
+        };
+        let policy = Policy::Pocolo {
+            solver: Solver::Hungarian,
+        };
+        let run = RunSpec::plan(policy, &config, default_fit());
+        let (listen, n) = ("127.0.0.1:0".parse().unwrap(), run.n_servers());
+        let mut clusterd =
+            Clusterd::spawn(ClusterConfig::new(listen, Duration::from_secs(5), run)).unwrap();
+        // Set before any agent registers: every slot's first ack carries it.
+        clusterd.set_cap_factor(0.6);
+        let addr = clusterd.local_addr();
+        let agents: Vec<_> = (0..n)
+            .map(|i| {
+                std::thread::spawn(move || run_agent(&AgentConfig::new(addr, format!("a{i}"))))
+            })
+            .collect();
+        for agent in agents {
+            assert!(agent.join().unwrap().unwrap().completed);
+        }
+        assert!(clusterd.wait_done(Duration::from_secs(60)));
+        let directed = clusterd.result().expect("every slot delivered its metrics");
+        clusterd.shutdown();
+        // Without the directive the wire run is the in-process engine's
+        // (the wire parity tests pin that).
+        assert_ne!(
+            directed,
+            run_experiment_with(policy, &config, default_fit())
+        );
+        // A factor below 1.0 is a fault window for the slot.
+        assert!(directed
+            .pairs
+            .iter()
+            .all(|p| p.metrics.fault_time_s() > 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cap factor must be in (0, 1], got 1.5")]
+    fn the_daemon_refuses_a_directive_outside_the_unit_interval() {
+        let listen = "127.0.0.1:0".parse().unwrap();
+        let config = ClusterConfig::new(listen, Duration::from_secs(5), RunSpec::scale(1, 0));
+        Clusterd::spawn(config).unwrap().set_cap_factor(1.5);
+    }
 
     #[test]
     fn retry_seeds_differ_per_identity() {

@@ -484,8 +484,17 @@ impl Clusterd {
         self.server.open_connections()
     }
 
-    /// Sets the live budget directive broadcast on telemetry acks.
+    /// Sets the live budget directive broadcast on telemetry acks; every
+    /// agent applies it to its slot from its next ack on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap_factor` is outside `(0, 1]`, the range agents accept.
     pub fn set_cap_factor(&self, cap_factor: f64) {
+        assert!(
+            cap_factor > 0.0 && cap_factor <= 1.0,
+            "cap factor must be in (0, 1], got {cap_factor}"
+        );
         self.registry.lock().cap_factor = cap_factor;
     }
 
@@ -559,8 +568,6 @@ impl Clusterd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocolo_cluster::Solver;
-    use pocolo_workloads::BeApp;
 
     fn registry4() -> Registry {
         Registry::new(4)
@@ -708,22 +715,6 @@ mod tests {
         }
     }
 
-    fn tiny_run() -> RunSpec {
-        RunSpec {
-            policy: Policy::Pocolo {
-                solver: Solver::Hungarian,
-            },
-            lc: vec!["img-dnn".into(), "sphinx".into()],
-            placement: vec![BeApp::Lstm, BeApp::Graph],
-            ranks: vec![1, 0],
-            dwell_s: 3.0,
-            seed: 0xC0C0,
-            faults: None,
-            resilience: true,
-            push_budget: false,
-        }
-    }
-
     #[test]
     fn complete_for_an_unclaimed_slot_is_rejected_over_the_wire() {
         use crate::client::RpcClient;
@@ -732,7 +723,7 @@ mod tests {
         let mut clusterd = Clusterd::spawn(ClusterConfig::new(
             "127.0.0.1:0".parse().unwrap(),
             Duration::from_secs(5),
-            tiny_run(),
+            RunSpec::scale(2, 0xC0C0),
         ))
         .unwrap();
         let mut retry = RetryPolicy::reconnect(1);
@@ -773,7 +764,7 @@ mod tests {
 
     #[test]
     fn welcome_splice_is_byte_identical_to_the_generic_encoder() {
-        let run = tiny_run();
+        let run = RunSpec::scale(2, 0xC0C0);
         let cache = WelcomeCache::new(&run);
         for (server, degraded) in [(0, false), (1, true), (999_983, false), (5000, true)] {
             let generic = Message::Welcome {

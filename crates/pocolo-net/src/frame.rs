@@ -100,30 +100,13 @@ impl FrameBuffer {
     /// length prefix itself is invalid and byte sync is unrecoverable.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Decoded>, NetError> {
-        let pending = &self.buf[self.head..];
-        if pending.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(NetError::Frame(format!(
-                "incoming frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-            )));
-        }
-        if pending.len() < 4 + len {
-            return Ok(None);
-        }
-        let payload = &pending[4..4 + len];
-        let decoded = match std::str::from_utf8(payload) {
+        self.pop(|payload| match std::str::from_utf8(payload) {
             Ok(text) => match pocolo_json::from_str(text) {
                 Ok(value) => Decoded::Frame(value),
                 Err(e) => Decoded::Corrupt(format!("bad frame: {e}")),
             },
             Err(_) => Decoded::Corrupt("bad frame: frame payload is not UTF-8".into()),
-        };
-        self.head += 4 + len;
-        self.compact();
-        Ok(Some(decoded))
+        })
     }
 
     /// Pops the next complete frame as raw payload bytes, skipping JSON
@@ -131,23 +114,24 @@ impl FrameBuffer {
     /// textually (e.g. the swarm driver's welcome prefix scan); the
     /// length-prefix cap is still enforced.
     pub fn next_raw(&mut self) -> Result<Option<Vec<u8>>, NetError> {
+        self.pop(<[u8]>::to_vec)
+    }
+
+    /// Hands the next complete payload, in place, to `read`, then
+    /// consumes its frame.
+    fn pop<T>(&mut self, read: impl FnOnce(&[u8]) -> T) -> Result<Option<T>, NetError> {
         let pending = &self.buf[self.head..];
-        if pending.len() < 4 {
+        let Some(&prefix) = pending.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(NetError::Frame(format!(
-                "incoming frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-            )));
-        }
-        if pending.len() < 4 + len {
+        };
+        let len = payload_len(prefix)?;
+        let Some(payload) = pending.get(4..4 + len) else {
             return Ok(None);
-        }
-        let payload = pending[4..4 + len].to_vec();
+        };
+        let out = read(payload);
         self.head += 4 + len;
         self.compact();
-        Ok(Some(payload))
+        Ok(Some(out))
     }
 
     /// Reclaims consumed prefix space once it dominates the buffer.
@@ -159,8 +143,21 @@ impl FrameBuffer {
     }
 }
 
-/// Encodes one frame (length prefix + compact JSON) into owned bytes,
-/// ready for a nonblocking outbound queue.
+/// The payload length a frame's prefix announces, refused past
+/// [`MAX_FRAME_BYTES`] before anything is allocated for it.
+pub(crate) fn payload_len(prefix: [u8; 4]) -> Result<usize, NetError> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(NetError::Frame(format!(
+            "incoming frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )));
+    }
+    Ok(len)
+}
+
+/// Encodes one frame (length prefix + compact JSON) into owned bytes:
+/// what [`crate::wire::write_frame`] writes and what a nonblocking
+/// outbound queue holds.
 pub fn encode_frame(payload: &Value) -> Result<Vec<u8>, NetError> {
     encode_frame_str(&payload.to_compact_string())
 }
@@ -273,18 +270,48 @@ mod tests {
 
     #[test]
     fn oversized_prefix_is_fatal() {
+        // One length rule: the blocking reader and both pops refuse the
+        // first prefix past the cap in the same words.
+        let prefix = (MAX_FRAME_BYTES as u32 + 1).to_be_bytes();
         let mut fb = FrameBuffer::new();
-        fb.extend(&u32::MAX.to_be_bytes());
-        assert!(matches!(fb.next(), Err(NetError::Frame(_))));
+        fb.extend(&prefix);
+        let errors = [
+            read_frame(&mut &prefix[..]).unwrap_err(),
+            fb.next().unwrap_err(),
+            fb.next_raw().unwrap_err(),
+        ];
+        for e in errors.map(|e| e.to_string()) {
+            assert!(e.starts_with("bad frame: incoming frame of 4194305 bytes "));
+            assert!(e.ends_with(" the 4194304-byte cap"), "{e}");
+        }
+        // The cap itself is still a frame: its prefix waits for the body.
+        let mut fb = FrameBuffer::new();
+        fb.extend(&(MAX_FRAME_BYTES as u32).to_be_bytes());
+        assert!(fb.next().unwrap().is_none() && fb.next_raw().unwrap().is_none());
     }
 
     #[test]
     fn encode_matches_write_frame() {
+        /// Records every `write` call it receives.
+        #[derive(Default)]
+        struct Counting(Vec<Vec<u8>>);
+        impl std::io::Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
         let v = Message::TelemetryAck { cap_factor: 0.875 }.to_value();
-        let mut blocking = Vec::new();
-        write_frame(&mut blocking, &v).unwrap();
-        assert_eq!(encode_frame(&v).unwrap(), blocking);
-        assert_eq!(encode_frame_str(&v.to_compact_string()).unwrap(), blocking);
+        let mut writes = Counting::default();
+        write_frame(&mut writes, &v).unwrap();
+        assert_eq!(writes.0, [encode_frame(&v).unwrap()], "one write a frame");
+        assert_eq!(
+            encode_frame_str(&v.to_compact_string()).unwrap(),
+            writes.0[0]
+        );
     }
 
     proptest! {

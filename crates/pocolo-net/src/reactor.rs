@@ -13,7 +13,7 @@
 //!   batches telemetry acks), and `WRITABLE` interest is registered only
 //!   while bytes are actually pending;
 //! - **backpressure** is a hard bound — a connection whose outbound
-//!   queue exceeds the high-water mark is disconnected with
+//!   queue outgrows the high-water mark is disconnected with
 //!   [`DisconnectReason::SlowConsumer`] so a slow agent can never grow an
 //!   unbounded buffer (the cluster layer turns this into a degraded
 //!   slot);

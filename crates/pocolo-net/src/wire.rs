@@ -18,6 +18,7 @@ use pocolo_sim::{Policy, RunPlan, ServerMetrics, SlotSpec, CAPPER_PERIOD_S, METE
 use pocolo_workloads::{BeApp, LoadTrace};
 
 use crate::error::NetError;
+use crate::frame::{encode_frame, payload_len};
 
 /// Protocol version carried in every envelope.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -26,33 +27,19 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// allocation — a garbage length prefix must not OOM the daemon.
 pub const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 
-/// Writes one frame: `u32` big-endian length, then compact JSON.
+/// Writes one frame: `u32` big-endian length, then compact JSON — the
+/// bytes of [`encode_frame`], in one write, then a flush.
 pub fn write_frame(w: &mut impl Write, payload: &Value) -> Result<(), NetError> {
-    let body = payload.to_compact_string();
-    let bytes = body.as_bytes();
-    if bytes.len() > MAX_FRAME_BYTES {
-        return Err(NetError::Frame(format!(
-            "outgoing frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-            bytes.len()
-        )));
-    }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    w.write_all(&encode_frame(payload)?)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one frame, enforcing the size cap before allocating.
 pub fn read_frame(r: &mut impl Read) -> Result<Value, NetError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(NetError::Frame(format!(
-            "incoming frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let mut buf = vec![0u8; len];
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let mut buf = vec![0u8; payload_len(prefix)?];
     r.read_exact(&mut buf)?;
     let text = std::str::from_utf8(&buf)
         .map_err(|_| NetError::Frame("frame payload is not UTF-8".into()))?;
@@ -87,10 +74,6 @@ pub struct RunSpec {
     pub faults: Option<FaultSpec>,
     /// Whether the degraded-mode response is armed.
     pub resilience: bool,
-    /// When true, agents apply the `cap_factor` from telemetry acks as a
-    /// live budget directive. Parity runs leave this off: the fault
-    /// scenario already carries the cap schedule at exact event times.
-    pub push_budget: bool,
 }
 
 impl RunSpec {
@@ -113,7 +96,6 @@ impl RunSpec {
             seed: config.seed,
             faults: config.faults,
             resilience: config.resilience,
-            push_budget: false,
         }
     }
 
@@ -165,7 +147,6 @@ impl RunSpec {
             seed,
             faults: None,
             resilience: true,
-            push_budget: false,
         }
     }
 
@@ -206,7 +187,6 @@ impl ToJson for RunSpec {
             "seed": self.seed,
             "faults": self.faults.map(|f| f.to_string()),
             "resilience": self.resilience,
-            "push_budget": self.push_budget,
         })
     }
 }
@@ -242,7 +222,6 @@ impl FromJson for RunSpec {
             seed: v.field("seed")?,
             faults,
             resilience: v.field("resilience")?,
-            push_budget: v.field("push_budget")?,
         };
         let n = spec.n_servers();
         for (key, len) in [("lc", spec.lc.len()), ("ranks", spec.ranks.len())] {
@@ -298,7 +277,8 @@ pub enum Message {
     /// Telemetry acknowledgement carrying the current budget directive.
     TelemetryAck {
         /// Effective-cap factor the slot should run under (1.0 = the
-        /// provisioned cap). Advisory unless the run pushes budgets.
+        /// provisioned cap), in `(0, 1]`. Agents apply it whenever it
+        /// changes.
         cap_factor: f64,
     },
     /// Final per-slot metrics.
@@ -490,9 +470,16 @@ impl FromJson for Message {
                 slack: v.field("slack")?,
                 be_throughput: v.field("be_throughput")?,
             },
-            "telemetry_ack" => Message::TelemetryAck {
-                cap_factor: v.field("cap_factor")?,
-            },
+            "telemetry_ack" => {
+                let cap_factor: f64 = v.field("cap_factor")?;
+                // The agent obeys this directive: refuse what it would
+                // otherwise clamp silently.
+                if !(cap_factor > 0.0 && cap_factor <= 1.0) {
+                    let e = JsonError::new(format!("must be in (0, 1], got {cap_factor}"));
+                    return Err(e.within("cap_factor"));
+                }
+                Message::TelemetryAck { cap_factor }
+            }
             "complete" => Message::Complete {
                 server: v.field("server")?,
                 metrics: v.field("metrics")?,
@@ -546,7 +533,6 @@ mod tests {
                 seed: Some(5),
             }),
             resilience: true,
-            push_budget: false,
         }
     }
 
@@ -585,7 +571,6 @@ mod tests {
                         seed: pocolo_json::EXACT_INT_LIMIT - 1,
                     },
                     faults: None,
-                    push_budget: true,
                     ..spec()
                 }),
             },
@@ -655,8 +640,8 @@ mod tests {
         let bytes = [
             r#"{"v":1,"type":"register","agent":"agent-3"}"#,
             r#"{"v":1,"type":"register","agent":"agent-4","class":"stepcell"}"#,
-            r#"{"v":1,"type":"welcome","server":2,"degraded":true,"run":{"policy":{"kind":"pocolo","solver":"hungarian"},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":"brownout:5","resilience":true,"push_budget":false}}"#,
-            r#"{"v":1,"type":"welcome","server":0,"degraded":false,"run":{"policy":{"kind":"random","seed":9007199254740991},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":null,"resilience":true,"push_budget":true}}"#,
+            r#"{"v":1,"type":"welcome","server":2,"degraded":true,"run":{"policy":{"kind":"pocolo","solver":"hungarian"},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":"brownout:5","resilience":true}}"#,
+            r#"{"v":1,"type":"welcome","server":0,"degraded":false,"run":{"policy":{"kind":"random","seed":9007199254740991},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":null,"resilience":true}}"#,
             r#"{"v":1,"type":"telemetry","server":1,"epoch":42,"t_s":42,"power_w":87.5,"slack":-0.125,"be_throughput":0.5}"#,
             r#"{"v":1,"type":"telemetry_ack","cap_factor":0.6}"#,
             r#"{"v":1,"type":"complete","server":3,"metrics":{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}}"#,
@@ -767,6 +752,19 @@ mod tests {
             Err(NetError::Protocol(m)) => assert!(m.starts_with("run.seed: "), "{m}"),
             other => panic!("a seed past 2^53 must be refused, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_cap_factor_outside_the_unit_interval_is_refused() {
+        let ack = |f: f64| json!({"v": PROTOCOL_VERSION, "type": "telemetry_ack", "cap_factor": f});
+        for f in [0.0, -0.5, 7.5] {
+            let e = Message::from_value(&ack(f)).unwrap_err().to_string();
+            assert!(
+                e.contains(&format!("cap_factor: must be in (0, 1], got {f}")),
+                "{e}"
+            );
+        }
+        assert!(Message::from_value(&ack(1.0)).is_ok());
     }
 
     #[test]

@@ -29,9 +29,10 @@ use pocolo_core::digest::{fnv1a_word, FNV_OFFSET};
 use pocolo_core::fit::{FitOptions, OnlineFitter, ProfileSample};
 use pocolo_core::units::Watts;
 use pocolo_core::utility::IndirectUtility;
-use pocolo_faults::{FaultEvent, FaultKind, FaultSpec, Scenario};
+use pocolo_faults::{FaultKind, FaultSpec, Scenario};
 use pocolo_sim::experiment::FittedCluster;
 use pocolo_sim::parallel::Parallelism;
+use pocolo_sim::{FaultTimeline, ServerFaultAction, ServerFaultEvent};
 use pocolo_simserver::power::PowerDrawModel;
 use pocolo_simserver::TenantAllocation;
 use pocolo_workloads::profiler::ProfilerConfig;
@@ -186,17 +187,17 @@ pocolo_json::impl_to_json!(TrafficReport {
 
 /// One LC slot's mutable loop state.
 struct SlotState {
-    app: String,
+    /// What the run reports for the slot, accumulated in place.
+    report: SlotReport,
     truth: LcModel,
     utility: IndirectUtility,
     fitter: OnlineFitter,
     queue: Mm1Queue,
+    /// Brownout factor on the provisioned cap, 1.0 outside brownouts.
+    cap_factor: f64,
     fault_drift: f64,
-    requests: u64,
-    violations: u64,
-    worst_p99_ms: f64,
-    cores: u32,
-    ways: u32,
+    /// This slot's fault-timeline actions applied so far.
+    faults_applied: usize,
 }
 
 /// Runs the traffic engine end to end.
@@ -238,16 +239,14 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
     let mut mgr = ClusterManager::new(fitted.be_profiles(), fitted.server_profiles());
     let mut plan = mgr.plan_sparse(1e-3).expect("in-tree fleet is placeable");
 
-    let fault_events = config
-        .faults
-        .as_ref()
-        .map(|fs| {
-            fs.scenario
-                .plan(fs.seed.unwrap_or(config.seed), duration_s, peaks.len())
-                .events()
-                .to_vec()
-        })
-        .unwrap_or_default();
+    // The simulator's per-slot fault timeline, on a continuous-power fleet.
+    let n = peaks.len();
+    let timeline = config.faults.map_or(FaultTimeline::empty(n), |fs| {
+        let plan = fs
+            .scenario
+            .plan(fs.seed.unwrap_or(config.seed), duration_s, n);
+        FaultTimeline::compile_with_curves(&plan, n, |_, f| f)
+    });
 
     let options = FitOptions {
         min_latency_slack: ONLINE_SLACK_FLOOR,
@@ -259,17 +258,21 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
         .map(|(app, truth, utility)| {
             let full = TenantAllocation::from_counts(&machine, machine.cores(), machine.llc_ways());
             SlotState {
-                app: app.name().to_string(),
+                report: SlotReport {
+                    app: app.name().to_string(),
+                    requests: 0,
+                    violations: 0,
+                    worst_p99_ms: 0.0,
+                    cores: machine.cores(),
+                    ways: machine.llc_ways(),
+                },
                 truth: truth.clone(),
                 utility: utility.clone(),
                 fitter: OnlineFitter::new(space.clone(), options.clone(), 24, 3),
                 queue: Mm1Queue::new(truth.capacity_rps(&full), 0),
+                cap_factor: 1.0,
                 fault_drift: 0.0,
-                requests: 0,
-                violations: 0,
-                worst_p99_ms: 0.0,
-                cores: machine.cores(),
-                ways: machine.llc_ways(),
+                faults_applied: 0,
             }
         })
         .collect();
@@ -295,12 +298,11 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
         total_requests += summary.len() as u64;
         let counts = summary.slot_counts(slots.len());
 
-        let cap_factor = cap_factor_at(&fault_events, t);
-        apply_fault_drift(&fault_events, t, config.tick_s, &mut slots);
-
         for (i, slot) in slots.iter_mut().enumerate() {
+            slot.apply_faults(timeline.server_events(i), t);
+            let cap_factor = slot.cap_factor;
             let count = counts[i];
-            slot.requests += count;
+            slot.report.requests += count;
             let load_rps = count as f64 * scale / config.tick_s;
 
             // Allocate what the current model demands within the budget.
@@ -316,8 +318,8 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
             cores = (cores + dc).clamp(1, i64::from(machine.cores()));
             ways = (ways + dw).clamp(1, i64::from(machine.llc_ways()));
             let alloc = TenantAllocation::from_counts(&machine, cores as u32, ways as u32);
-            slot.cores = cores as u32;
-            slot.ways = ways as u32;
+            slot.report.cores = cores as u32;
+            slot.report.ways = ways as u32;
 
             // Ground truth under drift: flash-crowd traffic is
             // cache-hungrier, so effective capacity gains a ways^drift
@@ -331,9 +333,9 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
             let stats = slot.queue.step_batch(arrivals, config.tick_s);
             let p99_ms = stats.p99 * 1e3;
             let slo_ms = slot.truth.slo_p99_ms();
-            slot.worst_p99_ms = slot.worst_p99_ms.max(p99_ms);
+            slot.report.worst_p99_ms = slot.report.worst_p99_ms.max(p99_ms);
             if p99_ms > slo_ms {
-                slot.violations += count;
+                slot.report.violations += count;
                 violating_requests += count;
             }
 
@@ -391,24 +393,15 @@ pub fn run_traffic(config: &TrafficConfig) -> TrafficReport {
         refits,
         replans,
         migrations,
-        slots: slots
-            .into_iter()
-            .map(|s| SlotReport {
-                app: s.app,
-                requests: s.requests,
-                violations: s.violations,
-                worst_p99_ms: s.worst_p99_ms,
-                cores: s.cores,
-                ways: s.ways,
-            })
-            .collect(),
+        slots: slots.into_iter().map(|s| s.report).collect(),
         gen_seconds,
     }
 }
 
 /// The faults of `scenario` the loop cannot play, by name, in the order
-/// they first fire; empty when it injects only what the loop interprets:
-/// brownouts (`cap_factor_at`) and model drift (`apply_fault_drift`).
+/// they first fire; empty when it injects only what the loop interprets
+/// from the simulator's per-slot fault timeline: brownouts and model
+/// drift.
 /// The loop has no server to take down and no telemetry path to freeze,
 /// so a crash or a dropout would be dropped without a word. Which kinds a
 /// scenario injects does not depend on its seed, duration or fleet size.
@@ -431,41 +424,20 @@ pub fn unmodelled_faults(scenario: Scenario) -> Vec<&'static str> {
     names
 }
 
-/// The brownout cap factor in force at time `t` (1.0 outside brownouts).
-fn cap_factor_at(events: &[FaultEvent], t: f64) -> f64 {
-    let mut factor = 1.0;
-    for e in events {
-        if e.at_s > t {
-            break;
-        }
-        match e.kind {
-            FaultKind::BrownoutStart { cap_factor } => factor = cap_factor,
-            FaultKind::BrownoutEnd => factor = 1.0,
-            _ => {}
-        }
-    }
-    factor
-}
-
-/// Applies model-drift events that fire within this tick to the slots they
-/// target (a `None` server drifts the whole fleet).
-fn apply_fault_drift(events: &[FaultEvent], t: f64, tick_s: f64, slots: &mut [SlotState]) {
-    for e in events {
-        if e.at_s <= t && e.at_s > t - tick_s {
-            if let FaultKind::ModelDrift { server, rel, .. } = e.kind {
-                match server {
-                    Some(i) => {
-                        if let Some(slot) = slots.get_mut(i) {
-                            slot.fault_drift += rel;
-                        }
-                    }
-                    None => {
-                        for slot in slots.iter_mut() {
-                            slot.fault_drift += rel;
-                        }
-                    }
-                }
+impl SlotState {
+    /// Applies this slot's timeline actions up to time `t`, in order: a
+    /// brownout step sets the cap factor, a drift adds to the model drift.
+    fn apply_faults(&mut self, events: &[ServerFaultEvent], t: f64) {
+        for event in &events[self.faults_applied..] {
+            if event.at_s > t {
+                break;
             }
+            match event.action {
+                ServerFaultAction::SetCapFactor(factor) => self.cap_factor = factor,
+                ServerFaultAction::DriftModel { rel, .. } => self.fault_drift += rel,
+                ref other => unreachable!("{other:?} is refused by unmodelled_faults"),
+            }
+            self.faults_applied += 1;
         }
     }
 }

@@ -1,132 +1,14 @@
-//! Request-level queueing simulation and the per-tick queue law.
+//! The per-tick queue law a traffic engine steps.
 //!
 //! [`LcModel`](crate::lc::LcModel) uses the M/M/1 closed form `p99(ρ) = p99(0)/(1−ρ)`.
-//! [`Mm1Sim`] simulates an actual FIFO queue at the request level
-//! (Poisson arrivals, exponential service, Lindley's recursion) and
-//! measures tail latency exactly over the responses it simulated
-//! ([`WindowStats::from_samples`]), so tests can confirm the analytic
-//! blow-up shape instead of assuming it.
-//!
 //! [`Mm1Queue`] is what a traffic engine steps once per slot and tick: the
 //! same M/M/1 closed form, capped at the load whose relaxation time fits
 //! in the tick, plus the fluid limit of the Lindley recursion for the
-//! backlog carried between ticks. It is O(1) a tick and draws nothing;
-//! its tests check it against the request-level recursion it replaced.
-
-use pocolo_simserver::telemetry::WindowStats;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Measured latency statistics from a simulation run, in the same time
-/// unit as the service rate's inverse.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyStats {
-    /// Number of simulated requests.
-    pub requests: usize,
-    /// Mean response time.
-    pub mean: f64,
-    /// Median response time.
-    pub p50: f64,
-    /// 95th percentile response time.
-    pub p95: f64,
-    /// 99th percentile response time.
-    pub p99: f64,
-    /// Measured server utilization (busy fraction).
-    pub utilization: f64,
-}
-
-/// An M/M/1 FIFO queue simulated at the request level.
-///
-/// The simulation is **deterministic in the seed**: two sims built with
-/// the same `(service_rate, seed)` produce bit-identical statistics for
-/// the same `run` arguments, so measured latencies are reproducible
-/// across runs, threads and machines.
-///
-/// ```
-/// use pocolo_workloads::reqsim::Mm1Sim;
-/// let sim = Mm1Sim::new(1000.0, 7); // 1000 req/s service rate
-/// let stats = sim.run(500.0, 50_000); // offered load 500 req/s (ρ = 0.5)
-/// // M/M/1: mean response = 1/(μ−λ) = 2 ms.
-/// assert!((stats.mean - 0.002).abs() < 0.0004);
-/// // Same seed, same run arguments: bit-identical statistics.
-/// assert_eq!(stats, Mm1Sim::new(1000.0, 7).run(500.0, 50_000));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Mm1Sim {
-    service_rate: f64,
-    seed: u64,
-}
-
-impl Mm1Sim {
-    /// A queue with exponential service at `service_rate` requests/second.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `service_rate` is positive and finite.
-    pub fn new(service_rate: f64, seed: u64) -> Self {
-        assert!(
-            service_rate.is_finite() && service_rate > 0.0,
-            "service rate must be positive"
-        );
-        Mm1Sim { service_rate, seed }
-    }
-
-    /// The configured service rate.
-    pub fn service_rate(&self) -> f64 {
-        self.service_rate
-    }
-
-    /// Simulates `n` requests arriving as a Poisson process at
-    /// `arrival_rate` and returns response-time statistics (seconds).
-    ///
-    /// The first 10 % of requests are treated as warm-up and excluded from
-    /// the statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrival_rate` is not positive or `n == 0`.
-    pub fn run(&self, arrival_rate: f64, n: usize) -> LatencyStats {
-        assert!(
-            arrival_rate.is_finite() && arrival_rate > 0.0,
-            "arrival rate must be positive"
-        );
-        assert!(n > 0, "need at least one request");
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut exp = |rate: f64| -> f64 {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            -u.ln() / rate
-        };
-
-        let warmup = n / 10;
-        let mut wait = 0.0f64; // Lindley: waiting time of current request
-        let mut busy_time = 0.0f64;
-        let mut clock = 0.0f64;
-        let mut responses = Vec::with_capacity(n - warmup);
-
-        for i in 0..n {
-            let interarrival = exp(arrival_rate);
-            let service = exp(self.service_rate);
-            clock += interarrival;
-            busy_time += service;
-            // Lindley's recursion: W_{k+1} = max(0, W_k + S_k − A_{k+1}).
-            let response = wait + service;
-            wait = (wait + service - interarrival).max(0.0);
-            if i >= warmup {
-                responses.push(response);
-            }
-        }
-        let tail = WindowStats::from_samples(&responses)
-            .expect("the warm-up leaves at least one finite response");
-        LatencyStats {
-            requests: tail.count,
-            mean: tail.mean,
-            p50: tail.p50,
-            p95: tail.p95,
-            p99: tail.p99,
-            utilization: (busy_time / clock).min(1.0),
-        }
-    }
-}
+//! backlog carried between ticks. It is O(1) a tick and draws nothing.
+//! Its tests check it, and the analytic blow-up shape `LcModel` assumes,
+//! against the one request-level oracle kept beside them: Poisson
+//! arrivals, exponential service and Lindley's recursion, with the exact
+//! tail of the responses it simulated.
 
 /// Per-tick statistics from [`Mm1Queue::step_batch`], in the same time
 /// unit as the service rate's inverse.
@@ -158,8 +40,7 @@ const LN_100: f64 = 2.0 * std::f64::consts::LN_10;
 
 /// A stateful M/M/1 queue advanced in per-tick arrival batches.
 ///
-/// Unlike [`Mm1Sim::run`] — one closed experiment over a fixed request
-/// count — a `Mm1Queue` carries its backlog across ticks and lets the
+/// A `Mm1Queue` carries its backlog across ticks and lets the
 /// service rate be retuned between ticks, which is exactly what a traffic
 /// engine needs when allocations (and therefore capacity) change while
 /// requests keep arriving. A tick costs O(1) whatever its arrival count:
@@ -276,6 +157,8 @@ mod tests {
     use pocolo_core::units::Frequency;
     use pocolo_simserver::telemetry::percentile_of_sorted;
     use pocolo_simserver::{CoreSet, MachineSpec, TenantAllocation, WayMask};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The request-level step `Mm1Queue` replaced, kept as its oracle:
     /// Poisson arrivals and exponential service drawn per arrival,
@@ -294,14 +177,6 @@ mod tests {
                 rng: StdRng::seed_from_u64(seed),
                 wait: 0.0,
             }
-        }
-
-        fn set_service_rate(&mut self, service_rate: f64) {
-            self.service_rate = service_rate;
-        }
-
-        fn backlog_s(&self) -> f64 {
-            self.wait
         }
 
         fn step_batch(&mut self, arrivals: usize, dt: f64) -> TickStats {
@@ -334,12 +209,20 @@ mod tests {
         }
     }
 
+    /// One closed request-level run of `n` arrivals at `arrival_rate`: a
+    /// warm-up tick of the first tenth, then the measured tick of the rest.
+    fn closed_run(service_rate: f64, seed: u64, arrival_rate: f64, n: usize) -> TickStats {
+        let mut q = LindleyQueue::new(service_rate, seed);
+        let warmup = n / 10;
+        q.step_batch(warmup, warmup as f64 / arrival_rate);
+        q.step_batch(n - warmup, (n - warmup) as f64 / arrival_rate)
+    }
+
     #[test]
     fn mm1_mean_matches_closed_form() {
         // E[T] = 1/(μ − λ).
-        let sim = Mm1Sim::new(100.0, 1);
         for rho in [0.3, 0.5, 0.7] {
-            let stats = sim.run(100.0 * rho, 200_000);
+            let stats = closed_run(100.0, 1, 100.0 * rho, 200_000);
             let expected = 1.0 / (100.0 * (1.0 - rho));
             assert!(
                 (stats.mean - expected).abs() / expected < 0.05,
@@ -352,9 +235,8 @@ mod tests {
     #[test]
     fn mm1_p99_matches_closed_form() {
         // Response time is exponential(μ−λ): p99 = ln(100)/(μ−λ).
-        let sim = Mm1Sim::new(100.0, 2);
         for rho in [0.4, 0.6, 0.8] {
-            let stats = sim.run(100.0 * rho, 300_000);
+            let stats = closed_run(100.0, 2, 100.0 * rho, 300_000);
             let expected = (100.0f64).ln() / (100.0 * (1.0 - rho));
             assert!(
                 (stats.p99 - expected).abs() / expected < 0.10,
@@ -366,8 +248,7 @@ mod tests {
 
     #[test]
     fn utilization_tracks_offered_load() {
-        let sim = Mm1Sim::new(50.0, 3);
-        let stats = sim.run(30.0, 100_000);
+        let stats = closed_run(50.0, 3, 30.0, 100_000);
         assert!((stats.utilization - 0.6).abs() < 0.03, "{stats:?}");
     }
 
@@ -375,10 +256,9 @@ mod tests {
     fn tail_blowup_shape_matches_the_analytic_model() {
         // The LcModel claims p99(ρ)/p99(ρ₀) = (1−ρ₀)/(1−ρ). Verify the
         // request-level simulation reproduces that ratio curve.
-        let sim = Mm1Sim::new(200.0, 4);
-        let base = sim.run(200.0 * 0.3, 300_000).p99;
+        let base = closed_run(200.0, 4, 200.0 * 0.3, 300_000).p99;
         for rho in [0.5, 0.7, 0.85] {
-            let measured = sim.run(200.0 * rho, 300_000).p99;
+            let measured = closed_run(200.0, 4, 200.0 * rho, 300_000).p99;
             let predicted_ratio = (1.0 - 0.3) / (1.0 - rho);
             let measured_ratio = measured / base;
             assert!(
@@ -397,12 +277,12 @@ mod tests {
         let alloc =
             TenantAllocation::new(CoreSet::first_n(6), WayMask::first_n(10), Frequency(2.2));
         let capacity = model.capacity_rps(&alloc);
-        let sim = Mm1Sim::new(capacity, 6);
+        let sim = |rho: f64| closed_run(capacity, 6, rho * capacity, 300_000).p99;
         let model_base = model.p99_latency_ms(0.5 * capacity, &alloc);
-        let sim_base = sim.run(0.5 * capacity, 300_000).p99;
+        let sim_base = sim(0.5);
         for rho in [0.7, 0.8, 0.9] {
             let model_ratio = model.p99_latency_ms(rho * capacity, &alloc) / model_base;
-            let sim_ratio = sim.run(rho * capacity, 300_000).p99 / sim_base;
+            let sim_ratio = sim(rho) / sim_base;
             assert!(
                 (model_ratio - sim_ratio).abs() / model_ratio < 0.15,
                 "rho={rho}: model ratio {model_ratio} vs simulated {sim_ratio}"
@@ -412,11 +292,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = Mm1Sim::new(100.0, 9).run(50.0, 10_000);
-        let b = Mm1Sim::new(100.0, 9).run(50.0, 10_000);
-        assert_eq!(a, b);
-        let c = Mm1Sim::new(100.0, 10).run(50.0, 10_000);
-        assert_ne!(a, c);
+        let a = closed_run(100.0, 9, 50.0, 10_000);
+        assert_eq!(a, closed_run(100.0, 9, 50.0, 10_000));
+        assert_ne!(a, closed_run(100.0, 10, 50.0, 10_000));
     }
 
     #[test]
@@ -478,52 +356,62 @@ mod tests {
             (200.0, 3, 0.05),
             (120.0, 1_000, 10.0),
         ];
-        // `(mean, utilization, backlog_s())` bits after each tick at seed
-        // 41, captured while the p99 was a P² estimate: how the tail is
-        // taken must never move the Lindley recursion or its draw order.
-        const LINDLEY_BITS: [(u64, u64, u64); 7] = [
-            (0x3f8857f71bf632cb, 0x3fe084ec578c9ff1, 0x0000000000000000),
-            (0x3fe205ca702490f1, 0x3ff0000000000000, 0x3ff1c55df65bb71c),
-            (0x0000000000000000, 0x0000000000000000, 0x3feb8abbecb76e38),
-            (0x3fec4b5063b892de, 0x3fce1732982db9df, 0x3fec403f5d540de4),
-            (0x3feb698ab6f8a06b, 0x3fd850c970a54845, 0x3fea1215e5285254),
-            (0x3fe9db31386ad4e7, 0x3fcd8fb850e0b93e, 0x3fe91ec5f3e553e0),
-            (0x3fcbcb29ef430bf3, 0x3feb6c1fc9e6125d, 0x3f8314181f119b84),
+        // `(mean, utilization, wait, p99)` bits after each tick at
+        // seed 41. The first three were captured while the p99 was a P²
+        // estimate: how the tail is taken must never move the Lindley
+        // recursion or its draw order. The p99s are the exact 99th
+        // percentile of each tick's responses (`percentile_of_sorted`),
+        // checked against a replay of the same draws when they were pinned.
+        const LINDLEY_BITS: [[u64; 4]; 7] = [
+            [
+                0x3f8857f71bf632cb,
+                0x3fe084ec578c9ff1,
+                0x0000000000000000,
+                0x3fa0c106538e8aef,
+            ],
+            [
+                0x3fe205ca702490f1,
+                0x3ff0000000000000,
+                0x3ff1c55df65bb71c,
+                0x3ff1e967d62229f0,
+            ],
+            [
+                0x0000000000000000,
+                0x0000000000000000,
+                0x3feb8abbecb76e38,
+                0x0000000000000000,
+            ],
+            [
+                0x3fec4b5063b892de,
+                0x3fce1732982db9df,
+                0x3fec403f5d540de4,
+                0x3fec4b5063b892de,
+            ],
+            [
+                0x3feb698ab6f8a06b,
+                0x3fd850c970a54845,
+                0x3fea1215e5285254,
+                0x3fec5129cd4d850c,
+            ],
+            [
+                0x3fe9db31386ad4e7,
+                0x3fcd8fb850e0b93e,
+                0x3fe91ec5f3e553e0,
+                0x3fea532690614c4c,
+            ],
+            [
+                0x3fcbcb29ef430bf3,
+                0x3feb6c1fc9e6125d,
+                0x3f8314181f119b84,
+                0x3fe88115e8f8bcb4,
+            ],
         ];
         let mut q = LindleyQueue::new(150.0, 41);
-        // The twin replays the same draws and keeps every response.
-        let mut twin_rng = StdRng::seed_from_u64(41);
-        let mut twin_wait = 0.0f64;
         for (&(rate, arrivals, dt), &bits) in TICKS.iter().zip(&LINDLEY_BITS) {
-            q.set_service_rate(rate);
+            q.service_rate = rate;
             let stats = q.step_batch(arrivals, dt);
-            assert_eq!(
-                (
-                    stats.mean.to_bits(),
-                    stats.utilization.to_bits(),
-                    q.backlog_s().to_bits()
-                ),
-                bits,
-                "tick {stats:?}"
-            );
-
-            if arrivals == 0 {
-                twin_wait = (twin_wait - dt).max(0.0);
-                assert_eq!(stats.p99, 0.0);
-                continue;
-            }
-            let mut responses = Vec::new();
-            for _ in 0..arrivals {
-                let u: f64 = twin_rng.gen_range(f64::EPSILON..1.0);
-                let interarrival = -u.ln() / (arrivals as f64 / dt);
-                let u: f64 = twin_rng.gen_range(f64::EPSILON..1.0);
-                let service = -u.ln() / rate;
-                responses.push(twin_wait + service);
-                twin_wait = (twin_wait + service - interarrival).max(0.0);
-            }
-            responses.sort_by(f64::total_cmp);
-            let exact = percentile_of_sorted(&responses, 0.99);
-            assert_eq!(stats.p99.to_bits(), exact.to_bits(), "tick {stats:?}");
+            let got = [stats.mean, stats.utilization, q.wait, stats.p99].map(f64::to_bits);
+            assert_eq!(got, bits, "tick {stats:?}");
         }
     }
 
@@ -532,7 +420,7 @@ mod tests {
         // Same physics, two ways to step it: at ρ = 0.7 in 100 s ticks the
         // relaxation time is 0.4 % of a tick, so the law's p99 is the
         // stationary tail ln 100/(μ−λ) a closed request-level run measures.
-        let closed = Mm1Sim::new(100.0, 13).run(70.0, 300_000).p99;
+        let closed = closed_run(100.0, 13, 70.0, 300_000).p99;
         let tail = Mm1Queue::new(100.0, 13).step_batch(7_000, 100.0).p99;
         assert!(
             (tail - closed).abs() / closed < 0.10,
@@ -602,7 +490,7 @@ mod tests {
             }
             for (t, rho) in loads.iter().enumerate() {
                 oracle_p99[t] += oracle.step_batch((rho * mu * dt) as usize, dt).p99 / SEEDS as f64;
-                oracle_backlog[t] += oracle.backlog_s() / SEEDS as f64;
+                oracle_backlog[t] += oracle.wait / SEEDS as f64;
             }
         }
         let within = |law: f64, oracle: f64| (law - oracle).abs() <= (0.05 * oracle).max(0.1 * dt);
@@ -700,17 +588,5 @@ mod tests {
     #[should_panic(expected = "tick length must be positive")]
     fn invalid_tick_length_panics() {
         let _ = Mm1Queue::new(10.0, 0).step_batch(5, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "service rate must be positive")]
-    fn invalid_service_rate_panics() {
-        let _ = Mm1Sim::new(0.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate must be positive")]
-    fn invalid_arrival_rate_panics() {
-        let _ = Mm1Sim::new(10.0, 0).run(0.0, 10);
     }
 }
