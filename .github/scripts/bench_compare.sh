@@ -5,9 +5,9 @@
 #
 # Deterministic work gates, wall-clock advises: a result digest or an exact
 # per-layer row that moved fails the job unless the newest CHANGES.md entry
-# (its last line) carries a `re-baseline:` note naming that row's workload
-# (`declared.sh`); a failed op always fails it; the six end-to-end
-# wall-clock rows are printed and never fail it.
+# (its last non-blank line) carries a `re-baseline:` note naming that
+# row's workload (`declared.sh`); a failed op always fails it; the six
+# end-to-end wall-clock rows are printed and never fail it.
 set -uo pipefail
 bench=$1 parent=$2 head=$3 changes=$4
 

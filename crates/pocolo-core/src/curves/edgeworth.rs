@@ -118,11 +118,10 @@ impl EdgeworthBox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
     use crate::utility::{CobbDouglas, PowerModel};
 
     fn primary() -> IndirectUtility {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         // Cache-hungry sphinx-like primary.
         let perf = CobbDouglas::new(2.0, vec![0.3, 0.7]).unwrap();
         let power = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn rejects_invalid_cap() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         assert!(EdgeworthBox::new(space.clone(), Watts(0.0)).is_err());
         assert!(EdgeworthBox::new(space.clone(), Watts(-5.0)).is_err());
         assert!(EdgeworthBox::new(space, Watts(132.0)).is_ok());
@@ -139,7 +138,7 @@ mod tests {
 
     #[test]
     fn spare_is_complement() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let boxy = EdgeworthBox::new(space.clone(), Watts(132.0)).unwrap();
         let alloc = space.allocation(vec![1.0, 5.0]).unwrap();
         let spare = boxy.spare_for(0.2, alloc, Watts(64.0));
@@ -149,7 +148,7 @@ mod tests {
 
     #[test]
     fn headroom_floors_at_zero() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let boxy = EdgeworthBox::new(space.clone(), Watts(132.0)).unwrap();
         let alloc = space.allocation(vec![12.0, 20.0]).unwrap();
         let spare = boxy.spare_for(1.0, alloc, Watts(150.0));
@@ -159,7 +158,7 @@ mod tests {
 
     #[test]
     fn admits_checks_every_dimension() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let boxy = EdgeworthBox::new(space.clone(), Watts(132.0)).unwrap();
         let alloc = space.allocation(vec![12.0, 5.0]).unwrap();
         let spare = boxy.spare_for(0.5, alloc, Watts(100.0));

@@ -127,11 +127,11 @@ pub fn expansion_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
+    use crate::resources::ResourceSpace;
     use crate::utility::PowerModel;
 
     fn utility() -> IndirectUtility {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let perf = CobbDouglas::new(100.0, vec![0.6, 0.4]).unwrap();
         let power = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
         IndirectUtility::new(space, perf, power).unwrap()

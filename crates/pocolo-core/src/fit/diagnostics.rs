@@ -156,11 +156,10 @@ pub fn check_convexity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
     use crate::units::Watts;
 
     fn space() -> ResourceSpace {
-        xeon_space()
+        ResourceSpace::cores_and_ways()
     }
 
     fn sample(space: &ResourceSpace, c: f64, w: f64, perf: f64) -> ProfileSample {

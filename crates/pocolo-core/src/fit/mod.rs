@@ -203,11 +203,10 @@ pub fn fit_indirect_utility(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
     use rand::prelude::*;
 
     fn synth_samples(noise: f64, seed: u64) -> (ResourceSpace, Vec<ProfileSample>) {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let truth_perf = CobbDouglas::new(120.0, vec![0.55, 0.35]).unwrap();
         let truth_power = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -346,7 +345,7 @@ mod tests {
 
     #[test]
     fn singular_profile_grid_rejected() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         // Only ever vary ways, never cores.
         let truth = CobbDouglas::new(100.0, vec![0.5, 0.5]).unwrap();
         let samples: Vec<ProfileSample> = (2..=20)

@@ -133,7 +133,6 @@ impl OnlineFitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
     use crate::units::Watts;
 
     fn sample(space: &ResourceSpace, c: f64, w: f64, perf: f64, power: f64) -> ProfileSample {
@@ -155,7 +154,7 @@ mod tests {
 
     #[test]
     fn refits_on_cadence() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let mut f = OnlineFitter::new(space.clone(), FitOptions::default(), 256, 30);
         let mut refits = 0;
         for s in grid(&space, 0.6, 0.4) {
@@ -169,7 +168,7 @@ mod tests {
 
     #[test]
     fn window_evicts_oldest() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let mut f = OnlineFitter::new(space.clone(), FitOptions::default(), 50, 10);
         for s in grid(&space, 0.6, 0.4) {
             f.ingest(s);
@@ -180,7 +179,7 @@ mod tests {
     #[test]
     fn tracks_a_drifting_workload() {
         // Phase 1: core-hungry (0.8, 0.1); phase 2: cache-hungry (0.1, 0.8).
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let mut f = OnlineFitter::new(space.clone(), FitOptions::default(), 120, 20);
         for s in grid(&space, 0.8, 0.1) {
             f.ingest(s);
@@ -203,7 +202,7 @@ mod tests {
 
     #[test]
     fn stable_workload_reports_no_drift() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let mut f = OnlineFitter::new(space.clone(), FitOptions::default(), 120, 20);
         for _ in 0..2 {
             for s in grid(&space, 0.6, 0.4) {
@@ -215,7 +214,7 @@ mod tests {
 
     #[test]
     fn failed_refit_keeps_previous_model() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let mut f = OnlineFitter::new(space.clone(), FitOptions::default(), 4, 2);
         // Two good, varied samples are not enough to fit k+1=3 unknowns
         // (and the window is tiny): a refit fails, model stays None.
@@ -233,6 +232,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = OnlineFitter::new(xeon_space(), FitOptions::default(), 0, 1);
+        let _ = OnlineFitter::new(ResourceSpace::cores_and_ways(), FitOptions::default(), 0, 1);
     }
 }

@@ -150,6 +150,10 @@ impl fmt::Display for PowerCurve {
 }
 
 /// One SKU: the static facts the whole stack needs about a server class.
+///
+/// It is also the simulated machine: `pocolo_simserver::MachineSpec` is
+/// this type, so the power model, the knobs and the profiler read the
+/// same geometry, frequency range and watts the fleet layers plan with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerClass {
     name: String,
@@ -180,18 +184,17 @@ impl ServerClass {
         if name.is_empty() {
             return Err("server class has an empty name".to_string());
         }
-        if cores == 0 {
-            return Err(format!("server class {name:?} has zero cores"));
-        }
-        if cores > 64 {
-            return Err(format!("server class {name:?} has {cores} cores (max 64)"));
-        }
-        if llc_ways == 0 {
-            return Err(format!("server class {name:?} has zero LLC ways"));
-        }
-        if llc_ways > 32 {
+        // The profiler's grid steps cores by 1 from 1 and ways by 2 from 2:
+        // fewer than 2 cores or 4 ways leaves one value on an axis and the
+        // fit singular. The ceilings bound the simulated CPU and way masks.
+        if !(2..=64).contains(&cores) {
             return Err(format!(
-                "server class {name:?} has {llc_ways} LLC ways (max 32)"
+                "server class {name:?} has {cores} cores (need 2..=64)"
+            ));
+        }
+        if !(4..=32).contains(&llc_ways) {
+            return Err(format!(
+                "server class {name:?} has {llc_ways} LLC ways (need 4..=32)"
             ));
         }
         if !freq_min.0.is_finite()
@@ -293,6 +296,12 @@ impl ServerClass {
         }
     }
 
+    /// A copy of `class`. Kept only because the benchmark builds its
+    /// per-class machines as `MachineSpec::from_class(class)`.
+    pub fn from_class(class: &ServerClass) -> Self {
+        class.clone()
+    }
+
     /// A copy of this class with overridden geometry (the `name/cores/ways`
     /// spec syntax); power and frequency carry over. The derived class is
     /// re-validated, so a zero-core override errors like any other
@@ -352,7 +361,7 @@ impl ServerClass {
 
     /// The direct-resource space this class exposes to the economics
     /// framework: `cores ∈ [1, n]`, `llc_ways ∈ [1, w]`.
-    pub fn space(&self) -> ResourceSpace {
+    pub fn resource_space(&self) -> ResourceSpace {
         ResourceSpace::builder()
             .resource(ResourceDescriptor::integral(
                 "cores",
@@ -366,6 +375,11 @@ impl ServerClass {
             ))
             .build()
             .expect("class geometry validated at construction")
+    }
+
+    /// Clamps a frequency into the class's DVFS range.
+    pub fn clamp_frequency(&self, f: Frequency) -> Frequency {
+        Frequency(f.0.clamp(self.freq_min.0, self.freq_max.0))
     }
 }
 
@@ -588,7 +602,7 @@ mod tests {
         assert_eq!(c.idle_watts(), Watts(50.0));
         assert_eq!(c.peak_watts(), Watts(135.0));
         assert_eq!(c.curve(), &PowerCurve::Linear);
-        let space = c.space();
+        let space = c.resource_space();
         assert_eq!(space.descriptor(0).max(), 12.0);
         assert_eq!(space.descriptor(1).max(), 20.0);
     }
@@ -597,10 +611,13 @@ mod tests {
     fn class_space_matches_legacy_fixture() {
         // A homogeneous xeon fleet must expose exactly the space every
         // legacy test and golden run was built on.
-        assert_eq!(
-            ServerClass::xeon_e5_2650().space(),
-            ResourceSpace::cores_and_ways()
-        );
+        let legacy = ResourceSpace::builder()
+            .resource(ResourceDescriptor::integral("cores", 1.0, 12.0))
+            .resource(ResourceDescriptor::integral("llc_ways", 1.0, 20.0))
+            .build()
+            .unwrap();
+        assert_eq!(ServerClass::xeon_e5_2650().resource_space(), legacy);
+        assert_eq!(ResourceSpace::cores_and_ways(), legacy);
     }
 
     #[test]
@@ -660,6 +677,19 @@ mod tests {
             let err = bad.unwrap_err();
             assert!(!err.contains('\n'), "multi-line error: {err}");
         }
+        // Geometries the profile grid cannot fit name the field at fault.
+        let xeon = ServerClass::xeon_e5_2650();
+        for (cores, ways, field) in [
+            (20, 3, "3 LLC ways"),
+            (1, 20, "1 cores"),
+            (12, 2, "2 LLC ways"),
+        ] {
+            let err = xeon.with_geometry(cores, ways).unwrap_err();
+            let spec = format!("xeon/{cores}/{ways}");
+            assert!(err.contains(&spec) && err.contains(field), "{err}");
+            assert!(!err.contains('\n'), "multi-line error: {err}");
+        }
+        assert!(xeon.with_geometry(2, 4).is_ok());
         let zero = ServerClass::new(
             "dud",
             0,
@@ -671,10 +701,15 @@ mod tests {
             PowerCurve::Linear,
         )
         .unwrap_err();
-        assert!(
-            zero.contains("dud") && zero.contains("zero cores"),
-            "{zero}"
-        );
+        assert!(zero.contains("dud") && zero.contains("0 cores"), "{zero}");
+    }
+
+    #[test]
+    fn clamp_frequency() {
+        let m = ServerClass::xeon_e5_2650();
+        assert_eq!(m.clamp_frequency(Frequency(3.0)), Frequency(2.2));
+        assert_eq!(m.clamp_frequency(Frequency(0.5)), Frequency(1.2));
+        assert_eq!(m.clamp_frequency(Frequency(1.8)), Frequency(1.8));
     }
 
     #[test]
@@ -794,7 +829,7 @@ mod tests {
         assert!(unknown.contains("warp9"), "{unknown}");
         assert!(!unknown.contains('\n'));
         let zero_core = "xeon/0/8".parse::<FleetSpec>().unwrap_err();
-        assert!(zero_core.contains("zero cores"), "{zero_core}");
+        assert!(zero_core.contains("0 cores"), "{zero_core}");
         assert!(!zero_core.contains('\n'));
         let empty = "".parse::<FleetSpec>().unwrap_err();
         assert!(empty.contains("empty fleet"), "{empty}");

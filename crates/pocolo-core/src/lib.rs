@@ -71,7 +71,6 @@ pub mod fleet;
 mod json;
 pub mod preference;
 pub mod resources;
-pub mod testing;
 pub mod units;
 pub mod utility;
 

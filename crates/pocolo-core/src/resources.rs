@@ -124,13 +124,11 @@ impl ResourceSpace {
     }
 
     /// The standard two-resource space of the paper's prototype: CPU cores
-    /// and LLC cache ways on a Xeon E5-2650 (12 cores, 20 ways).
+    /// and LLC cache ways on a Xeon E5-2650 (12 cores, 20 ways), i.e.
+    /// [`ServerClass::xeon_e5_2650`](crate::fleet::ServerClass::xeon_e5_2650)'s
+    /// [`resource_space`](crate::fleet::ServerClass::resource_space).
     pub fn cores_and_ways() -> Self {
-        ResourceSpace::builder()
-            .resource(ResourceDescriptor::integral("cores", 1.0, 12.0))
-            .resource(ResourceDescriptor::integral("llc_ways", 1.0, 20.0))
-            .build()
-            .expect("static descriptor set is valid")
+        crate::fleet::ServerClass::xeon_e5_2650().resource_space()
     }
 
     /// Number of direct resource dimensions, `k`.
@@ -380,10 +378,9 @@ impl fmt::Display for Allocation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
 
     fn space() -> ResourceSpace {
-        xeon_space()
+        ResourceSpace::cores_and_ways()
     }
 
     #[test]

@@ -228,7 +228,7 @@ impl fmt::Display for CobbDouglas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
+    use crate::resources::ResourceSpace;
 
     fn model() -> CobbDouglas {
         CobbDouglas::new(100.0, vec![0.6, 0.4]).unwrap()
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn evaluate_is_monotone_in_each_resource() {
         let m = model();
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let base = m
             .evaluate(&space.allocation(vec![4.0, 10.0]).unwrap())
             .unwrap();
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn marginal_matches_finite_difference() {
         let m = model();
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let a = space.allocation(vec![4.0, 10.0]).unwrap();
         let analytic = m.marginal(&a, 0).unwrap();
         let eps = 1e-6;

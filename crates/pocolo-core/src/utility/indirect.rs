@@ -543,10 +543,9 @@ impl fmt::Display for IndirectUtility {
 mod tests {
     use super::*;
     use crate::resources::ResourceDescriptor;
-    use crate::testing::xeon_space;
 
     fn utility() -> IndirectUtility {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let perf = CobbDouglas::new(100.0, vec![0.6, 0.4]).unwrap();
         let power = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
         IndirectUtility::new(space, perf, power).unwrap()
@@ -554,7 +553,7 @@ mod tests {
 
     #[test]
     fn rejects_dimension_mismatch() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let perf = CobbDouglas::new(1.0, vec![0.5]).unwrap();
         let power = PowerModel::new(Watts(10.0), vec![1.0, 1.0]).unwrap();
         assert!(IndirectUtility::new(space.clone(), perf, power.clone()).is_err());
@@ -700,7 +699,7 @@ mod tests {
 
     #[test]
     fn zero_alpha_resource_gets_minimum() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let perf = CobbDouglas::new(10.0, vec![1.0, 0.0]).unwrap();
         let power = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
         let u = IndirectUtility::new(space, perf, power).unwrap();
@@ -710,7 +709,7 @@ mod tests {
 
     #[test]
     fn free_resource_gets_maximum() {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let perf = CobbDouglas::new(10.0, vec![0.5, 0.5]).unwrap();
         let power = PowerModel::new(Watts(50.0), vec![6.0, 0.0]).unwrap();
         let u = IndirectUtility::new(space, perf, power).unwrap();
@@ -817,7 +816,10 @@ mod tests {
             let expected = boxed.value(Watts(budget)).unwrap();
             assert_eq!(u.value_in(&sub, Watts(budget)).unwrap(), expected);
         }
-        let sub = crate::testing::small_space(4, 4);
+        let sub = crate::fleet::ServerClass::xeon_e5_2650()
+            .with_geometry(4, 4)
+            .unwrap()
+            .resource_space();
         assert!(matches!(
             u.value_in(&sub, Watts(55.0)),
             Err(CoreError::InfeasibleBudget { .. })

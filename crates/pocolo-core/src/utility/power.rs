@@ -125,7 +125,7 @@ impl fmt::Display for PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::xeon_space;
+    use crate::resources::ResourceSpace;
 
     #[test]
     fn rejects_bad_parameters() {
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn power_is_additive() {
         let m = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let a = space.allocation(vec![12.0, 20.0]).unwrap();
         assert_eq!(m.power_of(&a), Watts(50.0 + 72.0 + 30.0));
         let b = space.min_allocation();

@@ -15,9 +15,7 @@ use std::time::Duration;
 use pocolo_core::federation::{FedLogEntry, FedSnapshot};
 use pocolo_faults::RetryPolicy;
 use pocolo_net::reactor::Ctx;
-use pocolo_net::{
-    ConnId, EventHandler, Message, NetError, ReactorConfig, ReactorServer, Reply, RpcClient,
-};
+use pocolo_net::{ConnId, EventHandler, Message, NetError, ReactorServer, Reply, RpcClient};
 
 use crate::replicate::FedState;
 
@@ -100,10 +98,7 @@ pub fn serve_log(
     snapshot: FedSnapshot,
     entries: Vec<FedLogEntry>,
 ) -> Result<ReactorServer, NetError> {
-    ReactorServer::spawn(
-        ReactorConfig::new(listen),
-        FedLogHandler::new(snapshot, entries),
-    )
+    ReactorServer::spawn(listen, FedLogHandler::new(snapshot, entries))
 }
 
 /// One follower pull: returns the leader's version plus the resync

@@ -143,12 +143,12 @@ fn feasible_curve_points(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocolo_core::testing::xeon_space;
+    use pocolo_core::resources::ResourceSpace;
     use pocolo_core::units::Watts;
     use pocolo_core::utility::{CobbDouglas, PowerModel};
 
     fn utility() -> IndirectUtility {
-        let space = xeon_space();
+        let space = ResourceSpace::cores_and_ways();
         let perf = CobbDouglas::new(100.0, vec![0.6, 0.4]).unwrap();
         let power = PowerModel::new(Watts(50.0), vec![6.0, 1.5]).unwrap();
         IndirectUtility::new(space, perf, power).unwrap()

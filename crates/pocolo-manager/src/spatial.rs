@@ -203,7 +203,6 @@ fn best_value_in_box(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocolo_core::testing::xeon_space;
     use pocolo_core::utility::{CobbDouglas, PowerModel};
 
     fn machine() -> MachineSpec {
@@ -212,7 +211,7 @@ mod tests {
 
     fn utility(ac: f64, aw: f64, pc: f64, pw: f64) -> IndirectUtility {
         IndirectUtility::new(
-            xeon_space(),
+            machine().resource_space(),
             CobbDouglas::new(0.2, vec![ac, aw]).unwrap(),
             PowerModel::new(Watts(6.0), vec![pc, pw]).unwrap(),
         )

@@ -37,6 +37,11 @@ pub fn default_fit() -> &'static FittedCluster {
     FIT.get_or_init(|| FittedCluster::fit(&ProfilerConfig::default()))
 }
 
+/// Socket connect/read/write deadline on every agent call: a daemon
+/// slower than this fails the call, which takes the dropped-connection
+/// path.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration of one agent daemon.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
@@ -45,8 +50,6 @@ pub struct AgentConfig {
     /// Stable agent identity; re-registering under the same identity
     /// after a restart reclaims the same slot (degraded).
     pub agent: String,
-    /// Socket connect/read/write deadline.
-    pub io_timeout: Duration,
     /// Test/demo kill switch: abandon the run (without completing or
     /// deregistering) after this many control epochs, as if the process
     /// died mid-run.
@@ -54,12 +57,11 @@ pub struct AgentConfig {
 }
 
 impl AgentConfig {
-    /// An agent with default deadlines.
+    /// An agent under the 5 s socket deadline (`IO_TIMEOUT`).
     pub fn new(connect: SocketAddr, agent: impl Into<String>) -> Self {
         AgentConfig {
             connect,
             agent: agent.into(),
-            io_timeout: Duration::from_secs(5),
             die_after_epochs: None,
         }
     }
@@ -98,7 +100,7 @@ fn exchange(
         Err(e @ NetError::Remote(_)) => Err(e),
         Err(_) => {
             let mut retry = RetryPolicy::reconnect(config.retry_seed() ^ 0x9e37_79b9);
-            *client = RpcClient::connect(config.connect, &mut retry, config.io_timeout)?;
+            *client = RpcClient::connect(config.connect, &mut retry, IO_TIMEOUT)?;
             client.call(request)
         }
     }
@@ -113,7 +115,7 @@ fn exchange(
 /// error (e.g. no free slot).
 pub fn run_agent(config: &AgentConfig) -> Result<AgentReport, NetError> {
     let mut retry = RetryPolicy::reconnect(config.retry_seed());
-    let mut client = RpcClient::connect(config.connect, &mut retry, config.io_timeout)?;
+    let mut client = RpcClient::connect(config.connect, &mut retry, IO_TIMEOUT)?;
     // No hardware class: the agent keeps the pre-fleet frame layout.
     let register = Message::Register {
         agent: config.agent.clone(),
@@ -284,12 +286,11 @@ mod tests {
 
     #[test]
     fn unreachable_daemon_is_a_typed_error() {
-        let mut config = AgentConfig::new("127.0.0.1:1".parse().unwrap(), "agent-x");
-        config.io_timeout = Duration::from_millis(20);
-        // Shrink the retry budget so the test stays fast.
+        let config = AgentConfig::new("127.0.0.1:1".parse().unwrap(), "agent-x");
+        // Shrink the deadline and the retry budget so the test stays fast.
         let err = {
             let mut retry = RetryPolicy::new(0.001, 1.0, 0.001, 2, 0.0, config.retry_seed());
-            RpcClient::connect(config.connect, &mut retry, config.io_timeout).unwrap_err()
+            RpcClient::connect(config.connect, &mut retry, Duration::from_millis(20)).unwrap_err()
         };
         assert!(matches!(err, NetError::Exhausted { .. }), "got {err}");
     }

@@ -12,7 +12,7 @@
 //! trusted.
 //!
 //! One event loop multiplexes every connection ([`crate::reactor`]).
-//! Lease expiry rides the loop's timer wheel (one lazy re-check chain per
+//! Lease expiry rides the loop's deadline heap (one lazy re-check chain per
 //! live lease, no scanning reaper thread), telemetry acks for the current
 //! `cap_factor` are encoded once and fanned out as cached bytes, the
 //! welcome frame splices a cached run-spec serialization instead of
@@ -33,9 +33,7 @@ use pocolo_sim::{Policy, ServerMetrics};
 
 use crate::error::NetError;
 use crate::frame::encode_frame_str;
-use crate::reactor::{
-    ConnId, Ctx, DisconnectReason, EventHandler, ReactorConfig, ReactorServer, Reply,
-};
+use crate::reactor::{ConnId, Ctx, DisconnectReason, EventHandler, ReactorServer, Reply};
 use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
 
 /// Lease/registry state of one server slot.
@@ -67,7 +65,7 @@ struct Slot {
     reregistrations: usize,
     /// The slot passed through Degraded at least once.
     was_degraded: bool,
-    /// A lease-expiry timer chain is pending on the reactor wheel.
+    /// A lease-expiry timer chain is pending on the reactor's timers.
     lease_timer_armed: bool,
     metrics: Option<ServerMetrics>,
 }
@@ -215,7 +213,7 @@ impl Registry {
         Ok(self.done_count == self.slots.len())
     }
 
-    /// One lazy lease check for the reactor's timer wheel: degrade when
+    /// One lazy lease check for the reactor's timers: degrade when
     /// overdue, otherwise report how long until the lease *could* expire.
     fn check_lease(&mut self, idx: usize, ttl: Duration, now: Instant) -> LeaseCheck {
         let Some(slot) = self.slots.get_mut(idx) else {
@@ -277,9 +275,8 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A daemon with the reactor's default outbound queue cap
-    /// ([`ReactorConfig::new`]): a peer that stops draining replies is
-    /// disconnected and its slot degraded.
+    /// A daemon under the reactor's outbound queue cap (1 MiB): a peer
+    /// that stops draining replies is disconnected and its slot degraded.
     pub fn new(listen: SocketAddr, lease_ttl: Duration, run: RunSpec) -> ClusterConfig {
         ClusterConfig {
             listen,
@@ -457,16 +454,10 @@ impl Clusterd {
     /// Binds and starts serving.
     pub fn spawn(config: ClusterConfig) -> Result<Clusterd, NetError> {
         let registry = Arc::new(RegistryShared::new(config.run.n_servers()));
-        let mut reactor_config = ReactorConfig::new(config.listen);
-        // Wheel resolution: fine enough that lease expiry lands within a
-        // small fraction of the TTL, coarse enough that an idle daemon
-        // barely wakes.
-        reactor_config.wheel_tick =
-            (config.lease_ttl / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
         let handler =
             ReactorClusterHandler::new(Arc::clone(&registry), &config.run, config.lease_ttl);
         Ok(Clusterd {
-            server: ReactorServer::spawn(reactor_config, handler)?,
+            server: ReactorServer::spawn(config.listen, handler)?,
             registry,
             run: config.run,
         })

@@ -49,7 +49,7 @@ pub use demo::{
 };
 pub use error::NetError;
 pub use frame::FrameBuffer;
-pub use reactor::{ConnId, DisconnectReason, EventHandler, ReactorConfig, ReactorServer, Reply};
+pub use reactor::{ConnId, DisconnectReason, EventHandler, ReactorServer, Reply};
 pub use swarm::{run_swarm, scale_reference, AgentOutcome, SwarmConfig, SwarmReport};
-pub use timer::TimerWheel;
+pub use timer::Timers;
 pub use wire::{Message, RunSpec, MAX_FRAME_BYTES, PROTOCOL_VERSION};

@@ -13,12 +13,13 @@
 //!   batches telemetry acks), and `WRITABLE` interest is registered only
 //!   while bytes are actually pending;
 //! - **backpressure** is a hard bound — a connection whose outbound
-//!   queue outgrows the high-water mark is disconnected with
+//!   queue outgrows the high-water mark (1 MiB) is disconnected with
 //!   [`DisconnectReason::SlowConsumer`] so a slow agent can never grow an
 //!   unbounded buffer (the cluster layer turns this into a degraded
 //!   slot);
-//! - **timers** ride a [`TimerWheel`] advanced from the poll loop — no
-//!   sleeping side threads — and [`EventHandler::on_timer`] fires on the
+//! - **timers** ride a [`Timers`] deadline heap drained from the poll
+//!   loop — no sleeping side threads, and the poll sleeps exactly until
+//!   the nearest deadline — and [`EventHandler::on_timer`] fires on the
 //!   loop thread;
 //! - **shutdown** rides the selector's [`Waker`]: external shutdown wakes
 //!   the loop instead of polling a flag on a sleep cadence, and a
@@ -36,13 +37,19 @@ use compat_mio::{net, Events, Interest, Poll, Token, Waker};
 
 use crate::error::NetError;
 use crate::frame::{encode_frame, Decoded, FrameBuffer, ReadStatus};
-use crate::timer::TimerWheel;
+use crate::timer::Timers;
 use crate::wire::Message;
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
 /// First token used for connections; slab index = token - CONN_BASE.
 const CONN_BASE: usize = 2;
+
+/// Outbound queue cap per connection, in bytes; exceeding it is a
+/// [`DisconnectReason::SlowConsumer`] disconnect. Frames are small except
+/// the welcome (~100 KiB at 5k slots), so one megabyte of queued replies
+/// means a peer that stopped reading long ago.
+const OUTBOUND_HIWATER: usize = 1024 * 1024;
 
 /// Identifies one live connection within the reactor. Indices are reused
 /// after a disconnect, so handlers must clean their maps in
@@ -142,7 +149,7 @@ pub trait EventHandler: Send + 'static {
 /// Loop-thread context handed to every [`EventHandler`] call.
 #[derive(Debug)]
 pub struct Ctx<'a> {
-    wheel: &'a mut TimerWheel<u64>,
+    timers: &'a mut Timers,
     now: Instant,
 }
 
@@ -153,35 +160,10 @@ impl Ctx<'_> {
     }
 
     /// Arms a one-shot timer; [`EventHandler::on_timer`] fires with `key`
-    /// after roughly `after` (rounded up to the wheel tick). Periodic
-    /// work re-arms itself from `on_timer`.
+    /// on the first loop pass at or past `after` from now. Periodic work
+    /// re-arms itself from `on_timer`.
     pub fn schedule(&mut self, after: Duration, key: u64) {
-        self.wheel.schedule(self.now, after, key);
-    }
-}
-
-/// Reactor configuration.
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Address to listen on (port 0 for ephemeral).
-    pub listen: SocketAddr,
-    /// Outbound queue cap per connection, in bytes. Exceeding it is a
-    /// [`DisconnectReason::SlowConsumer`] disconnect.
-    pub outbound_hiwater: usize,
-    /// Timer wheel resolution.
-    pub wheel_tick: Duration,
-}
-
-impl ReactorConfig {
-    /// Defaults sized for the cluster protocol: frames are small except
-    /// the welcome (~100 KiB at 5k slots), so one megabyte of queued
-    /// replies means a peer that stopped reading long ago.
-    pub fn new(listen: SocketAddr) -> ReactorConfig {
-        ReactorConfig {
-            listen,
-            outbound_hiwater: 1024 * 1024,
-            wheel_tick: Duration::from_millis(10),
-        }
+        self.timers.schedule(self.now, after, key);
     }
 }
 
@@ -202,12 +184,13 @@ pub struct ReactorServer {
 }
 
 impl ReactorServer {
-    /// Binds and starts the event loop on its own thread.
+    /// Binds `listen` (port 0 for ephemeral) and starts the event loop on
+    /// its own thread.
     pub fn spawn<H: EventHandler>(
-        config: ReactorConfig,
+        listen: SocketAddr,
         handler: H,
     ) -> Result<ReactorServer, NetError> {
-        let listener = net::TcpListener::bind(config.listen)?;
+        let listener = net::TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         let poll = Poll::new()?;
         poll.register(&listener, LISTENER, Interest::READABLE)?;
@@ -220,11 +203,10 @@ impl ReactorServer {
             poll,
             listener,
             handler,
-            wheel: TimerWheel::new(Instant::now(), config.wheel_tick, 256),
+            timers: Timers::default(),
             conns: Vec::new(),
             free: Vec::new(),
             shared: Arc::clone(&shared),
-            hiwater: config.outbound_hiwater.max(1),
             stopping: None,
         };
         let thread = std::thread::Builder::new()
@@ -317,11 +299,10 @@ struct LoopState<H> {
     poll: Poll,
     listener: net::TcpListener,
     handler: H,
-    wheel: TimerWheel<u64>,
+    timers: Timers,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     shared: Arc<Shared>,
-    hiwater: usize,
     /// A shutdown reply is draining on this connection; the loop stops
     /// once it is flushed (or the connection dies).
     stopping: Option<ConnId>,
@@ -342,7 +323,7 @@ fn run_loop<H: EventHandler>(mut state: LoopState<H>) {
     {
         let now = Instant::now();
         state.handler.on_start(&mut Ctx {
-            wheel: &mut state.wheel,
+            timers: &mut state.timers,
             now,
         });
     }
@@ -358,7 +339,7 @@ fn run_loop<H: EventHandler>(mut state: LoopState<H>) {
         }
         let now = Instant::now();
         let timeout = state
-            .wheel
+            .timers
             .next_wakeup(now)
             .unwrap_or(Duration::from_millis(250));
         if state.poll.poll(&mut events, Some(timeout)).is_err() {
@@ -384,10 +365,10 @@ fn run_loop<H: EventHandler>(mut state: LoopState<H>) {
             }
         }
         let now = Instant::now();
-        state.wheel.advance(now, &mut fired);
+        state.timers.advance(now, &mut fired);
         for key in fired.drain(..) {
             let mut ctx = Ctx {
-                wheel: &mut state.wheel,
+                timers: &mut state.timers,
                 now,
             };
             state.handler.on_timer(&mut ctx, key);
@@ -460,7 +441,7 @@ impl<H: EventHandler> LoopState<H> {
                 Ok(Some(Decoded::Frame(value))) => match Message::from_value(&value) {
                     Ok(request) => {
                         let mut ctx = Ctx {
-                            wheel: &mut self.wheel,
+                            timers: &mut self.timers,
                             now,
                         };
                         self.handler.handle(&mut ctx, idx, request)
@@ -493,7 +474,7 @@ impl<H: EventHandler> LoopState<H> {
             FlushOutcome::Done | FlushOutcome::Partial => {}
         }
         if let Some(conn) = self.conns[idx].as_ref() {
-            if conn.out.len() > self.hiwater {
+            if conn.out.len() > OUTBOUND_HIWATER {
                 self.close(idx, DisconnectReason::SlowConsumer);
                 return;
             }
@@ -559,7 +540,7 @@ impl<H: EventHandler> LoopState<H> {
             self.free.push(idx);
             drop(conn);
             let mut ctx = Ctx {
-                wheel: &mut self.wheel,
+                timers: &mut self.timers,
                 now: Instant::now(),
             };
             self.handler.on_disconnect(&mut ctx, idx, reason);
@@ -625,13 +606,11 @@ mod tests {
 
     type DisconnectLog = Arc<Mutex<Vec<(ConnId, DisconnectReason)>>>;
 
-    fn spawn_echo(hiwater: usize, pad: usize) -> (ReactorServer, DisconnectLog, Arc<AtomicUsize>) {
+    fn spawn_echo(pad: usize) -> (ReactorServer, DisconnectLog, Arc<AtomicUsize>) {
         let disconnects = Arc::new(Mutex::new(Vec::new()));
         let ticks = Arc::new(AtomicUsize::new(0));
-        let mut config = ReactorConfig::new("127.0.0.1:0".parse().unwrap());
-        config.outbound_hiwater = hiwater;
         let server = ReactorServer::spawn(
-            config,
+            "127.0.0.1:0".parse().unwrap(),
             EchoHandler {
                 disconnects: Arc::clone(&disconnects),
                 ticks: Arc::clone(&ticks),
@@ -644,7 +623,7 @@ mod tests {
 
     #[test]
     fn request_reply_over_loopback_with_typed_handler_errors() {
-        let (mut server, _d, _t) = spawn_echo(1024 * 1024, 8);
+        let (mut server, _d, _t) = spawn_echo(8);
         let mut retry = RetryPolicy::reconnect(1);
         let mut client =
             RpcClient::connect(server.local_addr(), &mut retry, Duration::from_secs(2)).unwrap();
@@ -662,7 +641,7 @@ mod tests {
     #[test]
     fn garbage_bytes_get_an_error_reply_not_a_crash() {
         use std::io::{Read as _, Write as _};
-        let (mut server, _d, _t) = spawn_echo(1024 * 1024, 8);
+        let (mut server, _d, _t) = spawn_echo(8);
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
         raw.write_all(&3u32.to_be_bytes()).unwrap();
         raw.write_all(b"]]]").unwrap();
@@ -677,7 +656,7 @@ mod tests {
 
     #[test]
     fn shutdown_rpc_drains_the_ack_then_stops() {
-        let (server, _d, _t) = spawn_echo(1024 * 1024, 8);
+        let (server, _d, _t) = spawn_echo(8);
         let addr = server.local_addr();
         let mut retry = RetryPolicy::reconnect(2);
         let mut client = RpcClient::connect(addr, &mut retry, Duration::from_secs(2)).unwrap();
@@ -688,7 +667,7 @@ mod tests {
 
     #[test]
     fn timers_fire_on_the_loop_thread() {
-        let (mut server, _d, ticks) = spawn_echo(1024 * 1024, 8);
+        let (mut server, _d, ticks) = spawn_echo(8);
         let deadline = Instant::now() + Duration::from_secs(5);
         while ticks.load(Ordering::SeqCst) < 3 {
             assert!(Instant::now() < deadline, "timer never fired");
@@ -700,9 +679,9 @@ mod tests {
     #[test]
     fn slow_consumer_is_disconnected_at_the_high_water_mark() {
         use std::io::Write as _;
-        // Tiny hiwater, fat replies: a client that writes requests but
-        // never reads replies must be kicked, not buffered forever.
-        let (mut server, disconnects, _t) = spawn_echo(4 * 1024, 32 * 1024);
+        // Fat replies: a client that writes requests but never reads
+        // replies must be kicked, not buffered forever.
+        let (mut server, disconnects, _t) = spawn_echo(256 * 1024);
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
         let mut frame = Vec::new();
         crate::wire::write_frame(
@@ -714,9 +693,9 @@ mod tests {
             .to_value(),
         )
         .unwrap();
-        // Each request provokes a 32 KiB reply; the kernel's socket
-        // buffers absorb the first few, then the outbound queue crosses
-        // the 4 KiB mark and the reactor cuts the connection.
+        // Each request provokes a 256 KiB reply; the kernel's socket
+        // buffers absorb the first few megabytes, then the outbound queue
+        // crosses the 1 MiB mark and the reactor cuts the connection.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             assert!(Instant::now() < deadline, "slow consumer never kicked");

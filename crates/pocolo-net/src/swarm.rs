@@ -14,7 +14,7 @@
 //!
 //! One thread, one [`Poll`]: the swarm drives every connection through
 //! nonblocking readiness I/O with the same [`FrameBuffer`] reassembly
-//! and [`TimerWheel`] pacing the daemon uses. Registration is paced
+//! and [`Timers`] pacing the daemon uses. Registration is paced
 //! (`CONNECT_BURST` in flight) so a 5000-agent cold start is a steady
 //! stream rather than one SYN avalanche into the listen backlog.
 
@@ -31,7 +31,7 @@ use pocolo_sim::ServerMetrics;
 
 use crate::error::NetError;
 use crate::frame::{encode_frame, FrameBuffer, ReadStatus};
-use crate::timer::TimerWheel;
+use crate::timer::Timers;
 use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
 
 /// Provisioned cap every synthetic slot reports under. Arbitrary but
@@ -192,7 +192,7 @@ enum AgentState {
     Registering,
     /// Telemetry `epoch` sent, waiting for its ack.
     AwaitAck { epoch: u64, sent_at: Instant },
-    /// Between heartbeats; a wheel timer will fire the next one.
+    /// Between heartbeats; a timer fires the next one.
     Waiting { next_epoch: u64 },
     /// Final metrics sent, waiting for the completion ack.
     Completing,
@@ -276,9 +276,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
     let start = Instant::now();
     let mut poll = Poll::new()?;
     let mut events = Events::with_capacity(1024);
-    let tick =
-        (config.heartbeat_every / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
-    let mut wheel: TimerWheel<u64> = TimerWheel::new(start, tick, 256);
+    let mut timers = Timers::default();
     let mut conns: Vec<Option<Conn>> = (0..n).map(|_| None).collect();
     let mut outcomes: Vec<Option<AgentOutcome>> = (0..n).map(|_| None).collect();
     let mut fired: Vec<u64> = Vec::new();
@@ -338,7 +336,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
             conns[idx] = Some(conn);
         }
 
-        let timeout = wheel
+        let timeout = timers
             .next_wakeup(Instant::now())
             .unwrap_or(Duration::from_millis(250))
             .min(Duration::from_millis(250));
@@ -361,7 +359,8 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
                         .map_err(NetError::Io)?;
                     let now = Instant::now();
                     while let Some(payload) = conn.in_buf.next_raw()? {
-                        match advance(conn, &payload, now, config, &mut wheel, idx, &mut rtts_us)? {
+                        match advance(conn, &payload, now, config, &mut timers, idx, &mut rtts_us)?
+                        {
                             Progress::Welcomed => {
                                 welcomed += 1;
                                 registering -= 1;
@@ -401,7 +400,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
         // Timers: heartbeats whose pacing interval elapsed.
         fired.clear();
         let now = Instant::now();
-        wheel.advance(now, &mut fired);
+        timers.advance(now, &mut fired);
         for &key in &fired {
             let idx = key as usize;
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
@@ -472,7 +471,7 @@ fn advance(
     payload: &[u8],
     now: Instant,
     config: &SwarmConfig,
-    wheel: &mut TimerWheel<u64>,
+    timers: &mut Timers,
     idx: usize,
     rtts_us: &mut Vec<u64>,
 ) -> Result<Progress, NetError> {
@@ -509,7 +508,7 @@ fn advance(
                 // 5000-agent fleet does not beat in phase.
                 let phase = config.heartbeat_every.mul_f64((idx % 997) as f64 / 997.0);
                 conn.state = AgentState::Waiting { next_epoch: 0 };
-                wheel.schedule(now, phase, idx as u64);
+                timers.schedule(now, phase, idx as u64);
             }
             Ok(Progress::Welcomed)
         }
@@ -545,7 +544,7 @@ fn advance(
                     };
                 } else {
                     conn.state = AgentState::Waiting { next_epoch: next };
-                    wheel.schedule(now, config.heartbeat_every, idx as u64);
+                    timers.schedule(now, config.heartbeat_every, idx as u64);
                 }
             } else {
                 send_complete(conn, config)?;

@@ -1,140 +1,54 @@
-//! Hashed timer wheel for event-loop deadlines.
+//! Deadline heap for event-loop timers.
 //!
-//! Replaces the sleeping reaper thread: lease expiries (and any other
-//! future deadline) are entries in a fixed-slot wheel the reactor
-//! advances from its own poll loop. Scheduling and firing are O(1)
-//! amortized; a tick only touches the entries hashed into its slot.
+//! Lease expiries (and any other future deadline) are entries in a
+//! min-heap the reactor drains from its own poll loop, with no sleeping
+//! side thread. Scheduling and firing are O(log n), and the loop sleeps
+//! exactly until the nearest deadline.
 //!
-//! Resolution is the wheel tick: a timer fires on the first advance at
-//! or after its deadline rounded up to a tick boundary. Entries that
-//! share a tick fire in insertion order, which keeps anything built on
-//! the wheel deterministic for a deterministic schedule order.
+//! Entries fire in (deadline, insertion) order, which keeps anything built
+//! on the heap deterministic for a deterministic schedule order. Every
+//! call takes `now` instead of reading a clock, so a virtual clock drives
+//! it as well as [`Instant::now`] does.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-struct Entry<T> {
-    deadline_tick: u64,
-    item: T,
+/// One-shot timers keyed by `u64`, fired in (deadline, insertion) order.
+#[derive(Debug, Default)]
+pub struct Timers {
+    /// `(deadline, insertion seq, key)`, nearest deadline on top.
+    heap: BinaryHeap<Reverse<(Instant, u64, u64)>>,
+    seq: u64,
 }
 
-/// A single-level hashed timer wheel.
-pub struct TimerWheel<T> {
-    tick: Duration,
-    start: Instant,
-    /// Highest tick index already processed by [`TimerWheel::advance`].
-    processed: u64,
-    slots: Vec<Vec<Entry<T>>>,
-    pending: usize,
-}
-
-impl<T> std::fmt::Debug for TimerWheel<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimerWheel")
-            .field("tick", &self.tick)
-            .field("slots", &self.slots.len())
-            .field("pending", &self.pending)
-            .finish()
-    }
-}
-
-impl<T> TimerWheel<T> {
-    /// A wheel with the given resolution and slot count, anchored at `now`.
-    pub fn new(now: Instant, tick: Duration, n_slots: usize) -> TimerWheel<T> {
-        TimerWheel {
-            tick: tick.max(Duration::from_micros(100)),
-            start: now,
-            processed: 0,
-            slots: (0..n_slots.max(1)).map(|_| Vec::new()).collect(),
-            pending: 0,
-        }
+impl Timers {
+    /// Schedules `key` to fire `after` from `now`, on the first
+    /// [`Timers::advance`] at or past that deadline.
+    pub fn schedule(&mut self, now: Instant, after: Duration, key: u64) {
+        self.heap.push(Reverse((now + after, self.seq, key)));
+        self.seq += 1;
     }
 
-    /// Timers scheduled but not yet fired.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.start);
-        // Integer division in nanos; u64 nanos covers ~584 years.
-        (elapsed.as_nanos() / self.tick.as_nanos().max(1)) as u64
-    }
-
-    /// Schedules `item` to fire `after` from `now` (rounded up to the
-    /// next tick, and never before the next `advance`).
-    pub fn schedule(&mut self, now: Instant, after: Duration, item: T) {
-        let deadline = now + after;
-        let nanos = deadline.saturating_duration_since(self.start).as_nanos();
-        let tick_nanos = self.tick.as_nanos().max(1);
-        let deadline_tick = (nanos.div_ceil(tick_nanos) as u64).max(self.processed + 1);
-        let slot = (deadline_tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push(Entry {
-            deadline_tick,
-            item,
-        });
-        self.pending += 1;
-    }
-
-    /// Fires every timer due at or before `now`, appending items to
-    /// `fired` in (deadline, insertion) order.
-    pub fn advance(&mut self, now: Instant, fired: &mut Vec<T>) {
-        let target = self.tick_of(now);
-        if target <= self.processed || self.pending == 0 {
-            self.processed = self.processed.max(target);
-            return;
-        }
-        let n_slots = self.slots.len() as u64;
-        // When the wheel lagged more than one full revolution, every slot
-        // would be visited n times; one pass per slot suffices instead.
-        let span = target - self.processed;
-        if span >= n_slots {
-            for slot in &mut self.slots {
-                let mut keep = Vec::new();
-                for e in slot.drain(..) {
-                    if e.deadline_tick <= target {
-                        fired.push(e.item);
-                        self.pending -= 1;
-                    } else {
-                        keep.push(e);
-                    }
-                }
-                *slot = keep;
+    /// Fires every timer due at or before `now`, appending keys to
+    /// `fired` in (deadline, insertion) order. A timer scheduled after
+    /// this returns — from a handler of one it fired — waits for the next
+    /// call, even with a zero delay.
+    pub fn advance(&mut self, now: Instant, fired: &mut Vec<u64>) {
+        while let Some(&Reverse((at, _, key))) = self.heap.peek() {
+            if at > now {
+                break;
             }
-        } else {
-            for t in (self.processed + 1)..=target {
-                let slot = &mut self.slots[(t % n_slots) as usize];
-                if slot.is_empty() {
-                    continue;
-                }
-                let mut keep = Vec::new();
-                for e in slot.drain(..) {
-                    if e.deadline_tick <= t {
-                        fired.push(e.item);
-                        self.pending -= 1;
-                    } else {
-                        keep.push(e);
-                    }
-                }
-                *slot = keep;
-            }
+            self.heap.pop();
+            fired.push(key);
         }
-        self.processed = target;
     }
 
-    /// How long a poll may sleep before the next potential firing, or
-    /// `None` when nothing is scheduled. Conservative: the wheel does not
-    /// track its nearest deadline exactly, so this is the time to the
-    /// next tick boundary — at most one tick of over-wakeup.
+    /// How long a poll may sleep before the nearest deadline (zero when
+    /// one is already due), or `None` when nothing is scheduled.
     pub fn next_wakeup(&self, now: Instant) -> Option<Duration> {
-        if self.pending == 0 {
-            return None;
-        }
-        let boundary = self.start + self.tick * (self.processed as u32 + 1);
-        Some(
-            boundary
-                .saturating_duration_since(now)
-                .max(Duration::from_micros(50)),
-        )
+        let Reverse((at, _, _)) = self.heap.peek()?;
+        Some(at.saturating_duration_since(now))
     }
 }
 
@@ -142,86 +56,112 @@ impl<T> TimerWheel<T> {
 mod tests {
     use super::*;
 
+    const MS: Duration = Duration::from_millis(1);
+
     #[test]
     fn timers_fire_in_deadline_then_insertion_order() {
         let t0 = Instant::now();
-        let mut wheel: TimerWheel<u32> = TimerWheel::new(t0, Duration::from_millis(10), 8);
-        wheel.schedule(t0, Duration::from_millis(35), 3);
-        wheel.schedule(t0, Duration::from_millis(5), 1);
-        wheel.schedule(t0, Duration::from_millis(5), 2);
+        let mut timers = Timers::default();
+        timers.schedule(t0, 35 * MS, 3);
+        timers.schedule(t0, 5 * MS, 1);
+        timers.schedule(t0, 5 * MS, 2);
+        timers.schedule(t0, 4 * MS, 0);
         let mut fired = Vec::new();
-        wheel.advance(t0 + Duration::from_millis(12), &mut fired);
-        assert_eq!(fired, vec![1, 2], "due timers fire in insertion order");
-        wheel.advance(t0 + Duration::from_millis(20), &mut fired);
-        assert_eq!(fired, vec![1, 2], "not-yet-due timer stays");
-        wheel.advance(t0 + Duration::from_millis(50), &mut fired);
-        assert_eq!(fired, vec![1, 2, 3]);
-        assert_eq!(wheel.pending(), 0);
+        timers.advance(t0 + 12 * MS, &mut fired);
+        assert_eq!(fired, vec![0, 1, 2], "deadline first, then insertion");
+        timers.advance(t0 + 20 * MS, &mut fired);
+        assert_eq!(fired, vec![0, 1, 2], "not-yet-due timer stays");
+        timers.advance(t0 + 35 * MS, &mut fired);
+        assert_eq!(fired, vec![0, 1, 2, 3], "a deadline fires at exactly now");
+        assert_eq!(timers.next_wakeup(t0), None, "nothing left pending");
     }
 
     #[test]
     fn wrap_around_does_not_fire_early() {
         let t0 = Instant::now();
-        // 4 slots × 10 ms: a 75 ms timer wraps the wheel almost twice.
-        let mut wheel: TimerWheel<&str> = TimerWheel::new(t0, Duration::from_millis(10), 4);
-        wheel.schedule(t0, Duration::from_millis(75), "late");
-        wheel.schedule(t0, Duration::from_millis(15), "early");
+        let mut timers = Timers::default();
+        timers.schedule(t0, 75 * MS, 75);
+        timers.schedule(t0, 15 * MS, 15);
         let mut fired = Vec::new();
-        wheel.advance(t0 + Duration::from_millis(40), &mut fired);
-        assert_eq!(
-            fired,
-            vec!["early"],
-            "wrapped timer must not fire a round early"
-        );
-        wheel.advance(t0 + Duration::from_millis(80), &mut fired);
-        assert_eq!(fired, vec!["early", "late"]);
+        timers.advance(t0 + 74 * MS, &mut fired);
+        assert_eq!(fired, vec![15], "a timer never fires before its deadline");
+        timers.advance(t0 + 75 * MS, &mut fired);
+        assert_eq!(fired, vec![15, 75]);
     }
 
     #[test]
     fn lagging_advance_fires_everything_once() {
         let t0 = Instant::now();
-        let mut wheel: TimerWheel<u32> = TimerWheel::new(t0, Duration::from_millis(1), 4);
-        for i in 0..16 {
-            wheel.schedule(t0, Duration::from_millis(i as u64), i);
+        let mut timers = Timers::default();
+        // Scheduled in scrambled deadline order.
+        for i in 0..16u32 {
+            let k = i * 7 % 16;
+            timers.schedule(t0, k * MS, u64::from(k));
         }
         let mut fired = Vec::new();
-        // One advance far past every deadline — multiple full revolutions.
-        wheel.advance(t0 + Duration::from_secs(1), &mut fired);
-        let mut sorted = fired.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>());
-        assert_eq!(wheel.pending(), 0);
+        // One advance far past every deadline.
+        timers.advance(t0 + Duration::from_secs(1), &mut fired);
+        assert_eq!(fired, (0..16).collect::<Vec<_>>(), "in deadline order");
+        assert_eq!(timers.next_wakeup(t0), None, "nothing left pending");
+        timers.advance(t0 + Duration::from_secs(2), &mut fired);
+        assert_eq!(fired.len(), 16, "nothing fires twice");
     }
 
     #[test]
     fn next_wakeup_tracks_pending_state() {
         let t0 = Instant::now();
-        let mut wheel: TimerWheel<()> = TimerWheel::new(t0, Duration::from_millis(10), 8);
-        assert!(wheel.next_wakeup(t0).is_none(), "empty wheel never wakes");
-        wheel.schedule(t0, Duration::from_millis(30), ());
-        let nap = wheel.next_wakeup(t0).unwrap();
-        assert!(nap <= Duration::from_millis(10), "wakes within one tick");
+        let mut timers = Timers::default();
+        assert!(timers.next_wakeup(t0).is_none(), "no timer, no wakeup");
+        timers.schedule(t0, 30 * MS, 1);
+        timers.schedule(t0, 20 * MS, 2);
+        assert_eq!(
+            timers.next_wakeup(t0),
+            Some(20 * MS),
+            "the nearest deadline"
+        );
+        assert_eq!(timers.next_wakeup(t0 + 25 * MS), Some(Duration::ZERO));
         let mut fired = Vec::new();
-        wheel.advance(t0 + Duration::from_millis(40), &mut fired);
-        assert_eq!(fired.len(), 1);
-        assert!(wheel.next_wakeup(t0).is_none());
+        timers.advance(t0 + 25 * MS, &mut fired);
+        assert_eq!(timers.next_wakeup(t0 + 25 * MS), Some(5 * MS));
+        timers.advance(t0 + 40 * MS, &mut fired);
+        assert_eq!(fired, vec![2, 1]);
+        assert!(timers.next_wakeup(t0).is_none());
+        // Far from the first schedule (2^32 ms is 49.7 days), the wakeup
+        // is still the exact distance to the nearest deadline.
+        let late = t0 + Duration::from_secs(200 * 86_400);
+        timers.schedule(late, 3 * MS, 3);
+        assert_eq!(timers.next_wakeup(late), Some(3 * MS));
+        assert_eq!(timers.next_wakeup(late + MS), Some(2 * MS));
     }
 
     #[test]
     fn reschedule_from_fired_timer_keeps_cadence() {
         let t0 = Instant::now();
-        let mut wheel: TimerWheel<u8> = TimerWheel::new(t0, Duration::from_millis(10), 16);
-        wheel.schedule(t0, Duration::from_millis(10), 0);
-        let mut total = 0;
+        let mut timers = Timers::default();
+        timers.schedule(t0, Duration::ZERO, 0);
         let mut fired = Vec::new();
-        for step in 1..=5 {
-            let now = t0 + Duration::from_millis(10 * step);
-            wheel.advance(now, &mut fired);
+        timers.advance(t0, &mut fired);
+        assert_eq!(fired, vec![0], "a zero delay is due at once");
+        // Re-armed from its own firing with zero delay: it waits for the
+        // next pass, which fires it even at the same instant.
+        for key in std::mem::take(&mut fired) {
+            timers.schedule(t0, Duration::ZERO, key);
+        }
+        assert!(fired.is_empty());
+        timers.advance(t0, &mut fired);
+        assert_eq!(fired, vec![0], "re-armed timer fires on the next pass");
+        // A periodic timer fires once per period.
+        let mut total = 0;
+        timers.schedule(t0, 10 * MS, 1);
+        for step in 1..=5u32 {
+            let now = t0 + 10 * step * MS;
+            fired.clear();
+            timers.advance(now, &mut fired);
             total += fired.len();
-            for _ in fired.drain(..) {
-                wheel.schedule(now, Duration::from_millis(10), 0);
+            for key in fired.drain(..) {
+                timers.schedule(now, 10 * MS, key);
             }
         }
-        assert!(total >= 4, "periodic reschedule fired {total} of ~5 ticks");
+        assert_eq!(total, 5, "one firing per 10 ms period");
     }
 }

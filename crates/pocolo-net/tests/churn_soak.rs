@@ -57,7 +57,7 @@ fn two_hundred_agents_survive_a_kill_and_rejoin_storm() {
     assert_eq!(killed_slots.len(), N / 4, "killed slots are distinct");
 
     // Lease takeover: every orphaned slot flips to Degraded once its
-    // lease runs out — driven by the reactor's timer wheel, no reaper
+    // lease runs out — driven by the reactor's deadline heap, no reaper
     // thread to thank.
     wait_until("orphaned leases to expire", Duration::from_secs(30), || {
         let states = clusterd.slot_states();

@@ -204,8 +204,8 @@ impl ExperimentResult {
     }
 }
 
-pocolo_json::impl_json!(PairResult { lc, be, metrics });
-pocolo_json::impl_json!(ExperimentResult {
+pocolo_json::impl_to_json!(PairResult { lc, be, metrics });
+pocolo_json::impl_to_json!(ExperimentResult {
     policy,
     pairs,
     summary
@@ -838,7 +838,7 @@ mod tests {
 
     #[test]
     fn experiment_result_json_is_pinned() {
-        use pocolo_json::{FromJson, ToJson};
+        use pocolo_json::ToJson;
         let mut idle = ServerMetrics::new(pocolo_core::units::Watts(90.0));
         idle.record(1.0, pocolo_core::units::Watts(60.0), 0.0, 0.1, false, false);
         let policy = Policy::Pom { seed: 5 };
@@ -850,7 +850,6 @@ mod tests {
             json.to_compact_string(),
             r#"{"policy":"POM","pairs":[{"lc":"tpcc","be":"pbzip","metrics":{"duration_s":1,"energy":60,"peak_power":60,"power_cap":90,"be_throughput_avg":0,"lc_violation_frac":0,"capping_frac":0,"samples":1,"time_to_recover_s":0,"slo_violation_frac_during_fault":0,"evictions":0,"be_integral":0,"violation_time":0,"capping_events":0,"fault_time":0,"fault_violation_time":0}}],"summary":{"avg_be_throughput":0,"avg_power_utilization":0.6666666666666666,"total_energy":60,"energy_per_throughput":null,"worst_violation_frac":0,"avg_capping_frac":0,"time_to_recover_s":0,"slo_violation_frac_during_fault":0,"evictions":0}}"#
         );
-        assert_eq!(ExperimentResult::from_json(&json).unwrap(), result);
     }
 
     #[test]

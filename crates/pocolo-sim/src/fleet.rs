@@ -21,7 +21,6 @@
 use pocolo_cluster::{ClusterManager, ServerProfile, Solver};
 use pocolo_core::check::{Check, Expect};
 use pocolo_core::fleet::FleetSpec;
-use pocolo_simserver::MachineSpec;
 use pocolo_workloads::profiler::ProfilerConfig;
 use pocolo_workloads::{BeApp, LcApp, LoadTrace};
 
@@ -42,10 +41,10 @@ pub const DEMO_FAULT_SEED: u64 = 1;
 /// Per-class fitted models plus the seeded class-per-slot assignment: the
 /// heterogeneous counterpart of [`FittedCluster`].
 ///
-/// Each server class is profiled and fitted once on its own simulated
-/// machine ([`MachineSpec::from_class`]); a slot then borrows its class's
-/// fit. A homogeneous fleet of the `xeon` catalog class reproduces the
-/// [`FittedCluster::fit`] models knob-for-knob.
+/// Each server class is profiled and fitted once as its own simulated
+/// machine (a [`MachineSpec`](pocolo_simserver::MachineSpec) is a class);
+/// a slot then borrows its class's fit. A homogeneous fleet of the `xeon`
+/// catalog class reproduces the [`FittedCluster::fit`] models exactly.
 #[derive(Debug, Clone)]
 pub struct FittedFleet {
     spec: FleetSpec,
@@ -62,7 +61,7 @@ impl FittedFleet {
         let fits = spec
             .entries()
             .iter()
-            .map(|(class, _)| FittedCluster::fit_on(profiler, MachineSpec::from_class(class)))
+            .map(|(class, _)| FittedCluster::fit_on(profiler, class.clone()))
             .collect();
         FittedFleet {
             spec,
@@ -283,6 +282,19 @@ mod tests {
         ExperimentConfig {
             dwell_s: 3.0,
             ..ExperimentConfig::default()
+        }
+    }
+
+    #[test]
+    fn smallest_accepted_geometry_fits_every_class() {
+        // 2 cores × 4 ways is the least the profile grid can fit: two
+        // values on each axis.
+        for name in ServerClass::CATALOG {
+            let class = ServerClass::named(name).unwrap();
+            let small = class.with_geometry(2, 4).unwrap();
+            let fit = FittedCluster::fit_on(&ProfilerConfig::default(), small);
+            assert_eq!(fit.lc().len(), LcApp::ALL.len(), "{name}");
+            assert_eq!(fit.be().len(), BeApp::ALL.len(), "{name}");
         }
     }
 

@@ -232,8 +232,7 @@ pocolo_json::impl_json!(ServerMetrics {
     fault_violation_time,
 });
 
-// ∞ (no BE throughput at all) is written as null, so only the decoding
-// is by hand.
+// ∞ (no BE throughput at all) is written as null.
 pocolo_json::impl_to_json!(ClusterSummary {
     avg_be_throughput,
     avg_power_utilization,
@@ -245,24 +244,6 @@ pocolo_json::impl_to_json!(ClusterSummary {
     slo_violation_frac_during_fault,
     evictions,
 });
-
-impl pocolo_json::FromJson for ClusterSummary {
-    fn from_json(v: &pocolo_json::Value) -> Result<Self, pocolo_json::JsonError> {
-        Ok(ClusterSummary {
-            avg_be_throughput: v.field("avg_be_throughput")?,
-            avg_power_utilization: v.field("avg_power_utilization")?,
-            total_energy: v.field("total_energy")?,
-            energy_per_throughput: v
-                .field::<Option<f64>>("energy_per_throughput")?
-                .unwrap_or(f64::INFINITY),
-            worst_violation_frac: v.field("worst_violation_frac")?,
-            avg_capping_frac: v.field("avg_capping_frac")?,
-            time_to_recover_s: v.field("time_to_recover_s")?,
-            slo_violation_frac_during_fault: v.field("slo_violation_frac_during_fault")?,
-            evictions: v.field("evictions")?,
-        })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -364,9 +345,6 @@ mod tests {
             m.to_json().to_compact_string(),
             r#"{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}"#
         );
-        let summary = ClusterSummary::aggregate(&[m]).unwrap();
-        let back = ClusterSummary::from_json(&summary.to_json()).unwrap();
-        assert_eq!(back, summary);
     }
 }
 

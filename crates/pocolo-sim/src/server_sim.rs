@@ -9,7 +9,7 @@ use pocolo_manager::{
     ServerController, ServerManager,
 };
 use pocolo_simserver::power::{PowerDrawModel, PowerMeter};
-use pocolo_simserver::{SimServer, TenantRole, TimeSeries};
+use pocolo_simserver::{Reading, SimServer, TenantRole};
 use pocolo_workloads::{BeModel, LcModel, LoadTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,8 +53,8 @@ pub struct ServerSim {
     /// True while the server is crashed.
     down: bool,
     /// What the management plane *observes* (freezable telemetry).
-    obs_load: TimeSeries,
-    obs_slack: TimeSeries,
+    obs_load: Reading,
+    obs_slack: Reading,
     /// Fault physics armed: the capper enforces the *effective* cap and a
     /// RAPL-style emergency throttle may slow the primary under sustained
     /// overdraw.
@@ -116,8 +116,8 @@ impl ServerSim {
             clock_s: 0.0,
             cap_factor: 1.0,
             down: false,
-            obs_load: TimeSeries::with_capacity(16),
-            obs_slack: TimeSeries::with_capacity(16),
+            obs_load: Reading::default(),
+            obs_slack: Reading::default(),
             fault_physics: false,
             rapl_ceiling,
             duty: 1.0,

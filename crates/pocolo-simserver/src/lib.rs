@@ -35,4 +35,4 @@ pub use knobs::{CoreSet, TenantAllocation, TenantRole, WayMask};
 pub use machine::MachineSpec;
 pub use power::{PowerDrawModel, PowerMeter};
 pub use server::SimServer;
-pub use telemetry::{TimeSeries, WindowStats};
+pub use telemetry::Reading;

@@ -1,16 +1,12 @@
 //! Machine specifications (Table I of the paper).
 
-use pocolo_core::fleet::ServerClass;
-use pocolo_core::resources::{ResourceDescriptor, ResourceSpace};
-use pocolo_core::units::{Frequency, Watts};
-
-use crate::error::SimError;
-
-/// Static description of a server platform.
+/// Static description of a server platform: the fleet catalog's
+/// [`ServerClass`](pocolo_core::fleet::ServerClass), so a simulated
+/// machine and the class the fleet layers plan with are one value.
 ///
-/// The default reproduces Table I: an Intel Xeon E5-2650 with 12 cores at
-/// 1.2–2.2 GHz, a 30 MB LLC with 20 ways, idle power 50 W and active power
-/// 135 W.
+/// [`ServerClass::xeon_e5_2650`](pocolo_core::fleet::ServerClass::xeon_e5_2650)
+/// reproduces Table I: an Intel Xeon E5-2650 with 12 cores at 1.2–2.2 GHz,
+/// 20 LLC ways, idle power 50 W and active power 135 W.
 ///
 /// ```
 /// use pocolo_simserver::MachineSpec;
@@ -18,299 +14,21 @@ use crate::error::SimError;
 /// assert_eq!(spec.cores(), 12);
 /// assert_eq!(spec.llc_ways(), 20);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MachineSpec {
-    name: String,
-    cores: u32,
-    freq_min: Frequency,
-    freq_max: Frequency,
-    llc_ways: u32,
-    llc_mb: f64,
-    memory_gb: u32,
-    idle_power: Watts,
-    active_power: Watts,
-}
-
-impl MachineSpec {
-    /// The paper's evaluation platform (Table I).
-    pub fn xeon_e5_2650() -> Self {
-        MachineSpec {
-            name: "Intel Xeon E5-2650".to_string(),
-            cores: 12,
-            freq_min: Frequency(1.2),
-            freq_max: Frequency(2.2),
-            llc_ways: 20,
-            llc_mb: 30.0,
-            memory_gb: 256,
-            idle_power: Watts(50.0),
-            active_power: Watts(135.0),
-        }
-    }
-
-    /// Builds a custom machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidKnob`] if any field is degenerate
-    /// (zero cores/ways, inverted frequency range, inverted power range).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        name: impl Into<String>,
-        cores: u32,
-        freq_min: Frequency,
-        freq_max: Frequency,
-        llc_ways: u32,
-        llc_mb: f64,
-        memory_gb: u32,
-        idle_power: Watts,
-        active_power: Watts,
-    ) -> Result<Self, SimError> {
-        if cores == 0 || cores > 64 {
-            return Err(SimError::InvalidKnob(format!(
-                "cores must be in 1..=64, got {cores}"
-            )));
-        }
-        if llc_ways == 0 || llc_ways > 32 {
-            return Err(SimError::InvalidKnob(format!(
-                "llc ways must be in 1..=32, got {llc_ways}"
-            )));
-        }
-        if freq_min.0 <= 0.0 || freq_min > freq_max {
-            return Err(SimError::InvalidKnob(format!(
-                "frequency range [{freq_min}, {freq_max}] is invalid"
-            )));
-        }
-        if !idle_power.is_valid() || !active_power.is_valid() || idle_power > active_power {
-            return Err(SimError::InvalidKnob(format!(
-                "power range [{idle_power}, {active_power}] is invalid"
-            )));
-        }
-        Ok(MachineSpec {
-            name: name.into(),
-            cores,
-            freq_min,
-            freq_max,
-            llc_ways,
-            llc_mb,
-            memory_gb,
-            idle_power,
-            active_power,
-        })
-    }
-
-    /// Builds the simulated machine for a fleet [`ServerClass`].
-    ///
-    /// Geometry, frequency range, and idle/peak watts carry over directly.
-    /// LLC capacity follows the Xeon's 1.5 MB-per-way ratio and DRAM is
-    /// fixed at 256 GB — neither feeds the performance or power models,
-    /// they only describe the platform. `from_class` of the `xeon` catalog
-    /// class reproduces [`MachineSpec::xeon_e5_2650`]'s knobs exactly.
-    pub fn from_class(class: &ServerClass) -> Self {
-        MachineSpec::new(
-            class.name().to_string(),
-            class.cores(),
-            class.freq_min(),
-            class.freq_max(),
-            class.llc_ways(),
-            1.5 * class.llc_ways() as f64,
-            256,
-            class.idle_watts(),
-            class.peak_watts(),
-        )
-        .expect("server classes are validated at construction")
-    }
-
-    /// Human-readable platform name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of physical cores.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
-    /// Minimum per-core frequency.
-    pub fn freq_min(&self) -> Frequency {
-        self.freq_min
-    }
-
-    /// Maximum (non-turbo) per-core frequency.
-    pub fn freq_max(&self) -> Frequency {
-        self.freq_max
-    }
-
-    /// Number of LLC ways available to CAT.
-    pub fn llc_ways(&self) -> u32 {
-        self.llc_ways
-    }
-
-    /// LLC capacity in megabytes.
-    pub fn llc_mb(&self) -> f64 {
-        self.llc_mb
-    }
-
-    /// Installed DRAM in gigabytes.
-    pub fn memory_gb(&self) -> u32 {
-        self.memory_gb
-    }
-
-    /// Idle (all cores parked) power draw.
-    pub fn idle_power(&self) -> Watts {
-        self.idle_power
-    }
-
-    /// Nominal all-cores-active power draw at max frequency.
-    pub fn active_power(&self) -> Watts {
-        self.active_power
-    }
-
-    /// The direct-resource space this machine exposes to the economics
-    /// framework: `cores ∈ [1, n]`, `llc_ways ∈ [1, w]`.
-    pub fn resource_space(&self) -> ResourceSpace {
-        ResourceSpace::builder()
-            .resource(ResourceDescriptor::integral(
-                "cores",
-                1.0,
-                self.cores as f64,
-            ))
-            .resource(ResourceDescriptor::integral(
-                "llc_ways",
-                1.0,
-                self.llc_ways as f64,
-            ))
-            .build()
-            .expect("machine fields validated at construction")
-    }
-
-    /// Clamps a frequency into the machine's DVFS range.
-    pub fn clamp_frequency(&self, f: Frequency) -> Frequency {
-        Frequency(f.0.clamp(self.freq_min.0, self.freq_max.0))
-    }
-}
+pub type MachineSpec = pocolo_core::fleet::ServerClass;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_one_constants() {
-        let m = MachineSpec::xeon_e5_2650();
-        assert_eq!(m.cores(), 12);
-        assert_eq!(m.llc_ways(), 20);
-        assert_eq!(m.freq_min(), Frequency(1.2));
-        assert_eq!(m.freq_max(), Frequency(2.2));
-        assert_eq!(m.idle_power(), Watts(50.0));
-        assert_eq!(m.active_power(), Watts(135.0));
-        assert_eq!(m.memory_gb(), 256);
-        assert!((m.llc_mb() - 30.0).abs() < 1e-9);
-        assert!(m.name().contains("2650"));
-    }
-
-    #[test]
-    fn custom_machine_validation() {
-        let ok = MachineSpec::new(
-            "test",
-            4,
-            Frequency(1.0),
-            Frequency(2.0),
-            8,
-            10.0,
-            64,
-            Watts(20.0),
-            Watts(80.0),
-        );
-        assert!(ok.is_ok());
-        assert!(MachineSpec::new(
-            "t",
-            0,
-            Frequency(1.0),
-            Frequency(2.0),
-            8,
-            10.0,
-            64,
-            Watts(20.0),
-            Watts(80.0)
-        )
-        .is_err());
-        assert!(MachineSpec::new(
-            "t",
-            4,
-            Frequency(2.5),
-            Frequency(2.0),
-            8,
-            10.0,
-            64,
-            Watts(20.0),
-            Watts(80.0)
-        )
-        .is_err());
-        assert!(MachineSpec::new(
-            "t",
-            4,
-            Frequency(1.0),
-            Frequency(2.0),
-            0,
-            10.0,
-            64,
-            Watts(20.0),
-            Watts(80.0)
-        )
-        .is_err());
-        assert!(MachineSpec::new(
-            "t",
-            4,
-            Frequency(1.0),
-            Frequency(2.0),
-            8,
-            10.0,
-            64,
-            Watts(90.0),
-            Watts(80.0)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn from_class_matches_xeon_knobs() {
-        let m = MachineSpec::from_class(&ServerClass::xeon_e5_2650());
-        let x = MachineSpec::xeon_e5_2650();
-        // Every knob that feeds a model matches the Table I machine;
-        // only the display name differs.
-        assert_eq!(m.cores(), x.cores());
-        assert_eq!(m.llc_ways(), x.llc_ways());
-        assert_eq!(m.freq_min(), x.freq_min());
-        assert_eq!(m.freq_max(), x.freq_max());
-        assert_eq!(m.idle_power(), x.idle_power());
-        assert_eq!(m.active_power(), x.active_power());
-        assert_eq!(m.memory_gb(), x.memory_gb());
-        assert!((m.llc_mb() - x.llc_mb()).abs() < 1e-9);
-        assert_eq!(m.resource_space(), x.resource_space());
-    }
+    use pocolo_core::fleet::ServerClass;
+    use pocolo_core::units::{Frequency, Watts};
 
     #[test]
     fn from_class_carries_sku_geometry() {
         let m = MachineSpec::from_class(&ServerClass::turbo());
+        assert_eq!(m, ServerClass::turbo());
         assert_eq!(m.cores(), 16);
         assert_eq!(m.llc_ways(), 16);
         assert_eq!(m.freq_max(), Frequency(3.0));
-        assert_eq!(m.active_power(), Watts(180.0));
-    }
-
-    #[test]
-    fn resource_space_matches_machine() {
-        let m = MachineSpec::xeon_e5_2650();
-        let s = m.resource_space();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.descriptor(0).max(), 12.0);
-        assert_eq!(s.descriptor(1).max(), 20.0);
-    }
-
-    #[test]
-    fn clamp_frequency() {
-        let m = MachineSpec::xeon_e5_2650();
-        assert_eq!(m.clamp_frequency(Frequency(3.0)), Frequency(2.2));
-        assert_eq!(m.clamp_frequency(Frequency(0.5)), Frequency(1.2));
-        assert_eq!(m.clamp_frequency(Frequency(1.8)), Frequency(1.8));
+        assert_eq!(m.peak_watts(), Watts(180.0));
     }
 }

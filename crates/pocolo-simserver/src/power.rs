@@ -91,7 +91,7 @@ impl PowerDrawModel {
     where
         I: IntoIterator<Item = Watts>,
     {
-        self.machine.idle_power() + tenant_draws.into_iter().sum()
+        self.machine.idle_watts() + tenant_draws.into_iter().sum()
     }
 
     /// Splits a measured server power among tenants in proportion to their

@@ -80,14 +80,32 @@ fn fitted_models_roundtrip_through_json() {
     let samples = profile_lc(&truth, &power, &space, &ProfilerConfig::default());
     let fitted = fit_indirect_utility(&space, &samples, &FitOptions::default()).unwrap();
 
-    let json = pocolo_json::to_string(&fitted.utility);
-    let back: IndirectUtility = pocolo_json::typed_from_str(&json).unwrap();
-    assert_eq!(fitted.utility, back);
-
-    // And the demand solution of the deserialized model matches.
-    let a = fitted.utility.demand(Watts(120.0)).unwrap();
-    let b = back.demand(Watts(120.0)).unwrap();
-    assert_eq!(a.amounts(), b.amounts());
+    // The text carries every fitted parameter bit for bit.
+    let u = &fitted.utility;
+    let v = pocolo_json::from_str(&pocolo_json::to_string(u)).unwrap();
+    let numbers = |v: &pocolo_json::Value| -> Vec<f64> {
+        let items = v.as_array().unwrap().iter();
+        items.map(|x| x.as_f64().unwrap()).collect()
+    };
+    assert_eq!(
+        v["perf"]["alpha0"].as_f64(),
+        Some(u.performance_model().alpha0())
+    );
+    assert_eq!(
+        numbers(&v["perf"]["alphas"]),
+        u.performance_model().alphas()
+    );
+    assert_eq!(
+        v["power"]["p_static"].as_f64(),
+        Some(u.power_model().p_static().0)
+    );
+    assert_eq!(
+        numbers(&v["power"]["p_dynamic"]),
+        u.power_model().p_dynamic()
+    );
+    let descriptors = v["space"]["descriptors"].as_array().unwrap();
+    assert_eq!(descriptors.len(), space.len());
+    assert_eq!(descriptors[1]["max"].as_f64(), Some(20.0));
 }
 
 #[test]
@@ -100,8 +118,10 @@ fn experiment_results_serialize() {
     let result = run_experiment_with(Policy::Pom { seed: 5 }, &config, &fitted);
     let json = pocolo_json::to_string_pretty(&result);
     assert!(json.contains("POM"));
-    let back: ExperimentResult = pocolo_json::typed_from_str(&json).unwrap();
-    assert_eq!(back, result);
+    // The pretty text parses back to the tree the compact writer prints.
+    let back = pocolo_json::from_str(&json).unwrap();
+    assert_eq!(back, pocolo_json::ToJson::to_json(&result));
+    assert_eq!(back["pairs"].as_array().unwrap().len(), result.pairs.len());
 }
 
 #[test]
@@ -134,13 +154,12 @@ fn heterogeneous_machines_work_end_to_end() {
     let big = MachineSpec::new(
         "hypothetical-16c",
         16,
+        24,
         Frequency(1.4),
         Frequency(2.8),
-        24,
-        45.0,
-        512,
         Watts(60.0),
         Watts(190.0),
+        pocolo_core::PowerCurve::Linear,
     )
     .unwrap();
 
