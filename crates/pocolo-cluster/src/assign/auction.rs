@@ -60,26 +60,18 @@ const MAX_WIDEN: usize = 16;
 pub struct AuctionConfig {
     /// Final ε: the per-row optimality tolerance.
     pub eps: f64,
-    /// Initial candidate-list width; `None` = [`SparseCandidates::default_k`].
-    pub k0: Option<usize>,
 }
 
 impl Default for AuctionConfig {
     fn default() -> Self {
-        AuctionConfig {
-            eps: DEFAULT_EPS,
-            k0: None,
-        }
+        AuctionConfig::with_eps(DEFAULT_EPS)
     }
 }
 
 impl AuctionConfig {
     /// The default configuration with a custom ε.
     pub fn with_eps(eps: f64) -> Self {
-        AuctionConfig {
-            eps,
-            ..AuctionConfig::default()
-        }
+        AuctionConfig { eps }
     }
 }
 
@@ -430,7 +422,19 @@ fn max_profit(values: &[f64], prices: &[f64]) -> f64 {
     best
 }
 
-fn validate(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<(), ClusterError> {
+fn validate(
+    matrix: &PerfMatrix,
+    cands: &SparseCandidates,
+    cfg: &AuctionConfig,
+) -> Result<(), ClusterError> {
+    if cands.shape() != (matrix.rows(), matrix.cols()) {
+        let (rows, cols) = cands.shape();
+        return Err(ClusterError::InvalidMatrix(format!(
+            "candidate lists built for {rows}x{cols}, matrix is {}x{}",
+            matrix.rows(),
+            matrix.cols()
+        )));
+    }
     if !cfg.eps.is_finite() || cfg.eps <= 0.0 {
         return Err(ClusterError::InvalidMatrix(format!(
             "auction eps {} must be finite and positive",
@@ -446,8 +450,8 @@ fn validate(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<(), ClusterError
     Ok(())
 }
 
-/// Cold solve: builds candidate lists at `cfg.k0` (default
-/// [`SparseCandidates::default_k`]) and runs the full ε-scaling schedule.
+/// Cold solve: builds candidate lists at [`SparseCandidates::default_k`]
+/// and runs the full ε-scaling schedule.
 ///
 /// # Errors
 ///
@@ -456,10 +460,7 @@ fn validate(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<(), ClusterError
 /// [`ClusterError::Infeasible`] if no perfect matching exists even at full
 /// candidate width.
 pub fn solve(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<AuctionSolution, ClusterError> {
-    let k0 = cfg
-        .k0
-        .unwrap_or_else(|| SparseCandidates::default_k(matrix.cols()));
-    let mut cands = SparseCandidates::build(matrix, k0);
+    let mut cands = SparseCandidates::build(matrix, SparseCandidates::default_k(matrix.cols()));
     solve_with_candidates(matrix, &mut cands, cfg)
 }
 
@@ -468,13 +469,14 @@ pub fn solve(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<AuctionSolution
 ///
 /// # Errors
 ///
-/// As [`solve`].
+/// As [`solve`]; additionally [`ClusterError::InvalidMatrix`] when `cands`
+/// was built over a matrix of another shape.
 pub fn solve_with_candidates(
     matrix: &PerfMatrix,
     cands: &mut SparseCandidates,
     cfg: &AuctionConfig,
 ) -> Result<AuctionSolution, ClusterError> {
-    validate(matrix, cfg)?;
+    validate(matrix, cands, cfg)?;
     let mut eng = Engine::new(matrix, cfg, vec![0.0; matrix.cols()]);
     eng.run_to_completion(cands)?;
     eng.certify_repair(cands)?;
@@ -487,15 +489,16 @@ pub fn solve_with_candidates(
 ///
 /// # Errors
 ///
-/// As [`solve`]; additionally [`ClusterError::InvalidMatrix`] when
-/// `prices` does not have one entry per column.
+/// As [`solve_with_candidates`]; additionally
+/// [`ClusterError::InvalidMatrix`] when `prices` does not have one entry
+/// per column.
 pub fn solve_warm(
     matrix: &PerfMatrix,
     cands: &mut SparseCandidates,
     prices: &[f64],
     cfg: &AuctionConfig,
 ) -> Result<AuctionSolution, ClusterError> {
-    validate(matrix, cfg)?;
+    validate(matrix, cands, cfg)?;
     if prices.len() != matrix.cols() {
         return Err(ClusterError::InvalidMatrix(format!(
             "{} warm-start prices for {} columns",
@@ -526,7 +529,9 @@ pub fn solve_warm(
 ///
 /// # Errors
 ///
-/// As [`solve_warm`].
+/// As [`solve_warm`], for `prev.prices`; additionally
+/// [`ClusterError::InvalidMatrix`] when a delta column or a pair of `prev`
+/// is out of range. Every error leaves `cands` untouched.
 pub fn solve_incremental(
     matrix: &PerfMatrix,
     cands: &mut SparseCandidates,
@@ -534,7 +539,7 @@ pub fn solve_incremental(
     delta: &MatrixDelta,
     cfg: &AuctionConfig,
 ) -> Result<AuctionSolution, ClusterError> {
-    validate(matrix, cfg)?;
+    validate(matrix, cands, cfg)?;
     if prev.prices.len() != matrix.cols() {
         return Err(ClusterError::InvalidMatrix(format!(
             "{} previous prices for {} columns",
@@ -542,24 +547,33 @@ pub fn solve_incremental(
             matrix.cols()
         )));
     }
+    // The edits are sorted by column, so the last one is the largest.
+    if let Some(&(col, _)) = delta
+        .edits()
+        .last()
+        .filter(|(col, _)| *col >= matrix.cols())
+    {
+        return Err(ClusterError::InvalidMatrix(format!(
+            "delta column {col} out of range ({} cols)",
+            matrix.cols()
+        )));
+    }
+    let pairs = &prev.assignment.pairs;
+    if let Some(&(row, col)) = pairs
+        .iter()
+        .find(|&&(row, col)| row >= matrix.rows() || col >= matrix.cols())
+    {
+        return Err(ClusterError::InvalidMatrix(format!(
+            "previous pair ({row}, {col}) out of range"
+        )));
+    }
     let touched = cands.apply_delta(matrix, delta);
     let mut dirty_col = vec![false; matrix.cols()];
     for col in delta.dirty_cols() {
-        if col >= matrix.cols() {
-            return Err(ClusterError::InvalidMatrix(format!(
-                "delta column {col} out of range ({} cols)",
-                matrix.cols()
-            )));
-        }
         dirty_col[col] = true;
     }
     let mut eng = Engine::new(matrix, cfg, prev.prices.clone());
-    for &(row, col) in &prev.assignment.pairs {
-        if row >= matrix.rows() || col >= matrix.cols() {
-            return Err(ClusterError::InvalidMatrix(format!(
-                "previous pair ({row}, {col}) out of range"
-            )));
-        }
+    for &(row, col) in pairs {
         if dirty_col[col] || touched.binary_search(&row).is_ok() {
             continue;
         }
@@ -704,14 +718,14 @@ mod tests {
 
     #[test]
     fn tight_scan_reproduces_the_scalar_scan() {
-        // k0 = 2 prunes hard, so certification has violations to report
+        // k = 2 prunes hard, so certification has violations to report
         // and splice; the default width covers the quiet path.
         let mut violations_seen = 0;
         for (i, &(rows, cols)) in [(5, 9), (7, 16), (12, 23), (6, 31), (20, 45), (3, 8)]
             .iter()
             .enumerate()
         {
-            for k0 in [Some(2), None] {
+            for k in [2, SparseCandidates::default_k(cols)] {
                 let seed = 100 + i as u64;
                 let base = tied_matrix(rows, cols, seed);
                 // Two disabled columns (one of them the last) once there
@@ -724,12 +738,8 @@ mod tests {
                 } else {
                     base
                 };
-                let cfg = AuctionConfig {
-                    k0,
-                    ..AuctionConfig::default()
-                };
-                let k = k0.unwrap_or_else(|| SparseCandidates::default_k(cols));
-                let what = format!("{rows}x{cols} k0 {k0:?}");
+                let cfg = AuctionConfig::default();
+                let what = format!("{rows}x{cols} k {k}");
                 let mut cands = SparseCandidates::build(&m, k);
                 let tight = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
                 let mut cands_scalar = SparseCandidates::build(&m, k);
@@ -895,7 +905,7 @@ mod tests {
 
     #[test]
     fn certification_widens_past_adversarial_pruning() {
-        // k0 = 1 prunes everything but each row's favourite; with three
+        // k = 1 prunes everything but each row's favourite; with three
         // rows sharing a favourite, bidding alone cannot finish — the
         // engine must widen to find a perfect matching, and certification
         // must still bound the gap.
@@ -904,16 +914,76 @@ mod tests {
             vec![1.0, 0.1, 0.9, 0.1],
             vec![1.0, 0.1, 0.1, 0.9],
         ]);
-        let cfg = AuctionConfig {
-            k0: Some(1),
-            ..AuctionConfig::default()
-        };
-        let sol = solve(&m, &cfg).unwrap();
+        let cfg = AuctionConfig::default();
+        let mut cands = SparseCandidates::build(&m, 1);
+        let sol = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
         valid(&m, &sol);
         assert!(sol.stats.widen_rounds > 0, "must have widened: {sol:?}");
         assert!(sol.certified);
         let opt = hungarian::solve_max(&m);
         assert!(sol.assignment.total >= opt.total - cfg.eps * 3.0 - 1e-9);
+    }
+
+    #[test]
+    fn certification_splices_the_edge_top_k_pruned() {
+        // Row 0's optimal host is column 3, its third choice: top-2 cuts
+        // it. Rows 1 and 2 want columns 0 and 1, so only the dense dual
+        // certificate can find the missing edge.
+        let m = matrix(vec![
+            vec![1.0, 0.99, 0.0, 0.98],
+            vec![1.0, 0.5, 0.0, 0.0],
+            vec![0.0, 1.0, 0.5, 0.0],
+        ]);
+        let mut cands = SparseCandidates::build(&m, 2);
+        let listed = |c: &SparseCandidates| c.row(0).iter().any(|&(j, _)| j == 3);
+        assert!(!listed(&cands), "top-2 prunes (0, 3)");
+        let sol = solve_with_candidates(&m, &mut cands, &AuctionConfig::default()).unwrap();
+        assert!(sol.certified);
+        let opt = hungarian::solve_max(&m);
+        assert_eq!(sol.assignment.pairs, vec![(0, 3), (1, 0), (2, 1)]);
+        assert_eq!(sol.assignment.pairs, opt.pairs);
+        assert!((sol.assignment.total - 2.98).abs() < 1e-12);
+        assert_eq!(sol.stats.widen_rounds, 1);
+        assert_eq!(cands.k(), 2, "a splice, not a k-doubling");
+        assert!(listed(&cands));
+    }
+
+    #[test]
+    fn lists_of_another_shape_are_an_error() {
+        let built = random_matrix(3, 5, 1);
+        let m = random_matrix(4, 6, 2);
+        let mut cands = SparseCandidates::build(&built, 2);
+        let before = cands.clone();
+        let cfg = AuctionConfig::default();
+        assert!(matches!(
+            solve_with_candidates(&m, &mut cands, &cfg),
+            Err(ClusterError::InvalidMatrix(_))
+        ));
+        assert!(matches!(
+            solve_warm(&m, &mut cands, &[0.0; 6], &cfg),
+            Err(ClusterError::InvalidMatrix(_))
+        ));
+        let prev = solve(&m, &cfg).unwrap();
+        assert!(matches!(
+            solve_incremental(&m, &mut cands, &prev, &MatrixDelta::new(), &cfg),
+            Err(ClusterError::InvalidMatrix(_))
+        ));
+        assert_eq!(cands, before);
+    }
+
+    #[test]
+    fn out_of_range_delta_column_is_an_error() {
+        let m = random_matrix(3, 5, 3);
+        let cfg = AuctionConfig::default();
+        let mut cands = SparseCandidates::build(&m, 2);
+        let prev = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
+        let before = cands.clone();
+        let delta = MatrixDelta::new().disable_column(9);
+        assert!(matches!(
+            solve_incremental(&m, &mut cands, &prev, &delta, &cfg),
+            Err(ClusterError::InvalidMatrix(_))
+        ));
+        assert_eq!(cands, before);
     }
 
     #[test]

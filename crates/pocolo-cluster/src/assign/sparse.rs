@@ -1,137 +1,33 @@
 //! Candidate pruning for fleet-scale assignment.
 //!
-//! A 10k-server fleet gives every BE row 10k candidate edges, but the
-//! paper's own scaled-preference-vector insight (§IV-B: the *shape* of a
-//! server's spare-capacity response is load-independent) means most
-//! servers are near-duplicates of each other from any one BE's point of
-//! view. [`SparseCandidates`] exploits that: it buckets columns by the
-//! geometry of their scaled value profile (signed random projections over
-//! the unit-max-normalized column vector), then emits per BE row a top-k
-//! candidate edge list that always covers every occupied geometry bucket.
+//! A 10k-server fleet gives every BE row 10k candidate edges, but an
+//! optimal assignment seldom sends a BE app far down its own value
+//! ranking. [`SparseCandidates`] keeps per BE row its top-k enabled
+//! columns and nothing else.
 //!
 //! Pruning is a heuristic; exactness comes from the auction solver's
-//! certification loop, which widens a row's candidate list whenever the
-//! dual prices prove a pruned edge could still matter (the escape hatch —
-//! see [`crate::assign::auction`]).
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! certification loop, which scans every enabled column of every row and
+//! splices in any pruned edge whose dual price proves it could still
+//! matter (the escape hatch — see [`crate::assign::auction`]). That dense
+//! certificate is why no column is kept "just in case": an edge the top-k
+//! cut is restored exactly when, and only where, the optimum needs it.
 
 use crate::matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
-
-/// Fixed seed for the bucketing hyperplanes — candidate generation is
-/// deterministic so replans and benches reproduce bit-identically.
-const BUCKET_SEED: u64 = 0x5EED_CA7D;
-
-/// Number of signed random projections: at most `2^PLANES` buckets, enough
-/// to separate geometry classes without fragmenting small fleets.
-const PLANES: usize = 6;
-
-/// Geometry buckets over the columns of a matrix.
-///
-/// Each column's *scaled preference vector* (the column divided by its own
-/// maximum — shape, not magnitude) is projected onto `PLANES` fixed
-/// pseudo-random hyperplanes; the sign pattern is the bucket key. Columns
-/// landing in the same bucket respond near-identically across the BE
-/// candidates, so one representative per bucket is enough to keep every
-/// geometry class reachable from every row's candidate list.
-#[derive(Debug, Clone)]
-pub struct ColumnBuckets {
-    /// Bucket key per column.
-    keys: Vec<u64>,
-    /// One representative column per occupied bucket (the member with the
-    /// largest unscaled norm), ascending by bucket key.
-    reps: Vec<usize>,
-}
-
-impl ColumnBuckets {
-    /// Buckets every column of `matrix`.
-    pub fn build(matrix: &PerfMatrix) -> Self {
-        let rows = matrix.rows();
-        let cols = matrix.cols();
-        let mut rng = StdRng::seed_from_u64(BUCKET_SEED);
-        // PLANES hyperplanes over row-space, components in [-1, 1).
-        let planes: Vec<Vec<f64>> = (0..PLANES)
-            .map(|_| (0..rows).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let mut keys = vec![0u64; cols];
-        let mut norm = vec![0.0f64; cols];
-        for (j, (key, n)) in keys.iter_mut().zip(&mut norm).enumerate() {
-            let mut peak = 0.0f64;
-            for v in matrix.col_iter(j) {
-                peak = peak.max(v);
-                *n += v * v;
-            }
-            if peak <= 0.0 {
-                // Zero (or disabled) column: its own degenerate bucket.
-                *key = u64::MAX;
-                continue;
-            }
-            for (p, plane) in planes.iter().enumerate() {
-                let dot: f64 = matrix
-                    .col_iter(j)
-                    .zip(plane)
-                    .map(|(v, h)| (v / peak) * h)
-                    .sum();
-                if dot >= 0.0 {
-                    *key |= 1 << p;
-                }
-            }
-        }
-        // Representative per bucket: largest-norm member.
-        let mut by_key: Vec<(u64, usize)> = keys
-            .iter()
-            .enumerate()
-            .filter(|&(_, &k)| k != u64::MAX)
-            .map(|(j, &k)| (k, j))
-            .collect();
-        by_key.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| norm[b.1].partial_cmp(&norm[a.1]).expect("finite norms"))
-        });
-        let mut reps = Vec::new();
-        let mut last = None;
-        for (k, j) in by_key {
-            if last != Some(k) {
-                reps.push(j);
-                last = Some(k);
-            }
-        }
-        ColumnBuckets { keys, reps }
-    }
-
-    /// The representative columns, one per occupied bucket.
-    pub fn representatives(&self) -> &[usize] {
-        &self.reps
-    }
-
-    /// The bucket key of one column.
-    pub fn key_of(&self, col: usize) -> u64 {
-        self.keys[col]
-    }
-}
 
 /// Per-row top-k candidate edge lists over a [`PerfMatrix`].
 ///
 /// Each row's list holds `(col, value)` pairs, descending by value, over
-/// enabled columns only: the row's k best columns plus the representative
-/// of every geometry bucket the top-k missed (capped), so no geometry
-/// class is unreachable. The auction solver bids only on these edges; its
-/// certification loop calls [`SparseCandidates::ensure_edge`] /
+/// enabled columns only: the row's k best columns, plus whatever edges
+/// certification spliced in. The auction solver bids only on these edges;
+/// its certification loop calls [`SparseCandidates::ensure_edge`] /
 /// [`SparseCandidates::widen`] when the dual prices prove the pruning cut
 /// too deep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseCandidates {
     k: usize,
     cols: usize,
-    /// Extra bucket-representative edges appended per row.
-    bucket_cover: usize,
     rows: Vec<Vec<(usize, f64)>>,
-    buckets: ColumnBuckets,
 }
-
-/// How many bucket representatives (beyond the plain top-k) each row keeps.
-const BUCKET_COVER: usize = 4;
 
 impl SparseCandidates {
     /// Default list width for a fleet of `cols` servers: `log2(cols) + 8`,
@@ -150,13 +46,10 @@ impl SparseCandidates {
     /// Panics if `k` is zero.
     pub fn build(matrix: &PerfMatrix, k: usize) -> Self {
         assert!(k > 0, "candidate width k must be positive");
-        let buckets = ColumnBuckets::build(matrix);
         let mut cands = SparseCandidates {
             k: k.min(matrix.cols()),
             cols: matrix.cols(),
-            bucket_cover: BUCKET_COVER,
             rows: Vec::with_capacity(matrix.rows()),
-            buckets,
         };
         for row in 0..matrix.rows() {
             let list = cands.build_row(matrix, row);
@@ -175,10 +68,15 @@ impl SparseCandidates {
         self.k
     }
 
+    /// The `(rows, cols)` of the matrix these lists were built over.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.rows.len(), self.cols)
+    }
+
     fn build_row(&self, matrix: &PerfMatrix, row: usize) -> Vec<(usize, f64)> {
         let values = matrix.row(row);
         // Top-k selection: keep a small sorted (descending) buffer.
-        let mut list: Vec<(usize, f64)> = Vec::with_capacity(self.k + self.bucket_cover);
+        let mut list: Vec<(usize, f64)> = Vec::with_capacity(self.k);
         for (j, &v) in values.iter().enumerate() {
             if matrix.is_col_disabled(j) {
                 continue;
@@ -191,22 +89,6 @@ impl SparseCandidates {
                 let at = list.partition_point(|&(_, lv)| lv >= v);
                 list.insert(at, (j, v));
             }
-        }
-        // Bucket coverage: the best few representatives whose bucket is
-        // not already present, so pruning never hides a geometry class.
-        let mut have: Vec<u64> = list.iter().map(|&(j, _)| self.buckets.key_of(j)).collect();
-        let mut extras: Vec<(usize, f64)> = self
-            .buckets
-            .representatives()
-            .iter()
-            .filter(|&&j| !matrix.is_col_disabled(j) && !have.contains(&self.buckets.key_of(j)))
-            .map(|&j| (j, values[j]))
-            .collect();
-        extras.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite values"));
-        for (j, v) in extras.into_iter().take(self.bucket_cover) {
-            let at = list.partition_point(|&(_, lv)| lv >= v);
-            list.insert(at, (j, v));
-            have.push(self.buckets.key_of(j));
         }
         list
     }
@@ -308,6 +190,8 @@ impl SparseCandidates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn matrix(values: Vec<Vec<f64>>) -> PerfMatrix {
         let rows = values.len();
@@ -344,7 +228,7 @@ mod tests {
         let c = SparseCandidates::build(&m, 5);
         for row in 0..6 {
             let list = c.row(row);
-            assert!(list.len() >= 5 && list.len() <= 5 + BUCKET_COVER);
+            assert_eq!(list.len(), 5, "exactly k edges");
             assert!(list.windows(2).all(|w| w[0].1 >= w[1].1), "descending");
             let mut cols: Vec<usize> = list.iter().map(|&(j, _)| j).collect();
             cols.sort_unstable();
@@ -356,45 +240,6 @@ mod tests {
                 .unwrap();
             assert!(list.iter().any(|&(j, _)| j == best));
         }
-    }
-
-    #[test]
-    fn same_shape_columns_share_buckets() {
-        // Two exact-duplicate shape classes must land in two buckets.
-        let m = matrix(vec![vec![1.0, 0.5, 0.2, 0.1], vec![0.2, 0.1, 0.9, 0.45]]);
-        let b = ColumnBuckets::build(&m);
-        assert_eq!(b.key_of(0), b.key_of(1), "scaled twins share a bucket");
-        assert_eq!(b.key_of(2), b.key_of(3));
-        assert_ne!(b.key_of(0), b.key_of(2), "distinct shapes separate");
-        assert_eq!(b.representatives().len(), 2);
-    }
-
-    #[test]
-    fn bucket_cover_keeps_minority_class_reachable() {
-        // 19 columns of one shape the row loves, 1 column of another shape
-        // with low value for this row: top-k alone would drop it; bucket
-        // coverage keeps it.
-        let rows = 3;
-        let mut values = vec![vec![0.0; 20]; rows];
-        for (j, v) in values[0].iter_mut().enumerate().take(19) {
-            *v = 0.9 - j as f64 * 0.01;
-        }
-        for (j, v) in values[1].iter_mut().enumerate().take(19) {
-            *v = 0.45 - j as f64 * 0.005;
-        }
-        for v in values[2].iter_mut().take(19) {
-            *v = 0.09;
-        }
-        values[0][19] = 0.05;
-        values[1][19] = 0.5;
-        values[2][19] = 0.9;
-        let m = matrix(values);
-        let c = SparseCandidates::build(&m, 4);
-        assert!(
-            c.row(0).iter().any(|&(j, _)| j == 19),
-            "minority-bucket representative is in row 0's list: {:?}",
-            c.row(0)
-        );
     }
 
     #[test]
@@ -451,7 +296,10 @@ mod tests {
             assert!(!c.row(row).iter().any(|&(j, _)| j == 7));
             assert!(c.row(row).len() >= 3, "lazy refill keeps lists usable");
         }
-        // A delta over a column nobody lists and nobody wants touches no row.
+        // A delta over a column nobody lists and nobody wants touches no
+        // row. The disable above eroded every list to k − 1, where any
+        // edit enters, so this clause runs on full-width lists.
+        let mut c = SparseCandidates::build(&patched2, 6);
         let worst = (0..40)
             .filter(|&j| j != 7)
             .min_by(|&a, &b| {
@@ -460,15 +308,14 @@ mod tests {
                 sa.partial_cmp(&sb).unwrap()
             })
             .unwrap();
-        if !(0..8).any(|r| c.row(r).iter().any(|&(j, _)| j == worst)) {
-            let tiny = MatrixDelta::new().set_column(worst, vec![1e-6; 8]);
-            let patched3 = patched2.patched(&tiny).unwrap();
-            let touched3 = c.apply_delta(&patched3, &tiny);
-            assert!(
-                touched3.is_empty(),
-                "unlisted, unwanted column: no rows touched"
-            );
-        }
+        assert!(!(0..8).any(|r| c.row(r).iter().any(|&(j, _)| j == worst)));
+        let tiny = MatrixDelta::new().set_column(worst, vec![1e-6; 8]);
+        let patched3 = patched2.patched(&tiny).unwrap();
+        let touched3 = c.apply_delta(&patched3, &tiny);
+        assert!(
+            touched3.is_empty(),
+            "unlisted, unwanted column: no rows touched"
+        );
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl PerfMatrix {
     }
 
     /// Iterates column `col` top-to-bottom without materializing it —
-    /// bucketing and delta diffs walk columns through this.
+    /// change detection and column snapshots walk columns through this.
     ///
     /// # Panics
     ///
@@ -379,43 +379,6 @@ impl MatrixDelta {
         }
     }
 
-    /// The delta between two same-shape matrices: every column whose
-    /// values or disabled state differ becomes an edit. `old.patched(&d)`
-    /// then equals `new` up to the recorded columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidMatrix`] on shape or label mismatch.
-    pub fn diff(old: &PerfMatrix, new: &PerfMatrix) -> Result<MatrixDelta, ClusterError> {
-        if old.rows() != new.rows() || old.cols() != new.cols() {
-            return Err(ClusterError::InvalidMatrix(format!(
-                "cannot diff a {}x{} matrix against {}x{}",
-                old.rows(),
-                old.cols(),
-                new.rows(),
-                new.cols()
-            )));
-        }
-        let mut delta = MatrixDelta::new();
-        for col in 0..old.cols() {
-            if new.is_col_disabled(col) {
-                if !old.is_col_disabled(col) {
-                    delta = delta.disable_column(col);
-                }
-                continue;
-            }
-            let changed = old.is_col_disabled(col)
-                || old
-                    .col_iter(col)
-                    .zip(new.col_iter(col))
-                    .any(|(a, b)| a != b);
-            if changed {
-                delta = delta.set_column(col, new.col_iter(col).collect());
-            }
-        }
-        Ok(delta)
-    }
-
     /// The edits, sorted by column.
     pub fn edits(&self) -> &[(usize, ColumnEdit)] {
         &self.edits
@@ -538,21 +501,6 @@ mod tests {
         assert!(m
             .patched(&MatrixDelta::new().set_column(0, vec![1.0, f64::NAN]))
             .is_err());
-    }
-
-    #[test]
-    fn diff_finds_exactly_the_dirty_columns() {
-        let m = matrix3();
-        let delta = MatrixDelta::new()
-            .set_column(1, vec![0.9, 0.8])
-            .disable_column(2);
-        let p = m.patched(&delta).unwrap();
-        let d = MatrixDelta::diff(&m, &p).unwrap();
-        assert_eq!(d.dirty_cols().collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(d.len(), 2);
-        assert!(MatrixDelta::diff(&m, &m).unwrap().is_empty());
-        // Applying the recovered delta reproduces the patched matrix.
-        assert_eq!(m.patched(&d).unwrap(), p);
     }
 
     #[test]

@@ -227,9 +227,10 @@ impl ClusterManager {
     /// curve, so a step-function class that must shed a whole power plane
     /// replans at the factor it actually holds, not the one the
     /// infrastructure asked for (a homogeneous fleet passes one factor
-    /// repeated). The matrix is rebuilt and a fresh assignment is solved —
-    /// but the `incumbent` placement is kept unless the new one beats it
-    /// by more than `hysteresis` (relative, on the *shrunk* matrix). The
+    /// repeated). The matrix is rebuilt and a fresh assignment is solved
+    /// exactly, with [`Solver::Hungarian`] — but the `incumbent` placement
+    /// is kept unless the new one beats it by more than `hysteresis`
+    /// (relative, on the *shrunk* matrix). The
     /// hysteresis is what keeps the cluster from thrashing migrations over
     /// marginal gains while the budget flaps.
     ///
@@ -250,7 +251,6 @@ impl ClusterManager {
         cap_factors: &[f64],
         incumbent: &Assignment,
         hysteresis: f64,
-        solver: Solver,
     ) -> Result<Assignment, ClusterError> {
         assert_eq!(
             cap_factors.len(),
@@ -295,7 +295,7 @@ impl ClusterManager {
             })
             .collect();
         let matrix = self.builder.build_keyed(&self.be_apps, &shrunk, &keys)?;
-        let fresh = assign::solve(&matrix, solver)?;
+        let fresh = assign::solve(&matrix, Solver::Hungarian)?;
         let incumbent_total = matrix.assignment_value(&incumbent.pairs);
         if fresh.total > incumbent_total * (1.0 + hysteresis) {
             Ok(fresh)
@@ -551,9 +551,7 @@ mod tests {
     fn replan_full_budget_matches_place() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
-        let replan = mgr
-            .replan_under_budget(&[1.0; 4], &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
+        let replan = mgr.replan_under_budget(&[1.0; 4], &incumbent, 0.0).unwrap();
         assert_eq!(replan.pairs, incumbent.pairs);
         assert!((replan.total - incumbent.total).abs() < 1e-9);
     }
@@ -564,14 +562,10 @@ mod tests {
         // even a much better fresh solve must not displace it.
         let mgr = manager();
         let bad = mgr.place(Solver::Random { seed: 3 }).unwrap();
-        let kept = mgr
-            .replan_under_budget(&[0.7; 4], &bad, 1e6, Solver::Hungarian)
-            .unwrap();
+        let kept = mgr.replan_under_budget(&[0.7; 4], &bad, 1e6).unwrap();
         assert_eq!(kept.pairs, bad.pairs);
         // With zero hysteresis the fresh optimum wins (or ties).
-        let fresh = mgr
-            .replan_under_budget(&[0.7; 4], &bad, 0.0, Solver::Hungarian)
-            .unwrap();
+        let fresh = mgr.replan_under_budget(&[0.7; 4], &bad, 0.0).unwrap();
         assert!(fresh.total >= kept.total);
     }
 
@@ -582,7 +576,7 @@ mod tests {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
         let shrunk = mgr
-            .replan_under_budget(&[0.6; 4], &incumbent, 0.05, Solver::Hungarian)
+            .replan_under_budget(&[0.6; 4], &incumbent, 0.05)
             .unwrap();
         assert!(
             shrunk.total <= incumbent.total + 1e-9,
@@ -598,7 +592,7 @@ mod tests {
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
         let intents = |factor: f64, from: &Assignment, hysteresis: f64| {
             let replan = mgr
-                .replan_under_budget(&[factor; 4], from, hysteresis, Solver::Hungarian)
+                .replan_under_budget(&[factor; 4], from, hysteresis)
                 .unwrap();
             (migration_diff(from, &replan), replan)
         };
@@ -689,9 +683,7 @@ mod tests {
         assert_eq!(plan.assignment().pairs, incumbent.pairs);
         // Shrunk budget, zero hysteresis: totals match the dense replan
         // within the auction tolerance.
-        let dense = mgr
-            .replan_under_budget(&[0.6; 4], &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
+        let dense = mgr.replan_under_budget(&[0.6; 4], &incumbent, 0.0).unwrap();
         let intents = mgr
             .replan_under_budget_incremental(&mut plan, 0.6, 0.0)
             .unwrap();
@@ -871,7 +863,7 @@ mod tests {
     fn replan_rejects_bad_factor() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
-        let _ = mgr.replan_under_budget(&[0.0; 4], &incumbent, 0.0, Solver::Hungarian);
+        let _ = mgr.replan_under_budget(&[0.0; 4], &incumbent, 0.0);
     }
 
     #[test]
@@ -895,16 +887,12 @@ mod tests {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
         // All factors 1.0 == no change, keeps the incumbent.
-        let same = mgr
-            .replan_under_budget(&[1.0; 4], &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
+        let same = mgr.replan_under_budget(&[1.0; 4], &incumbent, 0.0).unwrap();
         assert_eq!(same.pairs, incumbent.pairs);
         // A uniform vector is the homogeneous brownout; pinned to the bits
         // the scalar-factor entry point returned before PR 14 folded it
         // into this one.
-        let uniform = mgr
-            .replan_under_budget(&[0.7; 4], &incumbent, 0.0, Solver::Hungarian)
-            .unwrap();
+        let uniform = mgr.replan_under_budget(&[0.7; 4], &incumbent, 0.0).unwrap();
         assert_eq!(uniform.pairs, [(0, 2), (1, 0), (2, 1), (3, 3)]);
         // PR 24 moved the pin from 0x3ff3_c10f_9d4f_501b: the matrix cells
         // are continuous functions of a demand solve, and the closed form
@@ -917,7 +905,7 @@ mod tests {
         // Non-uniform factors are a genuinely different instance: the
         // deep-derated server's column shrinks more than the others'.
         let uneven = mgr
-            .replan_under_budget(&[0.95, 0.5, 0.95, 0.95], &incumbent, 0.0, Solver::Hungarian)
+            .replan_under_budget(&[0.95, 0.5, 0.95, 0.95], &incumbent, 0.0)
             .unwrap();
         assert!(uneven.total <= incumbent.total + 1e-9);
         assert_ne!(uneven.total.to_bits(), uniform.total.to_bits());
@@ -928,7 +916,7 @@ mod tests {
     fn classed_replan_rejects_short_factor_list() {
         let mgr = manager();
         let incumbent = mgr.place(Solver::Hungarian).unwrap();
-        let _ = mgr.replan_under_budget(&[0.9], &incumbent, 0.0, Solver::Hungarian);
+        let _ = mgr.replan_under_budget(&[0.9], &incumbent, 0.0);
     }
 
     #[test]

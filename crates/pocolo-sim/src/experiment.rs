@@ -424,12 +424,10 @@ impl PlanInputs<'_> {
                         false => *cap_factor,
                     })
                     .collect();
-                let Ok(replan) = self.manager.replan_under_budget(
-                    &factors,
-                    &incumbent,
-                    REPLAN_HYSTERESIS,
-                    Solver::Hungarian,
-                ) else {
+                let Ok(replan) =
+                    self.manager
+                        .replan_under_budget(&factors, &incumbent, REPLAN_HYSTERESIS)
+                else {
                     continue;
                 };
                 for (row, server) in migration_diff(&incumbent, &replan) {
