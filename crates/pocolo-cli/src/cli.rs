@@ -43,8 +43,8 @@ COMMANDS:
 OPTIONS:
     --app <name>       img-dnn | sphinx | xapian | tpcc | lstm | rnn | graph | pbzip
     --policy <p>       random | heracles | pom | pocolo    (default: pocolo)
-    --solver <s>       lp | hungarian | exhaustive | fair | auction[:<eps>]
-                       (default: lp; auction is the sparse fleet-scale path)
+    --solver <s>       lp | hungarian | exhaustive | fair | random:<seed>
+                       (default: lp)
     --dwell <seconds>  seconds per load level, at least one 0.1 s
                        capper period                   (default: 20)
     --seed <n>         RNG seed                        (default: 1)
@@ -81,6 +81,57 @@ OPTIONS:
     --heartbeat-ms <n> demo-net scale mode: per-agent heartbeat pacing,
                        0 = closed-loop                 (default: 1000)
     --json             machine-readable output";
+
+/// The flags each command reads, one row per command. A flag that
+/// switches a command into another mode (`simulate --fleet`,
+/// `demo-net --agents`) gives that mode its own row. Any other flag is
+/// refused before the run ([`refuse_before_run`]) rather than ignored.
+const READS: [(&str, &str); 16] = [
+    ("help", ""),
+    ("table2", "--json"),
+    ("fit", "--app --json"),
+    ("convexity", "--app --json"),
+    ("place", "--solver --json"),
+    (
+        "simulate",
+        "--policy --solver --dwell --seed --parallelism --faults --no-resilience \
+         --decision-log --json",
+    ),
+    (
+        "simulate --fleet",
+        "--fleet --policy --solver --dwell --seed --parallelism --faults --no-resilience \
+         --json",
+    ),
+    (
+        "clusterd",
+        "--policy --solver --dwell --seed --parallelism --faults --no-resilience \
+         --listen --lease-ttl-ms --json",
+    ),
+    ("agentd", "--connect --agent --json"),
+    (
+        "demo-net",
+        "--policy --solver --dwell --seed --parallelism --faults --no-resilience \
+         --lease-ttl-ms --kill-agent --json",
+    ),
+    (
+        "demo-net --agents",
+        "--agents --heartbeats --heartbeat-ms --lease-ttl-ms --json",
+    ),
+    (
+        "demo-traffic",
+        "--traffic --users --ticks --shards --online-fit --seed --parallelism --faults --json",
+    ),
+    (
+        "demo-fleet",
+        "--fleet --solver --dwell --seed --parallelism --faults --no-resilience --json",
+    ),
+    (
+        "demo-federation",
+        "--regions --seed --parallelism --faults --decision-log --json",
+    ),
+    ("tco", "--json"),
+    ("figures", ""),
+];
 
 /// Largest `--regions`. A regional brownout is the demo's whole story and
 /// it thins out as regions are added: at seed 1 the federated-beats-isolated
@@ -150,6 +201,9 @@ pub struct Options {
     pub online_fit: bool,
     /// `--json`.
     pub json: bool,
+    /// Every flag the command line names, in order: what
+    /// [`refuse_before_run`] checks against the command's [`READS`] row.
+    flags: Vec<String>,
 }
 
 /// Parses raw arguments.
@@ -188,8 +242,10 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         ticks: 10,
         online_fit: false,
         json: false,
+        flags: Vec::new(),
     };
     while let Some(flag) = it.next() {
+        opts.flags.push(flag.clone());
         let flag = flag.as_str();
         match flag {
             "--app" => opts.app = Some(take(&mut it, flag, "a value")?),
@@ -372,7 +428,7 @@ pub fn run(args: &[String]) -> Result<String, Failure> {
         "demo-fleet" => cmd_demo_fleet(&opts),
         "demo-federation" => cmd_demo_federation(&opts),
         "tco" => plain(cmd_tco(&opts)),
-        "figures" => plain(cmd_figures(args)),
+        "figures" => plain(cmd_figures()),
         other => Err(format!("unknown command {other:?}")),
     }
     .map_err(Failure::Error)?;
@@ -384,11 +440,28 @@ pub fn run(args: &[String]) -> Result<String, Failure> {
     Err(Failure::Checks(failed.iter().map(line).collect()))
 }
 
-/// Refuses, before the run, what the command cannot take: a seed too
-/// large for the wire (the run spec ships `--seed` to every agent as a
-/// JSON number, which carries integers exactly only below 2^53), or a
-/// flag or fault it would otherwise ignore without a word.
+/// Refuses, before the run, what the command cannot take: a flag its
+/// [`READS`] row does not list, a seed too large for the wire (the run
+/// spec ships `--seed` to every agent as a JSON number, which carries
+/// integers exactly only below 2^53), or a fault it would otherwise
+/// ignore without a word.
 fn refuse_before_run(opts: &Options) -> Result<(), String> {
+    let mode = match opts.command.as_str() {
+        "help" | "--help" | "-h" => "help",
+        "simulate" if opts.fleet.is_some() => "simulate --fleet",
+        "demo-net" if opts.agents > 0 => "demo-net --agents",
+        command => command,
+    };
+    // An unknown command is `run`'s own error.
+    if let Some((_, reads)) = READS.iter().find(|(name, _)| *name == mode) {
+        if let Some(flag) = opts
+            .flags
+            .iter()
+            .find(|&f| !reads.split_whitespace().any(|r| r == f))
+        {
+            return Err(format!("{mode} does not take {flag}"));
+        }
+    }
     let (seed, limit) = (opts.seed, pocolo_json::EXACT_INT_LIMIT);
     if matches!(opts.command.as_str(), "clusterd" | "demo-net") && seed >= limit {
         return Err(format!(
@@ -408,22 +481,7 @@ fn refuse_before_run(opts: &Options) -> Result<(), String> {
             ));
         }
     }
-    let scale = opts.command == "demo-net" && opts.agents > 0;
-    let mode = match opts.command.as_str() {
-        "simulate" if opts.fleet.is_some() => "--fleet",
-        "demo-net" if scale => "demo-net --agents",
-        mode @ ("demo-net" | "demo-traffic" | "demo-fleet") => mode,
-        _ => return Ok(()),
-    };
-    let ignored = [
-        ("--decision-log", opts.decision_log.is_some()),
-        ("--kill-agent", scale && opts.kill_agent),
-        ("--faults", scale && opts.faults.is_some()),
-    ];
-    match ignored.into_iter().find(|&(_, set)| set) {
-        Some((flag, _)) => Err(format!("{mode} does not support {flag}")),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 fn cmd_table2(opts: &Options) -> Result<String, String> {
@@ -1001,10 +1059,7 @@ fn cmd_demo_federation(opts: &Options) -> Result<(String, Vec<Check>), String> {
 
 /// Streams every table, figure and ablation to stdout in paper order (the
 /// generators print as they go), leaving nothing more to print.
-fn cmd_figures(args: &[String]) -> Result<String, String> {
-    if args.len() > 1 {
-        return Err("figures takes no options".into());
-    }
+fn cmd_figures() -> Result<String, String> {
     pocolo_bench::figures::run_all();
     Ok(String::new())
 }
@@ -1247,17 +1302,13 @@ mod tests {
     }
 
     #[test]
-    fn malformed_auction_eps_is_a_one_line_error() {
-        let err = error_of("place --solver auction:zero");
-        assert!(
-            err.contains("auction eps"),
-            "error names the bad eps: {err}"
-        );
-        assert!(!err.contains('\n'), "error is one line: {err:?}");
-        assert!(run(&argv("place --solver auction:-0.5")).is_err());
-        // Well-formed variants parse and place.
-        assert!(run(&argv("place --solver auction")).is_ok());
-        assert!(run(&argv("place --solver auction:0.01")).is_ok());
+    fn the_auction_is_not_a_solver_to_pick() {
+        // The sparse auction repairs fleet-scale plans; `place` solves 4
+        // servers exactly.
+        for solver in ["auction", "auction:0.01"] {
+            let err = error_of(&format!("place --solver {solver}"));
+            assert!(err.starts_with("unknown solver"), "{err}");
+        }
     }
 
     #[test]
@@ -1576,7 +1627,7 @@ mod tests {
     fn flags_a_command_would_ignore_are_refused_before_the_run() {
         let scale = "demo-net --agents 8 --heartbeats 2 --heartbeat-ms 0";
         for (flag, value) in [("--kill-agent", ""), ("--faults", "brownout:1")] {
-            let refusal = format!("demo-net --agents does not support {flag}");
+            let refusal = format!("demo-net --agents does not take {flag}");
             assert_eq!(error_of(&format!("{scale} {flag} {value}")), refusal);
         }
         let log = "--decision-log x.jsonl";
@@ -1585,14 +1636,79 @@ mod tests {
             ("demo-net", "demo-net"),
             ("demo-traffic", "demo-traffic"),
             ("demo-fleet", "demo-fleet"),
-            ("--fleet", "simulate --fleet mixed3"),
+            ("simulate --fleet", "simulate --fleet mixed3"),
         ] {
-            let refusal = format!("{mode} does not support --decision-log");
+            let refusal = format!("{mode} does not take --decision-log");
             assert_eq!(error_of(&format!("{command} {log}")), refusal);
+        }
+        // Each of these printed the same bytes as the run without its last
+        // flag.
+        for (args, refusal) in [
+            ("place --json --fleet mixed3", "place does not take --fleet"),
+            ("tco --json --dwell 5 --seed 3", "tco does not take --dwell"),
+            (
+                "demo-fleet --dwell 2 --policy heracles",
+                "demo-fleet does not take --policy",
+            ),
+            (
+                "demo-federation --dwell 5",
+                "demo-federation does not take --dwell",
+            ),
+            (
+                "fit --app sphinx --json --fleet turbo",
+                "fit does not take --fleet",
+            ),
+            (
+                "simulate --dwell 2 --regions 4",
+                "simulate does not take --regions",
+            ),
+            (
+                "demo-traffic --users 1000 --json --solver fair",
+                "demo-traffic does not take --solver",
+            ),
+            ("figures --json", "figures does not take --json"),
+            ("-h --json", "help does not take --json"),
+        ] {
+            assert_eq!(error_of(args), refusal, "{args}");
         }
         // The classic demo-net runs both.
         let classic = parse(&argv("demo-net --kill-agent --faults brownout:1")).unwrap();
         assert_eq!(refuse_before_run(&classic), Ok(()));
+    }
+
+    #[test]
+    fn every_listed_flag_is_read_by_some_command() {
+        let listed: Vec<&str> = USAGE
+            .split_once("OPTIONS:")
+            .unwrap()
+            .1
+            .lines()
+            .filter_map(|l| l.strip_prefix("    ")?.split(' ').next())
+            .filter(|w| !w.is_empty())
+            .collect();
+        let read: std::collections::BTreeSet<&str> = READS
+            .iter()
+            .flat_map(|(_, flags)| flags.split_whitespace())
+            .collect();
+        let unread: Vec<&&str> = listed.iter().filter(|f| !read.contains(**f)).collect();
+        assert_eq!(unread, Vec::<&&str>::new(), "listed but read by no command");
+        let unlisted: Vec<&&str> = read.iter().filter(|f| !listed.contains(f)).collect();
+        assert_eq!(unlisted, Vec::<&&str>::new(), "read but not listed");
+    }
+
+    #[test]
+    fn every_golden_argv_is_accepted() {
+        let goldens = include_str!("../../../GOLDENS.txt");
+        let runs: Vec<Vec<String>> = goldens
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+            .map(|l| argv(&l.replace("{tmp}", "/tmp")).split_off(2))
+            .collect();
+        assert!(runs.len() >= 40, "{} golden runs", runs.len());
+        for args in runs {
+            let opts = parse(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert_eq!(refuse_before_run(&opts), Ok(()), "{args:?}");
+        }
     }
 
     proptest::proptest! {

@@ -9,18 +9,18 @@
 //! assignment satisfies ε-complementary slackness, which bounds the gap to
 //! the true optimum by ε per row.
 //!
-//! Three properties make it the scale path:
+//! Two properties make it the scale path, and it has one entry for each
+//! use: [`solve_with_candidates`] for a cold plan, [`solve_incremental`]
+//! for its repairs.
 //!
 //! * **Sparsity.** Bids scan only the row's [`SparseCandidates`] list
 //!   (~k ≈ log₂(cols) + 8 edges), not the dense row. Certification (below)
 //!   restores exactness when pruning cut too deep.
-//! * **Warm starts.** Prices are a dual solution; re-running from the
-//!   previous replan's prices after a small change converges in a handful
-//!   of bids instead of a full ε-scaling schedule.
-//! * **Incremental repair.** [`solve_incremental`] keeps every pair whose
-//!   column the [`MatrixDelta`] did not dirty, re-bids only the dirtied
-//!   rows, and its work is O(k · dirtied rows) — counted, not timed, so CI
-//!   can assert the bound without wall-clock flakiness.
+//! * **Incremental repair.** Prices are a dual solution.
+//!   [`solve_incremental`] keeps every pair whose column the
+//!   [`MatrixDelta`] did not dirty and re-bids only the dirtied rows from
+//!   the previous prices, so its work is O(k · dirtied rows) — counted, not
+//!   timed, so CI can assert the bound without wall-clock flakiness.
 //!
 //! **Certification.** Prices give a feasible dual: with unassigned-column
 //! prices read as zero, `π_i = max_j (v_ij − p_j)` over *all* enabled
@@ -450,27 +450,16 @@ fn validate(
     Ok(())
 }
 
-/// Cold solve: builds candidate lists at [`SparseCandidates::default_k`]
-/// and runs the full ε-scaling schedule.
+/// Cold solve over caller-owned candidate lists: the full ε-scaling
+/// schedule from zero prices. The caller keeps the lists for later
+/// [`solve_incremental`] repairs.
 ///
 /// # Errors
 ///
 /// [`ClusterError::TooManyApps`] when rows exceed enabled columns,
-/// [`ClusterError::InvalidMatrix`] for a bad ε, and
-/// [`ClusterError::Infeasible`] if no perfect matching exists even at full
-/// candidate width.
-pub fn solve(matrix: &PerfMatrix, cfg: &AuctionConfig) -> Result<AuctionSolution, ClusterError> {
-    let mut cands = SparseCandidates::build(matrix, SparseCandidates::default_k(matrix.cols()));
-    solve_with_candidates(matrix, &mut cands, cfg)
-}
-
-/// Cold solve over caller-owned candidate lists (kept for warm-started
-/// and incremental replans later).
-///
-/// # Errors
-///
-/// As [`solve`]; additionally [`ClusterError::InvalidMatrix`] when `cands`
-/// was built over a matrix of another shape.
+/// [`ClusterError::InvalidMatrix`] for a bad ε or when `cands` was built
+/// over a matrix of another shape, and [`ClusterError::Infeasible`] if no
+/// perfect matching exists even at full candidate width.
 pub fn solve_with_candidates(
     matrix: &PerfMatrix,
     cands: &mut SparseCandidates,
@@ -479,39 +468,6 @@ pub fn solve_with_candidates(
     validate(matrix, cands, cfg)?;
     let mut eng = Engine::new(matrix, cfg, vec![0.0; matrix.cols()]);
     eng.run_to_completion(cands)?;
-    eng.certify_repair(cands)?;
-    Ok(eng.into_solution())
-}
-
-/// Warm-started solve: a single bidding phase at the final ε from the
-/// given prices (a near-feasible dual from a previous replan), falling
-/// back to the full schedule on pruning infeasibility.
-///
-/// # Errors
-///
-/// As [`solve_with_candidates`]; additionally
-/// [`ClusterError::InvalidMatrix`] when `prices` does not have one entry
-/// per column.
-pub fn solve_warm(
-    matrix: &PerfMatrix,
-    cands: &mut SparseCandidates,
-    prices: &[f64],
-    cfg: &AuctionConfig,
-) -> Result<AuctionSolution, ClusterError> {
-    validate(matrix, cands, cfg)?;
-    if prices.len() != matrix.cols() {
-        return Err(ClusterError::InvalidMatrix(format!(
-            "{} warm-start prices for {} columns",
-            prices.len(),
-            matrix.cols()
-        )));
-    }
-    let mut eng = Engine::new(matrix, cfg, prices.to_vec());
-    eng.reset_assignment();
-    if eng.bid_phase(cands, cfg.eps).is_err() {
-        eng.widen_restart(cands)?;
-        eng.run_to_completion(cands)?;
-    }
     eng.certify_repair(cands)?;
     Ok(eng.into_solution())
 }
@@ -529,9 +485,10 @@ pub fn solve_warm(
 ///
 /// # Errors
 ///
-/// As [`solve_warm`], for `prev.prices`; additionally
-/// [`ClusterError::InvalidMatrix`] when a delta column or a pair of `prev`
-/// is out of range. Every error leaves `cands` untouched.
+/// As [`solve_with_candidates`]; additionally
+/// [`ClusterError::InvalidMatrix`] when `prev.prices` does not have one
+/// entry per column, or a delta column or a pair of `prev` is out of
+/// range. Every error leaves `cands` untouched.
 pub fn solve_incremental(
     matrix: &PerfMatrix,
     cands: &mut SparseCandidates,
@@ -604,7 +561,7 @@ pub fn solve_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assign::{hungarian, solve as dispatch_solve, Solver};
+    use crate::assign::hungarian;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -617,6 +574,12 @@ mod tests {
             values,
         )
         .unwrap()
+    }
+
+    /// A cold solve at the default candidate width.
+    fn solve(m: &PerfMatrix, cfg: &AuctionConfig) -> Result<AuctionSolution, ClusterError> {
+        let mut cands = SparseCandidates::build(m, SparseCandidates::default_k(m.cols()));
+        solve_with_candidates(m, &mut cands, cfg)
     }
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> PerfMatrix {
@@ -841,23 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_is_cheaper_than_cold() {
-        let m = random_matrix(40, 120, 3);
-        let cfg = AuctionConfig::default();
-        let cold = solve(&m, &cfg).unwrap();
-        let mut cands = SparseCandidates::build(&m, SparseCandidates::default_k(m.cols()));
-        let warm = solve_warm(&m, &mut cands, &cold.prices, &cfg).unwrap();
-        valid(&m, &warm);
-        assert!(
-            warm.stats.bid_edges < cold.stats.bid_edges / 2,
-            "warm {} edges vs cold {}",
-            warm.stats.bid_edges,
-            cold.stats.bid_edges
-        );
-        assert!(warm.assignment.total >= cold.assignment.total - cfg.eps * m.rows() as f64 - 1e-9);
-    }
-
-    #[test]
     fn incremental_repair_matches_cold_solve_and_is_bounded() {
         let m = random_matrix(40, 120, 11);
         let cfg = AuctionConfig::default();
@@ -959,10 +905,6 @@ mod tests {
             solve_with_candidates(&m, &mut cands, &cfg),
             Err(ClusterError::InvalidMatrix(_))
         ));
-        assert!(matches!(
-            solve_warm(&m, &mut cands, &[0.0; 6], &cfg),
-            Err(ClusterError::InvalidMatrix(_))
-        ));
         let prev = solve(&m, &cfg).unwrap();
         assert!(matches!(
             solve_incremental(&m, &mut cands, &prev, &MatrixDelta::new(), &cfg),
@@ -1016,13 +958,5 @@ mod tests {
         let p = m.patched(&delta).unwrap();
         let sol = solve(&p, &AuctionConfig::default()).unwrap();
         valid(&p, &sol);
-    }
-
-    #[test]
-    fn dispatcher_auction_variant_round_trips() {
-        let m = random_matrix(9, 14, 21);
-        let via_dispatch = dispatch_solve(&m, Solver::Auction { eps: DEFAULT_EPS }).unwrap();
-        let opt = hungarian::solve_max(&m);
-        assert!(via_dispatch.total >= opt.total - DEFAULT_EPS * 9.0 - 1e-9);
     }
 }

@@ -22,12 +22,6 @@ use rand::SeedableRng;
 use crate::error::ClusterError;
 use crate::matrix::PerfMatrix;
 
-/// Below these dimensions the auction's pruning/scaling machinery costs
-/// more than an exact dense solve, so `Solver::Auction` silently falls
-/// back to Hungarian (DESIGN.md §8).
-const AUCTION_DENSE_ROWS: usize = 6;
-const AUCTION_DENSE_COLS: usize = 8;
-
 /// Which algorithm to use for placement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Solver {
@@ -45,12 +39,6 @@ pub enum Solver {
     /// Max-min fair: maximize the worst co-runner's throughput first, then
     /// the total (the fairness objective the paper's POColo trades away).
     MaxMinFair,
-    /// Sparse forward auction with ε-scaling: total within ε·rows of the
-    /// optimum, scales to 10k-server fleets ([`auction`]).
-    Auction {
-        /// Per-row optimality tolerance.
-        eps: f64,
-    },
 }
 
 impl std::fmt::Display for Solver {
@@ -61,7 +49,6 @@ impl std::fmt::Display for Solver {
             Solver::Exhaustive => f.write_str("exhaustive"),
             Solver::Random { seed } => write!(f, "random:{seed}"),
             Solver::MaxMinFair => f.write_str("fair"),
-            Solver::Auction { eps } => write!(f, "auction:{eps}"),
         }
     }
 }
@@ -70,17 +57,13 @@ impl std::str::FromStr for Solver {
     type Err = String;
 
     /// Parses the [`Display`](Solver#impl-Display-for-Solver) form:
-    /// `hungarian`, `lp`, `exhaustive`, `fair`, `random:<seed>`, or
-    /// `auction` / `auction:<eps>`.
+    /// `hungarian`, `lp`, `exhaustive`, `fair` or `random:<seed>`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "hungarian" => Ok(Solver::Hungarian),
             "lp" => Ok(Solver::Lp),
             "exhaustive" => Ok(Solver::Exhaustive),
             "fair" => Ok(Solver::MaxMinFair),
-            "auction" => Ok(Solver::Auction {
-                eps: auction::DEFAULT_EPS,
-            }),
             other => {
                 if let Some(seed) = other.strip_prefix("random:") {
                     return seed
@@ -88,16 +71,8 @@ impl std::str::FromStr for Solver {
                         .map(|seed| Solver::Random { seed })
                         .map_err(|_| format!("bad random-solver seed {seed:?}"));
                 }
-                if let Some(eps) = other.strip_prefix("auction:") {
-                    return match eps.parse::<f64>() {
-                        Ok(e) if e.is_finite() && e > 0.0 => Ok(Solver::Auction { eps: e }),
-                        _ => Err(format!(
-                            "bad auction eps {eps:?} (want a positive number, e.g. auction:0.001)"
-                        )),
-                    };
-                }
                 Err(format!(
-                    "unknown solver {other:?} (want hungarian, lp, exhaustive, fair, random:<seed>, or auction:<eps>)"
+                    "unknown solver {other:?} (want hungarian, lp, exhaustive, fair or random:<seed>)"
                 ))
             }
         }
@@ -135,9 +110,8 @@ impl Assignment {
 
 /// Solves the placement problem with the chosen algorithm.
 ///
-/// Disabled (faulted-out) columns are handled natively by the auction
-/// path and projected out before any dense solver runs, so no solver ever
-/// places an app on a server that left the fleet.
+/// Disabled (faulted-out) columns are projected out before the solver
+/// runs, so no solver ever places an app on a server that left the fleet.
 ///
 /// # Errors
 ///
@@ -150,14 +124,6 @@ pub fn solve(matrix: &PerfMatrix, solver: Solver) -> Result<Assignment, ClusterE
             apps: matrix.rows(),
             servers: matrix.enabled_cols(),
         });
-    }
-    if let Solver::Auction { eps } = solver {
-        // Fleet-scale instances take the sparse path; tiny ones fall
-        // through to the dense Hungarian fallback below.
-        if matrix.rows() > AUCTION_DENSE_ROWS || matrix.cols() > AUCTION_DENSE_COLS {
-            return auction::solve(matrix, &auction::AuctionConfig::with_eps(eps))
-                .map(|sol| sol.assignment);
-        }
     }
     match matrix.compact_enabled()? {
         None => solve_dense(matrix, solver),
@@ -177,9 +143,6 @@ fn solve_dense(matrix: &PerfMatrix, solver: Solver) -> Result<Assignment, Cluste
         Solver::Lp => simplex::solve_assignment_lp(matrix)?,
         Solver::Exhaustive => search::exhaustive_max(matrix),
         Solver::MaxMinFair => fairness::solve_max_min_fair(matrix)?,
-        // Small-instance fallback: exact, deterministic, cheaper than the
-        // auction's scaling schedule at these sizes.
-        Solver::Auction { .. } => hungarian::solve_max(matrix),
         Solver::Random { seed } => {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut cols: Vec<usize> = (0..matrix.cols()).collect();
@@ -289,9 +252,6 @@ mod tests {
             Solver::Lp,
             Solver::Exhaustive,
             Solver::MaxMinFair,
-            Solver::Auction {
-                eps: auction::DEFAULT_EPS,
-            },
         ] {
             let a = solve(&faulted, solver).unwrap();
             assert!(
@@ -310,24 +270,6 @@ mod tests {
                 servers: 1
             })
         ));
-    }
-
-    #[test]
-    fn auction_small_instance_falls_back_to_exact() {
-        let m = matrix(vec![
-            vec![0.9, 0.2, 0.3],
-            vec![0.4, 0.8, 0.2],
-            vec![0.3, 0.3, 0.7],
-        ]);
-        let a = solve(
-            &m,
-            Solver::Auction {
-                eps: auction::DEFAULT_EPS,
-            },
-        )
-        .unwrap();
-        let e = solve(&m, Solver::Exhaustive).unwrap();
-        assert!((a.total - e.total).abs() < 1e-9, "fallback is exact");
     }
 
     #[test]
@@ -365,21 +307,12 @@ mod tests {
             Solver::Exhaustive,
             Solver::MaxMinFair,
             Solver::Random { seed: 42 },
-            Solver::Auction { eps: 0.001 },
-            Solver::Auction { eps: 0.25 },
         ];
         for s in solvers {
             let text = s.to_string();
             let back: Solver = text.parse().unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(back, s, "{text} did not round-trip");
         }
-        // Bare `auction` means the default ε.
-        assert_eq!(
-            "auction".parse::<Solver>().unwrap(),
-            Solver::Auction {
-                eps: auction::DEFAULT_EPS
-            }
-        );
     }
 
     #[test]
@@ -396,10 +329,9 @@ mod tests {
             assert!(!err.is_empty(), "{bad} should not parse");
             assert!(!err.contains('\n'), "one-line error for {bad}: {err:?}");
         }
-        assert!(
-            "auction:0".parse::<Solver>().is_err(),
-            "eps must be positive"
-        );
+        // The auction is the fleet-scale repair path, not a solver to pick.
+        let err = "auction".parse::<Solver>().unwrap_err();
+        assert!(err.starts_with("unknown solver"), "{err}");
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub use perfmatrix::{
     estimate_on_path, estimate_pair_throughput, ExpansionPath, ExpansionStep, PerfMatrixBuilder,
     ServerProfile,
 };
-pub use placement::{migration_diff, warm_assign, ClusterManager, PlacementPlan};
+pub use placement::{migration_diff, ClusterManager, PlacementPlan};

@@ -57,9 +57,8 @@ impl PlacementPlan {
         &self.solution
     }
 
-    /// The auction's dual column prices — the warm-start state a later
-    /// solve over the same columns can resume from (e.g. the destination
-    /// region of a cross-region migration re-admitting a drained app).
+    /// The auction's dual column prices — the state
+    /// [`PlacementPlan::apply_delta`] re-bids dirtied rows from.
     pub fn prices(&self) -> &[f64] {
         &self.solution.prices
     }
@@ -96,33 +95,6 @@ impl PlacementPlan {
                 Err(e)
             }
         }
-    }
-}
-
-/// Solves a row-set over fixed columns, warm-starting from the dual
-/// prices of a previous solve on the same columns — the cross-region
-/// migration path: when an application drains out of one region and is
-/// re-admitted into another, the destination's incremental auction
-/// resumes from its standing prices instead of re-converging from zero.
-///
-/// `prices` is the previous solve's column-price vector; pass `None`
-/// (or a vector of the wrong length, e.g. after the region gained
-/// slots) to fall back to a cold ε-scaled solve.
-///
-/// # Errors
-///
-/// Propagates solver failures ([`ClusterError`]); infeasible inputs
-/// (more rows than columns) surface as solver errors, not panics.
-pub fn warm_assign(
-    matrix: &PerfMatrix,
-    prices: Option<&[f64]>,
-    eps: f64,
-) -> Result<AuctionSolution, ClusterError> {
-    let cfg = AuctionConfig::with_eps(eps);
-    let mut cands = SparseCandidates::build(matrix, SparseCandidates::default_k(matrix.cols()));
-    match prices {
-        Some(p) if p.len() == matrix.cols() => auction::solve_warm(matrix, &mut cands, p, &cfg),
-        _ => auction::solve_with_candidates(matrix, &mut cands, &cfg),
     }
 }
 
@@ -926,43 +898,5 @@ mod tests {
         assert_eq!(m.rows(), 4);
         assert_eq!(mgr.be_apps().len(), 4);
         assert_eq!(mgr.servers().len(), 4);
-    }
-
-    #[test]
-    fn warm_assign_resumes_from_prior_prices() {
-        // A region with 6 slots and 4 resident apps; one app drains out
-        // and a migrant arrives. The re-admission solve warm-starts from
-        // the standing prices and must still be optimal within ε·rows.
-        let values = |rows: &[usize]| -> Vec<Vec<f64>> {
-            rows.iter()
-                .map(|&r| {
-                    (0..6)
-                        .map(|c| 1.0 + ((r * 7 + c * 3) % 11) as f64 / 11.0)
-                        .collect()
-                })
-                .collect()
-        };
-        let mk = |rows: &[usize]| {
-            PerfMatrix::new(
-                rows.iter().map(|r| format!("app{r}")).collect(),
-                (0..6).map(|c| format!("slot{c}")).collect(),
-                values(rows),
-            )
-            .unwrap()
-        };
-        let eps = 1e-3;
-        let before = mk(&[0, 1, 2, 3]);
-        let cold = warm_assign(&before, None, eps).unwrap();
-        assert!(cold.certified);
-
-        let after = mk(&[0, 1, 3, 9]); // app2 drained, app9 arrived
-        let warm = warm_assign(&after, Some(&cold.prices), eps).unwrap();
-        assert!(warm.certified);
-        let exact = assign::solve(&after, Solver::Hungarian).unwrap();
-        assert!(exact.total - warm.assignment.total <= eps * 4.0 + 1e-9);
-
-        // A stale price vector of the wrong length falls back to cold.
-        let fallback = warm_assign(&after, Some(&[0.0; 3]), eps).unwrap();
-        assert!(fallback.certified);
     }
 }

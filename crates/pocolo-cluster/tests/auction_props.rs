@@ -52,6 +52,12 @@ fn random_matrix(rows: usize, cols: usize, seed: u64, shape: u8) -> PerfMatrix {
     matrix.patched(&faults).expect("faults are in range")
 }
 
+/// A cold solve at the default candidate width.
+fn cold_solve(matrix: &PerfMatrix, cfg: &AuctionConfig) -> auction::AuctionSolution {
+    let mut cands = SparseCandidates::build(matrix, SparseCandidates::default_k(matrix.cols()));
+    auction::solve_with_candidates(matrix, &mut cands, cfg).expect("cold solve")
+}
+
 /// The exact optimum, through the dispatcher so disabled columns are
 /// projected out.
 fn exact_total(matrix: &PerfMatrix) -> f64 {
@@ -86,7 +92,7 @@ proptest! {
         let cols = (rows + extra).clamp(rows, 96);
         let matrix = random_matrix(rows, cols, seed, shape);
         let cfg = AuctionConfig::default();
-        let sol = auction::solve(&matrix, &cfg).expect("auction solve");
+        let sol = cold_solve(&matrix, &cfg);
         assert_valid(&matrix, &sol.assignment.pairs);
         prop_assert!(sol.certified, "solve must certify its gap");
         let exact = exact_total(&matrix);
@@ -145,7 +151,7 @@ proptest! {
             "incremental {} below patched optimum {exact} by more than {bound}",
             inc.assignment.total,
         );
-        let cold = auction::solve(&patched, &cfg).expect("cold solve on patched");
+        let cold = cold_solve(&patched, &cfg);
         prop_assert!(
             (inc.assignment.total - cold.assignment.total).abs() <= 2.0 * bound,
             "incremental {} and cold {} disagree beyond 2·ε·rows",

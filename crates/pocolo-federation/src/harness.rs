@@ -18,16 +18,14 @@
 //!   [`crate::replicate`]), so killing the leader mid-run changes the
 //!   promotion history and nothing else.
 //!
-//! Intra-region placement rides the warm-start auction path
-//! ([`pocolo_cluster::warm_assign`]): when a migration changes a
-//! region's resident set, the region re-solves from its previous slot
-//! prices instead of from scratch — the graceful-migration half of the
-//! federation story.
+//! Intra-region placement is exact: when a migration changes a region's
+//! resident set, the region re-solves its at most 8 × 8 app × slot
+//! matrix with the Hungarian method ([`pocolo_cluster::Solver::Hungarian`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pocolo_cluster::{warm_assign, PerfMatrix};
+use pocolo_cluster::{assign, PerfMatrix, Solver};
 use pocolo_core::check::{Check, Expect};
 use pocolo_core::digest::{fnv1a, FNV_OFFSET};
 use pocolo_core::federation::{AppStatus, FederationInput, RegionStatus};
@@ -37,9 +35,6 @@ use pocolo_sim::parallel::{self, Parallelism};
 
 use crate::controller::{RegionController, DECIDE_PERIOD};
 use crate::replicate::{FedState, ReplicaSet};
-
-/// Auction ε for intra-region placement (matches the cluster default).
-const PLACEMENT_EPS: f64 = 1e-3;
 
 /// Applications homed per region at t=0.
 const APPS_PER_REGION: usize = 6;
@@ -421,12 +416,11 @@ impl World {
     }
 }
 
-/// Per-region warm-auction cache: resident set, last prices, and each
-/// resident's served value on its assigned slot.
+/// Per-region placement cache: resident set and each resident's served
+/// value on its assigned slot.
 struct RegionPlacer {
     region: usize,
     resident: Vec<usize>,
-    prices: Vec<f64>,
     /// `(app, value)` aligned with `resident`.
     values: Vec<(usize, f64)>,
 }
@@ -436,13 +430,11 @@ impl RegionPlacer {
         RegionPlacer {
             region,
             resident: Vec::new(),
-            prices: Vec::new(),
             values: Vec::new(),
         }
     }
 
-    /// Re-solves placement iff the serving set changed, warm-starting
-    /// from the previous solve's slot prices.
+    /// Re-solves placement, exactly, iff the serving set changed.
     fn place(&mut self, world: &World, apps: &[usize]) {
         if apps == self.resident.as_slice() {
             return;
@@ -452,6 +444,19 @@ impl RegionPlacer {
             self.values.clear();
             return;
         }
+        let matrix = self.matrix(world, apps);
+        let placement =
+            assign::solve(&matrix, Solver::Hungarian).expect("harness placement is feasible");
+        self.values = placement
+            .pairs
+            .iter()
+            .map(|&(row, col)| (apps[row], matrix.value(row, col)))
+            .collect();
+    }
+
+    /// The region's app × slot matrix: each app's rate here times each
+    /// slot's quality.
+    fn matrix(&self, world: &World, apps: &[usize]) -> PerfMatrix {
         let r = self.region;
         let values: Vec<Vec<f64>> = apps
             .iter()
@@ -461,26 +466,12 @@ impl RegionPlacer {
                     .collect()
             })
             .collect();
-        let matrix = PerfMatrix::new(
+        PerfMatrix::new(
             apps.iter().map(|a| format!("app-{a}")).collect(),
             (0..world.slots).map(|s| format!("slot-{s}")).collect(),
             values,
         )
-        .expect("harness matrices are well-formed");
-        let warm = if self.prices.len() == world.slots {
-            Some(self.prices.as_slice())
-        } else {
-            None
-        };
-        let solution =
-            warm_assign(&matrix, warm, PLACEMENT_EPS).expect("harness placement is feasible");
-        self.prices = solution.prices.clone();
-        self.values = solution
-            .assignment
-            .pairs
-            .iter()
-            .map(|&(row, col)| (apps[row], matrix.value(row, col)))
-            .collect();
+        .expect("harness matrices are well-formed")
     }
 }
 
@@ -491,7 +482,7 @@ struct RegionMetrics {
     power_used: f64,
 }
 
-/// Places the serving set (warm), then greedily powers apps by marginal
+/// Places the serving set, then greedily powers apps by marginal
 /// value-per-watt until the budget runs out: full service, then one
 /// fractional app, then zero.
 fn step_region(
@@ -587,6 +578,50 @@ mod tests {
             scenario: RegionScenario::RegionBrownout,
             seed: Some(7),
         });
+    }
+
+    #[test]
+    fn region_placement_is_exact() {
+        // The harness's own region matrices (rate × slot quality, 8 slots)
+        // with 1 to 8 resident apps drawn from a seeded world.
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut placed = 0;
+        for seed in 0..100 {
+            let world = World::generate(&FederationScenario::pinned(2, seed));
+            assert_eq!(world.slots, 8);
+            for region in 0..2 {
+                let mut apps: Vec<usize> = (0..world.app_home.len()).collect();
+                apps.shuffle(&mut rng);
+                apps.truncate(rng.gen_range(1..=world.slots));
+                apps.sort_unstable();
+                let mut placer = RegionPlacer::new(region);
+                placer.place(&world, &apps);
+                let matrix = placer.matrix(&world, &apps);
+                // The placer keeps each app's value; its slot is the one
+                // column holding exactly that value.
+                let pairs: Vec<(usize, usize)> = placer
+                    .values
+                    .iter()
+                    .enumerate()
+                    .map(|(row, &(app, value))| {
+                        assert_eq!(app, apps[row]);
+                        let slots: Vec<usize> = (0..world.slots)
+                            .filter(|&s| matrix.value(row, s).to_bits() == value.to_bits())
+                            .collect();
+                        assert_eq!(slots.len(), 1, "slot qualities are distinct");
+                        (row, slots[0])
+                    })
+                    .collect();
+                let exact = assign::solve(&matrix, Solver::Exhaustive).unwrap();
+                assert_eq!(
+                    pairs, exact.pairs,
+                    "world {seed}, region {region}: {matrix}"
+                );
+                placed += 1;
+            }
+        }
+        assert_eq!(placed, 200);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   protocol (`FedPull` → `FedEntries`) so fresh followers catch up
 //!   from a snapshot plus a log suffix.
 //! - [`FederationScenario`] ([`harness`]) is the seeded multi-region
-//!   world: regional brownouts, leader crashes, warm-started
-//!   intra-region auctions, and bit-identical reports at any
+//!   world: regional brownouts, leader crashes, exact (Hungarian)
+//!   intra-region placement, and bit-identical reports at any
 //!   parallelism. [`FederationDemo`] plays it three ways (leader
 //!   killed, uninterrupted, region-isolated) and states the demo's
 //!   promises as checks.
