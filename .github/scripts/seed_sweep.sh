@@ -13,6 +13,9 @@
 # Advisory: a failing world is a finding, not an error, so it is not a CI
 # step. It exits 1 only when a run crashes or is refused: an `error:` line,
 # or an exit code other than 0 (every check held) or 1 (a check failed).
+# The demo-fleet grid's cap check is tier-1 too (pocolo-sim's
+# fleet::tests::fleet_caps_hold_over_the_seed_grid); here it also reports
+# the grid's margin failures.
 set -uo pipefail
 [ $# -eq 1 ] || { sed -n '4p' "$0" | sed 's/^# *//'; exit 2; }
 pocolo=$1

@@ -239,7 +239,7 @@ pub fn sharing(bench: &Bench) -> SharingAblation {
     let lc_truth = bench.lc_truth(LcApp::Sphinx);
     let lc_fit = bench.lc_fitted(LcApp::Sphinx);
     let (c, w) = ServerManager::new(lc_fit.clone(), LcPolicy::PowerOptimized)
-        .plan_analytic(0.4 * lc_truth.peak_load_rps(), None)
+        .plan(0.4 * lc_truth.peak_load_rps(), None, None)
         .expect("sphinx fits the box at 40 % load");
     let headroom = lc_truth.provisioned_power()
         - lc_fit

@@ -39,7 +39,7 @@ const FREQ_STEP: f64 = 0.1;
 const QUOTA_STEP: f64 = 0.10;
 
 /// Quota floor — the secondary is never starved below this.
-const QUOTA_FLOOR: f64 = 0.05;
+pub const QUOTA_FLOOR: f64 = 0.05;
 
 /// Hysteretic power-capping controller for one server: stateless, the
 /// DVFS/quota state it steps lives on the server.

@@ -294,60 +294,14 @@ impl ServerController {
             // consumes the frozen telemetry): protect the SLO with
             // incremental growth.
             Ok(self.manager.plan_incremental(input.max_counts, slack))
-        } else if resilient && input.brownout {
-            // Brownout: a measured overdraw arms the power governor,
-            // which re-sizes the primary to the Cobb-Douglas demand at a
-            // budget *calibrated by the observed model-to-meter ratio* —
-            // instead of growing it into the RAPL throttle. A
-            // frequency-floored full machine serves less than a
-            // budget-sized allocation at full clock.
-            let frac = self.modes.brownout_step(
-                input.be_present,
-                input.observed_slack,
-                input.rapl_throttled,
-                input.measured_power,
-                input.effective_cap,
-            );
-            let target_total = input.effective_cap * frac;
-            match input.measured_power {
-                Some(m) if self.modes.armed() && m.0 > 0.0 => {
-                    let (c, w) = self.manager.last_counts().unwrap_or((1, 1));
-                    let modeled = self
-                        .manager
-                        .utility()
-                        .power_model()
-                        .power_of_amounts(&[c as f64, w as f64])
-                        .unwrap_or(target_total);
-                    // The meter reads the whole server; the budget
-                    // governs only the primary. The co-runner's fitted
-                    // draw estimate is subtracted from *both* the target
-                    // and the reading, so estimate error cancels in
-                    // steady state instead of starving (or overfeeding)
-                    // the primary.
-                    let primary_budget = (target_total.0 - input.be_draw_estimate.0).max(1.0);
-                    let m_primary = (m.0 - input.be_draw_estimate.0).max(1.0);
-                    // The fitted model prices allocations at full
-                    // utilization; the meter reads the actual draw.
-                    // Their ratio converts the watt budget into model
-                    // space, so the clamp neither starves (model
-                    // overestimates) nor overshoots (model
-                    // underestimates).
-                    let ratio = (primary_budget / m_primary).clamp(0.5, 1.5);
-                    let budget = Watts(modeled.0 * ratio);
-                    budget_w = Some(budget.0);
-                    self.manager.plan_budgeted(
-                        input.observed_load_rps,
-                        input.observed_slack,
-                        budget,
-                    )
-                }
-                _ => self
-                    .manager
-                    .plan_analytic(input.observed_load_rps, input.observed_slack),
-            }
         } else {
+            let budget = match resilient && input.brownout {
+                true => self.brownout_budget(input),
+                false => None,
+            };
+            budget_w = budget.map(|b| b.0);
             self.manager
-                .plan_analytic(input.observed_load_rps, input.observed_slack)
+                .plan(input.observed_load_rps, input.observed_slack, budget)
         };
         let mode = if resilient {
             self.modes.mode(input.brownout, input.telemetry_frozen)
@@ -378,6 +332,47 @@ impl ServerController {
             primary,
             record,
         }
+    }
+
+    /// The brownout power governor: a measured overdraw arms it, and it
+    /// returns the watt budget the primary is re-sized to — the
+    /// Cobb-Douglas demand at a budget *calibrated by the observed
+    /// model-to-meter ratio* — instead of growing it into the RAPL
+    /// throttle. A frequency-floored full machine serves less than a
+    /// budget-sized allocation at full clock. `None` while disarmed or
+    /// without a meter reading: the plan is the plain analytic one.
+    fn brownout_budget(&mut self, input: &ControlInput) -> Option<Watts> {
+        let frac = self.modes.brownout_step(
+            input.be_present,
+            input.observed_slack,
+            input.rapl_throttled,
+            input.measured_power,
+            input.effective_cap,
+        );
+        let target_total = input.effective_cap * frac;
+        let m = input
+            .measured_power
+            .filter(|m| self.modes.armed() && m.0 > 0.0)?;
+        let (c, w) = self.manager.last_counts().unwrap_or((1, 1));
+        let modeled = self
+            .manager
+            .utility()
+            .power_model()
+            .power_of_amounts(&[c as f64, w as f64])
+            .unwrap_or(target_total);
+        // The meter reads the whole server; the budget governs only the
+        // primary. The co-runner's fitted draw estimate is subtracted
+        // from *both* the target and the reading, so estimate error
+        // cancels in steady state instead of starving (or overfeeding)
+        // the primary.
+        let primary_budget = (target_total.0 - input.be_draw_estimate.0).max(1.0);
+        let m_primary = (m.0 - input.be_draw_estimate.0).max(1.0);
+        // The fitted model prices allocations at full utilization; the
+        // meter reads the actual draw. Their ratio converts the watt
+        // budget into model space, so the clamp neither starves (model
+        // overestimates) nor overshoots (model underestimates).
+        let ratio = (primary_budget / m_primary).clamp(0.5, 1.5);
+        Some(Watts(modeled.0 * ratio))
     }
 
     /// One capper tick under distress accounting: should the co-runner

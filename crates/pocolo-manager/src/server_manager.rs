@@ -125,43 +125,31 @@ impl ServerManager {
     /// sizes the primary for `load_rps`, without touching a server.
     /// Controllers plan; backends [`ServerManager::apply`].
     ///
+    /// Under a power emergency (brownout) the controller passes a watt
+    /// `budget`: if the sized allocation's modeled draw exceeds it, the
+    /// plan falls back to the Cobb-Douglas *demand at budget* — the best
+    /// allocation the shrunk envelope can buy at full frequency. Growing
+    /// cores past the budget only trips the RAPL emergency throttle, and
+    /// a frequency-floored machine serves less than a budget-sized one.
+    ///
     /// The margin update happens *before* the allocation can fail, so a
     /// failed plan still consumes the slack observation.
     ///
     /// # Errors
     ///
     /// Returns [`ManagerError`] on model failures.
-    pub fn plan_analytic(
+    pub fn plan(
         &mut self,
         load_rps: f64,
         observed_slack: Option<f64>,
-    ) -> Result<(u32, u32), ManagerError> {
-        self.update_margin(observed_slack);
-        let target = load_rps * self.margin;
-        let (c, w) = self.policy.allocate(&self.utility, target)?;
-        Ok((c, w))
-    }
-
-    /// Budget-capped planning for a power emergency (brownout): sizes
-    /// the primary like [`ServerManager::plan_analytic`], but if the
-    /// chosen allocation's modeled draw exceeds `budget`, falls back to
-    /// the Cobb-Douglas *demand at budget* — the best allocation the
-    /// shrunk envelope can buy at full frequency. Growing cores past the
-    /// budget only trips the RAPL emergency throttle, and a
-    /// frequency-floored machine serves less than a budget-sized one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ManagerError`] on model failures.
-    pub fn plan_budgeted(
-        &mut self,
-        load_rps: f64,
-        observed_slack: Option<f64>,
-        budget: Watts,
+        budget: Option<Watts>,
     ) -> Result<(u32, u32), ManagerError> {
         self.update_margin(observed_slack);
         let target = load_rps * self.margin;
         let (mut c, mut w) = self.policy.allocate(&self.utility, target)?;
+        let Some(budget) = budget else {
+            return Ok((c, w));
+        };
         let draw = self
             .utility
             .power_model()
@@ -228,9 +216,12 @@ impl ServerManager {
     }
 
     /// Installs a `(c, w)` primary and gives every spare resource to the
-    /// secondary, preserving the capper's DVFS/quota state on it. This is
-    /// the actuation half of every `plan_*`: backends call it with the
-    /// counts a [`crate::control::ControlDecision`] carries.
+    /// secondary, preserving the capper's DVFS/quota state on it. A
+    /// secondary with no prior allocation starts at `fresh` (DVFS point,
+    /// CPU quota), the backend's planned point for it, and is not created
+    /// at all when `fresh` is `None`. This is the actuation half of
+    /// [`ServerManager::plan`]: backends call it with the counts a
+    /// [`crate::control::ControlDecision`] carries.
     ///
     /// # Errors
     ///
@@ -241,22 +232,24 @@ impl ServerManager {
         server: &mut SimServer,
         c: u32,
         w: u32,
+        fresh: Option<(Frequency, f64)>,
     ) -> Result<(u32, u32), ManagerError> {
         // Preserve the capper's state on the secondary.
-        let (be_freq, be_quota) = server
+        let point = server
             .allocation(TenantRole::Secondary)
             .map(|s| (s.frequency, s.cpu_quota))
-            .unwrap_or((server.machine().freq_max(), 1.0));
+            .or(fresh);
 
         let machine = server.machine();
-        let (primary, secondary) = partition(machine, c, w, machine.freq_max(), be_freq);
+        let fmax = machine.freq_max();
+        let (primary, secondary) = partition(machine, c, w, fmax, fmax);
 
         // Evict the secondary first so a growing primary never collides.
         server.evict(TenantRole::Secondary);
         server.install(TenantRole::Primary, primary)?;
-        if let Some(mut sec) = secondary {
-            sec.cpu_quota = be_quota;
-            sec.frequency = Frequency(be_freq.0);
+        if let (Some(mut sec), Some((frequency, quota))) = (secondary, point) {
+            sec.frequency = frequency;
+            sec.cpu_quota = quota;
             server.install(TenantRole::Secondary, sec)?;
         }
         self.last_counts = Some((c, w));
@@ -288,17 +281,22 @@ mod tests {
         (truth, fit.utility)
     }
 
+    /// A fresh secondary's point: full clock, full quota.
+    fn unplanned(server: &SimServer) -> Option<(Frequency, f64)> {
+        Some((server.machine().freq_max(), 1.0))
+    }
+
     /// One analytic epoch, planned and applied — the path the product runs.
     fn analytic(mgr: &mut ServerManager, server: &mut SimServer, load: f64, slack: Option<f64>) {
-        let (c, w) = mgr.plan_analytic(load, slack).unwrap();
-        mgr.apply(server, c, w).unwrap();
+        let (c, w) = mgr.plan(load, slack, None).unwrap();
+        mgr.apply(server, c, w, unplanned(server)).unwrap();
     }
 
     /// One incremental epoch, planned and applied.
     fn incremental(mgr: &mut ServerManager, server: &mut SimServer, slack: Option<f64>) {
         let machine = server.machine();
         let (c, w) = mgr.plan_incremental((machine.cores(), machine.llc_ways()), slack);
-        mgr.apply(server, c, w).unwrap();
+        mgr.apply(server, c, w, unplanned(server)).unwrap();
     }
 
     fn run_loop(
@@ -416,6 +414,27 @@ mod tests {
         let sec = server.allocation(TenantRole::Secondary).unwrap();
         assert_eq!(sec.frequency, Frequency(1.5));
         assert!((sec.cpu_quota - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_fresh_secondary_starts_at_the_backends_point_or_waits() {
+        let (truth, utility) = fitted(LcApp::Xapian);
+        let mut server = SimServer::new(truth.machine().clone(), truth.provisioned_power());
+        let mut mgr = ServerManager::new(utility, LcPolicy::PowerOptimized);
+        let (c, w) = mgr.plan(0.2 * truth.peak_load_rps(), None, None).unwrap();
+        mgr.apply(&mut server, c, w, None).unwrap();
+        assert!(server.allocation(TenantRole::Secondary).is_none());
+        assert!(server.allocation(TenantRole::Primary).is_some());
+        mgr.apply(&mut server, c, w, Some((Frequency(1.4), 0.3)))
+            .unwrap();
+        let sec = server.allocation(TenantRole::Secondary).unwrap();
+        assert_eq!((sec.frequency, sec.cpu_quota), (Frequency(1.4), 0.3));
+        // Once installed, the point is the capper's, whatever the backend
+        // plans next.
+        mgr.apply(&mut server, c, w, Some((Frequency(2.2), 1.0)))
+            .unwrap();
+        let sec = server.allocation(TenantRole::Secondary).unwrap();
+        assert_eq!((sec.frequency, sec.cpu_quota), (Frequency(1.4), 0.3));
     }
 
     #[test]

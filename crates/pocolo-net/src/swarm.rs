@@ -165,6 +165,7 @@ pub fn synthetic_metrics(server: usize, seed: u64, heartbeats: u64) -> ServerMet
         m.record(
             1.0,
             Watts(s.power_w),
+            Watts(SCALE_POWER_CAP_W),
             s.be_throughput,
             s.slack,
             false,

@@ -539,8 +539,8 @@ mod tests {
     fn metrics() -> ServerMetrics {
         use pocolo_core::units::Watts;
         let mut m = ServerMetrics::new(Watts(150.0));
-        m.record(0.1, Watts(120.0), 0.4, -0.05, true, true);
-        m.record(0.1, Watts(131.5), 0.55, 0.2, false, false);
+        m.record(0.1, Watts(120.0), m.power_cap, 0.4, -0.05, true, true);
+        m.record(0.1, Watts(131.5), Watts(126.5), 0.55, 0.2, false, false);
         m.record_eviction();
         m.record_recovery(4.5);
         m
@@ -644,7 +644,7 @@ mod tests {
             r#"{"v":1,"type":"welcome","server":0,"degraded":false,"run":{"policy":{"kind":"random","seed":9007199254740991},"lc":["img-dnn","sphinx"],"placement":["lstm","graph"],"ranks":[1,0],"dwell_s":3,"seed":49344,"faults":null,"resilience":true}}"#,
             r#"{"v":1,"type":"telemetry","server":1,"epoch":42,"t_s":42,"power_w":87.5,"slack":-0.125,"be_throughput":0.5}"#,
             r#"{"v":1,"type":"telemetry_ack","cap_factor":0.6}"#,
-            r#"{"v":1,"type":"complete","server":3,"metrics":{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}}"#,
+            r#"{"v":1,"type":"complete","server":3,"metrics":{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"overcap_joules":0.5,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}}"#,
             r#"{"v":1,"type":"complete_ack"}"#,
             r#"{"v":1,"type":"status"}"#,
             r#"{"v":1,"type":"status_report","expected":4,"live":3,"degraded":1,"done":0}"#,

@@ -367,6 +367,33 @@ mod tests {
         }
     }
 
+    /// The cap promise over the fleet grid `mixed3:s × chaos:s`,
+    /// s = 1..16, at `demo-fleet`'s defaults (20 s dwell, seed 1, LP
+    /// placement). Seed 9's stepcell is the hard world: at the 153 s
+    /// thaw its re-installed co-runner must start under the 113 W cap.
+    /// The grid's margin failures (s3, s9) are a separate promise and
+    /// stay out of this test.
+    #[test]
+    fn fleet_caps_hold_over_the_seed_grid() {
+        let spec: FleetSpec = "mixed3".parse().unwrap();
+        let broken: Vec<(u64, usize)> = (1..=16)
+            .map(|s| {
+                let config = ExperimentConfig {
+                    seed: 1,
+                    faults: Some(FaultSpec {
+                        scenario: Scenario::Chaos,
+                        seed: Some(s),
+                    }),
+                    ..ExperimentConfig::default()
+                };
+                let cmp = compare_fleet_policies(&spec, s, &config, Solver::Lp);
+                (s, cmp.cap_violations())
+            })
+            .filter(|&(_, violations)| violations > 0)
+            .collect();
+        assert_eq!(broken, [], "(world seed, cap violations)");
+    }
+
     #[test]
     fn mixed_fleet_awareness_pays_and_caps_hold() {
         let config = ExperimentConfig {

@@ -31,6 +31,9 @@ pub struct ServerMetrics {
     /// Number of best-effort evictions (degraded-mode load shedding and
     /// crash-driven evictions).
     pub evictions: usize,
+    /// Energy drawn over the *effective* cap (provisioned × brownout
+    /// factor): ∫ max(0, P − cap) dt over capper ticks.
+    pub overcap_joules: Joules,
     // Internal accumulators.
     be_integral: f64,
     violation_time: f64,
@@ -54,6 +57,7 @@ impl ServerMetrics {
             time_to_recover_s: 0.0,
             slo_violation_frac_during_fault: 0.0,
             evictions: 0,
+            overcap_joules: Joules::ZERO,
             be_integral: 0.0,
             violation_time: 0.0,
             capping_events: 0,
@@ -62,14 +66,17 @@ impl ServerMetrics {
         }
     }
 
-    /// Records one interval of `dt` seconds. `fault_active` marks
-    /// intervals spent under an active fault (brownout window, crash
-    /// downtime, telemetry dropout), feeding the
+    /// Records one interval of `dt` seconds drawing `true_power` under an
+    /// effective cap of `cap`. `fault_active` marks intervals spent under
+    /// an active fault (brownout window, crash downtime, telemetry
+    /// dropout), feeding the
     /// [`ServerMetrics::slo_violation_frac_during_fault`] breakdown.
+    #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
         dt: f64,
         true_power: Watts,
+        cap: Watts,
         be_throughput: f64,
         lc_slack: f64,
         throttled: bool,
@@ -79,6 +86,7 @@ impl ServerMetrics {
         self.duration_s += dt;
         self.energy += true_power.over_seconds(dt);
         self.peak_power = self.peak_power.max(true_power);
+        self.overcap_joules += (true_power - cap).max(Watts::ZERO).over_seconds(dt);
         self.be_integral += be_throughput * dt;
         if lc_slack < 0.0 {
             self.violation_time += dt;
@@ -167,6 +175,8 @@ pub struct ClusterSummary {
     pub slo_violation_frac_during_fault: f64,
     /// Total best-effort evictions across the cluster.
     pub evictions: usize,
+    /// Total energy drawn over the servers' effective caps.
+    pub overcap_joules: Joules,
 }
 
 impl ClusterSummary {
@@ -199,6 +209,7 @@ impl ClusterSummary {
             .map(|s| s.slo_violation_frac_during_fault)
             .fold(0.0, f64::max);
         let evictions = servers.iter().map(|s| s.evictions).sum();
+        let overcap_joules = servers.iter().map(|s| s.overcap_joules).sum();
         Some(ClusterSummary {
             avg_be_throughput,
             avg_power_utilization,
@@ -209,6 +220,7 @@ impl ClusterSummary {
             time_to_recover_s,
             slo_violation_frac_during_fault,
             evictions,
+            overcap_joules,
         })
     }
 }
@@ -225,6 +237,7 @@ pocolo_json::impl_json!(ServerMetrics {
     time_to_recover_s,
     slo_violation_frac_during_fault,
     evictions,
+    overcap_joules,
     be_integral,
     violation_time,
     capping_events,
@@ -243,6 +256,7 @@ pocolo_json::impl_to_json!(ClusterSummary {
     time_to_recover_s,
     slo_violation_frac_during_fault,
     evictions,
+    overcap_joules,
 });
 
 #[cfg(test)]
@@ -252,8 +266,8 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut m = ServerMetrics::new(Watts(100.0));
-        m.record(1.0, Watts(80.0), 0.5, 0.2, false, false);
-        m.record(1.0, Watts(90.0), 0.7, -0.1, true, false);
+        m.record(1.0, Watts(80.0), m.power_cap, 0.5, 0.2, false, false);
+        m.record(1.0, Watts(90.0), m.power_cap, 0.7, -0.1, true, false);
         assert_eq!(m.duration_s, 2.0);
         assert_eq!(m.energy, Joules(170.0));
         assert_eq!(m.peak_power, Watts(90.0));
@@ -266,11 +280,23 @@ mod tests {
     }
 
     #[test]
+    fn overcap_integrates_the_draw_over_the_effective_cap() {
+        let mut m = ServerMetrics::new(Watts(100.0));
+        m.record(1.0, Watts(90.0), m.power_cap, 0.5, 0.2, false, false);
+        assert_eq!(m.overcap_joules, Joules::ZERO);
+        // Under the provisioned cap, over a browned-out one.
+        m.record(2.0, Watts(90.0), Watts(85.0), 0.5, 0.2, false, true);
+        assert_eq!(m.overcap_joules, Joules(10.0));
+        let c = ClusterSummary::aggregate(&[m.clone(), m]).unwrap();
+        assert_eq!(c.overcap_joules, Joules(20.0));
+    }
+
+    #[test]
     fn fault_windows_get_their_own_violation_frac() {
         let mut m = ServerMetrics::new(Watts(100.0));
-        m.record(1.0, Watts(80.0), 0.5, -0.1, false, false); // healthy-time violation
-        m.record(1.0, Watts(80.0), 0.5, -0.2, true, true); // fault + violation
-        m.record(1.0, Watts(80.0), 0.5, 0.3, false, true); // fault, SLO met
+        m.record(1.0, Watts(80.0), m.power_cap, 0.5, -0.1, false, false); // healthy-time violation
+        m.record(1.0, Watts(80.0), m.power_cap, 0.5, -0.2, true, true); // fault + violation
+        m.record(1.0, Watts(80.0), m.power_cap, 0.5, 0.3, false, true); // fault, SLO met
         assert!((m.lc_violation_frac - 2.0 / 3.0).abs() < 1e-9);
         assert!((m.slo_violation_frac_during_fault - 0.5).abs() < 1e-9);
         assert!((m.fault_time_s() - 2.0).abs() < 1e-9);
@@ -299,11 +325,11 @@ mod tests {
     #[test]
     fn aggregate_cluster() {
         let mut a = ServerMetrics::new(Watts(100.0));
-        a.record(10.0, Watts(90.0), 0.8, 0.2, false, false);
+        a.record(10.0, Watts(90.0), a.power_cap, 0.8, 0.2, false, false);
         a.record_recovery(3.0);
         a.record_eviction();
         let mut b = ServerMetrics::new(Watts(200.0));
-        b.record(10.0, Watts(100.0), 0.4, -0.2, true, true);
+        b.record(10.0, Watts(100.0), b.power_cap, 0.4, -0.2, true, true);
         b.record_recovery(7.0);
         let c = ClusterSummary::aggregate(&[a, b]).unwrap();
         assert!((c.avg_be_throughput - 0.6).abs() < 1e-9);
@@ -325,7 +351,7 @@ mod tests {
     #[test]
     fn zero_throughput_energy_is_infinite() {
         let mut a = ServerMetrics::new(Watts(100.0));
-        a.record(1.0, Watts(50.0), 0.0, 0.5, false, false);
+        a.record(1.0, Watts(50.0), a.power_cap, 0.0, 0.5, false, false);
         let c = ClusterSummary::aggregate(&[a]).unwrap();
         assert!(c.energy_per_throughput.is_infinite());
     }
@@ -334,8 +360,8 @@ mod tests {
     fn json_roundtrip_preserves_fault_fields() {
         use pocolo_json::{FromJson, ToJson};
         let mut m = ServerMetrics::new(Watts(150.0));
-        m.record(0.1, Watts(120.0), 0.4, -0.05, true, true);
-        m.record(0.1, Watts(131.5), 0.55, 0.2, false, false);
+        m.record(0.1, Watts(120.0), m.power_cap, 0.4, -0.05, true, true);
+        m.record(0.1, Watts(131.5), Watts(126.5), 0.55, 0.2, false, false);
         m.record_eviction();
         m.record_recovery(4.5);
         let back = ServerMetrics::from_json(&m.to_json()).unwrap();
@@ -343,7 +369,7 @@ mod tests {
         // The encoding, pinned byte for byte.
         assert_eq!(
             m.to_json().to_compact_string(),
-            r#"{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}"#
+            r#"{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"overcap_joules":0.5,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}"#
         );
     }
 }
@@ -376,7 +402,7 @@ mod proptests {
             let mut m = ServerMetrics::new(Watts(200.0));
             let mut last_energy = 0.0f64;
             for (dt, p, th, sl, cap, fa) in ticks {
-                m.record(dt, Watts(p), th, sl, cap, fa);
+                m.record(dt, Watts(p), m.power_cap, th, sl, cap, fa);
                 prop_assert!(m.energy.0 >= last_energy, "energy regressed");
                 last_energy = m.energy.0;
                 for (name, frac) in [

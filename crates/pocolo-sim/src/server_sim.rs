@@ -2,8 +2,8 @@
 
 use pocolo_core::units::{Frequency, Watts};
 use pocolo_core::utility::IndirectUtility;
-use pocolo_core::CobbDouglas;
-use pocolo_manager::capper::RELEASE;
+use pocolo_core::{CobbDouglas, PowerModel};
+use pocolo_manager::capper::{QUOTA_FLOOR, RELEASE};
 use pocolo_manager::{
     BeIntent, CapAction, ControlInput, DecisionRecord, LcPolicy, PowerCapper, PrimaryDirective,
     ServerController, ServerManager,
@@ -16,6 +16,22 @@ use rand::{Rng, SeedableRng};
 
 use crate::faults::ServerFaultAction;
 use crate::metrics::ServerMetrics;
+
+/// DVFS exponent γ of the co-runner's core power, `P_core ∝ (f/f_max)^γ`
+/// (the ground truth's balanced profile; the apps span 2.2–2.6).
+const GAMMA: f64 = 2.4;
+
+/// The co-runner's price under its fitted power model at `(c, w)`,
+/// `f_frac = f/f_max` and CPU quota `quota`:
+/// `P_static + (p_cores·c·f_frac^γ + p_ways·w)·quota`. DVFS scales the
+/// core term only: cache ways and uncore do not follow the clock. The
+/// one co-runner power law the planner, the install step and the
+/// brownout governor's draw estimate all price with.
+fn be_price(fit: &PowerModel, (c, w): (u32, u32), f_frac: f64, quota: f64) -> Watts {
+    let p = fit.p_dynamic();
+    let dynamic = p[0] * f64::from(c) * f_frac.powf(GAMMA) + p[1] * f64::from(w);
+    fit.p_static() + Watts(dynamic * quota)
+}
 
 /// One server under simulation: the ground-truth workload models, the
 /// simulated hardware, and the two control loops — plus, optionally, the
@@ -389,12 +405,20 @@ impl ServerSim {
         };
         let decision = self.controller.decide(&input);
         // Managers are resilient: a failed apply leaves the previous
-        // allocation in place rather than killing the simulation.
+        // allocation in place rather than killing the simulation. A
+        // secondary the re-partition creates starts at its planned point
+        // (with no fitted model to plan with, at full clock); one that
+        // prices over the headroom even at both floors waits for an
+        // epoch with room.
         if let PrimaryDirective::Resize { cores, ways } = decision.primary {
+            let fresh = match self.planned_point((cores, ways)) {
+                Some((_, quota)) if quota < QUOTA_FLOOR => None,
+                planned => Some(planned.unwrap_or((machine.freq_max(), 1.0))),
+            };
             let _ = self
                 .controller
                 .manager_mut()
-                .apply(&mut self.server, cores, ways);
+                .apply(&mut self.server, cores, ways, fresh);
         }
         if let Some(log) = &mut self.decision_log {
             log.push(decision.record);
@@ -423,42 +447,48 @@ impl ServerSim {
     }
 
     /// Model-guided secondary planning (see [`ServerSim::with_proactive_be`]).
+    /// The planned frequency is a *ceiling*: lower the secondary if it is
+    /// above, but never yank it up past what the reactive capper has
+    /// settled on — the capper's recovery path raises it as headroom
+    /// allows. The quota is the capper's too, which works from the meter.
     fn plan_secondary_frequency(&mut self) {
         self.freq_ceiling = None;
         let Some(sec) = self.server.allocation(TenantRole::Secondary).copied() else {
             return;
         };
+        let Some((planned, _)) = self
+            .controller
+            .manager()
+            .last_counts()
+            .and_then(|counts| self.planned_point(counts))
+        else {
+            return;
+        };
+        if sec.frequency > planned {
+            let _ = self.server.set_frequency(TenantRole::Secondary, planned);
+        }
+        self.freq_ceiling = Some(planned);
+    }
+
+    /// The co-runner's planned (DVFS point, CPU quota) beside a `(c, w)`
+    /// primary: the highest frequency step whose [`be_price`] fits the
+    /// headroom the primary's fitted draw leaves under the cap, less the
+    /// capper's `RELEASE` band (the "reduces the need to throttle by
+    /// design" behaviour of §V-D), at full quota. If even `freq_min`
+    /// prices over the headroom, the quota is the one that prices exactly
+    /// at it (under the capper's floor when not even that fits). `None`
+    /// without a fitted co-runner to plan for.
+    fn planned_point(&self, (c, w): (u32, u32)) -> Option<(Frequency, f64)> {
+        let machine = self.lc_truth.machine();
+        let floor = machine.freq_min();
         // A parked (evicted / crashed-out) co-runner leaves its slot
         // allocated but idle; any frequency beyond the floor is pure
         // waste heat charged against the cap. Checked before the fitted
         // model, which eviction parks along with the app.
         if self.be_truth.is_none() && self.parked_be.is_some() {
-            let floor = self.lc_truth.machine().freq_min();
-            if sec.frequency > floor {
-                let _ = self.server.set_frequency(TenantRole::Secondary, floor);
-            }
-            self.freq_ceiling = Some(floor);
-            return;
+            return Some((floor, 1.0));
         }
-        let Some(be_fit) = &self.be_fitted else {
-            return;
-        };
-        let Some((c, w)) = self.controller.manager().last_counts() else {
-            return;
-        };
-        // LC priority under an active brownout: while the primary is
-        // violating its SLO, the co-runner gets nothing beyond the floor.
-        // Freed watts must reach the primary — otherwise a shrinking
-        // primary lowers its own predicted draw, the planner hands the
-        // difference to the BE, and total draw never falls.
-        if self.resilient && self.cap_factor < 1.0 && self.last_slack.is_some_and(|s| s < 0.0) {
-            let floor = self.lc_truth.machine().freq_min();
-            if sec.frequency > floor {
-                let _ = self.server.set_frequency(TenantRole::Secondary, floor);
-            }
-            self.freq_ceiling = Some(floor);
-            return;
-        }
+        let fit = self.be_fitted.as_ref()?.power_model();
         let lc_pred = self
             .controller
             .manager()
@@ -474,40 +504,35 @@ impl ServerSim {
         } else {
             self.server.power_cap()
         };
-        // Plan against a small guard band under the cap — the "reduces the
-        // need to throttle by design" behaviour of §V-D.
-        let headroom = (cap - lc_pred) * 0.88;
-        let amounts = [sec.cores.count() as f64, sec.ways.count() as f64];
-        let p_static = be_fit.power_model().p_static();
-        let dynamic_at_fmax = match be_fit.power_model().power_of_amounts(&amounts) {
-            Ok(p) => p - p_static,
-            Err(_) => return,
+        let headroom = (cap - lc_pred) * RELEASE;
+        let sec = (
+            machine.cores() - c.clamp(1, machine.cores()),
+            machine.llc_ways() - w.clamp(1, machine.llc_ways()),
+        );
+        let price =
+            |f: Frequency, quota| be_price(fit, sec, f.fraction_of(machine.freq_max()), quota);
+        // LC priority under an active brownout: while the primary is
+        // violating its SLO, the co-runner gets nothing beyond the floor.
+        // Freed watts must reach the primary — otherwise a shrinking
+        // primary lowers its own predicted draw, the planner hands the
+        // difference to the BE, and total draw never falls.
+        let lc_first =
+            self.resilient && self.cap_factor < 1.0 && self.last_slack.is_some_and(|s| s < 0.0);
+        let mut f = if lc_first { floor } else { machine.freq_max() };
+        while f > floor && price(f, 1.0) > headroom {
+            f = machine.clamp_frequency(Frequency(f.0 - 0.1));
+        }
+        let full = price(f, 1.0);
+        let quota = match full <= headroom {
+            true => 1.0,
+            false => (headroom - fit.p_static()) / (full - fit.p_static()),
         };
-        // DVFS physics: dynamic power scales ~(f/f_max)^2.4.
-        let machine = self.lc_truth.machine();
-        let fmax = machine.freq_max();
-        let mut planned = machine.freq_min();
-        let mut f = fmax.0;
-        while f >= machine.freq_min().0 - 1e-9 {
-            let frac = (f / fmax.0).powf(2.4);
-            if p_static + dynamic_at_fmax * frac <= headroom {
-                planned = Frequency(f);
-                break;
-            }
-            f -= 0.1;
-        }
-        // The plan is a *ceiling*: lower the secondary if it is above, but
-        // never yank it up past what the reactive capper has settled on —
-        // the capper's recovery path raises it as headroom allows.
-        if sec.frequency > planned {
-            let _ = self.server.set_frequency(TenantRole::Secondary, planned);
-        }
-        self.freq_ceiling = Some(planned);
+        Some((f, quota))
     }
 
-    /// The co-runner's draw as the management plane can estimate it: the
-    /// fitted BE power model at the secondary's current allocation and
-    /// DVFS point (the same DVFS scaling the proactive planner uses).
+    /// The co-runner's draw as the management plane can estimate it: its
+    /// [`be_price`] at the secondary's current allocation, DVFS point and
+    /// quota.
     fn be_draw_estimate(&self) -> Watts {
         if self.be_truth.is_none() {
             return Watts::ZERO;
@@ -518,14 +543,11 @@ impl ServerSim {
         ) else {
             return Watts::ZERO;
         };
-        let amounts = [sec.cores.count() as f64, sec.ways.count() as f64];
-        let Ok(at_fmax) = be_fit.power_model().power_of_amounts(&amounts) else {
-            return Watts::ZERO;
-        };
-        let p_static = be_fit.power_model().p_static();
-        let fmax = self.lc_truth.machine().freq_max();
-        let frac = (sec.frequency.0 / fmax.0).powf(2.4);
-        Watts(p_static.0 + (at_fmax.0 - p_static.0) * frac)
+        let f_frac = sec
+            .frequency
+            .fraction_of(self.lc_truth.machine().freq_max());
+        let counts = (sec.cores.count(), sec.ways.count());
+        be_price(be_fit.power_model(), counts, f_frac, sec.cpu_quota)
     }
 
     /// Instantaneous *true* server power from the ground-truth draws.
@@ -590,7 +612,9 @@ impl ServerSim {
         if self.down {
             // Crashed: no draw, no service — the primary's SLO is by
             // definition violated while its replacement warms up elsewhere.
-            self.metrics.record(dt, Watts::ZERO, 0.0, -1.0, false, true);
+            let cap = self.effective_cap();
+            self.metrics
+                .record(dt, Watts::ZERO, cap, 0.0, -1.0, false, true);
             return;
         }
         let true_power = self.true_power();
@@ -627,6 +651,7 @@ impl ServerSim {
         self.metrics.record(
             dt,
             true_power,
+            eff_cap,
             self.be_throughput(),
             slack,
             throttled,
@@ -701,9 +726,10 @@ impl ServerSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::FittedCluster;
     use pocolo_core::fit::{fit_indirect_utility, FitOptions};
     use pocolo_manager::LcPolicy;
-    use pocolo_simserver::MachineSpec;
+    use pocolo_simserver::{CoreSet, MachineSpec, TenantAllocation, WayMask};
     use pocolo_workloads::profiler::{profile_lc, ProfilerConfig};
     use pocolo_workloads::{BeApp, LcApp};
 
@@ -732,6 +758,89 @@ mod tests {
                 sim.on_capper_tick(0.1);
             }
         }
+    }
+
+    /// The co-runner's headroom beside the primary's current counts, as
+    /// the planner prices it.
+    fn planner_headroom(sim: &ServerSim) -> Watts {
+        let (c, w) = sim.controller.manager().last_counts().unwrap();
+        let lc_pred = sim
+            .controller
+            .manager()
+            .utility()
+            .power_model()
+            .power_of_amounts(&[c as f64, w as f64])
+            .unwrap();
+        (sim.effective_cap() - lc_pred) * RELEASE
+    }
+
+    /// The re-partition at the `mixed3:9 × chaos:9` thaw: lstm on 1 core
+    /// and 21 ways at 1.4 GHz on the stepcell draws 49.2 W. A law that
+    /// scales the whole fitted draw with DVFS prices it 37 % under.
+    #[test]
+    fn be_price_tracks_the_ground_truth_at_low_frequency() {
+        let machine = MachineSpec::stepcell();
+        let fitted = FittedCluster::fit_on(&ProfilerConfig::default(), machine.clone());
+        let (_, truth, fit) = fitted
+            .be()
+            .iter()
+            .find(|(a, ..)| *a == BeApp::Lstm)
+            .unwrap();
+        let f = Frequency(1.4);
+        let alloc = TenantAllocation::new(CoreSet::first_n(1), WayMask::first_n(21), f);
+        let drawn = truth.power_draw(&alloc, &PowerDrawModel::new(machine.clone()));
+        let priced = be_price(
+            fit.power_model(),
+            (1, 21),
+            f.fraction_of(machine.freq_max()),
+            1.0,
+        );
+        let err = priced / drawn - 1.0;
+        assert!(err.abs() < 0.10, "priced {priced}, drawn {drawn}");
+    }
+
+    /// A secondary the re-partition creates starts at its planned point:
+    /// before the first capper tick has read a meter, it prices at or
+    /// under its headroom — or, when not even both floors fit, is not
+    /// installed yet.
+    #[test]
+    fn a_fresh_secondary_prices_within_its_headroom() {
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        let (mut installed, mut quota_cut) = (0, 0);
+        for (lc, truth, lc_fit) in fitted.lc() {
+            for (be, be_truth, be_fit) in fitted.be() {
+                for (load, factor) in [(0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.3, 0.7), (0.5, 0.6)] {
+                    let mut sim = ServerSim::new(
+                        truth.clone(),
+                        lc_fit.clone(),
+                        Some(be_truth.clone()),
+                        LcPolicy::PowerOptimized,
+                        LoadTrace::Constant(load),
+                        truth.provisioned_power(),
+                        0.01,
+                        42,
+                    )
+                    .with_proactive_be(be_fit.clone())
+                    .with_resilience(0);
+                    sim.apply_fault(&ServerFaultAction::SetCapFactor(factor), 0.0);
+                    sim.on_manager_tick(0.0);
+                    let Some(sec) = sim.server().allocation(TenantRole::Secondary) else {
+                        continue;
+                    };
+                    installed += 1;
+                    quota_cut += usize::from(sec.cpu_quota < 1.0);
+                    let (priced, headroom) = (sim.be_draw_estimate(), planner_headroom(&sim));
+                    assert!(
+                        priced.0 <= headroom.0 + 1e-9,
+                        "{lc} + {be} at {load} × {factor}: {priced} over {headroom}"
+                    );
+                }
+            }
+        }
+        assert!(
+            installed > 0 && quota_cut > 0,
+            "{installed} installs, {quota_cut} cut"
+        );
     }
 
     #[test]
