@@ -10,12 +10,16 @@
 # A's and B's medians, B/A, the rounds B was better in, and A's interquartile
 # range, then each side's set of result digests. Passing the same binary
 # twice is the A/A calibration: it shows how far noise alone moves a row.
+# Each row's direction and bound come from the repo's BENCHMARK.json, and a
+# row whose B median is worse than A's by more than that bound (as a share of
+# A's median, the rule `pocolo-benchmark compare` applies) is marked WORSE.
 #
 # Advisory: it exits 0 unless a run fails (non-zero exit or failed ops). It is
 # not a CI step; the rule it measures is in CONTRIBUTING.md.
 set -uo pipefail
 [ $# -eq 5 ] || { sed -n '4p' "$0" | sed 's/^# *//'; exit 2; }
 bench_a=$1 bench_b=$2 workload=$3 rounds=$4 seconds=$5
+contract=$(cd "$(dirname "$0")/../.." && pwd)/BENCHMARK.json
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
@@ -36,10 +40,11 @@ for ((r = 0; r < rounds; r++)); do
   echo "round $((r + 1))/$rounds done" >&2
 done
 
-python3 - "$dir" "$rounds" "$workload" <<'EOF'
+python3 - "$dir" "$rounds" "$workload" "$contract" <<'EOF'
 import json, statistics, sys
 
-dir, rounds, workload = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+dir, rounds, workload, contract = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+rules = {m["name"]: m for m in json.load(open(contract))["end_to_end"]}
 runs = {s: [json.load(open(f"{dir}/{s}.{r}.json")) for r in range(rounds)] for s in "ab"}
 failed = [(s, r) for s in "ab" for r, w in enumerate(runs[s]) if w["ops_failed"]]
 
@@ -49,20 +54,20 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
-higher_better = {"ops_per_s"}
 print(f"{workload}: {rounds} interleaved rounds, B vs A")
-print(f"{'metric':<16}{'A median':>14}{'B median':>14}{'B/A':>8}{'B better':>10}{'A IQR':>14}")
+print(f"{'metric':<16}{'A median':>14}{'B median':>14}{'B/A':>8}{'B better':>10}{'A IQR':>14}{'bound':>8}")
 for metric in runs["a"][0]["end_to_end"]:
     a = [w["end_to_end"][metric]["value"] for w in runs["a"]]
     b = [w["end_to_end"][metric]["value"] for w in runs["b"]]
     ma, mb = statistics.median(a), statistics.median(b)
-    if metric in higher_better:
-        wins = sum(y > x for x, y in zip(a, b))
-    else:
-        wins = sum(y < x for x, y in zip(a, b))
+    sign = 1 if rules[metric]["better"] == "lower" else -1
+    wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+    worse = sign * (mb - ma) / max(abs(ma), sys.float_info.min)
     q1, q3 = quartiles(a)
     ratio = f"{mb / ma:.3f}" if ma else "-"
-    print(f"{metric:<16}{ma:>14.6g}{mb:>14.6g}{ratio:>8}{f'{wins}/{rounds}':>10}{q3 - q1:>14.6g}")
+    bound = rules[metric]["bound"]
+    flag = "  WORSE" if worse > bound else ""
+    print(f"{metric:<16}{ma:>14.6g}{mb:>14.6g}{ratio:>8}{f'{wins}/{rounds}':>10}{q3 - q1:>14.6g}{bound:>8g}{flag}")
 for s in "ab":
     digests = sorted({w["result_digest"] for w in runs[s]})
     print(f"{s.upper()} result digests: {' '.join(digests)}")

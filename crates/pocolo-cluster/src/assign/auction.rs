@@ -25,7 +25,11 @@
 //! **Certification.** Prices give a feasible dual: with unassigned-column
 //! prices read as zero, `π_i = max_j (v_ij − p_j)` over *all* enabled
 //! columns makes `Σπ_i + Σ_{assigned j} p_j` an upper bound on the
-//! optimum. If the bound exceeds the auction total by more than ε·rows,
+//! optimum. No dense row is scanned for it: each row walks its
+//! certificate order ([`SparseCandidates`]) to the first column nobody
+//! owns, whose price is zero, and no column past it can do better — at
+//! most `rows + 1` entries a row instead of every column. If the bound
+//! exceeds the auction total by more than ε·rows,
 //! the violating rows' best off-list edges are spliced into their
 //! candidate lists ([`SparseCandidates::ensure_edge`]) and those rows
 //! re-bid — the exactness escape hatch. A price crossing the feasibility
@@ -84,7 +88,9 @@ pub struct AuctionStats {
     /// Candidate edges scanned while bidding — the headline counter the
     /// incremental O(k · dirtied rows) bound is asserted against.
     pub bid_edges: u64,
-    /// Dense edges scanned by certification sweeps.
+    /// Edges certification looked at: certificate-order entries walked,
+    /// plus every enabled column of a row whose walk ran out and fell
+    /// back to the dense row scan.
     pub cert_edges: u64,
     /// ε-scaling phases run.
     pub phases: u32,
@@ -266,60 +272,80 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Dual sweep: after flooring unassigned-column prices, computes
-    /// `π_i = max_j (v_ij − p_j)` over all enabled columns. Returns the
-    /// dual upper bound and, per row with slack > ε, its best off-profit
+    /// Dual certificate: after flooring unassigned-column prices,
+    /// computes `π_i = max_j (v_ij − p_j)` over all enabled columns.
+    /// Returns the dual upper bound and, per row with slack > ε, its best
     /// column (the first maximum in column order).
     ///
-    /// The sweep is dense and stateless on purpose — it is the one place
-    /// that looks at every edge, which is what makes the certificate hold
-    /// whatever pruning did — so its cost is all in the inner loop:
-    /// disabled columns are priced out of the maximum once per sweep
-    /// instead of tested per edge, and the arg-max is recovered only for
-    /// the rare rows that violate ε-CS.
-    fn certify_scan(&mut self) -> (f64, Vec<(usize, usize)>) {
+    /// Each row walks its certificate order ([`SparseCandidates`]) up to
+    /// its first unowned column F. Every price is ≥ 0 and `p_F` is 0.0,
+    /// so no column after F can beat `v_F − p_F`: the walk's maximum is
+    /// the dense one, bit for bit. A row whose prefix runs out first
+    /// takes the dense row scan and has its prefix rebuilt.
+    fn certify_scan(&mut self, cands: &mut SparseCandidates) -> (f64, Vec<(usize, usize)>) {
         #[cfg(test)]
-        if tests::SCALAR_SCAN.with(std::cell::Cell::get) {
-            return self.certify_scan_scalar();
-        }
+        let dense = tests::DENSE_SCAN.with(std::cell::Cell::get);
+        #[cfg(not(test))]
+        let dense = false;
         self.floor_unassigned_prices();
-        let mut ub: f64 = self
+        debug_assert!(self.prices.iter().all(|&p| p >= 0.0), "a negative price");
+        let owned = self
             .owner
             .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_some())
-            .map(|(col, _)| self.prices[col])
-            .sum();
-        let prices: Vec<f64> = self
-            .prices
-            .iter()
-            .enumerate()
-            .map(|(col, &p)| {
-                if self.matrix.is_col_disabled(col) {
-                    f64::INFINITY
-                } else {
-                    p
-                }
-            })
-            .collect();
-        self.stats.cert_edges += (self.matrix.rows() * self.matrix.enabled_cols()) as u64;
+            .zip(&self.prices)
+            .filter(|(o, _)| o.is_some());
+        let mut ub: f64 = owned.map(|(_, &p)| p).sum();
         let mut violations = Vec::new();
         for row in 0..self.matrix.rows() {
-            let values = self.matrix.row(row);
-            let pi = max_profit(values, &prices);
+            let (cols, vals) = cands.order.row(row);
+            let walked = if dense { None } else { self.walk(cols, vals) };
+            let (pi, pi_col) = walked.unwrap_or_else(|| {
+                cands.order.rebuild(self.matrix, row, &mut Vec::new());
+                self.dense_row(row)
+            });
             ub += pi;
             let own_col = self.assigned[row].expect("certify runs on a complete assignment");
-            let own = values[own_col] - self.prices[own_col];
-            if pi - own > self.cfg.eps {
-                let pi_col = values
-                    .iter()
-                    .zip(&prices)
-                    .position(|(&v, &p)| v - p == pi)
-                    .expect("the maximum is one of the profits");
+            if pi - (self.matrix.value(row, own_col) - self.prices[own_col]) > self.cfg.eps {
                 violations.push((row, pi_col));
             }
         }
         (ub, violations)
+    }
+
+    /// `(π, first arg-max)` over a certificate order walked up to and
+    /// including its first unowned column; `None` if it runs out first.
+    /// Ties go to the smaller column, as in the dense scan: a column after
+    /// F that ties sorts after F, so it has a larger index.
+    fn walk(&mut self, cols: &[u32], vals: &[f64]) -> Option<(f64, usize)> {
+        let (mut pi, mut pi_col) = (f64::NEG_INFINITY, usize::MAX);
+        for (walked, (&col, &v)) in (1..).zip(cols.iter().zip(vals)) {
+            let col = col as usize;
+            let profit = v - self.prices[col];
+            if profit > pi || (profit == pi && col < pi_col) {
+                (pi, pi_col) = (profit, col);
+            }
+            if self.owner[col].is_none() {
+                self.stats.cert_edges += walked;
+                return Some((pi, pi_col));
+            }
+        }
+        self.stats.cert_edges += cols.len() as u64;
+        None
+    }
+
+    /// The dense row scan: `(π, first arg-max)` over every enabled column.
+    fn dense_row(&mut self, row: usize) -> (f64, usize) {
+        let (mut pi, mut pi_col) = (f64::NEG_INFINITY, 0);
+        for (col, &v) in self.matrix.row(row).iter().enumerate() {
+            if !self.matrix.is_col_disabled(col) {
+                self.stats.cert_edges += 1;
+                let profit = v - self.prices[col];
+                if profit > pi {
+                    (pi, pi_col) = (profit, col);
+                }
+            }
+        }
+        (pi, pi_col)
     }
 
     fn total(&self) -> f64 {
@@ -337,7 +363,7 @@ impl<'a> Engine<'a> {
         let rows = self.matrix.rows() as f64;
         let tol = self.cfg.eps * rows + 1e-9 * (1.0 + self.vmax) * rows;
         for round in 0..=MAX_WIDEN {
-            let (ub, violations) = self.certify_scan();
+            let (ub, violations) = self.certify_scan(cands);
             if ub - self.total() <= tol {
                 self.certified = true;
                 return Ok(());
@@ -366,7 +392,7 @@ impl<'a> Engine<'a> {
         if self.bid_phase(cands, self.cfg.eps).is_err() {
             return Err(ClusterError::Infeasible);
         }
-        let (ub, _) = self.certify_scan();
+        let (ub, _) = self.certify_scan(cands);
         self.certified = ub - self.total() <= tol;
         Ok(())
     }
@@ -391,35 +417,6 @@ impl<'a> Engine<'a> {
             stats: self.stats,
         }
     }
-}
-
-/// Independent running maxima [`max_profit`] keeps per row: enough to
-/// hide the compare latency and let the loop vectorize.
-const PROFIT_LANES: usize = 8;
-
-/// `max_j (values[j] − prices[j])`, `-∞` for an empty row. The maximum of
-/// a set does not depend on the order it is folded in, so splitting the
-/// row across lanes returns the same value a left-to-right scan does.
-fn max_profit(values: &[f64], prices: &[f64]) -> f64 {
-    let mut lanes = [f64::NEG_INFINITY; PROFIT_LANES];
-    let mut v_chunks = values.chunks_exact(PROFIT_LANES);
-    let mut p_chunks = prices.chunks_exact(PROFIT_LANES);
-    for (v, p) in (&mut v_chunks).zip(&mut p_chunks) {
-        for ((best, &v), &p) in lanes.iter_mut().zip(v).zip(p) {
-            let profit = v - p;
-            if profit > *best {
-                *best = profit;
-            }
-        }
-    }
-    let tail = v_chunks.remainder().iter().zip(p_chunks.remainder());
-    let mut best = f64::NEG_INFINITY;
-    for profit in tail.map(|(&v, &p)| v - p).chain(lanes) {
-        if profit > best {
-            best = profit;
-        }
-    }
-    best
 }
 
 fn validate(
@@ -558,6 +555,39 @@ pub fn solve_incremental(
     Ok(eng.into_solution())
 }
 
+/// A finished solution's dual certificate, as its solve last computed it:
+/// the upper bound and each row violating ε-CS with its best column.
+/// `cands` are the lists the solve left behind over `matrix`.
+///
+/// # Errors
+///
+/// [`ClusterError::InvalidMatrix`] unless `cands` fit `matrix` and `sol`
+/// holds a price ≥ 0 per column and an enabled, unshared column per row.
+pub fn certificate(
+    matrix: &PerfMatrix,
+    cands: &mut SparseCandidates,
+    sol: &AuctionSolution,
+) -> Result<(f64, Vec<(usize, usize)>), ClusterError> {
+    let cfg = AuctionConfig::with_eps(sol.eps);
+    validate(matrix, cands, &cfg)?;
+    let mut eng = Engine::new(matrix, &cfg, sol.prices.clone());
+    let pairs = &sol.assignment.pairs;
+    let placed = pairs.iter().enumerate().all(|(i, &(row, col))| {
+        let free = col < matrix.cols() && !matrix.is_col_disabled(col);
+        row == i && free && eng.owner[col].replace(row).is_none()
+    });
+    let priced = sol.prices.len() == matrix.cols() && sol.prices.iter().all(|&p| p >= 0.0);
+    if !(placed && priced && pairs.len() == matrix.rows()) {
+        return Err(ClusterError::InvalidMatrix(
+            "not a complete priced assignment".into(),
+        ));
+    }
+    for &(row, col) in pairs {
+        eng.assigned[row] = Some(col);
+    }
+    Ok(eng.certify_scan(cands))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,62 +622,24 @@ mod tests {
     }
 
     thread_local! {
-        /// Routes `Engine::certify_scan` through the scalar oracle below.
-        pub(super) static SCALAR_SCAN: std::cell::Cell<bool> =
+        /// Makes `Engine::certify_scan` scan every row densely: the sweep
+        /// as it was before the walk, kept as the oracle the walk must
+        /// match.
+        pub(super) static DENSE_SCAN: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
     }
 
-    /// Runs `f` with every certification sweep done by the scalar oracle.
-    fn with_scalar_scan<T>(f: impl FnOnce() -> T) -> T {
-        SCALAR_SCAN.with(|s| s.set(true));
+    /// Runs `f` with every certification done by the dense oracle.
+    fn with_dense_scan<T>(f: impl FnOnce() -> T) -> T {
+        DENSE_SCAN.with(|s| s.set(true));
         let out = f();
-        SCALAR_SCAN.with(|s| s.set(false));
+        DENSE_SCAN.with(|s| s.set(false));
         out
     }
 
-    impl Engine<'_> {
-        /// The certification sweep as it was before the inner loop was
-        /// tightened — one running maximum, the disabled test and the edge
-        /// count per edge — kept as the oracle the tight scan must match.
-        pub(super) fn certify_scan_scalar(&mut self) -> (f64, Vec<(usize, usize)>) {
-            self.floor_unassigned_prices();
-            let mut ub: f64 = self
-                .owner
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.is_some())
-                .map(|(col, _)| self.prices[col])
-                .sum();
-            let mut violations = Vec::new();
-            for row in 0..self.matrix.rows() {
-                let values = self.matrix.row(row);
-                let mut pi = f64::NEG_INFINITY;
-                let mut pi_col = 0;
-                for (col, &v) in values.iter().enumerate() {
-                    if self.matrix.is_col_disabled(col) {
-                        continue;
-                    }
-                    self.stats.cert_edges += 1;
-                    let profit = v - self.prices[col];
-                    if profit > pi {
-                        pi = profit;
-                        pi_col = col;
-                    }
-                }
-                ub += pi;
-                let own_col = self.assigned[row].expect("certify runs on a complete assignment");
-                let own = values[own_col] - self.prices[own_col];
-                if pi - own > self.cfg.eps {
-                    violations.push((row, pi_col));
-                }
-            }
-            (ub, violations)
-        }
-    }
-
-    /// A seeded matrix built to stress the scan: values on a coarse grid,
+    /// A seeded matrix built to stress the walk: values on a coarse grid,
     /// every third column an exact copy of an earlier one (ties between
-    /// columns), widths that leave a remainder for the lane loop.
+    /// columns, which the order breaks by column index).
     fn tied_matrix(rows: usize, cols: usize, seed: u64) -> PerfMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut values: Vec<Vec<f64>> = (0..rows)
@@ -666,28 +658,57 @@ mod tests {
         matrix(values)
     }
 
-    fn assert_same_solution(tight: &AuctionSolution, scalar: &AuctionSolution, what: &str) {
-        assert_eq!(tight.assignment.pairs, scalar.assignment.pairs, "{what}");
+    /// Pairs, total and price bits, `certified` and every counter but
+    /// `cert_edges` match the oracle's; where some enabled column is
+    /// spare, the walk also looked at fewer edges than the dense sweep.
+    fn assert_same_solution(
+        walk: &AuctionSolution,
+        dense: &AuctionSolution,
+        spare: bool,
+        what: &str,
+    ) {
+        assert_eq!(walk.assignment.pairs, dense.assignment.pairs, "{what}");
         assert_eq!(
-            tight.assignment.total.to_bits(),
-            scalar.assignment.total.to_bits(),
+            walk.assignment.total.to_bits(),
+            dense.assignment.total.to_bits(),
             "{what}"
         );
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&tight.prices), bits(&scalar.prices), "{what}");
-        assert_eq!(tight.certified, scalar.certified, "{what}");
-        assert_eq!(tight.stats, scalar.stats, "{what}");
+        assert_eq!(bits(&walk.prices), bits(&dense.prices), "{what}");
+        assert_eq!(walk.certified, dense.certified, "{what}");
+        let uncounted = |s: &AuctionStats| AuctionStats {
+            cert_edges: 0,
+            ..*s
+        };
+        assert_eq!(uncounted(&walk.stats), uncounted(&dense.stats), "{what}");
+        if spare {
+            assert!(
+                walk.stats.cert_edges < dense.stats.cert_edges,
+                "{what}: walked {} edges, dense {}",
+                walk.stats.cert_edges,
+                dense.stats.cert_edges
+            );
+        }
     }
 
     #[test]
-    fn tight_scan_reproduces_the_scalar_scan() {
+    fn the_walk_reproduces_the_dense_oracle() {
         // k = 2 prunes hard, so certification has violations to report
-        // and splice; the default width covers the quiet path.
+        // and splice; the default width covers the quiet path. The square
+        // cases leave no column spare, so every walk runs out and falls
+        // back to the dense row.
         let mut violations_seen = 0;
-        for (i, &(rows, cols)) in [(5, 9), (7, 16), (12, 23), (6, 31), (20, 45), (3, 8)]
-            .iter()
-            .enumerate()
-        {
+        let shapes = [
+            (5, 9),
+            (7, 16),
+            (12, 23),
+            (6, 31),
+            (20, 45),
+            (3, 8),
+            (4, 4),
+            (9, 9),
+        ];
+        for (i, &(rows, cols)) in shapes.iter().enumerate() {
             for k in [2, SparseCandidates::default_k(cols)] {
                 let seed = 100 + i as u64;
                 let base = tied_matrix(rows, cols, seed);
@@ -704,18 +725,18 @@ mod tests {
                 let cfg = AuctionConfig::default();
                 let what = format!("{rows}x{cols} k {k}");
                 let mut cands = SparseCandidates::build(&m, k);
-                let tight = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
-                let mut cands_scalar = SparseCandidates::build(&m, k);
-                let scalar =
-                    with_scalar_scan(|| solve_with_candidates(&m, &mut cands_scalar, &cfg))
-                        .unwrap();
-                valid(&m, &tight);
-                assert_same_solution(&tight, &scalar, &format!("cold {what}"));
-                violations_seen += tight.stats.widen_rounds;
+                let walk = solve_with_candidates(&m, &mut cands, &cfg).unwrap();
+                let mut cands_dense = SparseCandidates::build(&m, k);
+                let dense =
+                    with_dense_scan(|| solve_with_candidates(&m, &mut cands_dense, &cfg)).unwrap();
+                valid(&m, &walk);
+                let spare = m.enabled_cols() > rows;
+                assert_same_solution(&walk, &dense, spare, &format!("cold {what}"));
+                violations_seen += walk.stats.widen_rounds;
 
                 // A repair on top: the host of row 0 leaves, a tied column
                 // changes.
-                let host = tight.assignment.server_for(0).unwrap();
+                let host = walk.assignment.server_for(0).unwrap();
                 let edited = (host + 3) % cols;
                 let mut delta = MatrixDelta::new().disable_column(host);
                 if !m.is_col_disabled(edited) {
@@ -725,13 +746,14 @@ mod tests {
                     continue;
                 }
                 let patched = m.patched(&delta).unwrap();
-                let inc = solve_incremental(&patched, &mut cands, &tight, &delta, &cfg).unwrap();
-                let inc_scalar = with_scalar_scan(|| {
-                    solve_incremental(&patched, &mut cands_scalar, &scalar, &delta, &cfg)
+                let inc = solve_incremental(&patched, &mut cands, &walk, &delta, &cfg).unwrap();
+                let inc_dense = with_dense_scan(|| {
+                    solve_incremental(&patched, &mut cands_dense, &dense, &delta, &cfg)
                 })
                 .unwrap();
                 valid(&patched, &inc);
-                assert_same_solution(&inc, &inc_scalar, &format!("repair {what}"));
+                let spare = patched.enabled_cols() > rows;
+                assert_same_solution(&inc, &inc_dense, spare, &format!("repair {what}"));
                 violations_seen += inc.stats.widen_rounds;
             }
         }
@@ -739,29 +761,6 @@ mod tests {
             violations_seen > 0,
             "no case exercised the arg-max recovery"
         );
-    }
-
-    #[test]
-    fn max_profit_is_the_left_to_right_maximum() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for len in 0..40 {
-            let values: Vec<f64> = (0..len).map(|_| rng.gen_range(0.0..1.0)).collect();
-            let prices: Vec<f64> = (0..len)
-                .map(|j| {
-                    if j % 7 == 3 {
-                        f64::INFINITY
-                    } else {
-                        rng.gen_range(0.0..1.0)
-                    }
-                })
-                .collect();
-            let expected = values
-                .iter()
-                .zip(&prices)
-                .map(|(v, p)| v - p)
-                .fold(f64::NEG_INFINITY, |a, b| if b > a { b } else { a });
-            assert_eq!(max_profit(&values, &prices).to_bits(), expected.to_bits());
-        }
     }
 
     fn valid(matrix: &PerfMatrix, sol: &AuctionSolution) {

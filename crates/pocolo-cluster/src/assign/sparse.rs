@@ -6,11 +6,17 @@
 //! columns and nothing else.
 //!
 //! Pruning is a heuristic; exactness comes from the auction solver's
-//! certification loop, which scans every enabled column of every row and
+//! certification loop, which bounds every enabled column of every row and
 //! splices in any pruned edge whose dual price proves it could still
-//! matter (the escape hatch — see [`crate::assign::auction`]). That dense
+//! matter (the escape hatch — see [`crate::assign::auction`]). That
 //! certificate is why no column is kept "just in case": an edge the top-k
 //! cut is restored exactly when, and only where, the optimum needs it.
+//!
+//! Each row also carries a *certificate order*, which the certificate
+//! walks instead of the dense row: a prefix of the row's enabled columns
+//! by value descending, ties by column ascending, at most `rows + 1`
+//! deep. Invariant: every enabled column that precedes the prefix's last
+//! entry in that order is in the prefix.
 
 use crate::matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
 
@@ -27,6 +33,109 @@ pub struct SparseCandidates {
     k: usize,
     cols: usize,
     rows: Vec<Vec<(usize, f64)>>,
+    pub(crate) order: CertOrder,
+}
+
+/// Per-row certificate orders (module docs), flat at a stride of
+/// `depth` entries a row: a `u32` column beside its `f64` value.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CertOrder {
+    depth: usize,
+    len: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+/// Ascending keys are descending values: values are finite and ≥ 0, and
+/// their bits sort like them once `+ 0.0` folds −0.0 into +0.0.
+fn order_key(v: f64) -> u64 {
+    !(v + 0.0).to_bits()
+}
+
+impl CertOrder {
+    /// One row's prefix: its columns and their values, in order.
+    pub(crate) fn row(&self, row: usize) -> (&[u32], &[f64]) {
+        let at = row * self.depth..row * self.depth + self.len[row] as usize;
+        (&self.cols[at.clone()], &self.vals[at])
+    }
+
+    fn entry(&self, at: usize) -> (u64, u32) {
+        (order_key(self.vals[at]), self.cols[at])
+    }
+
+    /// Rebuilds `row`'s prefix by an integer-key select over the row.
+    pub(crate) fn rebuild(
+        &mut self,
+        matrix: &PerfMatrix,
+        row: usize,
+        scratch: &mut Vec<(u64, u32)>,
+    ) {
+        let values = matrix.row(row);
+        let enabled = (0..values.len()).filter(|&j| !matrix.is_col_disabled(j));
+        scratch.clear();
+        scratch.extend(enabled.map(|j| (order_key(values[j]), j as u32)));
+        if scratch.len() > self.depth {
+            scratch.select_nth_unstable(self.depth);
+            scratch.truncate(self.depth);
+        }
+        scratch.sort_unstable();
+        let base = row * self.depth;
+        for (at, &(_, col)) in (base..).zip(scratch.iter()) {
+            (self.cols[at], self.vals[at]) = (col, values[col as usize]);
+        }
+        self.len[row] = scratch.len() as u32;
+    }
+
+    /// Brings `row`'s prefix up to date with a delta already applied to
+    /// `matrix`: dirtied members drop out, each dirtied enabled column
+    /// that precedes the last remaining entry is merged in, and the prefix
+    /// is cut back to `depth`. A column that now precedes the last entry
+    /// was kept or merged in, so the invariant holds.
+    fn patch(
+        &mut self,
+        matrix: &PerfMatrix,
+        row: usize,
+        delta: &MatrixDelta,
+        dirty: &[bool],
+        scratch: &mut Vec<(u64, u32)>,
+    ) {
+        let base = row * self.depth;
+        let end = base + self.len[row] as usize;
+        let first = self.cols[base..end].iter().position(|&j| dirty[j as usize]);
+        let start = first.map_or(end, |first| base + first);
+        let mut kept = start;
+        for at in start..end {
+            if !dirty[self.cols[at] as usize] {
+                (self.cols[kept], self.vals[kept]) = (self.cols[at], self.vals[at]);
+                kept += 1;
+            }
+        }
+        scratch.clear();
+        if kept > base {
+            let last = self.entry(kept - 1);
+            let enabled = delta.dirty_cols().filter(|&j| !matrix.is_col_disabled(j));
+            let entries = enabled.map(|j| (order_key(matrix.value(row, j)), j as u32));
+            scratch.extend(entries.filter(|&e| e < last));
+            scratch.sort_unstable();
+        }
+        // Merge from the back; entries that land past `depth` fall off.
+        let (mut i, mut j) = (kept, scratch.len());
+        let cut = (kept + j).min(base + self.depth);
+        self.len[row] = (cut - base) as u32;
+        while j > 0 {
+            let at = i + j - 1;
+            let (col, val) = if i > base && self.entry(i - 1) > scratch[j - 1] {
+                i -= 1;
+                (self.cols[i], self.vals[i])
+            } else {
+                j -= 1;
+                (scratch[j].1, matrix.value(row, scratch[j].1 as usize))
+            };
+            if at < cut {
+                (self.cols[at], self.vals[at]) = (col, val);
+            }
+        }
+    }
 }
 
 impl SparseCandidates {
@@ -46,14 +155,23 @@ impl SparseCandidates {
     /// Panics if `k` is zero.
     pub fn build(matrix: &PerfMatrix, k: usize) -> Self {
         assert!(k > 0, "candidate width k must be positive");
+        let depth = (matrix.rows() + 1).min(matrix.cols());
         let mut cands = SparseCandidates {
             k: k.min(matrix.cols()),
             cols: matrix.cols(),
             rows: Vec::with_capacity(matrix.rows()),
+            order: CertOrder {
+                depth,
+                len: vec![0; matrix.rows()],
+                cols: vec![0; matrix.rows() * depth],
+                vals: vec![0.0; matrix.rows() * depth],
+            },
         };
+        let mut scratch = Vec::with_capacity(matrix.cols());
         for row in 0..matrix.rows() {
             let list = cands.build_row(matrix, row);
             cands.rows.push(list);
+            cands.order.rebuild(matrix, row, &mut scratch);
         }
         cands
     }
@@ -117,21 +235,25 @@ impl SparseCandidates {
         list.insert(at, (col, value));
     }
 
-    /// Applies a [`MatrixDelta`] to the candidate lists of the (already
-    /// patched) `matrix`: values of dirtied columns are refreshed in every
-    /// list containing them, disabled columns drop out, and a changed
-    /// column that now beats a row's worst candidate is inserted. Returns
-    /// the rows whose lists changed — the auction's dirty-row set.
+    /// Applies a [`MatrixDelta`] to the candidate lists and certificate
+    /// orders of the (already patched) `matrix`: values of dirtied columns
+    /// are refreshed in every list containing them, disabled columns drop
+    /// out, and a changed column that now beats a row's worst candidate is
+    /// inserted. Returns the rows whose lists changed — the auction's
+    /// dirty-row set.
     ///
-    /// Cost is O(rows · (k + |delta|)): each row scans its own short list
-    /// plus one comparison per dirtied column — never the full matrix.
+    /// Cost is O(rows · (k + depth + |delta|)): each row scans its own
+    /// list and order plus one comparison per dirtied column — never the
+    /// full matrix.
     pub fn apply_delta(&mut self, matrix: &PerfMatrix, delta: &MatrixDelta) -> Vec<usize> {
         let mut dirty = vec![false; self.cols];
         for (col, _) in delta.edits() {
             dirty[*col] = true;
         }
+        let mut scratch = Vec::new();
         let mut touched = Vec::new();
         for (row, list) in self.rows.iter_mut().enumerate() {
+            self.order.patch(matrix, row, delta, &dirty, &mut scratch);
             let before = list.len();
             let mut changed = false;
             list.retain_mut(|(j, v)| {

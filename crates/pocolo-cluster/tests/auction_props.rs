@@ -8,8 +8,13 @@
 //! solve" is asserted the only way it is well-defined: both totals sit
 //! within ε·rows of the patched matrix's exact optimum, which also bounds
 //! them within 2·ε·rows of each other.
+//!
+//! The certificate has to be exact, not approximate: over seeded
+//! sequences of faults, restores, edits and fleet-wide rebuilds on tied
+//! matrices, the walk down each row's certificate order gives the same
+//! bound bits and violations as a dense scan of every enabled edge.
 
-use pocolo_cluster::assign::auction::{self, AuctionConfig};
+use pocolo_cluster::assign::auction::{self, AuctionConfig, AuctionSolution};
 use pocolo_cluster::assign::sparse::SparseCandidates;
 use pocolo_cluster::matrix::{MatrixDelta, PerfMatrix};
 use proptest::prelude::*;
@@ -158,5 +163,153 @@ proptest! {
             inc.assignment.total,
             cold.assignment.total
         );
+    }
+}
+
+/// A matrix made of ties: values on an eighths grid with −0.0 beside +0.0
+/// (the two sort as one value), and about a third of the columns exact
+/// copies of an earlier one.
+fn tied_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> PerfMatrix {
+    let mut values: Vec<Vec<f64>> = (0..rows).map(|_| tied_column(cols, rng)).collect();
+    for col in 1..cols {
+        if rng.gen_bool(0.3) {
+            let twin = rng.gen_range(0..col);
+            for row in &mut values {
+                row[col] = row[twin];
+            }
+        }
+    }
+    PerfMatrix::new(
+        (0..rows).map(|i| format!("be{i}")).collect(),
+        (0..cols).map(|j| format!("lc{j}")).collect(),
+        values,
+    )
+    .expect("tied matrix is well-formed")
+}
+
+/// `n` values on the eighths grid, zeros of both signs included.
+fn tied_column(n: usize, rng: &mut StdRng) -> Vec<f64> {
+    (0..n)
+        .map(|_| match rng.gen_range(0..9u8) {
+            8 => -0.0,
+            x => f64::from(x) / 8.0,
+        })
+        .collect()
+}
+
+/// The dense certificate: after reading unowned columns' prices as zero,
+/// `π_i` is the first maximum of `v_ij − p_j` over every enabled column.
+fn dense_certificate(matrix: &PerfMatrix, sol: &AuctionSolution) -> (u64, Vec<(usize, usize)>) {
+    let mut owned = vec![false; matrix.cols()];
+    for &(_, col) in &sol.assignment.pairs {
+        owned[col] = true;
+    }
+    let price = |col: usize| if owned[col] { sol.prices[col] } else { 0.0 };
+    let mut ub: f64 = (0..matrix.cols()).filter(|&j| owned[j]).map(price).sum();
+    let mut violations = Vec::new();
+    for &(row, own) in &sol.assignment.pairs {
+        let (mut pi, mut pi_col) = (f64::NEG_INFINITY, 0);
+        for col in (0..matrix.cols()).filter(|&j| !matrix.is_col_disabled(j)) {
+            let profit = matrix.value(row, col) - price(col);
+            if profit > pi {
+                (pi, pi_col) = (profit, col);
+            }
+        }
+        ub += pi;
+        if pi - (matrix.value(row, own) - price(own)) > sol.eps {
+            violations.push((row, pi_col));
+        }
+    }
+    (ub.to_bits(), violations)
+}
+
+/// A solution no solve produced: a random complete assignment over the
+/// enabled columns, grid prices on its columns and junk on the rest
+/// (which the certificate floors to zero).
+fn hostile_state(matrix: &PerfMatrix, eps: f64, rng: &mut StdRng) -> AuctionSolution {
+    let mut enabled: Vec<usize> = (0..matrix.cols())
+        .filter(|&j| !matrix.is_col_disabled(j))
+        .collect();
+    enabled.shuffle(rng);
+    let pairs: Vec<(usize, usize)> = enabled
+        .into_iter()
+        .take(matrix.rows())
+        .enumerate()
+        .collect();
+    let prices = tied_column(matrix.cols(), rng);
+    AuctionSolution {
+        assignment: pocolo_cluster::assign::Assignment::new(pairs, 0.0),
+        prices,
+        eps,
+        certified: false,
+        stats: Default::default(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn the_walk_certifies_like_the_dense_scan(
+        rows in 1usize..=10,
+        extra in 0usize..=12,
+        k in 1usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = rows + extra;
+        let mut matrix = tied_matrix(rows, cols, &mut rng);
+        let cfg = AuctionConfig::with_eps(1.0 / 64.0);
+        let mut cands = SparseCandidates::build(&matrix, k);
+        let mut sol = auction::solve_with_candidates(&matrix, &mut cands, &cfg)
+            .expect("cold solve");
+        let mut out: Vec<usize> = Vec::new();
+        for step in 0..10 {
+            for state in [sol.clone(), hostile_state(&matrix, cfg.eps, &mut rng)] {
+                let (ub, violations) = auction::certificate(&matrix, &mut cands, &state)
+                    .expect("a complete assignment");
+                prop_assert_eq!(
+                    (ub.to_bits(), violations),
+                    dense_certificate(&matrix, &state),
+                    "step {}", step
+                );
+            }
+            let enabled: Vec<usize> = (0..cols).filter(|&j| !matrix.is_col_disabled(j)).collect();
+            let delta = match rng.gen_range(0..4) {
+                // A fault, while a column is spare: often a row's host.
+                0 if enabled.len() > rows => {
+                    let col = if rng.gen_bool(0.5) {
+                        sol.assignment.pairs[rng.gen_range(0..rows)].1
+                    } else {
+                        enabled[rng.gen_range(0..enabled.len())]
+                    };
+                    out.push(col);
+                    MatrixDelta::new().disable_column(col)
+                }
+                // A restore of a faulted column.
+                1 if !out.is_empty() => {
+                    let col = out.swap_remove(rng.gen_range(0..out.len()));
+                    MatrixDelta::new().set_column(col, tied_column(rows, &mut rng))
+                }
+                // A fleet-wide rebuild: every prefix loses every member.
+                2 => enabled.iter().fold(MatrixDelta::new(), |d, &col| {
+                    d.set_column(col, tied_column(rows, &mut rng))
+                }),
+                // An edit: a fresh column, or a copy of another one.
+                _ => {
+                    let col = enabled[rng.gen_range(0..enabled.len())];
+                    let twin = rng.gen_range(0..cols);
+                    let values = if rng.gen_bool(0.5) {
+                        matrix.col_iter(twin).collect()
+                    } else {
+                        tied_column(rows, &mut rng)
+                    };
+                    MatrixDelta::new().set_column(col, values)
+                }
+            };
+            matrix = matrix.patched(&delta).expect("delta in range");
+            sol = auction::solve_incremental(&matrix, &mut cands, &sol, &delta, &cfg)
+                .expect("repair");
+        }
     }
 }
