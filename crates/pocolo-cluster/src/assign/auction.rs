@@ -14,8 +14,9 @@
 //! for its repairs.
 //!
 //! * **Sparsity.** Bids scan only the row's [`SparseCandidates`] list
-//!   (~k ≈ log₂(cols) + 8 edges), not the dense row. Certification (below)
-//!   restores exactness when pruning cut too deep.
+//!   (~k ≈ log₂(cols) + 8 edges), not the dense row: the first k entries
+//!   of the certificate order below, then the row's splices.
+//!   Certification (below) restores exactness when pruning cut too deep.
 //! * **Incremental repair.** Prices are a dual solution.
 //!   [`solve_incremental`] keeps every pair whose column the
 //!   [`MatrixDelta`] did not dirty and re-bids only the dirtied rows from
@@ -34,7 +35,8 @@
 //! candidate lists ([`SparseCandidates::ensure_edge`]) and those rows
 //! re-bid — the exactness escape hatch. A price crossing the feasibility
 //! ceiling means the pruned graph has no perfect matching (e.g. k columns
-//! shared by k+1 rows): the engine widens k and restarts.
+//! shared by k+1 rows): the engine widens k and restarts; a k past the
+//! order's depth deepens the order with it.
 
 use std::collections::VecDeque;
 
@@ -183,13 +185,14 @@ impl<'a> Engine<'a> {
     fn bid_phase(&mut self, cands: &SparseCandidates, eps: f64) -> Result<(), Abort> {
         self.stats.phases += 1;
         while let Some(row) = self.queue.pop_front() {
-            let list = cands.row(row);
             self.stats.bids += 1;
-            self.stats.bid_edges += list.len() as u64;
+            self.stats.bid_edges += cands.row_len(row) as u64;
             let mut best = f64::NEG_INFINITY;
             let mut best_col = usize::MAX;
             let mut second = f64::NEG_INFINITY;
-            for &(col, value) in list {
+            // `for_each` runs the top-k prefix and the splices as two
+            // plain loops; a `for` over the chain branches per edge.
+            cands.row(row).for_each(|(col, value)| {
                 let profit = value - self.prices[col];
                 if profit > best {
                     second = best;
@@ -198,7 +201,7 @@ impl<'a> Engine<'a> {
                 } else if profit > second {
                     second = profit;
                 }
-            }
+            });
             if best_col == usize::MAX {
                 self.queue.push_front(row);
                 return Err(Abort::Starved);
@@ -296,11 +299,12 @@ impl<'a> Engine<'a> {
             .filter(|(o, _)| o.is_some());
         let mut ub: f64 = owned.map(|(_, &p)| p).sum();
         let mut violations = Vec::new();
+        let mut scratch = Vec::new();
         for row in 0..self.matrix.rows() {
             let (cols, vals) = cands.order.row(row);
             let walked = if dense { None } else { self.walk(cols, vals) };
             let (pi, pi_col) = walked.unwrap_or_else(|| {
-                cands.order.rebuild(self.matrix, row, &mut Vec::new());
+                cands.order.rebuild(self.matrix, row, &mut scratch);
                 self.dense_row(row)
             });
             ub += pi;
@@ -589,7 +593,7 @@ pub fn certificate(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::assign::hungarian;
     use rand::rngs::StdRng;
@@ -630,7 +634,7 @@ mod tests {
     }
 
     /// Runs `f` with every certification done by the dense oracle.
-    fn with_dense_scan<T>(f: impl FnOnce() -> T) -> T {
+    pub(crate) fn with_dense_scan<T>(f: impl FnOnce() -> T) -> T {
         DENSE_SCAN.with(|s| s.set(true));
         let out = f();
         DENSE_SCAN.with(|s| s.set(false));
@@ -661,7 +665,7 @@ mod tests {
     /// Pairs, total and price bits, `certified` and every counter but
     /// `cert_edges` match the oracle's; where some enabled column is
     /// spare, the walk also looked at fewer edges than the dense sweep.
-    fn assert_same_solution(
+    pub(crate) fn assert_same_solution(
         walk: &AuctionSolution,
         dense: &AuctionSolution,
         spare: bool,
@@ -880,7 +884,7 @@ mod tests {
             vec![0.0, 1.0, 0.5, 0.0],
         ]);
         let mut cands = SparseCandidates::build(&m, 2);
-        let listed = |c: &SparseCandidates| c.row(0).iter().any(|&(j, _)| j == 3);
+        let listed = |c: &SparseCandidates| c.row(0).any(|(j, _)| j == 3);
         assert!(!listed(&cands), "top-2 prunes (0, 3)");
         let sol = solve_with_candidates(&m, &mut cands, &AuctionConfig::default()).unwrap();
         assert!(sol.certified);

@@ -12,18 +12,19 @@
 //! certificate is why no column is kept "just in case": an edge the top-k
 //! cut is restored exactly when, and only where, the optimum needs it.
 //!
-//! Each row also carries a *certificate order*, which the certificate
-//! walks instead of the dense row: a prefix of the row's enabled columns
-//! by value descending, ties by column ascending, at most `rows + 1`
-//! deep. Invariant: every enabled column that precedes the prefix's last
-//! entry in that order is in the prefix.
+//! Each row keeps one structure, its *certificate order*: a prefix of the
+//! row's enabled columns by value descending, ties by column ascending,
+//! `max(rows + 1, k)` deep. Invariant: every enabled column that precedes
+//! the prefix's last entry in that order is in the prefix. The certificate
+//! walks it instead of the dense row, and a row's candidate list is its
+//! first k entries followed by the edges certification spliced in.
 
-use crate::matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
+use crate::matrix::{MatrixDelta, PerfMatrix};
 
 /// Per-row top-k candidate edge lists over a [`PerfMatrix`].
 ///
-/// Each row's list holds `(col, value)` pairs, descending by value, over
-/// enabled columns only: the row's k best columns, plus whatever edges
+/// A row's list is `(col, value)` pairs over enabled columns only: the
+/// row's k best columns, descending by value, then whatever edges
 /// certification spliced in. The auction solver bids only on these edges;
 /// its certification loop calls [`SparseCandidates::ensure_edge`] /
 /// [`SparseCandidates::widen`] when the dual prices prove the pruning cut
@@ -32,7 +33,9 @@ use crate::matrix::{ColumnEdit, MatrixDelta, PerfMatrix};
 pub struct SparseCandidates {
     k: usize,
     cols: usize,
-    rows: Vec<Vec<(usize, f64)>>,
+    /// Per row, the edges outside its top k that certification added,
+    /// descending by value.
+    spliced: Vec<Vec<(usize, f64)>>,
     pub(crate) order: CertOrder,
 }
 
@@ -53,6 +56,22 @@ fn order_key(v: f64) -> u64 {
 }
 
 impl CertOrder {
+    /// Every row's prefix, `depth` deep, selected from `matrix`.
+    fn build(matrix: &PerfMatrix, depth: usize) -> Self {
+        let rows = matrix.rows();
+        let mut order = CertOrder {
+            depth,
+            len: vec![0; rows],
+            cols: vec![0; rows * depth],
+            vals: vec![0.0; rows * depth],
+        };
+        let mut scratch = Vec::with_capacity(matrix.cols());
+        for row in 0..rows {
+            order.rebuild(matrix, row, &mut scratch);
+        }
+        order
+    }
+
     /// One row's prefix: its columns and their values, in order.
     pub(crate) fn row(&self, row: usize) -> (&[u32], &[f64]) {
         let at = row * self.depth..row * self.depth + self.len[row] as usize;
@@ -155,30 +174,29 @@ impl SparseCandidates {
     /// Panics if `k` is zero.
     pub fn build(matrix: &PerfMatrix, k: usize) -> Self {
         assert!(k > 0, "candidate width k must be positive");
-        let depth = (matrix.rows() + 1).min(matrix.cols());
-        let mut cands = SparseCandidates {
-            k: k.min(matrix.cols()),
+        let k = k.min(matrix.cols());
+        let depth = (matrix.rows() + 1).max(k).min(matrix.cols());
+        SparseCandidates {
+            k,
             cols: matrix.cols(),
-            rows: Vec::with_capacity(matrix.rows()),
-            order: CertOrder {
-                depth,
-                len: vec![0; matrix.rows()],
-                cols: vec![0; matrix.rows() * depth],
-                vals: vec![0.0; matrix.rows() * depth],
-            },
-        };
-        let mut scratch = Vec::with_capacity(matrix.cols());
-        for row in 0..matrix.rows() {
-            let list = cands.build_row(matrix, row);
-            cands.rows.push(list);
-            cands.order.rebuild(matrix, row, &mut scratch);
+            spliced: vec![Vec::new(); matrix.rows()],
+            order: CertOrder::build(matrix, depth),
         }
-        cands
     }
 
-    /// One row's `(col, value)` candidates, descending by value.
-    pub fn row(&self, row: usize) -> &[(usize, f64)] {
-        &self.rows[row]
+    /// One row's `(col, value)` candidates: its top k by value, then its
+    /// spliced edges.
+    pub fn row(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (cols, vals) = self.order.row(row);
+        let top = self.k.min(cols.len());
+        let top = cols[..top].iter().zip(&vals[..top]);
+        let top = top.map(|(&col, &value)| (col as usize, value));
+        top.chain(self.spliced[row].iter().copied())
+    }
+
+    /// How many candidates [`SparseCandidates::row`] yields.
+    pub fn row_len(&self, row: usize) -> usize {
+        self.k.min(self.order.len[row] as usize) + self.spliced[row].len()
     }
 
     /// The current list width.
@@ -188,122 +206,89 @@ impl SparseCandidates {
 
     /// The `(rows, cols)` of the matrix these lists were built over.
     pub(crate) fn shape(&self) -> (usize, usize) {
-        (self.rows.len(), self.cols)
+        (self.spliced.len(), self.cols)
     }
 
-    fn build_row(&self, matrix: &PerfMatrix, row: usize) -> Vec<(usize, f64)> {
-        let values = matrix.row(row);
-        // Top-k selection: keep a small sorted (descending) buffer.
-        let mut list: Vec<(usize, f64)> = Vec::with_capacity(self.k);
-        for (j, &v) in values.iter().enumerate() {
-            if matrix.is_col_disabled(j) {
-                continue;
-            }
-            if list.len() < self.k {
-                let at = list.partition_point(|&(_, lv)| lv >= v);
-                list.insert(at, (j, v));
-            } else if v > list[self.k - 1].1 {
-                list.pop();
-                let at = list.partition_point(|&(_, lv)| lv >= v);
-                list.insert(at, (j, v));
-            }
-        }
-        list
-    }
-
-    /// Widens every row's list to `new_k` (rebuilding from the matrix).
-    /// No-op when `new_k` does not exceed the current width.
+    /// Widens every row's list to its top `new_k` and drops the splices.
+    /// Only a prefix shorter than that is rebuilt from the matrix, and past
+    /// the orders' depth every row is, at depth `new_k`. No-op when
+    /// `new_k` does not exceed the current width.
     pub fn widen(&mut self, matrix: &PerfMatrix, new_k: usize) {
         let new_k = new_k.min(self.cols);
         if new_k <= self.k {
             return;
         }
         self.k = new_k;
-        for row in 0..self.rows.len() {
-            self.rows[row] = self.build_row(matrix, row);
+        self.spliced.iter_mut().for_each(Vec::clear);
+        if new_k > self.order.depth {
+            self.order = CertOrder::build(matrix, new_k);
+            return;
+        }
+        let want = new_k.min(matrix.enabled_cols());
+        let mut scratch = Vec::new();
+        for row in 0..self.spliced.len() {
+            if (self.order.len[row] as usize) < want {
+                self.order.rebuild(matrix, row, &mut scratch);
+            }
         }
     }
 
     /// Guarantees `(row, col)` is present (certification found a pruned
     /// edge whose dual price proves it matters).
     pub fn ensure_edge(&mut self, row: usize, col: usize, value: f64) {
-        let list = &mut self.rows[row];
-        if list.iter().any(|&(j, _)| j == col) {
+        if self.row(row).any(|(j, _)| j == col) {
             return;
         }
-        let at = list.partition_point(|&(_, lv)| lv >= value);
-        list.insert(at, (col, value));
+        let spliced = &mut self.spliced[row];
+        let at = spliced.partition_point(|&(_, v)| v >= value);
+        spliced.insert(at, (col, value));
     }
 
-    /// Applies a [`MatrixDelta`] to the candidate lists and certificate
-    /// orders of the (already patched) `matrix`: values of dirtied columns
-    /// are refreshed in every list containing them, disabled columns drop
-    /// out, and a changed column that now beats a row's worst candidate is
-    /// inserted. Returns the rows whose lists changed — the auction's
-    /// dirty-row set.
+    /// Applies a [`MatrixDelta`] to the certificate orders and splices of
+    /// the (already patched) `matrix`: dirtied columns leave or re-enter
+    /// each order at their new place, a prefix shorter than k is rebuilt,
+    /// dirtied splices take their new values, and a splice that is now
+    /// among its row's top k (or disabled) is dropped. Returns the rows
+    /// whose lists held a dirtied column before or after — the auction's
+    /// dirty-row set; every other row's list is unchanged.
     ///
-    /// Cost is O(rows · (k + depth + |delta|)): each row scans its own
-    /// list and order plus one comparison per dirtied column — never the
-    /// full matrix.
+    /// Cost is O(rows · (k + depth + |delta|)) plus a row scan per prefix
+    /// that fell short of k — never the full matrix otherwise.
     pub fn apply_delta(&mut self, matrix: &PerfMatrix, delta: &MatrixDelta) -> Vec<usize> {
         let mut dirty = vec![false; self.cols];
-        for (col, _) in delta.edits() {
-            dirty[*col] = true;
+        for col in delta.dirty_cols() {
+            dirty[col] = true;
         }
+        let want = self.k.min(matrix.enabled_cols());
         let mut scratch = Vec::new();
         let mut touched = Vec::new();
-        for (row, list) in self.rows.iter_mut().enumerate() {
+        for row in 0..self.spliced.len() {
+            let held_dirty = self.row(row).any(|(j, _)| dirty[j]);
             self.order.patch(matrix, row, delta, &dirty, &mut scratch);
-            let before = list.len();
-            let mut changed = false;
-            list.retain_mut(|(j, v)| {
-                if !dirty[*j] {
-                    return true;
+            if (self.order.len[row] as usize) < want {
+                self.order.rebuild(matrix, row, &mut scratch);
+            }
+            // A prefix shorter than k holds every enabled column.
+            let floor = (self.order.len[row] as usize >= self.k)
+                .then(|| self.order.entry(row * self.order.depth + self.k - 1));
+            let spliced = &mut self.spliced[row];
+            let mut moved = false;
+            spliced.retain_mut(|(j, v)| {
+                if dirty[*j] {
+                    if matrix.is_col_disabled(*j) {
+                        return false;
+                    }
+                    *v = matrix.value(row, *j);
+                    moved = true;
                 }
-                changed = true;
-                if matrix.is_col_disabled(*j) {
-                    return false;
-                }
-                *v = matrix.value(row, *j);
-                true
+                floor.is_some_and(|f| (order_key(*v), *j as u32) > f)
             });
-            if changed {
-                list.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("finite values"));
+            if moved {
+                spliced.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite values"));
             }
-            // Changed columns absent from the list may now belong in it.
-            let floor = if list.len() >= self.k {
-                list[self.k - 1].1
-            } else {
-                f64::NEG_INFINITY
-            };
-            for (col, edit) in delta.edits() {
-                if matches!(edit, ColumnEdit::Disable) || list.iter().any(|&(j, _)| j == *col) {
-                    continue;
-                }
-                let v = matrix.value(row, *col);
-                if v > floor {
-                    let at = list.partition_point(|&(_, lv)| lv >= v);
-                    list.insert(at, (*col, v));
-                    changed = true;
-                }
-            }
-            // Lists eroded by disables refill lazily — only when more than
-            // half the width is gone does the row rescan the matrix.
-            if list.len() < self.k.div_ceil(2).max(1) {
-                changed = true;
-            }
-            if changed || list.len() != before {
+            if held_dirty || self.row(row).any(|(j, _)| dirty[j]) {
                 touched.push(row);
             }
-        }
-        // Refill the eroded rows (borrow-split: compute outside the loop).
-        let eroded: Vec<usize> = touched
-            .iter()
-            .copied()
-            .filter(|&r| self.rows[r].len() < self.k.div_ceil(2).max(1))
-            .collect();
-        for row in eroded {
-            self.rows[row] = self.build_row(matrix, row);
         }
         touched
     }
@@ -312,6 +297,7 @@ impl SparseCandidates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::auction::{self, tests as oracle, AuctionConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -344,13 +330,87 @@ mod tests {
         matrix(values)
     }
 
+    /// Values on a quarters grid with −0.0 beside +0.0, every third column
+    /// a copy of an earlier one: ties everywhere.
+    fn tied(rows: usize, cols: usize, seed: u64) -> PerfMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut values: Vec<Vec<f64>> = (0..rows)
+            .map(|_| {
+                (0..cols)
+                    .map(|_| match rng.gen_range(0..5u8) {
+                        4 => -0.0,
+                        x => f64::from(x) / 4.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        for col in (2..cols).step_by(3) {
+            let twin = rng.gen_range(0..col);
+            for row in &mut values {
+                row[col] = row[twin];
+            }
+        }
+        matrix(values)
+    }
+
+    /// The lists before they were order prefixes: a top-k insertion
+    /// buffer over the row, which keeps the earlier column of a tie and
+    /// reads −0.0 and +0.0 as equal — the order's tie rule.
+    fn insertion_buffer(matrix: &PerfMatrix, row: usize, k: usize) -> Vec<(usize, f64)> {
+        let mut list: Vec<(usize, f64)> = Vec::with_capacity(k);
+        for (j, &v) in matrix.row(row).iter().enumerate() {
+            if matrix.is_col_disabled(j) {
+                continue;
+            }
+            if list.len() < k {
+                let at = list.partition_point(|&(_, lv)| lv >= v);
+                list.insert(at, (j, v));
+            } else if v > list[k - 1].1 {
+                list.pop();
+                let at = list.partition_point(|&(_, lv)| lv >= v);
+                list.insert(at, (j, v));
+            }
+        }
+        list
+    }
+
+    fn bits(list: impl Iterator<Item = (usize, f64)>) -> Vec<(usize, u64)> {
+        list.map(|(j, v)| (j, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn prefix_lists_match_the_insertion_buffer() {
+        // Why a cold plan does not move: a width-k list is bit for bit the
+        // first k entries of the order, built at width k or widened to it,
+        // within the order's depth and past it.
+        for seed in 0..24 {
+            let (rows, cols) = (1 + seed as usize % 5, 6 + seed as usize % 13);
+            let mut m = tied(rows, cols, seed);
+            if seed % 2 == 1 && cols > rows + 2 {
+                m = m.patched(&MatrixDelta::new().disable_column(1)).unwrap();
+            }
+            for k in 1..=cols {
+                let built = SparseCandidates::build(&m, k);
+                let mut widened = SparseCandidates::build(&m, k);
+                widened.widen(&m, 2 * k);
+                for row in 0..rows {
+                    let want = bits(insertion_buffer(&m, row, k).into_iter());
+                    assert_eq!(bits(built.row(row)), want, "seed {seed} k {k} row {row}");
+                    let want = bits(insertion_buffer(&m, row, widened.k()).into_iter());
+                    assert_eq!(bits(widened.row(row)), want, "seed {seed} 2k {k} row {row}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn top_k_lists_are_sorted_and_capped() {
         let m = clustered(6, 40, 4, 1);
         let c = SparseCandidates::build(&m, 5);
         for row in 0..6 {
-            let list = c.row(row);
+            let list: Vec<(usize, f64)> = c.row(row).collect();
             assert_eq!(list.len(), 5, "exactly k edges");
+            assert_eq!(c.row_len(row), 5);
             assert!(list.windows(2).all(|w| w[0].1 >= w[1].1), "descending");
             let mut cols: Vec<usize> = list.iter().map(|&(j, _)| j).collect();
             cols.sort_unstable();
@@ -368,17 +428,31 @@ mod tests {
     fn widen_extends_lists() {
         let m = clustered(4, 30, 3, 2);
         let mut c = SparseCandidates::build(&m, 3);
-        let edges = |c: &SparseCandidates| (0..4).map(|r| c.row(r).len()).sum::<usize>();
+        let edges = |c: &SparseCandidates| (0..4).map(|r| c.row(r).count()).sum::<usize>();
         let before = edges(&c);
-        c.widen(&m, 10);
+        c.widen(&m, 10); // past the order's depth, rows + 1 = 5
         assert_eq!(c.k(), 10);
         assert!(edges(&c) > before);
+        // The deepened orders still certify like the dense scan, cold and
+        // through a repair.
+        let cfg = AuctionConfig::default();
+        let mut dense = c.clone();
+        let walk = auction::solve_with_candidates(&m, &mut c, &cfg).unwrap();
+        let cold = oracle::with_dense_scan(|| auction::solve_with_candidates(&m, &mut dense, &cfg));
+        oracle::assert_same_solution(&walk, &cold.unwrap(), true, "widened cold");
+        let delta = MatrixDelta::new().disable_column(walk.assignment.server_for(0).unwrap());
+        let p = m.patched(&delta).unwrap();
+        let inc = auction::solve_incremental(&p, &mut c, &walk, &delta, &cfg).unwrap();
+        let inc_dense = oracle::with_dense_scan(|| {
+            auction::solve_incremental(&p, &mut dense, &walk, &delta, &cfg)
+        });
+        oracle::assert_same_solution(&inc, &inc_dense.unwrap(), true, "widened repair");
         c.widen(&m, 5); // no-op shrink
         assert_eq!(c.k(), 10);
         c.widen(&m, 1000); // clamped to cols
         assert_eq!(c.k(), 30);
         for row in 0..4 {
-            assert_eq!(c.row(row).len(), 30, "full width covers every column");
+            assert_eq!(c.row(row).count(), 30, "full width covers every column");
         }
     }
 
@@ -386,15 +460,15 @@ mod tests {
     fn ensure_edge_inserts_once_in_order() {
         let m = clustered(2, 10, 2, 3);
         let mut c = SparseCandidates::build(&m, 2);
-        let missing = (0..10)
-            .find(|&j| !c.row(0).iter().any(|&(cj, _)| cj == j))
-            .unwrap();
-        let n = c.row(0).len();
+        let missing = (0..10).find(|&j| !c.row(0).any(|(cj, _)| cj == j)).unwrap();
+        let n = c.row_len(0);
         c.ensure_edge(0, missing, m.value(0, missing));
-        assert_eq!(c.row(0).len(), n + 1);
+        assert_eq!(c.row_len(0), n + 1);
         c.ensure_edge(0, missing, m.value(0, missing));
-        assert_eq!(c.row(0).len(), n + 1, "idempotent");
-        assert!(c.row(0).windows(2).all(|w| w[0].1 >= w[1].1));
+        assert_eq!(c.row_len(0), n + 1, "idempotent");
+        let list: Vec<(usize, f64)> = c.row(0).collect();
+        assert_eq!(list.len(), n + 1);
+        assert!(list.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 
     #[test]
@@ -407,7 +481,7 @@ mod tests {
         let touched = c.apply_delta(&patched, &delta);
         assert_eq!(touched.len(), 8, "a now-dominant column enters every row");
         for row in 0..8 {
-            assert_eq!(c.row(row)[0], (7, 2.0));
+            assert_eq!(c.row(row).next(), Some((7, 2.0)));
         }
         // Disable it again: every row that listed it is touched and drops it.
         let delta2 = MatrixDelta::new().disable_column(7);
@@ -415,13 +489,13 @@ mod tests {
         let touched2 = c.apply_delta(&patched2, &delta2);
         assert_eq!(touched2.len(), 8);
         for row in 0..8 {
-            assert!(!c.row(row).iter().any(|&(j, _)| j == 7));
-            assert!(c.row(row).len() >= 3, "lazy refill keeps lists usable");
+            assert!(!c.row(row).any(|(j, _)| j == 7));
+            assert_eq!(c.row_len(row), 6, "the next entry of the order moves up");
         }
-        // A delta over a column nobody lists and nobody wants touches no
-        // row. The disable above eroded every list to k − 1, where any
-        // edit enters, so this clause runs on full-width lists.
-        let mut c = SparseCandidates::build(&patched2, 6);
+        // The lists are the ones a fresh build makes, so a delta over a
+        // column nobody lists and nobody wants touches no row.
+        let fresh = SparseCandidates::build(&patched2, 6);
+        assert!((0..8).all(|r| bits(c.row(r)) == bits(fresh.row(r))));
         let worst = (0..40)
             .filter(|&j| j != 7)
             .min_by(|&a, &b| {
@@ -430,7 +504,7 @@ mod tests {
                 sa.partial_cmp(&sb).unwrap()
             })
             .unwrap();
-        assert!(!(0..8).any(|r| c.row(r).iter().any(|&(j, _)| j == worst)));
+        assert!(!(0..8).any(|r| c.row(r).any(|(j, _)| j == worst)));
         let tiny = MatrixDelta::new().set_column(worst, vec![1e-6; 8]);
         let patched3 = patched2.patched(&tiny).unwrap();
         let touched3 = c.apply_delta(&patched3, &tiny);
@@ -455,8 +529,8 @@ mod tests {
         let p = m.patched(&delta).unwrap();
         let c = SparseCandidates::build(&p, 12);
         for row in 0..4 {
-            assert!(c.row(row).iter().all(|&(j, _)| j != 0 && j != 5));
-            assert_eq!(c.row(row).len(), 10);
+            assert!(c.row(row).all(|(j, _)| j != 0 && j != 5));
+            assert_eq!(c.row_len(row), 10);
         }
     }
 }

@@ -13,6 +13,11 @@
 //! sequences of faults, restores, edits and fleet-wide rebuilds on tied
 //! matrices, the walk down each row's certificate order gives the same
 //! bound bits and violations as a dense scan of every enabled edge.
+//!
+//! The candidate lists have to be exact too: over seeded sequences of
+//! builds, widenings, splices, deltas and repairs on tied matrices, every
+//! row's list is the first k entries of a dense sort of its enabled
+//! columns, followed by the edges certification spliced in.
 
 use pocolo_cluster::assign::auction::{self, AuctionConfig, AuctionSolution};
 use pocolo_cluster::assign::sparse::SparseCandidates;
@@ -310,6 +315,225 @@ proptest! {
             matrix = matrix.patched(&delta).expect("delta in range");
             sol = auction::solve_incremental(&matrix, &mut cands, &sol, &delta, &cfg)
                 .expect("repair");
+        }
+    }
+}
+
+/// A row's top `k` enabled columns as `(col, value bits)`: a dense sort by
+/// value descending (−0.0 equal to +0.0), ties by column ascending.
+fn dense_top(matrix: &PerfMatrix, row: usize, k: usize) -> Vec<(usize, u64)> {
+    let mut cols: Vec<usize> = (0..matrix.cols())
+        .filter(|&j| !matrix.is_col_disabled(j))
+        .collect();
+    cols.sort_by(|&a, &b| {
+        let (va, vb) = (matrix.value(row, a), matrix.value(row, b));
+        vb.partial_cmp(&va).expect("finite values").then(a.cmp(&b))
+    });
+    cols.truncate(k);
+    cols.into_iter()
+        .map(|j| (j, matrix.value(row, j).to_bits()))
+        .collect()
+}
+
+/// What the lists must be: the candidate width and each row's splices,
+/// descending by value, outside its top k.
+struct ListModel {
+    k: usize,
+    depth: usize,
+    spliced: Vec<Vec<(usize, f64)>>,
+}
+
+impl ListModel {
+    fn new(matrix: &PerfMatrix, k: usize) -> Self {
+        let k = k.min(matrix.cols());
+        ListModel {
+            k,
+            depth: (matrix.rows() + 1).max(k).min(matrix.cols()),
+            spliced: vec![Vec::new(); matrix.rows()],
+        }
+    }
+
+    fn top(&self, matrix: &PerfMatrix, row: usize) -> Vec<(usize, u64)> {
+        dense_top(matrix, row, self.k)
+    }
+
+    fn widen(&mut self, new_k: usize) {
+        if new_k > self.k {
+            self.k = new_k;
+            self.depth = self.depth.max(new_k);
+            self.spliced.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    fn ensure(&mut self, matrix: &PerfMatrix, row: usize, col: usize) {
+        let listed = self.top(matrix, row).iter().any(|&(j, _)| j == col)
+            || self.spliced[row].iter().any(|&(j, _)| j == col);
+        if !listed {
+            let value = matrix.value(row, col);
+            let at = self.spliced[row].partition_point(|&(_, v)| v >= value);
+            self.spliced[row].insert(at, (col, value));
+        }
+    }
+
+    /// `matrix` already patched with `delta`.
+    fn apply(&mut self, matrix: &PerfMatrix, delta: &MatrixDelta) {
+        for row in 0..self.spliced.len() {
+            let top = self.top(matrix, row);
+            let spliced = &mut self.spliced[row];
+            spliced.retain(|&(j, _)| !matrix.is_col_disabled(j) && top.iter().all(|t| t.0 != j));
+            for (j, v) in spliced.iter_mut() {
+                if delta.dirty_cols().any(|d| d == *j) {
+                    *v = matrix.value(row, *j);
+                }
+            }
+            spliced.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite values"));
+        }
+    }
+
+    /// A solve may splice edges in or widen: adopt what it left after
+    /// checking that the top k is exact and the rest are valid splices.
+    fn adopt(&mut self, matrix: &PerfMatrix, cands: &SparseCandidates) {
+        self.widen(cands.k());
+        for row in 0..matrix.rows() {
+            let list: Vec<(usize, f64)> = cands.row(row).collect();
+            let top = self.top(matrix, row);
+            let (head, rest) = list.split_at(top.len().min(list.len()));
+            let head: Vec<(usize, u64)> = head.iter().map(|&(j, v)| (j, v.to_bits())).collect();
+            assert_eq!(head, top, "row {row}: the top k after a solve");
+            for (i, &(j, v)) in rest.iter().enumerate() {
+                assert!(
+                    top.iter().all(|t| t.0 != j),
+                    "row {row}: splice {j} in the top k"
+                );
+                assert!(
+                    rest[..i].iter().all(|&(o, _)| o != j),
+                    "row {row}: splice {j} twice"
+                );
+                assert_eq!(v.to_bits(), matrix.value(row, j).to_bits());
+            }
+            assert!(
+                rest.windows(2).all(|w| w[0].1 >= w[1].1),
+                "row {row}: splice order"
+            );
+            self.spliced[row] = rest.to_vec();
+        }
+    }
+
+    fn check(&self, matrix: &PerfMatrix, cands: &SparseCandidates, what: &str) {
+        assert_eq!(cands.k(), self.k, "{what}");
+        for row in 0..matrix.rows() {
+            let got: Vec<(usize, u64)> = cands.row(row).map(|(j, v)| (j, v.to_bits())).collect();
+            assert!(
+                got.iter().all(|&(j, _)| !matrix.is_col_disabled(j)),
+                "{what}: disabled"
+            );
+            let mut want = self.top(matrix, row);
+            want.extend(self.spliced[row].iter().map(|&(j, v)| (j, v.to_bits())));
+            assert_eq!(got, want, "{what}: row {row}");
+            assert_eq!(cands.row_len(row), want.len(), "{what}: row {row} length");
+        }
+    }
+}
+
+/// One step of the list property's delta mix: a fault, a restore of a
+/// faulted column, a tied-column edit, or every enabled column × 0.8.
+fn list_delta(matrix: &PerfMatrix, out: &mut Vec<usize>, rng: &mut StdRng) -> MatrixDelta {
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    let enabled: Vec<usize> = (0..cols).filter(|&j| !matrix.is_col_disabled(j)).collect();
+    match rng.gen_range(0..4) {
+        0 if enabled.len() > rows => {
+            let col = enabled[rng.gen_range(0..enabled.len())];
+            out.push(col);
+            MatrixDelta::new().disable_column(col)
+        }
+        1 if !out.is_empty() => {
+            let col = out.swap_remove(rng.gen_range(0..out.len()));
+            MatrixDelta::new().set_column(col, tied_column(rows, rng))
+        }
+        2 => enabled.iter().fold(MatrixDelta::new(), |d, &col| {
+            d.set_column(col, matrix.col_iter(col).map(|v| v * 0.8).collect())
+        }),
+        _ => {
+            let col = enabled[rng.gen_range(0..enabled.len())];
+            let twin = rng.gen_range(0..cols);
+            let values = if rng.gen_bool(0.5) {
+                matrix.col_iter(twin).collect()
+            } else {
+                tied_column(rows, rng)
+            };
+            MatrixDelta::new().set_column(col, values)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// 96 seeded sequences of 12 steps (a widening within the orders'
+    /// depth or past it, a burst of splices, or a delta applied to a copy
+    /// of the lists and then repaired through), each list checked against
+    /// the dense sort after every step.
+    #[test]
+    fn lists_are_order_prefixes_plus_splices(
+        rows in 1usize..=8,
+        extra in 0usize..=12,
+        k in 1usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = rows + extra;
+        let mut matrix = tied_matrix(rows, cols, &mut rng);
+        let cfg = AuctionConfig::with_eps(1.0 / 64.0);
+        let mut cands = SparseCandidates::build(&matrix, k);
+        let mut model = ListModel::new(&matrix, k);
+        model.check(&matrix, &cands, "build");
+        let mut sol = auction::solve_with_candidates(&matrix, &mut cands, &cfg)
+            .expect("cold solve");
+        prop_assert!(sol.certified, "cold solve must certify");
+        model.adopt(&matrix, &cands);
+        let mut out: Vec<usize> = Vec::new();
+        for step in 0..12 {
+            let what = format!("step {step}");
+            match rng.gen_range(0..3) {
+                0 if model.k < cols => {
+                    let new_k = if model.k < model.depth && rng.gen_bool(0.5) {
+                        rng.gen_range(model.k + 1..=model.depth)
+                    } else {
+                        rng.gen_range(model.k + 1..=cols)
+                    };
+                    cands.widen(&matrix, new_k);
+                    model.widen(new_k);
+                }
+                1 => {
+                    for _ in 0..rng.gen_range(1..=4) {
+                        let row = rng.gen_range(0..rows);
+                        let col = rng.gen_range(0..cols);
+                        if !matrix.is_col_disabled(col) {
+                            cands.ensure_edge(row, col, matrix.value(row, col));
+                            model.ensure(&matrix, row, col);
+                        }
+                    }
+                }
+                _ => {
+                    let delta = list_delta(&matrix, &mut out, &mut rng);
+                    let patched = matrix.patched(&delta).expect("delta in range");
+                    let mut applied = cands.clone();
+                    let touched = applied.apply_delta(&patched, &delta);
+                    model.apply(&patched, &delta);
+                    model.check(&patched, &applied, &format!("{what} delta"));
+                    for row in (0..rows).filter(|r| touched.binary_search(r).is_err()) {
+                        let before: Vec<(usize, f64)> = cands.row(row).collect();
+                        let after: Vec<(usize, f64)> = applied.row(row).collect();
+                        prop_assert_eq!(before, after, "{}: untouched row {} moved", what, row);
+                    }
+                    matrix = patched;
+                    sol = auction::solve_incremental(&matrix, &mut cands, &sol, &delta, &cfg)
+                        .expect("repair");
+                    prop_assert!(sol.certified, "{}: repair must certify", what);
+                    model.adopt(&matrix, &cands);
+                }
+            }
+            model.check(&matrix, &cands, &what);
         }
     }
 }
