@@ -18,20 +18,26 @@
 //!   of the certificate order below, then the row's splices.
 //!   Certification (below) restores exactness when pruning cut too deep.
 //! * **Incremental repair.** Prices are a dual solution.
-//!   [`solve_incremental`] keeps every pair whose column the
-//!   [`MatrixDelta`] did not dirty and re-bids only the dirtied rows from
-//!   the previous prices, so its work is O(k · dirtied rows) — counted, not
-//!   timed, so CI can assert the bound without wall-clock flakiness.
+//!   [`solve_incremental`] keeps every pair of the previous solution
+//!   whose column the [`MatrixDelta`] did not dirty and which no dirtied
+//!   column on its row's updated list beats by more than ε at the
+//!   previous prices, and re-bids only the rest from those prices, so its
+//!   work is O(k · dropped rows) — counted, not timed, so CI can assert
+//!   the bound without wall-clock flakiness.
 //!
-//! **Certification.** Prices give a feasible dual: with unassigned-column
-//! prices read as zero, `π_i = max_j (v_ij − p_j)` over *all* enabled
-//! columns makes `Σπ_i + Σ_{assigned j} p_j` an upper bound on the
-//! optimum. No dense row is scanned for it: each row walks its
-//! certificate order ([`SparseCandidates`]) to the first column nobody
-//! owns, whose price is zero, and no column past it can do better — at
-//! most `rows + 1` entries a row instead of every column. If the bound
-//! exceeds the auction total by more than ε·rows,
-//! the violating rows' best off-list edges are spliced into their
+//! **Certification.** Any prices p ≥ 0 give a feasible dual: with
+//! `π_i = max_j (v_ij − p_j)` over *all* enabled columns,
+//! `Σ_{enabled j} p_j + Σπ_i` is an upper bound on the optimum (weak
+//! duality). A solve first certifies at the prices it bid at, stale
+//! prices on columns nobody owns included; a repair usually passes there.
+//! Only if that bound misses ε·rows are the unowned columns' prices
+//! floored to zero, which drops their `p_j` terms from the bound, and
+//! the bound taken again. No dense row is scanned for either: each row
+//! walks its certificate order ([`SparseCandidates`]) to the first column
+//! priced zero, and no column past it can do better — at most
+//! `rows + 1` entries a row once prices are floored, instead of every
+//! column. If the floored bound exceeds the auction total by more than
+//! ε·rows, the violating rows' best off-list edges are spliced into their
 //! candidate lists ([`SparseCandidates::ensure_edge`]) and those rows
 //! re-bid — the exactness escape hatch. A price crossing the feasibility
 //! ceiling means the pruned graph has no perfect matching (e.g. k columns
@@ -263,41 +269,45 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Floors unassigned columns' prices to zero. ε-scaling phases and
-    /// repair re-bids leave stale inflated prices on columns nobody owns;
-    /// bidding would keep avoiding them while the dual bound counts them
-    /// at zero, so the two views must be reconciled before certifying.
-    fn floor_unassigned_prices(&mut self) {
-        for (col, owner) in self.owner.iter().enumerate() {
-            if owner.is_none() {
-                self.prices[col] = 0.0;
-            }
-        }
-    }
-
-    /// Dual certificate: after flooring unassigned-column prices,
-    /// computes `π_i = max_j (v_ij − p_j)` over all enabled columns.
-    /// Returns the dual upper bound and, per row with slack > ε, its best
-    /// column (the first maximum in column order).
+    /// Dual certificate: computes `π_i = max_j (v_ij − p_j)` over all
+    /// enabled columns. Returns the dual upper bound and, per row with
+    /// slack > ε, its best column (the first maximum in column order).
+    ///
+    /// Unfloored, the bound is taken at the prices as they stand:
+    /// `Σ_{enabled j} p_j + Σπ_i`. Floored, unassigned columns' prices are
+    /// first set to zero — ε-scaling phases and repair re-bids leave stale
+    /// inflated prices on columns nobody owns, which the unfloored bound
+    /// counts in full — and the bound is `Σ_{owned j} p_j + Σπ_i`; the
+    /// floored prices stay, so the re-bids that follow see them.
     ///
     /// Each row walks its certificate order ([`SparseCandidates`]) up to
-    /// its first unowned column F. Every price is ≥ 0 and `p_F` is 0.0,
-    /// so no column after F can beat `v_F − p_F`: the walk's maximum is
-    /// the dense one, bit for bit. A row whose prefix runs out first
-    /// takes the dense row scan and has its prefix rebuilt.
-    fn certify_scan(&mut self, cands: &mut SparseCandidates) -> (f64, Vec<(usize, usize)>) {
+    /// its first column F priced 0.0. Every price is ≥ 0, so no column
+    /// after F can beat `v_F − p_F`: the walk's maximum is the dense one,
+    /// bit for bit. Once floored, F is the row's first unowned column (a
+    /// bid prices an owned column above zero). A row whose prefix runs
+    /// out first takes the dense row scan and has its prefix rebuilt.
+    fn certify_scan(
+        &mut self,
+        cands: &mut SparseCandidates,
+        floor: bool,
+    ) -> (f64, Vec<(usize, usize)>) {
         #[cfg(test)]
         let dense = tests::DENSE_SCAN.with(std::cell::Cell::get);
         #[cfg(not(test))]
         let dense = false;
-        self.floor_unassigned_prices();
         debug_assert!(self.prices.iter().all(|&p| p >= 0.0), "a negative price");
-        let owned = self
-            .owner
-            .iter()
-            .zip(&self.prices)
-            .filter(|(o, _)| o.is_some());
-        let mut ub: f64 = owned.map(|(_, &p)| p).sum();
+        let mut ub: f64 = if floor {
+            for (price, owner) in self.prices.iter_mut().zip(&self.owner) {
+                if owner.is_none() {
+                    *price = 0.0;
+                }
+            }
+            let owned = self.owner.iter().zip(&self.prices);
+            owned.filter(|(o, _)| o.is_some()).map(|(_, &p)| p).sum()
+        } else {
+            let enabled = (0..self.matrix.cols()).filter(|&j| !self.matrix.is_col_disabled(j));
+            enabled.map(|j| self.prices[j]).sum()
+        };
         let mut violations = Vec::new();
         let mut scratch = Vec::new();
         for row in 0..self.matrix.rows() {
@@ -317,7 +327,7 @@ impl<'a> Engine<'a> {
     }
 
     /// `(π, first arg-max)` over a certificate order walked up to and
-    /// including its first unowned column; `None` if it runs out first.
+    /// including its first column priced 0.0; `None` if it runs out first.
     /// Ties go to the smaller column, as in the dense scan: a column after
     /// F that ties sorts after F, so it has a larger index.
     fn walk(&mut self, cols: &[u32], vals: &[f64]) -> Option<(f64, usize)> {
@@ -328,7 +338,7 @@ impl<'a> Engine<'a> {
             if profit > pi || (profit == pi && col < pi_col) {
                 (pi, pi_col) = (profit, col);
             }
-            if self.owner[col].is_none() {
+            if self.prices[col] == 0.0 {
                 self.stats.cert_edges += walked;
                 return Some((pi, pi_col));
             }
@@ -360,14 +370,30 @@ impl<'a> Engine<'a> {
             .sum()
     }
 
-    /// Certification/repair: bound the gap; splice violating off-list
-    /// edges in and re-bid their rows; after `MAX_WIDEN` rounds fall back
-    /// to full-width lists (where ε-CS alone certifies).
-    fn certify_repair(&mut self, cands: &mut SparseCandidates) -> Result<(), ClusterError> {
+    /// The gap a certified solve may leave: ε·rows plus rounding slack.
+    fn tolerance(&self) -> f64 {
         let rows = self.matrix.rows() as f64;
-        let tol = self.cfg.eps * rows + 1e-9 * (1.0 + self.vmax) * rows;
+        self.cfg.eps * rows + 1e-9 * (1.0 + self.vmax) * rows
+    }
+
+    /// The bound the solve certifies with: the unfloored one if it is
+    /// within [`Engine::tolerance`] of the total, else the floored one.
+    fn certificate(&mut self, cands: &mut SparseCandidates) -> (f64, Vec<(usize, usize)>) {
+        let unfloored = self.certify_scan(cands, false);
+        if unfloored.0 - self.total() <= self.tolerance() {
+            return unfloored;
+        }
+        self.certify_scan(cands, true)
+    }
+
+    /// Certification/repair: bound the gap ([`Engine::certificate`]); while
+    /// it misses, splice violating off-list edges in, re-bid their rows and
+    /// bound again, floored; after `MAX_WIDEN` rounds fall back to
+    /// full-width lists (where ε-CS alone certifies).
+    fn certify_repair(&mut self, cands: &mut SparseCandidates) -> Result<(), ClusterError> {
+        let tol = self.tolerance();
+        let (mut ub, mut violations) = self.certificate(cands);
         for round in 0..=MAX_WIDEN {
-            let (ub, violations) = self.certify_scan(cands);
             if ub - self.total() <= tol {
                 self.certified = true;
                 return Ok(());
@@ -384,6 +410,7 @@ impl<'a> Engine<'a> {
                 self.widen_restart(cands)?;
                 self.run_to_completion(cands)?;
             }
+            (ub, violations) = self.certify_scan(cands, true);
         }
         // Escape hatch of last resort: full-width lists and zero prices.
         // From an empty assignment with zero prices, a column bid on stays
@@ -396,16 +423,16 @@ impl<'a> Engine<'a> {
         if self.bid_phase(cands, self.cfg.eps).is_err() {
             return Err(ClusterError::Infeasible);
         }
-        let (ub, _) = self.certify_scan(cands);
+        let (ub, _) = self.certify_scan(cands, true);
         self.certified = ub - self.total() <= tol;
         Ok(())
     }
 
-    fn into_solution(mut self) -> AuctionSolution {
-        // Stored prices warm-start the next replan; stale prices on
-        // unowned columns would poison it the same way they poison
-        // certification.
-        self.floor_unassigned_prices();
+    /// The finished solution. Its prices are the ones it certified at:
+    /// floored if the floored bound did it, and as bid, stale prices on
+    /// unowned columns included, if the unfloored one did — the dual the
+    /// next repair starts from.
+    fn into_solution(self) -> AuctionSolution {
         let pairs: Vec<(usize, usize)> = self
             .assigned
             .iter()
@@ -474,22 +501,29 @@ pub fn solve_with_candidates(
 }
 
 /// Incremental repair: patches the candidate lists with `delta`, keeps
-/// every pair of `prev` whose column the delta did not dirty, and re-bids
-/// only the dirtied rows from the previous prices.
+/// every pair of `prev` whose column the delta did not dirty and that no
+/// dirtied column on its row's updated list beats by more than ε at
+/// `prev`'s prices (the delta left it ε-CS); re-bids only the dropped rows
+/// from those prices.
 ///
 /// `matrix` must already be the patched matrix (`old.patched(delta)`, or
 /// the plan's own matrix patched in place) and
 /// `cands` the lists built against the *old* matrix — this function
-/// brings them up to date. Work is O(k · dirtied rows) candidate edges
-/// (plus certification); `stats.dirty_rows` and
-/// `stats.bid_edges` report the actual counts.
+/// brings them up to date. Work is one pass over each touched row's list,
+/// then O(k · dropped rows) candidate edges of bidding (plus
+/// certification); `stats.dirty_rows` and `stats.bid_edges` report the
+/// actual counts.
 ///
 /// # Errors
 ///
 /// As [`solve_with_candidates`]; additionally
 /// [`ClusterError::InvalidMatrix`] when `prev.prices` does not have one
 /// entry per column, or a delta column or a pair of `prev` is out of
-/// range. Every error leaves `cands` untouched.
+/// range. These, and [`ClusterError::TooManyApps`], are found before
+/// `cands` is patched and leave it untouched. The one error after is
+/// [`ClusterError::Infeasible`], an auction over full-width lists crossing
+/// its price ceiling (no test or benchmark run reaches it); it leaves
+/// `cands` patched to `matrix`, perhaps widened.
 pub fn solve_incremental(
     matrix: &PerfMatrix,
     cands: &mut SparseCandidates,
@@ -530,9 +564,22 @@ pub fn solve_incremental(
     for col in delta.dirty_cols() {
         dirty_col[col] = true;
     }
-    let mut eng = Engine::new(matrix, cfg, prev.prices.clone());
+    let prices = &prev.prices;
+    // The keep rule. The delta changed a row's list only in its dirtied
+    // columns: every other listed value, and every price, is `prev`'s. A
+    // pair on a clean column is still ε-CS on the updated list unless a
+    // dirtied column there beats it by more than ε. Slack the previous
+    // certificate left against clean columns is not the delta's doing;
+    // re-bidding it would only vacate columns.
+    let beaten = |row: usize, col: usize| {
+        let own = matrix.value(row, col) - prices[col];
+        cands
+            .row(row)
+            .any(|(j, v)| dirty_col[j] && (v - prices[j]) - own > cfg.eps)
+    };
+    let mut eng = Engine::new(matrix, cfg, prices.clone());
     for &(row, col) in pairs {
-        if dirty_col[col] || touched.binary_search(&row).is_ok() {
+        if dirty_col[col] || (touched.binary_search(&row).is_ok() && beaten(row, col)) {
             continue;
         }
         eng.assigned[row] = Some(col);
@@ -544,13 +591,12 @@ pub fn solve_incremental(
         }
     }
     eng.stats.dirty_rows = eng.queue.len();
-    // Columns vacated by dropping pairs keep their certified prices: they
-    // are the equilibrium dual, and re-bidding rows re-take them with an
-    // O(ε) adjustment. Flooring them to zero here would force the auction
-    // to rebuild each price from scratch in ε-sized increments — turning
-    // an O(k · dirty rows) repair into thousands of bids. Columns that
-    // were unassigned in `prev` already carry price zero
-    // (`into_solution` floors them), so certification stays consistent.
+    // Every column keeps its `prev` price, vacated and unowned ones
+    // included: they are the dual the kept pairs are ε-CS against, and
+    // re-bidding rows re-take vacated columns with an O(ε) adjustment.
+    // Flooring them to zero would force the auction to rebuild each price
+    // from scratch in ε-sized increments, and the first certificate below
+    // counts them as they stand.
     if eng.bid_phase(cands, cfg.eps).is_err() {
         eng.widen_restart(cands)?;
         eng.run_to_completion(cands)?;
@@ -559,8 +605,10 @@ pub fn solve_incremental(
     Ok(eng.into_solution())
 }
 
-/// A finished solution's dual certificate, as its solve last computed it:
-/// the upper bound and each row violating ε-CS with its best column.
+/// A finished solution's dual certificate, as its solve certified it: the
+/// upper bound and each row violating ε-CS with its best column, at the
+/// solution's prices if that bound is within ε·rows (plus rounding slack)
+/// of the total, else with unowned columns' prices floored to zero.
 /// `cands` are the lists the solve left behind over `matrix`.
 ///
 /// # Errors
@@ -589,7 +637,7 @@ pub fn certificate(
     for &(row, col) in pairs {
         eng.assigned[row] = Some(col);
     }
-    Ok(eng.certify_scan(cands))
+    Ok(eng.certificate(cands))
 }
 
 #[cfg(test)]

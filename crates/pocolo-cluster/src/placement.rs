@@ -68,30 +68,39 @@ impl PlacementPlan {
     /// the migration intents: pairs of the new placement not already in
     /// the old one.
     ///
-    /// The plan's matrix is patched in place — the whole delta is
-    /// validated first, and only the dirtied columns are saved — so a
-    /// repair never copies the fleet-sized matrix.
+    /// The plan's matrix and candidate lists are patched in place — the
+    /// whole delta is validated first, and only the dirtied columns are
+    /// saved — so a repair never copies the fleet-sized matrix or lists.
     ///
     /// # Errors
     ///
-    /// Propagates patching and solver failures; on error the plan is
-    /// unchanged (a failed solve puts the saved columns back).
+    /// Propagates patching and solver failures; on error the plan's
+    /// matrix and solution are unchanged (a failed solve puts the saved
+    /// columns back). So are its lists, except after
+    /// [`ClusterError::Infeasible`], the one solver error found after the
+    /// lists were patched (see [`auction::solve_incremental`]; no test or
+    /// benchmark run reaches it): then they are rebuilt from the restored
+    /// matrix at their previous width, without their splices.
     pub fn apply_delta(
         &mut self,
         delta: &MatrixDelta,
     ) -> Result<Vec<(usize, usize)>, ClusterError> {
         let undo = self.matrix.patch(delta)?;
         let cfg = AuctionConfig::with_eps(self.eps);
-        let mut cands = self.cands.clone();
-        match auction::solve_incremental(&self.matrix, &mut cands, &self.solution, delta, &cfg) {
+        let k = self.cands.k();
+        let solved =
+            auction::solve_incremental(&self.matrix, &mut self.cands, &self.solution, delta, &cfg);
+        match solved {
             Ok(next) => {
                 let intents = migration_diff(&self.solution.assignment, &next.assignment);
-                self.cands = cands;
                 self.solution = next;
                 Ok(intents)
             }
             Err(e) => {
                 self.matrix.unpatch(undo);
+                if e == ClusterError::Infeasible {
+                    self.cands = SparseCandidates::build(&self.matrix, k);
+                }
                 Err(e)
             }
         }

@@ -12,7 +12,14 @@
 //! The certificate has to be exact, not approximate: over seeded
 //! sequences of faults, restores, edits and fleet-wide rebuilds on tied
 //! matrices, the walk down each row's certificate order gives the same
-//! bound bits and violations as a dense scan of every enabled edge.
+//! bound bits and violations as a dense scan of every enabled edge, at
+//! the prices as they stand or floored, whichever certifies.
+//!
+//! A repair keeps what still holds and certifies at the prices it bid at:
+//! over seeded fault / restore / refit / ×0.8 sequences, each repair
+//! re-bids exactly the pairs the keep rule drops (on a dirtied column, or
+//! beaten by more than ε by a dirtied column on the row's updated list),
+//! and the benchmark's dense dual gap at its prices stays within ε·rows.
 //!
 //! The candidate lists have to be exact too: over seeded sequences of
 //! builds, widenings, splices, deltas and repairs on tied matrices, every
@@ -202,19 +209,36 @@ fn tied_column(n: usize, rng: &mut StdRng) -> Vec<f64> {
         .collect()
 }
 
-/// The dense certificate: after reading unowned columns' prices as zero,
-/// `π_i` is the first maximum of `v_ij − p_j` over every enabled column.
-fn dense_certificate(matrix: &PerfMatrix, sol: &AuctionSolution) -> (u64, Vec<(usize, usize)>) {
+/// A dense certificate at `sol`'s prices: `π_i` is the first maximum of
+/// `v_ij − p_j` over every enabled column. Unfloored, the bound is
+/// `Σ_{enabled j} p_j + Σπ_i`; floored, unowned columns' prices read as
+/// zero and the bound is `Σ_{owned j} p_j + Σπ_i`.
+fn dense_bound(
+    matrix: &PerfMatrix,
+    sol: &AuctionSolution,
+    floor: bool,
+) -> (f64, Vec<(usize, usize)>) {
     let mut owned = vec![false; matrix.cols()];
     for &(_, col) in &sol.assignment.pairs {
         owned[col] = true;
     }
-    let price = |col: usize| if owned[col] { sol.prices[col] } else { 0.0 };
-    let mut ub: f64 = (0..matrix.cols()).filter(|&j| owned[j]).map(price).sum();
+    let price = |col: usize| {
+        if floor && !owned[col] {
+            0.0
+        } else {
+            sol.prices[col]
+        }
+    };
+    let enabled = |&col: &usize| !matrix.is_col_disabled(col);
+    let mut ub: f64 = if floor {
+        (0..matrix.cols()).filter(|&j| owned[j]).map(price).sum()
+    } else {
+        (0..matrix.cols()).filter(enabled).map(price).sum()
+    };
     let mut violations = Vec::new();
     for &(row, own) in &sol.assignment.pairs {
         let (mut pi, mut pi_col) = (f64::NEG_INFINITY, 0);
-        for col in (0..matrix.cols()).filter(|&j| !matrix.is_col_disabled(j)) {
+        for col in (0..matrix.cols()).filter(enabled) {
             let profit = matrix.value(row, col) - price(col);
             if profit > pi {
                 (pi, pi_col) = (profit, col);
@@ -225,13 +249,36 @@ fn dense_certificate(matrix: &PerfMatrix, sol: &AuctionSolution) -> (u64, Vec<(u
             violations.push((row, pi_col));
         }
     }
+    (ub, violations)
+}
+
+/// The certificate a solve certifies with, densely: the unfloored bound
+/// when it is within the auction's tolerance (ε·rows plus rounding slack
+/// `1e-9 · (1 + vmax) · rows`) of the total, else the floored one: its
+/// bits and its violations.
+fn dense_certificate(matrix: &PerfMatrix, sol: &AuctionSolution) -> (u64, Vec<(usize, usize)>) {
+    let total: f64 = sol
+        .assignment
+        .pairs
+        .iter()
+        .map(|&(i, j)| matrix.value(i, j))
+        .sum();
+    let rows = matrix.rows() as f64;
+    let tol = sol.eps * rows + 1e-9 * (1.0 + matrix.max_value()) * rows;
+    let unfloored = dense_bound(matrix, sol, false);
+    let (ub, violations) = if unfloored.0 - total <= tol {
+        unfloored
+    } else {
+        dense_bound(matrix, sol, true)
+    };
     (ub.to_bits(), violations)
 }
 
 /// A solution no solve produced: a random complete assignment over the
-/// enabled columns, grid prices on its columns and junk on the rest
-/// (which the certificate floors to zero).
-fn hostile_state(matrix: &PerfMatrix, eps: f64, rng: &mut StdRng) -> AuctionSolution {
+/// enabled columns, grid prices on every column (junk on the ones nobody
+/// owns, which only the floored bound reads as zero) and an ε drawn from
+/// 1/64 to 64, so either bound can be the one that certifies.
+fn hostile_state(matrix: &PerfMatrix, rng: &mut StdRng) -> AuctionSolution {
     let mut enabled: Vec<usize> = (0..matrix.cols())
         .filter(|&j| !matrix.is_col_disabled(j))
         .collect();
@@ -245,7 +292,7 @@ fn hostile_state(matrix: &PerfMatrix, eps: f64, rng: &mut StdRng) -> AuctionSolu
     AuctionSolution {
         assignment: pocolo_cluster::assign::Assignment::new(pairs, 0.0),
         prices,
-        eps,
+        eps: [1.0 / 64.0, 0.25, 1.0, 64.0][rng.gen_range(0..4usize)],
         certified: false,
         stats: Default::default(),
     }
@@ -254,6 +301,9 @@ fn hostile_state(matrix: &PerfMatrix, eps: f64, rng: &mut StdRng) -> AuctionSolu
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// The walk against both dense bounds, bit for bit, whichever one
+    /// certifies: on the solves' own states (a repair's prices as bid, a
+    /// floored cold plan's) and on hostile ones.
     #[test]
     fn the_walk_certifies_like_the_dense_scan(
         rows in 1usize..=10,
@@ -270,7 +320,7 @@ proptest! {
             .expect("cold solve");
         let mut out: Vec<usize> = Vec::new();
         for step in 0..10 {
-            for state in [sol.clone(), hostile_state(&matrix, cfg.eps, &mut rng)] {
+            for state in [sol.clone(), hostile_state(&matrix, &mut rng)] {
                 let (ub, violations) = auction::certificate(&matrix, &mut cands, &state)
                     .expect("a complete assignment");
                 prop_assert_eq!(
@@ -315,6 +365,109 @@ proptest! {
             matrix = matrix.patched(&delta).expect("delta in range");
             sol = auction::solve_incremental(&matrix, &mut cands, &sol, &delta, &cfg)
                 .expect("repair");
+        }
+    }
+}
+
+/// The dual gap as the benchmark's optimality check computes it: the
+/// unfloored dual bound at the solution's prices, over enabled columns,
+/// minus the placement's value.
+fn dual_gap(matrix: &PerfMatrix, sol: &AuctionSolution) -> f64 {
+    let enabled: Vec<usize> = (0..matrix.cols())
+        .filter(|&j| !matrix.is_col_disabled(j))
+        .collect();
+    let price_sum: f64 = enabled.iter().map(|&j| sol.prices[j]).sum();
+    let profit_sum: f64 = (0..matrix.rows())
+        .map(|i| {
+            enabled
+                .iter()
+                .map(|&j| matrix.value(i, j) - sol.prices[j])
+                .fold(f64::NEG_INFINITY, f64::max)
+        })
+        .sum();
+    price_sum + profit_sum - sol.assignment.total
+}
+
+/// The pairs of `prev` a repair must drop: those on a dirtied column, and
+/// those a dirtied column on the row's updated list (`after`) beats by
+/// more than ε at `prev`'s prices.
+fn dropped_pairs(
+    matrix: &PerfMatrix,
+    prev: &AuctionSolution,
+    after: &SparseCandidates,
+    delta: &MatrixDelta,
+) -> usize {
+    let dirty = |j: usize| delta.dirty_cols().any(|d| d == j);
+    let p = &prev.prices;
+    let dropped = |&&(row, col): &&(usize, usize)| {
+        let own = matrix.value(row, col) - p[col];
+        dirty(col)
+            || after
+                .row(row)
+                .any(|(j, v)| dirty(j) && (v - p[j]) - own > prev.eps)
+    };
+    prev.assignment.pairs.iter().filter(dropped).count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// 96 seeded sequences of 12 repairs on tied matrices — a fault, a
+    /// restore of a faulted column, a refit (one enabled column's values
+    /// redrawn) or every enabled column × 0.8 — and after each: the
+    /// benchmark's dense dual gap within ε·rows, `certified`, and
+    /// `dirty_rows` the pairs the keep rule drops.
+    #[test]
+    fn repairs_keep_what_holds_and_certify_as_bid(
+        rows in 1usize..=10,
+        extra in 0usize..=12,
+        k in 1usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = rows + extra;
+        let mut matrix = tied_matrix(rows, cols, &mut rng);
+        let cfg = AuctionConfig::with_eps(1.0 / 64.0);
+        let mut cands = SparseCandidates::build(&matrix, k);
+        let mut sol = auction::solve_with_candidates(&matrix, &mut cands, &cfg)
+            .expect("cold solve");
+        let mut out: Vec<usize> = Vec::new();
+        for step in 0..12 {
+            let enabled: Vec<usize> = (0..cols).filter(|&j| !matrix.is_col_disabled(j)).collect();
+            let delta = match rng.gen_range(0..4) {
+                0 if enabled.len() > rows => {
+                    let col = if rng.gen_bool(0.5) {
+                        sol.assignment.pairs[rng.gen_range(0..rows)].1
+                    } else {
+                        enabled[rng.gen_range(0..enabled.len())]
+                    };
+                    out.push(col);
+                    MatrixDelta::new().disable_column(col)
+                }
+                1 if !out.is_empty() => {
+                    let col = out.swap_remove(rng.gen_range(0..out.len()));
+                    MatrixDelta::new().set_column(col, tied_column(rows, &mut rng))
+                }
+                2 => enabled.iter().fold(MatrixDelta::new(), |d, &col| {
+                    d.set_column(col, matrix.col_iter(col).map(|v| v * 0.8).collect())
+                }),
+                _ => {
+                    let col = enabled[rng.gen_range(0..enabled.len())];
+                    MatrixDelta::new().set_column(col, tied_column(rows, &mut rng))
+                }
+            };
+            let patched = matrix.patched(&delta).expect("delta in range");
+            let mut applied = cands.clone();
+            applied.apply_delta(&patched, &delta);
+            let dropped = dropped_pairs(&patched, &sol, &applied, &delta);
+            matrix = patched;
+            sol = auction::solve_incremental(&matrix, &mut cands, &sol, &delta, &cfg)
+                .expect("repair");
+            prop_assert!(sol.certified, "step {}: repair must certify", step);
+            let gap = dual_gap(&matrix, &sol);
+            let bound = cfg.eps * rows as f64 + 1e-9;
+            prop_assert!(gap <= bound, "step {}: dual gap {} over {}", step, gap, bound);
+            prop_assert_eq!(sol.stats.dirty_rows, dropped, "step {}", step);
         }
     }
 }
