@@ -1,18 +1,56 @@
 //! Figures 5, 6, 8 and 9–11: the analytical characterization (§III, §V-C).
 
 use pocolo::prelude::*;
-use pocolo_core::curves::{expansion_path, indifference_curve, EdgeworthBox};
+use pocolo_cluster::{ExpansionPath, ExpansionStep};
+use pocolo_core::curves::indifference_curve;
 use pocolo_core::fit::{fit_indirect_utility, FitOptions};
 use pocolo_workloads::profiler::{profile_be, profile_lc};
 
 use crate::common::{f1, f3, row, section, Bench};
+
+/// The sphinx load levels Figs. 5 and 6 draw.
+const LEVELS: [f64; 4] = [0.2, 0.4, 0.6, 0.8];
+
+/// Prints sphinx's least-power expansion path over [`LEVELS`], exactly
+/// as the cluster manager prices co-runners along it (§IV-B): under
+/// `header`, one row of `cols(step, cap)` per level, or `dropped` where the
+/// path drops the level (the primary needs the whole machine, or leaves no
+/// spare box). Returns the printed rows as `(load_frac, a, b, c)`.
+fn sphinx_path_rows(
+    bench: &Bench,
+    header: [&str; 3],
+    cols: impl Fn(&ExpansionStep, Watts) -> [f64; 3],
+) -> Vec<(f64, f64, f64, f64)> {
+    let server = bench
+        .fitted
+        .server_profiles()
+        .into_iter()
+        .find(|s| s.label == LcApp::Sphinx.name())
+        .expect("sphinx is fitted");
+    let path = ExpansionPath::compute(&server, &LEVELS).expect("levels are non-empty");
+    row("load", &header.map(String::from));
+    let mut rows = Vec::new();
+    for level in LEVELS {
+        let label = format!("{:.0}%", level * 100.0);
+        match path.steps().iter().find(|s| s.level == level) {
+            Some(step) => {
+                let [a, b, c] = cols(step, server.power_cap);
+                row(&label, &[f1(a), f1(b), f1(c)]);
+                rows.push((level, a, b, c));
+            }
+            None => row(&label, &["dropped".into()]),
+        }
+    }
+    rows
+}
 
 /// Fig. 5 data: sphinx indifference curves plus the least-power path.
 #[derive(Debug, Clone)]
 pub struct Fig05 {
     /// Per load level: `(load_frac, Vec<(cores, ways)>)` iso-load curves.
     pub curves: Vec<(f64, Vec<(f64, f64)>)>,
-    /// The least-power allocation per load: `(load_frac, cores, ways, watts)`.
+    /// The primary's allocation per kept level: `(load_frac, cores, ways,
+    /// watts)`.
     pub path: Vec<(f64, f64, f64, f64)>,
 }
 
@@ -23,7 +61,7 @@ pub fn fig05(bench: &Bench) -> Fig05 {
     let peak = bench.lc_truth(LcApp::Sphinx).peak_load_rps();
     let base = utility.space().min_allocation();
     let mut curves = Vec::new();
-    for level in [0.2, 0.4, 0.6, 0.8] {
+    for level in LEVELS {
         let target = level * peak;
         let curve = indifference_curve(utility.performance_model(), &base, 0, 1, target, 12)
             .expect("sphinx curve is well-defined");
@@ -38,73 +76,30 @@ pub fn fig05(bench: &Bench) -> Fig05 {
         );
         curves.push((level, curve));
     }
-    let targets: Vec<f64> = [0.2, 0.4, 0.6, 0.8].iter().map(|l| l * peak).collect();
-    let path = expansion_path(utility, &targets).expect("targets are reachable");
-    let mut path_rows = Vec::new();
-    row("load", &["cores".into(), "ways".into(), "power W".into()]);
-    for (level, p) in [0.2, 0.4, 0.6, 0.8].iter().zip(&path) {
-        row(
-            &format!("{:.0}%", level * 100.0),
-            &[
-                f1(p.allocation.amount(0)),
-                f1(p.allocation.amount(1)),
-                f1(p.power.0),
-            ],
-        );
-        path_rows.push((
-            *level,
-            p.allocation.amount(0),
-            p.allocation.amount(1),
-            p.power.0,
-        ));
-    }
-    Fig05 {
-        curves,
-        path: path_rows,
-    }
+    let path = sphinx_path_rows(bench, ["cores", "ways", "power W"], |step, cap| {
+        let alloc = &step.lc_alloc;
+        [alloc.amount(0), alloc.amount(1), (cap - step.headroom).0]
+    });
+    Fig05 { curves, path }
 }
 
 /// Fig. 6 data: spare capacity along sphinx's expansion path.
 #[derive(Debug, Clone)]
 pub struct Fig06 {
-    /// `(load_frac, spare_cores, spare_ways, headroom_watts)`.
+    /// Per kept level: `(load_frac, spare_cores, spare_ways,
+    /// headroom_watts)`.
     pub spare: Vec<(f64, f64, f64, f64)>,
 }
 
-/// Fig. 6: the Edgeworth box — what the co-runner gets at each load.
+/// Fig. 6: the Edgeworth box — the spare box the co-runner is priced in
+/// at each load.
 pub fn fig06(bench: &Bench) -> Fig06 {
     section("Fig 6 — Edgeworth box: spare capacity for the co-runner (sphinx)");
-    let utility = bench.lc_fitted(LcApp::Sphinx);
-    let truth = bench.lc_truth(LcApp::Sphinx);
-    let boxy = EdgeworthBox::new(utility.space().clone(), truth.provisioned_power())
-        .expect("cap is positive");
-    let levels = [0.2, 0.4, 0.6, 0.8];
-    let targets: Vec<f64> = levels.iter().map(|l| l * truth.peak_load_rps()).collect();
-    let spares = boxy
-        .spare_along_path(utility, &targets)
-        .expect("targets reachable");
-    let mut out = Vec::new();
-    row(
-        "load",
-        &["spare c".into(), "spare w".into(), "headroom W".into()],
-    );
-    for (level, s) in levels.iter().zip(&spares) {
-        row(
-            &format!("{:.0}%", level * 100.0),
-            &[
-                f1(s.spare_amounts[0]),
-                f1(s.spare_amounts[1]),
-                f1(s.power_headroom.0),
-            ],
-        );
-        out.push((
-            *level,
-            s.spare_amounts[0],
-            s.spare_amounts[1],
-            s.power_headroom.0,
-        ));
-    }
-    Fig06 { spare: out }
+    let spare = sphinx_path_rows(bench, ["spare c", "spare w", "headroom W"], |step, _| {
+        let box_max = |j| step.sub_space.descriptor(j).max();
+        [box_max(0), box_max(1), step.headroom.0]
+    });
+    Fig06 { spare }
 }
 
 /// Fig. 8 data: goodness of fit per app.

@@ -543,6 +543,11 @@ mod tests {
         let low = estimate_pair_throughput(be, &servers[2], &[0.1]).unwrap();
         let high = estimate_pair_throughput(be, &servers[2], &[0.9]).unwrap();
         assert!(high < low);
+        // A level past the primary's reach is dropped but still counts in
+        // the divisor.
+        let past = ExpansionPath::compute(&servers[2], &[0.1, 10.0]).unwrap();
+        assert_eq!(past.steps().len(), 1);
+        assert_eq!(estimate_on_path(be, &past).unwrap(), low / 2.0);
     }
 
     #[test]
@@ -569,12 +574,31 @@ mod tests {
             let one_shot = estimate_pair_throughput(be, &servers[1], &levels).unwrap();
             assert_eq!(cached, one_shot);
         }
+        let sphinx = &servers[1];
+        let space = sphinx.utility.space();
         for step in path.steps() {
             assert!(step.headroom > Watts::ZERO);
-            assert!(step.budget <= servers[1].power_cap);
-            assert!(step.sub_space.len() == servers[1].utility.space().len());
+            assert!(step.budget <= sphinx.power_cap);
+            assert!(step.sub_space.len() == space.len());
             assert!(step.lc_alloc.amounts().iter().all(|&a| a > 0.0));
+            // The spare box is the floored complement of the primary's
+            // allocation; the headroom is the cap minus its modeled draw.
+            for j in 0..space.len() {
+                let spare = space.descriptor(j).max() - step.lc_alloc.amount(j);
+                assert_eq!(step.sub_space.descriptor(j).max(), spare.floor());
+            }
+            let draw = sphinx.utility.power_model().power_of(&step.lc_alloc);
+            assert_eq!(step.headroom, sphinx.power_cap - draw);
         }
+        // The power along the path never falls.
+        for pair in path.steps().windows(2) {
+            assert!(pair[1].budget >= pair[0].budget);
+            assert!(pair[1].headroom <= pair[0].headroom);
+        }
+        // Cache-hungry sphinx leaves proportionally more cores than ways.
+        let mid = path.steps().iter().find(|s| s.level == 0.5).unwrap();
+        let share = |j: usize| mid.sub_space.descriptor(j).max() / space.descriptor(j).max();
+        assert!(share(0) > share(1), "{mid:?}");
     }
 
     #[test]

@@ -1,26 +1,14 @@
-//! Indifference curves and the least-power expansion path (Fig. 5).
+//! Indifference curves (Fig. 5).
 //!
 //! An application is *indifferent* between any two allocations on the same
 //! iso-performance curve — they all sustain the given load within the SLO.
-//! In a power-constrained server the interesting allocation on each curve is
-//! the one drawing the **least power**; connecting those across load levels
-//! yields the expansion path the server manager walks as load changes.
+//! The least-power point on each curve, joined across load levels, is the
+//! expansion path the cluster manager prices co-runners along
+//! (`pocolo_cluster::ExpansionPath`).
 
 use crate::error::CoreError;
 use crate::resources::Allocation;
-use crate::units::Watts;
-use crate::utility::{CobbDouglas, IndirectUtility};
-
-/// One point on a least-power expansion path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathPoint {
-    /// The performance (load) level this point sustains.
-    pub target: f64,
-    /// The least-power allocation achieving `target`.
-    pub allocation: Allocation,
-    /// Power drawn at that allocation.
-    pub power: Watts,
-}
+use crate::utility::CobbDouglas;
 
 /// Traces the iso-performance (indifference) curve of a two-of-`k` slice of
 /// a Cobb-Douglas model.
@@ -78,57 +66,12 @@ pub fn indifference_curve(
     Ok(curve)
 }
 
-/// The least-power allocation sustaining `target` performance
-/// (allocation-A/B of Fig. 5): inverts the indirect utility for the minimum
-/// budget, then takes the demand at that budget.
-///
-/// # Errors
-///
-/// Propagates [`CoreError::UnreachableTarget`] and budget errors from
-/// [`IndirectUtility::min_power_for`].
-pub fn least_power_allocation(
-    utility: &IndirectUtility,
-    target: f64,
-) -> Result<PathPoint, CoreError> {
-    let power = utility.min_power_for(target)?;
-    let allocation = utility.demand(power)?;
-    let actual = utility.power_model().power_of(&allocation);
-    Ok(PathPoint {
-        target,
-        allocation,
-        power: actual,
-    })
-}
-
-/// Traces the least-power expansion path across several performance targets
-/// (the dotted curve of Fig. 5).
-///
-/// Unreachable targets are skipped, so the result may be shorter than
-/// `targets`.
-///
-/// # Errors
-///
-/// Propagates any error other than [`CoreError::UnreachableTarget`].
-pub fn expansion_path(
-    utility: &IndirectUtility,
-    targets: &[f64],
-) -> Result<Vec<PathPoint>, CoreError> {
-    let mut path = Vec::with_capacity(targets.len());
-    for &t in targets {
-        match least_power_allocation(utility, t) {
-            Ok(p) => path.push(p),
-            Err(CoreError::UnreachableTarget { .. }) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resources::ResourceSpace;
-    use crate::utility::PowerModel;
+    use crate::units::Watts;
+    use crate::utility::{IndirectUtility, PowerModel};
 
     fn utility() -> IndirectUtility {
         let space = ResourceSpace::cores_and_ways();
@@ -198,55 +141,5 @@ mod tests {
         assert!(indifference_curve(m, &base, 0, 5, 100.0, 10).is_err());
         assert!(indifference_curve(m, &base, 0, 1, 100.0, 1).is_err());
         assert!(indifference_curve(m, &base, 0, 1, -5.0, 10).is_err());
-    }
-
-    #[test]
-    fn least_power_point_achieves_target() {
-        let u = utility();
-        let target = u.value(Watts(100.0)).unwrap();
-        let p = least_power_allocation(&u, target).unwrap();
-        let perf = u.performance_model().evaluate(&p.allocation).unwrap();
-        assert!(perf >= target * (1.0 - 1e-6));
-        assert!((p.power.0 - 100.0).abs() < 1e-3, "power {}", p.power);
-    }
-
-    #[test]
-    fn least_power_beats_other_iso_perf_allocations() {
-        let u = utility();
-        let target = u.value(Watts(100.0)).unwrap();
-        let opt = least_power_allocation(&u, target).unwrap();
-        // Any other allocation achieving >= target must draw >= power.
-        let base = u.space().min_allocation();
-        let curve = indifference_curve(u.performance_model(), &base, 0, 1, target, 40).unwrap();
-        for &(x, y) in &curve {
-            let p = u.power_model().power_of_amounts(&[x, y]).unwrap();
-            assert!(
-                p >= opt.power - Watts(1e-6),
-                "({x},{y}) draws {p} < optimum {}",
-                opt.power
-            );
-        }
-    }
-
-    #[test]
-    fn expansion_path_is_monotone_in_power() {
-        let u = utility();
-        let max_perf = u.value(u.max_power()).unwrap();
-        let targets: Vec<f64> = (1..=8).map(|i| max_perf * (i as f64) / 10.0).collect();
-        let path = expansion_path(&u, &targets).unwrap();
-        assert_eq!(path.len(), targets.len());
-        for pair in path.windows(2) {
-            assert!(pair[1].power >= pair[0].power);
-            assert!(pair[1].target > pair[0].target);
-        }
-    }
-
-    #[test]
-    fn expansion_path_skips_unreachable() {
-        let u = utility();
-        let max_perf = u.value(u.max_power()).unwrap();
-        let targets = vec![max_perf * 0.5, max_perf * 10.0, max_perf * 0.7];
-        let path = expansion_path(&u, &targets).unwrap();
-        assert_eq!(path.len(), 2);
     }
 }

@@ -1,8 +1,5 @@
-//! Geometric analyses from consumer theory: indifference curves, least-power
-//! expansion paths, and the Edgeworth box (Figs. 5 and 6 of the paper).
+//! Geometric analyses from consumer theory: indifference curves (Fig. 5).
 
-pub mod edgeworth;
-pub mod indifference;
+mod indifference;
 
-pub use edgeworth::{EdgeworthBox, SpareCapacity};
-pub use indifference::{expansion_path, indifference_curve, least_power_allocation, PathPoint};
+pub use indifference::indifference_curve;

@@ -20,10 +20,9 @@
 //!   budget in `O(k)` ([`IndirectUtility::demand`]);
 //! - the **preference vector** `(αⱼ/pⱼ)` ranking resources by
 //!   performance-per-watt ([`IndirectUtility::preference_vector`]);
-//! - **indifference curves** and least-power **expansion paths**
-//!   ([`curves::indifference`]);
-//! - the **Edgeworth box** analysis of spare capacity for a co-runner
-//!   ([`curves::edgeworth`]);
+//! - **indifference curves** ([`curves::indifference_curve`]); the
+//!   least-power expansion path and the spare box it leaves a co-runner
+//!   are the cluster manager's (`pocolo_cluster::ExpansionPath`);
 //! - **model fitting** from profiled samples via log-space least squares
 //!   ([`fit`]).
 //!

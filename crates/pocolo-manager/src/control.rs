@@ -281,9 +281,14 @@ impl ServerController {
         self.guard = Some(BeGuard::new(rank));
     }
 
+    /// True once [`ServerController::arm_resilience`] armed the guard.
+    pub fn is_resilient(&self) -> bool {
+        self.guard.is_some()
+    }
+
     /// One manager epoch: decide what the primary should become.
     pub fn decide(&mut self, input: &ControlInput) -> ControlDecision {
-        let resilient = self.guard.is_some();
+        let resilient = self.is_resilient();
         // A resilient controller distrusts frozen slack; the naive one
         // consumes the stale reading.
         let blind = resilient && input.telemetry_frozen;

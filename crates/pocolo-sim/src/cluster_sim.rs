@@ -357,7 +357,7 @@ mod tests {
                 .enumerate()
                 .map(|(rank, s)| match resilient {
                     true => s.with_resilience(rank),
-                    false => s.with_fault_physics(),
+                    false => s,
                 });
             run(servers.collect(), &faults, 8.0, p)
         };
@@ -376,9 +376,7 @@ mod tests {
     }
 
     fn logged() -> ServerSim {
-        server(LcApp::Xapian, BeApp::Graph)
-            .with_fault_physics()
-            .with_decision_log()
+        server(LcApp::Xapian, BeApp::Graph).with_decision_log()
     }
 
     /// A serial 6 s run of one server over `faults` with one barrier.

@@ -730,8 +730,8 @@ pub struct SlotSpec {
     pub meter_noise: f64,
     /// Base experiment seed; the slot derives its own RNG stream from it.
     pub seed: u64,
-    /// Whether faults are injected this run (arms the fault physics even
-    /// when the resilient response is disabled).
+    /// Whether faults are injected this run; the degraded-mode response
+    /// is armed only on a faulted run.
     pub faulted: bool,
     /// Whether the degraded-mode response is armed.
     pub resilience: bool,
@@ -795,12 +795,10 @@ impl SlotSpec {
             Policy::Heracles { .. } => sim.with_incremental_control(),
             _ => sim,
         };
-        let sim = if !self.faulted {
-            sim
-        } else if self.resilience {
+        let sim = if self.faulted && self.resilience {
             sim.with_resilience(self.rank)
         } else {
-            sim.with_fault_physics()
+            sim
         };
         if self.record_decisions {
             sim.with_decision_log()

@@ -34,9 +34,9 @@ fn be_price(fit: &PowerModel, (c, w): (u32, u32), f_frac: f64, quota: f64) -> Wa
 }
 
 /// One server under simulation: the ground-truth workload models, the
-/// simulated hardware, and the two control loops — plus, optionally, the
-/// fault physics (brownout caps, crashes, frozen telemetry, RAPL-style
-/// emergency throttling) and the degraded-mode response on top.
+/// simulated hardware, the two control loops and the fault physics
+/// (brownout caps, crashes, frozen telemetry, RAPL-style emergency
+/// throttling) — plus, optionally, the degraded-mode response on top.
 #[derive(Debug)]
 pub struct ServerSim {
     lc_truth: LcModel,
@@ -71,10 +71,6 @@ pub struct ServerSim {
     /// What the management plane *observes* (freezable telemetry).
     obs_load: Reading,
     obs_slack: Reading,
-    /// Fault physics armed: the capper enforces the *effective* cap and a
-    /// RAPL-style emergency throttle may slow the primary under sustained
-    /// overdraw.
-    fault_physics: bool,
     /// Emergency DVFS ceiling on the primary (RAPL analogue).
     rapl_ceiling: Frequency,
     /// Forced-idle duty factor (RAPL's last resort once the frequency is
@@ -86,8 +82,6 @@ pub struct ServerSim {
     parked_be: Option<(BeModel, Option<IndirectUtility>, f64)>,
     /// Set when a fault clears; resolved at the first healthy tick.
     recovery_pending_since: Option<f64>,
-    /// Degraded-mode response armed on the controller.
-    resilient: bool,
     /// Per-epoch decision trace, when enabled.
     decision_log: Option<Vec<DecisionRecord>>,
 }
@@ -134,12 +128,10 @@ impl ServerSim {
             down: false,
             obs_load: Reading::default(),
             obs_slack: Reading::default(),
-            fault_physics: false,
             rapl_ceiling,
             duty: 1.0,
             parked_be: None,
             recovery_pending_since: None,
-            resilient: false,
             decision_log: None,
         }
     }
@@ -176,29 +168,14 @@ impl ServerSim {
         self
     }
 
-    /// Arms the fault physics: the capper enforces the *effective* cap
-    /// (provisioned × brownout factor) and a RAPL-style emergency DVFS
-    /// throttle slows the primary when the server stays over that cap
-    /// with the secondary already floored. Without this, fault events
-    /// still apply but the hardware behaves as if provisioning were
-    /// always honest.
-    #[must_use]
-    pub fn with_fault_physics(mut self) -> Self {
-        self.fault_physics = true;
-        self
-    }
-
     /// Arms the degraded-mode response: stale telemetry switches the
     /// manager to pure Heracles-style feedback, the proactive planner
     /// tracks the *effective* cap, and a co-runner that keeps the capper
     /// saturated is evicted (after a patience that grows with its
     /// cluster-wide value `rank`, so rank 0 is sacrificed first) with
-    /// exponential re-admission backoff. Implies
-    /// [`ServerSim::with_fault_physics`].
+    /// exponential re-admission backoff.
     #[must_use]
     pub fn with_resilience(mut self, rank: usize) -> Self {
-        self.fault_physics = true;
-        self.resilient = true;
         self.controller.arm_resilience(rank);
         self
     }
@@ -274,7 +251,7 @@ impl ServerSim {
                 // the brownout lifts it replans at the restored cap
                 // instead of serving shrunken allocations until the next
                 // periodic epoch. The naive path keeps polling.
-                if lifted && self.resilient {
+                if lifted && self.controller.is_resilient() {
                     self.on_manager_tick(now_s);
                 }
             }
@@ -434,9 +411,6 @@ impl ServerSim {
     /// Clamps the primary under the RAPL emergency ceiling (the manager
     /// reinstalls it at `f_max` every epoch).
     fn enforce_rapl_ceiling(&mut self) {
-        if !self.fault_physics {
-            return;
-        }
         if let Some(primary) = self.server.allocation(TenantRole::Primary).copied() {
             if primary.frequency > self.rapl_ceiling {
                 let _ = self
@@ -499,7 +473,7 @@ impl ServerSim {
         // The resilient manager propagates the browned-out cap into the
         // plan; the naive one keeps planning against the provisioned cap
         // it was told at provisioning time.
-        let cap = if self.resilient {
+        let cap = if self.controller.is_resilient() {
             self.effective_cap()
         } else {
             self.server.power_cap()
@@ -516,8 +490,9 @@ impl ServerSim {
         // Freed watts must reach the primary — otherwise a shrinking
         // primary lowers its own predicted draw, the planner hands the
         // difference to the BE, and total draw never falls.
-        let lc_first =
-            self.resilient && self.cap_factor < 1.0 && self.last_slack.is_some_and(|s| s < 0.0);
+        let lc_first = self.controller.is_resilient()
+            && self.cap_factor < 1.0
+            && self.last_slack.is_some_and(|s| s < 0.0);
         let mut f = if lc_first { floor } else { machine.freq_max() };
         while f > floor && price(f, 1.0) > headroom {
             f = machine.clamp_frequency(Frequency(f.0 - 0.1));
@@ -672,9 +647,6 @@ impl ServerSim {
     /// hardware has no knob left but the primary's frequency. Recovers
     /// step-wise once draw falls under the release band.
     fn step_rapl(&mut self, over_cap_saturated: bool, measured: Watts, eff_cap: Watts) {
-        if !self.fault_physics {
-            return;
-        }
         let machine = self.lc_truth.machine();
         if over_cap_saturated {
             if self.rapl_ceiling.0 <= machine.freq_min().0 + 1e-9 {
@@ -951,8 +923,7 @@ mod tests {
             Some(BeApp::Graph),
             LcPolicy::PowerOptimized,
             LoadTrace::Constant(0.5),
-        )
-        .with_fault_physics();
+        );
         run(&mut sim, 5);
         let provisioned = sim.server().power_cap();
         sim.apply_fault(&ServerFaultAction::SetCapFactor(0.6), 5.0);
@@ -976,8 +947,7 @@ mod tests {
             Some(BeApp::Graph),
             LcPolicy::PowerOptimized,
             LoadTrace::Constant(0.4),
-        )
-        .with_fault_physics();
+        );
         run(&mut sim, 5);
         sim.apply_fault(&ServerFaultAction::Crash, 5.0);
         assert!(sim.down);
@@ -1003,8 +973,7 @@ mod tests {
             LcPolicy::PowerOptimized,
             // Load jumps after the freeze starts.
             LoadTrace::Steps(vec![(10.0, 0.2), (990.0, 0.9)]),
-        )
-        .with_fault_physics();
+        );
         run(&mut sim, 9);
         sim.apply_fault(&ServerFaultAction::FreezeTelemetry { until_s: 25.0 }, 9.0);
         assert!(sim.fault_active());
@@ -1030,7 +999,7 @@ mod tests {
                 LoadTrace::Steps(vec![(10.0, 0.2), (990.0, 0.9)]),
             )
         };
-        let mut naive = make().with_fault_physics();
+        let mut naive = make();
         let mut resilient = make().with_resilience(0);
         for sim in [&mut naive, &mut resilient] {
             run(sim, 9);
@@ -1208,7 +1177,7 @@ mod tests {
             );
             let mut sim = match resilient {
                 true => sim.with_resilience(0),
-                false => sim.with_fault_physics(),
+                false => sim,
             };
             run(&mut sim, 5);
             sim.apply_fault(&ServerFaultAction::Crash, 5.0);
@@ -1257,8 +1226,7 @@ mod tests {
             Some(BeApp::Graph),
             LcPolicy::PowerOptimized,
             LoadTrace::Constant(0.4),
-        )
-        .with_fault_physics();
+        );
         sim.apply_fault(&ServerFaultAction::Crash, 1.0);
         let vacate = ServerFaultAction::ReplaceBe {
             be_truth: None,

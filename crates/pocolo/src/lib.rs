@@ -6,11 +6,11 @@
 //!
 //! | Layer | Crate | What it provides |
 //! |---|---|---|
-//! | Economics framework | [`core`] | Cobb-Douglas indirect utility, demand solver, preference vectors, model fitting, indifference curves, Edgeworth box, per-SKU server-class catalog with pluggable power curves |
+//! | Economics framework | [`core`] | Cobb-Douglas indirect utility, demand solver, preference vectors, model fitting, indifference curves, per-SKU server-class catalog with pluggable power curves |
 //! | Server substrate | [`simserver`] | Simulated Xeon E5-2650: core/way/DVFS/quota knobs, power model, noisy meter, telemetry |
 //! | Workload models | [`workloads`] | Ground-truth LC apps (img-dnn, sphinx, xapian, tpcc) and BE apps (lstm, rnn, graph, pbzip), load traces, profiler |
 //! | Server management | [`manager`] | Control plane (one `ServerController`: POM analytic or Heracles-style incremental sizing, `ControlMode` state machine), 100 ms power capper |
-//! | Cluster placement | [`cluster`] | Performance matrix (class-keyed expansion-path cache), Hungarian / simplex-LP / exhaustive / random / auction solvers |
+//! | Cluster placement | [`cluster`] | Performance matrix priced along each primary's least-power expansion path (class-keyed cache), Hungarian / simplex-LP / exhaustive / random / auction solvers |
 //! | Fault injection | [`faults`] | Seeded fault plans (brownouts, crashes, telemetry dropouts, model drift), eviction ordering, re-admission backoff |
 //! | Simulation | [`sim`] | Discrete-event cluster simulation, policy experiments, degraded-mode resilience, heterogeneous-fleet SKU-aware vs SKU-blind comparison |
 //! | Traffic engine | [`traffic`] | Sharded million-user request synthesis (bit-identical at any shard count), composable mixes, online utility refit loop |

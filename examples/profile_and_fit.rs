@@ -6,8 +6,9 @@
 //! cargo run --release -p pocolo --example profile_and_fit
 //! ```
 
+use pocolo::cluster::ExpansionPath;
 use pocolo::prelude::*;
-use pocolo_core::curves::{expansion_path, indifference_curve};
+use pocolo_core::curves::indifference_curve;
 use pocolo_core::fit::{fit_indirect_utility, FitOptions};
 use pocolo_simserver::power::PowerDrawModel;
 
@@ -64,15 +65,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The expansion path: where the server manager walks as load changes.
-    let targets: Vec<f64> = (1..=9).map(|i| 0.1 * i as f64 * peak).collect();
-    let path = expansion_path(&guarded.utility, &targets)?;
-    println!("\nleast-power expansion path:");
-    for p in &path {
-        println!(
-            "  load {:5.0} rps -> {} @ {}",
-            p.target, p.allocation, p.power
-        );
+    // The expansion path the cluster manager prices co-runners along: the
+    // primary's integral least-power allocation per load, and the spare
+    // box and headroom it leaves under the provisioned cap.
+    let server = ServerProfile {
+        label: LcApp::Sphinx.name().to_string(),
+        utility: guarded.utility,
+        power_cap: truth.provisioned_power(),
+        peak_load: peak,
+    };
+    let levels: Vec<f64> = (1..=9).map(|i| 0.1 * i as f64).collect();
+    let path = ExpansionPath::compute(&server, &levels)?;
+    println!("\nleast-power expansion path (primary -> spare box):");
+    for level in levels {
+        let load = level * 100.0;
+        match path.steps().iter().find(|s| s.level == level) {
+            Some(s) => println!(
+                "  load {load:3.0}% -> {} @ {}; spare {} cores, {} ways, {}",
+                s.lc_alloc,
+                server.power_cap - s.headroom,
+                s.sub_space.descriptor(0).max(),
+                s.sub_space.descriptor(1).max(),
+                s.headroom
+            ),
+            None => println!("  load {load:3.0}% -> dropped"),
+        }
     }
     Ok(())
 }
