@@ -40,7 +40,9 @@ pub struct ServerProfile {
 pub struct ExpansionStep {
     /// Load level as a fraction of the primary's peak.
     pub level: f64,
-    /// Least power at which the primary can serve this level.
+    /// The continuous least power for this level: the budget the primary's
+    /// integral allocation is rounded down from. That allocation can serve
+    /// less than the level.
     pub budget: Watts,
     /// The primary's hardware (integral) demand at that budget.
     pub lc_alloc: Allocation,

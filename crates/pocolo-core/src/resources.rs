@@ -204,55 +204,6 @@ impl ResourceSpace {
             amounts,
         })
     }
-
-    /// Enumerates every integral allocation on a grid with the given strides.
-    ///
-    /// Used by profilers and exhaustive searches. Continuous resources are
-    /// sampled at `stride` spacing as well.
-    pub fn grid(&self, strides: &[f64]) -> Vec<Allocation> {
-        assert_eq!(
-            strides.len(),
-            self.len(),
-            "one stride per resource dimension"
-        );
-        let axes: Vec<Vec<f64>> = self
-            .descriptors
-            .iter()
-            .zip(strides)
-            .map(|(d, &s)| {
-                let mut axis = Vec::new();
-                let mut v = d.min();
-                while v <= d.max() + 1e-9 {
-                    axis.push(v.min(d.max()));
-                    v += s.max(1e-9);
-                }
-                if let Some(last) = axis.last() {
-                    if (last - d.max()).abs() > 1e-9 {
-                        axis.push(d.max());
-                    }
-                }
-                axis
-            })
-            .collect();
-        let mut out = vec![Vec::new()];
-        for axis in &axes {
-            let mut next = Vec::with_capacity(out.len() * axis.len());
-            for prefix in &out {
-                for &v in axis {
-                    let mut p = prefix.clone();
-                    p.push(v);
-                    next.push(p);
-                }
-            }
-            out = next;
-        }
-        out.into_iter()
-            .map(|amounts| Allocation {
-                space: self.clone(),
-                amounts,
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for ResourceSpace {
@@ -345,20 +296,6 @@ impl Allocation {
     /// allocations built from a valid space).
     pub fn is_empty(&self) -> bool {
         self.amounts.is_empty()
-    }
-
-    /// The complementary allocation: what remains of the server when this
-    /// allocation is reserved (the other side of the Edgeworth box).
-    ///
-    /// Each dimension is `max_j - amount_j`, clamped below at zero. Note the
-    /// complement can fall below a descriptor's `min` — a co-runner may be
-    /// left with nothing.
-    pub fn complement(&self) -> Vec<f64> {
-        self.space
-            .iter()
-            .zip(&self.amounts)
-            .map(|(d, &a)| (d.max() - a).max(0.0))
-            .collect()
     }
 }
 
@@ -456,39 +393,6 @@ mod tests {
     fn min_max_allocations() {
         let s = space();
         assert_eq!(s.min_allocation().amounts(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn complement_is_remaining_capacity() {
-        let s = space();
-        let a = s.allocation(vec![4.0, 15.0]).unwrap();
-        assert_eq!(a.complement(), vec![8.0, 5.0]);
-        let full = s.allocation(vec![12.0, 20.0]).unwrap();
-        assert_eq!(full.complement(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn grid_enumerates_all_points() {
-        let s = ResourceSpace::builder()
-            .resource(ResourceDescriptor::integral("a", 1.0, 3.0))
-            .resource(ResourceDescriptor::integral("b", 1.0, 2.0))
-            .build()
-            .unwrap();
-        let g = s.grid(&[1.0, 1.0]);
-        assert_eq!(g.len(), 6);
-        assert!(g.iter().any(|p| p.amounts() == [3.0, 2.0]));
-        assert!(g.iter().any(|p| p.amounts() == [1.0, 1.0]));
-    }
-
-    #[test]
-    fn grid_includes_max_with_uneven_stride() {
-        let s = ResourceSpace::builder()
-            .resource(ResourceDescriptor::integral("a", 1.0, 10.0))
-            .build()
-            .unwrap();
-        let g = s.grid(&[4.0]);
-        let last = g.last().unwrap();
-        assert_eq!(last.amount(0), 10.0);
     }
 
     #[test]

@@ -149,23 +149,6 @@ impl CobbDouglas {
         Ok(log_u)
     }
 
-    /// Marginal utility `∂U/∂rⱼ` at an allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CobbDouglas::evaluate`]; additionally `j` must be
-    /// in range or a [`CoreError::DimensionMismatch`] is returned.
-    pub fn marginal(&self, allocation: &Allocation, j: usize) -> Result<f64, CoreError> {
-        if j >= self.alphas.len() {
-            return Err(CoreError::DimensionMismatch {
-                expected: self.alphas.len(),
-                actual: j,
-            });
-        }
-        let u = self.evaluate(allocation)?;
-        Ok(self.alphas[j] * u / allocation.amount(j))
-    }
-
     /// Solves for the amount of resource `j` that achieves `target`
     /// performance when every *other* amount is fixed as in `amounts`
     /// (the entry at `j` is ignored).
@@ -301,19 +284,6 @@ mod tests {
             m.evaluate_amounts(&[1.0]),
             Err(CoreError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn marginal_matches_finite_difference() {
-        let m = model();
-        let space = ResourceSpace::cores_and_ways();
-        let a = space.allocation(vec![4.0, 10.0]).unwrap();
-        let analytic = m.marginal(&a, 0).unwrap();
-        let eps = 1e-6;
-        let hi = m.evaluate_amounts(&[4.0 + eps, 10.0]).unwrap();
-        let lo = m.evaluate_amounts(&[4.0 - eps, 10.0]).unwrap();
-        let numeric = (hi - lo) / (2.0 * eps);
-        assert!((analytic - numeric).abs() / numeric < 1e-6);
     }
 
     #[test]

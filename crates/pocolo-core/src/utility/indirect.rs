@@ -44,19 +44,6 @@ pub fn min_power_solves_on_thread() -> u64 {
     MIN_POWER_SOLVES.with(Cell::get)
 }
 
-/// Result of a demand solve: the power-optimal allocation plus diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DemandSolution {
-    /// The (continuous) optimal allocation.
-    pub allocation: Allocation,
-    /// Performance achieved at [`DemandSolution::allocation`].
-    pub utility: f64,
-    /// Power drawn at the optimal allocation (≤ the requested budget).
-    pub power: Watts,
-    /// Dimensions whose upper bound binds at the optimum.
-    pub saturated: Vec<usize>,
-}
-
 /// A performance model and a power model over the same resource space,
 /// combined under a power budget.
 ///
@@ -302,13 +289,6 @@ impl IndirectUtility {
         (clamped_watts, slope)
     }
 
-    /// `r(μ)` in the utility's own space.
-    fn amounts_at(&self, mu: f64) -> Vec<f64> {
-        (0..self.space.len())
-            .map(|j| self.amount_at(&self.space, mu, j))
-            .collect()
-    }
-
     /// The budget-binding `μ` inside `bounds` (∞ when the budget covers
     /// everything the model wants), with `spend(μ) ≤ budget` exactly.
     fn multiplier(&self, bounds: &ResourceSpace, budget: Watts) -> Result<f64, CoreError> {
@@ -362,17 +342,17 @@ impl IndirectUtility {
     /// minimum allocation of every resource, and
     /// [`CoreError::InvalidParameter`] if it is NaN.
     pub fn demand(&self, budget: Watts) -> Result<Allocation, CoreError> {
-        Ok(self.demand_solution(budget)?.allocation)
+        self.space.allocation(self.demand_amounts(budget)?)
     }
 
-    /// Like [`IndirectUtility::demand`] but returns the full
-    /// [`DemandSolution`] with utility, power and saturation diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IndirectUtility::demand`].
-    pub fn demand_solution(&self, budget: Watts) -> Result<DemandSolution, CoreError> {
-        let amounts = self.amounts_at(self.multiplier(&self.space, budget)?);
+    /// The continuous solve [`IndirectUtility::demand`] and
+    /// [`IndirectUtility::demand_integral`] share: `r(μ)` at the
+    /// budget-binding multiplier, in the utility's own space.
+    fn demand_amounts(&self, budget: Watts) -> Result<Vec<f64>, CoreError> {
+        let mu = self.multiplier(&self.space, budget)?;
+        let amounts: Vec<f64> = (0..self.space.len())
+            .map(|j| self.amount_at(&self.space, mu, j))
+            .collect();
         debug_assert!(
             self.power
                 .power_of_amounts(&amounts)
@@ -380,19 +360,7 @@ impl IndirectUtility {
                 <= budget,
             "demand overspent the budget"
         );
-
-        let allocation = self.space.allocation(amounts)?;
-        let utility = self.perf.evaluate(&allocation)?;
-        let power = self.power.power_of(&allocation);
-        let saturated = (0..self.space.len())
-            .filter(|&j| (allocation.amount(j) - self.space.descriptor(j).max()).abs() < 1e-9)
-            .collect();
-        Ok(DemandSolution {
-            allocation,
-            utility,
-            power,
-            saturated,
-        })
+        Ok(amounts)
     }
 
     /// Rounds a continuous demand solution to hardware-allocatable whole
@@ -404,8 +372,7 @@ impl IndirectUtility {
     ///
     /// Same conditions as [`IndirectUtility::demand`].
     pub fn demand_integral(&self, budget: Watts) -> Result<Allocation, CoreError> {
-        let continuous = self.amounts_at(self.multiplier(&self.space, budget)?);
-        self.round_to_units(continuous, budget)
+        self.round_to_units(self.demand_amounts(budget)?, budget)
     }
 
     /// The rounding half of [`IndirectUtility::demand_integral`], in place
@@ -585,29 +552,28 @@ mod tests {
     #[test]
     fn demand_spends_full_budget_in_interior() {
         let u = utility();
-        let sol = u.demand_solution(Watts(90.0)).unwrap();
-        assert!((sol.power.0 - 90.0).abs() < 1e-9);
-        assert!(sol.saturated.is_empty());
+        let d = u.demand(Watts(90.0)).unwrap();
+        assert!((u.power_model().power_of(&d).0 - 90.0).abs() < 1e-9);
+        assert!((0..2).all(|j| d.amount(j) < u.space().descriptor(j).max() - 1e-9));
     }
 
     #[test]
     fn demand_saturates_upper_bounds_for_large_budget() {
         let u = utility();
-        let sol = u.demand_solution(Watts(1000.0)).unwrap();
-        assert_eq!(sol.allocation.amounts(), &[12.0, 20.0]);
-        assert_eq!(sol.saturated, vec![0, 1]);
-        assert!(sol.power < Watts(1000.0));
+        let d = u.demand(Watts(1000.0)).unwrap();
+        assert_eq!(d.amounts(), &[12.0, 20.0]);
+        assert!(u.power_model().power_of(&d) < Watts(1000.0));
     }
 
     #[test]
     fn demand_respects_lower_bounds_for_tight_budget() {
         let u = utility();
         // Just above the minimum feasible power of 50 + 6 + 1.5 = 57.5 W.
-        let sol = u.demand_solution(Watts(58.0)).unwrap();
+        let d = u.demand(Watts(58.0)).unwrap();
         for j in 0..2 {
-            assert!(sol.allocation.amount(j) >= u.space().descriptor(j).min() - 1e-9);
+            assert!(d.amount(j) >= u.space().descriptor(j).min() - 1e-9);
         }
-        assert!(sol.power <= Watts(58.0 + 1e-9));
+        assert!(u.power_model().power_of(&d) <= Watts(58.0 + 1e-9));
     }
 
     #[test]
@@ -756,11 +722,11 @@ mod tests {
         let perf = CobbDouglas::new(10.0, vec![0.5, 0.3, 0.2]).unwrap();
         let power = PowerModel::new(Watts(40.0), vec![6.0, 1.5, 2.0]).unwrap();
         let u = IndirectUtility::new(space, perf, power).unwrap();
-        let sol = u.demand_solution(Watts(120.0)).unwrap();
-        assert!(sol.power <= Watts(120.0 + 1e-9));
+        let d = u.demand(Watts(120.0)).unwrap();
+        assert!(u.power_model().power_of(&d) <= Watts(120.0 + 1e-9));
         // Interior optimum: shares proportional to alpha.
         let spend: Vec<f64> = (0..3)
-            .map(|j| sol.allocation.amount(j) * u.power_model().p_dynamic()[j])
+            .map(|j| d.amount(j) * u.power_model().p_dynamic()[j])
             .collect();
         let total: f64 = spend.iter().sum();
         assert!((spend[0] / total - 0.5).abs() < 1e-6);
@@ -784,10 +750,6 @@ mod tests {
         let u = utility();
         let nan = Watts(f64::NAN);
         assert!(matches!(u.demand(nan), Err(CoreError::InvalidParameter(_))));
-        assert!(matches!(
-            u.demand_solution(nan),
-            Err(CoreError::InvalidParameter(_))
-        ));
         assert!(matches!(
             u.demand_integral(nan),
             Err(CoreError::InvalidParameter(_))
@@ -836,7 +798,7 @@ mod tests {
 
     // ---- The bisection the closed form replaced, kept as the oracle ------
 
-    /// The parent's `demand_solution` amounts: geometric bisection on λ.
+    /// The parent's `demand` amounts: geometric bisection on λ.
     fn bisect_amounts(u: &IndirectUtility, budget: f64) -> Vec<f64> {
         let k = u.space.len();
         let alphas = u.perf.alphas();
@@ -1045,10 +1007,11 @@ mod tests {
         for _ in 0..MODELS {
             let u = random_model(&mut rng);
             for budget in probe_budgets(&u, &mut rng) {
-                let sol = u.demand_solution(Watts(budget)).unwrap();
-                let r = sol.allocation.amounts();
+                let d = u.demand(Watts(budget)).unwrap();
+                let r = d.amounts();
+                let power = u.power_model().power_of(&d).0;
                 // Feasible: inside the box, and not a watt over — exactly.
-                assert!(sol.power.0 <= budget, "{u}: {} W > {budget} W", sol.power.0);
+                assert!(power <= budget, "{u}: {power} W > {budget} W");
                 // KKT: one multiplier λ with α_j/(p_j r_j) = λ on unclamped
                 // resources, ≥ λ on upper-clamped, ≤ λ on lower-clamped.
                 let (mut lam_floor, mut lam_ceil) = (0.0f64, f64::INFINITY);
@@ -1070,9 +1033,8 @@ mod tests {
                 // nothing that responds could still grow.
                 if lam_floor > 0.0 {
                     assert!(
-                        budget - sol.power.0 <= 1e-12 * budget,
-                        "{u}: {} W of {budget} W spent with room to grow",
-                        sol.power.0
+                        budget - power <= 1e-12 * budget,
+                        "{u}: {power} W of {budget} W spent with room to grow"
                     );
                 }
                 // And never worse than what the bisection finds. Where the
@@ -1080,13 +1042,13 @@ mod tests {
                 // of multipliers rounds to the same spend; the bisection
                 // rides that range's top edge (a sub-ulp overspend in exact
                 // arithmetic), so it is given one ulp less than was spent.
-                let spent = sol.power.0.next_down();
+                let spent = power.next_down();
                 if spent >= u.min_power.0 {
                     let oracle = bisect_value(&u, spent);
+                    let value = u.performance_model().evaluate(&d).unwrap();
                     assert!(
-                        sol.utility >= oracle,
-                        "{u} at {budget} W: closed {} < bisected {oracle}",
-                        sol.utility
+                        value >= oracle,
+                        "{u} at {budget} W: closed {value} < bisected {oracle}"
                     );
                 }
             }

@@ -6,5 +6,5 @@ mod indirect;
 mod power;
 
 pub use cobb_douglas::CobbDouglas;
-pub use indirect::{min_power_solves_on_thread, DemandSolution, IndirectUtility};
+pub use indirect::{min_power_solves_on_thread, IndirectUtility};
 pub use power::PowerModel;

@@ -34,7 +34,7 @@ use pocolo_sim::{Policy, ServerMetrics};
 use crate::error::NetError;
 use crate::frame::encode_frame_str;
 use crate::reactor::{ConnId, Ctx, DisconnectReason, EventHandler, ReactorServer, Reply};
-use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
+use crate::wire::{welcome_head, Message, RunSpec};
 
 /// Lease/registry state of one server slot.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,10 +296,10 @@ pub struct Clusterd {
 
 /// Pre-serialized welcome frames: the run spec dominates the payload
 /// (~100 KiB at 5k slots) and is identical for every agent, so it is
-/// serialized once and the per-agent `server`/`degraded` fields are
-/// spliced around it. The splice is byte-identical to the generic
-/// encoder — `welcome_splice_is_byte_identical` pins that, and the wire
-/// parity gates would catch any drift end-to-end.
+/// serialized once and spliced behind each agent's [`welcome_head`]. The
+/// splice is byte-identical to the generic encoder —
+/// `welcome_splice_is_byte_identical` pins that, and the wire parity gates
+/// would catch any drift end-to-end.
 #[derive(Debug)]
 struct WelcomeCache {
     /// `,"run":<run json>}` — everything after the `degraded` field.
@@ -315,10 +315,9 @@ impl WelcomeCache {
     }
 
     fn body(&self, server: usize, degraded: bool) -> String {
-        format!(
-            "{{\"v\":{PROTOCOL_VERSION},\"type\":\"welcome\",\"server\":{server},\"degraded\":{degraded}{}",
-            self.run_tail
-        )
+        let mut body = welcome_head(server, degraded);
+        body.push_str(&self.run_tail);
+        body
     }
 
     fn frame(&self, server: usize, degraded: bool) -> Result<Vec<u8>, NetError> {
@@ -755,6 +754,7 @@ mod tests {
 
     #[test]
     fn welcome_splice_is_byte_identical_to_the_generic_encoder() {
+        use crate::wire::scan_welcome_head;
         let run = RunSpec::scale(2, 0xC0C0);
         let cache = WelcomeCache::new(&run);
         for (server, degraded) in [(0, false), (1, true), (999_983, false), (5000, true)] {
@@ -765,10 +765,15 @@ mod tests {
             }
             .to_value()
             .to_compact_string();
+            let body = cache.body(server, degraded);
             assert_eq!(
-                cache.body(server, degraded),
-                generic,
+                body, generic,
                 "splice diverged at server={server} degraded={degraded}"
+            );
+            assert_eq!(
+                scan_welcome_head(body.as_bytes()),
+                Some((server, degraded)),
+                "the scanner misread what the splice wrote"
             );
         }
     }

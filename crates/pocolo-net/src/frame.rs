@@ -1,4 +1,5 @@
-//! Incremental frame reassembly for the nonblocking read path.
+//! Incremental frame reassembly for the nonblocking read path, and the
+//! outbound queue of the nonblocking write path.
 //!
 //! The blocking side reads frames with two `read_exact` calls
 //! ([`crate::wire::read_frame`]); a nonblocking socket instead delivers
@@ -13,9 +14,16 @@
 //! with a typed error and continue; a bad *length prefix* (over the
 //! [`MAX_FRAME_BYTES`] cap) is a hard [`NetError`] — byte sync is gone
 //! and the connection must die.
+//!
+//! On the write side every nonblocking connection (the reactor's and the
+//! swarm driver's) queues its frames in one `Outbound`, which writes
+//! what the socket takes and keeps `WRITABLE` interest registered exactly
+//! while bytes remain.
 
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 
+use compat_mio::net::TcpStream;
+use compat_mio::{Interest, Poll, Token};
 use pocolo_json::Value;
 
 use crate::error::NetError;
@@ -111,7 +119,7 @@ impl FrameBuffer {
 
     /// Pops the next complete frame as raw payload bytes, skipping JSON
     /// parsing. The fast path for clients that inspect most frames
-    /// textually (e.g. the swarm driver's welcome prefix scan); the
+    /// textually (e.g. the swarm driver's welcome head scan); the
     /// length-prefix cap is still enforced.
     pub fn next_raw(&mut self) -> Result<Option<Vec<u8>>, NetError> {
         self.pop(<[u8]>::to_vec)
@@ -177,6 +185,79 @@ pub fn encode_frame_str(body: &str) -> Result<Vec<u8>, NetError> {
     out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
     out.extend_from_slice(bytes);
     Ok(out)
+}
+
+/// Outbound byte queue of one nonblocking connection: a contiguous
+/// pending slice (one `write` flushes everything queued so far), head
+/// compaction, an O(1) length for a high-water check, and whether
+/// `WRITABLE` interest is registered for it.
+#[derive(Debug, Default)]
+pub(crate) struct Outbound {
+    buf: Vec<u8>,
+    head: usize,
+    writable: bool,
+}
+
+impl Outbound {
+    /// Queues encoded frame bytes behind whatever is pending.
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        if self.head > 4096 && self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes queued but not yet written.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Writes as much of the queue as `stream` takes, then registers
+    /// `WRITABLE` interest (under `token`) exactly while bytes remain. A
+    /// failed re-registration keeps the old interest and is retried on the
+    /// next flush.
+    ///
+    /// # Errors
+    ///
+    /// The socket is dead: a write failed or took 0 bytes.
+    pub(crate) fn flush(
+        &mut self,
+        poll: &Poll,
+        token: Token,
+        stream: &mut TcpStream,
+    ) -> io::Result<()> {
+        while self.head < self.buf.len() {
+            match stream.write(&self.buf[self.head..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "peer socket accepted zero bytes",
+                    ))
+                }
+                Ok(n) => self.head += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        let pending = self.len() > 0;
+        if !pending {
+            self.buf.clear();
+            self.head = 0;
+        }
+        if pending != self.writable {
+            let interest = if pending {
+                Interest::READABLE | Interest::WRITABLE
+            } else {
+                Interest::READABLE
+            };
+            if poll.reregister(stream, token, interest).is_ok() {
+                self.writable = pending;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -312,6 +393,76 @@ mod tests {
             encode_frame_str(&v.to_compact_string()).unwrap(),
             writes.0[0]
         );
+    }
+
+    #[test]
+    fn a_stalled_peer_that_resumes_gets_every_queued_byte() {
+        use compat_mio::Events;
+        use std::time::Duration;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let std_stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut stream = TcpStream::from_std(std_stream).unwrap();
+        let mut poll = Poll::new().unwrap();
+        let token = Token(7);
+        poll.register(&stream, token, Interest::READABLE).unwrap();
+
+        // The peer reads nothing: queue 64 KiB frames until the socket
+        // buffers are full and a flush leaves bytes behind.
+        let mut out = Outbound::default();
+        let mut sent = Vec::new();
+        while out.len() == 0 {
+            assert!(sent.len() < 1024, "loopback never pushed back");
+            let message = format!("{}:{}", sent.len(), "x".repeat(64 * 1024));
+            let frame = Message::Error { message };
+            out.push(&encode_frame(&frame.to_value()).unwrap());
+            out.flush(&poll, token, &mut stream).unwrap();
+            sent.push(frame);
+        }
+        assert!(out.writable, "bytes remain but WRITABLE is not armed");
+
+        // The peer resumes: drain it, flushing only on writable events.
+        peer.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let mut events = Events::with_capacity(8);
+        let mut received = FrameBuffer::new();
+        let mut writable_events = 0;
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while out.len() > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the queue never drained"
+            );
+            let _ = received.fill_from(&mut peer);
+            poll.poll(&mut events, Some(Duration::from_millis(100)))
+                .unwrap();
+            for event in &events {
+                if event.token() == token && event.is_writable() {
+                    writable_events += 1;
+                    out.flush(&poll, token, &mut stream).unwrap();
+                }
+            }
+        }
+        assert!(writable_events > 0);
+        assert!(!out.writable, "the queue drained but WRITABLE stays armed");
+        poll.poll(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(
+            events.iter().all(|e| !e.is_writable()),
+            "interest is back to READABLE"
+        );
+
+        drop(stream);
+        while received.fill_from(&mut peer).unwrap() == ReadStatus::Open {}
+        let mut frames = Vec::new();
+        while let Some(decoded) = received.next().unwrap() {
+            match decoded {
+                Decoded::Frame(v) => frames.push(Message::from_value(&v).unwrap()),
+                Decoded::Corrupt(m) => panic!("a frame arrived torn: {m}"),
+            }
+        }
+        assert_eq!(received.pending_bytes(), 0);
+        assert_eq!(frames, sent, "frames lost, torn or reordered");
     }
 
     proptest! {

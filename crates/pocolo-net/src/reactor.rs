@@ -26,7 +26,7 @@
 //!   handler-requested shutdown (the `shutdown` RPC) first drains the
 //!   final reply.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use compat_mio::{net, Events, Interest, Poll, Token, Waker};
 
 use crate::error::NetError;
-use crate::frame::{encode_frame, Decoded, FrameBuffer, ReadStatus};
+use crate::frame::{encode_frame, Decoded, FrameBuffer, Outbound, ReadStatus};
 use crate::timer::Timers;
 use crate::wire::Message;
 
@@ -247,52 +247,11 @@ impl Drop for ReactorServer {
     }
 }
 
-/// Outbound byte queue: contiguous pending slice (one `write` flushes
-/// everything queued so far), head compaction, O(1) length check against
-/// the high-water mark.
-#[derive(Debug, Default)]
-struct OutBuf {
-    buf: Vec<u8>,
-    head: usize,
-}
-
-impl OutBuf {
-    fn push(&mut self, bytes: &[u8]) {
-        if self.head > 4096 && self.head * 2 >= self.buf.len() {
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn pending(&self) -> &[u8] {
-        &self.buf[self.head..]
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.head += n;
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[derive(Debug)]
 struct Conn {
     stream: net::TcpStream,
     in_buf: FrameBuffer,
-    out: OutBuf,
-    /// Whether WRITABLE interest is currently registered.
-    write_interest: bool,
+    out: Outbound,
 }
 
 struct LoopState<H> {
@@ -306,15 +265,6 @@ struct LoopState<H> {
     /// A shutdown reply is draining on this connection; the loop stops
     /// once it is flushed (or the connection dies).
     stopping: Option<ConnId>,
-}
-
-enum FlushOutcome {
-    /// Everything pending was written.
-    Done,
-    /// The socket would block; WRITABLE interest should be armed.
-    Partial,
-    /// The socket failed.
-    Dead,
 }
 
 fn run_loop<H: EventHandler>(mut state: LoopState<H>) {
@@ -332,7 +282,7 @@ fn run_loop<H: EventHandler>(mut state: LoopState<H>) {
             break;
         }
         if let Some(id) = state.stopping {
-            let drained = state.conns[id].as_ref().is_none_or(|c| c.out.is_empty());
+            let drained = state.conns[id].as_ref().is_none_or(|c| c.out.len() == 0);
             if drained {
                 break;
             }
@@ -401,8 +351,7 @@ impl<H: EventHandler> LoopState<H> {
                     self.conns[idx] = Some(Conn {
                         stream,
                         in_buf: FrameBuffer::new(),
-                        out: OutBuf::default(),
-                        write_interest: false,
+                        out: Outbound::default(),
                     });
                     self.shared.open_conns.fetch_add(1, Ordering::SeqCst);
                 }
@@ -466,12 +415,9 @@ impl<H: EventHandler> LoopState<H> {
         if self.conns[idx].is_none() {
             return;
         }
-        match self.flush(idx) {
-            FlushOutcome::Dead => {
-                self.close(idx, DisconnectReason::IoError);
-                return;
-            }
-            FlushOutcome::Done | FlushOutcome::Partial => {}
+        if self.flush(idx).is_err() {
+            self.close(idx, DisconnectReason::IoError);
+            return;
         }
         if let Some(conn) = self.conns[idx].as_ref() {
             if conn.out.len() > OUTBOUND_HIWATER {
@@ -494,44 +440,17 @@ impl<H: EventHandler> LoopState<H> {
     }
 
     fn conn_writable(&mut self, idx: usize) {
-        match self.flush(idx) {
-            FlushOutcome::Dead => self.close(idx, DisconnectReason::IoError),
-            FlushOutcome::Done | FlushOutcome::Partial => {}
+        if self.flush(idx).is_err() {
+            self.close(idx, DisconnectReason::IoError);
         }
     }
 
-    /// Writes as much pending output as the socket accepts and keeps
-    /// WRITABLE interest registered exactly while bytes remain.
-    fn flush(&mut self, idx: usize) -> FlushOutcome {
+    /// Flushes one connection's [`Outbound`]; an error means the socket
+    /// is dead.
+    fn flush(&mut self, idx: usize) -> io::Result<()> {
         let conn = self.conns[idx].as_mut().expect("checked live");
-        let outcome = loop {
-            if conn.out.is_empty() {
-                break FlushOutcome::Done;
-            }
-            match conn.stream.write(conn.out.pending()) {
-                Ok(0) => break FlushOutcome::Dead,
-                Ok(n) => conn.out.consume(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break FlushOutcome::Partial,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break FlushOutcome::Dead,
-            }
-        };
-        let want_write = matches!(outcome, FlushOutcome::Partial);
-        if want_write != conn.write_interest {
-            let interest = if want_write {
-                Interest::READABLE | Interest::WRITABLE
-            } else {
-                Interest::READABLE
-            };
-            if self
-                .poll
-                .reregister(&conn.stream, Token(idx + CONN_BASE), interest)
-                .is_ok()
-            {
-                conn.write_interest = want_write;
-            }
-        }
-        outcome
+        conn.out
+            .flush(&self.poll, Token(idx + CONN_BASE), &mut conn.stream)
     }
 
     fn close(&mut self, idx: usize, reason: DisconnectReason) {

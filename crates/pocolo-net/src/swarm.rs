@@ -30,9 +30,9 @@ use pocolo_sim::experiment::ExperimentResult;
 use pocolo_sim::ServerMetrics;
 
 use crate::error::NetError;
-use crate::frame::{encode_frame, FrameBuffer, ReadStatus};
+use crate::frame::{encode_frame, FrameBuffer, Outbound, ReadStatus};
 use crate::timer::Timers;
-use crate::wire::{Message, RunSpec, PROTOCOL_VERSION};
+use crate::wire::{scan_welcome_head, Message, RunSpec};
 
 /// Provisioned cap every synthetic slot reports under. Arbitrary but
 /// shared between the swarm's `Complete` payloads and the in-process
@@ -213,31 +213,9 @@ enum Progress {
 struct Conn {
     stream: TcpStream,
     in_buf: FrameBuffer,
-    out: Vec<u8>,
-    out_head: usize,
-    write_interest: bool,
+    out: Outbound,
     state: AgentState,
     outcome: AgentOutcome,
-}
-
-/// Scans the cached-welcome byte layout for `(server, degraded)` without
-/// parsing the (potentially ~100 KiB) run spec. Returns `None` when the
-/// frame is not shaped like the daemon's splice — callers fall back to a
-/// full parse, so this is purely an optimisation.
-fn welcome_prefix(payload: &[u8]) -> Option<(usize, bool)> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let head = format!("{{\"v\":{PROTOCOL_VERSION},\"type\":\"welcome\",\"server\":");
-    let rest = text.strip_prefix(head.as_str())?;
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    let server: usize = rest[..digits].parse().ok()?;
-    let rest = rest[digits..].strip_prefix(",\"degraded\":")?;
-    if let Some(tail) = rest.strip_prefix("true") {
-        tail.starts_with(',').then_some((server, true))
-    } else if let Some(tail) = rest.strip_prefix("false") {
-        tail.starts_with(',').then_some((server, false))
-    } else {
-        None
-    }
 }
 
 /// Decodes a reply frame the slow way (full JSON parse).
@@ -311,9 +289,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
             let mut conn = Conn {
                 stream,
                 in_buf: FrameBuffer::new(),
-                out: Vec::new(),
-                out_head: 0,
-                write_interest: false,
+                out: Outbound::default(),
                 state: AgentState::Registering,
                 outcome: AgentOutcome {
                     server: usize::MAX,
@@ -332,8 +308,8 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
                 }
                 .to_value(),
             )?;
-            conn.out.extend_from_slice(&frame);
-            flush(&poll, Token(idx), &mut conn)?;
+            conn.out.push(&frame);
+            conn.out.flush(&poll, Token(idx), &mut conn.stream)?;
             conns[idx] = Some(conn);
         }
 
@@ -351,7 +327,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
                     continue;
                 };
                 if event.is_writable() {
-                    flush(&poll, Token(idx), conn)?;
+                    conn.out.flush(&poll, Token(idx), &mut conn.stream)?;
                 }
                 if event.is_readable() || event.is_read_closed() || event.is_error() {
                     let status = conn
@@ -377,7 +353,7 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
                         }
                     }
                     if !finished {
-                        flush(&poll, Token(idx), conn)?;
+                        conn.out.flush(&poll, Token(idx), &mut conn.stream)?;
                         if status == ReadStatus::Eof {
                             return Err(NetError::Protocol(format!(
                                 "daemon closed agent {idx}'s connection mid-protocol"
@@ -409,12 +385,12 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
             };
             if let AgentState::Waiting { next_epoch } = conn.state {
                 let frame = telemetry_frame(conn.outcome.server, next_epoch, config.seed)?;
-                conn.out.extend_from_slice(&frame);
+                conn.out.push(&frame);
                 conn.state = AgentState::AwaitAck {
                     epoch: next_epoch,
                     sent_at: Instant::now(),
                 };
-                flush(&poll, Token(idx), conn)?;
+                conn.out.flush(&poll, Token(idx), &mut conn.stream)?;
             }
         }
     }
@@ -431,41 +407,6 @@ pub fn run_swarm(config: &SwarmConfig) -> Result<SwarmReport, NetError> {
     })
 }
 
-/// Writes as much of the outbound buffer as the socket takes, arming
-/// `WRITABLE` interest exactly while bytes remain.
-fn flush(poll: &Poll, token: Token, conn: &mut Conn) -> Result<(), NetError> {
-    use std::io::Write;
-    while conn.out_head < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_head..]) {
-            Ok(0) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "daemon socket accepted zero bytes",
-                )))
-            }
-            Ok(k) => conn.out_head += k,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    if conn.out_head >= conn.out.len() {
-        conn.out.clear();
-        conn.out_head = 0;
-    }
-    let want_write = !conn.out.is_empty();
-    if want_write != conn.write_interest {
-        conn.write_interest = want_write;
-        let interest = if want_write {
-            Interest::READABLE.add(Interest::WRITABLE)
-        } else {
-            Interest::READABLE
-        };
-        poll.reregister(&conn.stream, token, interest)?;
-    }
-    Ok(())
-}
-
 /// Advances one connection's state machine on one decoded reply frame.
 fn advance(
     conn: &mut Conn,
@@ -478,7 +419,7 @@ fn advance(
 ) -> Result<Progress, NetError> {
     match conn.state {
         AgentState::Registering => {
-            let (server, degraded) = match welcome_prefix(payload) {
+            let (server, degraded) = match scan_welcome_head(payload) {
                 Some(pair) => pair,
                 None => match parse_reply(payload)? {
                     Message::Welcome {
@@ -499,7 +440,7 @@ fn advance(
                 send_complete(conn, config)?;
             } else if config.heartbeat_every.is_zero() {
                 let frame = telemetry_frame(server, 0, config.seed)?;
-                conn.out.extend_from_slice(&frame);
+                conn.out.push(&frame);
                 conn.state = AgentState::AwaitAck {
                     epoch: 0,
                     sent_at: now,
@@ -538,7 +479,7 @@ fn advance(
             if next < config.heartbeats {
                 if config.heartbeat_every.is_zero() {
                     let frame = telemetry_frame(conn.outcome.server, next, config.seed)?;
-                    conn.out.extend_from_slice(&frame);
+                    conn.out.push(&frame);
                     conn.state = AgentState::AwaitAck {
                         epoch: next,
                         sent_at: now,
@@ -582,7 +523,7 @@ fn send_complete(conn: &mut Conn, config: &SwarmConfig) -> Result<(), NetError> 
         }
         .to_value(),
     )?;
-    conn.out.extend_from_slice(&frame);
+    conn.out.push(&frame);
     conn.state = AgentState::Completing;
     Ok(())
 }

@@ -513,6 +513,33 @@ impl FromJson for Message {
     }
 }
 
+/// The head of a welcome frame, `{"v":1,"type":"welcome","server":N,"degraded":B`,
+/// byte for byte as [`Message::to_value`] lays it out. The daemon writes
+/// it in front of a run spec it serialized once; the swarm driver reads
+/// `(server, degraded)` back with [`scan_welcome_head`] without parsing
+/// the (up to ~100 KiB) run spec.
+pub(crate) fn welcome_head(server: usize, degraded: bool) -> String {
+    format!("{{\"v\":{PROTOCOL_VERSION},\"type\":\"welcome\",\"server\":{server},\"degraded\":{degraded}")
+}
+
+/// The `(server, degraded)` of a payload that opens with
+/// [`welcome_head`] and continues with another field. `None` when the
+/// payload is shaped otherwise; callers then parse it in full, so this is
+/// purely a fast path.
+pub(crate) fn scan_welcome_head(payload: &[u8]) -> Option<(usize, bool)> {
+    let text = std::str::from_utf8(payload).ok()?;
+    // Everything before the server digits is the same for every slot.
+    let lead = welcome_head(0, false);
+    let lead = &lead[..lead.len() - "0,\"degraded\":false".len()];
+    let rest = text.strip_prefix(lead)?;
+    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    let server = rest[..digits].parse().ok()?;
+    [false, true].into_iter().find_map(|degraded| {
+        let tail = text.strip_prefix(welcome_head(server, degraded).as_str())?;
+        tail.starts_with(',').then_some((server, degraded))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

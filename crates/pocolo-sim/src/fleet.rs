@@ -80,11 +80,6 @@ impl FittedFleet {
         self.assignment.len()
     }
 
-    /// Class index (into [`FleetSpec::class`]) of one server slot.
-    pub fn class_of(&self, server: usize) -> usize {
-        self.assignment[server]
-    }
-
     /// Class name of one server slot.
     pub fn class_name(&self, server: usize) -> &str {
         self.spec.class(self.assignment[server]).name()

@@ -110,11 +110,6 @@ impl CoreSet {
         self.0 & other.0 != 0
     }
 
-    /// The raw bitmask.
-    pub fn bits(self) -> u64 {
-        self.0
-    }
-
     /// Index of the highest core in the set, if non-empty.
     pub fn highest(self) -> Option<u32> {
         if self.is_empty() {

@@ -33,18 +33,6 @@ pub struct PowerIntensity {
     pub freq_exponent: f64,
 }
 
-impl PowerIntensity {
-    /// A balanced default: 6 W/core, 1.2 W/way, 4 W uncore, γ = 2.4.
-    pub fn balanced() -> Self {
-        PowerIntensity {
-            core_watts: 6.0,
-            way_watts: 1.2,
-            uncore_watts: 4.0,
-            freq_exponent: 2.4,
-        }
-    }
-}
-
 /// Ground-truth model of a server's power draw.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerDrawModel {
@@ -93,31 +81,6 @@ impl PowerDrawModel {
     {
         self.machine.idle_watts() + tenant_draws.into_iter().sum()
     }
-
-    /// Splits a measured server power among tenants in proportion to their
-    /// dynamic draws, apportioning the static/idle power by core count — the
-    /// "power containers" accounting of the paper's §IV-A (ref \[27\]).
-    ///
-    /// Returns one apportioned reading per entry of `tenants`, in order.
-    pub fn apportion(&self, measured: Watts, tenants: &[(TenantAllocation, Watts)]) -> Vec<Watts> {
-        if tenants.is_empty() {
-            return Vec::new();
-        }
-        let dynamic_total: Watts = tenants.iter().map(|(_, d)| *d).sum();
-        let static_power = (measured - dynamic_total).max(Watts::ZERO);
-        let total_cores: u32 = tenants.iter().map(|(a, _)| a.cores.count()).sum();
-        tenants
-            .iter()
-            .map(|(a, d)| {
-                let share = if total_cores > 0 {
-                    a.cores.count() as f64 / total_cores as f64
-                } else {
-                    1.0 / tenants.len() as f64
-                };
-                *d + static_power * share
-            })
-            .collect()
-    }
 }
 
 /// A socket power meter with bounded multiplicative sampling noise,
@@ -165,6 +128,16 @@ mod tests {
         PowerDrawModel::new(MachineSpec::xeon_e5_2650())
     }
 
+    /// A balanced app: 6 W/core, 1.2 W/way, 4 W uncore, γ = 2.4.
+    fn balanced() -> PowerIntensity {
+        PowerIntensity {
+            core_watts: 6.0,
+            way_watts: 1.2,
+            uncore_watts: 4.0,
+            freq_exponent: 2.4,
+        }
+    }
+
     fn alloc(cores: u32, ways: u32, freq: f64) -> TenantAllocation {
         TenantAllocation::new(
             CoreSet::first_n(cores),
@@ -177,7 +150,7 @@ mod tests {
     fn idle_tenant_draws_only_way_leakage() {
         let m = model();
         let a = alloc(4, 8, 2.2);
-        let p = m.tenant_power(&PowerIntensity::balanced(), &a, 0.0);
+        let p = m.tenant_power(&balanced(), &a, 0.0);
         // Only the 25 % way leakage: 1.2 * 8 * 0.25 = 2.4 W.
         assert!((p.0 - 2.4).abs() < 1e-9, "got {p}");
     }
@@ -186,7 +159,7 @@ mod tests {
     fn full_utilization_at_max_freq() {
         let m = model();
         let a = alloc(12, 20, 2.2);
-        let i = PowerIntensity::balanced();
+        let i = balanced();
         let p = m.tenant_power(&i, &a, 1.0);
         // cores 6*12 + ways 1.2*20 + uncore 4 = 100 W dynamic.
         assert!((p.0 - 100.0).abs() < 1e-9, "got {p}");
@@ -198,7 +171,7 @@ mod tests {
     #[test]
     fn power_scales_superlinearly_with_frequency() {
         let m = model();
-        let i = PowerIntensity::balanced();
+        let i = balanced();
         let hi = m.tenant_power(&i, &alloc(8, 1, 2.2), 1.0);
         let lo = m.tenant_power(&i, &alloc(8, 1, 1.2), 1.0);
         let core_hi = hi.0 - 1.2 - 4.0; // strip way + uncore
@@ -214,7 +187,7 @@ mod tests {
     #[test]
     fn quota_throttles_power() {
         let m = model();
-        let i = PowerIntensity::balanced();
+        let i = balanced();
         let mut a = alloc(8, 8, 2.2);
         let full = m.tenant_power(&i, &a, 1.0);
         a.cpu_quota = 0.5;
@@ -226,7 +199,7 @@ mod tests {
     #[test]
     fn utilization_is_clamped() {
         let m = model();
-        let i = PowerIntensity::balanced();
+        let i = balanced();
         let a = alloc(4, 4, 2.2);
         assert_eq!(m.tenant_power(&i, &a, 1.5), m.tenant_power(&i, &a, 1.0));
         assert_eq!(m.tenant_power(&i, &a, -0.5), m.tenant_power(&i, &a, 0.0));
@@ -244,7 +217,7 @@ mod tests {
     fn intensities_differ_between_profiles() {
         let m = model();
         let a = alloc(8, 8, 2.2);
-        let balanced = PowerIntensity::balanced();
+        let balanced = balanced();
         let compute = PowerIntensity {
             core_watts: 7.5,
             ..balanced
@@ -253,29 +226,6 @@ mod tests {
             m.tenant_power(&compute, &a, 1.0),
             m.tenant_power(&balanced, &a, 1.0)
         );
-    }
-
-    #[test]
-    fn apportion_splits_static_by_cores() {
-        let m = model();
-        let a = alloc(9, 10, 2.2);
-        let b = alloc(3, 10, 2.2);
-        let out = m.apportion(Watts(110.0), &[(a, Watts(40.0)), (b, Watts(20.0))]);
-        // Static = 110 - 60 = 50; a gets 75 % (9/12 cores), b 25 %.
-        assert!((out[0].0 - (40.0 + 37.5)).abs() < 1e-9);
-        assert!((out[1].0 - (20.0 + 12.5)).abs() < 1e-9);
-        // Conservation.
-        assert!((out.iter().map(|w| w.0).sum::<f64>() - 110.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn apportion_handles_empty_and_overdraw() {
-        let m = model();
-        assert!(m.apportion(Watts(100.0), &[]).is_empty());
-        // Measured below dynamic sum: static floors at zero.
-        let a = alloc(6, 10, 2.2);
-        let out = m.apportion(Watts(10.0), &[(a, Watts(40.0))]);
-        assert_eq!(out[0], Watts(40.0));
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Load traces for latency-critical applications: diurnal curves, steps,
 //! constant loads and the paper's uniform 10–90 % evaluation sweep.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// A deterministic load trace: load fraction of peak (`0..=1`) as a function
 /// of time.
 ///
@@ -44,18 +41,6 @@ pub enum LoadTrace {
     /// interpolation, cycling after the last sample — production traces
     /// exported from telemetry.
     Replay(Vec<(f64, f64)>),
-    /// Bursty traffic: a square wave spending `duty` of each period at
-    /// `peak` and the rest at `base` — flash crowds, cron fan-outs.
-    Burst {
-        /// Baseline load fraction.
-        base: f64,
-        /// Burst load fraction.
-        peak: f64,
-        /// Period of one burst cycle, seconds.
-        period_s: f64,
-        /// Fraction of the period spent at `peak`, in `(0, 1)`.
-        duty: f64,
-    },
 }
 
 impl LoadTrace {
@@ -71,27 +56,6 @@ impl LoadTrace {
         );
         assert!(period_s > 0.0, "period must be positive");
         LoadTrace::Diurnal { min, max, period_s }
-    }
-
-    /// A bursty square wave: `duty` of each period at `peak`, else `base`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ base ≤ peak ≤ 1`, `period_s > 0` and
-    /// `0 < duty < 1`.
-    pub fn burst(base: f64, peak: f64, period_s: f64, duty: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&base) && (0.0..=1.0).contains(&peak) && base <= peak,
-            "burst bounds must satisfy 0 <= base <= peak <= 1"
-        );
-        assert!(period_s > 0.0, "period must be positive");
-        assert!(duty > 0.0 && duty < 1.0, "duty must be in (0, 1)");
-        LoadTrace::Burst {
-            base,
-            peak,
-            period_s,
-            duty,
-        }
     }
 
     /// A replay trace from recorded `(timestamp_s, load)` samples.
@@ -154,19 +118,6 @@ impl LoadTrace {
                     ((t / dwell_s).floor() as usize).rem_euclid(levels.len().max(1)) % levels.len();
                 levels[idx]
             }
-            LoadTrace::Burst {
-                base,
-                peak,
-                period_s,
-                duty,
-            } => {
-                let phase = (t / period_s).rem_euclid(1.0);
-                if phase < *duty {
-                    *peak
-                } else {
-                    *base
-                }
-            }
             LoadTrace::Replay(samples) => {
                 let last_t = samples.last().expect("validated non-empty").0;
                 let span = if last_t > 0.0 { last_t } else { 1.0 };
@@ -180,74 +131,6 @@ impl LoadTrace {
         };
         v.clamp(0.0, 1.0)
     }
-
-    /// Samples the trace at `interval_s` spacing for `duration_s`, with
-    /// optional multiplicative noise (seeded, deterministic).
-    pub fn sample(
-        &self,
-        duration_s: f64,
-        interval_s: f64,
-        noise: f64,
-        seed: u64,
-    ) -> Vec<(f64, f64)> {
-        assert!(interval_s > 0.0, "sample interval must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        while t < duration_s {
-            let base = self.load_at(t);
-            let eps = if noise > 0.0 {
-                rng.gen_range(-noise..=noise)
-            } else {
-                0.0
-            };
-            out.push((t, (base * (1.0 + eps)).clamp(0.0, 1.0)));
-            t += interval_s;
-        }
-        out
-    }
-
-    /// The average load fraction over one full cycle (closed form where
-    /// available, otherwise numeric).
-    pub fn mean_load(&self) -> f64 {
-        match self {
-            LoadTrace::Constant(l) => l.clamp(0.0, 1.0),
-            LoadTrace::Diurnal { min, max, .. } => (min + max) / 2.0,
-            LoadTrace::Steps(steps) => {
-                let total: f64 = steps.iter().map(|(d, _)| d).sum();
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                steps
-                    .iter()
-                    .map(|&(d, l)| d * l.clamp(0.0, 1.0))
-                    .sum::<f64>()
-                    / total
-            }
-            LoadTrace::UniformSweep { levels, .. } => {
-                if levels.is_empty() {
-                    0.0
-                } else {
-                    levels.iter().map(|l| l.clamp(0.0, 1.0)).sum::<f64>() / levels.len() as f64
-                }
-            }
-            LoadTrace::Burst {
-                base, peak, duty, ..
-            } => duty * peak.clamp(0.0, 1.0) + (1.0 - duty) * base.clamp(0.0, 1.0),
-            LoadTrace::Replay(samples) => {
-                // Time-weighted mean with step interpolation over one cycle.
-                let last_t = samples.last().expect("validated non-empty").0;
-                if last_t <= 0.0 || samples.len() == 1 {
-                    return samples[0].1.clamp(0.0, 1.0);
-                }
-                let mut acc = 0.0;
-                for w in samples.windows(2) {
-                    acc += w[0].1.clamp(0.0, 1.0) * (w[1].0 - w[0].0);
-                }
-                acc / last_t
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +142,6 @@ mod tests {
         let t = LoadTrace::Constant(0.4);
         assert_eq!(t.load_at(0.0), 0.4);
         assert_eq!(t.load_at(1e6), 0.4);
-        assert_eq!(t.mean_load(), 0.4);
     }
 
     #[test]
@@ -276,7 +158,6 @@ mod tests {
         assert!((t.load_at(86_400.0) - 0.1).abs() < 1e-9);
         // Quarter period: midpoint.
         assert!((t.load_at(21_600.0) - 0.5).abs() < 1e-9);
-        assert!((t.mean_load() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -293,14 +174,12 @@ mod tests {
         assert_eq!(t.load_at(10.0), 0.8);
         assert_eq!(t.load_at(14.9), 0.8);
         assert_eq!(t.load_at(15.0), 0.2); // cycled
-        assert!((t.mean_load() - (10.0 * 0.2 + 5.0 * 0.8) / 15.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_steps_are_zero() {
         let t = LoadTrace::Steps(vec![]);
         assert_eq!(t.load_at(3.0), 0.0);
-        assert_eq!(t.mean_load(), 0.0);
     }
 
     #[test]
@@ -310,7 +189,6 @@ mod tests {
         assert!((t.load_at(150.0) - 0.2).abs() < 1e-9);
         assert!((t.load_at(850.0) - 0.9).abs() < 1e-9);
         assert!((t.load_at(900.0) - 0.1).abs() < 1e-9); // wraps
-        assert!((t.mean_load() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -322,15 +200,12 @@ mod tests {
         assert_eq!(t.load_at(19.9), 0.8);
         // Cycles after the last timestamp.
         assert_eq!(t.load_at(25.0), 0.2);
-        // Time-weighted mean: (0.2*10 + 0.8*10)/20 = 0.5.
-        assert!((t.mean_load() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn replay_single_sample_is_constant() {
         let t = LoadTrace::replay(vec![(0.0, 0.7)]);
         assert_eq!(t.load_at(123.0), 0.7);
-        assert_eq!(t.mean_load(), 0.7);
     }
 
     #[test]
@@ -343,50 +218,5 @@ mod tests {
     #[should_panic(expected = "needs samples")]
     fn replay_validates_nonempty() {
         let _ = LoadTrace::replay(vec![]);
-    }
-
-    #[test]
-    fn burst_square_wave() {
-        let t = LoadTrace::burst(0.2, 0.9, 100.0, 0.3);
-        assert_eq!(t.load_at(0.0), 0.9);
-        assert_eq!(t.load_at(29.9), 0.9);
-        assert_eq!(t.load_at(30.0), 0.2);
-        assert_eq!(t.load_at(99.9), 0.2);
-        assert_eq!(t.load_at(100.0), 0.9); // next cycle
-        assert!((t.mean_load() - (0.3 * 0.9 + 0.7 * 0.2)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "duty must be in")]
-    fn burst_validates_duty() {
-        let _ = LoadTrace::burst(0.2, 0.9, 100.0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "burst bounds")]
-    fn burst_validates_bounds() {
-        let _ = LoadTrace::burst(0.9, 0.2, 100.0, 0.5);
-    }
-
-    #[test]
-    fn sampling_is_deterministic_and_bounded() {
-        let t = LoadTrace::diurnal(0.2, 0.8, 1000.0);
-        let a = t.sample(500.0, 10.0, 0.05, 7);
-        let b = t.sample(500.0, 10.0, 0.05, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 50);
-        for &(_, l) in &a {
-            assert!((0.0..=1.0).contains(&l));
-        }
-        let c = t.sample(500.0, 10.0, 0.05, 8);
-        assert_ne!(a, c, "different seeds differ");
-    }
-
-    #[test]
-    fn noiseless_sampling_matches_load_at() {
-        let t = LoadTrace::paper_sweep(50.0);
-        for (ts, l) in t.sample(400.0, 25.0, 0.0, 0) {
-            assert_eq!(l, t.load_at(ts));
-        }
     }
 }

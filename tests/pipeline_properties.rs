@@ -40,15 +40,16 @@ proptest! {
         let lo = utility.min_feasible_power();
         let hi = utility.max_power();
         let budget = lo + (hi - lo) * budget_frac;
-        let solution = utility.demand_solution(budget).expect("budget >= min");
-        prop_assert!(solution.power <= budget + Watts(1e-6));
+        let allocation = utility.demand(budget).expect("budget >= min");
+        prop_assert!(utility.power_model().power_of(&allocation) <= budget + Watts(1e-6));
+        let value = utility.performance_model().evaluate(&allocation).unwrap();
 
         let amounts = [probe_c as f64, probe_w as f64];
         let probe_power = utility.power_model().power_of_amounts(&amounts).unwrap();
         if probe_power <= budget {
             let probe_perf = utility.performance_model().evaluate_amounts(&amounts).unwrap();
             prop_assert!(
-                probe_perf <= solution.utility * (1.0 + 1e-9),
+                probe_perf <= value * (1.0 + 1e-9),
                 "feasible probe beats the analytic optimum"
             );
         }
