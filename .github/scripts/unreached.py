@@ -5,15 +5,19 @@
 
 Run from anywhere inside the repo. It prints each `pub` or `pub(crate)`
 fn or method defined under `crates/*/src` (the vendored `compat-*` crates
-excluded) whose name appears nowhere else in `crates/`, `examples/` or
-`benchmark/src/`, leaving out `tests/` directories, `#[cfg(test)]` items
-(test modules and test-only oracles), comments and `use` lines. The code
-of a doc example counts: it is the documented way to call the item.
+excluded) that no call site in `crates/`, `examples/` or `benchmark/src/`
+names, leaving out `tests/` directories, `#[cfg(test)]` items (test
+modules and test-only oracles), comments, string literals and `use`
+lines. The code of a doc example counts: it is the documented way to call
+the item.
 
-A name counts as reached when the identifier appears at all, so a method
-that shares its name with a used function, method or field is hidden: for
-example an unused `LoadTrace::sample` next to a called `PowerMeter::sample`.
-Check a suspected item by deleting it and building the workspace and the
+A call site is `.name(`, `::name` or a bare `name(` that is not the
+name's own `fn` (a turbofish between name and parenthesis is allowed). A
+field, a variable or a function passed by its bare name reaches nothing.
+It still matches names, not types, so a method that shares its name with
+a called function or method is hidden: an unused `sample` method on
+one type beside a called `PowerMeter::sample`, say. Check a
+suspected item by deleting it and building the workspace and the
 benchmark.
 
 Advisory: it always exits 0. It is not a CI step.
@@ -26,7 +30,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 DEF = re.compile(
     r"\bpub(?:\(crate\))?\s+(?:const\s+)?(?:unsafe\s+)?fn\s+([A-Za-z_][A-Za-z0-9_]*)"
 )
-IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# `.name(`, `::name`, or a bare `name(` (its own `fn` is left out below).
+TURBOFISH = r"(?:\s*::\s*<[^;(){}]*>)?"
+CALL = re.compile(
+    r"\.\s*([A-Za-z_][A-Za-z0-9_]*)" + TURBOFISH + r"\s*\("
+    r"|::\s*([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?<![\w.:])(?<!\bfn )([A-Za-z_][A-Za-z0-9_]*)" + TURBOFISH + r"\s*\("
+)
 
 
 def blank_comments_and_literals(src):
@@ -135,8 +145,9 @@ def main():
             lambda m: re.sub(r"[^\n]", " ", m.group()),
             text,
         )
-        for m in IDENT.finditer(text + "\n" + examples):
-            uses[m.group()] = uses.get(m.group(), 0) + 1
+        for m in CALL.finditer(text + "\n" + examples):
+            name = m.group(m.lastindex)
+            uses[name] = uses.get(name, 0) + 1
         rel = path.relative_to(ROOT)
         if rel.parts[0] == "crates" and rel.parts[2] == "src":
             for m in DEF.finditer(text):
@@ -144,8 +155,7 @@ def main():
                 defs.append((str(rel), line, m.group(1)))
 
     for rel, line, name in defs:
-        # Its own definition is the one occurrence.
-        if uses.get(name, 0) <= 1:
+        if name not in uses:
             print(f"{rel}:{line}: {name}")
     return 0
 

@@ -83,10 +83,10 @@ OPTIONS:
     --json             machine-readable output";
 
 /// The flags each command reads, one row per command. A flag that
-/// switches a command into another mode (`simulate --fleet`,
-/// `demo-net --agents`) gives that mode its own row. Any other flag is
-/// refused before the run ([`refuse_before_run`]) rather than ignored.
-const READS: [(&str, &str); 16] = [
+/// switches a command into another mode (`demo-net --agents`) gives that
+/// mode its own row. Any other flag is refused before the run
+/// ([`refuse_before_run`]) rather than ignored.
+const READS: [(&str, &str); 15] = [
     ("help", ""),
     ("table2", "--json"),
     ("fit", "--app --json"),
@@ -94,13 +94,8 @@ const READS: [(&str, &str); 16] = [
     ("place", "--solver --json"),
     (
         "simulate",
-        "--policy --solver --dwell --seed --parallelism --faults --no-resilience \
-         --decision-log --json",
-    ),
-    (
-        "simulate --fleet",
         "--fleet --policy --solver --dwell --seed --parallelism --faults --no-resilience \
-         --json",
+         --decision-log --json",
     ),
     (
         "clusterd",
@@ -448,7 +443,6 @@ pub fn run(args: &[String]) -> Result<String, Failure> {
 fn refuse_before_run(opts: &Options) -> Result<(), String> {
     let mode = match opts.command.as_str() {
         "help" | "--help" | "-h" => "help",
-        "simulate" if opts.fleet.is_some() => "simulate --fleet",
         "demo-net" if opts.agents > 0 => "demo-net --agents",
         command => command,
     };
@@ -649,25 +643,10 @@ fn fleet_of(raw: &str) -> Result<(FleetSpec, u64), String> {
     Ok((spec, seed.unwrap_or(DEMO_FLEET_SEED)))
 }
 
-fn cmd_simulate_fleet(opts: &Options, raw: &str) -> Result<String, String> {
-    let (spec, fleet_seed) = fleet_of(raw)?;
-    if opts.policy != "pocolo" {
-        return Err(format!(
-            "--fleet runs the POColo policy (got --policy {})",
-            opts.policy
-        ));
-    }
-    let solver = opts.solver.parse()?;
-    let config = experiment_of(opts)?;
-    let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, fleet_seed);
-    let run = run_fleet_policy(&fleet, &config, solver, true);
-    Ok(format_result(&run.result, &config, opts.json))
-}
-
+/// The paper's sweep on a fleet; without `--fleet` it is the one-class
+/// `xeon` fleet, which fits bit-for-bit as the paper's testbed.
 fn cmd_simulate(opts: &Options) -> Result<String, String> {
-    if let Some(raw) = opts.fleet.as_deref() {
-        return cmd_simulate_fleet(opts, raw);
-    }
+    let (spec, fleet_seed) = fleet_of(opts.fleet.as_deref().unwrap_or("xeon"))?;
     let policy = policy_of(opts)?;
     let config = experiment_of(opts)?;
     // Fail fast on an unwritable log path — before the sweep runs, not
@@ -676,9 +655,9 @@ fn cmd_simulate(opts: &Options) -> Result<String, String> {
         std::fs::File::create(path)
             .map_err(|e| format!("cannot write decision log {path}: {e}"))?;
     }
-    let fitted = FittedCluster::fit(&ProfilerConfig::default());
+    let fleet = FittedFleet::fit(&ProfilerConfig::default(), spec, fleet_seed);
     let duration_s = config.sweep_duration_s();
-    let plan = RunPlan::compile(fitted.plan_inputs(), policy, &config, duration_s);
+    let plan = RunPlan::compile(fleet.plan_inputs(true), policy, &config, duration_s);
     let trace = LoadTrace::paper_sweep(config.dwell_s);
     let (result, traces) = plan.play(&trace, config.parallelism, opts.decision_log.is_some());
     if let Some(path) = &opts.decision_log {
@@ -1518,7 +1497,6 @@ mod tests {
             error_of("simulate --fleet mixed3:abc"),
             "bad fleet seed \"abc\": invalid digit found in string"
         );
-        one_line("simulate --fleet mixed3 --policy pom", "pom");
     }
 
     #[test]
@@ -1636,7 +1614,6 @@ mod tests {
             ("demo-net", "demo-net"),
             ("demo-traffic", "demo-traffic"),
             ("demo-fleet", "demo-fleet"),
-            ("simulate --fleet", "simulate --fleet mixed3"),
         ] {
             let refusal = format!("{mode} does not take --decision-log");
             assert_eq!(error_of(&format!("{command} {log}")), refusal);

@@ -83,7 +83,6 @@ impl EventHandler for FedLogHandler {
                     })
                 }
             }
-            Message::Shutdown => Reply::msg(&Message::ShutdownAck).then_shutdown(),
             other => Reply::error(&NetError::Protocol(format!(
                 "fed-log server got unexpected {}",
                 other.type_name()

@@ -11,9 +11,6 @@
 //!    best-effort secondary (whose DVFS/quota state the capper owns and is
 //!    preserved across re-partitions).
 
-use std::error::Error as StdError;
-use std::fmt;
-
 use pocolo_core::error::CoreError;
 use pocolo_core::units::{Frequency, Watts};
 use pocolo_core::utility::IndirectUtility;
@@ -21,46 +18,6 @@ use pocolo_simserver::{SimError, SimServer, TenantRole};
 
 use crate::partition::partition;
 use crate::policy::LcPolicy;
-
-/// Errors from the server manager.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ManagerError {
-    /// The economics model failed (fit mismatch, unreachable target, …).
-    Model(CoreError),
-    /// The simulated server rejected a knob setting.
-    Server(SimError),
-}
-
-impl fmt::Display for ManagerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ManagerError::Model(e) => write!(f, "model error: {e}"),
-            ManagerError::Server(e) => write!(f, "server error: {e}"),
-        }
-    }
-}
-
-impl StdError for ManagerError {
-    fn source(&self) -> Option<&(dyn StdError + 'static)> {
-        match self {
-            ManagerError::Model(e) => Some(e),
-            ManagerError::Server(e) => Some(e),
-        }
-    }
-}
-
-impl From<CoreError> for ManagerError {
-    fn from(e: CoreError) -> Self {
-        ManagerError::Model(e)
-    }
-}
-
-impl From<SimError> for ManagerError {
-    fn from(e: SimError) -> Self {
-        ManagerError::Server(e)
-    }
-}
 
 /// Grow the sizing margin when observed slack falls below this — the
 /// paper's 10 % latency slack.
@@ -137,13 +94,14 @@ impl ServerManager {
     ///
     /// # Errors
     ///
-    /// Returns [`ManagerError`] on model failures.
+    /// Returns the [`CoreError`] of a failed allocation or power
+    /// evaluation.
     pub fn plan(
         &mut self,
         load_rps: f64,
         observed_slack: Option<f64>,
         budget: Option<Watts>,
-    ) -> Result<(u32, u32), ManagerError> {
+    ) -> Result<(u32, u32), CoreError> {
         self.update_margin(observed_slack);
         let target = load_rps * self.margin;
         let (mut c, mut w) = self.policy.allocate(&self.utility, target)?;
@@ -225,15 +183,15 @@ impl ServerManager {
     ///
     /// # Errors
     ///
-    /// Returns [`ManagerError`] on knob failures; `last_counts` is only
-    /// updated on success.
+    /// Returns the [`SimError`] of a rejected knob setting; `last_counts`
+    /// is only updated on success.
     pub fn apply(
         &mut self,
         server: &mut SimServer,
         c: u32,
         w: u32,
         fresh: Option<(Frequency, f64)>,
-    ) -> Result<(u32, u32), ManagerError> {
+    ) -> Result<(u32, u32), SimError> {
         // Preserve the capper's state on the secondary.
         let point = server
             .allocation(TenantRole::Secondary)
@@ -518,14 +476,5 @@ mod tests {
         let (_, _, mgr) = run_loop(LcApp::TpcC, LcPolicy::PowerOptimized, 0.5, 3);
         let (c, w) = mgr.last_counts().unwrap();
         assert!(c >= 1 && w >= 1);
-    }
-
-    #[test]
-    fn error_types_display() {
-        let e = ManagerError::Model(CoreError::SingularSystem);
-        assert!(e.to_string().contains("model error"));
-        assert!(StdError::source(&e).is_some());
-        let e = ManagerError::Server(SimError::NoSuchTenant("secondary"));
-        assert!(e.to_string().contains("server error"));
     }
 }

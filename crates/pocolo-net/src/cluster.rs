@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use pocolo_json::ToJson;
 use pocolo_sim::experiment::ExperimentResult;
-use pocolo_sim::{Policy, ServerMetrics};
+use pocolo_sim::ServerMetrics;
 
 use crate::error::NetError;
 use crate::frame::encode_frame_str;
@@ -116,10 +116,6 @@ impl Registry {
             degraded: BTreeSet::new(),
             done_count: 0,
         }
-    }
-
-    fn count(&self, f: impl Fn(&SlotState) -> bool) -> usize {
-        self.slots.iter().filter(|s| f(&s.state)).count()
     }
 
     /// Flips a live slot to degraded, maintaining the index sets. The
@@ -409,16 +405,6 @@ impl EventHandler for ReactorClusterHandler {
                     Err(e) => Reply::error(&e),
                 }
             }
-            Message::Status => {
-                let reg = self.registry.lock();
-                Reply::msg(&Message::StatusReport {
-                    expected: reg.slots.len(),
-                    live: reg.count(|s| matches!(s, SlotState::Live { .. })),
-                    degraded: reg.count(|s| matches!(s, SlotState::Degraded { .. })),
-                    done: reg.count(|s| matches!(s, SlotState::Done)),
-                })
-            }
-            Message::Shutdown => Reply::msg(&Message::ShutdownAck).then_shutdown(),
             other => Reply::error(&NetError::Protocol(format!(
                 "cluster daemon cannot handle {:?} requests",
                 other.type_name()
@@ -542,11 +528,6 @@ impl Clusterd {
         let metrics: Option<Vec<ServerMetrics>> =
             reg.slots.iter().map(|s| s.metrics.clone()).collect();
         ExperimentResult::from_metrics(self.run.policy, &self.run.lc, &self.run.placement, metrics?)
-    }
-
-    /// The policy this daemon is evaluating.
-    pub fn policy(&self) -> Policy {
-        self.run.policy
     }
 
     /// Stops the event loop and joins it.
@@ -749,6 +730,58 @@ mod tests {
         assert_eq!(client.call(&complete).unwrap(), Message::CompleteAck);
         assert_eq!(client.call(&complete).unwrap(), Message::CompleteAck);
         assert_eq!(clusterd.slot_states()[server], SlotState::Done);
+        clusterd.shutdown();
+    }
+
+    #[test]
+    fn an_old_peers_status_or_shutdown_frame_is_refused_and_serving_goes_on() {
+        use crate::client::{connect_with_retry, RpcClient};
+        use crate::wire::read_frame;
+        use pocolo_faults::RetryPolicy;
+        use std::io::Write as _;
+
+        let mut clusterd = Clusterd::spawn(ClusterConfig::new(
+            "127.0.0.1:0".parse().unwrap(),
+            Duration::from_secs(5),
+            RunSpec::scale(1, 0xC0C0),
+        ))
+        .unwrap();
+        let mut retry = RetryPolicy::reconnect(1);
+        let mut stream =
+            connect_with_retry(clusterd.local_addr(), &mut retry, Duration::from_secs(2)).unwrap();
+        for (kind, body) in [
+            ("status", r#"{"v":1,"type":"status"}"#),
+            ("shutdown", r#"{"v":1,"type":"shutdown"}"#),
+        ] {
+            stream.write_all(&encode_frame_str(body).unwrap()).unwrap();
+            let reply = Message::from_value(&read_frame(&mut stream).unwrap()).unwrap();
+            let Message::Error { message } = reply else {
+                panic!("{kind}: expected an error reply, got {reply:?}");
+            };
+            assert!(
+                message.contains(&format!("unknown message type \"{kind}\"")),
+                "{kind}: {message}"
+            );
+            assert_eq!(clusterd.open_connections(), 1, "{kind} closed a connection");
+        }
+        // The same connection goes on to register and finish the run.
+        let mut client = RpcClient::new(stream);
+        let welcome = client
+            .call(&Message::Register {
+                agent: "a".into(),
+                class: None,
+            })
+            .unwrap();
+        let Message::Welcome { server, .. } = welcome else {
+            panic!("expected welcome, got {welcome:?}");
+        };
+        let complete = Message::Complete {
+            server,
+            metrics: Box::new(ServerMetrics::new(pocolo_core::Watts(100.0))),
+        };
+        assert_eq!(client.call(&complete).unwrap(), Message::CompleteAck);
+        assert!(clusterd.wait_done(Duration::from_secs(5)));
+        assert_eq!(clusterd.open_connections(), 1);
         clusterd.shutdown();
     }
 

@@ -282,7 +282,7 @@ mod tests {
                 be_throughput: 0.75,
             },
             Message::TelemetryAck { cap_factor: 0.6 },
-            Message::Status,
+            Message::CompleteAck,
         ];
         for m in &msgs {
             write_frame(&mut bytes, &m.to_value()).unwrap();
@@ -340,11 +340,11 @@ mod tests {
         fb.extend(&3u32.to_be_bytes());
         fb.extend(b"]]]");
         let mut good = Vec::new();
-        write_frame(&mut good, &Message::Status.to_value()).unwrap();
+        write_frame(&mut good, &Message::CompleteAck.to_value()).unwrap();
         fb.extend(&good);
         assert!(matches!(fb.next().unwrap(), Some(Decoded::Corrupt(_))));
         match fb.next().unwrap() {
-            Some(Decoded::Frame(v)) => assert_eq!(v, Message::Status.to_value()),
+            Some(Decoded::Frame(v)) => assert_eq!(v, Message::CompleteAck.to_value()),
             other => panic!("expected the trailing valid frame, got {other:?}"),
         }
     }

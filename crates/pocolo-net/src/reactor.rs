@@ -21,10 +21,9 @@
 //!   loop — no sleeping side threads, and the poll sleeps exactly until
 //!   the nearest deadline — and [`EventHandler::on_timer`] fires on the
 //!   loop thread;
-//! - **shutdown** rides the selector's [`Waker`]: external shutdown wakes
-//!   the loop instead of polling a flag on a sleep cadence, and a
-//!   handler-requested shutdown (the `shutdown` RPC) first drains the
-//!   final reply.
+//! - **shutdown** comes only from the owner, through the selector's
+//!   [`Waker`] ([`ReactorServer::shutdown`]): it wakes the loop instead of
+//!   polling a flag on a sleep cadence. No request can stop the loop.
 
 use std::io;
 use std::net::SocketAddr;
@@ -75,7 +74,6 @@ pub enum DisconnectReason {
 #[derive(Debug)]
 pub struct Reply {
     frame: Vec<u8>,
-    shutdown: bool,
 }
 
 impl Reply {
@@ -91,19 +89,13 @@ impl Reply {
             )
             .expect("error reply encodes")
         });
-        Reply {
-            frame,
-            shutdown: false,
-        }
+        Reply { frame }
     }
 
     /// Wraps pre-encoded frame bytes (length prefix included). The splice
     /// point for cached payloads like the welcome frame.
     pub fn raw(frame: Vec<u8>) -> Reply {
-        Reply {
-            frame,
-            shutdown: false,
-        }
+        Reply { frame }
     }
 
     /// Encodes a typed error reply.
@@ -111,14 +103,6 @@ impl Reply {
         Reply::msg(&Message::Error {
             message: e.to_string(),
         })
-    }
-
-    /// Marks this reply as the server's last: the reactor flushes it,
-    /// then stops.
-    #[must_use]
-    pub fn then_shutdown(mut self) -> Reply {
-        self.shutdown = true;
-        self
     }
 
     /// The encoded frame bytes, for handlers that cache reply encodings.
@@ -131,9 +115,6 @@ impl Reply {
 /// thread; `&mut self` state needs no locks unless it is also read from
 /// other threads.
 pub trait EventHandler: Send + 'static {
-    /// Called once before the loop starts — the place to arm timers.
-    fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
-
     /// Handles one decoded request; the strict request/response protocol
     /// means every request gets exactly one reply.
     fn handle(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, request: Message) -> Reply;
@@ -207,7 +188,6 @@ impl ReactorServer {
             conns: Vec::new(),
             free: Vec::new(),
             shared: Arc::clone(&shared),
-            stopping: None,
         };
         let thread = std::thread::Builder::new()
             .name("pocolo-reactor".into())
@@ -262,30 +242,14 @@ struct LoopState<H> {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     shared: Arc<Shared>,
-    /// A shutdown reply is draining on this connection; the loop stops
-    /// once it is flushed (or the connection dies).
-    stopping: Option<ConnId>,
 }
 
 fn run_loop<H: EventHandler>(mut state: LoopState<H>) {
     let mut events = Events::with_capacity(1024);
     let mut fired: Vec<u64> = Vec::new();
-    {
-        let now = Instant::now();
-        state.handler.on_start(&mut Ctx {
-            timers: &mut state.timers,
-            now,
-        });
-    }
     loop {
         if state.shared.stop.load(Ordering::SeqCst) {
             break;
-        }
-        if let Some(id) = state.stopping {
-            let drained = state.conns[id].as_ref().is_none_or(|c| c.out.len() == 0);
-            if drained {
-                break;
-            }
         }
         let now = Instant::now();
         let timeout = state
@@ -378,7 +342,6 @@ impl<H: EventHandler> LoopState<H> {
                 }
             }
         };
-        let mut shutdown_after = false;
         let mut fatal_framing = false;
         loop {
             let decoded = {
@@ -405,7 +368,6 @@ impl<H: EventHandler> LoopState<H> {
                     Reply::error(&e)
                 }
             };
-            shutdown_after |= reply.shutdown;
             let conn = self.conns[idx].as_mut().expect("checked live");
             conn.out.push(&reply.frame);
             if fatal_framing {
@@ -428,9 +390,6 @@ impl<H: EventHandler> LoopState<H> {
         if fatal_framing {
             self.close(idx, DisconnectReason::BadFraming);
             return;
-        }
-        if shutdown_after {
-            self.stopping = Some(idx);
         }
         if status == ReadStatus::Eof {
             // Peer closed; buffered requests were already answered and
@@ -467,10 +426,6 @@ impl<H: EventHandler> LoopState<H> {
             // observer that sees the count reach zero also sees every
             // disconnect the handler recorded.
             self.shared.open_conns.fetch_sub(1, Ordering::SeqCst);
-            if self.stopping == Some(idx) {
-                // The drain target died; nothing left to wait for.
-                self.shared.stop.store(true, Ordering::SeqCst);
-            }
         }
     }
 }
@@ -485,26 +440,21 @@ mod tests {
     struct EchoHandler {
         disconnects: Arc<Mutex<Vec<(ConnId, DisconnectReason)>>>,
         ticks: Arc<AtomicUsize>,
+        timer_armed: bool,
         pad: usize,
     }
 
     impl EventHandler for EchoHandler {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.schedule(Duration::from_millis(20), 7);
-        }
-
-        fn handle(&mut self, _ctx: &mut Ctx<'_>, _conn: ConnId, request: Message) -> Reply {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId, request: Message) -> Reply {
+            if !self.timer_armed {
+                self.timer_armed = true;
+                ctx.schedule(Duration::from_millis(20), 7);
+            }
             match request {
-                Message::Status => Reply::msg(&Message::StatusReport {
-                    expected: 4,
-                    live: 4,
-                    degraded: 0,
-                    done: 0,
-                }),
+                Message::Telemetry { .. } => Reply::msg(&Message::TelemetryAck { cap_factor: 0.5 }),
                 Message::Register { .. } => Reply::msg(&Message::Error {
                     message: "x".repeat(self.pad),
                 }),
-                Message::Shutdown => Reply::msg(&Message::ShutdownAck).then_shutdown(),
                 other => Reply::error(&NetError::Protocol(format!(
                     "unexpected {}",
                     other.type_name()
@@ -533,6 +483,7 @@ mod tests {
             EchoHandler {
                 disconnects: Arc::clone(&disconnects),
                 ticks: Arc::clone(&ticks),
+                timer_armed: false,
                 pad,
             },
         )
@@ -540,19 +491,32 @@ mod tests {
         (server, disconnects, ticks)
     }
 
+    fn telemetry() -> Message {
+        Message::Telemetry {
+            server: 0,
+            epoch: 0,
+            t_s: 0.0,
+            power_w: 100.0,
+            slack: 0.1,
+            be_throughput: 0.5,
+        }
+    }
+
+    fn connect(server: &ReactorServer) -> RpcClient {
+        let mut retry = RetryPolicy::reconnect(1);
+        RpcClient::connect(server.local_addr(), &mut retry, Duration::from_secs(2)).unwrap()
+    }
+
     #[test]
     fn request_reply_over_loopback_with_typed_handler_errors() {
         let (mut server, _d, _t) = spawn_echo(8);
-        let mut retry = RetryPolicy::reconnect(1);
-        let mut client =
-            RpcClient::connect(server.local_addr(), &mut retry, Duration::from_secs(2)).unwrap();
-        let reply = client.call(&Message::Status).unwrap();
-        assert!(matches!(reply, Message::StatusReport { expected: 4, .. }));
+        let mut client = connect(&server);
+        let ack = Message::TelemetryAck { cap_factor: 0.5 };
+        assert_eq!(client.call(&telemetry()).unwrap(), ack);
         // Handler errors come back typed; the connection survives.
         let err = client.call(&Message::CompleteAck).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)), "got {err}");
-        let reply = client.call(&Message::Status).unwrap();
-        assert!(matches!(reply, Message::StatusReport { .. }));
+        assert_eq!(client.call(&telemetry()).unwrap(), ack);
         assert_eq!(server.open_connections(), 1);
         server.shutdown();
     }
@@ -574,19 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_rpc_drains_the_ack_then_stops() {
-        let (server, _d, _t) = spawn_echo(8);
-        let addr = server.local_addr();
-        let mut retry = RetryPolicy::reconnect(2);
-        let mut client = RpcClient::connect(addr, &mut retry, Duration::from_secs(2)).unwrap();
-        let reply = client.call(&Message::Shutdown).unwrap();
-        assert_eq!(reply, Message::ShutdownAck);
-        drop(server); // joins the (now-stopped) loop
-    }
-
-    #[test]
     fn timers_fire_on_the_loop_thread() {
         let (mut server, _d, ticks) = spawn_echo(8);
+        // The handler arms its periodic timer on its first request.
+        connect(&server).call(&telemetry()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while ticks.load(Ordering::SeqCst) < 3 {
             assert!(Instant::now() < deadline, "timer never fired");

@@ -233,9 +233,9 @@ impl FromJson for RunSpec {
     }
 }
 
-/// The RPC message set. Agents send `Register`, `Telemetry`, `Complete`,
-/// `Status` and `Shutdown`; the cluster daemon replies with the matching
-/// response or `Error`.
+/// The RPC message set. Agents send `Register`, `Telemetry` and
+/// `Complete`; the cluster daemon replies with the matching response or
+/// `Error`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// An agent announces itself (idempotent: re-registering after a
@@ -290,23 +290,6 @@ pub enum Message {
     },
     /// Completion acknowledgement.
     CompleteAck,
-    /// Cluster status probe.
-    Status,
-    /// Status reply.
-    StatusReport {
-        /// Total server slots.
-        expected: usize,
-        /// Slots with a live lease.
-        live: usize,
-        /// Slots in degraded fallback.
-        degraded: usize,
-        /// Slots that delivered final metrics.
-        done: usize,
-    },
-    /// Ask the daemon to exit once the reply is flushed.
-    Shutdown,
-    /// Shutdown acknowledgement.
-    ShutdownAck,
     /// A federation follower asks the leader for every committed log
     /// entry past `from_version` (0 = from the beginning).
     FedPull {
@@ -344,10 +327,6 @@ impl Message {
             Message::TelemetryAck { .. } => "telemetry_ack",
             Message::Complete { .. } => "complete",
             Message::CompleteAck => "complete_ack",
-            Message::Status => "status",
-            Message::StatusReport { .. } => "status_report",
-            Message::Shutdown => "shutdown",
-            Message::ShutdownAck => "shutdown_ack",
             Message::FedPull { .. } => "fed_pull",
             Message::FedEntries { .. } => "fed_entries",
             Message::Error { .. } => "error",
@@ -399,17 +378,6 @@ impl Message {
                 put("server", json!(server));
                 put("metrics", metrics.to_json());
             }
-            Message::StatusReport {
-                expected,
-                live,
-                degraded,
-                done,
-            } => {
-                put("expected", json!(expected));
-                put("live", json!(live));
-                put("degraded", json!(degraded));
-                put("done", json!(done));
-            }
             Message::FedPull {
                 follower,
                 from_version,
@@ -427,7 +395,7 @@ impl Message {
                 put("entries", entries.to_json());
             }
             Message::Error { message } => put("message", json!(message)),
-            Message::CompleteAck | Message::Status | Message::Shutdown | Message::ShutdownAck => {}
+            Message::CompleteAck => {}
         }
         Value::Object(fields)
     }
@@ -485,15 +453,6 @@ impl FromJson for Message {
                 metrics: v.field("metrics")?,
             },
             "complete_ack" => Message::CompleteAck,
-            "status" => Message::Status,
-            "status_report" => Message::StatusReport {
-                expected: v.field("expected")?,
-                live: v.field("live")?,
-                degraded: v.field("degraded")?,
-                done: v.field("done")?,
-            },
-            "shutdown" => Message::Shutdown,
-            "shutdown_ack" => Message::ShutdownAck,
             "fed_pull" => Message::FedPull {
                 follower: v.field("follower")?,
                 from_version: v.field("from_version")?,
@@ -615,15 +574,6 @@ mod tests {
                 metrics: Box::new(metrics()),
             },
             Message::CompleteAck,
-            Message::Status,
-            Message::StatusReport {
-                expected: 4,
-                live: 3,
-                degraded: 1,
-                done: 0,
-            },
-            Message::Shutdown,
-            Message::ShutdownAck,
             Message::FedPull {
                 follower: "fed-1".into(),
                 from_version: 17,
@@ -673,10 +623,6 @@ mod tests {
             r#"{"v":1,"type":"telemetry_ack","cap_factor":0.6}"#,
             r#"{"v":1,"type":"complete","server":3,"metrics":{"duration_s":0.2,"energy":25.15,"peak_power":131.5,"power_cap":150,"be_throughput_avg":0.47500000000000003,"lc_violation_frac":0.5,"capping_frac":0.5,"samples":2,"time_to_recover_s":4.5,"slo_violation_frac_during_fault":1,"evictions":1,"overcap_joules":0.5,"be_integral":0.09500000000000001,"violation_time":0.1,"capping_events":1,"fault_time":0.1,"fault_violation_time":0.1}}"#,
             r#"{"v":1,"type":"complete_ack"}"#,
-            r#"{"v":1,"type":"status"}"#,
-            r#"{"v":1,"type":"status_report","expected":4,"live":3,"degraded":1,"done":0}"#,
-            r#"{"v":1,"type":"shutdown"}"#,
-            r#"{"v":1,"type":"shutdown_ack"}"#,
             r#"{"v":1,"type":"fed_pull","follower":"fed-1","from_version":17}"#,
             r#"{"v":1,"type":"fed_entries","leader_version":19,"snapshot":{"version":18,"tick":180,"app_region":[0,1,1],"budget_w":[400,350],"migrating":[{"app":2,"to":1,"until_tick":182}]},"entries":[{"version":19,"decision":{"tick":190,"budget_w":[380,370],"migrations":[{"app":0,"from":0,"to":1,"gain":0.25}]}}]}"#,
             r#"{"v":1,"type":"fed_entries","leader_version":0,"snapshot":null,"entries":[]}"#,
@@ -799,10 +745,10 @@ mod tests {
         let mut buf = Vec::new();
         let v = Message::TelemetryAck { cap_factor: 0.875 }.to_value();
         write_frame(&mut buf, &v).unwrap();
-        write_frame(&mut buf, &Message::Status.to_value()).unwrap();
+        write_frame(&mut buf, &Message::CompleteAck.to_value()).unwrap();
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), v);
-        assert_eq!(read_frame(&mut r).unwrap(), Message::Status.to_value());
+        assert_eq!(read_frame(&mut r).unwrap(), Message::CompleteAck.to_value());
         assert!(read_frame(&mut r).is_err(), "pipe is drained");
     }
 

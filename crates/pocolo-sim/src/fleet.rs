@@ -70,11 +70,6 @@ impl FittedFleet {
         }
     }
 
-    /// The fleet composition this cluster was fitted for.
-    pub fn spec(&self) -> &FleetSpec {
-        &self.spec
-    }
-
     /// Number of server slots.
     pub fn n_servers(&self) -> usize {
         self.assignment.len()

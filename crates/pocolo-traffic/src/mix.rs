@@ -242,11 +242,6 @@ impl TrafficMix {
         self.kind
     }
 
-    /// The baseline load trace.
-    pub fn baseline(&self) -> &LoadTrace {
-        &self.baseline
-    }
-
     /// The planned flash crowds.
     pub fn flashes(&self) -> &[FlashCrowd] {
         &self.flashes

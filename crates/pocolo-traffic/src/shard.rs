@@ -127,16 +127,6 @@ impl TrafficGen {
         &self.mix
     }
 
-    /// Simulated users.
-    pub fn users(&self) -> u64 {
-        self.users
-    }
-
-    /// Tick length, seconds.
-    pub fn tick_s(&self) -> f64 {
-        self.tick_s
-    }
-
     /// Number of LC slots traffic is split over.
     pub fn n_slots(&self) -> usize {
         self.slot_peaks.len()

@@ -33,9 +33,6 @@ pub struct BeModel {
     surface: CesSurface,
     freq_exp_perf: f64,
     intensity: PowerIntensity,
-    /// Maximum cores the application can exploit (informational; all four
-    /// evaluation apps scale to the socket on this machine).
-    parallel_limit: u32,
 }
 
 impl BeModel {
@@ -48,7 +45,7 @@ impl BeModel {
     /// Pbzip ≈ −8 %, Graph ≈ −20 %), which are governed by each app's
     /// frequency sensitivity `γp` and power draw.
     pub fn for_app(app: BeApp, machine: MachineSpec) -> Self {
-        let (surface, freq_exp_perf, intensity, parallel_limit) = match app {
+        let (surface, freq_exp_perf, intensity) = match app {
             // Memory-bound LSTM training: cache-hungry for both performance
             // and power; nearly insensitive to core frequency; limited
             // parallelism (Keras CPU training is largely serial).
@@ -61,7 +58,6 @@ impl BeModel {
                     uncore_watts: 6.0,
                     freq_exponent: 2.4,
                 },
-                12,
             ),
             // RNN training: modest working set, balanced per-watt needs,
             // limited parallelism.
@@ -74,7 +70,6 @@ impl BeModel {
                     uncore_watts: 5.0,
                     freq_exponent: 2.4,
                 },
-                12,
             ),
             // PageRank over a graph far larger than the LLC: extra ways
             // barely help performance but burn power (thrashing); scales
@@ -88,7 +83,6 @@ impl BeModel {
                     uncore_watts: 8.0,
                     freq_exponent: 2.2,
                 },
-                12,
             ),
             // pbzip2: embarrassingly parallel, compute- and
             // frequency-sensitive, tiny cache footprint.
@@ -101,7 +95,6 @@ impl BeModel {
                     uncore_watts: 4.0,
                     freq_exponent: 2.6,
                 },
-                12,
             ),
         };
         BeModel {
@@ -110,13 +103,7 @@ impl BeModel {
             surface,
             freq_exp_perf,
             intensity,
-            parallel_limit,
         }
-    }
-
-    /// Maximum number of cores the application can keep busy.
-    pub fn parallel_limit(&self) -> u32 {
-        self.parallel_limit
     }
 
     /// The application this model describes.
@@ -127,11 +114,6 @@ impl BeModel {
     /// The machine the model is calibrated for.
     pub fn machine(&self) -> &MachineSpec {
         &self.machine
-    }
-
-    /// The application's power-intensity coefficients.
-    pub fn intensity(&self) -> &PowerIntensity {
-        &self.intensity
     }
 
     /// Normalized throughput on `alloc` (1.0 = full machine, max frequency,

@@ -25,7 +25,6 @@ use crate::ces::CesSurface;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LcModel {
-    app: LcApp,
     machine: MachineSpec,
     peak_load_rps: f64,
     slo_p99_ms: f64,
@@ -93,7 +92,6 @@ impl LcModel {
             ),
         };
         LcModel {
-            app,
             machine,
             peak_load_rps,
             slo_p99_ms,
@@ -102,11 +100,6 @@ impl LcModel {
             freq_exp_perf,
             intensity,
         }
-    }
-
-    /// The application this model describes.
-    pub fn app(&self) -> LcApp {
-        self.app
     }
 
     /// The machine the model is calibrated for.
@@ -128,11 +121,6 @@ impl LcModel {
     /// Utilization at which p99 exactly hits the SLO (0.9).
     pub fn rho_slo(&self) -> f64 {
         self.rho_slo
-    }
-
-    /// The application's power-intensity coefficients.
-    pub fn intensity(&self) -> &PowerIntensity {
-        &self.intensity
     }
 
     /// Raw service capacity of an allocation in requests/second — the rate
