@@ -11,6 +11,11 @@ modules and test-only oracles), comments, string literals and `use`
 lines. The code of a doc example counts: it is the documented way to call
 the item.
 
+A second list follows under "reached only from `benchmark/src`": the
+items that a benchmark workload calls but no call site in `crates/` or
+`examples/` does. The benchmark measures them, yet no product path runs
+them.
+
 A call site is `.name(`, `::name` or a bare `name(` that is not the
 name's own `fn` (a turbofish between name and parenthesis is allowed). A
 field, a variable or a function passed by its bare name reaches nothing.
@@ -135,6 +140,7 @@ def product_sources():
 
 def main():
     uses = {}
+    bench_uses = set()
     defs = []
     for path in product_sources():
         text, examples = blank_comments_and_literals(path.read_text())
@@ -145,17 +151,26 @@ def main():
             lambda m: re.sub(r"[^\n]", " ", m.group()),
             text,
         )
+        rel = path.relative_to(ROOT)
         for m in CALL.finditer(text + "\n" + examples):
             name = m.group(m.lastindex)
-            uses[name] = uses.get(name, 0) + 1
-        rel = path.relative_to(ROOT)
+            if rel.parts[0] == "benchmark":
+                bench_uses.add(name)
+            else:
+                uses[name] = uses.get(name, 0) + 1
         if rel.parts[0] == "crates" and rel.parts[2] == "src":
             for m in DEF.finditer(text):
                 line = text.count("\n", 0, m.start()) + 1
                 defs.append((str(rel), line, m.group(1)))
 
     for rel, line, name in defs:
-        if name not in uses:
+        if name not in uses and name not in bench_uses:
+            print(f"{rel}:{line}: {name}")
+    bench_only = [(rel, line, name) for rel, line, name in defs
+                  if name not in uses and name in bench_uses]
+    if bench_only:
+        print("\nreached only from `benchmark/src`:")
+        for rel, line, name in bench_only:
             print(f"{rel}:{line}: {name}")
     return 0
 

@@ -241,10 +241,8 @@ impl PerfMatrixBuilder {
         &self.load_levels
     }
 
-    /// Builds the matrix: rows = best-effort apps, cols = servers.
-    ///
-    /// Equivalent to [`PerfMatrixBuilder::build_keyed`] with every column
-    /// carrying a distinct key (one expansion path per server).
+    /// Builds the matrix: rows = best-effort apps, cols = servers, one
+    /// expansion path per server at its provisioned cap.
     ///
     /// # Errors
     ///
@@ -255,29 +253,30 @@ impl PerfMatrixBuilder {
         servers: &[ServerProfile],
     ) -> Result<PerfMatrix, ClusterError> {
         let keys: Vec<usize> = (0..servers.len()).collect();
-        self.build_keyed(be_apps, servers, &keys)
+        self.build_keyed(be_apps, servers, &keys, |_| 1.0)
     }
 
-    /// Builds the matrix with a class-keyed expansion-path cache: columns
-    /// that share a key share one expansion path and one estimate per BE
-    /// row, so a heterogeneous fleet costs O(classes × levels) inversions
-    /// and O(classes × apps) estimates instead of O(servers × ·).
-    ///
-    /// Equal keys assert that the corresponding [`ServerProfile`]s are
-    /// interchangeable (same fitted utility, cap, and peak — i.e. the same
-    /// (SKU, primary-app) class); the first column of each key is the one
-    /// actually computed, in column order, and its values are copied
-    /// bit-for-bit to the rest.
+    /// [`PerfMatrixBuilder::build`] through the cap-scaled class estimator
+    /// (see [`PerfMatrixBuilder::rebuild_columns_keyed`]): column `col`'s
+    /// cap reads as `power_cap * cap_factor(col)`, and columns sharing
+    /// both a key and a factor share one expansion path and one estimate
+    /// per BE row, so a heterogeneous fleet costs O(classes × levels)
+    /// inversions and O(classes × apps) estimates instead of
+    /// O(servers × ·). Equal keys assert that the profiles are
+    /// interchangeable (same fitted utility, cap and peak: the same (SKU,
+    /// primary-app) class); each class's first column is the one computed,
+    /// and its values are copied bit for bit to the rest.
     ///
     /// # Errors
     ///
     /// Rejects a key list whose length differs from `servers`; otherwise
     /// as [`PerfMatrixBuilder::build`].
-    pub fn build_keyed(
+    pub(crate) fn build_keyed(
         &self,
         be_apps: &[(String, IndirectUtility)],
         servers: &[ServerProfile],
         keys: &[usize],
+        cap_factor: impl Fn(usize) -> f64,
     ) -> Result<PerfMatrix, ClusterError> {
         if be_apps.is_empty() || servers.is_empty() {
             return Err(ClusterError::InvalidMatrix(
@@ -290,7 +289,7 @@ impl PerfMatrixBuilder {
             be_apps,
             servers,
             keys,
-            1.0,
+            cap_factor,
             0..servers.len(),
             |col, column| {
                 for (row, &v) in values.iter_mut().zip(column) {
@@ -312,13 +311,19 @@ impl PerfMatrixBuilder {
     /// only, so a single-server cap de-rate costs one path, not a full
     /// matrix rebuild.
     ///
-    /// Equivalent to [`PerfMatrixBuilder::rebuild_columns_keyed`] with
-    /// every column carrying a distinct key (one expansion path per listed
-    /// column).
+    /// The crate's keyed, cap-scaled rebuild (`rebuild_columns_keyed`,
+    /// which the replans go through) with every column carrying a distinct
+    /// key at its provisioned cap: one expansion path per listed column.
+    ///
+    /// Columns currently disabled in `current` (faulted-out servers) are
+    /// skipped: rebuilding must not silently re-admit them. Unchanged
+    /// columns produce no edit.
     ///
     /// # Errors
     ///
-    /// As [`PerfMatrixBuilder::rebuild_columns_keyed`].
+    /// Rejects shape mismatches between `current`, `be_apps` and
+    /// `servers`, and out-of-range columns; propagates estimation
+    /// failures.
     pub fn rebuild_columns(
         &self,
         be_apps: &[(String, IndirectUtility)],
@@ -327,45 +332,28 @@ impl PerfMatrixBuilder {
         current: &PerfMatrix,
     ) -> Result<MatrixDelta, ClusterError> {
         let keys: Vec<usize> = (0..servers.len()).collect();
-        self.rebuild_columns_keyed(be_apps, servers, &keys, cols, current)
+        self.rebuild_columns_keyed(be_apps, servers, &keys, |_| 1.0, cols, current)
     }
 
-    /// [`PerfMatrixBuilder::rebuild_columns`] through the class-keyed
-    /// cache of [`PerfMatrixBuilder::build_keyed`]: among the listed
-    /// columns, those sharing a key share one expansion path and one
-    /// estimated column (computed at the key's first listed enabled
-    /// column), so a fleet-wide cap change costs O(classes × levels)
-    /// inversions, not O(servers × levels).
-    ///
-    /// Columns currently disabled in `current` (faulted-out servers) are
-    /// skipped: rebuilding must not silently re-admit them. Unchanged
-    /// columns produce no edit.
+    /// The one keyed, cap-scaled column rebuild every replan goes
+    /// through: column `col`'s cap reads as `power_cap * cap_factor(col)`
+    /// (no profile is cloned), and among the listed columns those sharing
+    /// a key *and* a factor share one expansion path and one estimated
+    /// column, computed at the class's first listed enabled column. A
+    /// fleet-wide cap change costs O(classes × levels) inversions, not
+    /// O(servers × levels). Disabled columns are skipped and unchanged
+    /// ones produce no edit, as in [`PerfMatrixBuilder::rebuild_columns`].
     ///
     /// # Errors
     ///
-    /// Rejects shape mismatches between `current`, `be_apps`, `servers`
-    /// and `keys`, and out-of-range columns; propagates estimation
-    /// failures.
-    pub fn rebuild_columns_keyed(
+    /// As [`PerfMatrixBuilder::rebuild_columns`], and rejects a key list
+    /// whose length differs from `servers`.
+    pub(crate) fn rebuild_columns_keyed(
         &self,
         be_apps: &[(String, IndirectUtility)],
         servers: &[ServerProfile],
         keys: &[usize],
-        cols: &[usize],
-        current: &PerfMatrix,
-    ) -> Result<MatrixDelta, ClusterError> {
-        self.rebuild_columns_scaled(be_apps, servers, keys, 1.0, cols, current)
-    }
-
-    /// [`PerfMatrixBuilder::rebuild_columns_keyed`] with every server's
-    /// cap read as `power_cap * cap_factor` — the budget and refit replans
-    /// scale caps without cloning a profile.
-    pub(crate) fn rebuild_columns_scaled(
-        &self,
-        be_apps: &[(String, IndirectUtility)],
-        servers: &[ServerProfile],
-        keys: &[usize],
-        cap_factor: f64,
+        cap_factor: impl Fn(usize) -> f64,
         cols: &[usize],
         current: &PerfMatrix,
     ) -> Result<MatrixDelta, ClusterError> {
@@ -410,37 +398,42 @@ impl PerfMatrixBuilder {
             }))
     }
 
-    /// Estimates the listed columns class by class. Each *class*'s
-    /// expansion path — the min_power_for inversions and integral demand
-    /// solves — is BE-independent and shared by every column with that
-    /// key, so it and the column of per-BE estimates on it are computed
-    /// exactly once, at the key's first listed column, and handed to
-    /// `emit(col, column)` for every listed column of the class. One class
-    /// column is alive at a time; nothing outlives the call.
+    /// Estimates the listed columns class by class. A *class* is the
+    /// columns sharing a key and a cap factor (compared bit for bit): two
+    /// columns with one key are interchangeable profiles, and stay so only
+    /// under one factor. Each class's expansion path — the min_power_for
+    /// inversions and integral demand solves at `power_cap * factor` — is
+    /// BE-independent, so it and the column of per-BE estimates on it are
+    /// computed exactly once, at the class's first listed column, and
+    /// handed to `emit(col, column)` for every listed column of the class.
+    /// One class column is alive at a time; nothing outlives the call.
     fn estimate_by_class(
         &self,
         be_apps: &[(String, IndirectUtility)],
         servers: &[ServerProfile],
         keys: &[usize],
-        cap_factor: f64,
+        cap_factor: impl Fn(usize) -> f64,
         cols: impl Iterator<Item = usize>,
         mut emit: impl FnMut(usize, &[f64]),
     ) -> Result<(), ClusterError> {
-        let mut class_of: HashMap<usize, usize> = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
+        let mut class_of: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut classes: Vec<(f64, Vec<usize>)> = Vec::new();
         for col in cols {
-            let class = *class_of.entry(keys[col]).or_insert_with(|| {
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
-            classes[class].push(col);
+            let factor = cap_factor(col);
+            let class = *class_of
+                .entry((keys[col], factor.to_bits()))
+                .or_insert_with(|| {
+                    classes.push((factor, Vec::new()));
+                    classes.len() - 1
+                });
+            classes[class].1.push(col);
         }
         let mut column = Vec::with_capacity(be_apps.len());
-        for members in &classes {
+        for (factor, members) in &classes {
             let server = &servers[members[0]];
             let path = ExpansionPath::walk(
                 &server.utility,
-                server.power_cap * cap_factor,
+                server.power_cap * *factor,
                 server.peak_load,
                 &self.load_levels,
             )?;
@@ -475,6 +468,8 @@ mod tests {
     use pocolo_simserver::MachineSpec;
     use pocolo_workloads::profiler::{profile_be, profile_lc, ProfilerConfig};
     use pocolo_workloads::{BeApp, BeModel, LcApp, LcModel};
+    use proptest::prelude::*;
+    use rand::prelude::*;
 
     fn fitted_cluster() -> (Vec<(String, IndirectUtility)>, Vec<ServerProfile>) {
         let machine = MachineSpec::xeon_e5_2650();
@@ -651,7 +646,7 @@ mod tests {
         let keys = [0usize, 1, 2, 3, 0, 1, 2, 3];
         let levels = builder.load_levels().len();
         let before = min_power_solves_on_thread();
-        let keyed = builder.build_keyed(&bes, &doubled, &keys).unwrap();
+        let keyed = builder.build_keyed(&bes, &doubled, &keys, |_| 1.0).unwrap();
         let solves = min_power_solves_on_thread() - before;
         // One inversion per (class, level) — NOT per (server, level): the
         // duplicated columns ride on the cached class paths.
@@ -672,9 +667,141 @@ mod tests {
     fn build_keyed_rejects_key_shape_mismatch() {
         let (bes, servers) = fitted_cluster();
         let err = PerfMatrixBuilder::new()
-            .build_keyed(&bes, &servers, &[0, 1])
+            .build_keyed(&bes, &servers, &[0, 1], |_| 1.0)
             .unwrap_err();
         assert!(format!("{err}").contains("class keys"));
+    }
+
+    /// A synthetic Cobb-Douglas utility: profiling real workloads is too
+    /// slow for a property loop, and the estimator only sees fitted
+    /// `IndirectUtility` values either way.
+    fn synthetic_utility(a0: f64, ac: f64, aw: f64) -> IndirectUtility {
+        use pocolo_core::fleet::ServerClass;
+        use pocolo_core::utility::{CobbDouglas, PowerModel};
+        let perf = CobbDouglas::new(a0, vec![ac, aw]).unwrap();
+        let power = PowerModel::new(Watts(40.0), vec![6.0, 1.5]).unwrap();
+        IndirectUtility::new(ServerClass::xeon_e5_2650().resource_space(), perf, power).unwrap()
+    }
+
+    /// `n_classes` distinct profiles, each repeated 1–3 times in shuffled
+    /// column order, with the class index as the key.
+    fn classed_fleet(n_classes: usize, rng: &mut StdRng) -> (Vec<ServerProfile>, Vec<usize>) {
+        let mut keys: Vec<usize> = (0..n_classes)
+            .flat_map(|k| std::iter::repeat_n(k, rng.gen_range(1..=3)))
+            .collect();
+        keys.shuffle(rng);
+        let servers = keys
+            .iter()
+            .enumerate()
+            .map(|(j, &k)| {
+                let utility = synthetic_utility(80.0 + k as f64, 0.35 + 0.07 * k as f64, 0.2);
+                ServerProfile {
+                    label: format!("lc{j}"),
+                    peak_load: utility.value(utility.max_power()).unwrap(),
+                    utility,
+                    power_cap: Watts(120.0),
+                }
+            })
+            .collect();
+        (servers, keys)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The keyed, cap-scaled rebuild is the unkeyed rebuild over
+        /// hand-derated profiles, edit for edit and bit for bit: over
+        /// fleets with repeated classes, with columns disabled (the first
+        /// listed one among them, so some class's representative is not
+        /// its first listed column) and a shuffled strict subset of columns
+        /// listed, under one factor and under per-column factors that
+        /// split shared classes. The dense budget replan prices the same
+        /// per-column factors through the same estimator.
+        #[test]
+        fn keyed_rebuild_is_the_unkeyed_rebuild(
+            n_classes in 1usize..=4,
+            n_bes in 1usize..=3,
+            factor in 0.6f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            use crate::assign::Solver;
+            use crate::matrix::ColumnEdit;
+            use crate::ClusterManager;
+            use pocolo_core::utility::min_power_solves_on_thread;
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (servers, keys) = classed_fleet(n_classes, &mut rng);
+            let bes: Vec<(String, IndirectUtility)> = (0..n_bes)
+                .map(|i| (format!("be{i}"), synthetic_utility(50.0, 0.3 + 0.05 * i as f64, 0.25)))
+                .collect();
+            let builder = PerfMatrixBuilder::new();
+            let built = builder.build_keyed(&bes, &servers, &keys, |_| 1.0).unwrap();
+            let n = servers.len();
+            let mut cols: Vec<usize> = (0..n).collect();
+            cols.shuffle(&mut rng);
+            if n > 1 {
+                cols.truncate(rng.gen_range(1..n));
+            }
+            let mut disable = MatrixDelta::new().disable_column(cols[0]);
+            for col in 0..n {
+                if rng.gen_bool(0.2) {
+                    disable = disable.disable_column(col);
+                }
+            }
+            let current = built.patched(&disable).unwrap();
+            let split: Vec<f64> = (0..n)
+                .map(|_| if rng.gen_bool(0.5) { factor } else { factor * 0.9 })
+                .collect();
+            for factors in [vec![factor; n], split] {
+                let derated: Vec<ServerProfile> = servers
+                    .iter()
+                    .zip(&factors)
+                    .map(|(s, &f)| ServerProfile { power_cap: s.power_cap * f, ..s.clone() })
+                    .collect();
+                let unkeyed = builder.rebuild_columns(&bes, &derated, &cols, &current).unwrap();
+                let before = min_power_solves_on_thread();
+                let keyed = builder
+                    .rebuild_columns_keyed(&bes, &servers, &keys, |c| factors[c], &cols, &current)
+                    .unwrap();
+                let solves = min_power_solves_on_thread() - before;
+                prop_assert_eq!(&keyed, &unkeyed);
+                for ((kc, ke), (uc, ue)) in keyed.edits().iter().zip(unkeyed.edits()) {
+                    prop_assert_eq!(kc, uc);
+                    match (ke, ue) {
+                        (ColumnEdit::Set(k), ColumnEdit::Set(u)) => {
+                            for (a, b) in k.iter().zip(u) {
+                                prop_assert_eq!(a.to_bits(), b.to_bits());
+                            }
+                        }
+                        other => prop_assert!(false, "a rebuild only sets columns: {other:?}"),
+                    }
+                }
+                prop_assert!(keyed.dirty_cols().all(|c| cols.contains(&c) && !current.is_col_disabled(c)));
+                // One path per (key, factor) class with an enabled listed
+                // column.
+                let mut live: Vec<(usize, u64)> = cols
+                    .iter()
+                    .filter(|&&c| !current.is_col_disabled(c))
+                    .map(|&c| (keys[c], factors[c].to_bits()))
+                    .collect();
+                live.sort_unstable();
+                live.dedup();
+                prop_assert_eq!(solves, (live.len() * builder.load_levels().len()) as u64);
+
+                if n >= n_bes {
+                    let mgr = ClusterManager::new(bes.clone(), servers.clone())
+                        .with_profile_keys(keys.clone());
+                    let incumbent = mgr.place(Solver::Random { seed }).unwrap();
+                    let kept = mgr.replan_under_budget(&factors, &incumbent, 1e6).unwrap();
+                    let want = builder
+                        .build(&bes, &derated)
+                        .unwrap()
+                        .assignment_value(&incumbent.pairs);
+                    prop_assert_eq!(&kept.pairs, &incumbent.pairs);
+                    prop_assert_eq!(kept.total.to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl ClusterManager {
     /// Sets expansion-path cache keys (one per server column): columns
     /// sharing a key are interchangeable profiles — the same (SKU,
     /// primary-app) class — and share one expansion path and one estimate
-    /// per BE row ([`PerfMatrixBuilder::build_keyed`]).
+    /// per BE row (under one cap factor).
     ///
     /// # Panics
     ///
@@ -189,7 +189,7 @@ impl ClusterManager {
     /// Propagates estimation failures.
     pub fn performance_matrix(&self) -> Result<PerfMatrix, ClusterError> {
         self.builder
-            .build_keyed(&self.be_apps, &self.servers, &self.profile_keys)
+            .build_keyed(&self.be_apps, &self.servers, &self.profile_keys, |_| 1.0)
     }
 
     /// Builds the matrix and solves the placement with `solver`.
@@ -208,7 +208,9 @@ impl ClusterManager {
     /// curve, so a step-function class that must shed a whole power plane
     /// replans at the factor it actually holds, not the one the
     /// infrastructure asked for (a homogeneous fleet passes one factor
-    /// repeated). The matrix is rebuilt and a fresh assignment is solved
+    /// repeated). The matrix is rebuilt through the builder's one
+    /// cap-scaled class estimator — columns sharing a profile key and a
+    /// factor share one expansion path — and a fresh assignment is solved
     /// exactly, with [`Solver::Hungarian`] — but the `incumbent` placement
     /// is kept unless the new one beats it by more than `hysteresis`
     /// (relative, on the *shrunk* matrix). The
@@ -238,51 +240,16 @@ impl ClusterManager {
             self.servers.len(),
             "one cap factor per server"
         );
-        for &f in cap_factors {
-            assert!(f > 0.0 && f <= 1.0, "cap factor must be in (0, 1], got {f}");
-        }
-        assert!(
-            hysteresis >= 0.0 && hysteresis.is_finite(),
-            "hysteresis must be non-negative, got {hysteresis}"
-        );
-        let shrunk: Vec<ServerProfile> = self
-            .servers
-            .iter()
-            .zip(cap_factors)
-            .map(|(s, &f)| ServerProfile {
-                label: s.label.clone(),
-                utility: s.utility.clone(),
-                power_cap: s.power_cap * f,
-                peak_load: s.peak_load,
-            })
-            .collect();
-        // Per-server factors can split a cache class: two columns that
-        // shared a key stay interchangeable only if they also share a
-        // factor, so re-key on (base key, factor bits).
-        let mut seen: Vec<((usize, u64), usize)> = Vec::new();
-        let keys: Vec<usize> = cap_factors
-            .iter()
-            .enumerate()
-            .map(|(j, f)| {
-                let pair = (self.profile_keys[j], f.to_bits());
-                match seen.iter().find(|(p, _)| *p == pair) {
-                    Some(&(_, key)) => key,
-                    None => {
-                        let key = seen.len();
-                        seen.push((pair, key));
-                        key
-                    }
-                }
-            })
-            .collect();
-        let matrix = self.builder.build_keyed(&self.be_apps, &shrunk, &keys)?;
+        cap_factors.iter().for_each(|&f| check_cap_factor(f));
+        check_hysteresis(hysteresis);
+        let matrix =
+            self.builder
+                .build_keyed(&self.be_apps, &self.servers, &self.profile_keys, |col| {
+                    cap_factors[col]
+                })?;
         let fresh = assign::solve(&matrix, Solver::Hungarian)?;
-        let incumbent_total = matrix.assignment_value(&incumbent.pairs);
-        if fresh.total > incumbent_total * (1.0 + hysteresis) {
-            Ok(fresh)
-        } else {
-            Ok(Assignment::new(incumbent.pairs.clone(), incumbent_total))
-        }
+        let kept = kept_incumbent(&matrix, incumbent.pairs.clone(), fresh.total, hysteresis);
+        Ok(kept.unwrap_or(fresh))
     }
 
     /// Solves the placement through the sparse auction path and returns a
@@ -328,9 +295,9 @@ impl ClusterManager {
     }
 
     /// Incremental counterpart of [`ClusterManager::replan_under_budget`]:
-    /// re-estimates the enabled columns once per profile class (via
-    /// [`PerfMatrixBuilder::rebuild_columns_keyed`] over the manager's
-    /// profile keys, caps scaled by `cap_factor`), keeps the edits for the
+    /// re-estimates the enabled columns through the same cap-scaled class
+    /// estimator (one expansion path per profile class, every cap scaled
+    /// by `cap_factor`, no profile cloned), keeps the edits for the
     /// columns the cap change actually dirties, and repairs the plan's
     /// assignment from its previous prices. The same hysteresis rule
     /// applies: if the repaired placement does not beat the incumbent by
@@ -351,33 +318,28 @@ impl ClusterManager {
         cap_factor: f64,
         hysteresis: f64,
     ) -> Result<Vec<(usize, usize)>, ClusterError> {
-        assert!(
-            cap_factor > 0.0 && cap_factor <= 1.0,
-            "cap factor must be in (0, 1], got {cap_factor}"
-        );
-        assert!(
-            hysteresis >= 0.0 && hysteresis.is_finite(),
-            "hysteresis must be non-negative, got {hysteresis}"
-        );
+        check_cap_factor(cap_factor);
+        check_hysteresis(hysteresis);
         let all_cols: Vec<usize> = (0..plan.matrix.cols()).collect();
-        let delta = self.builder.rebuild_columns_scaled(
+        let delta = self.builder.rebuild_columns_keyed(
             &self.be_apps,
             &self.servers,
             &self.profile_keys,
-            cap_factor,
+            |_| cap_factor,
             &all_cols,
             &plan.matrix,
         )?;
-        let incumbent = plan.solution.assignment.clone();
+        let incumbent = plan.solution.assignment.pairs.clone();
         let intents = plan.apply_delta(&delta)?;
-        let incumbent_total = plan.matrix.assignment_value(&incumbent.pairs);
-        if plan.solution.assignment.total > incumbent_total * (1.0 + hysteresis) {
-            Ok(intents)
-        } else {
-            // Hysteresis keeps the incumbent; the repaired prices stay as
-            // warm-start state for the next replan.
-            plan.solution.assignment = Assignment::new(incumbent.pairs, incumbent_total);
-            Ok(Vec::new())
+        let total = plan.solution.assignment.total;
+        match kept_incumbent(&plan.matrix, incumbent, total, hysteresis) {
+            // The repaired prices stay as warm-start state for the next
+            // replan.
+            Some(kept) => {
+                plan.solution.assignment = kept;
+                Ok(Vec::new())
+            }
+            None => Ok(intents),
         }
     }
 
@@ -416,21 +378,49 @@ impl ClusterManager {
             "column {col} out of range for {} servers",
             self.servers.len()
         );
-        assert!(
-            cap_factor > 0.0 && cap_factor <= 1.0,
-            "cap factor must be in (0, 1], got {cap_factor}"
-        );
+        check_cap_factor(cap_factor);
         self.servers[col].utility = utility;
         self.profile_keys[col] = self.unused_profile_key(col);
-        let delta = self.builder.rebuild_columns_scaled(
+        let delta = self.builder.rebuild_columns_keyed(
             &self.be_apps,
             &self.servers,
             &self.profile_keys,
-            cap_factor,
+            |_| cap_factor,
             &[col],
             &plan.matrix,
         )?;
         plan.apply_delta(&delta)
+    }
+}
+
+/// Panics unless `f` is a cap factor: a share of the provisioned cap in
+/// `(0, 1]`.
+fn check_cap_factor(f: f64) {
+    assert!(f > 0.0 && f <= 1.0, "cap factor must be in (0, 1], got {f}");
+}
+
+/// Panics unless `hysteresis` is a finite, non-negative relative margin.
+fn check_hysteresis(hysteresis: f64) {
+    assert!(
+        hysteresis >= 0.0 && hysteresis.is_finite(),
+        "hysteresis must be non-negative, got {hysteresis}"
+    );
+}
+
+/// The budget replans' keep-the-incumbent rule: the `incumbent` pairs,
+/// scored on `matrix`, unless a new placement worth `fresh_total` on it
+/// beats them by more than `hysteresis` (relative), in which case `None`.
+fn kept_incumbent(
+    matrix: &PerfMatrix,
+    incumbent: Vec<(usize, usize)>,
+    fresh_total: f64,
+    hysteresis: f64,
+) -> Option<Assignment> {
+    let total = matrix.assignment_value(&incumbent);
+    if fresh_total > total * (1.0 + hysteresis) {
+        None
+    } else {
+        Some(Assignment::new(incumbent, total))
     }
 }
 

@@ -2,8 +2,7 @@
 //! `FleetSpec` (the legacy degenerate case) must reproduce the unkeyed
 //! builder's matrix bit-for-bit, and duplicating columns under shared
 //! keys must equal the dense build on the duplicated inputs. The same
-//! holds one level up: a keyed column rebuild returns the unkeyed
-//! rebuild's `MatrixDelta`, a budget step on a keyed fleet pays one
+//! holds one level up: a budget step on a keyed fleet pays one
 //! expansion path per class, and a `PlacementPlan`'s in-place repairs do
 //! exactly the work of the public building blocks — and keep doing so
 //! over any interleaving of fault, restore, refit and budget steps.
@@ -16,7 +15,7 @@
 use pocolo_cluster::assign::auction::{self, AuctionConfig, DEFAULT_EPS};
 use pocolo_cluster::assign::sparse::SparseCandidates;
 use pocolo_cluster::assign::Assignment;
-use pocolo_cluster::matrix::{ColumnEdit, MatrixDelta};
+use pocolo_cluster::matrix::{MatrixDelta, PerfMatrix};
 use pocolo_cluster::perfmatrix::{PerfMatrixBuilder, ServerProfile};
 use pocolo_cluster::{ClusterManager, PlacementPlan};
 use pocolo_core::fleet::{FleetSpec, ServerClass};
@@ -72,6 +71,18 @@ fn synthetic_bes(n: usize) -> Vec<(String, IndirectUtility)> {
             (format!("be{i}"), u)
         })
         .collect()
+}
+
+/// The class-keyed build a manager plans on.
+fn keyed_build(
+    bes: Vec<(String, IndirectUtility)>,
+    servers: Vec<ServerProfile>,
+    keys: Vec<usize>,
+) -> PerfMatrix {
+    ClusterManager::new(bes, servers)
+        .with_profile_keys(keys)
+        .performance_matrix()
+        .unwrap()
 }
 
 /// The fleet with every provisioned cap scaled by `factor`.
@@ -273,67 +284,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A keyed column rebuild is the unkeyed one, edit for edit and bit
-    /// for bit: over fleets with repeated classes, under a cap change,
-    /// with columns disabled (the first listed one among them, so some
-    /// class's representative is not its first listed column) and a
-    /// shuffled strict subset of columns listed.
-    #[test]
-    fn keyed_rebuild_is_the_unkeyed_rebuild(
-        n_classes in 1usize..=4,
-        n_bes in 1usize..=3,
-        factor in 0.6f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (servers, keys) = classed_fleet(n_classes, &mut rng);
-        let bes = synthetic_bes(n_bes);
-        let builder = PerfMatrixBuilder::new();
-        let built = builder.build_keyed(&bes, &servers, &keys).unwrap();
-        let n = servers.len();
-        let mut cols: Vec<usize> = (0..n).collect();
-        cols.shuffle(&mut rng);
-        if n > 1 {
-            cols.truncate(rng.gen_range(1..n));
-        }
-        let mut disable = MatrixDelta::new().disable_column(cols[0]);
-        for col in 0..n {
-            if rng.gen_bool(0.2) {
-                disable = disable.disable_column(col);
-            }
-        }
-        let current = built.patched(&disable).unwrap();
-        let derated = derated(&servers, factor);
-        let unkeyed = builder.rebuild_columns(&bes, &derated, &cols, &current).unwrap();
-        let before = min_power_solves_on_thread();
-        let keyed = builder
-            .rebuild_columns_keyed(&bes, &derated, &keys, &cols, &current)
-            .unwrap();
-        let solves = min_power_solves_on_thread() - before;
-        prop_assert_eq!(&keyed, &unkeyed);
-        for ((kc, ke), (uc, ue)) in keyed.edits().iter().zip(unkeyed.edits()) {
-            prop_assert_eq!(kc, uc);
-            match (ke, ue) {
-                (ColumnEdit::Set(k), ColumnEdit::Set(u)) => {
-                    for (a, b) in k.iter().zip(u) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-                other => prop_assert!(false, "a rebuild only sets columns: {other:?}"),
-            }
-        }
-        prop_assert!(keyed.dirty_cols().all(|c| cols.contains(&c) && !current.is_col_disabled(c)));
-        // One path per class with an enabled listed column.
-        let mut live: Vec<usize> = cols
-            .iter()
-            .filter(|&&c| !current.is_col_disabled(c))
-            .map(|&c| keys[c])
-            .collect();
-        live.sort_unstable();
-        live.dedup();
-        prop_assert_eq!(solves, (live.len() * builder.load_levels().len()) as u64);
-    }
-
     /// A homogeneous fleet's keyed build is bit-for-bit the legacy build:
     /// with one class, every (class, primary) key is distinct, so the
     /// cache degenerates to exactly the per-server path computation.
@@ -355,15 +305,14 @@ proptest! {
         let bes: Vec<(String, IndirectUtility)> = (0..n_bes)
             .map(|i| (format!("be{i}"), synthetic_utility(&class, 50.0, aw + 0.02 * i as f64, ac)))
             .collect();
-        // Key layout used by the fleet pipeline: class * n + server slot.
+        // Keys `class * n + slot`: distinct on every slot.
         let keys: Vec<usize> = assignment
             .iter()
             .enumerate()
             .map(|(s, &c)| c * n_servers + s)
             .collect();
-        let builder = PerfMatrixBuilder::new();
-        let legacy = builder.build(&bes, &servers).unwrap();
-        let keyed = builder.build_keyed(&bes, &servers, &keys).unwrap();
+        let legacy = PerfMatrixBuilder::new().build(&bes, &servers).unwrap();
+        let keyed = keyed_build(bes, servers, keys);
         prop_assert_eq!(&keyed, &legacy);
         for r in 0..legacy.rows() {
             for c in 0..legacy.cols() {
@@ -396,9 +345,8 @@ proptest! {
             }
         }
         let bes = vec![("be0".to_string(), synthetic_utility(&class, 50.0, 0.5, 0.3))];
-        let builder = PerfMatrixBuilder::new();
-        let keyed = builder.build_keyed(&bes, &servers, &keys).unwrap();
-        let dense = builder.build(&bes, &servers).unwrap();
+        let dense = PerfMatrixBuilder::new().build(&bes, &servers).unwrap();
+        let keyed = keyed_build(bes, servers, keys);
         for r in 0..dense.rows() {
             for c in 0..dense.cols() {
                 prop_assert_eq!(keyed.value(r, c).to_bits(), dense.value(r, c).to_bits());

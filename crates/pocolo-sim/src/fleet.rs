@@ -5,9 +5,8 @@
 //! Two placement modes run over the *same* physical fleet:
 //!
 //! - **SKU-aware**: the cluster manager plans on each slot's true
-//!   [`ServerProfile`] (class geometry, per-class power cap), reuses
-//!   expansion paths through class-keyed matrix columns, and replans
-//!   brownouts with each slot's *curve-derated* cap factor.
+//!   [`ServerProfile`] (class geometry, per-class power cap) and
+//!   replans brownouts with each slot's *curve-derated* cap factor.
 //! - **SKU-blind**: the manager pretends every slot is the reference
 //!   class (the fleet's first entry) and replans with the raw requested
 //!   cap factor.
@@ -94,20 +93,11 @@ impl FittedFleet {
             .collect()
     }
 
-    /// Class-keyed matrix cache keys: two columns share a key exactly
-    /// when they share both the server class and the primary, so the
-    /// [`pocolo_cluster::PerfMatrixBuilder`] expansion-path cache solves
-    /// each (class, primary) pair once.
-    pub fn profile_keys(&self) -> Vec<usize> {
-        let n = self.n_servers();
-        (0..n).map(|s| self.assignment[s] * n + s).collect()
-    }
-
-    /// The SKU-aware cluster manager: true per-slot profiles with
-    /// class-keyed matrix columns.
+    /// The SKU-aware cluster manager: true per-slot profiles. Slot `s`
+    /// hosts its own primary, so no two columns are interchangeable and
+    /// each gets its own expansion path.
     pub fn manager(&self) -> ClusterManager {
         ClusterManager::new(self.fits[0].be_profiles(), self.server_profiles())
-            .with_profile_keys(self.profile_keys())
     }
 
     /// What a [`RunPlan`] over this fleet compiles from. The physics
