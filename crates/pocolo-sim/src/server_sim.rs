@@ -9,7 +9,7 @@ use pocolo_manager::{
     ServerController, ServerManager,
 };
 use pocolo_simserver::power::{PowerDrawModel, PowerMeter};
-use pocolo_simserver::{Reading, SimServer, TenantRole};
+use pocolo_simserver::{CoreSet, Reading, SimServer, TenantRole, WayMask};
 use pocolo_workloads::{BeModel, LcModel, LoadTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,6 +31,31 @@ fn be_price(fit: &PowerModel, (c, w): (u32, u32), f_frac: f64, quota: f64) -> Wa
     let p = fit.p_dynamic();
     let dynamic = p[0] * f64::from(c) * f_frac.powf(GAMMA) + p[1] * f64::from(w);
     fit.p_static() + Watts(dynamic * quota)
+}
+
+/// One tenant's allocation as a memo key: cores and ways by value, the
+/// DVFS point and the quota by their bits (`None`: no tenant).
+type AllocKey = Option<(CoreSet, WayMask, u64, u64)>;
+
+/// The ground truth the capper tick reads, each with the inputs it was
+/// last evaluated at. Most ticks see the allocations, load and duty of
+/// the tick before. The physics are pure in these keys, the truth models
+/// and the power model, so a hit is the bits a fresh evaluation would
+/// give. Of those models only the co-runner's ever changes, and the
+/// entries it feeds are dropped wherever it does (`replace_be`,
+/// `park_be`).
+#[derive(Debug, Default)]
+struct TruthMemo {
+    /// [`ServerSim::true_power`] at (primary, secondary, load, duty).
+    power: Option<((AllocKey, AllocKey, u64, u64), Watts)>,
+    /// [`ServerSim::lc_slack`] at (primary, load, duty).
+    slack: Option<((AllocKey, u64, u64), f64)>,
+    /// [`ServerSim::be_throughput`] outside a migration pause, at
+    /// (secondary, duty).
+    be: Option<((AllocKey, u64), f64)>,
+    /// Fresh evaluations so far.
+    #[cfg(test)]
+    misses: u64,
 }
 
 /// One server under simulation: the ground-truth workload models, the
@@ -84,6 +109,8 @@ pub struct ServerSim {
     recovery_pending_since: Option<f64>,
     /// Per-epoch decision trace, when enabled.
     decision_log: Option<Vec<DecisionRecord>>,
+    /// The capper tick's ground truth, memoised.
+    memo: TruthMemo,
 }
 
 impl ServerSim {
@@ -133,6 +160,7 @@ impl ServerSim {
             parked_be: None,
             recovery_pending_since: None,
             decision_log: None,
+            memo: TruthMemo::default(),
         }
     }
 
@@ -150,11 +178,7 @@ impl ServerSim {
         self.be_fitted = be_fitted;
         self.pause_remaining_s = pause_s.max(0.0);
         self.server.evict(TenantRole::Secondary);
-    }
-
-    /// Seconds left of the current co-runner's migration pause.
-    pub fn pause_remaining_s(&self) -> f64 {
-        self.pause_remaining_s
+        (self.memo.power, self.memo.be) = (None, None);
     }
 
     /// Enables proactive, model-guided management of the secondary (the
@@ -216,11 +240,6 @@ impl ServerSim {
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics
-    }
-
-    /// The underlying simulated server (for inspection in tests/benches).
-    pub fn server(&self) -> &SimServer {
-        &self.server
     }
 
     /// The effective power cap right now (provisioned × brownout factor).
@@ -309,6 +328,7 @@ impl ServerSim {
         if let Some(be) = self.be_truth.take() {
             self.parked_be = Some((be, self.be_fitted.take(), 0.0));
             self.metrics.record_eviction();
+            (self.memo.power, self.memo.be) = (None, None);
         }
     }
 
@@ -579,6 +599,54 @@ impl ServerSim {
         }
     }
 
+    /// `role`'s allocation as a memo key.
+    fn tenant_key(&self, role: TenantRole) -> AllocKey {
+        let a = self.server.allocation(role)?;
+        Some((
+            a.cores,
+            a.ways,
+            a.frequency.0.to_bits(),
+            a.cpu_quota.to_bits(),
+        ))
+    }
+
+    fn power_key(&self) -> (AllocKey, AllocKey, u64, u64) {
+        let (lc, be) = (TenantRole::Primary, TenantRole::Secondary);
+        let (load, duty) = (self.current_load_rps.to_bits(), self.duty.to_bits());
+        (self.tenant_key(lc), self.tenant_key(be), load, duty)
+    }
+
+    fn slack_key(&self) -> (AllocKey, u64, u64) {
+        let (load, duty) = (self.current_load_rps.to_bits(), self.duty.to_bits());
+        (self.tenant_key(TenantRole::Primary), load, duty)
+    }
+
+    fn be_key(&self) -> (AllocKey, u64) {
+        (self.tenant_key(TenantRole::Secondary), self.duty.to_bits())
+    }
+
+    /// The memo `slot`'s value if it was evaluated at `key`; otherwise a
+    /// fresh `eval`, stored at `key`.
+    fn memoised<K: PartialEq + Copy, V: Copy>(
+        &mut self,
+        slot: fn(&mut TruthMemo) -> &mut Option<(K, V)>,
+        key: K,
+        eval: fn(&Self) -> V,
+    ) -> V {
+        if let Some((k, v)) = *slot(&mut self.memo) {
+            if k == key {
+                return v;
+            }
+        }
+        let v = eval(self);
+        *slot(&mut self.memo) = Some((key, v));
+        #[cfg(test)]
+        {
+            self.memo.misses += 1;
+        }
+        v
+    }
+
     /// The capper tick (100 ms in the paper): sample the meter, throttle or
     /// recover the secondary, and record metrics over `dt` seconds.
     pub fn on_capper_tick(&mut self, dt: f64) {
@@ -592,7 +660,7 @@ impl ServerSim {
                 .record(dt, Watts::ZERO, cap, 0.0, -1.0, false, true);
             return;
         }
-        let true_power = self.true_power();
+        let true_power = self.memoised(|m| &mut m.power, self.power_key(), Self::true_power);
         let measured = self.meter.sample(true_power);
         self.last_measured = Some(measured);
         let eff_cap = self.effective_cap();
@@ -610,7 +678,7 @@ impl ServerSim {
             }
         }
         let over_cap_saturated = matches!(action, CapAction::Saturated) && measured > eff_cap;
-        let slack = self.lc_slack();
+        let slack = self.memoised(|m| &mut m.slack, self.slack_key(), Self::lc_slack);
         self.step_rapl(over_cap_saturated, measured, eff_cap);
         self.step_eviction(over_cap_saturated, slack);
         let throttled = matches!(
@@ -620,6 +688,10 @@ impl ServerSim {
         self.last_slack = Some(slack);
         self.obs_slack.push(self.clock_s, slack);
         let fault_active = self.fault_active();
+        let be_throughput = match self.pause_remaining_s > 0.0 {
+            true => 0.0,
+            false => self.memoised(|m| &mut m.be, self.be_key(), Self::be_throughput),
+        };
         // Metrics record the *pre-action* power: that is what the server
         // actually drew over the elapsed interval (including any overshoot
         // the capper is only now correcting).
@@ -627,7 +699,7 @@ impl ServerSim {
             dt,
             true_power,
             eff_cap,
-            self.be_throughput(),
+            be_throughput,
             slack,
             throttled,
             fault_active,
@@ -796,7 +868,7 @@ mod tests {
                     .with_resilience(0);
                     sim.apply_fault(&ServerFaultAction::SetCapFactor(factor), 0.0);
                     sim.on_manager_tick(0.0);
-                    let Some(sec) = sim.server().allocation(TenantRole::Secondary) else {
+                    let Some(sec) = sim.server.allocation(TenantRole::Secondary) else {
                         continue;
                     };
                     installed += 1;
@@ -891,7 +963,7 @@ mod tests {
             "a power-hungry BE app beside img-dnn must get throttled"
         );
         // The secondary should have been slowed down.
-        let sec = sim.server().allocation(TenantRole::Secondary).unwrap();
+        let sec = sim.server.allocation(TenantRole::Secondary).unwrap();
         assert!(sec.frequency < sim.lc_truth().machine().freq_max());
     }
 
@@ -925,7 +997,7 @@ mod tests {
             LoadTrace::Constant(0.5),
         );
         run(&mut sim, 5);
-        let provisioned = sim.server().power_cap();
+        let provisioned = sim.server.power_cap();
         sim.apply_fault(&ServerFaultAction::SetCapFactor(0.6), 5.0);
         assert!(sim.fault_active());
         assert!((sim.effective_cap().0 - provisioned.0 * 0.6).abs() < 1e-9);
@@ -1152,10 +1224,208 @@ mod tests {
             },
             3.0,
         );
-        assert!(sim.pause_remaining_s() > 0.0);
+        assert!(sim.pause_remaining_s > 0.0);
         assert_eq!(sim.be_throughput(), 0.0);
         run_from(&mut sim, 3, 4);
         assert!(sim.be_throughput() > 0.0, "new co-runner warmed up");
+    }
+
+    /// The inputs a memo entry was evaluated at: both tenants (`None`
+    /// for one the quantity does not read), the load and the duty.
+    type Inputs = ([AllocKey; 2], (u64, u64));
+
+    /// `eval` without the migration pause, at `inputs` (the tenants
+    /// installed, load and duty from their bits) or, given `None`, at the
+    /// sim's own; everything is restored after.
+    fn evaluate(sim: &mut ServerSim, inputs: Option<Inputs>, eval: fn(&ServerSim) -> f64) -> f64 {
+        let saved = (sim.server.clone(), sim.current_load_rps, sim.duty);
+        let pause = std::mem::take(&mut sim.pause_remaining_s);
+        if let Some((tenants, (load, duty))) = inputs {
+            let roles = [TenantRole::Primary, TenantRole::Secondary];
+            for role in roles {
+                sim.server.evict(role);
+            }
+            for (role, key) in roles.into_iter().zip(tenants) {
+                if let Some((cores, ways, f, quota)) = key {
+                    let mut alloc =
+                        TenantAllocation::new(cores, ways, Frequency(f64::from_bits(f)));
+                    alloc.cpu_quota = f64::from_bits(quota);
+                    sim.server.install(role, alloc).unwrap();
+                }
+            }
+            (sim.current_load_rps, sim.duty) = (f64::from_bits(load), f64::from_bits(duty));
+        }
+        let fresh = eval(sim);
+        (sim.server, sim.current_load_rps, sim.duty) = saved;
+        sim.pause_remaining_s = pause;
+        fresh
+    }
+
+    /// A memo entry holds the bits a fresh evaluation at its key gives
+    /// with the sim's current truth models (a missed invalidation fails
+    /// this) and, when its key is the sim's current one, the bits of a
+    /// fresh evaluation now (a key missing an input fails this).
+    fn assert_entry_is_fresh<K: PartialEq + Copy>(
+        sim: &mut ServerSim,
+        (entry, current): (Option<(K, f64)>, K),
+        inputs: impl Fn(K) -> Inputs,
+        eval: fn(&ServerSim) -> f64,
+        at: &str,
+    ) {
+        let Some((key, v)) = entry else { return };
+        let fresh = evaluate(sim, Some(inputs(key)), eval);
+        assert_eq!(
+            v.to_bits(),
+            fresh.to_bits(),
+            "{at}: {v} vs {fresh} at its key"
+        );
+        if key == current {
+            let fresh = evaluate(sim, None, eval);
+            assert_eq!(v.to_bits(), fresh.to_bits(), "{at}: {v} vs {fresh} now");
+        }
+    }
+
+    /// Every live memo entry is a fresh evaluation. The capper reads
+    /// nothing while the server is down.
+    fn assert_memo_is_fresh(sim: &mut ServerSim, at: &str) {
+        if sim.down {
+            return;
+        }
+        let power = (sim.memo.power.map(|(k, w)| (k, w.0)), sim.power_key());
+        let inputs = |(lc, be, load, duty)| ([lc, be], (load, duty));
+        let eval = |s: &ServerSim| s.true_power().0;
+        assert_entry_is_fresh(sim, power, inputs, eval, &format!("true_power {at}"));
+        let slack = (sim.memo.slack, sim.slack_key());
+        let inputs = |(lc, load, duty)| ([lc, None], (load, duty));
+        assert_entry_is_fresh(
+            sim,
+            slack,
+            inputs,
+            ServerSim::lc_slack,
+            &format!("lc_slack {at}"),
+        );
+        let (be, load) = ((sim.memo.be, sim.be_key()), sim.current_load_rps.to_bits());
+        let inputs = |(be, duty)| ([None, be], (load, duty));
+        let eval = ServerSim::be_throughput;
+        assert_entry_is_fresh(sim, be, inputs, eval, &format!("be_throughput {at}"));
+    }
+
+    /// One server through every event that changes a memo input, checked
+    /// after each: a load step and the manager resizes it causes, capper
+    /// frequency and quota steps, a migrate-in and its pause, a deep
+    /// brownout with RAPL duty cycling to 0.25 and an eviction, the lift
+    /// and the duty's recovery, the backed-off re-admission, and a crash
+    /// whose recovery holds the co-runner parked until it re-admits.
+    #[test]
+    fn memoised_truth_is_a_fresh_evaluation() {
+        let mut sim = make_sim(
+            LcApp::ImgDnn,
+            Some(BeApp::Pbzip),
+            LcPolicy::PowerOptimized,
+            LoadTrace::Steps(vec![(6.0, 0.3), (1000.0, 0.6)]),
+        )
+        // Patient enough that RAPL duty-cycles the co-runner before it
+        // is evicted.
+        .with_resilience(8);
+        let (mut min_duty, mut max_pause, mut quota_cut, mut resizes) = (1.0f64, 0.0f64, false, 0);
+        let mut be_duty_cycled = false;
+        let mut last_primary = None;
+        let mut step = |sim: &mut ServerSim, t: usize| {
+            sim.on_manager_tick(t as f64);
+            assert_memo_is_fresh(sim, &format!("after the manager tick at {t} s"));
+            let primary = sim
+                .server
+                .allocation(TenantRole::Primary)
+                .map(|a| (a.cores, a.ways));
+            resizes += usize::from(primary.is_some() && primary != last_primary);
+            last_primary = primary;
+            for k in 0..10 {
+                sim.on_capper_tick(0.1);
+                assert_memo_is_fresh(sim, &format!("after capper tick {k} of {t} s"));
+                min_duty = min_duty.min(sim.duty);
+                be_duty_cycled |=
+                    sim.duty < 1.0 && sim.be_truth.is_some() && sim.pause_remaining_s == 0.0;
+                max_pause = max_pause.max(sim.pause_remaining_s);
+                let sec = sim.server.allocation(TenantRole::Secondary);
+                quota_cut |= sec.is_some_and(|a| a.cpu_quota < 1.0);
+            }
+        };
+        let fault = |sim: &mut ServerSim, action: ServerFaultAction, t: usize| {
+            sim.apply_fault(&action, t as f64);
+            assert_memo_is_fresh(sim, &format!("after {action:?} at {t} s"));
+        };
+        let mut t = 0;
+        let mut run_until = |sim: &mut ServerSim, end: usize, t: &mut usize| {
+            while *t < end {
+                step(sim, *t);
+                *t += 1;
+            }
+        };
+        run_until(&mut sim, 8, &mut t);
+        fault(&mut sim, migrate_in(BeApp::Rnn, 1.5), t);
+        run_until(&mut sim, 12, &mut t);
+        fault(&mut sim, ServerFaultAction::SetCapFactor(0.3), t);
+        run_until(&mut sim, 24, &mut t);
+        assert!(sim.be_truth.is_none(), "the brownout evicts the co-runner");
+        fault(&mut sim, ServerFaultAction::SetCapFactor(1.0), t);
+        while sim.be_truth.is_none() && t < 120 {
+            run_until(&mut sim, t + 1, &mut t);
+        }
+        assert!(sim.be_truth.is_some(), "the co-runner is re-admitted");
+        run_until(&mut sim, t + 4, &mut t);
+        fault(&mut sim, ServerFaultAction::Crash, t);
+        run_until(&mut sim, t + 3, &mut t);
+        fault(&mut sim, ServerFaultAction::Recover, t);
+        run_until(&mut sim, t + 4, &mut t);
+        assert!(
+            sim.be_truth.is_none(),
+            "recovery holds the co-runner parked"
+        );
+        while sim.be_truth.is_none() && t < 240 {
+            run_until(&mut sim, t + 1, &mut t);
+        }
+        assert!(sim.be_truth.is_some(), "the co-runner is re-admitted");
+        run_until(&mut sim, t + 4, &mut t);
+        assert_eq!(min_duty, 0.25, "RAPL duty-cycles to its floor");
+        assert_eq!(sim.duty, 1.0, "and back");
+        assert!(max_pause > 0.0 && quota_cut && be_duty_cycled && resizes > 2);
+    }
+
+    /// The work the memo saves, pinned: over a fault-free 20 s POColo
+    /// slot at constant 0.5 load, at most one capper tick in five
+    /// evaluates any ground truth fresh.
+    #[test]
+    fn most_capper_ticks_reuse_the_memoised_truth() {
+        let fitted = FittedCluster::fit(&ProfilerConfig::default());
+        for (lc, truth, lc_fit) in fitted.lc() {
+            for (be, be_truth, be_fit) in fitted.be() {
+                let mut sim = ServerSim::new(
+                    truth.clone(),
+                    lc_fit.clone(),
+                    Some(be_truth.clone()),
+                    LcPolicy::PowerOptimized,
+                    LoadTrace::Constant(0.5),
+                    truth.provisioned_power(),
+                    0.01,
+                    42,
+                )
+                .with_proactive_be(be_fit.clone());
+                let (mut ticks, mut fresh) = (0, 0);
+                for s in 0..20 {
+                    sim.on_manager_tick(s as f64);
+                    for _ in 0..10 {
+                        let misses = sim.memo.misses;
+                        sim.on_capper_tick(0.1);
+                        ticks += 1;
+                        fresh += usize::from(sim.memo.misses > misses);
+                    }
+                }
+                assert!(
+                    5 * fresh <= ticks,
+                    "{lc} + {be}: {fresh} of {ticks} ticks evaluated fresh"
+                );
+            }
+        }
     }
 
     fn migrate_in(app: BeApp, pause_s: f64) -> ServerFaultAction {
@@ -1187,7 +1457,7 @@ mod tests {
             if !resilient {
                 // The naive restart is immediate, but the migrated app
                 // still owes the pause it never got to pay.
-                assert!(sim.pause_remaining_s() > 3.9);
+                assert!(sim.pause_remaining_s > 3.9);
             }
             // The resilient controller re-admits after its backoff.
             run_from(&mut sim, 8, 70);
